@@ -11,12 +11,18 @@ batched ones by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
 from .errors import IllConditionedError
-from .identify import EIGEN_GAP_RTOL, ROW_SUM_FALLBACK_TOL
+from .identify import (
+    EIGEN_GAP_RTOL,
+    EXHAUSTIVE_PERMUTATION_CAP,
+    ROW_SUM_FALLBACK_TOL,
+)
 from .moments import (
     contract_tensor,
     covariance_from_moments,
@@ -24,6 +30,10 @@ from .moments import (
 )
 
 _INVALID_MISMATCH = np.iinfo(np.int32).max
+
+# Largest (chunk, d!) or (chunk, d, d, d) array the labelers build; longer
+# stacks are labeled in chunks.
+_LABEL_CHUNK_ELEMENTS = 1 << 18
 
 
 def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
@@ -203,91 +213,221 @@ def offdiag_from_rows(rows: np.ndarray, ms: np.ndarray, d: int) -> np.ndarray:
     return demixed[..., iu[0], iu[1]]
 
 
-def _diagonal_floor(r: np.ndarray) -> np.ndarray:
-    """Smallest usable |diagonal| per stack entry: 1e-12 of its largest entry."""
-    entries = np.abs(r).reshape(*r.shape[:-2], -1)
-    return 1e-12 * np.maximum(_fold_last(np.maximum, entries), 1e-300)
+def _check_label_dimension(d: int) -> None:
+    if d > EXHAUSTIVE_PERMUTATION_CAP:
+        raise ValueError(
+            f"batched labeling scores all d! row orderings and is capped at "
+            f"d = {EXHAUSTIVE_PERMUTATION_CAP}; got d = {d}"
+        )
 
 
-def _diag_normalized(r: np.ndarray, perm, floor: np.ndarray):
-    """Rows of each stack entry in `perm` order, divided by their diagonal.
+@functools.lru_cache(maxsize=EXHAUSTIVE_PERMUTATION_CAP)
+def _permutation_table(d: int):
+    """The d! row orderings, as tuples and as flat indices into a (d, d) block.
 
-    Returns (normalized, valid); `valid` marks entries whose every diagonal
-    entry exceeds `floor`, so that the normalization is meaningful.
+    `pivots[p, i]` is the row-major index of entry (perm_p[i], i), and
+    column p of `blocks` lists the indices of rows perm_p[0], ...,
+    perm_p[d-1].
     """
-    block = r[:, perm, :]
-    ridx = np.arange(r.shape[-1])
-    diag = block[:, ridx, ridx]
-    valid = _fold_last(np.minimum, np.abs(diag)) > floor
-    safe = np.where(np.abs(diag) < 1e-300, 1.0, diag)
-    return block / safe[:, :, None], valid
+    perms = tuple(itertools.permutations(range(d)))
+    table = np.array(perms, dtype=np.intp).reshape(len(perms), d)
+    pivots = table * d + np.arange(d)
+    blocks = np.ascontiguousarray(
+        (table[:, :, None] * d + np.arange(d)).reshape(len(perms), d * d).T
+    )
+    pivots.flags.writeable = False
+    blocks.flags.writeable = False
+    return perms, pivots, blocks
+
+
+def _chunks(b: int, d: int) -> list[slice]:
+    """Slices of a b-entry stack whose (d!, chunk) and (d, d, d, chunk)
+    arrays hold at most _LABEL_CHUNK_ELEMENTS elements."""
+    step = max(1, _LABEL_CHUNK_ELEMENTS // max(math.factorial(d), d**3))
+    return [slice(s, min(s + step, b)) for s in range(0, b, step)]
+
+
+def _pivots(r: np.ndarray) -> np.ndarray:
+    """Divisors of the diagonal normalization, with 1 in place of ~0 entries."""
+    return np.where(np.abs(r) < 1e-300, 1.0, r)
+
+
+def _entries_last(r: np.ndarray):
+    """A (k, d, d) stack as a contiguous (d, d, k) array, its magnitudes,
+    and each entry's diagonal floor: 1e-12 of its largest magnitude."""
+    k, d, _ = r.shape
+    rt = np.ascontiguousarray(r.transpose(1, 2, 0))
+    absr = np.abs(rt)
+    peak = np.maximum.reduce(absr.reshape(d * d, k), axis=0)
+    return rt, absr, 1e-12 * np.maximum(peak, 1e-300)
+
+
+def _normalized(r: np.ndarray, blocks: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Rows of stack entry e in ordering cand[e], divided by their diagonal."""
+    k, d, _ = r.shape
+    idx = np.take(blocks, cand, axis=1) + np.arange(0, k * d * d, d * d)
+    block = np.take(r, idx)
+    lam = block.reshape(d, d, k) / _pivots(block[:: d + 1])[:, None, :]
+    return np.ascontiguousarray(lam.transpose(2, 0, 1))
+
+
+def _candidate_totals(cost: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """total[p, b] = sum_i cost[perm_p[i], i, b] for every ordering p."""
+    flat = cost.reshape(-1, cost.shape[-1])
+    total = flat[pivots[:, 0]]
+    for i in range(1, pivots.shape[1]):
+        total += flat[pivots[:, i]]
+    return total
+
+
+def _stack_sum(terms: np.ndarray, b: int) -> np.ndarray:
+    """Row sums of per-entry terms, in numpy's order for a b-entry stack.
+
+    Picking terms out of a stack of b > 1 entries by a mask or by index
+    arrays lays them out with the stack axis innermost, so numpy sums each
+    entry's terms left to right; a single entry's terms are contiguous and
+    summed pairwise.  The labelers sum their tie-break and residual scores
+    in that same order, however many rows they rescore.
+    """
+    if b > 1 and terms.shape[1]:
+        return _fold_last(np.add, terms)
+    return np.sum(np.ascontiguousarray(terms), axis=-1)
+
+
+def _sign_cost(rt, absr, floor, pattern) -> np.ndarray:
+    """cost[k, i, b]: sign mismatches of row k of entry b normalized at
+    position i, for an entries-last stack `rt` and a float `pattern`.
+
+    sign(r_kj / r_ki) is sign(r_kj) sign(r_ki), so with dot = sign(r) @
+    pattern' (GEMMs along the stack) twice the count is n_active_i +
+    zeros_ki - sign(r_ki) dot_ki, zeros_ki counting the active exact zeros
+    of row k.  Positions whose pivot is not above `floor` cost inf.
+    """
+    signs = np.sign(rt)
+    dot = np.matmul(pattern, signs)
+    active = np.abs(pattern)
+    twice = active.sum(axis=1)[:, None]
+    zero = rt == 0
+    if zero.any():
+        twice = twice + np.matmul(active, zero)
+    twice = twice - np.where(absr < 1e-300, 1.0, signs) * dot
+    return np.where(absr > floor, 0.5 * twice, np.inf)
+
+
+def _triangular_cost(rt, absr, floor) -> np.ndarray:
+    """cost[k, i, b] = sum_{j > i} (r_kj / r_ki)^2 for entry b of an
+    entries-last stack, inf where r_ki is not above `floor`."""
+    d = rt.shape[0]
+    q = rt[:, None, :, :] / _pivots(rt)[:, :, None, :]
+    above = np.triu(np.ones((d, d), dtype=bool), 1)[:, :, None]
+    mass = np.where(above, q * q, 0.0).sum(axis=2)
+    return np.where(absr > floor, mass, np.inf)
 
 
 def label_signs(rows: np.ndarray, pattern: np.ndarray):
     """Vectorized sign labeling with margin tie-break over a stack of rows.
 
+    Diagonal normalization divides row k by its entry at the position i it
+    is put in, so the sign mismatches of that placement depend on (k, i)
+    alone.  They form a (d, d, b) cost tensor; an ordering's count is the
+    sum of its d placements, gathered through a (d!, d) index table, and an
+    ordering is invalid when one of its diagonal entries is not above 1e-12
+    of the stack entry's largest magnitude.  Only entries tied on the
+    smallest count compute the margin sum(pattern * normalized), and only
+    for their tied orderings; the largest margin wins, the first ordering
+    on an exact margin tie.  Stacks are cut into chunks of bounded size and
+    d is capped at ``EXHAUSTIVE_PERMUTATION_CAP``.
+
+    Signs are read from the rows themselves: sign(r_kj / r_ki) equals
+    sign(r_kj) sign(r_ki) unless the quotient underflows to zero, which
+    rows of norm at most 1 cannot produce.
+
     Returns (lambda_final, mismatches, tie_flags, perm_index, permutations):
     `tie_flags` marks entries where two permutations tied on mismatch count
     (resolved by margin), and `permutations` lists the candidate orderings
-    indexed by `perm_index`.
+    indexed by `perm_index`.  An entry without a valid ordering reports
+    int32-max mismatches, a tie, and ordering 0.
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
     b, d, _ = r.shape
+    _check_label_dimension(d)
     pattern = np.asarray(pattern)
-    perms = list(itertools.permutations(range(d)))
+    if pattern.shape != (d, d) or not ((pattern == 0) | (np.abs(pattern) == 1)).all():
+        raise ValueError(f"sign pattern must be {d}x{d} with entries -1, 0 or +1")
+    perms, pivots, blocks = _permutation_table(d)
     active = pattern != 0
-
-    mism = np.full((len(perms), b), _INVALID_MISMATCH, dtype=np.int64)
-    margin = np.full((len(perms), b), -np.inf)
-    normalized_all = np.empty((len(perms), b, d, d))
-    floor = _diagonal_floor(r)
-    for p, perm in enumerate(perms):
-        normalized, valid = _diag_normalized(r, perm, floor)
-        normalized_all[p] = normalized
-        m = np.sum(np.sign(normalized)[:, active] != pattern[active], axis=-1)
-        g = np.sum(pattern[active] * normalized[:, active], axis=-1)
-        mism[p] = np.where(valid, m, _INVALID_MISMATCH)
-        margin[p] = np.where(valid, g, -np.inf)
-
-    best_mism = mism.min(axis=0)
-    at_best = mism == best_mism[None, :]
-    tie_flags = at_best.sum(axis=0) > 1
-    margin_masked = np.where(at_best, margin, -np.inf)
-    perm_index = margin_masked.argmax(axis=0)
-    lam = normalized_all[perm_index, np.arange(b)]
+    weights = pattern.astype(float)
+    order = np.arange(len(perms), dtype=float)
+    best = np.empty(b)
+    tie_flags = np.empty(b, dtype=bool)
+    perm_index = np.empty(b, dtype=np.intp)
+    for s in _chunks(b, d):
+        total = _candidate_totals(_sign_cost(*_entries_last(r[s]), weights), pivots)
+        low = np.minimum.reduce(total, axis=0)
+        at_best = total == low
+        tied = np.count_nonzero(at_best, axis=0) > 1
+        # The single best ordering; tied entries are resolved below, and
+        # entries without a valid ordering keep ordering 0.
+        pick = np.where(tied, 0, (order @ at_best).astype(np.intp))
+        refine = np.flatnonzero(tied & np.isfinite(low))
+        if refine.size:
+            cand, ent = np.nonzero(at_best[:, refine])
+            normalized = _normalized(r[s][refine[ent]], blocks, cand)
+            margin = np.full((refine.size, len(perms)), -np.inf)
+            margin[ent, cand] = _stack_sum(
+                pattern[active] * normalized[:, active], b
+            )
+            pick[refine] = margin.argmax(axis=1)
+        best[s], tie_flags[s], perm_index[s] = low, tied, pick
+    best_mism = np.where(
+        np.isfinite(best), best, _INVALID_MISMATCH
+    ).astype(np.int64)
+    lam = _normalized(r, blocks, perm_index)
     if squeeze:
-        return lam[0], int(best_mism[0]), bool(tie_flags[0]), int(perm_index[0]), perms
-    return lam, best_mism, tie_flags, perm_index, perms
+        return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
+                int(perm_index[0]), list(perms))
+    return lam, best_mism, tie_flags, perm_index, list(perms)
 
 
 def label_triangular(rows: np.ndarray):
     """Vectorized triangular labeling over a stack of demixing rows.
 
     Picks, per stack entry, the row permutation minimizing the sum of
-    squared above-diagonal entries after diagonal normalization.  Returns
-    (lambda_final, residual, perm_index, permutations).
+    squared above-diagonal entries after diagonal normalization.  As in
+    :func:`label_signs`, the cost of row k at position i is separable,
+    here mass[k, i] = sum_{j > i} (r_kj / r_ki)^2, and orderings are scored
+    by a gather over the (d!, d) table.  Those sums run in another order
+    than the per-ordering residual, so every ordering within a few ulps of
+    the smallest total is rescored with that residual; the smallest wins,
+    the first ordering on a tie.  Returns (lambda_final, residual,
+    perm_index, permutations); an entry without a valid ordering gets
+    residual inf and ordering 0.
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
     b, d, _ = r.shape
-    perms = list(itertools.permutations(range(d)))
-    residual = np.full((len(perms), b), np.inf)
-    normalized_all = np.empty((len(perms), b, d, d))
-    floor = _diagonal_floor(r)
+    _check_label_dimension(d)
+    perms, pivots, blocks = _permutation_table(d)
     iu = np.triu_indices(d, 1)
-    for p, perm in enumerate(perms):
-        normalized, valid = _diag_normalized(r, perm, floor)
-        normalized_all[p] = normalized
-        mass = np.sum(normalized[:, iu[0], iu[1]] ** 2, axis=-1)
-        residual[p] = np.where(valid, mass, np.inf)
-
-    perm_index = residual.argmin(axis=0)
-    lam = normalized_all[perm_index, np.arange(b)]
-    res = residual[perm_index, np.arange(b)]
+    rtol = 4.0 * d * d * np.finfo(float).eps
+    perm_index = np.zeros(b, dtype=np.intp)
+    res = np.full(b, np.inf)
+    for s in _chunks(b, d):
+        total = _candidate_totals(_triangular_cost(*_entries_last(r[s])), pivots)
+        low = np.minimum.reduce(total, axis=0)
+        refine = np.flatnonzero(np.isfinite(low))
+        cand, ent = np.nonzero(total[:, refine] <= low[refine] * (1.0 + rtol))
+        normalized = _normalized(r[s][refine[ent]], blocks, cand)
+        residual = np.full((refine.size, len(perms)), np.inf)
+        residual[ent, cand] = _stack_sum(normalized[:, iu[0], iu[1]] ** 2, b)
+        pick = residual.argmin(axis=1)
+        perm_index[s][refine] = pick
+        res[s][refine] = residual[np.arange(refine.size), pick]
+    lam = _normalized(r, blocks, perm_index)
     if squeeze:
-        return lam[0], float(res[0]), int(perm_index[0]), perms
-    return lam, res, perm_index, perms
+        return lam[0], float(res[0]), int(perm_index[0]), list(perms)
+    return lam, res, perm_index, list(perms)
 
 
 def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1),

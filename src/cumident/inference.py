@@ -54,9 +54,10 @@ class JackknifeResult:
     `aligned` records that the estimator (including orientation and any
     labeling) was re-applied identically on every resample; `label_flips`
     counts resamples whose labeling permutation differed from the
-    full-sample one, and `gap_count` the resamples that hit the eigen-gap
-    safeguard.  Neither is trimmed: fragile identification is reported, not
-    hidden.
+    full-sample one, `tie_count` the resamples whose sign labeling tied on
+    mismatch count (and was settled by the margin), and `gap_count` the
+    resamples that hit the eigen-gap safeguard.  None is trimmed: fragile
+    identification is reported, not hidden.
     """
 
     estimates: np.ndarray
@@ -64,6 +65,7 @@ class JackknifeResult:
     aligned: bool = True
     label_flips: int | None = None
     gap_count: int = 0
+    tie_count: int | None = None
 
 
 def _fd_steps(values: np.ndarray) -> np.ndarray:
@@ -253,11 +255,12 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     z = monomial_matrix(x)
     loo = _pipeline.leave_one_out_moments(z)
     rows, _, gap_flags, _ = _pipeline.demix_rows(loo, d, probes.w1, probes.w2, rule)
-    label_flips = None
+    label_flips = tie_count = None
     if pattern is None:
         est = rows.reshape(n, d * d)
     else:
-        lam, _, _, perm_index, _ = _pipeline.label_signs(rows, pattern)
+        lam, _, ties, perm_index, _ = _pipeline.label_signs(rows, pattern)
+        tie_count = int(np.sum(ties))
         if entry is None:
             est = lam.reshape(n, d * d)
         else:
@@ -275,6 +278,7 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
         aligned=True,
         label_flips=label_flips,
         gap_count=int(np.sum(gap_flags)),
+        tie_count=tie_count,
     )
 
 

@@ -33,11 +33,18 @@ B1_TRUE = 1.5
 
 
 def worker_count() -> int:
-    """Replication workers, capped by the CUMIDENT_THREADS variable."""
-    env = os.environ.get("CUMIDENT_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
+    """Replication workers: CUMIDENT_THREADS (default 1), at most the CPU count.
+
+    A value that is not a positive integer raises ValueError.
+    """
+    env = os.environ.get("CUMIDENT_THREADS", "").strip()
+    if not env:
+        return 1
+    if not env.isdecimal() or int(env) == 0:
+        raise ValueError(
+            f"CUMIDENT_THREADS must be a positive integer, got {env!r}"
+        )
+    return min(int(env), os.cpu_count() or 1)
 
 
 @dataclass(frozen=True, eq=False)

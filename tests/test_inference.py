@@ -5,6 +5,7 @@ import cumident as ci
 from cumident import _pipeline
 from cumident.errors import IllConditionedError
 from cumident.inference import FD_STEP_SCALE
+from cumident.moments import monomial_matrix
 from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, gen_composite
 
 
@@ -157,6 +158,23 @@ def test_fast_jackknife_matches_generic_closure():
                                rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(fast.variance, slow.variance, rtol=1e-6)
     assert fast.label_flips is not None
+
+
+def test_jackknife_counts_labeling_ties():
+    # Diagonal normalization makes every diagonal entry +1, so a pattern
+    # that restricts only the diagonal is met by both row orders: every
+    # resample ties on mismatches and is settled by the margin.
+    x = gen_composite(CompositeDgpConfig(n=80, k=0.2, seed=12), 0).x
+    probes = ci.ProbeVectors.draw(2, 12)
+    tied = ci.demixing_jackknife(x, probes, pattern=np.eye(2, dtype=int))
+    assert tied.tie_count == 80
+
+    jk = ci.demixing_jackknife(x, probes, pattern=ci.SUPPLY_DEMAND_PATTERN)
+    loo = _pipeline.leave_one_out_moments(monomial_matrix(x))
+    rows = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2)[0]
+    ties = _pipeline.label_signs(rows, ci.SUPPLY_DEMAND_PATTERN)[2]
+    assert jk.tie_count == int(ties.sum()) < 80
+    assert ci.demixing_jackknife(x, probes).tie_count is None
 
 
 def test_jackknife_and_delta_agree_at_scale():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -246,10 +248,28 @@ def test_write_mc_csv_layouts(tmp_path):
 
 def test_worker_count_env(monkeypatch):
     from cumident.simulate import worker_count
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("CUMIDENT_THREADS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("CUMIDENT_THREADS", "3")
     assert worker_count() == 3
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    from cumident.simulate import worker_count
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("CUMIDENT_THREADS", "1000000")
+    assert worker_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", "3e2"])
+def test_worker_count_rejects_non_positive_or_non_integer(monkeypatch, value):
+    from cumident.simulate import worker_count
+    monkeypatch.setenv("CUMIDENT_THREADS", value)
+    with pytest.raises(ValueError, match="CUMIDENT_THREADS"):
+        worker_count()
 
 
 def test_parallel_replications_match_serial(monkeypatch):
