@@ -16,6 +16,7 @@ from .errors import (
     CumidentError,
     EigenGapWarning,
     IllConditionedError,
+    InvalidInputError,
     LabelingAmbiguityError,
     RankDetectionError,
     WeakInstrumentError,

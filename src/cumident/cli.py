@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _pipeline
-from .errors import CumidentError, LabelingAmbiguityError
+from .errors import CumidentError, InvalidInputError, LabelingAmbiguityError
 from .identify import (
     ProbeVectors,
     estimate_demixing,
@@ -573,7 +573,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, argv)
-    except _InputError as exc:
+    except (_InputError, InvalidInputError) as exc:
         print(f"cumident {args.command}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except LabelingAmbiguityError as exc:

@@ -7,6 +7,12 @@ class CumidentError(Exception):
     """Base class for package-specific errors."""
 
 
+class InvalidInputError(CumidentError, ValueError):
+    """The input cannot be used as given: a sample of the wrong shape, with
+    too few rows or columns or non-finite entries, a jackknife on too few
+    observations, or a malformed setting.  The CLI exits 2 on it."""
+
+
 class IllConditionedError(CumidentError):
     """A matrix that must be inverted (or solved against) is numerically singular.
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import _pipeline
+from .errors import InvalidInputError
 from .identify import COND_CAP, ProbeVectors
 from .moments import (
     RawMomentVector,
@@ -141,7 +142,15 @@ def delta_variance_statistic(data, statistic: Callable | None = None,
     x = validate_sample(data)
     _check_sixth_moments(x)
     z = monomial_matrix(x)
-    m_hat = column_means(z)
+    return _delta_from_monomials(z, column_means(z), statistic, batch_statistic)
+
+
+def _delta_from_monomials(z: np.ndarray, m_hat: np.ndarray,
+                          statistic: Callable | None,
+                          batch_statistic: Callable | None
+                          ) -> DeltaVarianceResult:
+    """:func:`delta_variance_statistic` from the monomial matrix `z` and its
+    column means `m_hat`."""
     zc = z - m_hat
     sigma_m = zc.T @ zc / z.shape[0]
     if batch_statistic is not None:
@@ -167,12 +176,6 @@ def delta_variance(data, probes: ProbeVectors, k: int | str = "all",
     """
     x = validate_sample(data, min_cols=2)
     d = x.shape[1]
-    # Reject a singular anchor contraction up front; the perturbed
-    # evaluations below would otherwise solve through it silently.
-    _pipeline.demix_rows(
-        column_means(monomial_matrix(x)), d, probes.w1, probes.w2, rule,
-        cond_cap=COND_CAP,
-    )
 
     def batch(ms):
         rows, _, _, _ = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, rule)
@@ -180,7 +183,7 @@ def delta_variance(data, probes: ProbeVectors, k: int | str = "all",
             return rows.reshape(ms.shape[0], d * d)
         return rows[:, k, :]
 
-    return delta_variance_statistic(x, batch_statistic=batch)
+    return _anchored_delta(x, probes, rule, batch)
 
 
 def delta_variance_labeled(data, probes: ProbeVectors, pattern,
@@ -195,10 +198,6 @@ def delta_variance_labeled(data, probes: ProbeVectors, pattern,
     x = validate_sample(data, min_cols=2)
     d = x.shape[1]
     pattern = np.asarray(pattern)
-    _pipeline.demix_rows(
-        column_means(monomial_matrix(x)), d, probes.w1, probes.w2, rule,
-        cond_cap=COND_CAP,
-    )
 
     def batch(ms):
         values, _ = _pipeline.labeled_entry(
@@ -206,7 +205,24 @@ def delta_variance_labeled(data, probes: ProbeVectors, pattern,
         )
         return values
 
-    return delta_variance_statistic(x, batch_statistic=batch)
+    return _anchored_delta(x, probes, rule, batch)
+
+
+def _anchored_delta(x: np.ndarray, probes: ProbeVectors, rule: str,
+                    batch: Callable) -> DeltaVarianceResult:
+    """Delta method for a demixing statistic, after the anchor check.
+
+    A singular anchor contraction is rejected up front; the perturbed
+    evaluations would otherwise solve through it silently.  The monomial
+    matrix is built once, for the anchor and the moment covariance.
+    """
+    z = monomial_matrix(x)
+    m_hat = column_means(z)
+    _pipeline.demix_rows(
+        m_hat, x.shape[1], probes.w1, probes.w2, rule, cond_cap=COND_CAP
+    )
+    _check_sixth_moments(x)
+    return _delta_from_monomials(z, m_hat, None, batch)
 
 
 def jackknife_variance(data, estimator: Callable) -> JackknifeResult:
@@ -220,7 +236,9 @@ def jackknife_variance(data, estimator: Callable) -> JackknifeResult:
     x = validate_sample(data)
     n = x.shape[0]
     if n < MIN_JACKKNIFE_N:
-        raise ValueError(f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}")
+        raise InvalidInputError(
+            f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}"
+        )
     estimates = []
     for i in range(n):
         loo = np.delete(x, i, axis=0)
@@ -251,13 +269,16 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     x = validate_sample(data, min_cols=2)
     n, d = x.shape
     if n < MIN_JACKKNIFE_N:
-        raise ValueError(f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}")
+        raise InvalidInputError(
+            f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}"
+        )
     z = monomial_matrix(x)
-    loo = _pipeline.leave_one_out_moments(z)
-    rows, _, gap_flags, _ = _pipeline.demix_rows(loo, d, probes.w1, probes.w2, rule)
+    rows, gap_flags, _ = _pipeline.leave_one_out_rows(
+        x, z, d, probes.w1, probes.w2, rule
+    )
     label_flips = tie_count = None
     if pattern is None:
-        est = rows.reshape(n, d * d)
+        est = rows.reshape(n, d * d).copy()
     else:
         lam, _, ties, perm_index, _ = _pipeline.label_signs(rows, pattern)
         tie_count = int(np.sum(ties))

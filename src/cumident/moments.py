@@ -22,21 +22,26 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 
 def validate_sample(data, min_rows: int = 1, min_cols: int = 1) -> np.ndarray:
-    """Coerce to a finite float (n, d) array and check minimal shape."""
+    """Coerce to a finite float (n, d) array and check minimal shape.
+
+    A sample that fails raises :class:`~cumident.errors.InvalidInputError`.
+    """
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
-        raise ValueError(f"sample must be 2-dimensional, got shape {x.shape}")
+        raise InvalidInputError(f"sample must be 2-dimensional, got shape {x.shape}")
     n, d = x.shape
     if d < min_cols:
-        raise ValueError(f"sample needs at least {min_cols} column(s), got {d}")
+        raise InvalidInputError(f"sample needs at least {min_cols} column(s), got {d}")
     if n < min_rows:
-        raise ValueError(f"sample needs at least {min_rows} row(s), got {n}")
+        raise InvalidInputError(f"sample needs at least {min_rows} row(s), got {n}")
     if not np.isfinite(x).all():
-        raise ValueError("sample contains non-finite entries")
+        raise InvalidInputError("sample contains non-finite entries")
     return x
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from . import _pipeline
-from .errors import EigenGapWarning, IllConditionedError
+from .errors import EigenGapWarning, IllConditionedError, InvalidInputError
 from .identify import COND_CAP, DemixingEstimate, ProbeVectors
 from .inference import MIN_JACKKNIFE_N, _fd_steps
 from .moments import column_means, monomial_matrix, validate_sample
@@ -120,11 +120,13 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
         omega = jac @ sigma_theta @ jac.T
     else:
         if n < MIN_JACKKNIFE_N:
-            raise ValueError(
+            raise InvalidInputError(
                 f"jackknife covariance requires n >= {MIN_JACKKNIFE_N}, got {n}"
             )
-        loo = _pipeline.leave_one_out_moments(z)
-        r_loo = _pipeline.overid_offdiag(loo, d, probes.w1, probes.w2, rule)
+        loo_rows, _, loo = _pipeline.leave_one_out_rows(
+            x, z, d, probes.w1, probes.w2, rule
+        )
+        r_loo = _pipeline.offdiag_from_rows(loo_rows, loo, d)
         dev = r_loo - r_loo.mean(axis=0)
         # (n-1) * sum(...) is the delete-1 estimate of Var(sqrt(n) * r).
         omega = (n - 1) * (dev.T @ dev)

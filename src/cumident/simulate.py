@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import _pipeline
-from .errors import CumidentError, WeakInstrumentError
+from .errors import CumidentError, InvalidInputError, WeakInstrumentError
 from .identify import ProbeVectors, estimate_demixing, label_by_signs
 from .inference import delta_variance_labeled, demixing_jackknife
 from .moments import column_means, monomial_matrix
@@ -35,13 +35,13 @@ B1_TRUE = 1.5
 def worker_count() -> int:
     """Replication workers: CUMIDENT_THREADS (default 1), at most the CPU count.
 
-    A value that is not a positive integer raises ValueError.
+    A value that is not a positive integer raises InvalidInputError.
     """
     env = os.environ.get("CUMIDENT_THREADS", "").strip()
     if not env:
         return 1
     if not env.isdecimal() or int(env) == 0:
-        raise ValueError(
+        raise InvalidInputError(
             f"CUMIDENT_THREADS must be a positive integer, got {env!r}"
         )
     return min(int(env), os.cpu_count() or 1)

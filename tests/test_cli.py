@@ -228,3 +228,25 @@ def test_estimate_w2_from_file(sample_csv, tmp_path):
         "estimate", str(sample_csv), "--seed", "3", "--w2", str(w2bad),
         "--se", "none", "--out", str(out),
     ]) == 2
+
+
+def test_test_command_jackknife_on_too_few_rows_exits_2(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    x = np.random.default_rng(11).standard_exponential((20, 2)) @ np.array(
+        [[1.0, 0.5], [-0.4, 1.0]]
+    ).T
+    lines = ["a,b"] + [f"{u:.8f},{v:.8f}" for u, v in x]
+    short.write_text("\n".join(lines) + "\n")
+    code = main(["test", str(short), "--seed", "4", "--omega", "jackknife",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "jackknife" in capsys.readouterr().err
+
+
+def test_simulate_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
+    # The value is rejected before any worker pool starts.
+    monkeypatch.setenv("CUMIDENT_THREADS", "0")
+    code = main(["simulate", "--table", "3", "--reps", "2", "--seed", "3",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "CUMIDENT_THREADS" in capsys.readouterr().err

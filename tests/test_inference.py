@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,142 @@ def test_delta_variance_labeled_public_helper():
     with pytest.raises(IllConditionedError):
         bad = np.column_stack([x[:, 0], np.full(len(x), 3.0)])
         ci.delta_variance_labeled(bad, probes, ci.SUPPLY_DEMAND_PATTERN)
+
+
+# ------------------------------------------------ the leave-one-out memo
+
+_LAMBDA_5 = np.array([
+    [1.0, 0.3, -0.3, 0.5, 0.3],
+    [-0.4, 1.0, 0.4, 0.5, -0.5],
+    [-0.5, -0.4, 1.0, 0.5, 0.4],
+    [-0.5, 0.5, -0.3, 1.0, 0.4],
+    [-0.6, 0.5, 0.2, -0.3, 1.0],
+])
+
+
+def memo_case(d):
+    """A skewed sample, probes and sign pattern at d = 2 or d = 5."""
+    if d == 2:
+        x = gen_composite(CompositeDgpConfig(n=200, k=0.2, seed=21), 0).x
+        return x, ci.ProbeVectors.draw(2, 21), ci.SUPPLY_DEMAND_PATTERN
+    shocks = np.random.default_rng(23).standard_exponential((1_000, 5))
+    x = shocks @ np.linalg.inv(_LAMBDA_5).T
+    return x, ci.ProbeVectors.draw(5, 7), np.sign(_LAMBDA_5).astype(int)
+
+
+def cold(call, *args, **kwargs):
+    """`call` with the leave-one-out memo emptied first."""
+    _pipeline._loo_held = None
+    return call(*args, **kwargs)
+
+
+def assert_same_jackknife(a, b):
+    for field in ("estimates", "variance"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (a.label_flips, a.gap_count, a.tie_count) == (
+        b.label_flips, b.gap_count, b.tie_count)
+
+
+def memo_entry():
+    return _pipeline._loo_held[1]
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_memo_follows_in_place_changes(d):
+    x, probes, pattern = memo_case(d)
+    x = x.copy()
+    first = cold(ci.demixing_jackknife, x, probes, pattern)
+    x[0, 0] += 0.5
+    changed = ci.demixing_jackknife(x, probes, pattern)
+    assert_same_jackknife(changed, cold(ci.demixing_jackknife, x, probes, pattern))
+    assert changed.variance.tobytes() != first.variance.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_memo_misses_on_other_probes_or_rule(d):
+    x, probes, pattern = memo_case(d)
+    other = ci.ProbeVectors.draw(d, 99)
+    other_w2 = ci.ProbeVectors.draw(d, probes.seed, w2=np.arange(1.0, d + 1))
+    for kwargs in ({"probes": other}, {"probes": other_w2},
+                   {"probes": probes, "rule": "B"}):
+        cold(ci.demixing_jackknife, x, probes, pattern)
+        held = memo_entry()
+        got = ci.demixing_jackknife(x, pattern=pattern, **kwargs)
+        assert memo_entry() is not held
+        assert_same_jackknife(
+            got, cold(ci.demixing_jackknife, x, pattern=pattern, **kwargs)
+        )
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_memo_holds_one_read_only_entry(d, monkeypatch):
+    x, probes, pattern = memo_case(d)
+    y = x[::-1].copy()
+    cold(ci.demixing_jackknife, x, probes)
+    # A miss frees the held stack before it builds the next one.
+    old_rows = weakref.ref(memo_entry()[0])
+    held_while_building = []
+
+    def demix_rows(ms, *args, **kwargs):
+        if ms.ndim == 2 and ms.shape[0] == x.shape[0]:
+            held_while_building.append(
+                (_pipeline._loo_held is None, old_rows() is None)
+            )
+        return real(ms, *args, **kwargs)
+
+    real = _pipeline.demix_rows
+    monkeypatch.setattr(_pipeline, "demix_rows", demix_rows)
+    jk = ci.demixing_jackknife(y, probes)
+    assert held_while_building == [(True, True)]
+    held_moments = memo_entry()[2]
+    np.testing.assert_array_equal(
+        held_moments, _pipeline.leave_one_out_moments(monomial_matrix(y))
+    )
+    for a in memo_entry():
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        memo_entry()[0][0, 0, 0] = 1.0
+    # Results are the caller's own arrays, not views of the held stack.
+    assert jk.estimates.flags.writeable
+    assert not np.shares_memory(jk.estimates, memo_entry()[0])
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_min_jackknife_n_checked_after_a_memo_hit(d):
+    x, probes, pattern = memo_case(d)
+    cold(ci.demixing_jackknife, x, probes, pattern)
+    ci.wald_test(x, probes, method="jackknife")
+    short = x[: ci.inference.MIN_JACKKNIFE_N - 1]
+    with pytest.raises(ci.InvalidInputError, match="jackknife"):
+        ci.demixing_jackknife(short, probes, pattern)
+    with pytest.raises(ci.InvalidInputError, match="jackknife"):
+        ci.wald_test(short, probes, method="jackknife")
+
+
+def test_full_analysis_builds_one_leave_one_out_stack(monkeypatch):
+    # Work-count guard: the jackknife SEs and the jackknife Wald test share
+    # one delete-1 stack, so a full analysis passes n stack entries (plus
+    # anchors and finite-difference points) through demix_rows, not 2n.
+    lam = np.array([[1.0, 0.4, -0.3], [-0.5, 1.0, 0.4], [0.3, -0.5, 1.0]])
+    n = 300
+    x = np.random.default_rng(23).standard_exponential((n, 3)) @ np.linalg.inv(lam).T
+    probes = ci.ProbeVectors.draw(3, 5)
+    pattern = np.sign(lam).astype(int)
+    stacks = []
+    real = _pipeline.demix_rows
+
+    def demix_rows(ms, *args, **kwargs):
+        stacks.append(int(np.prod(ms.shape[:-1])))
+        return real(ms, *args, **kwargs)
+
+    monkeypatch.setattr(_pipeline, "demix_rows", demix_rows)
+    _pipeline._loo_held = None
+    est = ci.estimate_demixing(x, probes)
+    ci.label_by_signs(est, pattern)
+    ci.demixing_jackknife(x, probes, pattern=pattern, entry=None)
+    ci.delta_variance_labeled(x, probes, pattern, entry=(0, 1))
+    for method in ("delta", "jackknife"):
+        ci.wald_test(x, probes, method=method)
+    assert stacks.count(n) == 1
+    assert sum(stacks) - n < n

@@ -163,3 +163,34 @@ def test_restriction_vector_matches_pipeline():
     r = _pipeline.overid_offdiag(m, 2, probes.w1, probes.w2)
     res = ci.wald_test(x, probes)
     np.testing.assert_allclose(res.r_hat, r, atol=1e-14)
+
+
+def _same_test_result(a, b):
+    assert (a.statistic, a.p_value, a.dof) == (b.statistic, b.p_value, b.dof)
+    for field in ("r_hat", "omega_hat"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_jackknife_wald_and_jackknife_ses_share_one_stack(d):
+    from test_inference import assert_same_jackknife, cold, memo_case, memo_entry
+
+    x, probes, pattern = memo_case(d)
+    wald_cold = cold(ci.wald_test, x, probes, method="jackknife")
+    jk_cold = cold(ci.demixing_jackknife, x, probes, pattern)
+
+    # Standard errors first, then the test: the test reads the held stack.
+    jk = cold(ci.demixing_jackknife, x, probes, pattern)
+    held = memo_entry()
+    wald = ci.wald_test(x, probes, method="jackknife")
+    assert memo_entry() is held
+    assert_same_jackknife(jk, jk_cold)
+    _same_test_result(wald, wald_cold)
+
+    # The reverse order, on a list copy of the sample (same bytes).
+    wald = cold(ci.wald_test, x.tolist(), probes, method="jackknife")
+    held = memo_entry()
+    jk = ci.demixing_jackknife(x, probes, pattern)
+    assert memo_entry() is held
+    assert_same_jackknife(jk, jk_cold)
+    _same_test_result(wald, wald_cold)
