@@ -156,7 +156,8 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
         vals, vecs = _sorted_eig(_solve_batched(g2, g1))
 
     scale = np.maximum(_fold_last(np.maximum, np.abs(vals)), np.finfo(float).tiny)
-    gaps = _fold_last(np.minimum, np.abs(np.diff(vals, axis=-1)))
+    # Real parts: a complex-conjugate pair yields two equal real rows.
+    gaps = _fold_last(np.minimum, np.abs(np.diff(vals.real, axis=-1)))
     gap_flags = gaps < EIGEN_GAP_RTOL * scale
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
 

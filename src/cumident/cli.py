@@ -68,18 +68,16 @@ class RunManifest:
     argv: list[str]
 
     @classmethod
-    def build(cls, command: str, seed: int, input_paths, argv) -> "RunManifest":
-        digests = {}
-        for p in input_paths:
-            h = hashlib.sha256()
-            h.update(Path(p).read_bytes())
-            digests[str(p)] = h.hexdigest()
+    def build(cls, command: str, seed: int, inputs: dict[str, str],
+              argv) -> "RunManifest":
+        """`inputs` maps each input path to the SHA-256 hex digest of the
+        bytes that were read from it."""
         return cls(
             command=command,
             seed=seed,
             version=__version__,
             created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            inputs=digests,
+            inputs=dict(inputs),
             argv=list(argv),
         )
 
@@ -180,7 +178,8 @@ def _cmd_estimate(args, argv) -> int:
             f"--label must be signs:<file>, triangular or none, got {args.label!r}"
         )
 
-    manifest = RunManifest.build("estimate", args.seed, [args.csv], argv)
+    manifest = RunManifest.build("estimate", args.seed,
+                                {str(args.csv): series.sha256}, argv)
     out = _out_dir(args)
     probes = ProbeVectors.draw(d, args.seed, w2=w2)
 
@@ -327,7 +326,8 @@ def _cmd_test(args, argv) -> int:
     d = series.data.shape[1]
     if d < 2:
         raise _InputError(f"the test needs at least 2 series, found {d}")
-    manifest = RunManifest.build("test", args.seed, [args.csv], argv)
+    manifest = RunManifest.build("test", args.seed,
+                                {str(args.csv): series.sha256}, argv)
     out = _out_dir(args)
     probes = ProbeVectors.draw(d, args.seed)
     result = wald_test(series.data, probes, method=args.omega)
@@ -372,13 +372,14 @@ def _as_list(value, cast):
 
 def _cmd_simulate(args, argv) -> int:
     config = {}
-    inputs = []
+    inputs = {}
     if args.config is not None:
         try:
             config = load_experiment_config(args.config)
         except (OSError, ValueError) as exc:
             raise _InputError(str(exc)) from exc
-        inputs.append(args.config)
+        inputs[str(args.config)] = hashlib.sha256(
+            Path(args.config).read_bytes()).hexdigest()
     table = args.table if args.table is not None else int(config.get("table", 0))
     if table not in (1, 2, 3):
         raise _InputError("select a table via --table {1,2,3} or the config file")
@@ -471,7 +472,8 @@ def _cmd_var(args, argv) -> int:
         raise _InputError(f"the VAR needs at least 2 series, found {data.shape[1]}")
     pairs = _parse_pairs(args.pairs)
 
-    manifest = RunManifest.build("var", args.seed, [args.csv], argv)
+    manifest = RunManifest.build("var", args.seed,
+                                {str(args.csv): series.sha256}, argv)
     out = _out_dir(args)
 
     fit = fit_var(data, p=args.lags)

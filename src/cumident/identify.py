@@ -181,7 +181,8 @@ def oriented_eigenvector_rows(h, rule: str = "A"):
     scale = max(np.max(np.abs(vals)), np.finfo(float).tiny)
     gap_flag = False
     if hm.shape[0] > 1:
-        gaps = np.abs(np.diff(vals))
+        # Real parts: a complex-conjugate pair yields two equal real rows.
+        gaps = np.abs(np.diff(vals.real))
         if gaps.min() < EIGEN_GAP_RTOL * scale:
             gap_flag = True
             warnings.warn(

@@ -15,8 +15,13 @@ import numpy as np
 from scipy import special
 
 from . import _pipeline
-from .errors import EigenGapWarning, IllConditionedError, InvalidInputError
-from .identify import COND_CAP, DemixingEstimate, ProbeVectors
+from .errors import (
+    ComplexResidueWarning,
+    EigenGapWarning,
+    IllConditionedError,
+    InvalidInputError,
+)
+from .identify import COMPLEX_RESIDUE_TOL, COND_CAP, DemixingEstimate, ProbeVectors
 from .inference import MIN_JACKKNIFE_N, _fd_steps
 from .moments import column_means, monomial_matrix, validate_sample
 
@@ -96,7 +101,7 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
     z = monomial_matrix(x)
     m_hat = column_means(z)
 
-    rows, _, gap_flags, _ = _pipeline.demix_rows(
+    rows, _, gap_flags, max_imag = _pipeline.demix_rows(
         m_hat, d, probes.w1, probes.w2, rule, cond_cap=COND_CAP
     )
     if gap_flags:
@@ -104,6 +109,13 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
             "identification eigenvalues are nearly repeated; the Wald "
             "linearization may be unreliable",
             EigenGapWarning,
+            stacklevel=2,
+        )
+    if max_imag > COMPLEX_RESIDUE_TOL:
+        warnings.warn(
+            f"eigenvectors had imaginary parts up to {float(max_imag):.3f}; "
+            "real parts are used",
+            ComplexResidueWarning,
             stacklevel=2,
         )
 

@@ -3,7 +3,8 @@ joint-diagonality tests on residual subsystems."""
 
 from __future__ import annotations
 
-import csv
+import hashlib
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -128,86 +129,151 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
 
 @dataclass
 class CsvSeries:
-    """Numeric columns from a headed CSV, with an optional date column."""
+    """Numeric columns from a headed CSV, with an optional date column.
+
+    `sha256` is the hex digest of the file bytes that were parsed.
+    """
 
     names: list[str]
     data: np.ndarray
     dates: list[str] | None = None
     date_column: str | None = None
+    sha256: str | None = None
+
+
+# np.loadtxt settings shared by every read: `#` marks a comment only at the
+# start of a line, and those lines are dropped before parsing.
+_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
+_MISSING = ("", "na", "nan")
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 
 def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
     """Read a headed CSV of series columns; missing values are rejected.
 
-    If `date_column` is None, a single non-numeric column (if any) is
-    detected and preserved as dates; it never enters the numeric data.
+    If `date_column` is None, the one column whose first data cell is not a
+    number (if any) is kept as dates; it never enters the numeric data.  The
+    file is read once; its data lines are parsed in one np.loadtxt pass.
+    Errors name the physical line of the file.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = [row for row in reader if row]
-    header = [h.strip() for h in header]
-    if not rows:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    all_lines = io.TextIOWrapper(io.BytesIO(raw), newline="").readlines()
+    kept = [i for i, line in enumerate(all_lines)
+            if line not in _BLANK_LINES and line[0] != "#"]
+    if not kept:
+        raise ValueError(f"{path}: empty CSV")
+    header = [h.strip() for h in _fields(all_lines[kept[0]])]
+    if len(kept) == 1:
         raise ValueError(f"{path}: no data rows")
-    width = len(header)
-    for ln, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}: line {ln} has {len(row)} fields, expected {width}")
-
-    columns = list(zip(*rows))
-
-    def parse(col):
-        out = []
-        for v in col:
-            v = v.strip()
-            if v == "" or v.lower() in ("na", "nan"):
-                raise ValueError("missing value")
-            out.append(float(v))
-        return out
+    # numbers[k] is the physical line number of lines[k].
+    numbers = [i + 1 for i in kept[1:]]
+    lines = [all_lines[i] for i in kept[1:]]
 
     if date_column is not None:
         if date_column not in header:
             raise ValueError(f"{path}: no column named {date_column!r}")
-        date_idx = header.index(date_column)
+        text_cols = [header.index(date_column)]
     else:
-        date_idx = None
-        for idx, col in enumerate(columns):
-            try:
-                parse(col)
-            except ValueError as exc:
-                if "missing value" in str(exc):
-                    raise ValueError(
-                        f"{path}: column {header[idx]!r} has missing values"
-                    ) from None
-                if date_idx is not None:
-                    raise ValueError(
-                        f"{path}: multiple non-numeric columns "
-                        f"({header[date_idx]!r}, {header[idx]!r})"
-                    ) from None
-                date_idx = idx
+        text_cols = [j for j, cell in enumerate(_fields(lines[0]))
+                     if not _number_or_missing(cell)]
+    dtype = np.dtype([(f"f{j}", object if j in text_cols else np.float64)
+                      for j in range(len(header))])
+    table = None
+    if len(text_cols) < 2:
+        try:
+            table = np.loadtxt(lines, dtype=dtype, ndmin=1, **_DIALECT)
+        except ValueError:
+            pass
+    if table is None:
+        raise ValueError(_fault(path, header, numbers, lines, dtype, text_cols))
 
-    names, numeric = [], []
-    for idx, col in enumerate(columns):
-        if idx == date_idx:
+    date_idx = text_cols[0] if text_cols else None
+    numeric = [j for j in range(len(header)) if j != date_idx]
+    data = np.array([table[f"f{j}"] for j in numeric], dtype=np.float64).T
+    if not np.isfinite(data).all():
+        fault = _nonfinite_fault(path, header, numbers, lines, numeric, data)
+        raise ValueError(fault)
+    return CsvSeries(
+        names=[header[j] for j in numeric],
+        data=data,
+        dates=table[f"f{date_idx}"].tolist() if date_idx is not None else None,
+        date_column=header[date_idx] if date_idx is not None else None,
+        sha256=hashlib.sha256(raw).hexdigest(),
+    )
+
+
+def _fields(line: str) -> list[str]:
+    """The raw fields of one CSV line, as np.loadtxt splits them."""
+    return np.loadtxt([line], dtype=object, ndmin=2, **_DIALECT)[0].tolist()
+
+
+def _number_or_missing(cell: str) -> bool:
+    cell = cell.strip()
+    if cell.lower() in _MISSING:
+        return True
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_rejected(lines, dtype) -> int | None:
+    """Index of the first line np.loadtxt rejects under `dtype`, if any.
+
+    Bisection over slices: about 2 * len(lines) lines are parsed in all.
+    """
+    try:
+        np.loadtxt(lines, dtype=dtype, ndmin=1, **_DIALECT)
+        return None
+    except ValueError:
+        pass
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt(lines[lo:mid], dtype=dtype, ndmin=1, **_DIALECT)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _fault(path, header, numbers, lines, dtype, text_cols) -> str:
+    """Locate and word the fault behind a failed parse; returns no data."""
+    width = len(header)
+    bad = _first_rejected(lines, np.dtype([(f"f{j}", object) for j in range(width)]))
+    if bad is not None:
+        return (f"{path}: line {numbers[bad]} has {len(_fields(lines[bad]))} "
+                f"fields, expected {width}")
+    if len(text_cols) > 1:
+        return (f"{path}: multiple non-numeric columns "
+                f"({header[text_cols[0]]!r}, {header[text_cols[1]]!r})")
+    bad = _first_rejected(lines, dtype)
+    cells = _fields(lines[bad])
+    for j in range(width):
+        if j in text_cols:
             continue
         try:
-            numeric.append(parse(col))
+            np.loadtxt([lines[bad]], usecols=[j], ndmin=1, **_DIALECT)
         except ValueError:
-            raise ValueError(
-                f"{path}: column {header[idx]!r} is not numeric or has "
-                "missing values"
-            ) from None
-        names.append(header[idx])
-    data = np.array(numeric, dtype=float).T
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: non-finite values present")
-    dates = list(columns[date_idx]) if date_idx is not None else None
-    return CsvSeries(
-        names=names,
-        data=data,
-        dates=dates,
-        date_column=header[date_idx] if date_idx is not None else None,
-    )
+            if cells[j].strip().lower() in _MISSING:
+                return (f"{path}: column {header[j]!r} has missing values "
+                        f"(line {numbers[bad]})")
+            return (f"{path}: line {numbers[bad]}: column {header[j]!r} is not "
+                    f"numeric: {cells[j].strip()!r}")
+    return f"{path}: line {numbers[bad]} cannot be parsed"
+
+
+def _nonfinite_fault(path, header, numbers, lines, numeric, data) -> str:
+    """Word non-finite parsed values: a `nan` token is a missing value."""
+    for i in np.flatnonzero(np.isnan(data).any(axis=1)):
+        cells = _fields(lines[i])
+        for k in np.flatnonzero(np.isnan(data[i])):
+            j = numeric[k]
+            if cells[j].strip().lower() in _MISSING:
+                return (f"{path}: column {header[j]!r} has missing values "
+                        f"(line {numbers[i]})")
+    i = np.flatnonzero(~np.isfinite(data).all(axis=1))[0]
+    return f"{path}: non-finite values present (line {numbers[i]})"

@@ -5,7 +5,8 @@ from scipy import stats
 import cumident as ci
 from cumident import _pipeline
 from cumident.errors import IllConditionedError
-from cumident.identify import DemixingEstimate
+from cumident.identify import COMPLEX_RESIDUE_TOL, DemixingEstimate
+from cumident.moments import column_means, monomial_matrix
 from cumident.simulate import CompositeDgpConfig, gen_composite
 
 
@@ -194,3 +195,30 @@ def test_jackknife_wald_and_jackknife_ses_share_one_stack(d):
     assert memo_entry() is held
     assert_same_jackknife(jk, jk_cold)
     _same_test_result(wald, wald_cold)
+
+
+# A d = 5 design with independent exponential shocks whose n = 300 sample
+# (seed 22) has a complex-conjugate pair among the eigenvalues of
+# G(w2)^{-1} G(w1) at probe seed 7: the two real rows kept are equal.
+_WIDE_LAMBDA = np.array([
+    [1.0, 0.3, -0.3, 0.5, 0.3],
+    [-0.4, 1.0, 0.4, 0.5, -0.5],
+    [-0.5, -0.4, 1.0, 0.5, 0.4],
+    [-0.5, 0.5, -0.3, 1.0, 0.4],
+    [-0.6, 0.5, 0.2, -0.3, 1.0],
+])
+
+
+@pytest.mark.parametrize("method", ["delta", "jackknife"])
+def test_complex_pair_flags_the_gap_before_the_singular_omega(method):
+    x = np.random.default_rng(22).standard_exponential((300, 5))
+    x = x @ np.linalg.inv(_WIDE_LAMBDA).T
+    probes = ci.ProbeVectors.draw(5, 7)
+    with pytest.warns(ci.EigenGapWarning), pytest.warns(ci.ComplexResidueWarning):
+        with pytest.raises(IllConditionedError):
+            ci.wald_test(x, probes, method=method)
+    _, _, gap_flags, max_imag = _pipeline.demix_rows(
+        column_means(monomial_matrix(x)), 5, probes.w1, probes.w2)
+    assert max_imag > COMPLEX_RESIDUE_TOL and gap_flags
+    with pytest.warns(ci.EigenGapWarning), pytest.warns(ci.ComplexResidueWarning):
+        assert ci.estimate_demixing(x, probes).gap_flag

@@ -1,9 +1,15 @@
+import csv
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cumident as ci
+from cumident import varpipe
 from cumident.simulate import CompositeDgpConfig, gen_composite
 from _designs import TOP_MIX, simulate_top_var
 
@@ -200,3 +206,250 @@ def test_load_series_csv_named_date_column(tmp_path):
     out = ci.load_series_csv(p, date_column="t")
     assert out.names == ["x", "y"]
     assert out.dates == ["1", "2"]
+
+
+def test_load_series_csv_names_the_physical_line(tmp_path):
+    p = tmp_path / "ragged.csv"
+    p.write_text("# a\n# b\na,b\n1.0,2.0\n\n3.0,4.0\n5.0\n")
+    with pytest.raises(ValueError, match="line 7 has 1 fields, expected 2"):
+        ci.load_series_csv(p)
+    p.write_text("# a\na,b\n\n1.0,2.0\n# c\n3.0,na\n")
+    with pytest.raises(ValueError, match=r"column 'b' has missing values \(line 6\)"):
+        ci.load_series_csv(p)
+    p.write_text("\n# a\n\na,b\n1.0,2.0\n3.0,x\n")
+    with pytest.raises(ValueError, match=r"line 6: column 'b' is not numeric"):
+        ci.load_series_csv(p)
+
+
+def test_load_series_csv_rejects_a_corrupted_numeric_column(tmp_path):
+    # The first data row decides which column holds dates; a later cell
+    # that is not a number is an error, not a reason to demote the column.
+    p = tmp_path / "corrupt.csv"
+    p.write_text("a,b\n1,2\n3,x\n")
+    with pytest.raises(ValueError, match=r"line 3: column 'b' is not numeric: 'x'"):
+        ci.load_series_csv(p)
+    p.write_text("date,a,b\nd1,1,2\nd2,3,x\n")
+    with pytest.raises(ValueError, match=r"line 3: column 'b' is not numeric"):
+        ci.load_series_csv(p)
+    # A text cell in the first row still marks the date column.
+    p.write_text("a,b\n1,x\n3,4\n")
+    out = ci.load_series_csv(p)
+    assert out.names == ["a"] and out.date_column == "b" and out.dates == ["x", "4"]
+
+
+@pytest.mark.parametrize("cell", ["1_000", "١"])
+def test_load_series_csv_rejects_python_only_float_spellings(tmp_path, cell):
+    p = tmp_path / "spelling.csv"
+    for text in (f"a,b\n1,{cell}\n3,4\n", f"a,b\n1,2\n3,{cell}\n"):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="column 'b' is not numeric"):
+            ci.load_series_csv(p)
+
+
+def test_load_series_csv_hashes_the_bytes_it_parsed(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_bytes(b"# note\r\na,b\r\n1,2\r\n3,4\r\n")
+    assert ci.load_series_csv(p).sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+def test_load_series_csv_converts_no_cell_in_python(tmp_path, monkeypatch):
+    # Work-count guard: Python-level float() runs on the first data row only
+    # (to find the date column), never once per cell.
+    calls = []
+
+    def counting_float(v):
+        calls.append(v)
+        return float(v)
+
+    monkeypatch.setattr(varpipe, "float", counting_float, raising=False)
+    counts = []
+    for rows in (10, 2_000):
+        p = tmp_path / f"n{rows}.csv"
+        data = np.random.default_rng(rows).standard_normal((rows, 3))
+        with open(p, "w") as fh:
+            fh.write("a,b,c\n")
+            np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+        calls.clear()
+        np.testing.assert_array_equal(ci.load_series_csv(p).data, data)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+# Reference: the per-cell loader that load_series_csv replaced, kept
+# verbatim (csv module, strip/lower/float on every cell) as an oracle.
+
+def oracle_load_series_csv(path, date_column: str | None = None) -> ci.CsvSeries:
+    with open(path, newline="") as fh:
+        reader = csv.reader(row for row in fh if not row.startswith("#"))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
+        rows = [row for row in reader if row]
+    header = [h.strip() for h in header]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    width = len(header)
+    for ln, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {ln} has {len(row)} fields, expected {width}")
+
+    columns = list(zip(*rows))
+
+    def parse(col):
+        out = []
+        for v in col:
+            v = v.strip()
+            if v == "" or v.lower() in ("na", "nan"):
+                raise ValueError("missing value")
+            out.append(float(v))
+        return out
+
+    if date_column is not None:
+        if date_column not in header:
+            raise ValueError(f"{path}: no column named {date_column!r}")
+        date_idx = header.index(date_column)
+    else:
+        date_idx = None
+        for idx, col in enumerate(columns):
+            try:
+                parse(col)
+            except ValueError as exc:
+                if "missing value" in str(exc):
+                    raise ValueError(
+                        f"{path}: column {header[idx]!r} has missing values"
+                    ) from None
+                if date_idx is not None:
+                    raise ValueError(
+                        f"{path}: multiple non-numeric columns "
+                        f"({header[date_idx]!r}, {header[idx]!r})"
+                    ) from None
+                date_idx = idx
+
+    names, numeric = [], []
+    for idx, col in enumerate(columns):
+        if idx == date_idx:
+            continue
+        try:
+            numeric.append(parse(col))
+        except ValueError:
+            raise ValueError(
+                f"{path}: column {header[idx]!r} is not numeric or has "
+                "missing values"
+            ) from None
+        names.append(header[idx])
+    data = np.array(numeric, dtype=float).T
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite values present")
+    dates = list(columns[date_idx]) if date_idx is not None else None
+    return ci.CsvSeries(
+        names=names,
+        data=data,
+        dates=dates,
+        date_column=header[date_idx] if date_idx is not None else None,
+    )
+
+
+# Numbers to Python's float() but not to np.loadtxt.
+_PYTHON_ONLY_NUMBERS = ["1_000", "١"]
+_ERROR_KINDS = ("fields", "missing", "multiple non-numeric", "no column named",
+                "non-finite", "not numeric", "no data rows", "empty CSV")
+_FAULT_TOKENS = {
+    "missing": ["", "na", "NA", " nan ", "NaN", "\tNa"],
+    "nonfinite": ["inf", "-inf", " Infinity", "-nan", "+NAN"],
+    "corrupt": ["x", "1.5.2", "--1"] + _PYTHON_ONLY_NUMBERS,
+}
+
+
+def _error_kinds(message: str) -> set[str]:
+    return {k for k in _ERROR_KINDS if k in message}
+
+
+def _cell(draw, text: str) -> str:
+    pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+    if draw(st.booleans()) or "," in text:
+        return '"' + pad + text + pad + '"'
+    return pad + text + pad
+
+
+@st.composite
+def _csv_cases(draw):
+    """A headed numeric table, maybe with a date column and at most one
+    fault, so that which of several faults is reported does not matter.
+
+    Returns (text, date_column, changed): `changed` marks the inputs where
+    the loader deliberately departs from the oracle, a cell np.loadtxt
+    cannot read in a column whose first data cell is a number.
+    """
+    rows = draw(st.integers(1, 6))
+    values = draw(hnp.arrays(np.float64, (rows, draw(st.integers(1, 4))),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    fmt = draw(st.sampled_from(["%.12g", "%.17g", "%e"]))
+    cells = [[fmt % v for v in row] for row in values]
+    names = [f"c{j}" for j in range(values.shape[1])]
+    date_at = draw(st.none() | st.integers(0, values.shape[1]))
+    if date_at is not None:
+        years = draw(st.booleans())
+        for i, row in enumerate(cells):
+            row.insert(date_at, str(1990 + i) if years else draw(
+                st.from_regex(r"d[0-9A-Za-z /:,-]{0,6}", fullmatch=True)))
+        names.insert(date_at, "date")
+    named = date_at is not None and draw(st.booleans())
+    numeric = [j for j in range(len(names)) if j != date_at]
+    fault = draw(st.sampled_from([None, "ragged", "missing", "nonfinite",
+                                  "corrupt", "text_column", "wrong_name"]))
+    row, col = draw(st.integers(0, rows - 1)), draw(st.sampled_from(numeric))
+    changed = False
+    if fault == "ragged":
+        cells[row].append("1") if draw(st.booleans()) else cells[row].pop()
+    elif fault in _FAULT_TOKENS:
+        cells[row][col] = token = draw(st.sampled_from(_FAULT_TOKENS[fault]))
+        changed = fault == "corrupt" and (row > 0 or token in _PYTHON_ONLY_NUMBERS)
+    elif fault == "text_column":
+        for i, cells_i in enumerate(cells):
+            cells_i[col] = f"t{i}"
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    head = [",".join(_cell(draw, name) for name in names)]
+    body = [",".join(_cell(draw, c) if c.strip() else c for c in row) for row in cells]
+    for _ in range(draw(st.integers(0, 3))):
+        # Comment lines anywhere; blank lines anywhere after the header.
+        if draw(st.booleans()):
+            comment = "# " + draw(st.text(alphabet="ab,#\" 1.", max_size=8))
+            head.insert(draw(st.integers(0, len(head) - 1)), comment)
+        else:
+            body.insert(draw(st.integers(0, len(body))), "")
+    text = newline.join(head + body) + newline
+    date_column = ("nosuch" if fault == "wrong_name" else "date") if named else None
+    return text, date_column, changed
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(_csv_cases())
+def test_load_series_csv_matches_per_cell_oracle(tmp_path, case):
+    text, date_column, changed = case
+    p = tmp_path / "case.csv"
+    p.write_bytes(text.encode("utf-8"))
+    try:
+        want = oracle_load_series_csv(p, date_column)
+    except ValueError as exc:
+        want = exc
+    try:
+        got = ci.load_series_csv(p, date_column)
+    except ValueError as exc:
+        got = exc
+    if changed:
+        assert isinstance(got, ValueError), "a corrupted numeric cell was accepted"
+        assert _error_kinds(str(got)) == {"not numeric"}, str(got)
+        return
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError), f"accepted what the oracle rejects: {want}"
+        kinds = _error_kinds(str(got))
+        assert kinds and kinds <= _error_kinds(str(want)), (str(want), str(got))
+        return
+    assert not isinstance(got, ValueError), f"rejected what the oracle accepts: {got}"
+    assert got.names == want.names
+    assert got.dates == want.dates and got.date_column == want.date_column
+    assert got.data.shape == want.data.shape and got.data.strides == want.data.strides
+    assert got.data.tobytes() == want.data.tobytes()
