@@ -79,6 +79,7 @@ from .simulate import (
     gen_composite,
     iv_2sls,
     load_experiment_config,
+    parse_experiment_config,
     pearson_symmetric,
     run_coverage_experiment,
     run_mse_experiment,

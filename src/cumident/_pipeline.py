@@ -14,6 +14,20 @@ error, 1e-14 to 1e-13 on samples of 5 000.
 The delete-1 stack of the most recent sample is kept
 (:func:`leave_one_out_rows`), so the jackknife standard errors and the
 jackknife Wald test on one sample build and eigendecompose it once.
+
+For d >= 3, a stack of more than one entry (a delete-1 stack, or the +/-
+points of a finite-difference Jacobian) is not eigendecomposed entry by
+entry.  LAPACK runs once, on the mean of the stack, and three Newton steps
+refine every entry from that anchor (:func:`_anchored_eig`).  An entry goes
+to LAPACK when its residual is above a rounding-level bound, when its
+eigenvalues are not strictly descending with the eigen-gap tolerance, or
+when it is not finite; the whole stack does when the anchor has a
+near-repeated or complex pair.  On delete-1 stacks of n = 10 000, d = 5
+samples, the refined rows and eigenvalues agree with LAPACK to about 1e-14,
+the jackknife variances to 2e-13 of their largest entry, and the
+finite-difference delta variances and Wald statistics to about 1e-9, since
+the difference quotients amplify last-bit changes.  The d = 2 stacks use
+the closed form of :func:`_sorted_eig_2x2` instead.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from .identify import (
     EIGEN_GAP_RTOL,
     EXHAUSTIVE_PERMUTATION_CAP,
     ROW_SUM_FALLBACK_TOL,
+    _sorted_eig,
 )
 from .moments import (
     contract_tensor,
@@ -45,8 +60,8 @@ _LABEL_CHUNK_ELEMENTS = 1 << 18
 
 
 # The delete-1 stack kept by leave_one_out_rows, as (key, (rows, gap_flags,
-# moments)), or None.  It is only ever read or replaced whole, so it holds at
-# most one stack even when threads share it.
+# moments, eig_fallbacks)), or None.  It is only ever read or replaced whole,
+# so it holds at most one stack even when threads share it.
 _loo_held = None
 
 
@@ -62,8 +77,9 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
     """Oriented demixing rows of every delete-1 resample of a sample.
 
     `x` is the validated (n, d) sample and `z` its monomial matrix.  Returns
-    (rows, gap_flags, moments): the (n, d, d) rows and (n,) eigen-gap flags
-    of :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
+    (rows, gap_flags, moments, eig_fallbacks): the (n, d, d) rows, (n,)
+    eigen-gap flags and (n,) refinement fallback flags of
+    :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
     vectors, for :func:`offdiag_from_rows`.  The result for the most recent
     (sample, w1, w2, rule) is kept, read-only, and returned again while the
     sample's bytes are unchanged; a new key drops it before computing.
@@ -80,8 +96,8 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
     # Drop both references, so the old stack is freed before the next is built.
     _loo_held = held = None
     loo = leave_one_out_moments(z)
-    rows, _, gap_flags, _ = demix_rows(loo, d, w1, w2, rule)
-    entry = (rows, gap_flags, loo)
+    demixed = demix_rows(loo, d, w1, w2, rule)
+    entry = (demixed[0], demixed[2], loo, demixed.eig_fallbacks)
     for a in entry:
         a.flags.writeable = False
     _loo_held = (key, entry)
@@ -121,8 +137,19 @@ def _solve_batched(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
         ) from None
 
 
+class DemixedRows(tuple):
+    """The (rows, eigenvalues, gap_flags, max_imag) of :func:`demix_rows`.
+
+    `eig_fallbacks` flags, per stack entry, the eigenpairs that the anchored
+    refinement handed back to LAPACK (see :func:`_anchored_eig`); it is all
+    False where the refinement did not run (d = 2, or a single entry).
+    """
+
+    eig_fallbacks: np.ndarray
+
+
 def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
-               cond_cap: float | None = None):
+               cond_cap: float | None = None) -> DemixedRows:
     """Oriented unit demixing rows for each moment vector in the stack.
 
     Parameters
@@ -136,6 +163,7 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
 
     Returns
     -------
+    A :class:`DemixedRows` tuple of
     rows : ndarray, shape (..., d, d)
     eigenvalues : ndarray, shape (..., d), real parts, sorted descending
     gap_flags : ndarray of bool, shape (...,)
@@ -150,31 +178,129 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
             raise IllConditionedError(
                 "contraction at w2 is numerically singular", cond
             )
+    fallbacks = np.zeros(g2.shape[:-2], dtype=bool)
     if d == 2:
         vals, vecs = _sorted_eig_2x2(_solve_2x2(g2, g1))
+    elif fallbacks.size > 1:
+        h = _solve_batched(g2, g1)
+        vals, vecs, fallbacks = _anchored_eig(h.reshape(-1, d, d))
+        vals = vals.reshape(h.shape[:-1])
+        vecs = vecs.reshape(h.shape)
+        fallbacks = fallbacks.reshape(h.shape[:-2])
     else:
         vals, vecs = _sorted_eig(_solve_batched(g2, g1))
 
-    scale = np.maximum(_fold_last(np.maximum, np.abs(vals)), np.finfo(float).tiny)
-    # Real parts: a complex-conjugate pair yields two equal real rows.
-    gaps = _fold_last(np.minimum, np.abs(np.diff(vals.real, axis=-1)))
-    gap_flags = gaps < EIGEN_GAP_RTOL * scale
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
+    out = DemixedRows(
+        (_oriented_rows(vecs, rule), vals.real, _gap_flags(vals), max_imag)
+    )
+    out.eig_fallbacks = fallbacks
+    return out
 
+
+def _oriented_rows(vecs: np.ndarray, rule: str) -> np.ndarray:
+    """Real parts of eigenvector columns as unit rows, oriented by `rule`."""
     rows = np.swapaxes(vecs.real, -2, -1)
     norms = np.sqrt(_fold_last(np.add, rows * rows))[..., None]
     rows = rows / np.maximum(norms, np.finfo(float).tiny)
-    rows = _orient_rows_batched(rows, rule)
-    return rows, vals.real, gap_flags, max_imag
+    return _orient_rows_batched(rows, rule)
 
 
-def _sorted_eig(h: np.ndarray):
-    """Eigenpairs by descending real part, then descending imaginary part."""
-    vals, vecs = np.linalg.eig(h)
-    order = np.lexsort((-vals.imag, -vals.real), axis=-1)
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    return vals, vecs
+def _gap_scale(vals: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue modulus per entry, floored at the smallest normal."""
+    return np.maximum(_fold_last(np.maximum, np.abs(vals)), np.finfo(float).tiny)
+
+
+def _gap_flags(vals: np.ndarray) -> np.ndarray:
+    """Entries whose sorted eigenvalues come within EIGEN_GAP_RTOL of their
+    scale of each other."""
+    # Real parts: a complex-conjugate pair yields two equal real rows.
+    gaps = _fold_last(np.minimum, np.abs(np.diff(vals.real, axis=-1)))
+    return gaps < EIGEN_GAP_RTOL * _gap_scale(vals)
+
+
+# Newton steps of the anchored refinement.  Each squares the error; two
+# leave residuals near 1e-8 on delete-1 stacks, three reach rounding level.
+_REFINE_STEPS = 3
+# A refined entry whose residual max|H x - lambda x| exceeds this multiple
+# of eps * d * max|H| * max|X| goes to LAPACK.
+_REFINE_RESIDUAL_ULPS = 64.0
+
+
+def _anchored_eig(h: np.ndarray):
+    """:func:`_sorted_eig` of a (b, d, d) stack that clusters around its mean.
+
+    A delete-1 stack or a +/- finite-difference stack lies within O(1/n) or
+    O(step) of the full-sample H.  LAPACK eigendecomposes the mean of the
+    stack once (the anchor), and :func:`_refine_eig` takes every entry from
+    there.  Entries it does not accept go to LAPACK, and so does the whole
+    stack when the anchor itself has a near-repeated or complex pair.
+
+    Returns (vals, vecs, fallbacks): eigenvalues sorted descending,
+    eigenvector columns (refined ones are not unit-normalized), and the
+    entries LAPACK computed, which are bitwise those of :func:`_sorted_eig`.
+    """
+    anchor_vals, anchor_vecs = _sorted_eig(h.mean(axis=0))
+    if _gap_flags(anchor_vals):
+        vals, vecs = _sorted_eig(h)
+        return vals, vecs, np.ones(h.shape[0], dtype=bool)
+    vals, vecs, accepted = _refine_eig(h, anchor_vecs.real)
+    fallbacks = ~accepted
+    if fallbacks.any():
+        slow_vals, slow_vecs = _sorted_eig(h[fallbacks])
+        vals = vals.astype(slow_vals.dtype)
+        vecs = vecs.astype(slow_vecs.dtype)
+        vals[fallbacks] = slow_vals
+        vecs[fallbacks] = slow_vecs
+    return vals, vecs, fallbacks
+
+
+def _refine_eig(h: np.ndarray, v: np.ndarray):
+    """Newton refinement of the eigenpairs of a (b, d, d) stack from the
+    real eigenvector matrix `v` of a nearby matrix, columns sorted by
+    descending eigenvalue.
+
+    In the anchor basis B = V^-1 H V is nearly diagonal.  Each step refines
+    every entry's eigenvector matrix X and its inverse Y at once (Dongarra,
+    Moler & Wilkinson 1983): A = Y B X, E_jk = A_jk / (A_kk - A_jj) off the
+    diagonal, X <- X (I + E), Y <- (I - E + E^2) Y, and one Newton-Schulz
+    step Y <- Y (2I - X Y).  The eigenvalues are the diagonal of the last A.
+
+    Returns (vals, vecs, accepted).  An entry is accepted when its residual
+    max|H x - lambda x| is at most _REFINE_RESIDUAL_ULPS * eps * d * max|H|
+    * max|X|, its eigenvalues descend with gaps of at least EIGEN_GAP_RTOL
+    times their scale, and both bounds are finite.
+    """
+    b, d, _ = h.shape
+    eye = np.eye(d)
+    # Added to the denominators, so that E has a zero diagonal.
+    inf_diag = np.where(eye == 1.0, np.inf, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bh = np.linalg.inv(v) @ h @ v
+        a, x, y = bh, None, None
+        for _ in range(_REFINE_STEPS):
+            lam = np.diagonal(a, axis1=-2, axis2=-1)
+            den = lam[:, None, :] - lam[:, :, None]
+            den += inf_diag
+            e = a / den
+            if x is None:
+                x, y = eye + e, eye - e + e @ e
+            else:
+                x = x + x @ e
+                y = (eye - e + e @ e) @ y
+            y = y @ (2.0 * eye - x @ y)
+            a = y @ (bh @ x)
+        vals = np.diagonal(a, axis1=-2, axis2=-1).copy()
+        vecs = v @ x
+        resid = np.abs(h @ vecs - vecs * vals[:, None, :]).reshape(b, d * d)
+        bound = (_REFINE_RESIDUAL_ULPS * np.finfo(float).eps * d
+                 * _fold_last(np.maximum, np.abs(h).reshape(b, d * d))
+                 * _fold_last(np.maximum, np.abs(vecs).reshape(b, d * d)))
+        descending = (_fold_last(np.maximum, np.diff(vals, axis=-1))
+                      <= -EIGEN_GAP_RTOL * _gap_scale(vals))
+        accepted = ((_fold_last(np.maximum, resid) <= bound)
+                    & np.isfinite(bound) & descending)
+    return vals, vecs, accepted
 
 
 def _solve_2x2(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from .overid import wald_test
 from .simulate import (
     CompositeDgpConfig,
     gen_composite,
-    load_experiment_config,
+    parse_experiment_config,
     run_coverage_experiment,
     run_mse_experiment,
     run_overid_power_experiment,
@@ -375,11 +375,11 @@ def _cmd_simulate(args, argv) -> int:
     inputs = {}
     if args.config is not None:
         try:
-            config = load_experiment_config(args.config)
+            data = Path(args.config).read_bytes()
+            config = parse_experiment_config(data, args.config)
         except (OSError, ValueError) as exc:
             raise _InputError(str(exc)) from exc
-        inputs[str(args.config)] = hashlib.sha256(
-            Path(args.config).read_bytes()).hexdigest()
+        inputs[str(args.config)] = hashlib.sha256(data).hexdigest()
     table = args.table if args.table is not None else int(config.get("table", 0))
     if table not in (1, 2, 3):
         raise _InputError("select a table via --table {1,2,3} or the config file")

@@ -136,11 +136,13 @@ def _solve_anchor(g1, g2, cond_cap: float = COND_CAP):
 
 
 def _sorted_eig(h: np.ndarray):
-    """Eigenpairs sorted by descending real part, then descending imaginary
-    part, then original index."""
+    """Eigenpairs of a matrix or a stack of matrices, sorted by descending
+    real part, then descending imaginary part, then original index."""
     vals, vecs = np.linalg.eig(h)
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order], vecs[:, order]
+    order = np.lexsort((-vals.imag, -vals.real), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return vals, vecs
 
 
 def orient_rows(rows: np.ndarray, rule: str = "A") -> tuple[np.ndarray, tuple[int, ...]]:

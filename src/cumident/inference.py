@@ -56,9 +56,13 @@ class JackknifeResult:
     labeling) was re-applied identically on every resample; `label_flips`
     counts resamples whose labeling permutation differed from the
     full-sample one, `tie_count` the resamples whose sign labeling tied on
-    mismatch count (and was settled by the margin), and `gap_count` the
-    resamples that hit the eigen-gap safeguard.  None is trimmed: fragile
-    identification is reported, not hidden.
+    mismatch count (and was settled by the margin), `gap_count` the
+    resamples that hit the eigen-gap safeguard, and `eig_fallbacks` the
+    resamples whose eigenpairs the anchored refinement handed back to
+    LAPACK.  None is trimmed: fragile identification is reported, not
+    hidden.  `full_estimate` is the statistic on the full sample, laid out
+    as one row of `estimates`, and `full_tie` whether its sign labeling tied
+    on mismatch count (None without a pattern).
     """
 
     estimates: np.ndarray
@@ -67,6 +71,9 @@ class JackknifeResult:
     label_flips: int | None = None
     gap_count: int = 0
     tie_count: int | None = None
+    eig_fallbacks: int = 0
+    full_estimate: np.ndarray | None = None
+    full_tie: bool | None = None
 
 
 def _fd_steps(values: np.ndarray) -> np.ndarray:
@@ -273,24 +280,29 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
             f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}"
         )
     z = monomial_matrix(x)
-    rows, gap_flags, _ = _pipeline.leave_one_out_rows(
+    rows, gap_flags, _, fallbacks = _pipeline.leave_one_out_rows(
         x, z, d, probes.w1, probes.w2, rule
     )
-    label_flips = tie_count = None
+    full_rows, _, _, _ = _pipeline.demix_rows(
+        column_means(z), d, probes.w1, probes.w2, rule
+    )
+    label_flips = tie_count = full_tie = None
     if pattern is None:
         est = rows.reshape(n, d * d).copy()
+        full = full_rows.reshape(d * d)
     else:
         lam, _, ties, perm_index, _ = _pipeline.label_signs(rows, pattern)
+        full_lam, _, full_tie, full_perm, _ = _pipeline.label_signs(
+            full_rows, pattern
+        )
         tie_count = int(np.sum(ties))
+        label_flips = int(np.sum(perm_index != full_perm))
         if entry is None:
             est = lam.reshape(n, d * d)
+            full = full_lam.reshape(d * d)
         else:
             est = lam[:, entry[0], entry[1]][:, None]
-        full_rows, _, _, _ = _pipeline.demix_rows(
-            column_means(z), d, probes.w1, probes.w2, rule
-        )
-        _, _, _, full_perm, _ = _pipeline.label_signs(full_rows, pattern)
-        label_flips = int(np.sum(perm_index != full_perm))
+            full = full_lam[entry[0], entry[1]][None]
     dev = est - est.mean(axis=0)
     variance = (n - 1) / n * (dev.T @ dev)
     return JackknifeResult(
@@ -300,6 +312,9 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
         label_flips=label_flips,
         gap_count=int(np.sum(gap_flags)),
         tie_count=tie_count,
+        eig_fallbacks=int(np.sum(fallbacks)),
+        full_estimate=full,
+        full_tie=full_tie,
     )
 
 

@@ -135,7 +135,7 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
             raise InvalidInputError(
                 f"jackknife covariance requires n >= {MIN_JACKKNIFE_N}, got {n}"
             )
-        loo_rows, _, loo = _pipeline.leave_one_out_rows(
+        loo_rows, _, loo, _ = _pipeline.leave_one_out_rows(
             x, z, d, probes.w1, probes.w2, rule
         )
         r_loo = _pipeline.offdiag_from_rows(loo_rows, loo, d)

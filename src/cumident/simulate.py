@@ -10,6 +10,7 @@ rescales draws deterministically.
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -289,32 +290,43 @@ class _CoverageRep:
             warnings.simplefilter("ignore")
             for a, n in enumerate(self.ns):
                 x = _assemble(self.cfg, s[:n], e[:n], eps[:n], self.k)
-                try:
-                    point, diag = _pipeline.labeled_entry(
-                        column_means(monomial_matrix(x)), 2, self.probes.w1,
-                        self.probes.w2, SUPPLY_DEMAND_PATTERN, (0, 1),
-                    )
-                except (CumidentError, ValueError):
-                    continue
-                if diag["tie_flags"]:
-                    continue
-                for c, method in enumerate(self.methods):
+                variances = {}
+                if "jackknife" in self.methods:
                     try:
-                        variance = _slope_variance(method, x, self.probes)
+                        jk = demixing_jackknife(
+                            x, self.probes, SUPPLY_DEMAND_PATTERN, (0, 1)
+                        )
+                        variances["jackknife"] = float(jk.variance[0, 0])
+                        point, tied = jk.full_estimate[0], jk.full_tie
+                    except (CumidentError, ValueError):
+                        pass
+                if "jackknife" not in variances:
+                    # The jackknife labels the full sample itself; without
+                    # it, the point estimate is computed here.
+                    try:
+                        point, diag = _pipeline.labeled_entry(
+                            column_means(monomial_matrix(x)), 2,
+                            self.probes.w1, self.probes.w2,
+                            SUPPLY_DEMAND_PATTERN, (0, 1),
+                        )
                     except (CumidentError, ValueError):
                         continue
-                    half = zcrit * np.sqrt(variance)
-                    out[a, c] = float(point - half <= B1_TRUE <= point + half)
+                    tied = diag["tie_flags"]
+                if tied:
+                    continue
+                if "delta" in self.methods:
+                    try:
+                        res = delta_variance_labeled(
+                            x, self.probes, SUPPLY_DEMAND_PATTERN, (0, 1)
+                        )
+                        variances["delta"] = float(res.sigma_u[0, 0]) / n
+                    except (CumidentError, ValueError):
+                        pass
+                for c, method in enumerate(self.methods):
+                    if method in variances:
+                        half = zcrit * np.sqrt(variances[method])
+                        out[a, c] = float(point - half <= B1_TRUE <= point + half)
         return out
-
-
-def _slope_variance(method: str, x: np.ndarray, probes: ProbeVectors) -> float:
-    """Estimate-scale variance of the labeled slope b1 = Lambda[0, 1]."""
-    if method == "delta":
-        res = delta_variance_labeled(x, probes, SUPPLY_DEMAND_PATTERN, (0, 1))
-        return float(res.sigma_u[0, 0]) / x.shape[0]
-    res = demixing_jackknife(x, probes, SUPPLY_DEMAND_PATTERN, (0, 1))
-    return float(res.variance[0, 0])
 
 
 def run_coverage_experiment(ns, k: float, reps: int, seed: int,
@@ -416,19 +428,29 @@ def run_overid_power_experiment(ns, ks, reps: int, seed: int,
 
 
 def load_experiment_config(path) -> dict:
-    """Parse the plain key-value experiment config format.
+    """Parse the plain key-value experiment config file at `path`.
 
     One `key = value` pair per line; `#` starts a comment; list values are
     comma separated.  Recognized keys: table, ns, ks, k, reps, seed, alpha,
     level, kurtoses, estimators, methods.  All values are returned as
     strings or lists of strings; the caller owns the type conversions.
     """
+    with open(path, "rb") as fh:
+        return parse_experiment_config(fh.read(), path)
+
+
+def parse_experiment_config(data: bytes, path) -> dict:
+    """:func:`load_experiment_config` on the bytes of a config file.
+
+    The bytes are decoded and split into lines as ``open(path)`` would;
+    errors name `path` and the line.
+    """
     known = {
         "table", "ns", "ks", "k", "reps", "seed", "alpha", "level",
         "kurtoses", "estimators", "methods",
     }
     out: dict = {}
-    with open(path) as fh:
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -37,6 +37,42 @@ def test_simulate_writes_table_and_manifest(tmp_path):
     assert str(cfg) in manifest["inputs"]
 
 
+def test_simulate_hashes_the_config_bytes_it_parsed(tmp_path, monkeypatch):
+    import builtins
+    import hashlib
+    from pathlib import Path
+
+    out = tmp_path / "run"
+    cfg = tmp_path / "exp.cfg"
+    data = b"# crlf config\r\ntable = 3\r\nns = 300\r\nks = 0\r\nreps = 2\r\nseed = 5\r\n"
+    cfg.write_bytes(data)
+    reads = []
+    real_read, real_open = Path.read_bytes, builtins.open
+
+    def read_bytes(self):
+        reads.append(self)
+        return real_read(self)
+
+    def opened(file, *args, **kwargs):
+        if str(file) == str(cfg):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    monkeypatch.setattr(builtins, "open", opened)
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+    assert reads == [cfg]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["inputs"][str(cfg)] == hashlib.sha256(data).hexdigest()
+
+
+def test_simulate_config_errors_name_the_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("table = 3\n\nreps\n")
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{cfg}: line 3: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_outputs(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("table = 1\nns = 300\nks = 0\nreps = 4\nseed = 9\n")

@@ -179,6 +179,27 @@ def test_jackknife_counts_labeling_ties():
     assert ci.demixing_jackknife(x, probes).tie_count is None
 
 
+def test_jackknife_returns_the_full_sample_statistic():
+    x = gen_composite(CompositeDgpConfig(n=300, k=0.2, seed=12), 0).x
+    probes = ci.ProbeVectors.draw(2, 12)
+    m = ci.raw_moments(x).values
+    point, diag = _pipeline.labeled_entry(
+        m, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
+    )
+    jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
+    assert jk.full_estimate.shape == (1,)
+    assert jk.full_estimate[0].tobytes() == point.tobytes()
+    assert jk.full_tie is diag["tie_flags"] is False
+    tied = ci.demixing_jackknife(x, probes, np.eye(2, dtype=int), entry=None)
+    assert tied.full_tie is True
+    rows = _pipeline.demix_rows(m, 2, probes.w1, probes.w2)[0]
+    lam = _pipeline.label_signs(rows, np.eye(2, dtype=int))[0]
+    assert tied.full_estimate.tobytes() == lam.reshape(4).tobytes()
+    unlabeled = ci.demixing_jackknife(x, probes)
+    assert unlabeled.full_tie is None
+    assert unlabeled.full_estimate.tobytes() == rows.reshape(4).tobytes()
+
+
 def test_jackknife_and_delta_agree_at_scale():
     x = gen_composite(CompositeDgpConfig(n=5_000, k=0.5, seed=13), 0).x
     probes = ci.ProbeVectors.draw(2, 13)

@@ -14,6 +14,7 @@ from cumident.simulate import (
     gen_composite,
     iv_2sls,
     load_experiment_config,
+    parse_experiment_config,
     pearson_symmetric,
     run_coverage_experiment,
     run_mse_experiment,
@@ -183,6 +184,32 @@ def test_coverage_flags_match_inference_intervals():
     np.testing.assert_array_equal(res.values[0, 0], flags.mean(axis=0))
 
 
+def test_coverage_cell_builds_two_monomial_matrices(monkeypatch):
+    # The jackknife returns the labeled full-sample slope and its tie flag,
+    # so a cell builds the monomials once for it and once for the delta
+    # method, and labels the full sample once.
+    import cumident.inference as inference
+    import cumident.simulate as simulate
+
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return ci.monomial_matrix(x)
+
+    for module in (inference, simulate):
+        monkeypatch.setattr(module, "monomial_matrix", counted)
+    cfg = CompositeDgpConfig(n=400, k=0.2, seed=19)
+    probes = ci.ProbeVectors.draw(2, 19)
+    ns = (200, 400)
+    worker = _CoverageRep(cfg, ns, 0.2, 0.5, ("jackknife", "delta"), probes)
+    worker(0)
+    assert len(calls) == 2 * len(ns)
+    calls.clear()
+    _CoverageRep(cfg, ns, 0.2, 0.5, ("delta",), probes)(0)
+    assert len(calls) == 2 * len(ns)
+
+
 def test_power_alpha_one_is_trivial():
     res = run_overid_power_experiment([300], [0.3], reps=5, seed=14, alpha=1.0)
     np.testing.assert_array_equal(res.values, 1.0)
@@ -211,6 +238,14 @@ def test_load_experiment_config(tmp_path):
     assert cfg["ns"] == ["500", "1000"]
     assert cfg["ks"] == ["0", "0.2"]
     assert cfg["alpha"] == "0.05"
+
+
+def test_parse_experiment_config_reads_lines_as_open_does():
+    data = b"# comment\r\ntable = 2\rns = 500, 1000\n\nk = 0.5"
+    assert parse_experiment_config(data, "exp.cfg") == {
+        "table": "2", "ns": ["500", "1000"], "k": "0.5"}
+    with pytest.raises(ValueError, match="exp.cfg: line 3: unknown key"):
+        parse_experiment_config(b"table = 2\r\n\r\nbad = 1\r\n", "exp.cfg")
 
 
 def test_load_experiment_config_rejects_unknown_keys(tmp_path):
