@@ -6,10 +6,11 @@ is re-expressed here to act on a stack of moment vectors at once.  The delta
 method perturbs the moment vector, the jackknife downdates it once per
 observation, and the Wald test differentiates through it; all three share
 these kernels.  Single-vector callers (the delta anchor, the jackknife
-centre, the Wald point statistic) run them on a stack of one.  The scalar
-path of ``identify.estimate_demixing`` is a separate implementation and is
-not bit-identical to that: its rows differ from this kernel's by rounding
-error, 1e-14 to 1e-13 on samples of 5 000.
+centre, the Wald point statistic) run them on a stack of one, and so do
+the scalar orientation and labeling entry points of :mod:`identify`:
+labeling and orientation have one implementation.  Only the contraction
+stage of ``identify.estimate_demixing`` is separate; its rows differ from
+this kernel's by rounding error, 1e-14 to 1e-13 on samples of 5 000.
 
 The delete-1 stack of the most recent sample is kept
 (:func:`leave_one_out_rows`), so the jackknife standard errors and the
@@ -39,18 +40,20 @@ import math
 
 import numpy as np
 
+from scipy.optimize import linear_sum_assignment
+
 from .errors import IllConditionedError
-from .identify import (
-    EIGEN_GAP_RTOL,
-    EXHAUSTIVE_PERMUTATION_CAP,
-    ROW_SUM_FALLBACK_TOL,
-    _sorted_eig,
-)
 from .moments import (
     contract_tensor,
     covariance_from_moments,
     cumulants_from_moments,
 )
+
+EIGEN_GAP_RTOL = 1e-6
+ROW_SUM_FALLBACK_TOL = 1e-8
+# Largest d whose labeling scores all d! orderings through a gather table;
+# beyond it each stack entry is solved as a linear assignment problem.
+EXHAUSTIVE_PERMUTATION_CAP = 8
 
 _INVALID_MISMATCH = np.iinfo(np.int32).max
 
@@ -102,6 +105,16 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
         a.flags.writeable = False
     _loo_held = (key, entry)
     return entry
+
+
+def _sorted_eig(h: np.ndarray):
+    """Eigenpairs of a matrix or a stack of matrices, sorted by descending
+    real part, then descending imaginary part, then original index."""
+    vals, vecs = np.linalg.eig(h)
+    order = np.lexsort((-vals.imag, -vals.real), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return vals, vecs
 
 
 def _fold_last(ufunc, a: np.ndarray) -> np.ndarray:
@@ -192,14 +205,15 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
 
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
     out = DemixedRows(
-        (_oriented_rows(vecs, rule), vals.real, _gap_flags(vals), max_imag)
+        (_oriented_rows(vecs, rule)[0], vals.real, _gap_flags(vals), max_imag)
     )
     out.eig_fallbacks = fallbacks
     return out
 
 
-def _oriented_rows(vecs: np.ndarray, rule: str) -> np.ndarray:
-    """Real parts of eigenvector columns as unit rows, oriented by `rule`."""
+def _oriented_rows(vecs: np.ndarray, rule: str):
+    """Real parts of eigenvector columns as unit rows, oriented by `rule`;
+    returns (rows, fallback) as :func:`_orient_rows_batched` does."""
     rows = np.swapaxes(vecs.real, -2, -1)
     norms = np.sqrt(_fold_last(np.add, rows * rows))[..., None]
     rows = rows / np.maximum(norms, np.finfo(float).tiny)
@@ -357,18 +371,21 @@ def _sorted_eig_2x2(h: np.ndarray):
     return vals, vecs
 
 
-def _orient_rows_batched(rows: np.ndarray, rule: str) -> np.ndarray:
-    """Vectorized twin of identify.orient_rows (same fallback rule)."""
+def _orient_rows_batched(rows: np.ndarray, rule: str):
+    """identify.orient_rows on a stack of rows; returns (rows, fallback),
+    `fallback` marking the rows that fell back from rule A to rule B."""
     peak_idx = np.argmax(np.abs(rows), axis=-1)
     peak = np.take_along_axis(rows, peak_idx[..., None], axis=-1)[..., 0]
     if rule == "A":
         s = _fold_last(np.add, rows)
-        s = np.where(np.abs(s) < ROW_SUM_FALLBACK_TOL, peak, s)
+        fallback = np.abs(s) < ROW_SUM_FALLBACK_TOL
+        s = np.where(fallback, peak, s)
     elif rule == "B":
         s = peak
+        fallback = np.zeros(s.shape, dtype=bool)
     else:
         raise ValueError(f"orientation rule must be 'A' or 'B', got {rule!r}")
-    return np.where((s < 0)[..., None], -rows, rows)
+    return np.where((s < 0)[..., None], -rows, rows), fallback
 
 
 def overid_offdiag(ms: np.ndarray, d: int, w1, w2, rule: str = "A") -> np.ndarray:
@@ -385,37 +402,47 @@ def offdiag_from_rows(rows: np.ndarray, ms: np.ndarray, d: int) -> np.ndarray:
     return demixed[..., iu[0], iu[1]]
 
 
-def _check_label_dimension(d: int) -> None:
-    if d > EXHAUSTIVE_PERMUTATION_CAP:
-        raise ValueError(
-            f"batched labeling scores all d! row orderings and is capped at "
-            f"d = {EXHAUSTIVE_PERMUTATION_CAP}; got d = {d}"
-        )
-
-
 @functools.lru_cache(maxsize=EXHAUSTIVE_PERMUTATION_CAP)
 def _permutation_table(d: int):
     """The d! row orderings, as tuples and as flat indices into a (d, d) block.
 
     `pivots[p, i]` is the row-major index of entry (perm_p[i], i), and
-    column p of `blocks` lists the indices of rows perm_p[0], ...,
-    perm_p[d-1].
+    `blocks` is :func:`_blocks` of the orderings.
     """
     perms = tuple(itertools.permutations(range(d)))
     table = np.array(perms, dtype=np.intp).reshape(len(perms), d)
     pivots = table * d + np.arange(d)
-    blocks = np.ascontiguousarray(
-        (table[:, :, None] * d + np.arange(d)).reshape(len(perms), d * d).T
-    )
+    blocks = _blocks(table)
     pivots.flags.writeable = False
     blocks.flags.writeable = False
     return perms, pivots, blocks
 
 
+def _blocks(table: np.ndarray) -> np.ndarray:
+    """Column p lists the row-major indices of rows table[p, 0], ...,
+    table[p, d-1] of a (d, d) block, for a (p, d) table of orderings."""
+    p, d = table.shape
+    return np.ascontiguousarray(
+        (table[:, :, None] * d + np.arange(d)).reshape(p, d * d).T
+    )
+
+
+def _ranked(table: np.ndarray):
+    """Lexicographic rank of each ordering of a (b, d) table among all d!
+    orderings, which is its index in :func:`_permutation_table`, and a dict
+    from each rank to its ordering."""
+    d = table.shape[1]
+    later = np.triu(np.ones((d, d), dtype=bool), 1)
+    smaller_after = ((table[:, None, :] < table[:, :, None]) & later).sum(axis=2)
+    ranks = smaller_after @ np.array([math.factorial(d - 1 - i) for i in range(d)])
+    return ranks, {k: tuple(p) for k, p in zip(ranks.tolist(), table.tolist())}
+
+
 def _chunks(b: int, d: int) -> list[slice]:
-    """Slices of a b-entry stack whose (d!, chunk) and (d, d, d, chunk)
-    arrays hold at most _LABEL_CHUNK_ELEMENTS elements."""
-    step = max(1, _LABEL_CHUNK_ELEMENTS // max(math.factorial(d), d**3))
+    """Slices of a b-entry stack whose (d!, chunk) totals (up to the cap)
+    and (d, d, d, chunk) arrays hold at most _LABEL_CHUNK_ELEMENTS elements."""
+    width = math.factorial(d) if d <= EXHAUSTIVE_PERMUTATION_CAP else 0
+    step = max(1, _LABEL_CHUNK_ELEMENTS // max(width, d**3))
     return [slice(s, min(s + step, b)) for s in range(0, b, step)]
 
 
@@ -486,6 +513,12 @@ def _sign_cost(rt, absr, floor, pattern) -> np.ndarray:
     return np.where(absr > floor, 0.5 * twice, np.inf)
 
 
+def _margin_cost(rt, pattern) -> np.ndarray:
+    """margin[k, i, b] = sum_j pattern_ij r_kj / r_ki for entry b of an
+    entries-last stack: the margin of row k normalized at position i."""
+    return np.matmul(pattern, rt) / _pivots(rt)
+
+
 def _triangular_cost(rt, absr, floor) -> np.ndarray:
     """cost[k, i, b] = sum_{j > i} (r_kj / r_ki)^2 for entry b of an
     entries-last stack, inf where r_ki is not above `floor`."""
@@ -496,19 +529,59 @@ def _triangular_cost(rt, absr, floor) -> np.ndarray:
     return np.where(absr > floor, mass, np.inf)
 
 
+def _assign(cost: np.ndarray):
+    """Row placed at each position by an optimal assignment of the (d, d)
+    cost[row, position] (inf forbids a placement), or None when there is
+    no finite assignment."""
+    try:
+        return linear_sum_assignment(cost.T)[1]
+    except ValueError:
+        return None
+
+
+def _sign_assignment(count: np.ndarray, margin: np.ndarray):
+    """Fewest sign mismatches, then the largest margin, for one (d, d) entry.
+
+    count[k, i] and margin[k, i] score row k at position i.  With big above
+    twice d max|margin|, the cost count * big - margin is lexicographic, so
+    one linear_sum_assignment settles both (margins closer than its
+    rounding are not told apart).  Ties come from Murty's second-best
+    assignments: one re-solve per placement of the optimum, with it
+    forbidden.  Returns (perm, ties): the optimal ordering, None when none
+    is valid, and the distinct re-solved orderings with as few mismatches.
+    """
+    d = count.shape[0]
+    valid = np.isfinite(count) & np.isfinite(margin)
+    big = 4.0 * d * np.max(np.abs(margin[valid]), initial=0.0) + 1.0
+    cost = np.where(valid, count * big - margin, np.inf)
+    perm = _assign(cost)
+    if perm is None:
+        return None, []
+    positions = np.arange(d)
+    low = count[perm, positions].sum()
+    ties = {}
+    for i, k in enumerate(perm):
+        banned = cost.copy()
+        banned[k, i] = np.inf
+        alt = _assign(banned)
+        if alt is not None and count[alt, positions].sum() == low:
+            ties[tuple(alt.tolist())] = None
+    return perm, list(ties)
+
+
 def label_signs(rows: np.ndarray, pattern: np.ndarray):
     """Vectorized sign labeling with margin tie-break over a stack of rows.
 
     Diagonal normalization divides row k by its entry at the position i it
     is put in, so the sign mismatches of that placement depend on (k, i)
-    alone.  They form a (d, d, b) cost tensor; an ordering's count is the
-    sum of its d placements, gathered through a (d!, d) index table, and an
-    ordering is invalid when one of its diagonal entries is not above 1e-12
-    of the stack entry's largest magnitude.  Only entries tied on the
-    smallest count compute the margin sum(pattern * normalized), and only
-    for their tied orderings; the largest margin wins, the first ordering
-    on an exact margin tie.  Stacks are cut into chunks of bounded size and
-    d is capped at ``EXHAUSTIVE_PERMUTATION_CAP``.
+    alone.  They form a (d, d, b) cost tensor; an ordering is invalid when
+    one of its diagonal entries is not above 1e-12 of the stack entry's
+    largest magnitude.  Up to ``EXHAUSTIVE_PERMUTATION_CAP`` rows, an
+    ordering's count is the sum of its d placements, gathered through a
+    (d!, d) index table.  Only entries tied on the smallest count compute
+    the margin sum(pattern * normalized), for their tied orderings; the
+    largest margin wins, the first ordering on an exact margin tie.  Beyond
+    the cap, each entry is one exact assignment (:func:`_sign_assignment`).
 
     Signs are read from the rows themselves: sign(r_kj / r_ki) equals
     sign(r_kj) sign(r_ki) unless the quotient underflows to zero, which
@@ -516,50 +589,94 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
 
     Returns (lambda_final, mismatches, tie_flags, perm_index, permutations):
     `tie_flags` marks entries where two permutations tied on mismatch count
-    (resolved by margin), and `permutations` lists the candidate orderings
-    indexed by `perm_index`.  An entry without a valid ordering reports
-    int32-max mismatches, a tie, and ordering 0.
+    (resolved by margin).  `perm_index` is the lexicographic rank of the
+    chosen ordering among all d! orderings, and `permutations` maps it to
+    the ordering: the list of all d! orderings up to the cap, a dict of the
+    chosen ones beyond.  An entry without a valid ordering reports
+    int32-max mismatches, a tie, and ordering 0 (the identity).
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
     b, d, _ = r.shape
-    _check_label_dimension(d)
     pattern = np.asarray(pattern)
     if pattern.shape != (d, d) or not ((pattern == 0) | (np.abs(pattern) == 1)).all():
         raise ValueError(f"sign pattern must be {d}x{d} with entries -1, 0 or +1")
-    perms, pivots, blocks = _permutation_table(d)
     active = pattern != 0
     weights = pattern.astype(float)
-    order = np.arange(len(perms), dtype=float)
-    best = np.empty(b)
-    tie_flags = np.empty(b, dtype=bool)
-    perm_index = np.empty(b, dtype=np.intp)
-    for s in _chunks(b, d):
-        total = _candidate_totals(_sign_cost(*_entries_last(r[s]), weights), pivots)
-        low = np.minimum.reduce(total, axis=0)
-        at_best = total == low
-        tied = np.count_nonzero(at_best, axis=0) > 1
-        # The single best ordering; tied entries are resolved below, and
-        # entries without a valid ordering keep ordering 0.
-        pick = np.where(tied, 0, (order @ at_best).astype(np.intp))
-        refine = np.flatnonzero(tied & np.isfinite(low))
-        if refine.size:
-            cand, ent = np.nonzero(at_best[:, refine])
-            normalized = _normalized(r[s][refine[ent]], blocks, cand)
-            margin = np.full((refine.size, len(perms)), -np.inf)
-            margin[ent, cand] = _stack_sum(
-                pattern[active] * normalized[:, active], b
-            )
-            pick[refine] = margin.argmax(axis=1)
-        best[s], tie_flags[s], perm_index[s] = low, tied, pick
+    best = np.full(b, np.inf)
+    tie_flags = np.ones(b, dtype=bool)
+    if d > EXHAUSTIVE_PERMUTATION_CAP:
+        table = np.tile(np.arange(d), (b, 1))
+        for s in _chunks(b, d):
+            rt, absr, floor = _entries_last(r[s])
+            count = _sign_cost(rt, absr, floor, weights)
+            margin = _margin_cost(rt, weights)
+            for e in range(count.shape[-1]):
+                perm, ties = _sign_assignment(count[..., e], margin[..., e])
+                if perm is not None:
+                    i = s.start + e
+                    best[i] = count[perm, np.arange(d), e].sum()
+                    tie_flags[i], table[i] = bool(ties), perm
+        perm_index, perms = _ranked(table)
+        lam = _normalized(r, _blocks(table), np.arange(b))
+    else:
+        perms, pivots, blocks = _permutation_table(d)
+        perms = list(perms)
+        order = np.arange(len(perms), dtype=float)
+        perm_index = np.empty(b, dtype=np.intp)
+        for s in _chunks(b, d):
+            total = _candidate_totals(_sign_cost(*_entries_last(r[s]), weights), pivots)
+            low = np.minimum.reduce(total, axis=0)
+            at_best = total == low
+            tied = np.count_nonzero(at_best, axis=0) > 1
+            # The single best ordering; tied entries are resolved below, and
+            # entries without a valid ordering keep ordering 0.
+            pick = np.where(tied, 0, (order @ at_best).astype(np.intp))
+            refine = np.flatnonzero(tied & np.isfinite(low))
+            if refine.size:
+                cand, ent = np.nonzero(at_best[:, refine])
+                normalized = _normalized(r[s][refine[ent]], blocks, cand)
+                margin = np.full((refine.size, len(perms)), -np.inf)
+                margin[ent, cand] = _stack_sum(
+                    pattern[active] * normalized[:, active], b
+                )
+                pick[refine] = margin.argmax(axis=1)
+            best[s], tie_flags[s], perm_index[s] = low, tied, pick
+        lam = _normalized(r, blocks, perm_index)
     best_mism = np.where(
         np.isfinite(best), best, _INVALID_MISMATCH
     ).astype(np.int64)
-    lam = _normalized(r, blocks, perm_index)
     if squeeze:
         return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
-                int(perm_index[0]), list(perms))
-    return lam, best_mism, tie_flags, perm_index, list(perms)
+                int(perm_index[0]), perms)
+    return lam, best_mism, tie_flags, perm_index, perms
+
+
+def _sign_ties(rows: np.ndarray, pattern: np.ndarray):
+    """The orderings of one (d, d) entry that tie on the fewest sign
+    mismatches, and their margins, scored as :func:`label_signs` scores
+    them.
+
+    Up to the cap these are all such orderings, in table order; beyond it,
+    the chosen ordering and the second-best assignments that tie with it.
+    The entry must have a valid ordering.
+    """
+    d = rows.shape[0]
+    weights = pattern.astype(float)
+    rt, absr, floor = _entries_last(rows[None])
+    count = _sign_cost(rt, absr, floor, weights)
+    if d > EXHAUSTIVE_PERMUTATION_CAP:
+        perm, ties = _sign_assignment(count[..., 0], _margin_cost(rt, weights)[..., 0])
+        orderings = [tuple(perm.tolist()), *ties]
+        blocks, cand = _blocks(np.array(orderings)), np.arange(len(orderings))
+    else:
+        perms, pivots, blocks = _permutation_table(d)
+        total = _candidate_totals(count, pivots)[:, 0]
+        cand = np.flatnonzero(total == total.min())
+        orderings = [perms[c] for c in cand]
+    normalized = _normalized(np.repeat(rows[None], cand.size, axis=0), blocks, cand)
+    active = pattern != 0
+    return orderings, _stack_sum(pattern[active] * normalized[:, active], 1)
 
 
 def label_triangular(rows: np.ndarray):
@@ -568,50 +685,69 @@ def label_triangular(rows: np.ndarray):
     Picks, per stack entry, the row permutation minimizing the sum of
     squared above-diagonal entries after diagonal normalization.  As in
     :func:`label_signs`, the cost of row k at position i is separable,
-    here mass[k, i] = sum_{j > i} (r_kj / r_ki)^2, and orderings are scored
-    by a gather over the (d!, d) table.  Those sums run in another order
-    than the per-ordering residual, so every ordering within a few ulps of
-    the smallest total is rescored with that residual; the smallest wins,
-    the first ordering on a tie.  Returns (lambda_final, residual,
-    perm_index, permutations); an entry without a valid ordering gets
-    residual inf and ordering 0.
+    here mass[k, i] = sum_{j > i} (r_kj / r_ki)^2.  Up to the cap,
+    orderings are scored by a gather over the (d!, d) table.  Those sums
+    run in another order than the per-ordering residual, so every ordering
+    within a few ulps of the smallest total is rescored with that residual;
+    the smallest wins, the first ordering on a tie.  Beyond the cap, each
+    entry is one exact linear assignment on the mass.  Returns
+    (lambda_final, residual, perm_index, permutations), indexed as in
+    :func:`label_signs`; an entry without a valid ordering gets residual
+    inf and ordering 0.
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
     b, d, _ = r.shape
-    _check_label_dimension(d)
-    perms, pivots, blocks = _permutation_table(d)
     iu = np.triu_indices(d, 1)
-    rtol = 4.0 * d * d * np.finfo(float).eps
-    perm_index = np.zeros(b, dtype=np.intp)
     res = np.full(b, np.inf)
-    for s in _chunks(b, d):
-        total = _candidate_totals(_triangular_cost(*_entries_last(r[s])), pivots)
-        low = np.minimum.reduce(total, axis=0)
-        refine = np.flatnonzero(np.isfinite(low))
-        cand, ent = np.nonzero(total[:, refine] <= low[refine] * (1.0 + rtol))
-        normalized = _normalized(r[s][refine[ent]], blocks, cand)
-        residual = np.full((refine.size, len(perms)), np.inf)
-        residual[ent, cand] = _stack_sum(normalized[:, iu[0], iu[1]] ** 2, b)
-        pick = residual.argmin(axis=1)
-        perm_index[s][refine] = pick
-        res[s][refine] = residual[np.arange(refine.size), pick]
-    lam = _normalized(r, blocks, perm_index)
+    if d > EXHAUSTIVE_PERMUTATION_CAP:
+        table = np.tile(np.arange(d), (b, 1))
+        valid = np.zeros(b, dtype=bool)
+        for s in _chunks(b, d):
+            mass = _triangular_cost(*_entries_last(r[s]))
+            for e in range(mass.shape[-1]):
+                perm = _assign(mass[..., e])
+                if perm is not None:
+                    table[s.start + e], valid[s.start + e] = perm, True
+        perm_index, perms = _ranked(table)
+        lam = _normalized(r, _blocks(table), np.arange(b))
+        res[valid] = _stack_sum(lam[valid][:, iu[0], iu[1]] ** 2, b)
+    else:
+        perms, pivots, blocks = _permutation_table(d)
+        perms = list(perms)
+        rtol = 4.0 * d * d * np.finfo(float).eps
+        perm_index = np.zeros(b, dtype=np.intp)
+        for s in _chunks(b, d):
+            total = _candidate_totals(_triangular_cost(*_entries_last(r[s])), pivots)
+            low = np.minimum.reduce(total, axis=0)
+            refine = np.flatnonzero(np.isfinite(low))
+            cand, ent = np.nonzero(total[:, refine] <= low[refine] * (1.0 + rtol))
+            normalized = _normalized(r[s][refine[ent]], blocks, cand)
+            residual = np.full((refine.size, len(perms)), np.inf)
+            residual[ent, cand] = _stack_sum(normalized[:, iu[0], iu[1]] ** 2, b)
+            pick = residual.argmin(axis=1)
+            perm_index[s][refine] = pick
+            res[s][refine] = residual[np.arange(refine.size), pick]
+        lam = _normalized(r, blocks, perm_index)
     if squeeze:
-        return lam[0], float(res[0]), int(perm_index[0]), list(perms)
-    return lam, res, perm_index, list(perms)
+        return lam[0], float(res[0]), int(perm_index[0]), perms
+    return lam, res, perm_index, perms
 
 
 def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1),
                   rule: str = "A"):
-    """One entry of the sign-labeled, diagonal-normalized demixing matrix.
+    """One entry of the sign-labeled, diagonal-normalized demixing matrix,
+    or with `entry` None the whole matrix, flattened row-major.
 
     Returns (values, diagnostics) where diagnostics carries the gap flags,
     labeling tie flags and chosen permutation index per stack entry.
     """
     rows, _, gap_flags, _ = demix_rows(ms, d, w1, w2, rule)
     lam, mism, ties, perm_index, perms = label_signs(rows, pattern)
-    values = lam[..., entry[0], entry[1]]
+    if entry is None:
+        values = lam.reshape(*lam.shape[:-2], d * d)
+    else:
+        values = lam[..., entry[0], entry[1]]
     return values, {
         "gap_flags": gap_flags,
         "mismatches": mism,

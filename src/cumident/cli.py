@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _pipeline
+from . import __version__
 from .errors import CumidentError, InvalidInputError, LabelingAmbiguityError
 from .identify import (
     ProbeVectors,
@@ -28,12 +28,11 @@ from .identify import (
     label_by_triangular,
 )
 from .inference import (
-    confidence_interval,
-    delta_variance_statistic,
+    delta_variance,
+    delta_variance_labeled,
     demixing_jackknife,
     jackknife_confidence_interval,
 )
-from .moments import monomial_matrix
 from .overid import wald_test
 from .simulate import (
     CompositeDgpConfig,
@@ -228,7 +227,7 @@ def _cmd_estimate(args, argv) -> int:
     if args.se != "none":
         if args.order != 3:
             raise _InputError("standard errors are implemented for --order 3 only")
-        se_rows = _estimate_se_rows(series.data, probes, pattern, args, n, d, labeling)
+        se_rows = _estimate_se_rows(series.data, probes, pattern, args, n, d, reported)
         _write_csv(
             out / "estimate_se.csv", manifest,
             ["method", "row", "col", "estimate", "se", "ci_lo", "ci_hi"],
@@ -240,53 +239,35 @@ def _cmd_estimate(args, argv) -> int:
     return EXIT_OK
 
 
-def _estimate_se_rows(data, probes, pattern, args, n, d, labeling):
+def _estimate_se_rows(data, probes, pattern, args, n, d, reported):
     """Per-entry standard errors and CIs for the reported matrix."""
-    if pattern is not None:
-        def batch(ms):
-            rows, _, _, _ = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, "A")
-            lam, _, _, _, _ = _pipeline.label_signs(rows, pattern)
-            return lam.reshape(ms.shape[0], d * d)
-        point = np.asarray(labeling.lambda_final)
-    elif args.label == "triangular":
+    if pattern is None and args.label == "triangular":
         raise _InputError(
             "standard errors with --label triangular are not supported; "
             "use --label signs:<file> or none"
         )
-    else:
-        def batch(ms):
-            rows, _, _, _ = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, "A")
-            return rows.reshape(ms.shape[0], d * d)
-        point = None
-
-    out = []
+    # Variances of the estimate itself: the delta method's sqrt(n)-scale
+    # covariance divided by n, the jackknife's as it is.
+    variances = {}
     if args.se in ("delta", "both"):
-        res = delta_variance_statistic(data, batch_statistic=batch)
-        if point is None:
-            values = batch(monomial_matrix(data).mean(axis=0)[None])[0]
-            point = values.reshape(d, d)
-        variances = np.diag(res.sigma_u).reshape(d, d)
-        for i in range(d):
-            for j in range(d):
-                lo, hi = confidence_interval(point[i, j], variances[i, j], n, args.level)
-                out.append([
-                    "delta", i, j, float(point[i, j]),
-                    float(np.sqrt(variances[i, j] / n)), lo, hi,
-                ])
+        if pattern is None:
+            res = delta_variance(data, probes, k="all")
+        else:
+            res = delta_variance_labeled(data, probes, pattern, entry=None)
+        variances["delta"] = np.diag(res.sigma_u).reshape(d, d) / n
     if args.se in ("jackknife", "both"):
         jk = demixing_jackknife(data, probes, pattern=pattern, entry=None)
-        point_jk = point if point is not None else (
-            batch(monomial_matrix(data).mean(axis=0)[None])[0].reshape(d, d)
-        )
-        variances = np.diag(jk.variance).reshape(d, d)
+        variances["jackknife"] = np.diag(jk.variance).reshape(d, d)
+    out = []
+    for method, var in variances.items():
         for i in range(d):
             for j in range(d):
                 lo, hi = jackknife_confidence_interval(
-                    point_jk[i, j], variances[i, j], args.level
+                    reported[i, j], var[i, j], args.level
                 )
                 out.append([
-                    "jackknife", i, j, float(point_jk[i, j]),
-                    float(np.sqrt(variances[i, j])), lo, hi,
+                    method, i, j, float(reported[i, j]),
+                    float(np.sqrt(var[i, j])), lo, hi,
                 ])
     return out
 

@@ -3,16 +3,31 @@
 The demixing rows come out of an eigendecomposition only up to scale and
 permutation; the labeling routines at the bottom resolve both, either from a
 sign pattern or from a triangular (recursive) ordering.
+
+Orientation and labeling have one implementation, the stack kernels of
+:mod:`cumident._pipeline`, which the functions here run on a stack of one.
+Only the contraction stage of :func:`estimate_demixing` is still separate.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pipeline
+from ._pipeline import (  # the three tolerances stay public names here
+    EIGEN_GAP_RTOL,
+    EXHAUSTIVE_PERMUTATION_CAP,
+    ROW_SUM_FALLBACK_TOL,
+    _INVALID_MISMATCH,
+    _gap_flags,
+    _gap_scale,
+    _orient_rows_batched,
+    _oriented_rows,
+    _sorted_eig,
+)
 from .errors import (
     ComplexResidueWarning,
     EigenGapWarning,
@@ -23,10 +38,7 @@ from .errors import (
 from .moments import ContractionMatrix, contract_hessian, validate_sample
 
 COND_CAP = 1e10
-EIGEN_GAP_RTOL = 1e-6
 COMPLEX_RESIDUE_TOL = 0.1
-ROW_SUM_FALLBACK_TOL = 1e-8
-EXHAUSTIVE_PERMUTATION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -135,16 +147,6 @@ def _solve_anchor(g1, g2, cond_cap: float = COND_CAP):
     return np.linalg.solve(m2, m1), cond
 
 
-def _sorted_eig(h: np.ndarray):
-    """Eigenpairs of a matrix or a stack of matrices, sorted by descending
-    real part, then descending imaginary part, then original index."""
-    vals, vecs = np.linalg.eig(h)
-    order = np.lexsort((-vals.imag, -vals.real), axis=-1)
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    return vals, vecs
-
-
 def orient_rows(rows: np.ndarray, rule: str = "A") -> tuple[np.ndarray, tuple[int, ...]]:
     """Fix each row's sign by the requested rule; idempotent.
 
@@ -152,21 +154,8 @@ def orient_rows(rows: np.ndarray, rule: str = "A") -> tuple[np.ndarray, tuple[in
     to zero to be trusted, that row falls back to rule B (largest-magnitude
     coordinate made positive) and its index is reported.
     """
-    if rule not in ("A", "B"):
-        raise ValueError(f"orientation rule must be 'A' or 'B', got {rule!r}")
-    out = np.array(rows, dtype=float)
-    fallback = []
-    for i, row in enumerate(out):
-        if rule == "A":
-            s = row.sum()
-            if abs(s) < ROW_SUM_FALLBACK_TOL:
-                fallback.append(i)
-                s = row[np.argmax(np.abs(row))]
-        else:
-            s = row[np.argmax(np.abs(row))]
-        if s < 0:
-            out[i] = -row
-    return out, tuple(fallback)
+    out, fallback = _orient_rows_batched(np.array(rows, dtype=float), rule)
+    return out, tuple(np.flatnonzero(fallback).tolist())
 
 
 def oriented_eigenvector_rows(h, rule: str = "A"):
@@ -180,19 +169,16 @@ def oriented_eigenvector_rows(h, rule: str = "A"):
     """
     hm = _as_matrix(h)
     vals, vecs = _sorted_eig(hm)
-    scale = max(np.max(np.abs(vals)), np.finfo(float).tiny)
-    gap_flag = False
-    if hm.shape[0] > 1:
-        # Real parts: a complex-conjugate pair yields two equal real rows.
-        gaps = np.abs(np.diff(vals.real))
-        if gaps.min() < EIGEN_GAP_RTOL * scale:
-            gap_flag = True
-            warnings.warn(
-                "near-repeated eigenvalues (relative gap "
-                f"{gaps.min() / scale:.2e}); demixing rows may be unstable",
-                EigenGapWarning,
-                stacklevel=3,
-            )
+    rows, fallback = _oriented_rows(vecs, rule)
+    gap_flag = hm.shape[0] > 1 and bool(_gap_flags(vals))
+    if gap_flag:
+        rel_gap = np.abs(np.diff(vals.real)).min() / _gap_scale(vals)
+        warnings.warn(
+            "near-repeated eigenvalues (relative gap "
+            f"{rel_gap:.2e}); demixing rows may be unstable",
+            EigenGapWarning,
+            stacklevel=3,
+        )
     max_imag = float(np.max(np.abs(vecs.imag)))
     if max_imag > COMPLEX_RESIDUE_TOL:
         warnings.warn(
@@ -201,11 +187,8 @@ def oriented_eigenvector_rows(h, rule: str = "A"):
             ComplexResidueWarning,
             stacklevel=3,
         )
-    rows = vecs.real.T
-    norms = np.linalg.norm(rows, axis=1)
-    rows = rows / np.maximum(norms, np.finfo(float).tiny)[:, None]
-    rows, fallback = orient_rows(rows, rule)
-    return rows, vals.real, max_imag, fallback, gap_flag
+    fallback_rows = tuple(np.flatnonzero(fallback).tolist())
+    return rows, vals.real, max_imag, fallback_rows, gap_flag
 
 
 def demixing_from_contractions(g1, g2, rule: str = "A") -> DemixingEstimate:
@@ -318,59 +301,6 @@ def _auto_rank(s: np.ndarray, d1: int) -> tuple[int, float]:
     return rank, float(thr)
 
 
-def _candidate_permutations(d: int, kind: str):
-    if d <= EXHAUSTIVE_PERMUTATION_CAP:
-        return itertools.permutations(range(d))
-    warnings.warn(
-        f"d = {d} exceeds the exhaustive search cap; {kind} labeling falls "
-        "back to greedy assignment",
-        UserWarning,
-        stacklevel=3,
-    )
-    return None
-
-
-def _diag_normalize(block: np.ndarray):
-    """Divide each row by its diagonal entry; None if a diagonal is ~ zero."""
-    diag = np.diagonal(block).copy()
-    if np.any(np.abs(diag) < 1e-12 * max(np.max(np.abs(block)), 1e-300)):
-        return None, None
-    return block / diag[:, None], 1.0 / diag
-
-
-def _sign_mismatches(normalized: np.ndarray, pattern: np.ndarray) -> int:
-    active = pattern != 0
-    return int(np.sum(np.sign(normalized)[active] != pattern[active]))
-
-
-def _sign_margin(normalized: np.ndarray, pattern: np.ndarray) -> float:
-    active = pattern != 0
-    return float(np.sum(pattern[active] * normalized[active]))
-
-
-def _greedy_sign_permutation(rows: np.ndarray, pattern: np.ndarray) -> tuple[int, ...]:
-    d = rows.shape[0]
-    remaining = list(range(d))
-    perm = []
-    for i in range(d):
-        best, best_key = None, None
-        for r in remaining:
-            if abs(rows[r, i]) < 1e-300:
-                continue
-            row = rows[r] / rows[r, i]
-            active = pattern[i] != 0
-            mism = int(np.sum(np.sign(row)[active] != pattern[i][active]))
-            margin = float(np.sum(pattern[i][active] * row[active]))
-            key = (mism, -margin)
-            if best_key is None or key < best_key:
-                best, best_key = r, key
-        if best is None:
-            best = remaining[0]
-        perm.append(best)
-        remaining.remove(best)
-    return tuple(perm)
-
-
 def label_by_signs(est: DemixingEstimate, sign_pattern,
                    on_tie: str = "error") -> LabelingResult:
     """Resolve permutation and scale from a row sign pattern.
@@ -378,7 +308,10 @@ def label_by_signs(est: DemixingEstimate, sign_pattern,
     Searches row permutations, normalizes each candidate so its diagonal is
     exactly one (which also fixes row signs), and selects the assignment
     with the fewest sign mismatches against `sign_pattern` (entries in
-    {-1, 0, +1}; zeros are ignored).
+    {-1, 0, +1}; zeros are ignored).  The search is
+    :func:`cumident._pipeline.label_signs` on a stack of one: all d!
+    orderings up to d = ``EXHAUSTIVE_PERMUTATION_CAP``, an exact linear
+    assignment beyond.
 
     Parameters
     ----------
@@ -387,63 +320,37 @@ def label_by_signs(est: DemixingEstimate, sign_pattern,
         :class:`LabelingAmbiguityError` listing both.  With "margin", ties
         are broken by the larger signed agreement
         sum(pattern * normalized entries); only an exact margin tie raises.
+        Beyond the cap, the tied assignments listed are the chosen one and
+        the second-best assignments that tie with it.
     """
     pattern = np.asarray(sign_pattern)
     rows = est.lambda_tilde
     d = rows.shape[0]
-    if pattern.shape != (d, d):
-        raise ValueError(f"sign pattern must be {d}x{d}, got {pattern.shape}")
-    if not np.isin(pattern, (-1, 0, 1)).all():
-        raise ValueError("sign pattern entries must be -1, 0 or +1")
-    if len({tuple(r) for r in pattern.tolist()}) < d:
-        raise ValueError("sign pattern rows must be pairwise distinct")
     if on_tie not in ("error", "margin"):
         raise ValueError(f"on_tie must be 'error' or 'margin', got {on_tie!r}")
-
-    perms = _candidate_permutations(d, "sign")
-    if perms is None:
-        perms = [_greedy_sign_permutation(rows, pattern)]
-
-    candidates = []  # (mismatches, -margin, perm, normalized, scales)
-    for perm in perms:
-        block = rows[list(perm), :]
-        normalized, scales = _diag_normalize(block)
-        if normalized is None:
-            continue
-        candidates.append((
-            _sign_mismatches(normalized, pattern),
-            -_sign_margin(normalized, pattern),
-            perm,
-            normalized,
-            scales,
-        ))
-    if not candidates:
+    # The kernel checks the pattern's shape and entries.
+    lam, mism, tied, index, perms = _pipeline.label_signs(rows, pattern)
+    if len({tuple(r) for r in pattern.tolist()}) < d:
+        raise ValueError("sign pattern rows must be pairwise distinct")
+    if mism == _INVALID_MISMATCH:
         raise LabelingAmbiguityError(
             "no row permutation yields a nonzero diagonal", []
         )
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    best = candidates[0]
-    tied = [c for c in candidates[1:] if c[0] == best[0]]
+    perm = perms[index]
     if tied:
-        if on_tie == "error":
-            raise LabelingAmbiguityError(
-                "sign labeling is ambiguous", [best[2]] + [c[2] for c in tied]
-            )
-        # Sorted by (mismatches, -margin), so `best` already carries the
-        # largest margin; only an exact margin tie is irresolvable.
-        margin_tied = [c[2] for c in tied if c[1] == best[1]]
-        if margin_tied:
-            raise LabelingAmbiguityError(
-                "sign labeling is ambiguous even after margin tie-break",
-                [best[2]] + margin_tied,
-            )
-    mism, _, perm, normalized, scales = best
-    return LabelingResult(
-        permutation=tuple(perm),
-        scales=scales,
-        lambda_final=normalized,
-        residual_mismatch=float(mism),
-    )
+        # The kernel picked the largest margin; "margin" raises only on an
+        # exact margin tie.
+        orderings, margins = _pipeline._sign_ties(rows, pattern)
+        top = margins[orderings.index(perm)]
+        others = [orderings[o] for o in np.argsort(-margins, kind="stable")
+                  if orderings[o] != perm
+                  and (on_tie == "error" or margins[o] == top)]
+        if others:
+            message = "sign labeling is ambiguous"
+            if on_tie == "margin":
+                message += " even after margin tie-break"
+            raise LabelingAmbiguityError(message, [perm] + others)
+    return _labeling(rows, perm, lam, float(mism))
 
 
 def label_by_triangular(est: DemixingEstimate) -> LabelingResult:
@@ -451,51 +358,25 @@ def label_by_triangular(est: DemixingEstimate) -> LabelingResult:
 
     Minimizes the sum of squared above-diagonal entries after diagonal
     normalization and reports that mass; never raises on a poor fit, the
-    caller judges the residual.
+    caller judges the residual.  The search is
+    :func:`cumident._pipeline.label_triangular` on a stack of one.
     """
     rows = est.lambda_tilde
-    d = rows.shape[0]
-    perms = _candidate_permutations(d, "triangular")
-    if perms is None:
-        perms = [_greedy_triangular_permutation(rows)]
-    best = None
-    upper = np.triu_indices(d, 1)
-    for perm in perms:
-        block = rows[list(perm), :]
-        normalized, scales = _diag_normalize(block)
-        if normalized is None:
-            continue
-        residual = float(np.sum(normalized[upper] ** 2))
-        if best is None or residual < best[0]:
-            best = (residual, perm, normalized, scales)
-    if best is None:
+    lam, residual, index, perms = _pipeline.label_triangular(rows)
+    if residual == np.inf:
         raise LabelingAmbiguityError(
             "no row permutation yields a nonzero diagonal", []
         )
-    residual, perm, normalized, scales = best
+    return _labeling(rows, perms[index], lam, residual)
+
+
+def _labeling(rows: np.ndarray, perm, lam: np.ndarray,
+              residual: float) -> LabelingResult:
+    """The result of putting `rows` in order `perm`, normalized to `lam`."""
+    d = rows.shape[0]
     return LabelingResult(
         permutation=tuple(perm),
-        scales=scales,
-        lambda_final=normalized,
+        scales=1.0 / rows[list(perm), range(d)],
+        lambda_final=lam,
         residual_mismatch=residual,
     )
-
-
-def _greedy_triangular_permutation(rows: np.ndarray) -> tuple[int, ...]:
-    d = rows.shape[0]
-    remaining = list(range(d))
-    perm = []
-    for i in range(d):
-        best, best_mass = None, None
-        for r in remaining:
-            if abs(rows[r, i]) < 1e-300:
-                continue
-            row = rows[r] / rows[r, i]
-            mass = float(np.sum(row[i + 1:] ** 2))
-            if best_mass is None or mass < best_mass:
-                best, best_mass = r, mass
-        if best is None:
-            best = remaining[0]
-        perm.append(best)
-        remaining.remove(best)
-    return tuple(perm)

@@ -194,9 +194,10 @@ def delta_variance(data, probes: ProbeVectors, k: int | str = "all",
 
 
 def delta_variance_labeled(data, probes: ProbeVectors, pattern,
-                           entry: tuple[int, int] = (0, 1),
+                           entry: tuple[int, int] | None = (0, 1),
                            rule: str = "A") -> DeltaVarianceResult:
-    """Delta-method variance of one entry of the sign-labeled demixing matrix.
+    """Delta-method variance of one entry of the sign-labeled demixing matrix,
+    or with `entry` None of the whole matrix, stacked row-major.
 
     The differentiated statistic is the full pipeline including the sign
     labeling and diagonal normalization, so this is the right variance for

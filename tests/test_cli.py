@@ -286,3 +286,77 @@ def test_simulate_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "CUMIDENT_THREADS" in capsys.readouterr().err
+
+
+def _nine_series_csv(path):
+    """A dense 9-equation system driven by skewed shocks; returns the sign
+    pattern of its structural matrix."""
+    d, n = 9, 20_000
+    rng = np.random.default_rng(11)
+    off = rng.choice([-1.0, 1.0], size=(d, d)) * rng.uniform(0.15, 0.35, (d, d))
+    lam = np.eye(d) + (1.0 - np.eye(d)) * off
+    x = (rng.standard_exponential((n, d)) - 1.0) @ np.linalg.inv(lam).T
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x{j}" for j in range(d)) + "\n")
+        np.savetxt(fh, x, delimiter=",", fmt="%.10f")
+    return np.sign(lam).astype(int)
+
+
+@pytest.mark.parametrize("label", ["triangular", "signs"])
+def test_estimate_labels_nine_series_by_exact_assignment(tmp_path, label):
+    import warnings
+
+    from _brute_force import brute_costs, brute_sign, brute_totals, ordering
+
+    csv = tmp_path / "nine.csv"
+    pattern = _nine_series_csv(csv)
+    spec = label
+    if label == "signs":
+        np.savetxt(tmp_path / "pattern.csv", pattern, delimiter=",", fmt="%d")
+        spec = f"signs:{tmp_path / 'pattern.csv'}"
+    out = tmp_path / "est"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", str(csv), "--seed", "6", "--label", spec,
+                     "--se", "none", "--out", str(out)])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+    diag = dict(
+        ln.split(",", 1) for ln in (out / "estimate_diagnostics.csv").read_text().splitlines()
+        if not ln.startswith("#")
+    )
+    got = tuple(int(v) for v in diag["permutation"].split(";"))
+
+    est = ci.estimate_demixing(ci.load_series_csv(csv).data, ci.ProbeVectors.draw(9, 6))
+    count, margin, mass = brute_costs(est.lambda_tilde, pattern)
+    if label == "triangular":
+        want = ordering(9, brute_totals(mass).argmin())
+    else:
+        low, tied, want, _ = brute_sign(count, margin)
+        assert low == 0 and not tied
+    assert got == want
+
+
+def test_estimate_se_table_reports_the_estimate_matrix(sample_csv, tmp_path):
+    # The SE rows come from the library, centred on the reported matrix.
+    out = tmp_path / "u"
+    assert main(["estimate", str(sample_csv), "--seed", "3", "--se", "both",
+                 "--out", str(out)]) == 0
+
+    def body(name):
+        lines = (out / name).read_text().splitlines()
+        return [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+
+    matrix = {(r[0], str(j)): v for r in body("estimate_matrix.csv")
+              for j, v in enumerate(r[1:])}
+    x = ci.load_series_csv(sample_csv).data
+    probes = ci.ProbeVectors.draw(2, 3)
+    se = {
+        "delta": np.sqrt(np.diag(ci.delta_variance(x, probes).sigma_u) / len(x)),
+        "jackknife": np.sqrt(np.diag(ci.demixing_jackknife(x, probes).variance)),
+    }
+    rows = body("estimate_se.csv")
+    assert [r[0] for r in rows] == ["delta"] * 4 + ["jackknife"] * 4
+    for method, i, j, point, sd, *_ in rows:
+        assert point == matrix[(i, j)]
+        assert sd == "%.12g" % se[method][2 * int(i) + int(j)]

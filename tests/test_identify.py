@@ -114,6 +114,23 @@ def test_orientation_idempotent():
     np.testing.assert_array_equal(once, twice)
 
 
+def test_orientation_reports_rows_that_fall_back_to_the_peak_rule():
+    # Row 1 sums to zero, so rule A falls back to its largest entry.
+    rows = np.array([[0.6, -0.8, 0.1], [0.3, -0.9, 0.6], [-1.0, 0.2, 0.1]])
+    out, fallback = ci.orient_rows(rows)
+    assert fallback == (1,)
+    np.testing.assert_array_equal(out, [-rows[0], -rows[1], -rows[2]])
+    out, fallback = ci.orient_rows(rows, rule="B")
+    assert fallback == ()
+    np.testing.assert_array_equal(out, [-rows[0], -rows[1], -rows[2]])
+    # The same fallback reaches the eigenvector rows: H with those rows as
+    # left eigenvectors.
+    left = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    h = np.linalg.solve(left, np.diag([3.0, 2.0, 1.0]) @ left)
+    _, _, _, fallback, gap = ci.oriented_eigenvector_rows(h.T)
+    assert fallback == (1,) and not gap
+
+
 def test_mixing_tall_square_case_inverts_demixing():
     x = np.random.default_rng(18).standard_exponential((50_000, 2)) @ np.array(
         [[1.0, 0.4], [-0.3, 1.0]]

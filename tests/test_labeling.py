@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ import cumident as ci
 from cumident import _pipeline
 from cumident._pipeline import _INVALID_MISMATCH, _fold_last
 from cumident.errors import LabelingAmbiguityError
-from cumident.identify import EXHAUSTIVE_PERMUTATION_CAP, DemixingEstimate
+from cumident.identify import (
+    EXHAUSTIVE_PERMUTATION_CAP,
+    DemixingEstimate,
+    LabelingResult,
+)
+
+from _brute_force import brute_costs, brute_sign, brute_totals, ordering
 
 
 def _estimate_from_rows(rows) -> DemixingEstimate:
@@ -107,15 +114,53 @@ def test_scales_record_row_multipliers():
     )
 
 
-def test_greedy_labeling_beyond_exhaustive_cap():
-    d = 9
+def test_labeling_beyond_the_cap_recovers_planted_orders():
+    d = EXHAUSTIVE_PERMUTATION_CAP + 1
     rng = np.random.default_rng(7)
     tri = np.tril(rng.uniform(0.5, 1.5, (d, d)))
     perm = rng.permutation(d)
-    est = _estimate_from_rows(tri[perm])
-    with pytest.warns(UserWarning, match="greedy"):
+    est = _estimate_from_rows(tri[perm] * rng.uniform(0.5, 2.0, (d, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         lab = ci.label_by_triangular(est)
+    assert lab.permutation == tuple(np.argsort(perm))
     assert lab.residual_mismatch < 1e-12
+    np.testing.assert_allclose(lab.lambda_final, tri / np.diag(tri)[:, None],
+                               rtol=1e-13)
+
+    lam = np.eye(d) + np.diag(rng.uniform(0.2, 0.8, d - 1), -1)
+    lam[0, d - 1] = -0.5
+    signs = rng.choice([-1.0, 1.0], size=(d, 1))
+    est = _estimate_from_rows(lam[perm] * signs)
+    lab = ci.label_by_signs(est, np.sign(lam).astype(int))
+    assert lab.permutation == tuple(np.argsort(perm))
+    assert lab.residual_mismatch == 0
+    np.testing.assert_allclose(lab.lambda_final, lam, atol=1e-15)
+
+
+def test_assignment_beyond_the_cap_beats_greedy():
+    # Random rows on which both greedy heuristics the assignment replaced
+    # stop short of the optimum; the wrappers reach the brute-force one.
+    d = EXHAUSTIVE_PERMUTATION_CAP + 1
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((d, d))
+    pattern = np.sign(rng.standard_normal((d, d))).astype(int)
+    est = _estimate_from_rows(rows)
+    count, margin, mass = brute_costs(rows, pattern)
+    positions = np.arange(d)
+
+    greedy = _greedy_triangular_permutation(rows)
+    lab = ci.label_by_triangular(est)
+    totals = brute_totals(mass)
+    assert mass[list(greedy), positions].sum() > totals.min() * (1 + 1e-9)
+    assert lab.permutation == ordering(d, totals.argmin())
+
+    greedy = _greedy_sign_permutation(rows, pattern)
+    lab = ci.label_by_signs(est, pattern, on_tie="margin")
+    want = brute_sign(count, margin)
+    assert count[list(greedy), positions].sum() > want[0]
+    assert lab.residual_mismatch == want[0]
+    assert lab.permutation == want[2]
 
 
 def test_labeling_selects_true_permutation_with_high_frequency():
@@ -289,21 +334,303 @@ def test_label_signs_oracle_on_jackknife_stack():
                           oracle_label_triangular(rows))
 
 
-@pytest.mark.parametrize("labeler", [
-    lambda rows: _pipeline.label_signs(rows, np.eye(rows.shape[-1], dtype=int)),
-    _pipeline.label_triangular,
-])
-def test_batched_labelers_refuse_d_above_cap(monkeypatch, labeler):
+def test_batched_labelers_beyond_the_cap_match_brute_force(monkeypatch):
     built = []
     monkeypatch.setattr(_pipeline, "_permutation_table", built.append)
     d = EXHAUSTIVE_PERMUTATION_CAP + 1
-    rows = np.random.default_rng(0).standard_normal((2, d, d))
-    with pytest.raises(ValueError, match=f"d = {d}"):
-        labeler(rows)
+    rng = np.random.default_rng(0)
+    rows = np.stack([
+        rng.standard_normal((d, d)),
+        rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(d, d)),  # ties
+        np.zeros((d, d)),                                    # no valid order
+    ])
+    pattern = rng.choice([-1, 0, 1], size=(d, d))
+    lam, mism, ties, index, perms = _pipeline.label_signs(rows, pattern)
+    tri_lam, residual, tri_index, tri_perms = _pipeline.label_triangular(rows)
     assert built == []
+    for e in range(rows.shape[0]):
+        count, margin, mass = brute_costs(rows[e], pattern)
+        low, tied, _, top = brute_sign(count, margin)
+        assert ties[e] == tied
+        if not np.isfinite(low):
+            assert mism[e] == _INVALID_MISMATCH and index[e] == 0
+            assert residual[e] == np.inf and tri_index[e] == 0
+            continue
+        perm = perms[index[e]]
+        assert ordering(d, index[e]) == perm
+        assert mism[e] == low == count[list(perm), range(d)].sum()
+        # Exact margin ties may settle on any of the tied orderings.
+        assert margin[list(perm), range(d)].sum() == pytest.approx(top, rel=1e-12, abs=1e-12)
+        want = np.array(perm)
+        np.testing.assert_array_equal(lam[e], rows[e][want] / rows[e][want, range(d)][:, None])
+
+        totals = brute_totals(mass)
+        perm = tri_perms[tri_index[e]]
+        assert ordering(d, tri_index[e]) == perm
+        assert mass[list(perm), range(d)].sum() == pytest.approx(totals.min(), rel=1e-12)
+        np.testing.assert_allclose(residual[e], totals.min(), rtol=1e-12)
+
+    # The wrapper lists the chosen ordering and the tied second-best ones.
+    assert ties[1]
+    with pytest.raises(LabelingAmbiguityError) as err:
+        ci.label_by_signs(_estimate_from_rows(rows[1]), pattern)
+    listed = err.value.candidates
+    count = brute_costs(rows[1], pattern)[0]
+    assert listed[0] == perms[index[1]] and len(set(listed)) == len(listed) > 1
+    assert all(count[list(c), range(d)].sum() == mism[1] for c in listed)
 
 
 @pytest.mark.parametrize("pattern", [[[2, 0], [0, 1]], [[1, 1, 0], [0, 1, 1]]])
 def test_label_signs_rejects_malformed_pattern(pattern):
     with pytest.raises(ValueError, match="sign pattern"):
         _pipeline.label_signs(np.eye(2)[None], pattern)
+
+
+# Scalar reference: the per-permutation labelers that label_by_signs and
+# label_by_triangular ran before they became one-entry calls of the
+# _pipeline kernels, kept verbatim (apart from their names) as an oracle.
+# Their greedy fallbacks beyond the cap show what the exact assignment
+# improves on.
+
+def _candidate_permutations(d: int, kind: str):
+    if d <= EXHAUSTIVE_PERMUTATION_CAP:
+        return itertools.permutations(range(d))
+    warnings.warn(
+        f"d = {d} exceeds the exhaustive search cap; {kind} labeling falls "
+        "back to greedy assignment",
+        UserWarning,
+        stacklevel=3,
+    )
+    return None
+
+
+def _diag_normalize(block: np.ndarray):
+    """Divide each row by its diagonal entry; None if a diagonal is ~ zero."""
+    diag = np.diagonal(block).copy()
+    if np.any(np.abs(diag) < 1e-12 * max(np.max(np.abs(block)), 1e-300)):
+        return None, None
+    return block / diag[:, None], 1.0 / diag
+
+
+def _sign_mismatches(normalized: np.ndarray, pattern: np.ndarray) -> int:
+    active = pattern != 0
+    return int(np.sum(np.sign(normalized)[active] != pattern[active]))
+
+
+def _sign_margin(normalized: np.ndarray, pattern: np.ndarray) -> float:
+    active = pattern != 0
+    return float(np.sum(pattern[active] * normalized[active]))
+
+
+def _greedy_sign_permutation(rows: np.ndarray, pattern: np.ndarray) -> tuple[int, ...]:
+    d = rows.shape[0]
+    remaining = list(range(d))
+    perm = []
+    for i in range(d):
+        best, best_key = None, None
+        for r in remaining:
+            if abs(rows[r, i]) < 1e-300:
+                continue
+            row = rows[r] / rows[r, i]
+            active = pattern[i] != 0
+            mism = int(np.sum(np.sign(row)[active] != pattern[i][active]))
+            margin = float(np.sum(pattern[i][active] * row[active]))
+            key = (mism, -margin)
+            if best_key is None or key < best_key:
+                best, best_key = r, key
+        if best is None:
+            best = remaining[0]
+        perm.append(best)
+        remaining.remove(best)
+    return tuple(perm)
+
+
+def scalar_label_by_signs(est: DemixingEstimate, sign_pattern,
+                   on_tie: str = "error") -> LabelingResult:
+    """Resolve permutation and scale from a row sign pattern.
+
+    Searches row permutations, normalizes each candidate so its diagonal is
+    exactly one (which also fixes row signs), and selects the assignment
+    with the fewest sign mismatches against `sign_pattern` (entries in
+    {-1, 0, +1}; zeros are ignored).
+
+    Parameters
+    ----------
+    on_tie : {"error", "margin"}
+        With "error", two assignments tying on mismatch count raise
+        :class:`LabelingAmbiguityError` listing both.  With "margin", ties
+        are broken by the larger signed agreement
+        sum(pattern * normalized entries); only an exact margin tie raises.
+    """
+    pattern = np.asarray(sign_pattern)
+    rows = est.lambda_tilde
+    d = rows.shape[0]
+    if pattern.shape != (d, d):
+        raise ValueError(f"sign pattern must be {d}x{d}, got {pattern.shape}")
+    if not np.isin(pattern, (-1, 0, 1)).all():
+        raise ValueError("sign pattern entries must be -1, 0 or +1")
+    if len({tuple(r) for r in pattern.tolist()}) < d:
+        raise ValueError("sign pattern rows must be pairwise distinct")
+    if on_tie not in ("error", "margin"):
+        raise ValueError(f"on_tie must be 'error' or 'margin', got {on_tie!r}")
+
+    perms = _candidate_permutations(d, "sign")
+    if perms is None:
+        perms = [_greedy_sign_permutation(rows, pattern)]
+
+    candidates = []  # (mismatches, -margin, perm, normalized, scales)
+    for perm in perms:
+        block = rows[list(perm), :]
+        normalized, scales = _diag_normalize(block)
+        if normalized is None:
+            continue
+        candidates.append((
+            _sign_mismatches(normalized, pattern),
+            -_sign_margin(normalized, pattern),
+            perm,
+            normalized,
+            scales,
+        ))
+    if not candidates:
+        raise LabelingAmbiguityError(
+            "no row permutation yields a nonzero diagonal", []
+        )
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    best = candidates[0]
+    tied = [c for c in candidates[1:] if c[0] == best[0]]
+    if tied:
+        if on_tie == "error":
+            raise LabelingAmbiguityError(
+                "sign labeling is ambiguous", [best[2]] + [c[2] for c in tied]
+            )
+        # Sorted by (mismatches, -margin), so `best` already carries the
+        # largest margin; only an exact margin tie is irresolvable.
+        margin_tied = [c[2] for c in tied if c[1] == best[1]]
+        if margin_tied:
+            raise LabelingAmbiguityError(
+                "sign labeling is ambiguous even after margin tie-break",
+                [best[2]] + margin_tied,
+            )
+    mism, _, perm, normalized, scales = best
+    return LabelingResult(
+        permutation=tuple(perm),
+        scales=scales,
+        lambda_final=normalized,
+        residual_mismatch=float(mism),
+    )
+
+
+def scalar_label_by_triangular(est: DemixingEstimate) -> LabelingResult:
+    """Order rows to make the normalized matrix as lower-triangular as possible.
+
+    Minimizes the sum of squared above-diagonal entries after diagonal
+    normalization and reports that mass; never raises on a poor fit, the
+    caller judges the residual.
+    """
+    rows = est.lambda_tilde
+    d = rows.shape[0]
+    perms = _candidate_permutations(d, "triangular")
+    if perms is None:
+        perms = [_greedy_triangular_permutation(rows)]
+    best = None
+    upper = np.triu_indices(d, 1)
+    for perm in perms:
+        block = rows[list(perm), :]
+        normalized, scales = _diag_normalize(block)
+        if normalized is None:
+            continue
+        residual = float(np.sum(normalized[upper] ** 2))
+        if best is None or residual < best[0]:
+            best = (residual, perm, normalized, scales)
+    if best is None:
+        raise LabelingAmbiguityError(
+            "no row permutation yields a nonzero diagonal", []
+        )
+    residual, perm, normalized, scales = best
+    return LabelingResult(
+        permutation=tuple(perm),
+        scales=scales,
+        lambda_final=normalized,
+        residual_mismatch=residual,
+    )
+
+
+def _greedy_triangular_permutation(rows: np.ndarray) -> tuple[int, ...]:
+    d = rows.shape[0]
+    remaining = list(range(d))
+    perm = []
+    for i in range(d):
+        best, best_mass = None, None
+        for r in remaining:
+            if abs(rows[r, i]) < 1e-300:
+                continue
+            row = rows[r] / rows[r, i]
+            mass = float(np.sum(row[i + 1:] ** 2))
+            if best_mass is None or mass < best_mass:
+                best, best_mass = r, mass
+        if best is None:
+            best = remaining[0]
+        perm.append(best)
+        remaining.remove(best)
+    return tuple(perm)
+
+
+_DISCRETE = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _single(draw):
+    d = draw(st.integers(2, 6))
+    rows = draw(hnp.arrays(np.float64, (d, d), elements=_DISCRETE))
+    # Pairwise distinct pattern rows; duplicates are rejected before labeling.
+    row = st.tuples(*[st.sampled_from([-1, 0, 1])] * d)
+    pattern = np.array(draw(st.lists(row, min_size=d, max_size=d, unique=True)))
+    return rows, pattern
+
+
+def _outcome(labeler, *args):
+    """A labeling as comparable values, or the error type and candidate set."""
+    try:
+        lab = labeler(*args)
+    except (LabelingAmbiguityError, ValueError) as exc:
+        return type(exc), sorted(getattr(exc, "candidates", []))
+    return (lab.permutation, lab.scales.dtype, lab.scales.tobytes(),
+            lab.lambda_final.shape, lab.lambda_final.tobytes(),
+            lab.residual_mismatch)
+
+
+@_ORACLE_SETTINGS
+@given(_single())
+def test_label_by_signs_matches_scalar_oracle(case):
+    rows, pattern = case
+    est = _estimate_from_rows(rows)
+    for on_tie in ("error", "margin"):
+        assert (_outcome(ci.label_by_signs, est, pattern, on_tie)
+                == _outcome(scalar_label_by_signs, est, pattern, on_tie))
+
+
+@_ORACLE_SETTINGS
+@given(_single())
+def test_label_by_triangular_matches_scalar_oracle(case):
+    est = _estimate_from_rows(case[0])
+    assert (_outcome(ci.label_by_triangular, est)
+            == _outcome(scalar_label_by_triangular, est))
+
+
+@pytest.mark.parametrize("on_tie", ["error", "margin"])
+def test_label_by_signs_makes_one_kernel_call(monkeypatch, on_tie):
+    calls = []
+    kernel = _pipeline.label_signs
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_pipeline, "label_signs", counted)
+    # Both orderings miss one sign: the tie path runs, and "margin" settles it.
+    est = _estimate_from_rows([[1.0, 0.6], [0.7, 1.0]])
+    try:
+        ci.label_by_signs(est, [[1, 1], [-1, 1]], on_tie=on_tie)
+    except LabelingAmbiguityError:
+        assert on_tie == "error"
+    assert len(calls) == 1
