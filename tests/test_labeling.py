@@ -334,6 +334,29 @@ def test_label_signs_oracle_on_jackknife_stack():
                           oracle_label_triangular(rows))
 
 
+@pytest.mark.parametrize("labeler", [
+    lambda rows: _pipeline.label_signs(rows, np.eye(rows.shape[-1], dtype=int)),
+    _pipeline.label_triangular,
+])
+def test_batched_labelers_refuse_d_above_cap(monkeypatch, labeler):
+    # Above the cap neither labeler builds the d! table; each entry is
+    # solved by assignment instead. Rows of a permuted unit lower-triangular
+    # matrix have a nonzero diagonal in exactly one ordering.
+    built = []
+    monkeypatch.setattr(_pipeline, "_permutation_table", built.append)
+    d = EXHAUSTIVE_PERMUTATION_CAP + 1
+    rng = np.random.default_rng(0)
+    perms = [rng.permutation(d) for _ in range(2)]
+    rows = np.stack([
+        (np.eye(d) + np.tril(rng.uniform(0.1, 0.5, (d, d)), -1))[p]
+        for p in perms
+    ])
+    *_, perm_index, table = labeler(rows)
+    assert built == []
+    for e, p in enumerate(perms):
+        assert table[perm_index[e]] == tuple(np.argsort(p))
+
+
 def test_batched_labelers_beyond_the_cap_match_brute_force(monkeypatch):
     built = []
     monkeypatch.setattr(_pipeline, "_permutation_table", built.append)
