@@ -27,7 +27,6 @@ from .identify import (
     MixingEstimate,
     ProbeVectors,
     angular_distance,
-    build_H,
     build_H_sigma,
     demixing_from_contractions,
     estimate_demixing,
@@ -35,7 +34,6 @@ from .identify import (
     label_by_signs,
     label_by_triangular,
     orient_rows,
-    oriented_eigenvector_rows,
 )
 from .inference import (
     DeltaVarianceResult,
@@ -47,8 +45,6 @@ from .inference import (
     demixing_jackknife,
     jackknife_confidence_interval,
     jackknife_variance,
-    moment_covariance,
-    numerical_jacobian,
 )
 from .moments import (
     ContractionMatrix,

@@ -1,16 +1,17 @@
 """Moment-parameterized estimation pipeline, vectorized over moment vectors.
 
-Everything downstream of the raw-moment vector (cumulant map, contractions,
+Everything downstream of the moment vector (cumulant map, contractions,
 eigendecomposition, orientation, labeling, demixed-covariance off-diagonals)
-is re-expressed here to act on a stack of moment vectors at once.  The delta
-method perturbs the moment vector, the jackknife downdates it once per
-observation, and the Wald test differentiates through it; all three share
-these kernels.  Single-vector callers (the delta anchor, the jackknife
-centre, the Wald point statistic) run them on a stack of one, and so do
-the scalar orientation and labeling entry points of :mod:`identify`:
-labeling and orientation have one implementation.  Only the contraction
-stage of ``identify.estimate_demixing`` is separate; its rows differ from
-this kernel's by rounding error, 1e-14 to 1e-13 on samples of 5 000.
+is re-expressed here to act on a stack of moment vectors at once: moments
+of the centered sample (``moments._centered_moments``), so nothing changes
+when a constant is added to the data.  The delta method perturbs the moment
+vector, the jackknife downdates it once per observation, and the Wald test
+differentiates through it.  Single-vector callers (``identify``'s
+``estimate_demixing``, the delta anchor, the jackknife centre, the Wald
+point statistic) run the kernels on a stack of one and get the same numbers,
+bit for bit; so do the scalar orientation and labeling functions, and
+``identify.demixing_from_contractions`` enters after the contractions
+(:func:`demix_contractions`).
 
 The delete-1 stack of the most recent sample is kept
 (:func:`leave_one_out_rows`), so the jackknife standard errors and the
@@ -79,7 +80,7 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
                        rule: str = "A"):
     """Oriented demixing rows of every delete-1 resample of a sample.
 
-    `x` is the validated (n, d) sample and `z` its monomial matrix.  Returns
+    `x` is the validated (n, d) sample and `z` its centered monomials.  Returns
     (rows, gap_flags, moments, eig_fallbacks): the (n, d, d) rows, (n,)
     eigen-gap flags and (n,) refinement fallback flags of
     :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
@@ -156,9 +157,13 @@ class DemixedRows(tuple):
     `eig_fallbacks` flags, per stack entry, the eigenpairs that the anchored
     refinement handed back to LAPACK (see :func:`_anchored_eig`); it is all
     False where the refinement did not run (d = 2, or a single entry).
+    `orient_fallbacks` flags the rows that fell back from rule A to rule B,
+    and `cond_g2` is cond(G(w2)) when a `cond_cap` was checked, else None.
     """
 
     eig_fallbacks: np.ndarray
+    orient_fallbacks: np.ndarray
+    cond_g2: float | None
 
 
 def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
@@ -168,11 +173,11 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
     Parameters
     ----------
     ms : ndarray, shape (..., D) with D = binom(d+3,3)-1
-        Raw-moment vectors in the package-wide monomial order.
+        Raw-moment vectors in the package-wide monomial order, about any
+        origin; the callers use the sample mean.
     cond_cap : float or None
-        When set (single-vector entry points), reject a contraction at w2
-        whose condition estimate exceeds the cap instead of solving through
-        it.  Batched resampling paths leave it off for speed.
+        When set (single entries), reject a G(w2) whose condition estimate
+        exceeds it; resampling stacks leave it off for speed.
 
     Returns
     -------
@@ -185,6 +190,18 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
     tensors = cumulants_from_moments(ms, d)
     g1 = 6.0 * contract_tensor(tensors, np.asarray(w1, dtype=float))
     g2 = 6.0 * contract_tensor(tensors, np.asarray(w2, dtype=float))
+    return demix_contractions(g1, g2, rule, cond_cap)
+
+
+def demix_contractions(g1: np.ndarray, g2: np.ndarray, rule: str = "A",
+                       cond_cap: float | None = None) -> DemixedRows:
+    """:func:`demix_rows` from the contractions G(w1), G(w2), (..., d, d).
+
+    With `cond_cap` set (single entries), a G(w2) whose condition estimate
+    exceeds it raises instead of being solved through.
+    """
+    d = g2.shape[-1]
+    cond = None
     if cond_cap is not None and g2.ndim == 2:
         cond = float(np.linalg.cond(g2))
         if not np.isfinite(cond) or cond > cond_cap:
@@ -204,10 +221,11 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
         vals, vecs = _sorted_eig(_solve_batched(g2, g1))
 
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
-    out = DemixedRows(
-        (_oriented_rows(vecs, rule)[0], vals.real, _gap_flags(vals), max_imag)
-    )
+    rows, orient_fallbacks = _oriented_rows(vecs, rule)
+    out = DemixedRows((rows, vals.real, _gap_flags(vals), max_imag))
     out.eig_fallbacks = fallbacks
+    out.orient_fallbacks = orient_fallbacks
+    out.cond_g2 = cond
     return out
 
 
@@ -228,6 +246,8 @@ def _gap_scale(vals: np.ndarray) -> np.ndarray:
 def _gap_flags(vals: np.ndarray) -> np.ndarray:
     """Entries whose sorted eigenvalues come within EIGEN_GAP_RTOL of their
     scale of each other."""
+    if vals.shape[-1] < 2:
+        return np.zeros(vals.shape[:-1], dtype=bool)
     # Real parts: a complex-conjugate pair yields two equal real rows.
     gaps = _fold_last(np.minimum, np.abs(np.diff(vals.real, axis=-1)))
     return gaps < EIGEN_GAP_RTOL * _gap_scale(vals)

@@ -4,9 +4,11 @@ The demixing rows come out of an eigendecomposition only up to scale and
 permutation; the labeling routines at the bottom resolve both, either from a
 sign pattern or from a triangular (recursive) ordering.
 
-Orientation and labeling have one implementation, the stack kernels of
-:mod:`cumident._pipeline`, which the functions here run on a stack of one.
-Only the contraction stage of :func:`estimate_demixing` is still separate.
+Eigendecomposition, orientation and labeling have one implementation, the
+stack kernels of :mod:`cumident._pipeline`, which the functions here run on
+a stack of one; :func:`estimate_demixing` at order 3 is the moment kernel's
+b = 1 view, and :func:`demixing_from_contractions` (the fourth-order path and
+population contractions) enters the same kernel after the contractions.
 """
 
 from __future__ import annotations
@@ -22,11 +24,8 @@ from ._pipeline import (  # the three tolerances stay public names here
     EXHAUSTIVE_PERMUTATION_CAP,
     ROW_SUM_FALLBACK_TOL,
     _INVALID_MISMATCH,
-    _gap_flags,
     _gap_scale,
     _orient_rows_batched,
-    _oriented_rows,
-    _sorted_eig,
 )
 from .errors import (
     ComplexResidueWarning,
@@ -35,7 +34,13 @@ from .errors import (
     LabelingAmbiguityError,
     RankDetectionError,
 )
-from .moments import ContractionMatrix, contract_hessian, validate_sample
+from .moments import (
+    ContractionMatrix,
+    _centered_moments,
+    _check_direction,
+    contract_hessian,
+    validate_sample,
+)
 
 COND_CAP = 1e10
 COMPLEX_RESIDUE_TOL = 0.1
@@ -124,29 +129,6 @@ def angular_distance(u, v) -> float:
     return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(u - v) / 2.0)))
 
 
-def build_H(g1, g2, cond_cap: float = COND_CAP) -> np.ndarray:
-    """Form g2^{-1} g1 through a linear solve, never an explicit inverse.
-
-    Raises
-    ------
-    IllConditionedError
-        If g2's condition estimate exceeds `cond_cap`.  This typically means
-        (A'w2) has a near-zero coordinate or a shock has no skewness; the
-        tall/pseudoinverse path is the usual fallback.
-    """
-    return _solve_anchor(g1, g2, cond_cap)[0]
-
-
-def _solve_anchor(g1, g2, cond_cap: float = COND_CAP):
-    """build_H plus the condition estimate of g2 it checked."""
-    m1 = _as_matrix(g1)
-    m2 = _as_matrix(g2)
-    cond = float(np.linalg.cond(m2))
-    if not np.isfinite(cond) or cond > cond_cap:
-        raise IllConditionedError("contraction at w2 is numerically singular", cond)
-    return np.linalg.solve(m2, m1), cond
-
-
 def orient_rows(rows: np.ndarray, rule: str = "A") -> tuple[np.ndarray, tuple[int, ...]]:
     """Fix each row's sign by the requested rule; idempotent.
 
@@ -158,51 +140,56 @@ def orient_rows(rows: np.ndarray, rule: str = "A") -> tuple[np.ndarray, tuple[in
     return out, tuple(np.flatnonzero(fallback).tolist())
 
 
-def oriented_eigenvector_rows(h, rule: str = "A"):
-    """Eigendecompose a d x d identification matrix into demixing rows.
-
-    Returns (lambda_tilde, eigenvalues, max_imag, fallback_rows, gap_flag):
-    rows are real parts of the sorted eigenvectors, unit-normalized and
-    oriented.  Near-coincident eigenvalues raise :class:`EigenGapWarning`
-    (identification holds only almost surely); a large imaginary residue
-    raises :class:`ComplexResidueWarning` but the real part is still used.
-    """
-    hm = _as_matrix(h)
-    vals, vecs = _sorted_eig(hm)
-    rows, fallback = _oriented_rows(vecs, rule)
-    gap_flag = hm.shape[0] > 1 and bool(_gap_flags(vals))
+def _warn_unstable(demixed: _pipeline.DemixedRows, stacklevel: int) -> None:
+    """EigenGapWarning for near-repeated eigenvalues (identification holds
+    only almost surely) and ComplexResidueWarning for a large imaginary
+    residue of a single-entry kernel result; the real parts are still used."""
+    _, vals, gap_flag, max_imag = demixed
     if gap_flag:
-        rel_gap = np.abs(np.diff(vals.real)).min() / _gap_scale(vals)
+        rel_gap = np.abs(np.diff(vals)).min() / _gap_scale(vals)
         warnings.warn(
             "near-repeated eigenvalues (relative gap "
             f"{rel_gap:.2e}); demixing rows may be unstable",
             EigenGapWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
-    max_imag = float(np.max(np.abs(vecs.imag)))
     if max_imag > COMPLEX_RESIDUE_TOL:
         warnings.warn(
-            f"eigenvectors had imaginary parts up to {max_imag:.3f}; "
-            "real parts are returned",
+            f"eigenvectors had imaginary parts up to {float(max_imag):.3f}; "
+            "real parts are used",
             ComplexResidueWarning,
-            stacklevel=3,
+            stacklevel=stacklevel + 1,
         )
-    fallback_rows = tuple(np.flatnonzero(fallback).tolist())
-    return rows, vals.real, max_imag, fallback_rows, gap_flag
 
 
-def demixing_from_contractions(g1, g2, rule: str = "A") -> DemixingEstimate:
-    """Demixing estimate from two precomputed contraction matrices."""
-    h, cond = _solve_anchor(g1, g2)
-    rows, vals, max_imag, fallback, gap_flag = oriented_eigenvector_rows(h, rule)
+def _demixing_estimate(demixed: _pipeline.DemixedRows,
+                       rule: str) -> DemixingEstimate:
+    """The estimate of a one-entry kernel result; warnings name the caller."""
+    _warn_unstable(demixed, stacklevel=3)
+    rows, vals, gap_flag, max_imag = demixed
     return DemixingEstimate(
         lambda_tilde=rows,
         eigenvalues=vals,
-        max_imag=max_imag,
+        max_imag=float(max_imag),
         orientation_rule=rule,
-        cond_G2=cond,
-        gap_flag=gap_flag,
-        fallback_rows=fallback,
+        cond_G2=demixed.cond_g2,
+        gap_flag=bool(gap_flag),
+        fallback_rows=tuple(np.flatnonzero(demixed.orient_fallbacks).tolist()),
+    )
+
+
+def demixing_from_contractions(g1, g2, rule: str = "A") -> DemixingEstimate:
+    """Demixing estimate from two precomputed contraction matrices.
+
+    Runs :func:`cumident._pipeline.demix_contractions` on a stack of one,
+    rejecting a G(w2) whose condition estimate exceeds ``COND_CAP`` with
+    :class:`IllConditionedError`.
+    """
+    return _demixing_estimate(
+        _pipeline.demix_contractions(
+            _as_matrix(g1), _as_matrix(g2), rule, cond_cap=COND_CAP
+        ),
+        rule,
     )
 
 
@@ -212,13 +199,23 @@ def estimate_demixing(data, probes: ProbeVectors, order: int = 3,
 
     Contracts the sample cumulant Hessian at the two probe directions,
     solves the generalized eigenproblem and returns oriented unit rows.
+    For order 3 this is :func:`cumident._pipeline.demix_rows` on the
+    moments of the centered sample, as a stack of one: the jackknife centre
+    and the delta-method anchor are the same numbers.
     """
     x = validate_sample(data, min_cols=2)
-    if x.shape[0] < x.shape[1] + 1:
+    n, d = x.shape
+    if n < d + 1:
         raise ValueError("need at least d + 1 observations")
-    g1 = contract_hessian(x, probes.w1, order)
-    g2 = contract_hessian(x, probes.w2, order)
-    return demixing_from_contractions(g1, g2, rule)
+    if order != 3:
+        g1 = contract_hessian(x, probes.w1, order)
+        g2 = contract_hessian(x, probes.w2, order)
+        return demixing_from_contractions(g1, g2, rule)
+    w1, w2 = _check_direction(probes.w1, d), _check_direction(probes.w2, d)
+    demixed = _pipeline.demix_rows(
+        _centered_moments(x)[1], d, w1, w2, rule, cond_cap=COND_CAP
+    )
+    return _demixing_estimate(demixed, rule)
 
 
 def build_H_sigma(data, w1) -> np.ndarray:

@@ -21,13 +21,7 @@ from scipy import stats
 from . import _pipeline
 from .errors import InvalidInputError
 from .identify import COND_CAP, ProbeVectors
-from .moments import (
-    RawMomentVector,
-    column_means,
-    monomial_matrix,
-    monomial_tuples,
-    validate_sample,
-)
+from .moments import _centered_moments, validate_sample
 
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
 
@@ -36,7 +30,7 @@ MIN_JACKKNIFE_N = 30
 
 @dataclass
 class DeltaVarianceResult:
-    """Plug-in delta-method covariance over the raw-moment vector.
+    """Plug-in delta-method covariance over the moments of the centered sample.
 
     `sigma_u` is J Sigma_M J' on the sqrt(n) scale; `jacobian` has one
     column per monomial, in the package-wide monomial order.
@@ -80,51 +74,6 @@ def _fd_steps(values: np.ndarray) -> np.ndarray:
     return FD_STEP_SCALE * np.maximum(1.0, np.abs(values))
 
 
-def _moment_values(m) -> np.ndarray:
-    if isinstance(m, RawMomentVector):
-        return m.values
-    return np.asarray(m, dtype=float)
-
-
-def numerical_jacobian(statistic: Callable, m_hat) -> np.ndarray:
-    """Central-difference Jacobian of a statistic of the raw moments.
-
-    The step for coordinate j is cbrt(machine eps) * max(1, |m_j|); columns
-    follow the package-wide monomial order.  A statistic failure at a
-    perturbed point is re-raised naming the offending coordinate.
-    """
-    m = _moment_values(m_hat)
-    steps = _fd_steps(m)
-    cols = []
-    for j in range(m.size):
-        bumped = m.copy()
-        try:
-            bumped[j] = m[j] + steps[j]
-            up = np.atleast_1d(np.asarray(statistic(bumped), dtype=float))
-            bumped[j] = m[j] - steps[j]
-            down = np.atleast_1d(np.asarray(statistic(bumped), dtype=float))
-        except Exception as exc:
-            raise RuntimeError(
-                f"statistic evaluation failed while perturbing moment "
-                f"coordinate {j} ({_coordinate_name(m_hat, j)}): {exc}"
-            ) from exc
-        cols.append((up - down) / (2.0 * steps[j]))
-    return np.column_stack(cols)
-
-
-def _coordinate_name(m_hat, j: int) -> str:
-    if isinstance(m_hat, RawMomentVector):
-        return "monomial " + str(monomial_tuples(m_hat.d)[j])
-    return "index " + str(j)
-
-
-def moment_covariance(data) -> np.ndarray:
-    """Centered covariance of the per-observation monomials (1/n divisor)."""
-    z = monomial_matrix(data)
-    zc = z - z.mean(axis=0)
-    return zc.T @ zc / z.shape[0]
-
-
 def _check_sixth_moments(x: np.ndarray) -> None:
     sixth = np.mean((x**2).sum(axis=1) ** 3)
     if not np.isfinite(sixth):
@@ -134,36 +83,28 @@ def _check_sixth_moments(x: np.ndarray) -> None:
         )
 
 
-def delta_variance_statistic(data, statistic: Callable | None = None,
-                             batch_statistic: Callable | None = None
-                             ) -> DeltaVarianceResult:
+def delta_variance_statistic(data, batch_statistic: Callable) -> DeltaVarianceResult:
     """Delta-method covariance for any statistic of the raw moments.
 
-    `statistic` maps a moment vector (length binom(d+3,3)-1) to a p-vector.
-    When `batch_statistic` is supplied it must map a (B, D) stack to
-    (B, p) and is used to evaluate all central-difference points in one
-    call; it is the caller's promise that the two agree.
+    `batch_statistic` maps a (B, D) stack of moment vectors (D =
+    binom(d+3,3)-1) to (B, p); all central-difference points are evaluated
+    in one call.  The vectors are the moments of the centered sample (raw
+    moments about the sample mean), so a location-invariant statistic, such
+    as anything the demixing pipeline computes, gets a shift-invariant
+    variance.
     """
-    if statistic is None and batch_statistic is None:
-        raise ValueError("provide statistic or batch_statistic")
     x = validate_sample(data)
     _check_sixth_moments(x)
-    z = monomial_matrix(x)
-    return _delta_from_monomials(z, column_means(z), statistic, batch_statistic)
+    return _delta_from_monomials(*_centered_moments(x), batch_statistic)
 
 
 def _delta_from_monomials(z: np.ndarray, m_hat: np.ndarray,
-                          statistic: Callable | None,
-                          batch_statistic: Callable | None
-                          ) -> DeltaVarianceResult:
+                          batch_statistic: Callable) -> DeltaVarianceResult:
     """:func:`delta_variance_statistic` from the monomial matrix `z` and its
     column means `m_hat`."""
     zc = z - m_hat
     sigma_m = zc.T @ zc / z.shape[0]
-    if batch_statistic is not None:
-        jac = _pipeline.batched_jacobian(batch_statistic, m_hat, _fd_steps(m_hat))
-    else:
-        jac = numerical_jacobian(statistic, m_hat)
+    jac = _pipeline.batched_jacobian(batch_statistic, m_hat, _fd_steps(m_hat))
     sigma_u = jac @ sigma_m @ jac.T
     sigma_u = (sigma_u + sigma_u.T) / 2.0
     return DeltaVarianceResult(
@@ -222,15 +163,15 @@ def _anchored_delta(x: np.ndarray, probes: ProbeVectors, rule: str,
 
     A singular anchor contraction is rejected up front; the perturbed
     evaluations would otherwise solve through it silently.  The monomial
-    matrix is built once, for the anchor and the moment covariance.
+    matrix of the centered sample is built once, for the anchor and the
+    moment covariance.
     """
-    z = monomial_matrix(x)
-    m_hat = column_means(z)
+    z, m_hat = _centered_moments(x)
     _pipeline.demix_rows(
         m_hat, x.shape[1], probes.w1, probes.w2, rule, cond_cap=COND_CAP
     )
     _check_sixth_moments(x)
-    return _delta_from_monomials(z, m_hat, None, batch)
+    return _delta_from_monomials(z, m_hat, batch)
 
 
 def jackknife_variance(data, estimator: Callable) -> JackknifeResult:
@@ -267,12 +208,12 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
                        rule: str = "A") -> JackknifeResult:
     """Fast delete-1 jackknife of the demixing pipeline via moment downdating.
 
-    The leave-one-out statistics are exact re-estimates (the pipeline is a
-    function of the raw moments, which are downdated in closed form), just
-    evaluated in one batched pass.  With `pattern` given, the tracked
-    statistic is the sign-labeled, diagonal-normalized matrix, restricted to
-    `entry` unless entry is None; without a pattern, all oriented unit rows,
-    stacked row-major.
+    The leave-one-out statistics are exact re-estimates, evaluated in one
+    batched pass: the moments about the full-sample mean are downdated in
+    closed form, and the cumulant map is exact for any origin.  With
+    `pattern` given, the tracked statistic is the sign-labeled,
+    diagonal-normalized matrix, restricted to `entry` unless entry is None;
+    without a pattern, all oriented unit rows, stacked row-major.
     """
     x = validate_sample(data, min_cols=2)
     n, d = x.shape
@@ -280,12 +221,12 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
         raise InvalidInputError(
             f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}"
         )
-    z = monomial_matrix(x)
+    z, m_hat = _centered_moments(x)
     rows, gap_flags, _, fallbacks = _pipeline.leave_one_out_rows(
         x, z, d, probes.w1, probes.w2, rule
     )
     full_rows, _, _, _ = _pipeline.demix_rows(
-        column_means(z), d, probes.w1, probes.w2, rule
+        m_hat, d, probes.w1, probes.w2, rule
     )
     label_flips = tie_count = full_tie = None
     if pattern is None:

@@ -77,50 +77,53 @@ def _moment_index(d: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _gather_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of the degree-1, degree-2 and degree-3 blocks as index arrays.
-
-    Returns (idx1 of shape (d,), idx2 of shape (d, d), idx3 of shape
-    (d, d, d)) mapping (i), (i, j), (i, j, k) to the moment-vector slot of
-    the corresponding sorted monomial.
-    """
+def _pair_indices(d: int) -> np.ndarray:
+    """(d, d) moment-vector slots of the sorted degree-2 monomials (i, j)."""
     lookup = _moment_index(d)
-    idx1 = np.array([lookup[(i,)] for i in range(d)])
-    idx2 = np.array(
+    return np.array(
         [[lookup[tuple(sorted((i, j)))] for j in range(d)] for i in range(d)]
     )
-    idx3 = np.array(
-        [
-            [
-                [lookup[tuple(sorted((i, j, k)))] for k in range(d)]
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-    )
-    return idx1, idx2, idx3
+
+
+@lru_cache(maxsize=None)
+def _triple_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the binom(d+2, 3) sorted triples i <= j <= k.
+
+    Returns (ijk, pairs, mirror): ijk[:, t] is triple t, in the order of the
+    degree-3 block of the moment vector; pairs[:, t] are the slots of its
+    pairs (j, k), (i, k) and (i, j); mirror[p, q, r] is the sorted triple.
+    """
+    triples = list(itertools.combinations_with_replacement(range(d), 3))
+    i, j, k = ijk = np.array(triples).T
+    idx2 = _pair_indices(d)
+    slot = {t: s for s, t in enumerate(triples)}
+    mirror = np.array(
+        [slot[tuple(sorted(p))] for p in itertools.product(range(d), repeat=3)]
+    ).reshape(d, d, d)
+    return ijk, np.stack([idx2[j, k], idx2[i, k], idx2[i, j]]), mirror
 
 
 def monomial_matrix(data) -> np.ndarray:
     """Evaluate every degree 1-3 monomial at each observation.
 
     Returns an (n, binom(d+3,3)-1) array whose column order is the
-    package-wide monomial order.
+    package-wide monomial order, the transpose of a C-ordered array.
     """
     x = validate_sample(data)
     tuples = monomial_tuples(x.shape[1])
-    out = np.empty((x.shape[0], len(tuples)))
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty((len(tuples), x.shape[0]))
     # Each monomial is its lower-degree prefix (already filled in, since the
     # order is by degree) times one more coordinate: the same left-to-right
-    # products as np.prod, without a reduction over a short axis.
+    # products as np.prod, without its short-axis reduction, on contiguous rows.
     position = {}
     for k, t in enumerate(tuples):
         if len(t) == 1:
-            out[:, k] = x[:, t[0]]
+            out[k] = xt[t[0]]
         else:
-            np.multiply(out[:, position[t[:-1]]], x[:, t[-1]], out=out[:, k])
+            np.multiply(out[position[t[:-1]]], xt[t[-1]], out=out[k])
         position[t] = k
-    return out
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -148,22 +151,26 @@ def raw_moments(data) -> RawMomentVector:
     return RawMomentVector(values=column_means(monomial_matrix(x)), d=x.shape[1])
 
 
+def _centered_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, m_hat): the monomial matrix of a validated sample minus its
+    column means, and the moments about the mean, its column means.
+
+    Every order-3 statistic starts here.  The cumulant map is exact for any
+    origin, and about the mean neither the moments nor the finite-difference
+    steps scaled by them grow with a shift of the data.
+    """
+    z = monomial_matrix(x - column_means(x))
+    return z, column_means(z)
+
+
 def third_cumulants(data) -> np.ndarray:
     """Sample third-cumulant tensor: centered third moments, (d, d, d).
 
-    Centers by the sample mean and averages the triple products.  Each
-    distinct entry is computed once and mirrored, so the tensor is exactly
-    symmetric under index permutations, not just up to rounding.
+    :func:`cumulants_from_moments` of the moments about the sample mean, so
+    the tensor is exactly symmetric under index permutations.
     """
     x = validate_sample(data, min_rows=2)
-    xc = x - x.mean(axis=0)
-    d = x.shape[1]
-    t = np.empty((d, d, d))
-    for i, j, k in itertools.combinations_with_replacement(range(d), 3):
-        value = np.mean(xc[:, i] * xc[:, j] * xc[:, k])
-        for p in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            t[p] = value
-    return t
+    return cumulants_from_moments(_centered_moments(x)[1], x.shape[1])
 
 
 def cumulants_from_moments(values: np.ndarray, d: int) -> np.ndarray:
@@ -171,23 +178,21 @@ def cumulants_from_moments(values: np.ndarray, d: int) -> np.ndarray:
 
     `values` may be a single moment vector of length binom(d+3,3)-1 or a
     stack of them with that trailing axis; the output has matching leading
-    axes and trailing shape (d, d, d).
+    axes and trailing shape (d, d, d).  Each sorted entry i <= j <= k is
+    computed once and mirrored, so the tensor is exactly symmetric.
     """
     v = np.asarray(values, dtype=float)
-    idx1, idx2, idx3 = _gather_indices(d)
-    mu = v[..., idx1]
-    m2 = v[..., idx2]
-    m3 = v[..., idx3]
-    mi = mu[..., :, None, None]
-    mj = mu[..., None, :, None]
-    mk = mu[..., None, None, :]
-    return (
-        m3
-        - mi * m2[..., None, :, :]
-        - mj * m2[..., :, None, :]
-        - mk * m2[..., :, :, None]
+    ijk, pairs, mirror = _triple_indices(d)
+    mu = v[..., :d]
+    mi, mj, mk = mu[..., ijk[0]], mu[..., ijk[1]], mu[..., ijk[2]]
+    sorted_entries = (
+        v[..., -ijk.shape[1]:]
+        - mi * v[..., pairs[0]]
+        - mj * v[..., pairs[1]]
+        - mk * v[..., pairs[2]]
         + 2.0 * mi * mj * mk
     )
+    return sorted_entries[..., mirror]
 
 
 def cumulant_map(m: RawMomentVector) -> np.ndarray:
@@ -202,9 +207,8 @@ def cumulant_map(m: RawMomentVector) -> np.ndarray:
 def covariance_from_moments(values: np.ndarray, d: int) -> np.ndarray:
     """Centered covariance from a raw-moment vector (vectorizes over rows)."""
     v = np.asarray(values, dtype=float)
-    idx1, idx2, _ = _gather_indices(d)
-    mu = v[..., idx1]
-    return v[..., idx2] - mu[..., :, None] * mu[..., None, :]
+    mu = v[..., :d]
+    return v[..., _pair_indices(d)] - mu[..., :, None] * mu[..., None, :]
 
 
 def contract_tensor(tensor: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -253,30 +257,39 @@ def contract_hessian(data, w, order: int = 3) -> ContractionMatrix:
     Returns
     -------
     ContractionMatrix
-        Symmetric (d, d) matrix.  For h = 3 this is
-        (6/n) sum_i (w'Xc_i) Xc_i Xc_i'; for h = 4 it is the closed-form
-        Hessian of the sample excess kurtosis of w'X, which the test suite
-        gates against a numerical second derivative.
+        Symmetric (d, d) matrix.  For h = 3 this is 6 times the mode-1
+        contraction of :func:`third_cumulants` along w, i.e.
+        (6/n) sum_i (w'Xc_i) Xc_i Xc_i', exactly symmetric because the
+        tensor is.  For h = 4 it is the closed-form Hessian of the sample
+        excess kurtosis of w'X, which the test suite gates against a
+        numerical second derivative.
     """
     x = validate_sample(data, min_rows=2)
     n, d = x.shape
+    w = _check_direction(w, d)
+    if order == 3:
+        return ContractionMatrix(
+            matrix=6.0 * contract_tensor(third_cumulants(x), w), w=w, order=3
+        )
+    if order != 4:
+        raise ValueError(f"order must be 3 or 4, got {order}")
+    xc = x - column_means(x)
+    proj = xc @ w
+    sigma = xc.T @ xc / n
+    sw = sigma @ w
+    g = (
+        12.0 * ((xc * (proj**2)[:, None]).T @ xc) / n
+        - 12.0 * (w @ sw) * sigma
+        - 24.0 * np.outer(sw, sw)
+    )
+    return ContractionMatrix(matrix=(g + g.T) / 2.0, w=w, order=order)
+
+
+def _check_direction(w, d: int) -> np.ndarray:
+    """A contraction direction as a finite float (d,) array, else ValueError."""
     w = np.asarray(w, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"w must have shape ({d},), got {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("w contains non-finite entries")
-    xc = x - column_means(x)
-    proj = xc @ w
-    if order == 3:
-        g = 6.0 * ((xc * proj[:, None]).T @ xc) / n
-    elif order == 4:
-        sigma = xc.T @ xc / n
-        sw = sigma @ w
-        g = (
-            12.0 * ((xc * (proj**2)[:, None]).T @ xc) / n
-            - 12.0 * (w @ sw) * sigma
-            - 24.0 * np.outer(sw, sw)
-        )
-    else:
-        raise ValueError(f"order must be 3 or 4, got {order}")
-    return ContractionMatrix(matrix=(g + g.T) / 2.0, w=w, order=order)
+    return w

@@ -8,22 +8,16 @@ hypothesis under test.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from . import _pipeline
-from .errors import (
-    ComplexResidueWarning,
-    EigenGapWarning,
-    IllConditionedError,
-    InvalidInputError,
-)
-from .identify import COMPLEX_RESIDUE_TOL, COND_CAP, DemixingEstimate, ProbeVectors
-from .inference import MIN_JACKKNIFE_N, _fd_steps
-from .moments import column_means, monomial_matrix, validate_sample
+from .errors import IllConditionedError, InvalidInputError
+from .identify import COND_CAP, DemixingEstimate, ProbeVectors, _warn_unstable
+from .inference import MIN_JACKKNIFE_N, _delta_from_monomials
+from .moments import _centered_moments, validate_sample
 
 OMEGA_COND_CAP = 1e12
 OMEGA_CLIP_RTOL = 1e-12
@@ -62,13 +56,10 @@ def overid_restrictions(data, est: DemixingEstimate) -> np.ndarray:
     """
     x = validate_sample(data, min_rows=2, min_cols=2)
     lam = est.lambda_tilde
-    if lam.shape[1] != x.shape[1]:
-        raise ValueError(
-            f"estimate is for d={lam.shape[1]} but sample has d={x.shape[1]}"
-        )
-    xc = x - x.mean(axis=0)
-    sigma = xc.T @ xc / x.shape[0]
-    return vech_off(lam @ sigma @ lam.T)
+    d = x.shape[1]
+    if lam.shape[1] != d:
+        raise ValueError(f"estimate is for d={lam.shape[1]} but sample has d={d}")
+    return _pipeline.offdiag_from_rows(lam, _centered_moments(x)[1], d)
 
 
 def _clipped_quadratic(omega: np.ndarray, r: np.ndarray, n: int) -> float:
@@ -88,9 +79,9 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
     Builds the demixing from third-cumulant contractions at the probe
     directions, stacks the off-diagonals r of the demixed covariance, and
     compares n * r' Omega^{-1} r to a chi-square with d(d-1)/2 degrees of
-    freedom.  Omega comes from a delta-method linearization over the raw
-    moments of degree 1-3 (`method="delta"`) or from a delete-1 jackknife
-    (`method="jackknife"`).
+    freedom.  Omega comes from a delta-method linearization over the
+    degree 1-3 moments of the centered sample (`method="delta"`) or from a
+    delete-1 jackknife (`method="jackknife"`).
     """
     if method not in ("delta", "jackknife"):
         raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
@@ -98,38 +89,18 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
     n, d = x.shape
     dof = d * (d - 1) // 2
 
-    z = monomial_matrix(x)
-    m_hat = column_means(z)
-
-    rows, _, gap_flags, max_imag = _pipeline.demix_rows(
+    z, m_hat = _centered_moments(x)
+    demixed = _pipeline.demix_rows(
         m_hat, d, probes.w1, probes.w2, rule, cond_cap=COND_CAP
     )
-    if gap_flags:
-        warnings.warn(
-            "identification eigenvalues are nearly repeated; the Wald "
-            "linearization may be unreliable",
-            EigenGapWarning,
-            stacklevel=2,
-        )
-    if max_imag > COMPLEX_RESIDUE_TOL:
-        warnings.warn(
-            f"eigenvectors had imaginary parts up to {float(max_imag):.3f}; "
-            "real parts are used",
-            ComplexResidueWarning,
-            stacklevel=2,
-        )
-
-    r_hat = _pipeline.offdiag_from_rows(rows, m_hat, d)
+    _warn_unstable(demixed, stacklevel=2)
+    r_hat = _pipeline.offdiag_from_rows(demixed[0], m_hat, d)
 
     if method == "delta":
-        zc = z - m_hat
-        sigma_theta = zc.T @ zc / n
-
-        def batch(ms):
-            return _pipeline.overid_offdiag(ms, d, probes.w1, probes.w2, rule)
-
-        jac = _pipeline.batched_jacobian(batch, m_hat, _fd_steps(m_hat))
-        omega = jac @ sigma_theta @ jac.T
+        omega = _delta_from_monomials(
+            z, m_hat,
+            lambda ms: _pipeline.overid_offdiag(ms, d, probes.w1, probes.w2, rule),
+        ).sigma_u
     else:
         if n < MIN_JACKKNIFE_N:
             raise InvalidInputError(

@@ -23,7 +23,7 @@ from . import _pipeline
 from .errors import CumidentError, InvalidInputError, WeakInstrumentError
 from .identify import ProbeVectors, estimate_demixing, label_by_signs
 from .inference import delta_variance_labeled, demixing_jackknife
-from .moments import column_means, monomial_matrix
+from .moments import _centered_moments
 from .overid import wald_test
 
 LAMBDA_TRUE = np.array([[1.0, 1.5], [-0.5, 1.0]])
@@ -305,7 +305,7 @@ class _CoverageRep:
                     # it, the point estimate is computed here.
                     try:
                         point, diag = _pipeline.labeled_entry(
-                            column_means(monomial_matrix(x)), 2,
+                            _centered_moments(x)[1], 2,
                             self.probes.w1, self.probes.w2,
                             SUPPLY_DEMAND_PATTERN, (0, 1),
                         )

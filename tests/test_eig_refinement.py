@@ -5,7 +5,7 @@ import pytest
 
 import cumident as ci
 from cumident import _pipeline
-from cumident.identify import _sorted_eig
+from cumident._pipeline import _sorted_eig
 
 
 @pytest.fixture(autouse=True)

@@ -14,9 +14,11 @@ from cumident.simulate import CompositeDgpConfig, gen_composite
 from _designs import population_contraction
 
 
-def test_build_H_diagonal_case():
-    h = ci.build_H(np.diag([2.0, 6.0]), np.eye(2))
-    np.testing.assert_allclose(h, np.diag([2.0, 6.0]))
+def test_contraction_ratio_diagonal_case():
+    est = ci.demixing_from_contractions(np.diag([2.0, 6.0]), np.eye(2))
+    np.testing.assert_allclose(est.eigenvalues, [6.0, 2.0])
+    np.testing.assert_allclose(est.lambda_tilde, [[0.0, 1.0], [1.0, 0.0]])
+    assert est.cond_G2 == 1.0
 
 
 def test_build_H_identity_mixing_eigenvalues():
@@ -30,9 +32,12 @@ def test_build_H_identity_mixing_eigenvalues():
     np.testing.assert_allclose(sorted(est.eigenvalues), [0.2, 0.7], atol=1e-12)
 
 
-def test_build_H_rejects_singular_anchor():
+@pytest.mark.parametrize(
+    "g2", [np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 1e-12])], ids=["d2", "d3"]
+)
+def test_demixing_from_contractions_rejects_singular_anchor(g2):
     with pytest.raises(IllConditionedError) as err:
-        ci.build_H(np.eye(2), np.diag([1.0, 0.0]))
+        ci.demixing_from_contractions(np.eye(len(g2)), g2)
     assert err.value.cond > 1e10
 
 
@@ -127,8 +132,8 @@ def test_orientation_reports_rows_that_fall_back_to_the_peak_rule():
     # left eigenvectors.
     left = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     h = np.linalg.solve(left, np.diag([3.0, 2.0, 1.0]) @ left)
-    _, _, _, fallback, gap = ci.oriented_eigenvector_rows(h.T)
-    assert fallback == (1,) and not gap
+    est = ci.demixing_from_contractions(h.T, np.eye(3))
+    assert est.fallback_rows == (1,) and not est.gap_flag
 
 
 def test_mixing_tall_square_case_inverts_demixing():
@@ -212,7 +217,9 @@ def test_h_sigma_agrees_with_demixing_under_uncorrelated_errors():
     x = gen_composite(CompositeDgpConfig(n=100_000, k=0.0, seed=31), 0).x
     probes = ci.ProbeVectors.draw(2, 9)
     est = ci.estimate_demixing(x, probes)
-    rows, _, _, _, _ = ci.oriented_eigenvector_rows(ci.build_H_sigma(x, probes.w1))
+    rows = ci.demixing_from_contractions(
+        ci.build_H_sigma(x, probes.w1), np.eye(2)
+    ).lambda_tilde
     for row in rows:
         best = min(ci.angular_distance(row, r) for r in est.lambda_tilde)
         assert best < 0.05
@@ -222,7 +229,9 @@ def test_h_sigma_disagrees_under_correlated_errors():
     x = gen_composite(CompositeDgpConfig(n=100_000, k=0.5, seed=31), 0).x
     probes = ci.ProbeVectors.draw(2, 9)
     est = ci.estimate_demixing(x, probes)
-    rows, _, _, _, _ = ci.oriented_eigenvector_rows(ci.build_H_sigma(x, probes.w1))
+    rows = ci.demixing_from_contractions(
+        ci.build_H_sigma(x, probes.w1), np.eye(2)
+    ).lambda_tilde
     worst = max(
         min(ci.angular_distance(row, r) for r in est.lambda_tilde) for row in rows
     )

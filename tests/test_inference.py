@@ -6,60 +6,39 @@ import pytest
 import cumident as ci
 from cumident import _pipeline
 from cumident.errors import IllConditionedError
-from cumident.inference import FD_STEP_SCALE
-from cumident.moments import monomial_matrix
+from cumident.inference import _fd_steps
+from cumident.moments import _centered_moments
 from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, gen_composite
 
 
 def test_jacobian_identity_coordinate():
-    m = ci.raw_moments(np.random.default_rng(0).standard_normal((50, 2)))
-    jac = ci.numerical_jacobian(lambda v: v[3], m)
+    m = _centered_moments(np.random.default_rng(0).standard_normal((50, 2)))[1]
+    jac = _pipeline.batched_jacobian(lambda ms: ms[:, 3], m, _fd_steps(m))
     want = np.zeros((1, 9))
     want[0, 3] = 1.0
     np.testing.assert_allclose(jac, want, atol=1e-8)
 
 
 def test_jacobian_product_rule():
-    m = ci.RawMomentVector(
-        values=np.array([2.0, 3.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]), d=2
-    )
-    jac = ci.numerical_jacobian(lambda v: v[0] * v[1], m)
+    m = np.array([2.0, 3.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    jac = _pipeline.batched_jacobian(lambda ms: ms[:, 0] * ms[:, 1], m, _fd_steps(m))
     want = np.zeros(9)
     want[:2] = [3.0, 2.0]
     np.testing.assert_allclose(jac[0], want, atol=1e-6)
-
-
-def test_jacobian_failure_names_coordinate():
-    m = ci.raw_moments(np.random.default_rng(1).standard_normal((50, 2)))
-
-    def bad(v):
-        if v[4] != m.values[4]:
-            raise FloatingPointError("boom")
-        return v[0]
-
-    with pytest.raises(RuntimeError, match="monomial"):
-        ci.numerical_jacobian(bad, m)
 
 
 def test_jacobian_of_eigenvector_map_self_consistency():
     # Halving the step must not move the Jacobian beyond the O(step^2) bias.
     x = gen_composite(CompositeDgpConfig(n=4_000, k=0.2, seed=2), 0).x
     probes = ci.ProbeVectors.draw(2, 2)
-    m = ci.raw_moments(x)
+    m = _centered_moments(x)[1]
 
-    def stat(values):
-        rows, _, _, _ = _pipeline.demix_rows(values, 2, probes.w1, probes.w2, "A")
-        return rows[0]
+    def stat(ms):
+        rows, _, _, _ = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2, "A")
+        return rows[:, 0]
 
-    jac = ci.numerical_jacobian(stat, m)
-
-    steps = 0.5 * FD_STEP_SCALE * np.maximum(1.0, np.abs(m.values))
-    fine = np.empty_like(jac)
-    for j in range(m.values.size):
-        up, down = m.values.copy(), m.values.copy()
-        up[j] += steps[j]
-        down[j] -= steps[j]
-        fine[:, j] = (stat(up) - stat(down)) / (2.0 * steps[j])
+    jac = _pipeline.batched_jacobian(stat, m, _fd_steps(m))
+    fine = _pipeline.batched_jacobian(stat, m, 0.5 * _fd_steps(m))
     scale = np.abs(jac).max()
     np.testing.assert_allclose(jac, fine, atol=1e-4 * scale)
 
@@ -172,7 +151,7 @@ def test_jackknife_counts_labeling_ties():
     assert tied.tie_count == 80
 
     jk = ci.demixing_jackknife(x, probes, pattern=ci.SUPPLY_DEMAND_PATTERN)
-    loo = _pipeline.leave_one_out_moments(monomial_matrix(x))
+    loo = _pipeline.leave_one_out_moments(_centered_moments(x)[0])
     rows = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2)[0]
     ties = _pipeline.label_signs(rows, ci.SUPPLY_DEMAND_PATTERN)[2]
     assert jk.tie_count == int(ties.sum()) < 80
@@ -182,7 +161,7 @@ def test_jackknife_counts_labeling_ties():
 def test_jackknife_returns_the_full_sample_statistic():
     x = gen_composite(CompositeDgpConfig(n=300, k=0.2, seed=12), 0).x
     probes = ci.ProbeVectors.draw(2, 12)
-    m = ci.raw_moments(x).values
+    m = _centered_moments(x)[1]
     point, diag = _pipeline.labeled_entry(
         m, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
     )
@@ -351,7 +330,7 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     assert held_while_building == [(True, True)]
     held_moments = memo_entry()[2]
     np.testing.assert_array_equal(
-        held_moments, _pipeline.leave_one_out_moments(monomial_matrix(y))
+        held_moments, _pipeline.leave_one_out_moments(_centered_moments(y)[0])
     )
     for a in memo_entry():
         assert not a.flags.writeable

@@ -187,9 +187,9 @@ def test_coverage_flags_match_inference_intervals():
 def test_coverage_cell_builds_two_monomial_matrices(monkeypatch):
     # The jackknife returns the labeled full-sample slope and its tie flag,
     # so a cell builds the monomials once for it and once for the delta
-    # method, and labels the full sample once.
-    import cumident.inference as inference
-    import cumident.simulate as simulate
+    # method, and labels the full sample once.  Every caller builds them
+    # through moments._centered_moments.
+    import cumident.moments as moments
 
     calls = []
 
@@ -197,8 +197,7 @@ def test_coverage_cell_builds_two_monomial_matrices(monkeypatch):
         calls.append(np.shape(x))
         return ci.monomial_matrix(x)
 
-    for module in (inference, simulate):
-        monkeypatch.setattr(module, "monomial_matrix", counted)
+    monkeypatch.setattr(moments, "monomial_matrix", counted)
     cfg = CompositeDgpConfig(n=400, k=0.2, seed=19)
     probes = ci.ProbeVectors.draw(2, 19)
     ns = (200, 400)
