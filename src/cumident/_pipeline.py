@@ -101,6 +101,9 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
     _loo_held = held = None
     loo = leave_one_out_moments(z)
     demixed = demix_rows(loo, d, w1, w2, rule)
+    if demixed.ill_conditioned.any():
+        raise IllConditionedError(
+            "singular contraction at w2 in a delete-1 resample", float("inf"))
     entry = (demixed[0], demixed[2], loo, demixed.eig_fallbacks)
     for a in entry:
         a.flags.writeable = False
@@ -135,19 +138,9 @@ def _solve_batched(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(g2, g1)
     except np.linalg.LinAlgError:
-        if g2.ndim == 2:
-            raise IllConditionedError(
-                "contraction at w2 is numerically singular",
-                float(np.linalg.cond(g2)),
-            ) from None
-        bad = [
-            i for i in range(g2.shape[0])
-            if not np.isfinite(np.linalg.cond(g2[i]))
-            or np.linalg.cond(g2[i]) > 1e15
-        ]
         raise IllConditionedError(
-            f"singular contraction at w2 in batch entries {bad[:10]}",
-            float("inf"),
+            "contraction at w2 is numerically singular",
+            float(np.max(np.linalg.cond(g2))),
         ) from None
 
 
@@ -158,12 +151,16 @@ class DemixedRows(tuple):
     refinement handed back to LAPACK (see :func:`_anchored_eig`); it is all
     False where the refinement did not run (d = 2, or a single entry).
     `orient_fallbacks` flags the rows that fell back from rule A to rule B,
-    and `cond_g2` is cond(G(w2)) when a `cond_cap` was checked, else None.
+    and `cond_g2` is cond(G(w2)), per entry for a stack, when a `cond_cap`
+    was checked, else None.
+    `ill_conditioned` flags the stack entries whose G(w2) was not solved
+    through (:func:`demix_contractions`); their rows and eigenvalues are NaN.
     """
 
     eig_fallbacks: np.ndarray
     orient_fallbacks: np.ndarray
-    cond_g2: float | None
+    cond_g2: float | np.ndarray | None
+    ill_conditioned: np.ndarray
 
 
 def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
@@ -176,8 +173,8 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
         Raw-moment vectors in the package-wide monomial order, about any
         origin; the callers use the sample mean.
     cond_cap : float or None
-        When set (single entries), reject a G(w2) whose condition estimate
-        exceeds it; resampling stacks leave it off for speed.
+        When set, reject a G(w2) whose condition estimate exceeds it (see
+        :func:`demix_contractions`); resampling stacks leave it off for speed.
 
     Returns
     -------
@@ -197,17 +194,29 @@ def demix_contractions(g1: np.ndarray, g2: np.ndarray, rule: str = "A",
                        cond_cap: float | None = None) -> DemixedRows:
     """:func:`demix_rows` from the contractions G(w1), G(w2), (..., d, d).
 
-    With `cond_cap` set (single entries), a G(w2) whose condition estimate
-    exceeds it raises instead of being solved through.
+    With `cond_cap` set, a G(w2) whose condition estimate exceeds it is not
+    solved through: a single entry raises, a stack entry is flagged in
+    `ill_conditioned`.  A singular G(w2) (zero or non-finite determinant)
+    is flagged the same way in a d = 2 stack; a single entry, or a d >= 3
+    stack, raises.  So one bad entry of a d = 2 stack fails alone.
     """
     d = g2.shape[-1]
     cond = None
-    if cond_cap is not None and g2.ndim == 2:
-        cond = float(np.linalg.cond(g2))
-        if not np.isfinite(cond) or cond > cond_cap:
-            raise IllConditionedError(
-                "contraction at w2 is numerically singular", cond
-            )
+    failed = np.zeros(g2.shape[:-2], dtype=bool)
+    if cond_cap is not None:
+        cond = np.linalg.cond(g2)
+        failed = ~(cond <= cond_cap)
+        if g2.ndim == 2:
+            cond = float(cond)
+            if failed:
+                raise IllConditionedError(
+                    "contraction at w2 is numerically singular", cond
+                )
+    if d == 2 and g2.ndim > 2:
+        det = _det_2x2(g2)
+        failed |= ~(np.isfinite(det) & (det != 0.0))
+    if failed.any():
+        g2 = np.where(failed[..., None, None], np.eye(d), g2)
     fallbacks = np.zeros(g2.shape[:-2], dtype=bool)
     if d == 2:
         vals, vecs = _sorted_eig_2x2(_solve_2x2(g2, g1))
@@ -222,10 +231,15 @@ def demix_contractions(g1: np.ndarray, g2: np.ndarray, rule: str = "A",
 
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
     rows, orient_fallbacks = _oriented_rows(vecs, rule)
-    out = DemixedRows((rows, vals.real, _gap_flags(vals), max_imag))
+    gap_flags, vals = _gap_flags(vals), vals.real
+    if failed.any():
+        rows = np.where(failed[..., None, None], np.nan, rows)
+        vals = np.where(failed[..., None], np.nan, vals)
+    out = DemixedRows((rows, vals, gap_flags, max_imag))
     out.eig_fallbacks = fallbacks
     out.orient_fallbacks = orient_fallbacks
     out.cond_g2 = cond
+    out.ill_conditioned = failed
     return out
 
 
@@ -343,7 +357,7 @@ def _solve_2x2(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
     A zero or non-finite determinant anywhere goes through
     :func:`_solve_batched`, which raises as for any singular contraction.
     """
-    det = g2[..., 0, 0] * g2[..., 1, 1] - g2[..., 0, 1] * g2[..., 1, 0]
+    det = _det_2x2(g2)
     if not np.all(np.isfinite(det) & (det != 0.0)):
         return _solve_batched(g2, g1)
     adj = np.empty_like(g2)
@@ -352,6 +366,10 @@ def _solve_2x2(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
     adj[..., 1, 0] = -g2[..., 1, 0]
     adj[..., 1, 1] = g2[..., 0, 0]
     return (adj @ g1) / det[..., None, None]
+
+
+def _det_2x2(g: np.ndarray) -> np.ndarray:
+    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
 
 def _sorted_eig_2x2(h: np.ndarray):
@@ -780,15 +798,16 @@ def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1),
 def batched_jacobian(func, m: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a batch-capable map of the moments.
 
-    `func` maps a (B, D) stack to (B,) or (B, q); the 2D perturbation stack
-    (one +/- pair per coordinate) is evaluated in a single call.
+    `func` maps a (B, D) stack to (B,) or (B, q).  `m` and `steps` are one
+    moment vector and its steps, or a (C, D) stack of them; the 2D
+    perturbations of every vector (one +/- pair per coordinate) are
+    evaluated in a single call, and the Jacobian is (q, D) or (C, q, D).
     """
-    k = m.shape[0]
-    stack = np.repeat(m[None, :], 2 * k, axis=0)
+    k = m.shape[-1]
+    stack = np.repeat(m[..., None, :], 2 * k, axis=-2)
     idx = np.arange(k)
-    stack[2 * idx, idx] += steps
-    stack[2 * idx + 1, idx] -= steps
-    out = np.asarray(func(stack))
-    if out.ndim == 1:
-        out = out[:, None]
-    return ((out[2 * idx] - out[2 * idx + 1]) / (2.0 * steps)[:, None]).T
+    stack[..., 2 * idx, idx] += steps
+    stack[..., 2 * idx + 1, idx] -= steps
+    out = np.asarray(func(stack.reshape(-1, k))).reshape(*stack.shape[:-1], -1)
+    diff = out[..., 2 * idx, :] - out[..., 2 * idx + 1, :]
+    return np.swapaxes(diff / (2.0 * steps)[..., None], -2, -1)

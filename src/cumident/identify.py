@@ -39,6 +39,8 @@ from .moments import (
     _centered_moments,
     _check_direction,
     contract_hessian,
+    contract_tensor,
+    third_cumulants,
     validate_sample,
 )
 
@@ -254,8 +256,9 @@ def estimate_mixing_tall(data, probes: ProbeVectors, d2: int | None = None,
     """
     x = validate_sample(data, min_cols=2)
     d1 = x.shape[1]
-    g1 = contract_hessian(x, probes.w1, order=3).matrix
-    g2 = contract_hessian(x, probes.w2, order=3).matrix
+    kappa = third_cumulants(x)
+    g1 = 6.0 * contract_tensor(kappa, _check_direction(probes.w1, d1))
+    g2 = 6.0 * contract_tensor(kappa, _check_direction(probes.w2, d1))
     u, s, vt = np.linalg.svd(g2)
     if d2 is None:
         rank, sv_threshold = _auto_rank(s, d1)

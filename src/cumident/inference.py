@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import _pipeline
-from .errors import InvalidInputError
+from .errors import IllConditionedError, InvalidInputError
 from .identify import COND_CAP, ProbeVectors
 from .moments import _centered_moments, validate_sample
 
@@ -95,18 +95,24 @@ def delta_variance_statistic(data, batch_statistic: Callable) -> DeltaVarianceRe
     """
     x = validate_sample(data)
     _check_sixth_moments(x)
-    return _delta_from_monomials(*_centered_moments(x), batch_statistic)
+    z, m_hat = _centered_moments(x)
+    return _delta_from_moments(_moment_covariance(z, m_hat), m_hat, batch_statistic)
 
 
-def _delta_from_monomials(z: np.ndarray, m_hat: np.ndarray,
-                          batch_statistic: Callable) -> DeltaVarianceResult:
-    """:func:`delta_variance_statistic` from the monomial matrix `z` and its
-    column means `m_hat`."""
+def _moment_covariance(z: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+    """Sigma_m of the monomial matrix `z` about its column means `m_hat`."""
     zc = z - m_hat
-    sigma_m = zc.T @ zc / z.shape[0]
+    return zc.T @ zc / z.shape[0]
+
+
+def _delta_from_moments(sigma_m: np.ndarray, m_hat: np.ndarray,
+                        batch_statistic: Callable) -> DeltaVarianceResult:
+    """:func:`delta_variance_statistic` from the moment covariance and the
+    moments of one sample, or from (C, D, D) and (C, D) stacks of C samples,
+    whose fields then carry a leading sample axis."""
     jac = _pipeline.batched_jacobian(batch_statistic, m_hat, _fd_steps(m_hat))
-    sigma_u = jac @ sigma_m @ jac.T
-    sigma_u = (sigma_u + sigma_u.T) / 2.0
+    sigma_u = jac @ sigma_m @ np.swapaxes(jac, -2, -1)
+    sigma_u = (sigma_u + np.swapaxes(sigma_u, -2, -1)) / 2.0
     return DeltaVarianceResult(
         sigma_u=sigma_u, jacobian=jac, sigma_m=sigma_m, fd_step=FD_STEP_SCALE
     )
@@ -162,16 +168,21 @@ def _anchored_delta(x: np.ndarray, probes: ProbeVectors, rule: str,
     """Delta method for a demixing statistic, after the anchor check.
 
     A singular anchor contraction is rejected up front; the perturbed
-    evaluations would otherwise solve through it silently.  The monomial
-    matrix of the centered sample is built once, for the anchor and the
-    moment covariance.
+    evaluations would otherwise solve through it silently.  A singular
+    perturbed point (NaN in the Jacobian) raises too.  The monomial matrix
+    of the centered sample is built once, for the anchor and the moment
+    covariance.
     """
     z, m_hat = _centered_moments(x)
     _pipeline.demix_rows(
         m_hat, x.shape[1], probes.w1, probes.w2, rule, cond_cap=COND_CAP
     )
     _check_sixth_moments(x)
-    return _delta_from_monomials(z, m_hat, batch)
+    res = _delta_from_moments(_moment_covariance(z, m_hat), m_hat, batch)
+    if not np.isfinite(res.jacobian).all():
+        raise IllConditionedError(
+            "singular contraction at w2 at a finite-difference point", float("inf"))
+    return res
 
 
 def jackknife_variance(data, estimator: Callable) -> JackknifeResult:

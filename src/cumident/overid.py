@@ -9,6 +9,7 @@ hypothesis under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -16,7 +17,8 @@ from scipy import special
 from . import _pipeline
 from .errors import IllConditionedError, InvalidInputError
 from .identify import COND_CAP, DemixingEstimate, ProbeVectors, _warn_unstable
-from .inference import MIN_JACKKNIFE_N, _delta_from_monomials
+from .inference import (MIN_JACKKNIFE_N, _delta_from_moments,
+                        _moment_covariance)
 from .moments import _centered_moments, validate_sample
 
 OMEGA_COND_CAP = 1e12
@@ -62,14 +64,94 @@ def overid_restrictions(data, est: DemixingEstimate) -> np.ndarray:
     return _pipeline.offdiag_from_rows(lam, _centered_moments(x)[1], d)
 
 
-def _clipped_quadratic(omega: np.ndarray, r: np.ndarray, n: int) -> float:
-    """n * r' Omega^{-1} r through an eigendecomposition with a PSD floor."""
-    sym = (omega + omega.T) / 2.0
+class _WaldStack(NamedTuple):
+    """Per-sample results of :func:`_wald_stack`."""
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    r_hat: np.ndarray
+    omega: np.ndarray
+    anchors: _pipeline.DemixedRows
+    resample_singular: np.ndarray
+    omega_cond: np.ndarray
+
+
+def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
+                rule: str = "A") -> _WaldStack:
+    """:func:`wald_test` on a list of validated samples of one width, one
+    kernel call per stage: the anchors, the finite-difference points of all
+    samples ("delta"; each sample's delete-1 stack for "jackknife"), and
+    cond(Omega), the clipped quadratic form and the chi-square tail.
+
+    A sample fails alone, with NaN statistic: `anchors.ill_conditioned`
+    marks a G(w2) over ``COND_CAP`` or singular, `resample_singular` one
+    singular at a finite-difference point or delete-1 resample, and an
+    `omega_cond` not at most ``OMEGA_COND_CAP`` a near-singular Omega.
+    """
+    d = samples[0].shape[1]
+    if d > 2 and len(samples) > 1:  # d >= 3 stacks share one eigen-anchor
+        raise ValueError("samples of width d > 2 are tested one at a time")
+    ns = np.array([x.shape[0] for x in samples])
+    # Per sample, the moments and, for the delta method, Sigma_m, so that
+    # one monomial matrix is alive at a time; the jackknife keeps each
+    # sample's monomial matrix for its delete-1 stack.
+    ms, held = [], []
+    for x in samples:
+        z, m = _centered_moments(x)
+        ms.append(m)
+        held.append(_moment_covariance(z, m) if method == "delta" else z)
+    m = np.stack(ms)
+    anchors = _pipeline.demix_rows(
+        m, d, probes.w1, probes.w2, rule, cond_cap=COND_CAP
+    )
+    r_hat = _pipeline.offdiag_from_rows(anchors[0], m, d)
+    # Omega of the samples whose anchor stands; NaN where a finite-difference
+    # point or a delete-1 resample has a singular G(w2).
+    ok = ~anchors.ill_conditioned
+    omega = np.full(r_hat.shape + r_hat.shape[-1:], np.nan)
+    if method == "delta" and ok.any():
+        omega[ok] = _delta_from_moments(
+            np.stack(held)[ok], m[ok],
+            lambda s: _pipeline.overid_offdiag(s, d, probes.w1, probes.w2, rule),
+        ).sigma_u
+    elif method == "jackknife":
+        if ns.min() < MIN_JACKKNIFE_N:
+            raise InvalidInputError(
+                f"jackknife covariance requires n >= {MIN_JACKKNIFE_N}, "
+                f"got {ns.min()}"
+            )
+        for i in np.flatnonzero(ok):
+            try:
+                loo_rows, _, loo, _ = _pipeline.leave_one_out_rows(
+                    samples[i], held[i], d, probes.w1, probes.w2, rule
+                )
+            except IllConditionedError:
+                continue
+            r_loo = _pipeline.offdiag_from_rows(loo_rows, loo, d)
+            dev = r_loo - r_loo.mean(axis=0)
+            # (n-1) * sum(...) is the delete-1 estimate of Var(sqrt(n) * r).
+            omega[i] = (ns[i] - 1) * (dev.T @ dev)
+
+    omega = (omega + np.swapaxes(omega, -2, -1)) / 2.0
+    singular = ok & ~np.isfinite(omega).reshape(len(ns), -1).all(axis=1)
+    ok &= ~singular
+    omega_cond = np.full(len(ns), np.nan)
+    omega_cond[ok] = np.linalg.cond(omega[ok])
+    ok &= omega_cond <= OMEGA_COND_CAP
+    # n * r' Omega^{-1} r through an eigendecomposition with a PSD floor.
+    sym = (omega[ok] + np.swapaxes(omega[ok], -2, -1)) / 2.0
     evals, evecs = np.linalg.eigh(sym)
-    floor = OMEGA_CLIP_RTOL * max(np.trace(sym), np.finfo(float).tiny)
-    evals = np.maximum(evals, floor)
-    y = evecs.T @ r
-    return float(n * np.sum(y**2 / evals))
+    trace = np.trace(sym, axis1=-2, axis2=-1)
+    floor = OMEGA_CLIP_RTOL * np.maximum(trace, np.finfo(float).tiny)
+    evals = np.maximum(evals, floor[:, None])
+    y = (np.swapaxes(evecs, -2, -1) @ r_hat[ok][..., None])[..., 0]
+    statistic = np.full(len(ns), np.nan)
+    statistic[ok] = ns[ok] * np.sum(y**2 / evals, axis=-1)
+    # chdtrc is the chi-square survival function that stats.chi2.sf wraps,
+    # without the distribution object's per-call overhead.
+    p_value = special.chdtrc(d * (d - 1) // 2, statistic)
+    return _WaldStack(statistic, p_value, r_hat, omega, anchors, singular,
+                      omega_cond)
 
 
 def wald_test(data, probes: ProbeVectors, method: str = "delta",
@@ -81,56 +163,35 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
     compares n * r' Omega^{-1} r to a chi-square with d(d-1)/2 degrees of
     freedom.  Omega comes from a delta-method linearization over the
     degree 1-3 moments of the centered sample (`method="delta"`) or from a
-    delete-1 jackknife (`method="jackknife"`).
+    delete-1 jackknife (`method="jackknife"`).  This is :func:`_wald_stack`
+    on a list of one sample.
     """
     if method not in ("delta", "jackknife"):
         raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
     x = validate_sample(data, min_rows=2, min_cols=2)
-    n, d = x.shape
-    dof = d * (d - 1) // 2
-
-    z, m_hat = _centered_moments(x)
-    demixed = _pipeline.demix_rows(
-        m_hat, d, probes.w1, probes.w2, rule, cond_cap=COND_CAP
-    )
-    _warn_unstable(demixed, stacklevel=2)
-    r_hat = _pipeline.offdiag_from_rows(demixed[0], m_hat, d)
-
-    if method == "delta":
-        omega = _delta_from_monomials(
-            z, m_hat,
-            lambda ms: _pipeline.overid_offdiag(ms, d, probes.w1, probes.w2, rule),
-        ).sigma_u
-    else:
-        if n < MIN_JACKKNIFE_N:
-            raise InvalidInputError(
-                f"jackknife covariance requires n >= {MIN_JACKKNIFE_N}, got {n}"
-            )
-        loo_rows, _, loo, _ = _pipeline.leave_one_out_rows(
-            x, z, d, probes.w1, probes.w2, rule
+    res = _wald_stack([x], probes, method, rule)
+    if res.anchors.ill_conditioned[0]:
+        raise IllConditionedError(
+            "contraction at w2 is numerically singular",
+            float(res.anchors.cond_g2[0]),
         )
-        r_loo = _pipeline.offdiag_from_rows(loo_rows, loo, d)
-        dev = r_loo - r_loo.mean(axis=0)
-        # (n-1) * sum(...) is the delete-1 estimate of Var(sqrt(n) * r).
-        omega = (n - 1) * (dev.T @ dev)
-
-    omega = (omega + omega.T) / 2.0
-    cond = float(np.linalg.cond(omega))
-    if not np.isfinite(cond) or cond > OMEGA_COND_CAP:
+    _warn_unstable(_pipeline.DemixedRows(a[0] for a in res.anchors), stacklevel=2)
+    if res.resample_singular[0]:
+        raise IllConditionedError(
+            f"singular contraction at w2 in a {method} resample", float("inf")
+        )
+    if not res.omega_cond[0] <= OMEGA_COND_CAP:
         raise IllConditionedError(
             "restriction covariance is numerically singular; the "
             "off-diagonal restrictions appear locally redundant (full row "
             "rank of their Jacobian fails)",
-            cond,
+            float(res.omega_cond[0]),
         )
-    statistic = _clipped_quadratic(omega, r_hat, n)
-    # chdtrc is the chi-square survival function that stats.chi2.sf wraps,
-    # without the distribution object's per-call overhead.
     return TestResult(
-        statistic=statistic,
-        dof=dof,
-        p_value=float(special.chdtrc(dof, statistic)),
-        r_hat=r_hat,
-        omega_hat=omega,
+        statistic=float(res.statistic[0]),
+        dof=res.r_hat.shape[-1],
+        p_value=float(res.p_value[0]),
+        r_hat=res.r_hat[0],
+        omega_hat=res.omega[0],
         method=method,
     )

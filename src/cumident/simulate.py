@@ -20,17 +20,26 @@ import numpy as np
 from scipy import stats
 
 from . import _pipeline
-from .errors import CumidentError, InvalidInputError, WeakInstrumentError
-from .identify import ProbeVectors, estimate_demixing, label_by_signs
+from .errors import (CumidentError, IllConditionedError, InvalidInputError,
+                     WeakInstrumentError)
+from .identify import COND_CAP, ProbeVectors
 from .inference import delta_variance_labeled, demixing_jackknife
 from .moments import _centered_moments
-from .overid import wald_test
+from .overid import OMEGA_COND_CAP, _wald_stack
 
 LAMBDA_TRUE = np.array([[1.0, 1.5], [-0.5, 1.0]])
 GAMMA_LOADINGS = np.array([[0.5, -1.0, 1.5], [-1.0, 1.0, -1.0]])
 MEAS_COV = np.array([[1.0, -0.45], [-0.45, 0.25]])
 SUPPLY_DEMAND_PATTERN = np.array([[1, 1], [-1, 1]])
 B1_TRUE = 1.5
+
+# Why a Monte Carlo cell has no value: G(w2) over COND_CAP or singular, no
+# valid or a tied sign labeling, cond(Omega) over OMEGA_COND_CAP, a weak
+# instrument, or another error of the Table 2 variance estimators.  Workers
+# report each failed cell by its reason's code, 0 marking a cell that stands.
+FAILURE_REASONS = ("ill_conditioned", "labeling", "omega_ill_conditioned",
+                   "weak_instrument", "other")
+_CODE = {name: i + 1 for i, name in enumerate(FAILURE_REASONS)}
 
 
 def worker_count() -> int:
@@ -151,10 +160,16 @@ def iv_2sls(y, x, z) -> float:
     return float(z @ y / denom)
 
 
-def _eigen_b1(x: np.ndarray, probes: ProbeVectors) -> float:
-    est = estimate_demixing(x, probes)
-    lab = label_by_signs(est, SUPPLY_DEMAND_PATTERN, on_tie="error")
-    return float(lab.lambda_final[0, 1])
+def _eigen_slopes(samples, probes: ProbeVectors):
+    """Slope b1 and failure code of :func:`estimate_demixing` then
+    :func:`label_by_signs` (on_tie="error") on each sample, as one
+    demixing and one labeling call over the stacked moment vectors."""
+    ms = np.stack([_centered_moments(x)[1] for x in samples])
+    demixed = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2, cond_cap=COND_CAP)
+    lam, _, tied, _, _ = _pipeline.label_signs(demixed[0], SUPPLY_DEMAND_PATTERN)
+    codes = np.where(tied, _CODE["labeling"], 0)
+    codes[demixed.ill_conditioned] = _CODE["ill_conditioned"]
+    return lam[:, 0, 1], codes
 
 
 def _iv1_b1(draw_x: np.ndarray, s: np.ndarray, z: np.ndarray) -> float:
@@ -171,7 +186,8 @@ _ESTIMATORS = {"eigen": None, "iv1": _iv1_b1, "iv2": _iv2_b1}
 
 @dataclass
 class McResult:
-    """Per-cell Monte Carlo summaries on an (n, k) grid."""
+    """Per-cell Monte Carlo summaries on an (n, k) grid; `failure_reasons`
+    splits `failures` by each of ``FAILURE_REASONS``."""
 
     kind: str
     ns: tuple[int, ...]
@@ -181,6 +197,7 @@ class McResult:
     failures: np.ndarray
     replications: int
     seed: int
+    failure_reasons: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _map_reps(fn, reps: int):
@@ -202,6 +219,25 @@ def _check_failure_cap(failures: np.ndarray, reps: int, what: str) -> None:
         )
 
 
+def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
+                series) -> McResult:
+    """Run `worker`, which returns each replication's cells and their failure
+    codes, and summarize the cells as an (n, k, series) grid."""
+    outs, codes = zip(*_map_reps(worker, reps))
+    shape = (reps, len(ns), len(ks), len(series))
+    per_rep, codes = np.reshape(outs, shape), np.reshape(codes, shape)
+    failures = np.isnan(per_rep).sum(axis=0)
+    _check_failure_cap(failures, reps, what)
+    reasons = {r: (codes == c).sum(axis=0) for r, c in _CODE.items()}
+    return McResult(kind, ns, ks, series, np.nanmean(per_rep, axis=0),
+                    failures, reps, seed, reasons)
+
+
+def _failure_code(exc: Exception) -> int:
+    ill = isinstance(exc, IllConditionedError)
+    return _CODE["ill_conditioned" if ill else "other"]
+
+
 class _MseRep:
     """Picklable per-replication worker for the MSE experiment."""
 
@@ -213,24 +249,27 @@ class _MseRep:
         self.probes = probes
 
     def __call__(self, rep: int):
-        n_max = max(self.ns)
-        s, e, eps, z = _draw_primitives(self.cfg, rep, n_max)
-        out = np.full((len(self.ns), len(self.ks), len(self.estimators)), np.nan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        s, e, eps, z = _draw_primitives(self.cfg, rep, max(self.ns))
+        # One sample per k at the largest n; smaller n are its row prefixes.
+        xs = [_assemble(self.cfg, s, e, eps, k) for k in self.ks]
+        shape = (len(self.ns), len(self.ks), len(self.estimators))
+        b1 = np.full(shape, np.nan)
+        codes = np.zeros(shape, dtype=np.int8)
+        for c, name in enumerate(self.estimators):
+            if name == "eigen":
+                slopes, fail = _eigen_slopes(
+                    [x[:n] for n in self.ns for x in xs], self.probes
+                )
+                b1[..., c] = slopes.reshape(shape[:2])
+                codes[..., c] = fail.reshape(shape[:2])
+                continue
             for a, n in enumerate(self.ns):
-                for b, k in enumerate(self.ks):
-                    x = _assemble(self.cfg, s[:n], e[:n], eps[:n], k)
-                    for c, name in enumerate(self.estimators):
-                        try:
-                            if name == "eigen":
-                                b1 = _eigen_b1(x, self.probes)
-                            else:
-                                b1 = _ESTIMATORS[name](x, s[:n], z[:n])
-                        except (CumidentError, ValueError):
-                            continue
-                        out[a, b, c] = (b1 - B1_TRUE) ** 2
-        return out
+                for b, x in enumerate(xs):
+                    try:
+                        b1[a, b, c] = _ESTIMATORS[name](x[:n], s[:n], z[:n])
+                    except WeakInstrumentError:
+                        codes[a, b, c] = _CODE["weak_instrument"]
+        return np.where(codes == 0, (b1 - B1_TRUE) ** 2, np.nan), codes
 
 
 def run_mse_experiment(ns, ks, reps: int, seed: int,
@@ -239,9 +278,10 @@ def run_mse_experiment(ns, ks, reps: int, seed: int,
     """Squared-error study for the slope b1 = 1.5 on an (n, k) grid.
 
     Replications that fail (singular contraction, labeling tie, weak
-    instrument) are excluded and counted, with a hard 1% cap per cell.
-    Meaningful mean squared errors call for a few hundred replications at
-    least; a single replication returns the one squared error.
+    instrument) are excluded and counted per reason, with a hard 1% cap per
+    cell.  Meaningful mean squared errors call for a few hundred
+    replications at least; a single replication returns the one squared
+    error.
     """
     ns, ks = tuple(int(n) for n in ns), tuple(float(k) for k in ks)
     if reps < 1:
@@ -254,20 +294,8 @@ def run_mse_experiment(ns, ks, reps: int, seed: int,
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
     worker = _MseRep(cfg, ns, ks, tuple(estimators), probes)
-    per_rep = np.stack(_map_reps(worker, reps))
-    failures = np.isnan(per_rep).sum(axis=0)
-    _check_failure_cap(failures, reps, "MSE experiment")
-    values = np.nanmean(per_rep, axis=0)
-    return McResult(
-        kind="mse",
-        ns=ns,
-        ks=ks,
-        series=tuple(estimators),
-        values=values,
-        failures=failures,
-        replications=reps,
-        seed=seed,
-    )
+    return _experiment(worker, reps, seed, "MSE experiment", "mse", ns, ks,
+                       tuple(estimators))
 
 
 class _CoverageRep:
@@ -282,14 +310,16 @@ class _CoverageRep:
         self.probes = probes
 
     def __call__(self, rep: int):
-        n_max = max(self.ns)
-        s, e, eps, _ = _draw_primitives(self.cfg, rep, n_max)
+        s, e, eps, _ = _draw_primitives(self.cfg, rep, max(self.ns))
+        # One sample at the largest n; smaller n are its row prefixes.
+        x_max = _assemble(self.cfg, s, e, eps, self.k)
         zcrit = stats.norm.ppf((1.0 + self.level) / 2.0)
         out = np.full((len(self.ns), len(self.methods)), np.nan)
+        codes = np.zeros(out.shape, dtype=np.int8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for a, n in enumerate(self.ns):
-                x = _assemble(self.cfg, s[:n], e[:n], eps[:n], self.k)
+                x = x_max[:n]
                 variances = {}
                 if "jackknife" in self.methods:
                     try:
@@ -298,8 +328,8 @@ class _CoverageRep:
                         )
                         variances["jackknife"] = float(jk.variance[0, 0])
                         point, tied = jk.full_estimate[0], jk.full_tie
-                    except (CumidentError, ValueError):
-                        pass
+                    except (CumidentError, ValueError) as exc:
+                        codes[a, self.methods.index("jackknife")] = _failure_code(exc)
                 if "jackknife" not in variances:
                     # The jackknife labels the full sample itself; without
                     # it, the point estimate is computed here.
@@ -309,10 +339,12 @@ class _CoverageRep:
                             self.probes.w1, self.probes.w2,
                             SUPPLY_DEMAND_PATTERN, (0, 1),
                         )
-                    except (CumidentError, ValueError):
+                    except (CumidentError, ValueError) as exc:
+                        codes[a] = _failure_code(exc)
                         continue
                     tied = diag["tie_flags"]
                 if tied:
+                    codes[a] = _CODE["labeling"]
                     continue
                 if "delta" in self.methods:
                     try:
@@ -320,13 +352,13 @@ class _CoverageRep:
                             x, self.probes, SUPPLY_DEMAND_PATTERN, (0, 1)
                         )
                         variances["delta"] = float(res.sigma_u[0, 0]) / n
-                    except (CumidentError, ValueError):
-                        pass
+                    except (CumidentError, ValueError) as exc:
+                        codes[a, self.methods.index("delta")] = _failure_code(exc)
                 for c, method in enumerate(self.methods):
                     if method in variances:
                         half = zcrit * np.sqrt(variances[method])
                         out[a, c] = float(point - half <= B1_TRUE <= point + half)
-        return out
+        return out, codes
 
 
 def run_coverage_experiment(ns, k: float, reps: int, seed: int,
@@ -350,20 +382,8 @@ def run_coverage_experiment(ns, k: float, reps: int, seed: int,
     cfg = CompositeDgpConfig(n=max(ns), k=float(k), kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
     worker = _CoverageRep(cfg, ns, float(k), level, tuple(methods), probes)
-    per_rep = np.stack(_map_reps(worker, reps))
-    failures = np.isnan(per_rep).sum(axis=0)
-    _check_failure_cap(failures, reps, "coverage experiment")
-    values = np.nanmean(per_rep, axis=0)
-    return McResult(
-        kind="coverage",
-        ns=ns,
-        ks=(float(k),),
-        series=tuple(methods),
-        values=values[:, None, :],
-        failures=failures[:, None, :],
-        replications=reps,
-        seed=seed,
-    )
+    return _experiment(worker, reps, seed, "coverage experiment", "coverage",
+                       ns, (float(k),), tuple(methods))
 
 
 class _PowerRep:
@@ -378,20 +398,19 @@ class _PowerRep:
         self.method = method
 
     def __call__(self, rep: int):
-        n_max = max(self.ns)
-        s, e, eps, _ = _draw_primitives(self.cfg, rep, n_max)
-        out = np.full((len(self.ns), len(self.ks)), np.nan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for a, n in enumerate(self.ns):
-                for b, k in enumerate(self.ks):
-                    x = _assemble(self.cfg, s[:n], e[:n], eps[:n], k)
-                    try:
-                        res = wald_test(x, self.probes, method=self.method)
-                    except (CumidentError, ValueError):
-                        continue
-                    out[a, b] = float(res.p_value < self.alpha)
-        return out
+        s, e, eps, _ = _draw_primitives(self.cfg, rep, max(self.ns))
+        # One sample per k at the largest n; smaller n are its row prefixes.
+        xs = [_assemble(self.cfg, s, e, eps, k) for k in self.ks]
+        res = _wald_stack(
+            [x[:n] for n in self.ns for x in xs], self.probes, self.method
+        )
+        codes = np.where(
+            res.omega_cond <= OMEGA_COND_CAP, 0, _CODE["omega_ill_conditioned"]
+        ).astype(np.int8)
+        codes[res.anchors.ill_conditioned | res.resample_singular] = (
+            _CODE["ill_conditioned"]
+        )
+        return np.where(codes == 0, (res.p_value < self.alpha) * 1.0, np.nan), codes
 
 
 def run_overid_power_experiment(ns, ks, reps: int, seed: int,
@@ -408,23 +427,13 @@ def run_overid_power_experiment(ns, ks, reps: int, seed: int,
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if method not in ("delta", "jackknife"):
+        raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
     worker = _PowerRep(cfg, ns, ks, alpha, probes, method)
-    per_rep = np.stack(_map_reps(worker, reps))
-    failures = np.isnan(per_rep).sum(axis=0)
-    _check_failure_cap(failures, reps, "size/power experiment")
-    values = np.nanmean(per_rep, axis=0)
-    return McResult(
-        kind="rejection",
-        ns=ns,
-        ks=ks,
-        series=("wald",),
-        values=values[:, :, None],
-        failures=failures[:, :, None],
-        replications=reps,
-        seed=seed,
-    )
+    return _experiment(worker, reps, seed, "size/power experiment", "rejection",
+                       ns, ks, ("wald",))
 
 
 def load_experiment_config(path) -> dict:
@@ -485,6 +494,8 @@ def write_mc_csv(result: McResult, path, extra_header=()) -> None:
         f"# seed: {result.seed}",
         f"# replications: {result.replications}",
         f"# failures-total: {int(result.failures.sum())}",
+        *(f"# failures-{reason}: {int(count.sum())}"
+          for reason, count in result.failure_reasons.items()),
     ]
     lines.extend(f"# {extra}" for extra in extra_header)
     if result.kind == "mse":

@@ -222,3 +222,18 @@ def test_complex_pair_flags_the_gap_before_the_singular_omega(method):
     assert max_imag > COMPLEX_RESIDUE_TOL and gap_flags
     with pytest.warns(ci.EigenGapWarning), pytest.warns(ci.ComplexResidueWarning):
         assert ci.estimate_demixing(x, probes).gap_flag
+
+
+@pytest.mark.parametrize("method", ["delta", "jackknife"])
+def test_singular_anchor_is_reported_before_any_resample(method):
+    # A constant column makes G(w2) singular; at d = 3 some finite-difference
+    # points and every delete-1 resample stay singular, but the error is the
+    # anchor's, with estimate_demixing's condition estimate.
+    x = np.random.default_rng(38).standard_exponential((300, 3))
+    x[:, 2] = 2.0
+    probes = ci.ProbeVectors.draw(3, 38)
+    with pytest.raises(IllConditionedError) as est:
+        ci.estimate_demixing(x, probes)
+    with pytest.raises(IllConditionedError, match="contraction at w2") as wald:
+        ci.wald_test(x, probes, method=method)
+    assert wald.value.cond == est.value.cond

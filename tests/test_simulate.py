@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 import cumident as ci
+import warnings
+
 from cumident import _pipeline
-from cumident.errors import WeakInstrumentError
+from cumident.errors import (IllConditionedError, LabelingAmbiguityError,
+                             WeakInstrumentError)
+from cumident.moments import _centered_moments
+from cumident.overid import _wald_stack
 from cumident.simulate import (
+    FAILURE_REASONS,
     CompositeDgpConfig,
+    McResult,
+    _assemble,
     _check_failure_cap,
     _CoverageRep,
     _draw_primitives,
+    _eigen_slopes,
+    _MseRep,
+    _PowerRep,
     gen_composite,
     iv_2sls,
     load_experiment_config,
@@ -159,7 +170,7 @@ def test_coverage_flags_match_inference_intervals():
     cfg = CompositeDgpConfig(n=n, k=k, seed=seed)
     probes = ci.ProbeVectors.draw(2, seed)
     worker = _CoverageRep(cfg, (n,), k, level, methods, probes)
-    flags = np.array([worker(rep)[0] for rep in range(reps)])
+    flags = np.array([worker(rep)[0][0] for rep in range(reps)])
     expected = np.empty_like(flags)
     for rep in range(reps):
         x = gen_composite(cfg, rep).x
@@ -307,10 +318,187 @@ def test_worker_count_rejects_non_positive_or_non_integer(monkeypatch, value):
 
 
 def test_parallel_replications_match_serial(monkeypatch):
-    kw = dict(ns=[300], ks=[0.0, 0.3], reps=12, seed=18)
-    monkeypatch.delenv("CUMIDENT_THREADS", raising=False)
-    serial = run_mse_experiment(**kw)
-    monkeypatch.setenv("CUMIDENT_THREADS", "2")
-    parallel = run_mse_experiment(**kw)
-    np.testing.assert_array_equal(serial.values, parallel.values)
-    np.testing.assert_array_equal(serial.failures, parallel.failures)
+    runs = [
+        (run_mse_experiment, dict(ns=[300], ks=[0.0, 0.3], reps=12, seed=18)),
+        (run_coverage_experiment, dict(ns=[200, 300], k=0.3, reps=6, seed=18)),
+        (run_overid_power_experiment,
+         dict(ns=[200, 300], ks=[0.0, 0.3], reps=12, seed=18)),
+    ]
+    for run, kw in runs:
+        monkeypatch.delenv("CUMIDENT_THREADS", raising=False)
+        serial = run(**kw)
+        monkeypatch.setenv("CUMIDENT_THREADS", "2")
+        parallel = run(**kw)
+        np.testing.assert_array_equal(serial.values, parallel.values)
+        np.testing.assert_array_equal(serial.failures, parallel.failures)
+        for reason in FAILURE_REASONS:
+            np.testing.assert_array_equal(serial.failure_reasons[reason],
+                                          parallel.failure_reasons[reason])
+
+
+# A grid small enough that sign labeling fails in some cells.
+_SMALL_NS, _SMALL_KS = (15, 30, 60), (0.0, 0.5, 2.0)
+
+
+def _oracle_sample(cfg, rep, n, k):
+    """A replication's sample drawn and assembled at n itself, not as a row
+    prefix of the largest n."""
+    s, e, eps, _ = _draw_primitives(cfg, rep, n)
+    return _assemble(cfg, s, e, eps, k)
+
+
+@pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
+@pytest.mark.filterwarnings("ignore::cumident.ComplexResidueWarning")
+def test_table1_eigen_cells_match_the_per_cell_oracle():
+    cfg = CompositeDgpConfig(n=max(_SMALL_NS), k=0.0, seed=31)
+    probes = ci.ProbeVectors.draw(2, 31)
+    worker = _MseRep(cfg, _SMALL_NS, _SMALL_KS, ("eigen",), probes)
+    codes_seen = set()
+    for rep in range(12):
+        out, codes = worker(rep)
+        for a, n in enumerate(_SMALL_NS):
+            for b, k in enumerate(_SMALL_KS):
+                x = _oracle_sample(cfg, rep, n, k)
+                try:
+                    lab = ci.label_by_signs(
+                        ci.estimate_demixing(x, probes), ci.SUPPLY_DEMAND_PATTERN,
+                        on_tie="error")
+                except LabelingAmbiguityError:
+                    want, reason = np.nan, "labeling"
+                except IllConditionedError:
+                    want, reason = np.nan, "ill_conditioned"
+                else:
+                    want, reason = (lab.lambda_final[0, 1] - ci.B1_TRUE) ** 2, None
+                got = out[a, b, 0]
+                assert got.tobytes() == np.float64(want).tobytes()
+                code = codes[a, b, 0]
+                assert (FAILURE_REASONS[code - 1] if code else None) == reason
+                codes_seen.add(reason)
+    assert codes_seen == {None, "labeling"}
+
+
+@pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
+@pytest.mark.filterwarnings("ignore::cumident.ComplexResidueWarning")
+def test_table3_cells_and_statistics_match_the_per_cell_oracle():
+    cfg = CompositeDgpConfig(n=max(_SMALL_NS), k=0.0, seed=32)
+    probes = ci.ProbeVectors.draw(2, 32)
+    worker = _PowerRep(cfg, _SMALL_NS, _SMALL_KS, 0.3, probes, "delta")
+    decisions = []
+    for rep in range(8):
+        out, codes = worker(rep)
+        samples = [_oracle_sample(cfg, rep, n, k)
+                   for n in _SMALL_NS for k in _SMALL_KS]
+        stack = _wald_stack(samples, probes)
+        for i, x in enumerate(samples):
+            test = ci.wald_test(x, probes, method="delta")
+            assert stack.statistic[i] == test.statistic
+            assert stack.p_value[i] == test.p_value
+            assert stack.r_hat[i].tobytes() == test.r_hat.tobytes()
+            assert stack.omega[i].tobytes() == test.omega_hat.tobytes()
+        want = np.reshape([float(p < 0.3) for p in stack.p_value], out.shape)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(codes, 0)
+        decisions.append(out)
+    assert 0.0 < np.mean(decisions) < 1.0
+
+
+def _with_constant_column(x):
+    """`x` with its second column made constant: G(w2) is singular."""
+    return np.column_stack([x[:, 0], np.full(len(x), 2.0)])
+
+
+@pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
+def test_planted_singular_contraction_fails_only_its_cell():
+    cfg = CompositeDgpConfig(n=400, k=0.2, seed=33)
+    probes = ci.ProbeVectors.draw(2, 33)
+    samples = [gen_composite(cfg, rep).x for rep in range(5)]
+    samples[2] = _with_constant_column(samples[2])
+    with pytest.raises(IllConditionedError) as scalar:
+        ci.estimate_demixing(samples[2], probes)
+    with pytest.raises(IllConditionedError) as scalar_wald:
+        ci.wald_test(samples[2], probes)
+    assert scalar.value.cond == scalar_wald.value.cond
+
+    ms = np.stack([_centered_moments(x)[1] for x in samples])
+    demixed = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2,
+                                   cond_cap=ci.identify.COND_CAP)
+    np.testing.assert_array_equal(demixed.ill_conditioned, [0, 0, 1, 0, 0])
+    assert demixed.cond_g2[2] == scalar.value.cond
+    assert np.isnan(demixed[0][2]).all()
+
+    slopes, codes = _eigen_slopes(samples, probes)
+    stack = _wald_stack(samples, probes)
+    ill = FAILURE_REASONS.index("ill_conditioned") + 1
+    np.testing.assert_array_equal(codes, [0, 0, ill, 0, 0])
+    np.testing.assert_array_equal(stack.anchors.ill_conditioned, [0, 0, 1, 0, 0])
+    assert np.isnan(stack.statistic[2])
+    for i in (0, 1, 3, 4):
+        lab = ci.label_by_signs(ci.estimate_demixing(samples[i], probes),
+                                ci.SUPPLY_DEMAND_PATTERN)
+        assert slopes[i] == lab.lambda_final[0, 1]
+        assert stack.statistic[i] == ci.wald_test(samples[i], probes).statistic
+
+
+def test_singular_finite_difference_point_fails_only_its_sample(monkeypatch):
+    cfg = CompositeDgpConfig(n=400, k=0.2, seed=34)
+    probes = ci.ProbeVectors.draw(2, 34)
+    samples = [gen_composite(cfg, rep).x for rep in range(3)]
+    fd_points = 2 * 9
+    offdiag = _pipeline.overid_offdiag
+
+    def one_singular_point(ms, *args, **kwargs):
+        out = offdiag(ms, *args, **kwargs)
+        if len(ms) == len(samples) * fd_points:
+            out[fd_points + 3] = np.nan  # a point of the second sample
+        return out
+
+    monkeypatch.setattr(_pipeline, "overid_offdiag", one_singular_point)
+    stack = _wald_stack(samples, probes)
+    np.testing.assert_array_equal(stack.resample_singular, [0, 1, 0])
+    assert np.isnan(stack.statistic[1]) and np.isfinite(stack.statistic[[0, 2]]).all()
+    monkeypatch.setattr(_pipeline, "overid_offdiag", offdiag)
+    assert stack.statistic[0] == ci.wald_test(samples[0], probes).statistic
+
+
+def test_singular_entry_of_a_2x2_stack_is_flagged_alone():
+    rng = np.random.default_rng(35)
+    g1 = rng.standard_normal((4, 2, 2))
+    g2 = rng.standard_normal((4, 2, 2))
+    g2[1] = [[1.0, 2.0], [2.0, 4.0]]
+    demixed = _pipeline.demix_contractions(g1, g2)
+    np.testing.assert_array_equal(demixed.ill_conditioned, [0, 1, 0, 0])
+    assert np.isnan(demixed[0][1]).all() and np.isnan(demixed[1][1]).all()
+    for i in (0, 2, 3):
+        one = _pipeline.demix_contractions(g1[i], g2[i])
+        assert demixed[0][i].tobytes() == one[0].tobytes()
+    with pytest.raises(IllConditionedError):
+        _pipeline.demix_contractions(g1[1], g2[1])
+    x = _with_constant_column(np.random.default_rng(36).standard_exponential((50, 2)))
+    with pytest.raises(IllConditionedError, match="delete-1"):
+        _pipeline.leave_one_out_rows(x, _centered_moments(x)[0], 2, [0.3, 0.6],
+                                     [1.0, 1.0])
+
+
+def test_tables_emit_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_mse_experiment([200, 400], [0.0, 0.4], reps=3, seed=36)
+        run_overid_power_experiment([200, 400], [0.0, 0.4], reps=3, seed=36)
+
+
+def test_failure_reasons_sum_to_failures_and_reach_the_csv(tmp_path):
+    res = run_mse_experiment([300], [0.0, 0.3], reps=4, seed=37)
+    assert set(res.failure_reasons) == set(FAILURE_REASONS)
+    np.testing.assert_array_equal(sum(res.failure_reasons.values()), res.failures)
+
+    counts = {r: np.zeros((1, 2, 1), dtype=int) for r in FAILURE_REASONS}
+    counts["labeling"][0, 1, 0] = 2
+    counts["weak_instrument"][0, 0, 0] = 1
+    planted = McResult("mse", (300,), (0.0, 0.3), ("eigen",),
+                       np.zeros((1, 2, 1)), np.array([[[1], [2]]]), 100, 37,
+                       counts)
+    write_mc_csv(planted, tmp_path / "t1.csv")
+    header = [ln for ln in (tmp_path / "t1.csv").read_text().splitlines()
+              if ln.startswith("# failures")]
+    assert header == ["# failures-total: 3"] + [
+        f"# failures-{r}: {int(counts[r].sum())}" for r in FAILURE_REASONS]
