@@ -62,7 +62,7 @@ from .moments import (
     third_cumulants,
     validate_sample,
 )
-from .overid import TestResult, overid_restrictions, vech_off, wald_test
+from .overid import TestResult, overid_restrictions, wald_test
 from .simulate import (
     B1_TRUE,
     GAMMA_LOADINGS,

@@ -774,25 +774,13 @@ def label_triangular(rows: np.ndarray):
 
 def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1),
                   rule: str = "A"):
-    """One entry of the sign-labeled, diagonal-normalized demixing matrix,
-    or with `entry` None the whole matrix, flattened row-major.
-
-    Returns (values, diagnostics) where diagnostics carries the gap flags,
-    labeling tie flags and chosen permutation index per stack entry.
-    """
-    rows, _, gap_flags, _ = demix_rows(ms, d, w1, w2, rule)
-    lam, mism, ties, perm_index, perms = label_signs(rows, pattern)
+    """One entry of the sign-labeled, diagonal-normalized demixing matrix
+    for each moment vector, or with `entry` None the whole matrix,
+    flattened row-major."""
+    lam = label_signs(demix_rows(ms, d, w1, w2, rule)[0], pattern)[0]
     if entry is None:
-        values = lam.reshape(*lam.shape[:-2], d * d)
-    else:
-        values = lam[..., entry[0], entry[1]]
-    return values, {
-        "gap_flags": gap_flags,
-        "mismatches": mism,
-        "tie_flags": ties,
-        "perm_index": perm_index,
-        "permutations": perms,
-    }
+        return lam.reshape(*lam.shape[:-2], d * d)
+    return lam[..., entry[0], entry[1]]
 
 
 def batched_jacobian(func, m: np.ndarray, steps: np.ndarray) -> np.ndarray:

@@ -70,8 +70,18 @@ class JackknifeResult:
     full_tie: bool | None = None
 
 
-def _fd_steps(values: np.ndarray) -> np.ndarray:
-    return FD_STEP_SCALE * np.maximum(1.0, np.abs(values))
+def _fd_steps(sigma_m: np.ndarray) -> np.ndarray:
+    """Central-difference steps for the moments: FD_STEP_SCALE times each
+    moment's standard deviation, read off the diagonal of Sigma_m (or of
+    each of a stack of them), so they scale with the data; FD_STEP_SCALE
+    itself for a moment that does not vary."""
+    sd = np.sqrt(np.diagonal(sigma_m, axis1=-2, axis2=-1))
+    return FD_STEP_SCALE * np.where(sd > 0.0, sd, 1.0)
+
+
+def _check_jackknife_n(n: int, what: str = "jackknife") -> None:
+    if n < MIN_JACKKNIFE_N:
+        raise InvalidInputError(f"{what} requires n >= {MIN_JACKKNIFE_N}, got {n}")
 
 
 def _check_sixth_moments(x: np.ndarray) -> None:
@@ -110,7 +120,7 @@ def _delta_from_moments(sigma_m: np.ndarray, m_hat: np.ndarray,
     """:func:`delta_variance_statistic` from the moment covariance and the
     moments of one sample, or from (C, D, D) and (C, D) stacks of C samples,
     whose fields then carry a leading sample axis."""
-    jac = _pipeline.batched_jacobian(batch_statistic, m_hat, _fd_steps(m_hat))
+    jac = _pipeline.batched_jacobian(batch_statistic, m_hat, _fd_steps(sigma_m))
     sigma_u = jac @ sigma_m @ np.swapaxes(jac, -2, -1)
     sigma_u = (sigma_u + np.swapaxes(sigma_u, -2, -1)) / 2.0
     return DeltaVarianceResult(
@@ -155,10 +165,8 @@ def delta_variance_labeled(data, probes: ProbeVectors, pattern,
     pattern = np.asarray(pattern)
 
     def batch(ms):
-        values, _ = _pipeline.labeled_entry(
-            ms, d, probes.w1, probes.w2, pattern, entry, rule
-        )
-        return values
+        return _pipeline.labeled_entry(ms, d, probes.w1, probes.w2, pattern,
+                                       entry, rule)
 
     return _anchored_delta(x, probes, rule, batch)
 
@@ -195,10 +203,7 @@ def jackknife_variance(data, estimator: Callable) -> JackknifeResult:
     """
     x = validate_sample(data)
     n = x.shape[0]
-    if n < MIN_JACKKNIFE_N:
-        raise InvalidInputError(
-            f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}"
-        )
+    _check_jackknife_n(n)
     estimates = []
     for i in range(n):
         loo = np.delete(x, i, axis=0)
@@ -209,9 +214,16 @@ def jackknife_variance(data, estimator: Callable) -> JackknifeResult:
                 f"leave-one-out re-estimation failed at row {i}: {exc}"
             ) from exc
     est = np.vstack(estimates)
+    return JackknifeResult(estimates=est, variance=_delete1_variance(est),
+                           aligned=True)
+
+
+def _delete1_variance(est: np.ndarray) -> np.ndarray:
+    """((n-1)/n) times the sum of squared deviations of the (n, p) delete-1
+    estimates from their mean: the jackknife estimate of Var(estimate)."""
+    n = est.shape[0]
     dev = est - est.mean(axis=0)
-    variance = (n - 1) / n * (dev.T @ dev)
-    return JackknifeResult(estimates=est, variance=variance, aligned=True)
+    return (n - 1) / n * (dev.T @ dev)
 
 
 def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
@@ -228,10 +240,7 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     """
     x = validate_sample(data, min_cols=2)
     n, d = x.shape
-    if n < MIN_JACKKNIFE_N:
-        raise InvalidInputError(
-            f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}"
-        )
+    _check_jackknife_n(n)
     z, m_hat = _centered_moments(x)
     rows, gap_flags, _, fallbacks = _pipeline.leave_one_out_rows(
         x, z, d, probes.w1, probes.w2, rule
@@ -256,11 +265,9 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
         else:
             est = lam[:, entry[0], entry[1]][:, None]
             full = full_lam[entry[0], entry[1]][None]
-    dev = est - est.mean(axis=0)
-    variance = (n - 1) / n * (dev.T @ dev)
     return JackknifeResult(
         estimates=est,
-        variance=variance,
+        variance=_delete1_variance(est),
         aligned=True,
         label_flips=label_flips,
         gap_count=int(np.sum(gap_flags)),
@@ -278,14 +285,10 @@ def confidence_interval(point: float, variance: float, n: int,
     The interval is point +/- z_{(1+level)/2} * sqrt(variance / n); pass a
     delta-method `sigma_u` entry directly.  For a jackknife variance (which
     is already on the estimate scale) use
-    :func:`jackknife_confidence_interval` instead.
+    :func:`jackknife_confidence_interval` instead, of which this is the
+    view at variance / n.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if variance < 0.0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
-    half = stats.norm.ppf((1.0 + level) / 2.0) * np.sqrt(variance / n)
-    return float(point - half), float(point + half)
+    return jackknife_confidence_interval(point, variance / n, level)
 
 
 def jackknife_confidence_interval(point: float, variance: float,

@@ -156,8 +156,8 @@ def _centered_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column means, and the moments about the mean, its column means.
 
     Every order-3 statistic starts here.  The cumulant map is exact for any
-    origin, and about the mean neither the moments nor the finite-difference
-    steps scaled by them grow with a shift of the data.
+    origin, and about the mean neither the moments nor their covariance,
+    which sets the finite-difference steps, grow with a shift of the data.
     """
     z = monomial_matrix(x - column_means(x))
     return z, column_means(z)

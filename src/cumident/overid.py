@@ -15,9 +15,9 @@ import numpy as np
 from scipy import special
 
 from . import _pipeline
-from .errors import IllConditionedError, InvalidInputError
+from .errors import IllConditionedError
 from .identify import COND_CAP, DemixingEstimate, ProbeVectors, _warn_unstable
-from .inference import (MIN_JACKKNIFE_N, _delta_from_moments,
+from .inference import (_check_jackknife_n, _delta_from_moments,
                         _moment_covariance)
 from .moments import _centered_moments, validate_sample
 
@@ -35,19 +35,6 @@ class TestResult:
     r_hat: np.ndarray
     omega_hat: np.ndarray
     method: str
-
-
-def vech_off(m) -> np.ndarray:
-    """Stack the strict upper triangle of a symmetric matrix, row-major."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    asym = np.linalg.norm(a - a.T)
-    if asym > 1e-8 * max(np.linalg.norm(a), 1e-300):
-        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
-    a = (a + a.T) / 2.0
-    iu = np.triu_indices(a.shape[0], 1)
-    return a[iu]
 
 
 def overid_restrictions(data, est: DemixingEstimate) -> np.ndarray:
@@ -87,7 +74,10 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     marks a G(w2) over ``COND_CAP`` or singular, `resample_singular` one
     singular at a finite-difference point or delete-1 resample, and an
     `omega_cond` not at most ``OMEGA_COND_CAP`` a near-singular Omega.
+    :func:`_sample_result` turns one sample's flags into errors.
     """
+    if method not in ("delta", "jackknife"):
+        raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
     d = samples[0].shape[1]
     if d > 2 and len(samples) > 1:  # d >= 3 stacks share one eigen-anchor
         raise ValueError("samples of width d > 2 are tested one at a time")
@@ -115,11 +105,7 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
             lambda s: _pipeline.overid_offdiag(s, d, probes.w1, probes.w2, rule),
         ).sigma_u
     elif method == "jackknife":
-        if ns.min() < MIN_JACKKNIFE_N:
-            raise InvalidInputError(
-                f"jackknife covariance requires n >= {MIN_JACKKNIFE_N}, "
-                f"got {ns.min()}"
-            )
+        _check_jackknife_n(ns.min(), "jackknife covariance")
         for i in np.flatnonzero(ok):
             try:
                 loo_rows, _, loo, _ = _pipeline.leave_one_out_rows(
@@ -154,6 +140,43 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
                       omega_cond)
 
 
+def _sample_result(res: _WaldStack, i: int, method: str,
+                   stacklevel: int) -> TestResult:
+    """Sample i of a :func:`_wald_stack` as a :class:`TestResult`.
+
+    Raises IllConditionedError for a G(w2) over ``COND_CAP`` or singular at
+    the anchor, then, after the anchor's EigenGapWarning or
+    ComplexResidueWarning (`stacklevel` counted as for ``warnings.warn``
+    from the caller), for a singular resample or a near-singular Omega.
+    """
+    if res.anchors.ill_conditioned[i]:
+        raise IllConditionedError(
+            "contraction at w2 is numerically singular",
+            float(res.anchors.cond_g2[i]),
+        )
+    _warn_unstable(_pipeline.DemixedRows(a[i] for a in res.anchors),
+                   stacklevel=stacklevel + 1)
+    if res.resample_singular[i]:
+        raise IllConditionedError(
+            f"singular contraction at w2 in a {method} resample", float("inf")
+        )
+    if not res.omega_cond[i] <= OMEGA_COND_CAP:
+        raise IllConditionedError(
+            "restriction covariance is numerically singular; the "
+            "off-diagonal restrictions appear locally redundant (full row "
+            "rank of their Jacobian fails)",
+            float(res.omega_cond[i]),
+        )
+    return TestResult(
+        statistic=float(res.statistic[i]),
+        dof=res.r_hat.shape[-1],
+        p_value=float(res.p_value[i]),
+        r_hat=res.r_hat[i],
+        omega_hat=res.omega[i],
+        method=method,
+    )
+
+
 def wald_test(data, probes: ProbeVectors, method: str = "delta",
               rule: str = "A") -> TestResult:
     """Test joint diagonality of the covariance and the third cumulant.
@@ -166,32 +189,6 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
     delete-1 jackknife (`method="jackknife"`).  This is :func:`_wald_stack`
     on a list of one sample.
     """
-    if method not in ("delta", "jackknife"):
-        raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
     x = validate_sample(data, min_rows=2, min_cols=2)
-    res = _wald_stack([x], probes, method, rule)
-    if res.anchors.ill_conditioned[0]:
-        raise IllConditionedError(
-            "contraction at w2 is numerically singular",
-            float(res.anchors.cond_g2[0]),
-        )
-    _warn_unstable(_pipeline.DemixedRows(a[0] for a in res.anchors), stacklevel=2)
-    if res.resample_singular[0]:
-        raise IllConditionedError(
-            f"singular contraction at w2 in a {method} resample", float("inf")
-        )
-    if not res.omega_cond[0] <= OMEGA_COND_CAP:
-        raise IllConditionedError(
-            "restriction covariance is numerically singular; the "
-            "off-diagonal restrictions appear locally redundant (full row "
-            "rank of their Jacobian fails)",
-            float(res.omega_cond[0]),
-        )
-    return TestResult(
-        statistic=float(res.statistic[0]),
-        dof=res.r_hat.shape[-1],
-        p_value=float(res.p_value[0]),
-        r_hat=res.r_hat[0],
-        omega_hat=res.omega[0],
-        method=method,
-    )
+    return _sample_result(_wald_stack([x], probes, method, rule), 0, method,
+                          stacklevel=2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,10 +19,10 @@ import numpy as np
 from scipy import stats
 
 from . import _pipeline
-from .errors import (CumidentError, IllConditionedError, InvalidInputError,
-                     WeakInstrumentError)
+from .errors import InvalidInputError, WeakInstrumentError
 from .identify import COND_CAP, ProbeVectors
-from .inference import delta_variance_labeled, demixing_jackknife
+from .inference import (_check_jackknife_n, _delete1_variance,
+                        _delta_from_moments, _moment_covariance)
 from .moments import _centered_moments
 from .overid import OMEGA_COND_CAP, _wald_stack
 
@@ -33,12 +32,13 @@ MEAS_COV = np.array([[1.0, -0.45], [-0.45, 0.25]])
 SUPPLY_DEMAND_PATTERN = np.array([[1, 1], [-1, 1]])
 B1_TRUE = 1.5
 
-# Why a Monte Carlo cell has no value: G(w2) over COND_CAP or singular, no
-# valid or a tied sign labeling, cond(Omega) over OMEGA_COND_CAP, a weak
-# instrument, or another error of the Table 2 variance estimators.  Workers
-# report each failed cell by its reason's code, 0 marking a cell that stands.
+# Why a Monte Carlo cell has no value: G(w2) over COND_CAP or singular (at
+# the sample, a finite-difference point or a delete-1 resample), no valid or
+# a tied sign labeling, cond(Omega) over OMEGA_COND_CAP, or a weak
+# instrument.  Workers report each failed cell by its reason's code, 0
+# marking a cell that stands.
 FAILURE_REASONS = ("ill_conditioned", "labeling", "omega_ill_conditioned",
-                   "weak_instrument", "other")
+                   "weak_instrument")
 _CODE = {name: i + 1 for i, name in enumerate(FAILURE_REASONS)}
 
 
@@ -160,11 +160,11 @@ def iv_2sls(y, x, z) -> float:
     return float(z @ y / denom)
 
 
-def _eigen_slopes(samples, probes: ProbeVectors):
+def _eigen_slopes(ms: np.ndarray, probes: ProbeVectors):
     """Slope b1 and failure code of :func:`estimate_demixing` then
-    :func:`label_by_signs` (on_tie="error") on each sample, as one
-    demixing and one labeling call over the stacked moment vectors."""
-    ms = np.stack([_centered_moments(x)[1] for x in samples])
+    :func:`label_by_signs` (on_tie="error") on each sample of a (cells, D)
+    stack of centered moment vectors, as one demixing and one labeling
+    call."""
     demixed = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2, cond_cap=COND_CAP)
     lam, _, tied, _, _ = _pipeline.label_signs(demixed[0], SUPPLY_DEMAND_PATTERN)
     codes = np.where(tied, _CODE["labeling"], 0)
@@ -223,6 +223,8 @@ def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
                 series) -> McResult:
     """Run `worker`, which returns each replication's cells and their failure
     codes, and summarize the cells as an (n, k, series) grid."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     outs, codes = zip(*_map_reps(worker, reps))
     shape = (reps, len(ns), len(ks), len(series))
     per_rep, codes = np.reshape(outs, shape), np.reshape(codes, shape)
@@ -231,11 +233,6 @@ def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
     reasons = {r: (codes == c).sum(axis=0) for r, c in _CODE.items()}
     return McResult(kind, ns, ks, series, np.nanmean(per_rep, axis=0),
                     failures, reps, seed, reasons)
-
-
-def _failure_code(exc: Exception) -> int:
-    ill = isinstance(exc, IllConditionedError)
-    return _CODE["ill_conditioned" if ill else "other"]
 
 
 class _MseRep:
@@ -257,9 +254,9 @@ class _MseRep:
         codes = np.zeros(shape, dtype=np.int8)
         for c, name in enumerate(self.estimators):
             if name == "eigen":
-                slopes, fail = _eigen_slopes(
-                    [x[:n] for n in self.ns for x in xs], self.probes
-                )
+                slopes, fail = _eigen_slopes(np.stack([
+                    _centered_moments(x[:n])[1] for n in self.ns for x in xs
+                ]), self.probes)
                 b1[..., c] = slopes.reshape(shape[:2])
                 codes[..., c] = fail.reshape(shape[:2])
                 continue
@@ -284,8 +281,6 @@ def run_mse_experiment(ns, ks, reps: int, seed: int,
     error.
     """
     ns, ks = tuple(int(n) for n in ns), tuple(float(k) for k in ks)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     if not estimators:
         raise ValueError("estimator list is empty")
     unknown = [e for e in estimators if e not in _ESTIMATORS]
@@ -298,13 +293,44 @@ def run_mse_experiment(ns, ks, reps: int, seed: int,
                        tuple(estimators))
 
 
+def _jackknife_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
+    """Delete-1 variance of the labeled slope of each sample, from its
+    centered monomials `zs`: one demixing and one labeling call over the
+    concatenated delete-1 moment stacks, as :func:`demixing_jackknife` per
+    sample.  NaN for a sample with a singular resample."""
+    loo = np.concatenate([_pipeline.leave_one_out_moments(z) for z in zs])
+    demixed = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2)
+    lam = _pipeline.label_signs(demixed[0], SUPPLY_DEMAND_PATTERN)[0]
+    cuts = np.cumsum([len(z) for z in zs])[:-1]
+    return np.array([
+        np.nan if ill.any() else _delete1_variance(slopes)[0, 0]
+        for slopes, ill in zip(np.split(lam[:, 0, 1][:, None], cuts),
+                               np.split(demixed.ill_conditioned, cuts))
+    ])
+
+
+def _delta_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
+    """Delta-method variance of the labeled slope of each sample, as
+    :func:`delta_variance_labeled`, from one finite-difference stack over
+    the samples.  NaN where a finite-difference point has a singular G(w2),
+    whose labeled entry is NaN."""
+    sigma_u = _delta_from_moments(
+        np.stack([_moment_covariance(z, m) for z, m in zip(zs, ms)]), ms,
+        lambda s: _pipeline.labeled_entry(
+            s, 2, probes.w1, probes.w2, SUPPLY_DEMAND_PATTERN, (0, 1)),
+    ).sigma_u
+    return sigma_u[:, 0, 0] / [len(z) for z in zs]
+
+
+_VARIANCES = {"jackknife": _jackknife_variances, "delta": _delta_variances}
+
+
 class _CoverageRep:
     """Picklable per-replication worker for CI coverage at a fixed k."""
 
-    def __init__(self, cfg, ns, k, level, methods, probes):
+    def __init__(self, cfg, ns, level, methods, probes):
         self.cfg = cfg
         self.ns = ns
-        self.k = k
         self.level = level
         self.methods = methods
         self.probes = probes
@@ -312,53 +338,25 @@ class _CoverageRep:
     def __call__(self, rep: int):
         s, e, eps, _ = _draw_primitives(self.cfg, rep, max(self.ns))
         # One sample at the largest n; smaller n are its row prefixes.
-        x_max = _assemble(self.cfg, s, e, eps, self.k)
-        zcrit = stats.norm.ppf((1.0 + self.level) / 2.0)
-        out = np.full((len(self.ns), len(self.methods)), np.nan)
-        codes = np.zeros(out.shape, dtype=np.int8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for a, n in enumerate(self.ns):
-                x = x_max[:n]
-                variances = {}
-                if "jackknife" in self.methods:
-                    try:
-                        jk = demixing_jackknife(
-                            x, self.probes, SUPPLY_DEMAND_PATTERN, (0, 1)
-                        )
-                        variances["jackknife"] = float(jk.variance[0, 0])
-                        point, tied = jk.full_estimate[0], jk.full_tie
-                    except (CumidentError, ValueError) as exc:
-                        codes[a, self.methods.index("jackknife")] = _failure_code(exc)
-                if "jackknife" not in variances:
-                    # The jackknife labels the full sample itself; without
-                    # it, the point estimate is computed here.
-                    try:
-                        point, diag = _pipeline.labeled_entry(
-                            _centered_moments(x)[1], 2,
-                            self.probes.w1, self.probes.w2,
-                            SUPPLY_DEMAND_PATTERN, (0, 1),
-                        )
-                    except (CumidentError, ValueError) as exc:
-                        codes[a] = _failure_code(exc)
-                        continue
-                    tied = diag["tie_flags"]
-                if tied:
-                    codes[a] = _CODE["labeling"]
-                    continue
-                if "delta" in self.methods:
-                    try:
-                        res = delta_variance_labeled(
-                            x, self.probes, SUPPLY_DEMAND_PATTERN, (0, 1)
-                        )
-                        variances["delta"] = float(res.sigma_u[0, 0]) / n
-                    except (CumidentError, ValueError) as exc:
-                        codes[a, self.methods.index("delta")] = _failure_code(exc)
-                for c, method in enumerate(self.methods):
-                    if method in variances:
-                        half = zcrit * np.sqrt(variances[method])
-                        out[a, c] = float(point - half <= B1_TRUE <= point + half)
-        return out, codes
+        x_max = _assemble(self.cfg, s, e, eps, self.cfg.k)
+        zs, ms = zip(*(_centered_moments(x_max[:n]) for n in self.ns))
+        ms = np.stack(ms)
+        point, fail = _eigen_slopes(ms, self.probes)
+        # Both intervals are centred on the point, so only the cells whose
+        # point stands get variances; a non-finite one marks a singular
+        # resample.
+        ok = fail == 0
+        variances = np.full((len(self.ns), len(self.methods)), np.nan)
+        if ok.any():
+            zs = [z for z, keep in zip(zs, ok) if keep]
+            for c, method in enumerate(self.methods):
+                variances[ok, c] = _VARIANCES[method](zs, ms[ok], self.probes)
+        codes = np.where(np.isfinite(variances), 0, _CODE["ill_conditioned"])
+        codes[~ok] = fail[~ok, None]
+        half = stats.norm.ppf((1.0 + self.level) / 2.0) * np.sqrt(variances)
+        point = point[:, None]
+        covered = (point - half <= B1_TRUE) & (B1_TRUE <= point + half)
+        return np.where(codes == 0, covered * 1.0, np.nan), codes.astype(np.int8)
 
 
 def run_coverage_experiment(ns, k: float, reps: int, seed: int,
@@ -372,16 +370,16 @@ def run_coverage_experiment(ns, k: float, reps: int, seed: int,
     every interval is infinite and coverage is trivially one.
     """
     ns = tuple(int(n) for n in ns)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     if not 0.0 < level <= 1.0:
         raise ValueError(f"level must be in (0, 1], got {level}")
-    bad = [m for m in methods if m not in ("delta", "jackknife")]
+    bad = [m for m in methods if m not in _VARIANCES]
     if bad:
         raise ValueError(f"unknown methods {bad}")
+    if "jackknife" in methods:
+        _check_jackknife_n(min(ns))
     cfg = CompositeDgpConfig(n=max(ns), k=float(k), kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
-    worker = _CoverageRep(cfg, ns, float(k), level, tuple(methods), probes)
+    worker = _CoverageRep(cfg, ns, level, tuple(methods), probes)
     return _experiment(worker, reps, seed, "coverage experiment", "coverage",
                        ns, (float(k),), tuple(methods))
 
@@ -423,8 +421,6 @@ def run_overid_power_experiment(ns, ks, reps: int, seed: int,
     cells measure power against correlated composite errors.
     """
     ns, ks = tuple(int(n) for n in ns), tuple(float(k) for k in ks)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if method not in ("delta", "jackknife"):

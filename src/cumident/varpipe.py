@@ -13,7 +13,7 @@ import numpy as np
 from .errors import CumidentError
 from .identify import ProbeVectors
 from .moments import validate_sample
-from .overid import TestResult, wald_test
+from .overid import TestResult, _sample_result, _wald_stack
 
 
 @dataclass
@@ -100,8 +100,9 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
 
     Estimated residuals stand in for the true errors without correction;
     the replacement error is below the sampling noise of the statistic for
-    a stable, correctly specified lag order.  A failing pair is reported
-    and does not stop the others.
+    a stable, correctly specified lag order.  All pairs run as one
+    stacked Wald test; a failing pair is reported and does not stop the
+    others.
     """
     d = fit.residuals.shape[1]
     if pairs == "all":
@@ -111,12 +112,14 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
         for i, j in wanted:
             if not (0 <= i < d and 0 <= j < d and i != j):
                 raise ValueError(f"invalid pair ({i}, {j}) for d={d}")
+    x = validate_sample(fit.residuals, min_rows=2, min_cols=2)
+    samples = [x[:, [i, j]] for i, j in wanted]
+    stack = _wald_stack(samples, probes, method) if samples else None
     results, failures = [], []
-    for i, j in wanted:
-        sub = fit.residuals[:, [i, j]]
+    for k, (i, j) in enumerate(wanted):
         try:
-            results.append((i, j, wald_test(sub, probes, method=method)))
-        except (CumidentError, ValueError) as exc:
+            results.append((i, j, _sample_result(stack, k, method, stacklevel=2)))
+        except CumidentError as exc:
             failures.append((i, j, str(exc)))
     return PairwiseReport(
         pairs=results,

@@ -279,6 +279,13 @@ def test_test_command_jackknife_on_too_few_rows_exits_2(tmp_path, capsys):
     assert "jackknife" in capsys.readouterr().err
 
 
+def test_simulate_table2_jackknife_below_its_minimum_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("table = 2\nns = 20, 200\nreps = 3\nseed = 5\n")
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "jackknife requires n >= 30, got 20" in capsys.readouterr().err
+
+
 def test_simulate_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
     # The value is rejected before any worker pool starts.
     monkeypatch.setenv("CUMIDENT_THREADS", "0")

@@ -6,14 +6,15 @@ import pytest
 import cumident as ci
 from cumident import _pipeline
 from cumident.errors import IllConditionedError
-from cumident.inference import _fd_steps
+from cumident.inference import _fd_steps, _moment_covariance
 from cumident.moments import _centered_moments
 from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, gen_composite
 
 
 def test_jacobian_identity_coordinate():
-    m = _centered_moments(np.random.default_rng(0).standard_normal((50, 2)))[1]
-    jac = _pipeline.batched_jacobian(lambda ms: ms[:, 3], m, _fd_steps(m))
+    z, m = _centered_moments(np.random.default_rng(0).standard_normal((50, 2)))
+    steps = _fd_steps(_moment_covariance(z, m))
+    jac = _pipeline.batched_jacobian(lambda ms: ms[:, 3], m, steps)
     want = np.zeros((1, 9))
     want[0, 3] = 1.0
     np.testing.assert_allclose(jac, want, atol=1e-8)
@@ -21,7 +22,8 @@ def test_jacobian_identity_coordinate():
 
 def test_jacobian_product_rule():
     m = np.array([2.0, 3.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-    jac = _pipeline.batched_jacobian(lambda ms: ms[:, 0] * ms[:, 1], m, _fd_steps(m))
+    steps = _fd_steps(np.diag(np.maximum(1.0, np.abs(m)) ** 2))
+    jac = _pipeline.batched_jacobian(lambda ms: ms[:, 0] * ms[:, 1], m, steps)
     want = np.zeros(9)
     want[:2] = [3.0, 2.0]
     np.testing.assert_allclose(jac[0], want, atol=1e-6)
@@ -31,14 +33,15 @@ def test_jacobian_of_eigenvector_map_self_consistency():
     # Halving the step must not move the Jacobian beyond the O(step^2) bias.
     x = gen_composite(CompositeDgpConfig(n=4_000, k=0.2, seed=2), 0).x
     probes = ci.ProbeVectors.draw(2, 2)
-    m = _centered_moments(x)[1]
+    z, m = _centered_moments(x)
+    steps = _fd_steps(_moment_covariance(z, m))
 
     def stat(ms):
         rows, _, _, _ = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2, "A")
         return rows[:, 0]
 
-    jac = _pipeline.batched_jacobian(stat, m, _fd_steps(m))
-    fine = _pipeline.batched_jacobian(stat, m, 0.5 * _fd_steps(m))
+    jac = _pipeline.batched_jacobian(stat, m, steps)
+    fine = _pipeline.batched_jacobian(stat, m, 0.5 * steps)
     scale = np.abs(jac).max()
     np.testing.assert_allclose(jac, fine, atol=1e-4 * scale)
 
@@ -79,10 +82,9 @@ def test_ci_half_widths_shrink_at_root_n():
     probes = ci.ProbeVectors.draw(2, 7)
 
     def batch(ms):
-        values, _ = _pipeline.labeled_entry(
+        return _pipeline.labeled_entry(
             ms, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
         )
-        return values
 
     cfg = CompositeDgpConfig(n=2_000, k=0.5, seed=11)
     ratios = []
@@ -162,16 +164,17 @@ def test_jackknife_returns_the_full_sample_statistic():
     x = gen_composite(CompositeDgpConfig(n=300, k=0.2, seed=12), 0).x
     probes = ci.ProbeVectors.draw(2, 12)
     m = _centered_moments(x)[1]
-    point, diag = _pipeline.labeled_entry(
+    point = _pipeline.labeled_entry(
         m, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
     )
+    rows = _pipeline.demix_rows(m, 2, probes.w1, probes.w2)[0]
     jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
     assert jk.full_estimate.shape == (1,)
     assert jk.full_estimate[0].tobytes() == point.tobytes()
-    assert jk.full_tie is diag["tie_flags"] is False
+    tie = _pipeline.label_signs(rows, ci.SUPPLY_DEMAND_PATTERN)[2]
+    assert jk.full_tie is tie is False
     tied = ci.demixing_jackknife(x, probes, np.eye(2, dtype=int), entry=None)
     assert tied.full_tie is True
-    rows = _pipeline.demix_rows(m, 2, probes.w1, probes.w2)[0]
     lam = _pipeline.label_signs(rows, np.eye(2, dtype=int))[0]
     assert tied.full_estimate.tobytes() == lam.reshape(4).tobytes()
     unlabeled = ci.demixing_jackknife(x, probes)
@@ -187,10 +190,9 @@ def test_jackknife_and_delta_agree_at_scale():
     se_jk = np.sqrt(jk.variance[0, 0])
 
     def batch(ms):
-        values, _ = _pipeline.labeled_entry(
+        return _pipeline.labeled_entry(
             ms, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
         )
-        return values
 
     dv = ci.delta_variance_statistic(x, batch_statistic=batch)
     se_delta = np.sqrt(dv.sigma_u[0, 0] / 5_000)
@@ -230,10 +232,9 @@ def test_delta_variance_labeled_public_helper():
     res = ci.delta_variance_labeled(x, probes, ci.SUPPLY_DEMAND_PATTERN)
 
     def batch(ms):
-        values, _ = _pipeline.labeled_entry(
+        return _pipeline.labeled_entry(
             ms, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
         )
-        return values
 
     manual = ci.delta_variance_statistic(x, batch_statistic=batch)
     np.testing.assert_array_equal(res.sigma_u, manual.sigma_u)

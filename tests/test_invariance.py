@@ -2,7 +2,9 @@
 
 Third cumulants do not change when a constant is added to the data, so
 neither may anything computed from them: the point estimate, the delta and
-jackknife variances and the Wald statistics.  The scalar estimate, the
+jackknife variances and the Wald statistics.  Nor may any of these change
+when the data are rescaled, which leaves the unit rows, the labeled
+(diagonal-normalized) matrix and the Wald statistics as they are.  The scalar estimate, the
 jackknife centre and the moment kernel on a stack of one are the same
 numbers, bit for bit.
 """
@@ -45,6 +47,14 @@ def test_statistics_are_shift_invariant(composite, c):
     shifted = _statistics(x + c)
     for name, want in base.items():
         np.testing.assert_allclose(shifted[name], want, rtol=RTOL, err_msg=name)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e6, 1e12])
+def test_statistics_are_scale_invariant(composite, s):
+    x, base = composite
+    scaled = _statistics(s * x)
+    for name, want in base.items():
+        np.testing.assert_allclose(scaled[name], want, rtol=RTOL, err_msg=name)
 
 
 def test_labeled_estimate_is_scale_invariant(composite):

@@ -10,24 +10,6 @@ from cumident.moments import column_means, monomial_matrix
 from cumident.simulate import CompositeDgpConfig, gen_composite
 
 
-def test_vech_off_2x2():
-    np.testing.assert_array_equal(ci.vech_off([[1.0, 2.0], [2.0, 5.0]]), [2.0])
-
-
-def test_vech_off_3x3_row_major():
-    m = np.array([[1.0, 7.0, 8.0], [7.0, 2.0, 9.0], [8.0, 9.0, 3.0]])
-    np.testing.assert_array_equal(ci.vech_off(m), [7.0, 8.0, 9.0])
-
-
-def test_vech_off_diagonal_is_zero():
-    np.testing.assert_array_equal(ci.vech_off(np.diag([1.0, 2.0, 3.0])), [0, 0, 0])
-
-
-def test_vech_off_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        ci.vech_off([[1.0, 2.0], [1.0, 5.0]])
-
-
 def _identity_estimate(d):
     return DemixingEstimate(
         lambda_tilde=np.eye(d),

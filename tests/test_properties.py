@@ -106,16 +106,6 @@ def test_demixing_scale_equivariance(seed):
     np.testing.assert_array_equal(base.lambda_tilde, scaled.lambda_tilde)
 
 
-@given(arrays(np.float64, (4, 4), elements=st.floats(-5, 5, allow_nan=False)))
-@settings(max_examples=40, deadline=None)
-def test_vech_off_of_symmetrized(m):
-    sym = (m + m.T) / 2.0
-    v = ci.vech_off(sym)
-    assert v.shape == (6,)
-    iu = np.triu_indices(4, 1)
-    np.testing.assert_array_equal(v, sym[iu])
-
-
 def test_covariances_are_psd_on_random_designs():
     from cumident.simulate import CompositeDgpConfig, gen_composite
     for seed in range(3):

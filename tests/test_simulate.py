@@ -18,8 +18,10 @@ from cumident.simulate import (
     _assemble,
     _check_failure_cap,
     _CoverageRep,
+    _delta_variances,
     _draw_primitives,
     _eigen_slopes,
+    _jackknife_variances,
     _MseRep,
     _PowerRep,
     gen_composite,
@@ -169,12 +171,12 @@ def test_coverage_flags_match_inference_intervals():
     methods = ("jackknife", "delta")
     cfg = CompositeDgpConfig(n=n, k=k, seed=seed)
     probes = ci.ProbeVectors.draw(2, seed)
-    worker = _CoverageRep(cfg, (n,), k, level, methods, probes)
+    worker = _CoverageRep(cfg, (n,), level, methods, probes)
     flags = np.array([worker(rep)[0][0] for rep in range(reps)])
     expected = np.empty_like(flags)
     for rep in range(reps):
         x = gen_composite(cfg, rep).x
-        point, _ = _pipeline.labeled_entry(
+        point = _pipeline.labeled_entry(
             ci.raw_moments(x).values, 2, probes.w1, probes.w2,
             ci.SUPPLY_DEMAND_PATTERN, (0, 1),
         )
@@ -195,11 +197,10 @@ def test_coverage_flags_match_inference_intervals():
     np.testing.assert_array_equal(res.values[0, 0], flags.mean(axis=0))
 
 
-def test_coverage_cell_builds_two_monomial_matrices(monkeypatch):
-    # The jackknife returns the labeled full-sample slope and its tie flag,
-    # so a cell builds the monomials once for it and once for the delta
-    # method, and labels the full sample once.  Every caller builds them
-    # through moments._centered_moments.
+def test_coverage_cell_builds_one_monomial_matrix(monkeypatch):
+    # The point, the delete-1 stack and the delta method's moment covariance
+    # all come from one centered monomial matrix per cell.  Every caller
+    # builds it through moments._centered_moments.
     import cumident.moments as moments
 
     calls = []
@@ -212,12 +213,20 @@ def test_coverage_cell_builds_two_monomial_matrices(monkeypatch):
     cfg = CompositeDgpConfig(n=400, k=0.2, seed=19)
     probes = ci.ProbeVectors.draw(2, 19)
     ns = (200, 400)
-    worker = _CoverageRep(cfg, ns, 0.2, 0.5, ("jackknife", "delta"), probes)
+    worker = _CoverageRep(cfg, ns, 0.5, ("jackknife", "delta"), probes)
     worker(0)
-    assert len(calls) == 2 * len(ns)
+    assert calls == [(n, 2) for n in ns]
     calls.clear()
-    _CoverageRep(cfg, ns, 0.2, 0.5, ("delta",), probes)(0)
-    assert len(calls) == 2 * len(ns)
+    _CoverageRep(cfg, ns, 0.5, ("delta",), probes)(0)
+    assert calls == [(n, 2) for n in ns]
+
+
+def test_coverage_rejects_jackknife_below_its_minimum_up_front():
+    with pytest.raises(ci.InvalidInputError, match="jackknife requires n >= 30"):
+        run_coverage_experiment([20, 200], k=0.5, reps=3, seed=13)
+    res = run_coverage_experiment([20, 200], k=0.5, reps=1, seed=13,
+                                  methods=("delta",), level=1.0)
+    np.testing.assert_array_equal(res.values, 1.0)
 
 
 def test_power_alpha_one_is_trivial():
@@ -379,6 +388,55 @@ def test_table1_eigen_cells_match_the_per_cell_oracle():
 
 @pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
 @pytest.mark.filterwarnings("ignore::cumident.ComplexResidueWarning")
+def test_table2_cells_and_variances_match_the_per_cell_oracle():
+    ns, k, level = (30, 60, 120), 2.0, 0.5
+    cfg = CompositeDgpConfig(n=max(ns), k=k, seed=39)
+    probes = ci.ProbeVectors.draw(2, 39)
+    methods = ("jackknife", "delta")
+    worker = _CoverageRep(cfg, ns, level, methods, probes)
+    codes_seen, flags = set(), []
+    for rep in range(10):
+        out, codes = worker(rep)
+        samples = [_oracle_sample(cfg, rep, n, k) for n in ns]
+        zs, ms = zip(*map(_centered_moments, samples))
+        jk_stack = _jackknife_variances(zs, np.stack(ms), probes)
+        dv_stack = _delta_variances(zs, np.stack(ms), probes)
+        for a, (n, x) in enumerate(zip(ns, samples)):
+            try:
+                lab = ci.label_by_signs(
+                    ci.estimate_demixing(x, probes), ci.SUPPLY_DEMAND_PATTERN,
+                    on_tie="error")
+            except LabelingAmbiguityError:
+                reason = "labeling"
+            except IllConditionedError:
+                reason = "ill_conditioned"
+            else:
+                reason = None
+            got = [FAILURE_REASONS[c - 1] if c else None for c in codes[a]]
+            assert got == [reason] * len(methods)
+            codes_seen.add(reason)
+            if reason is not None:
+                assert np.isnan(out[a]).all()
+                continue
+            point = lab.lambda_final[0, 1]
+            jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
+            dv = ci.delta_variance_labeled(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
+            assert jk.full_estimate[0] == point and not jk.full_tie
+            assert jk_stack[a].tobytes() == jk.variance[0, 0].tobytes()
+            assert dv_stack[a].tobytes() == (dv.sigma_u[0, 0] / n).tobytes()
+            intervals = (
+                ci.jackknife_confidence_interval(point, jk.variance[0, 0], level),
+                ci.confidence_interval(point, dv.sigma_u[0, 0], n, level),
+            )
+            want = [float(lo <= ci.B1_TRUE <= hi) for lo, hi in intervals]
+            np.testing.assert_array_equal(out[a], want)
+            flags.extend(want)
+    assert codes_seen == {None, "labeling"}
+    assert 0.0 < np.mean(flags) < 1.0
+
+
+@pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
+@pytest.mark.filterwarnings("ignore::cumident.ComplexResidueWarning")
 def test_table3_cells_and_statistics_match_the_per_cell_oracle():
     cfg = CompositeDgpConfig(n=max(_SMALL_NS), k=0.0, seed=32)
     probes = ci.ProbeVectors.draw(2, 32)
@@ -426,17 +484,25 @@ def test_planted_singular_contraction_fails_only_its_cell():
     assert demixed.cond_g2[2] == scalar.value.cond
     assert np.isnan(demixed[0][2]).all()
 
-    slopes, codes = _eigen_slopes(samples, probes)
+    slopes, codes = _eigen_slopes(ms, probes)
     stack = _wald_stack(samples, probes)
+    zs = [_centered_moments(x)[0] for x in samples]
+    jk = _jackknife_variances(zs, ms, probes)
+    dv = _delta_variances(zs, ms, probes)
     ill = FAILURE_REASONS.index("ill_conditioned") + 1
     np.testing.assert_array_equal(codes, [0, 0, ill, 0, 0])
     np.testing.assert_array_equal(stack.anchors.ill_conditioned, [0, 0, 1, 0, 0])
     assert np.isnan(stack.statistic[2])
+    np.testing.assert_array_equal(np.isnan(jk), [0, 0, 1, 0, 0])
+    np.testing.assert_array_equal(np.isnan(dv), [0, 0, 1, 0, 0])
+    pattern = ci.SUPPLY_DEMAND_PATTERN
     for i in (0, 1, 3, 4):
-        lab = ci.label_by_signs(ci.estimate_demixing(samples[i], probes),
-                                ci.SUPPLY_DEMAND_PATTERN)
+        lab = ci.label_by_signs(ci.estimate_demixing(samples[i], probes), pattern)
         assert slopes[i] == lab.lambda_final[0, 1]
         assert stack.statistic[i] == ci.wald_test(samples[i], probes).statistic
+        assert jk[i] == ci.demixing_jackknife(samples[i], probes, pattern).variance[0, 0]
+        assert dv[i] == ci.delta_variance_labeled(
+            samples[i], probes, pattern).sigma_u[0, 0] / 400
 
 
 def test_singular_finite_difference_point_fails_only_its_sample(monkeypatch):
@@ -483,6 +549,7 @@ def test_tables_emit_no_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_mse_experiment([200, 400], [0.0, 0.4], reps=3, seed=36)
+        run_coverage_experiment([200, 400], k=0.4, reps=3, seed=36)
         run_overid_power_experiment([200, 400], [0.0, 0.4], reps=3, seed=36)
 
 

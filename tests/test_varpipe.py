@@ -148,6 +148,56 @@ def test_pairwise_validates_pairs():
         ci.pairwise_overid(fit, probes, pairs=[(0, 5)])
 
 
+def _same_test(a, b):
+    assert (a.statistic, a.p_value, a.dof) == (b.statistic, b.p_value, b.dof)
+    assert a.r_hat.tobytes() == b.r_hat.tobytes()
+    assert a.omega_hat.tobytes() == b.omega_hat.tobytes()
+
+
+@pytest.mark.parametrize("method", ["delta", "jackknife"])
+def test_pairwise_is_one_stacked_wald_test(monkeypatch, method):
+    fit = ci.fit_var(simulate_top_var(600, np.random.default_rng(14)), p=2)
+    probes = ci.ProbeVectors.draw(2, 14)
+    calls = []
+    stacked = varpipe._wald_stack
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return stacked(*args, **kwargs)
+
+    monkeypatch.setattr(varpipe, "_wald_stack", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = ci.pairwise_overid(fit, probes, method=method)
+        assert calls == [3] and not report.failures
+        for i, j, res in report.pairs:
+            _same_test(res, ci.wald_test(fit.residuals[:, [i, j]], probes,
+                                         method=method))
+
+
+def test_planted_singular_pair_fails_alone_with_the_wald_test_message():
+    fit = ci.fit_var(simulate_top_var(600, np.random.default_rng(15)), p=2)
+    residuals = fit.residuals.copy()
+    residuals[:, 2] = residuals[:, 0]
+    fit = ci.VarFit(fit.coefficients, residuals, fit.lag, fit.intercept)
+    probes = ci.ProbeVectors.draw(2, 15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = ci.pairwise_overid(fit, probes)
+        with pytest.raises(ci.IllConditionedError) as alone:
+            ci.wald_test(residuals[:, [0, 2]], probes)
+        assert report.failures == [(0, 2, str(alone.value))]
+        assert [(i, j) for i, j, _ in report.pairs] == [(0, 1), (1, 2)]
+        for i, j, res in report.pairs:
+            _same_test(res, ci.wald_test(residuals[:, [i, j]], probes))
+
+
+def test_pairwise_jackknife_below_its_minimum_raises_once():
+    fit = ci.fit_var(np.random.default_rng(16).standard_exponential((20, 3)), p=1)
+    with pytest.raises(ci.InvalidInputError, match="requires n >= 30, got 19"):
+        ci.pairwise_overid(fit, ci.ProbeVectors.draw(2, 16), method="jackknife")
+
+
 def test_estimated_vs_true_residual_statistics_converge():
     # The statistic on fitted residuals approaches the statistic on the true
     # errors as T grows; the median gap should at least halve from T=2500
