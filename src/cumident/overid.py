@@ -125,7 +125,7 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     omega_cond[ok] = np.linalg.cond(omega[ok])
     ok &= omega_cond <= OMEGA_COND_CAP
     # n * r' Omega^{-1} r through an eigendecomposition with a PSD floor.
-    sym = (omega[ok] + np.swapaxes(omega[ok], -2, -1)) / 2.0
+    sym = omega[ok]  # exactly symmetric: symmetrized above
     evals, evecs = np.linalg.eigh(sym)
     trace = np.trace(sym, axis1=-2, axis2=-1)
     floor = OMEGA_CLIP_RTOL * np.maximum(trace, np.finfo(float).tiny)
