@@ -18,18 +18,18 @@ The delete-1 stack of the most recent sample is kept
 jackknife Wald test on one sample build and eigendecompose it once.
 
 For d >= 3, a stack of more than one entry (a delete-1 stack, or the +/-
-points of a finite-difference Jacobian) is not eigendecomposed entry by
-entry.  LAPACK runs once, on the mean of the stack, and three Newton steps
-refine every entry from that anchor (:func:`_anchored_eig`).  An entry goes
-to LAPACK when its residual is above a rounding-level bound, when its
-eigenvalues are not strictly descending with the eigen-gap tolerance, or
-when it is not finite; the whole stack does when the anchor has a
-near-repeated or complex pair.  On delete-1 stacks of n = 10 000, d = 5
-samples, the refined rows and eigenvalues agree with LAPACK to about 1e-14,
-the jackknife variances to 2e-13 of their largest entry, and the
-finite-difference delta variances and Wald statistics to about 1e-9, since
-the difference quotients amplify last-bit changes.  The d = 2 stacks use
-the closed form of :func:`_sorted_eig_2x2` instead.
+points of a finite-difference Jacobian) goes through :func:`_pencil_eig`.
+LAPACK finds the rows that diagonalize the symmetric pencil (G(w1), G(w2))
+once, at the mean of the stack.  In that anchor basis each entry's pencil
+is nearly diagonal; one matrix product forms it from the sorted cumulants,
+and Newton steps finish it, with no cumulant tensor and no solve.  Entries
+that fail a rounding-level check go to LAPACK, and so does the whole stack
+when the anchor has a near-repeated or complex pair.  On eight n = 10 000,
+d = 5 samples the delete-1 and finite-difference rows agree with LAPACK to
+1.1e-14, the eigenvalues to 5e-15, the jackknife variances to 1.3e-13 of
+their largest entry, and the delta variances and Wald statistics, whose
+difference quotients amplify last-bit changes, to 1.1e-10.  The d = 2
+stacks use the closed form of :func:`_sorted_eig_2x2` instead.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import IllConditionedError
 from .moments import (
+    _sorted_cumulants,
+    _triple_indices,
     contract_tensor,
     covariance_from_moments,
     cumulants_from_moments,
@@ -82,7 +84,7 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
 
     `x` is the validated (n, d) sample and `z` its centered monomials.  Returns
     (rows, gap_flags, moments, eig_fallbacks): the (n, d, d) rows, (n,)
-    eigen-gap flags and (n,) refinement fallback flags of
+    eigen-gap flags and (n,) LAPACK fallback flags of
     :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
     vectors, for :func:`offdiag_from_rows`.  The result for the most recent
     (sample, w1, w2, rule) is kept, read-only, and returned again while the
@@ -147,9 +149,9 @@ def _solve_batched(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
 class DemixedRows(tuple):
     """The (rows, eigenvalues, gap_flags, max_imag) of :func:`demix_rows`.
 
-    `eig_fallbacks` flags, per stack entry, the eigenpairs that the anchored
-    refinement handed back to LAPACK (see :func:`_anchored_eig`); it is all
-    False where the refinement did not run (d = 2, or a single entry).
+    `eig_fallbacks` flags, per stack entry, the eigenpairs that the pencil
+    kernel handed back to LAPACK (see :func:`_pencil_eig`); it is all False
+    where the kernel did not run (d = 2, a single entry, or a `cond_cap`).
     `orient_fallbacks` flags the rows that fell back from rule A to rule B,
     and `cond_g2` is cond(G(w2)), per entry for a stack, when a `cond_cap`
     was checked, else None.
@@ -184,10 +186,17 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
     gap_flags : ndarray of bool, shape (...,)
     max_imag : ndarray, shape (...,)
     """
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    if d > 2 and cond_cap is None and ms.ndim == 2 and len(ms) > 1:
+        vals, vecs, fallbacks = _pencil_eig(ms, d, w1, w2)
+        return _demixed(vals, vecs, rule, fallbacks, np.zeros(len(ms), dtype=bool))
+    return demix_contractions(*_contractions(ms, d, w1, w2), rule, cond_cap)
+
+
+def _contractions(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray):
+    """G(w1) and G(w2) of each moment vector."""
     tensors = cumulants_from_moments(ms, d)
-    g1 = 6.0 * contract_tensor(tensors, np.asarray(w1, dtype=float))
-    g2 = 6.0 * contract_tensor(tensors, np.asarray(w2, dtype=float))
-    return demix_contractions(g1, g2, rule, cond_cap)
+    return 6.0 * contract_tensor(tensors, w1), 6.0 * contract_tensor(tensors, w2)
 
 
 def demix_contractions(g1: np.ndarray, g2: np.ndarray, rule: str = "A",
@@ -217,39 +226,33 @@ def demix_contractions(g1: np.ndarray, g2: np.ndarray, rule: str = "A",
         failed |= ~(np.isfinite(det) & (det != 0.0))
     if failed.any():
         g2 = np.where(failed[..., None, None], np.eye(d), g2)
-    fallbacks = np.zeros(g2.shape[:-2], dtype=bool)
     if d == 2:
         vals, vecs = _sorted_eig_2x2(_solve_2x2(g2, g1))
-    elif fallbacks.size > 1:
-        h = _solve_batched(g2, g1)
-        vals, vecs, fallbacks = _anchored_eig(h.reshape(-1, d, d))
-        vals = vals.reshape(h.shape[:-1])
-        vecs = vecs.reshape(h.shape)
-        fallbacks = fallbacks.reshape(h.shape[:-2])
     else:
         vals, vecs = _sorted_eig(_solve_batched(g2, g1))
+    return _demixed(vals, vecs, rule, np.zeros(failed.shape, dtype=bool),
+                    failed, cond)
 
+
+def _demixed(vals, vecs, rule, eig_fallbacks, failed, cond=None) -> DemixedRows:
+    """The :class:`DemixedRows` of sorted eigenpairs; the entries flagged in
+    `failed` get NaN rows and eigenvalues."""
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
-    rows, orient_fallbacks = _oriented_rows(vecs, rule)
+    # Real parts of the eigenvector columns, as unit rows.
+    rows = np.swapaxes(vecs.real, -2, -1)
+    norms = np.sqrt(_fold_last(np.add, rows * rows))[..., None]
+    rows = rows / np.maximum(norms, np.finfo(float).tiny)
+    rows, orient_fallbacks = _orient_rows_batched(rows, rule)
     gap_flags, vals = _gap_flags(vals), vals.real
     if failed.any():
         rows = np.where(failed[..., None, None], np.nan, rows)
         vals = np.where(failed[..., None], np.nan, vals)
     out = DemixedRows((rows, vals, gap_flags, max_imag))
-    out.eig_fallbacks = fallbacks
+    out.eig_fallbacks = eig_fallbacks
     out.orient_fallbacks = orient_fallbacks
     out.cond_g2 = cond
     out.ill_conditioned = failed
     return out
-
-
-def _oriented_rows(vecs: np.ndarray, rule: str):
-    """Real parts of eigenvector columns as unit rows, oriented by `rule`;
-    returns (rows, fallback) as :func:`_orient_rows_batched` does."""
-    rows = np.swapaxes(vecs.real, -2, -1)
-    norms = np.sqrt(_fold_last(np.add, rows * rows))[..., None]
-    rows = rows / np.maximum(norms, np.finfo(float).tiny)
-    return _orient_rows_batched(rows, rule)
 
 
 def _gap_scale(vals: np.ndarray) -> np.ndarray:
@@ -267,35 +270,42 @@ def _gap_flags(vals: np.ndarray) -> np.ndarray:
     return gaps < EIGEN_GAP_RTOL * _gap_scale(vals)
 
 
-# Newton steps of the anchored refinement.  Each squares the error; two
-# leave residuals near 1e-8 on delete-1 stacks, three reach rounding level.
-_REFINE_STEPS = 3
-# A refined entry whose residual max|H x - lambda x| exceeds this multiple
-# of eps * d * max|H| * max|X| goes to LAPACK.
-_REFINE_RESIDUAL_ULPS = 64.0
+# Newton steps of the pencil kernel; each squares the error.
+_NEWTON_STEPS = 3
+# Acceptance bound on the pencil residual, in units of eps * d * max|U| *
+# (max|C| + max|lambda| * max|D|).
+_RESIDUAL_ULPS = 64.0
+# An entry whose last Newton correction max|E| is above this takes one more
+# step alone, and goes to LAPACK if it stays above.  The residual bound
+# alone let through rows 2e-13 off on n = 10 000, d = 5 delete-1 stacks.
+_LAST_STEP_TOL = 1e-7
+# Largest (d, d, chunk) array of the pencil kernel, so that it stays in cache.
+_PENCIL_CHUNK_ELEMENTS = 1 << 15
 
 
-def _anchored_eig(h: np.ndarray):
-    """:func:`_sorted_eig` of a (b, d, d) stack that clusters around its mean.
+def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray):
+    """Eigenpairs of G(w2)^-1 G(w1), as :func:`_sorted_eig` orders them, for
+    a (b, D) moment stack that clusters around its mean.
 
-    A delete-1 stack or a +/- finite-difference stack lies within O(1/n) or
-    O(step) of the full-sample H.  LAPACK eigendecomposes the mean of the
-    stack once (the anchor), and :func:`_refine_eig` takes every entry from
-    there.  Entries it does not accept go to LAPACK, and so does the whole
-    stack when the anchor itself has a near-repeated or complex pair.
-
-    Returns (vals, vecs, fallbacks): eigenvalues sorted descending,
-    eigenvector columns (refined ones are not unit-normalized), and the
-    entries LAPACK computed, which are bitwise those of :func:`_sorted_eig`.
+    LAPACK runs at the mean of the stack (the anchor) and on the entries
+    that :func:`_pencil_refine` does not accept, or on all of them when the
+    anchor has a near-repeated or complex pair.  Returns (vals, vecs,
+    fallbacks): eigenvalues, eigenvector columns (the kernel's are not
+    unit-normalized) and the entries LAPACK computed, bitwise as a stack of
+    one computes them.
     """
-    anchor_vals, anchor_vecs = _sorted_eig(h.mean(axis=0))
+    maps = _contraction_maps(d, w1, w2)
+    g1, g2 = (maps @ _sorted_cumulants(ms.mean(axis=0), d)).reshape(2, d, d)
+    anchor_vals, anchor_vecs = _sorted_eig(_solve_batched(g2, g1))
     if _gap_flags(anchor_vals):
-        vals, vecs = _sorted_eig(h)
-        return vals, vecs, np.ones(h.shape[0], dtype=bool)
-    vals, vecs, accepted = _refine_eig(h, anchor_vecs.real)
+        accepted = np.zeros(ms.shape[0], dtype=bool)
+        vals, vecs = np.empty(ms.shape[:1] + (d,)), np.empty(ms.shape[:1] + (d, d))
+    else:
+        vals, vecs, accepted = _pencil_refine(ms, maps, anchor_vecs.real.T)
     fallbacks = ~accepted
     if fallbacks.any():
-        slow_vals, slow_vecs = _sorted_eig(h[fallbacks])
+        g1, g2 = _contractions(ms[fallbacks], d, w1, w2)
+        slow_vals, slow_vecs = _sorted_eig(_solve_batched(g2, g1))
         vals = vals.astype(slow_vals.dtype)
         vecs = vecs.astype(slow_vecs.dtype)
         vals[fallbacks] = slow_vals
@@ -303,52 +313,99 @@ def _anchored_eig(h: np.ndarray):
     return vals, vecs, fallbacks
 
 
-def _refine_eig(h: np.ndarray, v: np.ndarray):
-    """Newton refinement of the eigenpairs of a (b, d, d) stack from the
-    real eigenvector matrix `v` of a nearby matrix, columns sorted by
-    descending eigenvalue.
+def _pencil_refine(ms: np.ndarray, maps: np.ndarray, anchor: np.ndarray):
+    """(vals, vecs, accepted) of :func:`_pencil_newton` for each entry of a
+    (b, D) moment stack, from the rows `anchor` of a nearby pencil.
 
-    In the anchor basis B = V^-1 H V is nearly diagonal.  Each step refines
-    every entry's eigenvector matrix X and its inverse Y at once (Dongarra,
-    Moler & Wilkinson 1983): A = Y B X, E_jk = A_jk / (A_kk - A_jj) off the
-    diagonal, X <- X (I + E), Y <- (I - E + E^2) Y, and one Newton-Schulz
-    step Y <- Y (2I - X Y).  The eigenvalues are the diagonal of the last A.
-
-    Returns (vals, vecs, accepted).  An entry is accepted when its residual
-    max|H x - lambda x| is at most _REFINE_RESIDUAL_ULPS * eps * d * max|H|
-    * max|X|, its eigenvalues descend with gaps of at least EIGEN_GAP_RTOL
-    times their scale, and both bounds are finite.
+    In the basis y = anchor x an entry's pencil (C, D) = (anchor G(w1)
+    anchor', anchor G(w2) anchor') is nearly diagonal; one (2 d^2, T)
+    product forms it from the sorted cumulants, through the
+    :func:`_contraction_maps` `maps`.  The eigenvector columns are the rows
+    of U anchor.  Chunks of _PENCIL_CHUNK_ELEMENTS do not change any bit.
     """
-    b, d, _ = h.shape
-    eye = np.eye(d)
-    # Added to the denominators, so that E has a zero diagonal.
-    inf_diag = np.where(eye == 1.0, np.inf, 0.0)
+    b, d = ms.shape[0], anchor.shape[0]
+    basis = (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
+    vals = np.empty((b, d))
+    rows = np.empty((d, d, b))
+    accepted = np.empty(b, dtype=bool)
+    step = max(1, _PENCIL_CHUNK_ELEMENTS // (d * d))
+    for s in (slice(start, start + step) for start in range(0, b, step)):
+        pencil = basis @ _sorted_cumulants(ms[s], d).T
+        u, vals_s, accepted[s] = _pencil_newton(*pencil.reshape(2, d, d, -1))
+        vals[s] = vals_s.T
+        np.einsum("kpe,pq->kqe", u, anchor, out=rows[:, :, s])
+    return vals, rows.transpose(2, 1, 0), accepted
+
+
+def _contraction_maps(d: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """(2, d*d, T) maps of the T :func:`_sorted_cumulants` to G(w1) and
+    G(w2), flattened row-major: the contractions of the unit tensors."""
+    ijk, _, mirror = _triple_indices(d)
+    units = np.eye(ijk.shape[1])[:, mirror]
+    return np.stack([6.0 * contract_tensor(units, w).reshape(len(units), -1).T
+                     for w in (w1, w2)])
+
+
+def _pencil_newton(c: np.ndarray, dd: np.ndarray):
+    """Newton steps on nearly diagonal symmetric pencils (C, D), (d, d, w)
+    arrays with the stack axis last.
+
+    From U = I, A = C, B = D, each step takes lambda_k = A_kk / B_kk, E_kj =
+    (A_kj - lambda_k B_kj) / (A_jj - lambda_k B_jj) off the diagonal, U <- U
+    - E U, A = U C U' and B = U D U'.  Returns (u, vals, accepted): U, the
+    Rayleigh quotients of its rows, (d, w), and the entries whose residual
+    max|(U C)_k - lambda_k (U D)_k| is within the _RESIDUAL_ULPS bound,
+    whose last max|E| is within _LAST_STEP_TOL, whose eigenvalues descend
+    with gaps of at least EIGEN_GAP_RTOL of their scale, and that are finite.
+    """
+    d = c.shape[0]
+    a, b, u = c, dd, np.eye(d)[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bh = np.linalg.inv(v) @ h @ v
-        a, x, y = bh, None, None
-        for _ in range(_REFINE_STEPS):
-            lam = np.diagonal(a, axis1=-2, axis2=-1)
-            den = lam[:, None, :] - lam[:, :, None]
-            den += inf_diag
-            e = a / den
-            if x is None:
-                x, y = eye + e, eye - e + e @ e
-            else:
-                x = x + x @ e
-                y = (eye - e + e @ e) @ y
-            y = y @ (2.0 * eye - x @ y)
-            a = y @ (bh @ x)
-        vals = np.diagonal(a, axis1=-2, axis2=-1).copy()
-        vecs = v @ x
-        resid = np.abs(h @ vecs - vecs * vals[:, None, :]).reshape(b, d * d)
-        bound = (_REFINE_RESIDUAL_ULPS * np.finfo(float).eps * d
-                 * _fold_last(np.maximum, np.abs(h).reshape(b, d * d))
-                 * _fold_last(np.maximum, np.abs(vecs).reshape(b, d * d)))
-        descending = (_fold_last(np.maximum, np.diff(vals, axis=-1))
-                      <= -EIGEN_GAP_RTOL * _gap_scale(vals))
-        accepted = ((_fold_last(np.maximum, resid) <= bound)
-                    & np.isfinite(bound) & descending)
-    return vals, vecs, accepted
+        for step in range(_NEWTON_STEPS):
+            if step:
+                a, b = _congruence(u, c), _congruence(u, dd)
+            e = _correction(a, b)
+            u = u - (_product(e, u) if step else e)
+        size = _peak(e)
+        late = np.flatnonzero(size > _LAST_STEP_TOL)
+        if late.size:
+            ul, cl, dl = u[:, :, late], c[:, :, late], dd[:, :, late]
+            e = _correction(_congruence(ul, cl), _congruence(ul, dl))
+            u[:, :, late] = ul - _product(e, ul)
+            size[late] = _peak(e)
+        uc, ud = _product(u, c), _product(u, dd)
+        vals = (uc * u).sum(axis=1) / (ud * u).sum(axis=1)
+        scale = np.maximum(_peak(vals), np.finfo(float).tiny)
+        bound = (_RESIDUAL_ULPS * np.finfo(float).eps * d * _peak(u)
+                 * (_peak(c) + scale * _peak(dd)))
+        accepted = ((_peak(uc - vals[:, None, :] * ud) <= bound)
+                    & (size <= _LAST_STEP_TOL) & np.isfinite(bound)
+                    & (np.max(np.diff(vals, axis=0), axis=0) <= -EIGEN_GAP_RTOL * scale))
+    return u, vals, accepted
+
+
+def _correction(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The E of :func:`_pencil_newton` for (d, d, w) pencils (A, B)."""
+    d = a.shape[0]
+    da, db = a.reshape(d * d, -1)[:: d + 1], b.reshape(d * d, -1)[:: d + 1]
+    lam = (da / db)[:, None, :]
+    # inf on the diagonal of the denominators gives E a zero diagonal.
+    return (a - lam * b) / (da - lam * db + np.diag(np.full(d, np.inf))[:, :, None])
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for (d, d, w) stacks with the stack axis last."""
+    return np.einsum("kpe,pqe->kqe", x, y)
+
+
+def _congruence(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u @ c @ u' for (d, d, w) stacks with the stack axis last."""
+    return np.einsum("kpe,qpe->kqe", _product(u, c), u)
+
+
+def _peak(a: np.ndarray) -> np.ndarray:
+    """max|a| over all axes but the last."""
+    return np.max(np.abs(a).reshape(-1, a.shape[-1]), axis=0)
 
 
 def _solve_2x2(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:

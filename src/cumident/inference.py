@@ -33,13 +33,14 @@ class DeltaVarianceResult:
     """Plug-in delta-method covariance over the moments of the centered sample.
 
     `sigma_u` is J Sigma_M J' on the sqrt(n) scale; `jacobian` has one
-    column per monomial, in the package-wide monomial order.
+    column per monomial, in the package-wide monomial order, and `fd_step`
+    the central-difference step along each (see :func:`_fd_steps`).
     """
 
     sigma_u: np.ndarray
     jacobian: np.ndarray
     sigma_m: np.ndarray
-    fd_step: float
+    fd_step: np.ndarray
 
 
 @dataclass
@@ -52,11 +53,11 @@ class JackknifeResult:
     full-sample one, `tie_count` the resamples whose sign labeling tied on
     mismatch count (and was settled by the margin), `gap_count` the
     resamples that hit the eigen-gap safeguard, and `eig_fallbacks` the
-    resamples whose eigenpairs the anchored refinement handed back to
-    LAPACK.  None is trimmed: fragile identification is reported, not
-    hidden.  `full_estimate` is the statistic on the full sample, laid out
-    as one row of `estimates`, and `full_tie` whether its sign labeling tied
-    on mismatch count (None without a pattern).
+    resamples whose eigenpairs the pencil kernel handed back to LAPACK.
+    None is trimmed: fragile identification is reported, not hidden.
+    `full_estimate` is the statistic on the full sample, laid out as one row
+    of `estimates`, and `full_tie` whether its sign labeling tied on
+    mismatch count (None without a pattern).
     """
 
     estimates: np.ndarray
@@ -120,12 +121,11 @@ def _delta_from_moments(sigma_m: np.ndarray, m_hat: np.ndarray,
     """:func:`delta_variance_statistic` from the moment covariance and the
     moments of one sample, or from (C, D, D) and (C, D) stacks of C samples,
     whose fields then carry a leading sample axis."""
-    jac = _pipeline.batched_jacobian(batch_statistic, m_hat, _fd_steps(sigma_m))
+    steps = _fd_steps(sigma_m)
+    jac = _pipeline.batched_jacobian(batch_statistic, m_hat, steps)
     sigma_u = jac @ sigma_m @ np.swapaxes(jac, -2, -1)
     sigma_u = (sigma_u + np.swapaxes(sigma_u, -2, -1)) / 2.0
-    return DeltaVarianceResult(
-        sigma_u=sigma_u, jacobian=jac, sigma_m=sigma_m, fd_step=FD_STEP_SCALE
-    )
+    return DeltaVarianceResult(sigma_u, jac, sigma_m, steps)
 
 
 def delta_variance(data, probes: ProbeVectors, k: int | str = "all",

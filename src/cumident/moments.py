@@ -182,17 +182,26 @@ def cumulants_from_moments(values: np.ndarray, d: int) -> np.ndarray:
     computed once and mirrored, so the tensor is exactly symmetric.
     """
     v = np.asarray(values, dtype=float)
-    ijk, pairs, mirror = _triple_indices(d)
-    mu = v[..., :d]
-    mi, mj, mk = mu[..., ijk[0]], mu[..., ijk[1]], mu[..., ijk[2]]
-    sorted_entries = (
-        v[..., -ijk.shape[1]:]
-        - mi * v[..., pairs[0]]
-        - mj * v[..., pairs[1]]
-        - mk * v[..., pairs[2]]
-        + 2.0 * mi * mj * mk
-    )
-    return sorted_entries[..., mirror]
+    return _sorted_cumulants(v, d)[..., _triple_indices(d)[2]]
+
+
+def _sorted_cumulants(v: np.ndarray, d: int) -> np.ndarray:
+    """The binom(d+2, 3) third cumulants k_ijk, i <= j <= k, of raw-moment
+    vectors (..., D), ordered as the degree-3 moments and laid out
+    moment-major: m_ijk - m_i m_jk - m_j m_ik - m_k m_ij + 2 m_i m_j m_k, in
+    that order, in four buffers of the output's size."""
+    ijk, pairs, _ = _triple_indices(d)
+    # Each gather then copies whole rows.
+    rows = np.ascontiguousarray(v.reshape(-1, v.shape[-1]).T)
+    out = rows[-ijk.shape[1]:].copy()
+    triple, mean, term = (np.empty_like(out) for _ in range(3))
+    for r in range(3):
+        m = np.take(rows, ijk[r], axis=0, out=triple if r == 0 else mean, mode="clip")
+        out -= np.multiply(m, np.take(rows, pairs[r], axis=0, out=term, mode="clip"),
+                           out=term)
+        triple *= 2.0 if r == 0 else m
+    out += triple
+    return out.T.reshape(v.shape[:-1] + out.shape[:1])
 
 
 def cumulant_map(m: RawMomentVector) -> np.ndarray:

@@ -27,7 +27,8 @@ OMEGA_CLIP_RTOL = 1e-12
 
 @dataclass
 class TestResult:
-    """Wald statistic for the uncorrelated-structural-errors restrictions."""
+    """Wald statistic for the uncorrelated-structural-errors restrictions;
+    `omega_clipped` eigenvalues of `omega_hat` were raised to the PSD floor."""
 
     statistic: float
     dof: int
@@ -35,6 +36,7 @@ class TestResult:
     r_hat: np.ndarray
     omega_hat: np.ndarray
     method: str
+    omega_clipped: int
 
 
 def overid_restrictions(data, est: DemixingEstimate) -> np.ndarray:
@@ -61,6 +63,7 @@ class _WaldStack(NamedTuple):
     anchors: _pipeline.DemixedRows
     resample_singular: np.ndarray
     omega_cond: np.ndarray
+    omega_clipped: np.ndarray
 
 
 def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
@@ -74,7 +77,8 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     marks a G(w2) over ``COND_CAP`` or singular, `resample_singular` one
     singular at a finite-difference point or delete-1 resample, and an
     `omega_cond` not at most ``OMEGA_COND_CAP`` a near-singular Omega.
-    :func:`_sample_result` turns one sample's flags into errors.
+    :func:`_sample_result` turns one sample's flags into errors, and
+    `omega_clipped` counts the eigenvalues raised to the PSD floor.
     """
     if method not in ("delta", "jackknife"):
         raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
@@ -129,6 +133,8 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     evals, evecs = np.linalg.eigh(sym)
     trace = np.trace(sym, axis1=-2, axis2=-1)
     floor = OMEGA_CLIP_RTOL * np.maximum(trace, np.finfo(float).tiny)
+    omega_clipped = np.zeros(len(ns), dtype=int)
+    omega_clipped[ok] = np.count_nonzero(evals < floor[:, None], axis=-1)
     evals = np.maximum(evals, floor[:, None])
     y = (np.swapaxes(evecs, -2, -1) @ r_hat[ok][..., None])[..., 0]
     statistic = np.full(len(ns), np.nan)
@@ -137,7 +143,7 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     # without the distribution object's per-call overhead.
     p_value = special.chdtrc(d * (d - 1) // 2, statistic)
     return _WaldStack(statistic, p_value, r_hat, omega, anchors, singular,
-                      omega_cond)
+                      omega_cond, omega_clipped)
 
 
 def _sample_result(res: _WaldStack, i: int, method: str,
@@ -174,6 +180,7 @@ def _sample_result(res: _WaldStack, i: int, method: str,
         r_hat=res.r_hat[i],
         omega_hat=res.omega[i],
         method=method,
+        omega_clipped=int(res.omega_clipped[i]),
     )
 
 

@@ -1,4 +1,7 @@
-"""The anchored eigen-refinement behind delete-1 and finite-difference stacks."""
+"""The anchor-basis pencil kernel behind delete-1 and finite-difference stacks."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 import cumident as ci
 from cumident import _pipeline
 from cumident._pipeline import _sorted_eig
+from cumident.inference import _fd_steps, _moment_covariance
+from cumident.moments import _centered_moments
 
 
 @pytest.fixture(autouse=True)
@@ -16,103 +21,159 @@ def cold_memo():
     _pipeline._loo_held = None
 
 
-def clustered_stack(d: int, spread: float, seed: int, b: int = 400):
-    """A (b, d, d) stack of entries H + spread * |H| * N_i / |N_i| (spectral
-    norms) around a random H with well-conditioned eigenvectors and
-    eigenvalues spaced by at least a tenth of their scale."""
+def lapack_eig(ms, d, w1, w2):
+    """_sorted_eig(solve(G(w2), G(w1))) of each moment vector, through the
+    cumulant tensor and its contractions."""
+    tensors = ci.cumulants_from_moments(ms, d)
+    g1 = 6.0 * ci.contract_tensor(tensors, w1)
+    g2 = 6.0 * ci.contract_tensor(tensors, w2)
+    return _sorted_eig(np.linalg.solve(g2, g1))
+
+
+def lapack_pencil_eig(ms, d, w1, w2):
+    vals, vecs = lapack_eig(ms, d, w1, w2)
+    return vals, vecs, np.zeros(ms.shape[0], dtype=bool)
+
+
+def lapack_rows(ms, d, w1, w2, rule="A"):
+    """:func:`_pipeline.demix_rows` with every entry eigendecomposed by LAPACK."""
+    tensors = ci.cumulants_from_moments(ms, d)
+    return _pipeline.demix_contractions(6.0 * ci.contract_tensor(tensors, w1),
+                                        6.0 * ci.contract_tensor(tensors, w2), rule)
+
+
+def diagonal_tensor(skew):
+    d = len(skew)
+    t = np.zeros((d, d, d))
+    t[np.arange(d), np.arange(d), np.arange(d)] = skew
+    return t
+
+
+def symmetrized(t):
+    """The mean of t over the orderings of its last three axes."""
+    lead = tuple(range(t.ndim - 3))
+    return sum(t.transpose(*lead, *(len(lead) + np.array(p)))
+               for p in itertools.permutations(range(3))) / 6.0
+
+
+def pencil_design(d: int, seed: int):
+    """A mixing matrix A with well-conditioned columns a_r, shock skewnesses
+    of both signs, and probes with a_r'w1 = lambda_r, a_r'w2 = 1, so that the
+    pencil (G(w1), G(w2)) has the eigenvalues lambda, spaced by at least a
+    tenth of their scale."""
     rng = np.random.default_rng([d, seed])
-    vals = np.linspace(1.0, 2.0, d) * rng.choice([-1.0, 1.0])
-    vecs = np.eye(d) + 0.3 / np.sqrt(d) * rng.standard_normal((d, d))
-    h = vecs @ np.diag(vals) @ np.linalg.inv(vecs)
-    noise = rng.standard_normal((b, d, d))
-    noise /= np.linalg.norm(noise, ord=2, axis=(1, 2))[:, None, None]
-    return h + spread * np.linalg.norm(h, ord=2) * noise
+    mixing = np.eye(d) + 0.3 / np.sqrt(d) * rng.standard_normal((d, d))
+    lam = np.linspace(2.0, 1.0, d) * rng.choice([-1.0, 1.0])
+    skew = rng.choice([-1.0, 1.0], d) * rng.uniform(1.0, 2.0, d)
+    w1 = np.linalg.solve(mixing.T, lam)
+    w2 = np.linalg.solve(mixing.T, np.ones(d))
+    return mixing, skew, w1, w2, rng
 
 
-def lapack_anchored_eig(h):
-    vals, vecs = _sorted_eig(h)
-    return vals, vecs, np.zeros(h.shape[0], dtype=bool)
+def moment_vectors(mixing, shock_cumulants):
+    """Moment vectors with zero means whose third cumulants are those of
+    A y, for y with the given (..., d, d, d) third cumulants."""
+    d = mixing.shape[0]
+    kappa = np.einsum("...pqr,ip,jq,kr->...ijk", shock_cumulants,
+                      mixing, mixing, mixing)
+    i, j, k = np.array(list(itertools.combinations_with_replacement(range(d), 3))).T
+    cubes = kappa[..., i, j, k]
+    ms = np.zeros(cubes.shape[:-1] + (ci.moment_vector_length(d),))
+    ms[..., -cubes.shape[-1]:] = cubes
+    return ms
+
+
+def pencil_stack(d: int, spread: float, seed: int, b: int = 400):
+    """A (b, D) stack of symmetric pencils around the design: the shocks'
+    cumulant tensor is diagonal plus spread * max|skew| times a symmetric
+    tensor of largest entry 1."""
+    mixing, skew, w1, w2, rng = pencil_design(d, seed)
+    noise = symmetrized(rng.standard_normal((b, d, d, d)))
+    noise /= np.abs(noise).max(axis=(1, 2, 3), keepdims=True)
+    shocks = diagonal_tensor(skew) + spread * np.abs(skew).max() * noise
+    return moment_vectors(mixing, shocks), w1, w2
 
 
 @pytest.mark.parametrize("spread", [1e-3, 1e-4])
 @pytest.mark.parametrize("d", [3, 4, 5, 8])
 def test_refined_eigenpairs_match_lapack(d, spread):
     for seed in range(3):
-        h = clustered_stack(d, spread, seed)
-        vals, vecs, fallbacks = _pipeline._anchored_eig(h)
-        ref_vals, ref_vecs = _sorted_eig(h)
-        assert not fallbacks.any()
-        scale = np.abs(ref_vals).max(axis=-1, keepdims=True)
-        assert np.max(np.abs(vals - ref_vals.real) / scale) <= 1e-12
+        ms, w1, w2 = pencil_stack(d, spread, seed)
         for rule in ("A", "B"):
-            np.testing.assert_allclose(
-                _pipeline._oriented_rows(vecs, rule)[0],
-                _pipeline._oriented_rows(ref_vecs, rule)[0], rtol=0, atol=1e-12,
-            )
-        np.testing.assert_array_equal(
-            _pipeline._gap_flags(vals), _pipeline._gap_flags(ref_vals)
-        )
-        np.testing.assert_array_equal(
-            np.abs(vecs.imag).max(axis=(-2, -1)),
-            np.abs(ref_vecs.imag).max(axis=(-2, -1)),
-        )
+            got = _pipeline.demix_rows(ms, d, w1, w2, rule)
+            want = lapack_rows(ms, d, w1, w2, rule)
+            assert not got.eig_fallbacks.any()
+            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        scale = np.abs(want[1]).max(axis=-1, keepdims=True)
+        assert np.max(np.abs(got[1] - want[1]) / scale) <= 1e-12
+        np.testing.assert_array_equal(got[2], want[2])
+        np.testing.assert_array_equal(got[3], want[3])
 
 
 def planted_stack():
-    """A clustered d = 4 stack with a complex pair at entry 3, a near-repeated
-    pair at entry 7 and a non-finite entry at entry 11."""
-    h = clustered_stack(4, 1e-4, 0, b=40)
-    vals, vecs = _sorted_eig(h[0])
-    v, y = vecs.real, np.linalg.inv(vecs.real)
-    rotation = np.diag(vals.real)
-    rotation[1:3, 1:3] = [[1.5, 0.2], [-0.2, 1.5]]
-    h[3] = v @ rotation @ y
-    repeated = vals.real.copy()
-    repeated[2] = repeated[1] * (1.0 - 1e-9)
-    h[7] = v @ np.diag(repeated) @ y
-    h[11, 0, 0] = np.nan
-    return h, v
+    """A clustered d = 4 pencil stack with a complex pair at entry 3, a
+    near-repeated pair at entry 7 and a non-finite entry at entry 11."""
+    d = 4
+    ms, w1, w2 = pencil_stack(d, 1e-4, 0, b=40)
+    mixing, skew, _, _, _ = pencil_design(d, 0)
+    # Shocks 0 and 1 with skewnesses of opposite sign, coupled.
+    coupling = np.zeros((d, d, d))
+    coupling[0, 0, 1], coupling[0, 1, 1] = 1.5, -1.5
+    ms[3] = moment_vectors(
+        mixing, diagonal_tensor(np.r_[1.0, -1.0, skew[2:]]) + symmetrized(coupling)
+    )
+    # Column 1 moved along a direction z orthogonal to w2, so a_1'w2 stays 1
+    # and a_1'w1 comes within 1e-9 of the largest eigenvalue.
+    lam = mixing.T @ w1
+    z = w1 - (w1 @ w2) / (w2 @ w2) * w2
+    near = mixing.copy()
+    near[:, 1] += (lam[0] * (1.0 - 1e-9) - lam[1]) / (z @ w1) * z
+    ms[7] = moment_vectors(near, diagonal_tensor(skew))
+    ms[11, -1] = np.nan
+    return ms, w1, w2
 
 
 def test_refinement_rejects_planted_entries():
-    h, v = planted_stack()
-    _, _, accepted = _pipeline._refine_eig(h, v)
+    ms, w1, w2 = planted_stack()
+    anchor = lapack_eig(ms[0], 4, w1, w2)[1].real.T
+    maps = _pipeline._contraction_maps(4, w1, w2)
+    _, _, accepted = _pipeline._pencil_refine(ms, maps, anchor)
     np.testing.assert_array_equal(np.flatnonzero(~accepted), [3, 7, 11])
 
 
 def test_fallback_entries_are_lapack_bitwise():
-    h, _ = planted_stack()
-    finite = np.delete(h, 11, axis=0)
-    vals, vecs, fallbacks = _pipeline._anchored_eig(finite)
+    ms, w1, w2 = planted_stack()
+    finite = np.delete(ms, 11, axis=0)
+    vals, vecs, fallbacks = _pipeline._pencil_eig(finite, 4, w1, w2)
     np.testing.assert_array_equal(np.flatnonzero(fallbacks), [3, 7])
-    ref_vals, ref_vecs = _sorted_eig(finite[fallbacks])
+    ref_vals, ref_vecs = lapack_eig(finite[fallbacks], 4, w1, w2)
     assert vals.dtype == ref_vals.dtype and vecs.dtype == ref_vecs.dtype
     assert vals[fallbacks].tobytes() == ref_vals.tobytes()
     assert vecs[fallbacks].tobytes() == ref_vecs.tobytes()
     # The complex pair and the near-repeated pair keep LAPACK's diagnostics.
-    flags = _pipeline._gap_flags(vals)
-    np.testing.assert_array_equal(np.flatnonzero(flags), [3, 7])
-    assert np.abs(vecs[3].imag).max() > 0.0
-    assert np.abs(np.delete(vecs, 3, axis=0).imag).max() == 0.0
+    demixed = _pipeline.demix_rows(finite, 4, w1, w2)
+    np.testing.assert_array_equal(np.flatnonzero(demixed[2]), [3, 7])
+    assert demixed[3][3] > 0.0
+    assert np.delete(demixed[3], 3).max() == 0.0
     # A non-finite entry fails as it does in LAPACK.
     with pytest.raises(np.linalg.LinAlgError):
-        _sorted_eig(h)
+        lapack_eig(ms, 4, w1, w2)
     with pytest.raises(np.linalg.LinAlgError):
-        _pipeline._anchored_eig(h)
+        _pipeline.demix_rows(ms, 4, w1, w2)
 
 
 def test_complex_anchor_sends_the_stack_to_lapack(monkeypatch):
-    h, _ = planted_stack()
-    stack = np.repeat(h[3][None], 5, axis=0)
-    stack[1:] += 1e-6
+    ms, w1, w2 = planted_stack()
+    stack = np.repeat(ms[3][None], 5, axis=0)
+    stack[1:, -1] += 1e-6
 
     def refine(*args):
         raise AssertionError("refined from a complex anchor")
 
-    monkeypatch.setattr(_pipeline, "_refine_eig", refine)
-    vals, vecs, fallbacks = _pipeline._anchored_eig(stack)
+    monkeypatch.setattr(_pipeline, "_pencil_refine", refine)
+    vals, vecs, fallbacks = _pipeline._pencil_eig(stack, 4, w1, w2)
     assert fallbacks.all()
-    ref_vals, ref_vecs = _sorted_eig(stack)
+    ref_vals, ref_vecs = lapack_eig(stack, 4, w1, w2)
     assert vals.tobytes() == ref_vals.tobytes()
     assert vecs.tobytes() == ref_vecs.tobytes()
 
@@ -137,36 +198,47 @@ def skewed_sample(n: int, d: int, seed: int):
 
 
 @pytest.mark.parametrize("d", [3, 5])
-def test_delete_one_stack_matches_lapack(d, monkeypatch):
-    x, _ = skewed_sample(5_000, d, 31)
+def test_delete_one_stack_matches_lapack(d):
     probes = ci.ProbeVectors.draw(d, 7)
-    loo = _pipeline.leave_one_out_moments(ci.monomial_matrix(x))
-    got = _pipeline.demix_rows(loo, d, probes.w1, probes.w2)
-    monkeypatch.setattr(_pipeline, "_anchored_eig", lapack_anchored_eig)
-    want = _pipeline.demix_rows(loo, d, probes.w1, probes.w2)
-    assert not got.eig_fallbacks.any()
-    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
-    np.testing.assert_array_equal(got[2], want[2])
-    np.testing.assert_array_equal(got[3], want[3])
+    for n in (500, 5_000):
+        x, _ = skewed_sample(n, d, 31)
+        z, m = _centered_moments(x)
+        steps = _fd_steps(_moment_covariance(z, m))
+        fd = np.repeat(m[None], 2 * m.size, axis=0)
+        fd[0::2] += np.diag(steps)
+        fd[1::2] -= np.diag(steps)
+        for ms in (_pipeline.leave_one_out_moments(z), fd):
+            got = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
+            want = lapack_rows(ms, d, probes.w1, probes.w2)
+            fallbacks = got.eig_fallbacks
+            assert n < 5_000 or not fallbacks.any()
+            assert got[0][fallbacks].tobytes() == want[0][fallbacks].tobytes()
+            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
+            np.testing.assert_array_equal(got[2], want[2])
+            np.testing.assert_array_equal(got[3], want[3])
+            np.testing.assert_array_equal(got.orient_fallbacks, want.orient_fallbacks)
 
 
 def test_jackknife_counts_fallbacks(monkeypatch):
     x, pattern = skewed_sample(5_000, 3, 41)
     probes = ci.ProbeVectors.draw(3, 7)
     assert ci.demixing_jackknife(x, probes, pattern).eig_fallbacks == 0
-    # One Newton step leaves residuals far above the bound, so every
-    # resample goes to LAPACK and the result is LAPACK's, bit for bit.
-    monkeypatch.setattr(_pipeline, "_REFINE_STEPS", 1)
-    _pipeline._loo_held = None
-    one_step = ci.demixing_jackknife(x, probes, pattern, entry=None)
-    monkeypatch.setattr(_pipeline, "_anchored_eig", lapack_anchored_eig)
-    _pipeline._loo_held = None
-    lapack = ci.demixing_jackknife(x, probes, pattern, entry=None)
-    assert one_step.eig_fallbacks == x.shape[0]
+    with monkeypatch.context() as patched:
+        patched.setattr(_pipeline, "_pencil_eig", lapack_pencil_eig)
+        _pipeline._loo_held = None
+        lapack = ci.demixing_jackknife(x, probes, pattern, entry=None)
     assert lapack.eig_fallbacks == 0
-    assert one_step.estimates.tobytes() == lapack.estimates.tobytes()
-    assert one_step.variance.tobytes() == lapack.variance.tobytes()
+    # With no tolerance on the residual, or on the last Newton correction,
+    # every resample goes to LAPACK, and the result is LAPACK's, bit for bit.
+    for tolerance in ("_RESIDUAL_ULPS", "_LAST_STEP_TOL"):
+        with monkeypatch.context() as patched:
+            patched.setattr(_pipeline, tolerance, 0.0)
+            _pipeline._loo_held = None
+            rejected = ci.demixing_jackknife(x, probes, pattern, entry=None)
+        assert rejected.eig_fallbacks == x.shape[0]
+        assert rejected.estimates.tobytes() == lapack.estimates.tobytes()
+        assert rejected.variance.tobytes() == lapack.variance.tobytes()
 
 
 def test_degenerate_anchor_falls_back_everywhere():
@@ -193,9 +265,35 @@ def test_jackknife_runs_lapack_on_a_bounded_number_of_matrices(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", eig)
     jk = ci.demixing_jackknife(x, probes, pattern)
     # The anchor, the full sample, and the few high-leverage resamples the
-    # refinement hands back.
+    # kernel hands back.
     assert sum(seen) == 2 + jk.eig_fallbacks <= 10
 
+
+def test_jackknife_solves_one_matrix_at_a_time(monkeypatch):
+    # Work-count guard: the kernel forms each resample's pencil from its
+    # sorted cumulants, so no solve, inverse or cumulant tensor is built for
+    # the delete-1 stack.
+    x, pattern = skewed_sample(2_000, 5, 47)
+    probes = ci.ProbeVectors.draw(5, 7)
+    matrices, stacks = [], []
+
+    def counted(real):
+        def call(a, *args, **kwargs):
+            matrices.append(math.prod(np.shape(a)[:-2]))
+            return real(a, *args, **kwargs)
+        return call
+
+    def cumulants(values, d):
+        stacks.append(math.prod(np.shape(values)[:-1]))
+        return ci.cumulants_from_moments(values, d)
+
+    monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv))
+    monkeypatch.setattr(_pipeline, "cumulants_from_moments", cumulants)
+    jk = ci.demixing_jackknife(x, probes, pattern)
+    assert jk.eig_fallbacks == 0
+    assert matrices and max(matrices) == 1
+    assert stacks and max(stacks) == 1
 
 
 def analysis(x, probes, pattern):
@@ -210,13 +308,13 @@ def test_inference_matches_lapack(monkeypatch):
     x, pattern = skewed_sample(10_000, 5, 53)
     probes = ci.ProbeVectors.draw(5, 7)
     jk, dv, tests = analysis(x, probes, pattern)
-    monkeypatch.setattr(_pipeline, "_anchored_eig", lapack_anchored_eig)
+    monkeypatch.setattr(_pipeline, "_pencil_eig", lapack_pencil_eig)
     ref_jk, ref_dv, ref_tests = analysis(x, probes, pattern)
     assert jk.eig_fallbacks == 0
     assert (jk.label_flips, jk.tie_count, jk.gap_count) == (
         ref_jk.label_flips, ref_jk.tie_count, ref_jk.gap_count)
     scale = np.abs(ref_jk.variance).max()
-    assert np.abs(jk.variance - ref_jk.variance).max() <= 1e-10 * scale
+    assert np.abs(jk.variance - ref_jk.variance).max() <= 1e-12 * scale
     t, ref_t = tests["jackknife"], ref_tests["jackknife"]
     np.testing.assert_allclose([t.statistic, t.p_value],
                                [ref_t.statistic, ref_t.p_value], rtol=1e-10)

@@ -6,7 +6,7 @@ import pytest
 import cumident as ci
 from cumident import _pipeline
 from cumident.errors import IllConditionedError
-from cumident.inference import _fd_steps, _moment_covariance
+from cumident.inference import FD_STEP_SCALE, _fd_steps, _moment_covariance
 from cumident.moments import _centered_moments
 from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, gen_composite
 
@@ -53,6 +53,14 @@ def test_delta_variance_psd_and_shapes():
     assert res.jacobian.shape == (4, 9)
     evals = np.linalg.eigvalsh(res.sigma_u)
     assert evals.min() > -1e-10 * np.trace(res.sigma_u)
+
+
+def test_delta_variance_reports_the_steps_taken():
+    x = gen_composite(CompositeDgpConfig(n=3_000, k=0.5, seed=3), 0).x
+    res = ci.delta_variance(x, ci.ProbeVectors.draw(2, 3), k=0)
+    want = FD_STEP_SCALE * np.sqrt(np.diag(res.sigma_m))
+    assert res.fd_step.shape == (9,)
+    np.testing.assert_array_equal(res.fd_step, want)
 
 
 def test_delta_variance_single_row():

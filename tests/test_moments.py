@@ -6,6 +6,7 @@ import pytest
 from cumident import (
     contract_hessian,
     cumulant_map,
+    cumulants_from_moments,
     monomial_tuples,
     moment_vector_length,
     projected_cumulant,
@@ -96,6 +97,29 @@ def test_cumulant_map_matches_tensor():
         got = cumulant_map(raw_moments(x))
         want = third_cumulants(x)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def test_sorted_cumulants_keep_the_bits_of_the_plain_expression():
+    # The buffered evaluation runs the operations of this expression in its
+    # order, so every entry is byte-equal, for any stack layout.
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 5):
+        ijk = np.array(list(itertools.combinations_with_replacement(range(d), 3))).T
+        pair = {t: k for k, t in enumerate(monomial_tuples(d))}
+        pairs = [[pair[(q, r)] for q, r in zip(*ijk[[a, b]])] for a, b in ((1, 2), (0, 2), (0, 1))]
+        for shape in [(), (7,), (3, 4)]:
+            v = rng.standard_normal(shape + (moment_vector_length(d),))
+            v *= 10.0 ** rng.uniform(-6, 6, v.shape)
+            mi, mj, mk = v[..., ijk[0]], v[..., ijk[1]], v[..., ijk[2]]
+            plain = (v[..., -ijk.shape[1]:] - mi * v[..., pairs[0]]
+                     - mj * v[..., pairs[1]] - mk * v[..., pairs[2]]
+                     + 2.0 * mi * mj * mk)
+            mirror = np.empty((d, d, d), dtype=int)
+            for t, (i, j, k) in enumerate(ijk.T):
+                for p in itertools.permutations((i, j, k)):
+                    mirror[p] = t
+            for layout in (v, np.asfortranarray(v)):
+                assert cumulants_from_moments(layout, d).tobytes() == plain[..., mirror].tobytes()
 
 
 def test_cumulant_map_centered_passthrough():

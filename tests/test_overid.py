@@ -139,6 +139,24 @@ def test_singular_omega_is_reported(monkeypatch):
         ci.wald_test(x, ci.ProbeVectors.draw(2, 9))
 
 
+@pytest.mark.parametrize("method", ["delta", "jackknife"])
+def test_omega_clip_count(method, monkeypatch):
+    samples = [
+        (gen_composite(CompositeDgpConfig(n=2_000, k=0.0, seed=9), 0).x,
+         ci.ProbeVectors.draw(2, 9)),
+        (np.random.default_rng(9).standard_exponential((2_000, 5)),
+         ci.ProbeVectors.draw(5, 7)),
+    ]
+    for x, probes in samples:
+        d = x.shape[1]
+        assert ci.wald_test(x, probes, method=method).omega_clipped == 0
+        # Every eigenvalue of a PSD Omega is at most its trace.
+        with monkeypatch.context() as patched:
+            patched.setattr("cumident.overid.OMEGA_CLIP_RTOL", 2.0)
+            clipped = ci.wald_test(x, probes, method=method).omega_clipped
+        assert clipped == d * (d - 1) // 2
+
+
 def test_restriction_vector_matches_pipeline():
     x = gen_composite(CompositeDgpConfig(n=3_000, k=0.2, seed=10), 0).x
     probes = ci.ProbeVectors.draw(2, 10)
