@@ -36,7 +36,7 @@ print(f"labeling flipped on {jk.label_flips} of {cfg.n} resamples; "
       f"{jk.gap_count} hit the eigen-gap safeguard")
 
 # --- whole-matrix standard errors -------------------------------------------
-full = ci.delta_variance(x, probes, k="all")
+full = ci.delta_variance(x, probes)
 se_matrix = np.sqrt(np.diag(full.sigma_u) / cfg.n).reshape(2, 2)
 print("\nper-entry standard errors of the oriented unit rows:")
 print(se_matrix)

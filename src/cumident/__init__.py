@@ -44,21 +44,15 @@ from .inference import (
     delta_variance_statistic,
     demixing_jackknife,
     jackknife_confidence_interval,
-    jackknife_variance,
 )
 from .moments import (
-    ContractionMatrix,
-    RawMomentVector,
     contract_hessian,
     contract_tensor,
     covariance_from_moments,
-    cumulant_map,
     cumulants_from_moments,
     monomial_matrix,
     monomial_tuples,
     moment_vector_length,
-    projected_cumulant,
-    raw_moments,
     third_cumulants,
     validate_sample,
 )

@@ -78,8 +78,7 @@ def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
     return (total[None, :] - monomials) / (n - 1)
 
 
-def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
-                       rule: str = "A"):
+def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2):
     """Oriented demixing rows of every delete-1 resample of a sample.
 
     `x` is the validated (n, d) sample and `z` its centered monomials.  Returns
@@ -87,14 +86,14 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
     eigen-gap flags and (n,) LAPACK fallback flags of
     :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
     vectors, for :func:`offdiag_from_rows`.  The result for the most recent
-    (sample, w1, w2, rule) is kept, read-only, and returned again while the
+    (sample, w1, w2) is kept, read-only, and returned again while the
     sample's bytes are unchanged; a new key drops it before computing.
     """
     global _loo_held
     key = (
         x.shape, x.dtype.str, hashlib.blake2b(np.ascontiguousarray(x)).digest(),
         np.asarray(w1, dtype=float).tobytes(),
-        np.asarray(w2, dtype=float).tobytes(), rule,
+        np.asarray(w2, dtype=float).tobytes(),
     )
     held = _loo_held
     if held is not None and held[0] == key:
@@ -102,7 +101,7 @@ def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2,
     # Drop both references, so the old stack is freed before the next is built.
     _loo_held = held = None
     loo = leave_one_out_moments(z)
-    demixed = demix_rows(loo, d, w1, w2, rule)
+    demixed = demix_rows(loo, d, w1, w2)
     if demixed.ill_conditioned.any():
         raise IllConditionedError(
             "singular contraction at w2 in a delete-1 resample", float("inf"))
@@ -152,7 +151,8 @@ class DemixedRows(tuple):
     `eig_fallbacks` flags, per stack entry, the eigenpairs that the pencil
     kernel handed back to LAPACK (see :func:`_pencil_eig`); it is all False
     where the kernel did not run (d = 2, a single entry, or a `cond_cap`).
-    `orient_fallbacks` flags the rows that fell back from rule A to rule B,
+    `orient_fallbacks` flags the rows oriented by their largest entry because
+    their sum was too close to zero (see :func:`_orient_rows_batched`),
     and `cond_g2` is cond(G(w2)), per entry for a stack, when a `cond_cap`
     was checked, else None.
     `ill_conditioned` flags the stack entries whose G(w2) was not solved
@@ -165,7 +165,7 @@ class DemixedRows(tuple):
     ill_conditioned: np.ndarray
 
 
-def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
+def demix_rows(ms: np.ndarray, d: int, w1, w2,
                cond_cap: float | None = None) -> DemixedRows:
     """Oriented unit demixing rows for each moment vector in the stack.
 
@@ -189,8 +189,8 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, rule: str = "A",
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     if d > 2 and cond_cap is None and ms.ndim == 2 and len(ms) > 1:
         vals, vecs, fallbacks = _pencil_eig(ms, d, w1, w2)
-        return _demixed(vals, vecs, rule, fallbacks, np.zeros(len(ms), dtype=bool))
-    return demix_contractions(*_contractions(ms, d, w1, w2), rule, cond_cap)
+        return _demixed(vals, vecs, fallbacks, np.zeros(len(ms), dtype=bool))
+    return demix_contractions(*_contractions(ms, d, w1, w2), cond_cap)
 
 
 def _contractions(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray):
@@ -199,7 +199,7 @@ def _contractions(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray):
     return 6.0 * contract_tensor(tensors, w1), 6.0 * contract_tensor(tensors, w2)
 
 
-def demix_contractions(g1: np.ndarray, g2: np.ndarray, rule: str = "A",
+def demix_contractions(g1: np.ndarray, g2: np.ndarray,
                        cond_cap: float | None = None) -> DemixedRows:
     """:func:`demix_rows` from the contractions G(w1), G(w2), (..., d, d).
 
@@ -230,11 +230,10 @@ def demix_contractions(g1: np.ndarray, g2: np.ndarray, rule: str = "A",
         vals, vecs = _sorted_eig_2x2(_solve_2x2(g2, g1))
     else:
         vals, vecs = _sorted_eig(_solve_batched(g2, g1))
-    return _demixed(vals, vecs, rule, np.zeros(failed.shape, dtype=bool),
-                    failed, cond)
+    return _demixed(vals, vecs, np.zeros(failed.shape, dtype=bool), failed, cond)
 
 
-def _demixed(vals, vecs, rule, eig_fallbacks, failed, cond=None) -> DemixedRows:
+def _demixed(vals, vecs, eig_fallbacks, failed, cond=None) -> DemixedRows:
     """The :class:`DemixedRows` of sorted eigenpairs; the entries flagged in
     `failed` get NaN rows and eigenvalues."""
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
@@ -242,7 +241,7 @@ def _demixed(vals, vecs, rule, eig_fallbacks, failed, cond=None) -> DemixedRows:
     rows = np.swapaxes(vecs.real, -2, -1)
     norms = np.sqrt(_fold_last(np.add, rows * rows))[..., None]
     rows = rows / np.maximum(norms, np.finfo(float).tiny)
-    rows, orient_fallbacks = _orient_rows_batched(rows, rule)
+    rows, orient_fallbacks = _orient_rows_batched(rows)
     gap_flags, vals = _gap_flags(vals), vals.real
     if failed.any():
         rows = np.where(failed[..., None, None], np.nan, rows)
@@ -466,26 +465,20 @@ def _sorted_eig_2x2(h: np.ndarray):
     return vals, vecs
 
 
-def _orient_rows_batched(rows: np.ndarray, rule: str):
+def _orient_rows_batched(rows: np.ndarray):
     """identify.orient_rows on a stack of rows; returns (rows, fallback),
-    `fallback` marking the rows that fell back from rule A to rule B."""
+    `fallback` marking the rows that fell back from row sum to largest entry."""
     peak_idx = np.argmax(np.abs(rows), axis=-1)
     peak = np.take_along_axis(rows, peak_idx[..., None], axis=-1)[..., 0]
-    if rule == "A":
-        s = _fold_last(np.add, rows)
-        fallback = np.abs(s) < ROW_SUM_FALLBACK_TOL
-        s = np.where(fallback, peak, s)
-    elif rule == "B":
-        s = peak
-        fallback = np.zeros(s.shape, dtype=bool)
-    else:
-        raise ValueError(f"orientation rule must be 'A' or 'B', got {rule!r}")
+    s = _fold_last(np.add, rows)
+    fallback = np.abs(s) < ROW_SUM_FALLBACK_TOL
+    s = np.where(fallback, peak, s)
     return np.where((s < 0)[..., None], -rows, rows), fallback
 
 
-def overid_offdiag(ms: np.ndarray, d: int, w1, w2, rule: str = "A") -> np.ndarray:
+def overid_offdiag(ms: np.ndarray, d: int, w1, w2) -> np.ndarray:
     """vech_off(L Sigma L') for each moment vector; shape (..., d*(d-1)/2)."""
-    rows, _, _, _ = demix_rows(ms, d, w1, w2, rule)
+    rows, _, _, _ = demix_rows(ms, d, w1, w2)
     return offdiag_from_rows(rows, ms, d)
 
 
@@ -829,12 +822,11 @@ def label_triangular(rows: np.ndarray):
     return lam, res, perm_index, perms
 
 
-def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1),
-                  rule: str = "A"):
+def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1)):
     """One entry of the sign-labeled, diagonal-normalized demixing matrix
     for each moment vector, or with `entry` None the whole matrix,
     flattened row-major."""
-    lam = label_signs(demix_rows(ms, d, w1, w2, rule)[0], pattern)[0]
+    lam = label_signs(demix_rows(ms, d, w1, w2)[0], pattern)[0]
     if entry is None:
         return lam.reshape(*lam.shape[:-2], d * d)
     return lam[..., entry[0], entry[1]]

@@ -135,6 +135,8 @@ def _load_vector(path, d: int) -> np.ndarray:
     values = np.asarray(values, dtype=float).ravel()
     if values.size != d:
         raise _InputError(f"{path}: expected {d} entries, got {values.size}")
+    if not np.isfinite(values).all():
+        raise _InputError(f"{path}: entries must be finite")
     return values
 
 
@@ -152,6 +154,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
     return value
 
 
@@ -210,7 +219,6 @@ def _cmd_estimate(args, argv) -> int:
     diag_rows += [
         ["cond_G2", est.cond_G2],
         ["max_imag", est.max_imag],
-        ["orientation_rule", est.orientation_rule],
         ["eigen_gap_flag", int(est.gap_flag)],
         ["orientation_fallback_rows", ";".join(map(str, est.fallback_rows)) or "-"],
         ["order", args.order],
@@ -251,7 +259,7 @@ def _estimate_se_rows(data, probes, pattern, args, n, d, reported):
     variances = {}
     if args.se in ("delta", "both"):
         if pattern is None:
-            res = delta_variance(data, probes, k="all")
+            res = delta_variance(data, probes)
         else:
             res = delta_variance_labeled(data, probes, pattern, entry=None)
         variances["delta"] = np.diag(res.sigma_u).reshape(d, d) / n
@@ -514,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="signs:<pattern-file>, triangular, or none")
     p_est.add_argument("--se", choices=("delta", "jackknife", "both", "none"),
                        default="delta")
-    p_est.add_argument("--level", type=float, default=0.95)
+    p_est.add_argument("--level", type=_unit_interval, default=0.95)
     p_est.add_argument("--out", default=".")
     p_est.set_defaults(func=_cmd_estimate)
 
@@ -541,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--seed", type=int, required=True)
     p_var.add_argument("--pairs", default="all")
     p_var.add_argument("--controls", default="")
-    p_var.add_argument("--alpha", type=float, default=0.05)
+    p_var.add_argument("--alpha", type=_unit_interval, default=0.05)
     p_var.add_argument("--out", default=".")
     p_var.set_defaults(func=_cmd_var)
     return parser

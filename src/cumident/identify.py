@@ -1,8 +1,11 @@
 """Eigenvector identification of the structural matrix from two contractions.
 
 The demixing rows come out of an eigendecomposition only up to scale and
-permutation; the labeling routines at the bottom resolve both, either from a
-sign pattern or from a triangular (recursive) ordering.
+permutation.  Each row is scaled to unit length and oriented by one
+convention, a positive row sum, or a positive largest entry where the sum is
+too close to zero; the labeling routines at the bottom resolve both
+indeterminacies, either from a sign pattern or from a triangular (recursive)
+ordering.
 
 Eigendecomposition, orientation and labeling have one implementation, the
 stack kernels of :mod:`cumident._pipeline`, which the functions here run on
@@ -35,7 +38,6 @@ from .errors import (
     RankDetectionError,
 )
 from .moments import (
-    ContractionMatrix,
     _centered_moments,
     _check_direction,
     contract_hessian,
@@ -82,7 +84,6 @@ class DemixingEstimate:
     lambda_tilde: np.ndarray
     eigenvalues: np.ndarray
     max_imag: float
-    orientation_rule: str
     cond_G2: float
     gap_flag: bool = False
     fallback_rows: tuple[int, ...] = ()
@@ -109,7 +110,7 @@ class LabelingResult:
 
 
 def _as_matrix(g) -> np.ndarray:
-    m = g.matrix if isinstance(g, ContractionMatrix) else np.asarray(g, dtype=float)
+    m = np.asarray(g, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -131,14 +132,14 @@ def angular_distance(u, v) -> float:
     return float(2.0 * np.arcsin(min(1.0, np.linalg.norm(u - v) / 2.0)))
 
 
-def orient_rows(rows: np.ndarray, rule: str = "A") -> tuple[np.ndarray, tuple[int, ...]]:
-    """Fix each row's sign by the requested rule; idempotent.
+def orient_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Fix each row's sign; idempotent.
 
-    Rule A flips a row so its sum is positive; if the row sum is too close
-    to zero to be trusted, that row falls back to rule B (largest-magnitude
-    coordinate made positive) and its index is reported.
+    A row is flipped so its sum is positive; if the row sum is too close to
+    zero to be trusted, that row falls back to its largest-magnitude entry,
+    made positive, and its index is reported.
     """
-    out, fallback = _orient_rows_batched(np.array(rows, dtype=float), rule)
+    out, fallback = _orient_rows_batched(np.array(rows, dtype=float))
     return out, tuple(np.flatnonzero(fallback).tolist())
 
 
@@ -164,8 +165,7 @@ def _warn_unstable(demixed: _pipeline.DemixedRows, stacklevel: int) -> None:
         )
 
 
-def _demixing_estimate(demixed: _pipeline.DemixedRows,
-                       rule: str) -> DemixingEstimate:
+def _demixing_estimate(demixed: _pipeline.DemixedRows) -> DemixingEstimate:
     """The estimate of a one-entry kernel result; warnings name the caller."""
     _warn_unstable(demixed, stacklevel=3)
     rows, vals, gap_flag, max_imag = demixed
@@ -173,14 +173,13 @@ def _demixing_estimate(demixed: _pipeline.DemixedRows,
         lambda_tilde=rows,
         eigenvalues=vals,
         max_imag=float(max_imag),
-        orientation_rule=rule,
         cond_G2=demixed.cond_g2,
         gap_flag=bool(gap_flag),
         fallback_rows=tuple(np.flatnonzero(demixed.orient_fallbacks).tolist()),
     )
 
 
-def demixing_from_contractions(g1, g2, rule: str = "A") -> DemixingEstimate:
+def demixing_from_contractions(g1, g2) -> DemixingEstimate:
     """Demixing estimate from two precomputed contraction matrices.
 
     Runs :func:`cumident._pipeline.demix_contractions` on a stack of one,
@@ -188,15 +187,12 @@ def demixing_from_contractions(g1, g2, rule: str = "A") -> DemixingEstimate:
     :class:`IllConditionedError`.
     """
     return _demixing_estimate(
-        _pipeline.demix_contractions(
-            _as_matrix(g1), _as_matrix(g2), rule, cond_cap=COND_CAP
-        ),
-        rule,
+        _pipeline.demix_contractions(_as_matrix(g1), _as_matrix(g2),
+                                     cond_cap=COND_CAP)
     )
 
 
-def estimate_demixing(data, probes: ProbeVectors, order: int = 3,
-                      rule: str = "A") -> DemixingEstimate:
+def estimate_demixing(data, probes: ProbeVectors, order: int = 3) -> DemixingEstimate:
     """Estimate the demixing matrix rows from a single cumulant order.
 
     Contracts the sample cumulant Hessian at the two probe directions,
@@ -212,12 +208,12 @@ def estimate_demixing(data, probes: ProbeVectors, order: int = 3,
     if order != 3:
         g1 = contract_hessian(x, probes.w1, order)
         g2 = contract_hessian(x, probes.w2, order)
-        return demixing_from_contractions(g1, g2, rule)
+        return demixing_from_contractions(g1, g2)
     w1, w2 = _check_direction(probes.w1, d), _check_direction(probes.w2, d)
     demixed = _pipeline.demix_rows(
-        _centered_moments(x)[1], d, w1, w2, rule, cond_cap=COND_CAP
+        _centered_moments(x)[1], d, w1, w2, cond_cap=COND_CAP
     )
-    return _demixing_estimate(demixed, rule)
+    return _demixing_estimate(demixed)
 
 
 def build_H_sigma(data, w1) -> np.ndarray:
@@ -233,11 +229,11 @@ def build_H_sigma(data, w1) -> np.ndarray:
     if not np.isfinite(cond) or cond > COND_CAP:
         raise IllConditionedError("sample covariance is numerically singular", cond)
     g1 = contract_hessian(x, w1, order=3)
-    return np.linalg.solve(sigma, g1.matrix)
+    return np.linalg.solve(sigma, g1)
 
 
-def estimate_mixing_tall(data, probes: ProbeVectors, d2: int | None = None,
-                         rule: str = "A") -> MixingEstimate:
+def estimate_mixing_tall(data, probes: ProbeVectors,
+                         d2: int | None = None) -> MixingEstimate:
     """Recover mixing-matrix columns when the mixing matrix is tall.
 
     Uses G(w1) G(w2)^+ with an SVD-truncated pseudoinverse; the right
@@ -273,7 +269,7 @@ def estimate_mixing_tall(data, probes: ProbeVectors, d2: int | None = None,
     keep = np.argsort(-np.abs(vals))[:rank]
     cols = vecs[:, keep].real
     cols = cols / np.maximum(np.linalg.norm(cols, axis=0), np.finfo(float).tiny)
-    cols, _ = orient_rows(cols.T, rule)
+    cols, _ = orient_rows(cols.T)
     return MixingEstimate(
         a_columns=cols.T,
         eigenvalues=vals[keep].real,

@@ -47,10 +47,9 @@ class DeltaVarianceResult:
 class JackknifeResult:
     """Delete-1 jackknife estimates and their covariance (estimate scale).
 
-    `aligned` records that the estimator (including orientation and any
-    labeling) was re-applied identically on every resample; `label_flips`
-    counts resamples whose labeling permutation differed from the
-    full-sample one, `tie_count` the resamples whose sign labeling tied on
+    The estimator, orientation and any labeling included, is re-applied
+    identically on every resample.  `label_flips` counts resamples whose
+    labeling permutation differed from the full-sample one, `tie_count` the resamples whose sign labeling tied on
     mismatch count (and was settled by the margin), `gap_count` the
     resamples that hit the eigen-gap safeguard, and `eig_fallbacks` the
     resamples whose eigenpairs the pencil kernel handed back to LAPACK.
@@ -62,7 +61,6 @@ class JackknifeResult:
 
     estimates: np.ndarray
     variance: np.ndarray
-    aligned: bool = True
     label_flips: int | None = None
     gap_count: int = 0
     tie_count: int | None = None
@@ -128,31 +126,27 @@ def _delta_from_moments(sigma_m: np.ndarray, m_hat: np.ndarray,
     return DeltaVarianceResult(sigma_u, jac, sigma_m, steps)
 
 
-def delta_variance(data, probes: ProbeVectors, k: int | str = "all",
-                   rule: str = "A") -> DeltaVarianceResult:
+def delta_variance(data, probes: ProbeVectors) -> DeltaVarianceResult:
     """Delta-method covariance of the oriented demixing eigenvector rows.
 
-    With an integer `k`, covers sqrt(n) times the error of row k; with
-    "all", the d*d rows stacked row-major.  The differentiated map is the
-    full pipeline moments -> cumulants -> contractions -> eigendecomposition
-    -> orientation, so eigenvalue ordering and sign conventions are part of
-    the statistic.
+    Covers sqrt(n) times the error of the d*d entries, the rows stacked
+    row-major.  The differentiated map is the full pipeline moments ->
+    cumulants -> contractions -> eigendecomposition -> orientation, so
+    eigenvalue ordering and sign conventions are part of the statistic.
     """
     x = validate_sample(data, min_cols=2)
     d = x.shape[1]
 
     def batch(ms):
-        rows, _, _, _ = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, rule)
-        if k == "all":
-            return rows.reshape(ms.shape[0], d * d)
-        return rows[:, k, :]
+        rows, _, _, _ = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
+        return rows.reshape(ms.shape[0], d * d)
 
-    return _anchored_delta(x, probes, rule, batch)
+    return _anchored_delta(x, probes, batch)
 
 
 def delta_variance_labeled(data, probes: ProbeVectors, pattern,
-                           entry: tuple[int, int] | None = (0, 1),
-                           rule: str = "A") -> DeltaVarianceResult:
+                           entry: tuple[int, int] | None = (0, 1)
+                           ) -> DeltaVarianceResult:
     """Delta-method variance of one entry of the sign-labeled demixing matrix,
     or with `entry` None of the whole matrix, stacked row-major.
 
@@ -166,12 +160,12 @@ def delta_variance_labeled(data, probes: ProbeVectors, pattern,
 
     def batch(ms):
         return _pipeline.labeled_entry(ms, d, probes.w1, probes.w2, pattern,
-                                       entry, rule)
+                                       entry)
 
-    return _anchored_delta(x, probes, rule, batch)
+    return _anchored_delta(x, probes, batch)
 
 
-def _anchored_delta(x: np.ndarray, probes: ProbeVectors, rule: str,
+def _anchored_delta(x: np.ndarray, probes: ProbeVectors,
                     batch: Callable) -> DeltaVarianceResult:
     """Delta method for a demixing statistic, after the anchor check.
 
@@ -182,40 +176,13 @@ def _anchored_delta(x: np.ndarray, probes: ProbeVectors, rule: str,
     covariance.
     """
     z, m_hat = _centered_moments(x)
-    _pipeline.demix_rows(
-        m_hat, x.shape[1], probes.w1, probes.w2, rule, cond_cap=COND_CAP
-    )
+    _pipeline.demix_rows(m_hat, x.shape[1], probes.w1, probes.w2, cond_cap=COND_CAP)
     _check_sixth_moments(x)
     res = _delta_from_moments(_moment_covariance(z, m_hat), m_hat, batch)
     if not np.isfinite(res.jacobian).all():
         raise IllConditionedError(
             "singular contraction at w2 at a finite-difference point", float("inf"))
     return res
-
-
-def jackknife_variance(data, estimator: Callable) -> JackknifeResult:
-    """Generic delete-1 jackknife for an arbitrary estimator callable.
-
-    The estimator receives the sample minus one row and must apply the same
-    normalization, orientation and labeling on every call.  The returned
-    variance is ((n-1)/n) * sum of squared deviations from the resample
-    mean, i.e. an estimate of Var(estimate).
-    """
-    x = validate_sample(data)
-    n = x.shape[0]
-    _check_jackknife_n(n)
-    estimates = []
-    for i in range(n):
-        loo = np.delete(x, i, axis=0)
-        try:
-            estimates.append(np.atleast_1d(np.asarray(estimator(loo), dtype=float)))
-        except Exception as exc:
-            raise RuntimeError(
-                f"leave-one-out re-estimation failed at row {i}: {exc}"
-            ) from exc
-    est = np.vstack(estimates)
-    return JackknifeResult(estimates=est, variance=_delete1_variance(est),
-                           aligned=True)
 
 
 def _delete1_variance(est: np.ndarray) -> np.ndarray:
@@ -227,8 +194,7 @@ def _delete1_variance(est: np.ndarray) -> np.ndarray:
 
 
 def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
-                       entry: tuple[int, int] | None = (0, 1),
-                       rule: str = "A") -> JackknifeResult:
+                       entry: tuple[int, int] | None = (0, 1)) -> JackknifeResult:
     """Fast delete-1 jackknife of the demixing pipeline via moment downdating.
 
     The leave-one-out statistics are exact re-estimates, evaluated in one
@@ -243,11 +209,9 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     _check_jackknife_n(n)
     z, m_hat = _centered_moments(x)
     rows, gap_flags, _, fallbacks = _pipeline.leave_one_out_rows(
-        x, z, d, probes.w1, probes.w2, rule
+        x, z, d, probes.w1, probes.w2
     )
-    full_rows, _, _, _ = _pipeline.demix_rows(
-        m_hat, d, probes.w1, probes.w2, rule
-    )
+    full_rows, _, _, _ = _pipeline.demix_rows(m_hat, d, probes.w1, probes.w2)
     label_flips = tie_count = full_tie = None
     if pattern is None:
         est = rows.reshape(n, d * d).copy()
@@ -268,7 +232,6 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     return JackknifeResult(
         estimates=est,
         variance=_delete1_variance(est),
-        aligned=True,
         label_flips=label_flips,
         gap_count=int(np.sum(gap_flags)),
         tie_count=tie_count,
@@ -296,7 +259,7 @@ def jackknife_confidence_interval(point: float, variance: float,
     """Normal-approximation interval from a jackknife (estimate-scale) variance."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    if variance < 0.0:
+    if not variance >= 0.0:
         raise ValueError(f"variance must be >= 0, got {variance}")
     half = stats.norm.ppf((1.0 + level) / 2.0) * np.sqrt(variance)
     return float(point - half), float(point + half)

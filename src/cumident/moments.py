@@ -17,7 +17,6 @@ order; it is defined here and nowhere else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -126,31 +125,6 @@ def monomial_matrix(data) -> np.ndarray:
     return out.T
 
 
-@dataclass(frozen=True)
-class RawMomentVector:
-    """Sample means of all degree 1-3 monomials, in the package-wide order."""
-
-    values: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        expected = moment_vector_length(self.d)
-        if self.values.shape != (expected,):
-            raise ValueError(
-                f"moment vector for d={self.d} must have length {expected}, "
-                f"got shape {self.values.shape}"
-            )
-
-    def __getitem__(self, monomial: tuple[int, ...]) -> float:
-        return float(self.values[_moment_index(self.d)[tuple(sorted(monomial))]])
-
-
-def raw_moments(data) -> RawMomentVector:
-    """Stack the sample means of all raw monomials of total degree 1-3."""
-    x = validate_sample(data)
-    return RawMomentVector(values=column_means(monomial_matrix(x)), d=x.shape[1])
-
-
 def _centered_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(z, m_hat): the monomial matrix of a validated sample minus its
     column means, and the moments about the mean, its column means.
@@ -204,15 +178,6 @@ def _sorted_cumulants(v: np.ndarray, d: int) -> np.ndarray:
     return out.T.reshape(v.shape[:-1] + out.shape[:1])
 
 
-def cumulant_map(m: RawMomentVector) -> np.ndarray:
-    """Polynomial moment-to-cumulant transform, returning the (d,d,d) tensor.
-
-    Agrees exactly (as an algebraic identity) with :func:`third_cumulants`
-    evaluated on the sample the moments came from.
-    """
-    return cumulants_from_moments(m.values, m.d)
-
-
 def covariance_from_moments(values: np.ndarray, d: int) -> np.ndarray:
     """Centered covariance from a raw-moment vector (vectorizes over rows)."""
     v = np.asarray(values, dtype=float)
@@ -225,33 +190,7 @@ def contract_tensor(tensor: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...ijk,i->...jk", tensor, np.asarray(w, dtype=float))
 
 
-@dataclass(frozen=True)
-class ContractionMatrix:
-    """Hessian of the projected sample cumulant kappa_h(w' X) in w.
-
-    For h = 3 this equals 6x the mode-1 contraction of the third-cumulant
-    tensor along `w`, and is linear in `w`.
-    """
-
-    matrix: np.ndarray
-    w: np.ndarray
-    order: int
-
-
-def projected_cumulant(data, w, order: int = 3) -> float:
-    """kappa_3 or kappa_4 of the scalar projection w'X (sample version)."""
-    x = validate_sample(data, min_rows=2)
-    w = np.asarray(w, dtype=float)
-    y = x @ w
-    yc = y - y.mean()
-    if order == 3:
-        return float(np.mean(yc**3))
-    if order == 4:
-        return float(np.mean(yc**4) - 3.0 * np.mean(yc**2) ** 2)
-    raise ValueError(f"order must be 3 or 4, got {order}")
-
-
-def contract_hessian(data, w, order: int = 3) -> ContractionMatrix:
+def contract_hessian(data, w, order: int = 3) -> np.ndarray:
     """Hessian in w of the projected sample cumulant kappa_h(w'X), h in {3, 4}.
 
     Parameters
@@ -265,8 +204,8 @@ def contract_hessian(data, w, order: int = 3) -> ContractionMatrix:
 
     Returns
     -------
-    ContractionMatrix
-        Symmetric (d, d) matrix.  For h = 3 this is 6 times the mode-1
+    ndarray, shape (d, d)
+        Symmetric matrix.  For h = 3 this is 6 times the mode-1
         contraction of :func:`third_cumulants` along w, i.e.
         (6/n) sum_i (w'Xc_i) Xc_i Xc_i', exactly symmetric because the
         tensor is.  For h = 4 it is the closed-form Hessian of the sample
@@ -277,9 +216,7 @@ def contract_hessian(data, w, order: int = 3) -> ContractionMatrix:
     n, d = x.shape
     w = _check_direction(w, d)
     if order == 3:
-        return ContractionMatrix(
-            matrix=6.0 * contract_tensor(third_cumulants(x), w), w=w, order=3
-        )
+        return 6.0 * contract_tensor(third_cumulants(x), w)
     if order != 4:
         raise ValueError(f"order must be 3 or 4, got {order}")
     xc = x - column_means(x)
@@ -291,7 +228,7 @@ def contract_hessian(data, w, order: int = 3) -> ContractionMatrix:
         - 12.0 * (w @ sw) * sigma
         - 24.0 * np.outer(sw, sw)
     )
-    return ContractionMatrix(matrix=(g + g.T) / 2.0, w=w, order=order)
+    return (g + g.T) / 2.0
 
 
 def _check_direction(w, d: int) -> np.ndarray:

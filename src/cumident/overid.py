@@ -66,8 +66,7 @@ class _WaldStack(NamedTuple):
     omega_clipped: np.ndarray
 
 
-def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
-                rule: str = "A") -> _WaldStack:
+def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldStack:
     """:func:`wald_test` on a list of validated samples of one width, one
     kernel call per stage: the anchors, the finite-difference points of all
     samples ("delta"; each sample's delete-1 stack for "jackknife"), and
@@ -95,9 +94,7 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
         ms.append(m)
         held.append(_moment_covariance(z, m) if method == "delta" else z)
     m = np.stack(ms)
-    anchors = _pipeline.demix_rows(
-        m, d, probes.w1, probes.w2, rule, cond_cap=COND_CAP
-    )
+    anchors = _pipeline.demix_rows(m, d, probes.w1, probes.w2, cond_cap=COND_CAP)
     r_hat = _pipeline.offdiag_from_rows(anchors[0], m, d)
     # Omega of the samples whose anchor stands; NaN where a finite-difference
     # point or a delete-1 resample has a singular G(w2).
@@ -106,14 +103,14 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     if method == "delta" and ok.any():
         omega[ok] = _delta_from_moments(
             np.stack(held)[ok], m[ok],
-            lambda s: _pipeline.overid_offdiag(s, d, probes.w1, probes.w2, rule),
+            lambda s: _pipeline.overid_offdiag(s, d, probes.w1, probes.w2),
         ).sigma_u
     elif method == "jackknife":
         _check_jackknife_n(ns.min(), "jackknife covariance")
         for i in np.flatnonzero(ok):
             try:
                 loo_rows, _, loo, _ = _pipeline.leave_one_out_rows(
-                    samples[i], held[i], d, probes.w1, probes.w2, rule
+                    samples[i], held[i], d, probes.w1, probes.w2
                 )
             except IllConditionedError:
                 continue
@@ -184,8 +181,7 @@ def _sample_result(res: _WaldStack, i: int, method: str,
     )
 
 
-def wald_test(data, probes: ProbeVectors, method: str = "delta",
-              rule: str = "A") -> TestResult:
+def wald_test(data, probes: ProbeVectors, method: str = "delta") -> TestResult:
     """Test joint diagonality of the covariance and the third cumulant.
 
     Builds the demixing from third-cumulant contractions at the probe
@@ -197,5 +193,5 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta",
     on a list of one sample.
     """
     x = validate_sample(data, min_rows=2, min_cols=2)
-    return _sample_result(_wald_stack([x], probes, method, rule), 0, method,
+    return _sample_result(_wald_stack([x], probes, method), 0, method,
                           stacklevel=2)

@@ -1,14 +1,24 @@
-"""Brute-force labeling beyond the exhaustive cap: every one of the d!
-orderings, scored on the labeling kernels' own (d, d) placement costs."""
+"""Brute-force oracles for the tests.
+
+Labeling beyond the exhaustive cap: every one of the d! orderings, scored
+on the labeling kernels' own (d, d) placement costs.  The jackknife: a
+generic loop that re-estimates on each of the n delete-1 samples.  The
+contraction Hessian: the projected sample cumulant whose second derivative
+it is.
+"""
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import Callable
 
 import numpy as np
 
 from cumident import _pipeline
+from cumident.inference import (JackknifeResult, _check_jackknife_n,
+                                _delete1_variance)
+from cumident.moments import validate_sample
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,3 +57,40 @@ def brute_sign(count, margin):
     margins = brute_totals(np.where(np.isfinite(count), margin, 0.0))[at]
     best = at[margins.argmax()]
     return counts.min(), at.size > 1, ordering(count.shape[0], best), margins.max()
+
+
+def jackknife_variance(data, estimator: Callable) -> JackknifeResult:
+    """Generic delete-1 jackknife for an arbitrary estimator callable.
+
+    The estimator receives the sample minus one row and must apply the same
+    normalization, orientation and labeling on every call.  The returned
+    variance is ((n-1)/n) * sum of squared deviations from the resample
+    mean, i.e. an estimate of Var(estimate).
+    """
+    x = validate_sample(data)
+    n = x.shape[0]
+    _check_jackknife_n(n)
+    estimates = []
+    for i in range(n):
+        loo = np.delete(x, i, axis=0)
+        try:
+            estimates.append(np.atleast_1d(np.asarray(estimator(loo), dtype=float)))
+        except Exception as exc:
+            raise RuntimeError(
+                f"leave-one-out re-estimation failed at row {i}: {exc}"
+            ) from exc
+    est = np.vstack(estimates)
+    return JackknifeResult(estimates=est, variance=_delete1_variance(est))
+
+
+def projected_cumulant(data, w, order: int = 3) -> float:
+    """kappa_3 or kappa_4 of the scalar projection w'X (sample version)."""
+    x = validate_sample(data, min_rows=2)
+    w = np.asarray(w, dtype=float)
+    y = x @ w
+    yc = y - y.mean()
+    if order == 3:
+        return float(np.mean(yc**3))
+    if order == 4:
+        return float(np.mean(yc**4) - 3.0 * np.mean(yc**2) ** 2)
+    raise ValueError(f"order must be 3 or 4, got {order}")

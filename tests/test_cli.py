@@ -266,6 +266,40 @@ def test_estimate_w2_from_file(sample_csv, tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("level", ["1.5", "nan", "0"])
+def test_estimate_level_outside_the_unit_interval_exits_2(sample_csv, tmp_path, level):
+    out = tmp_path / "lvl"
+    assert main([
+        "estimate", str(sample_csv), "--seed", "3", "--level", level,
+        "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["5", "-1"])
+def test_var_alpha_outside_the_unit_interval_exits_2(tmp_path, alpha):
+    csv = tmp_path / "var.csv"
+    _write_var_csv(csv, t=1_000)
+    out = tmp_path / "alpha"
+    assert main([
+        "var", str(csv), "--lags", "2", "--seed", "8", "--alpha", alpha,
+        "--out", str(out),
+    ]) == 2
+    assert not out.exists()
+
+
+def test_estimate_non_finite_w2_exits_2(sample_csv, tmp_path, capsys):
+    w2 = tmp_path / "w2nan.csv"
+    w2.write_text("1,nan\n")
+    out = tmp_path / "w2out"
+    assert main([
+        "estimate", str(sample_csv), "--seed", "3", "--w2", str(w2),
+        "--out", str(out),
+    ]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_test_command_jackknife_on_too_few_rows_exits_2(tmp_path, capsys):
     short = tmp_path / "short.csv"
     x = np.random.default_rng(11).standard_exponential((20, 2)) @ np.array(

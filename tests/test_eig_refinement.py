@@ -35,11 +35,11 @@ def lapack_pencil_eig(ms, d, w1, w2):
     return vals, vecs, np.zeros(ms.shape[0], dtype=bool)
 
 
-def lapack_rows(ms, d, w1, w2, rule="A"):
+def lapack_rows(ms, d, w1, w2):
     """:func:`_pipeline.demix_rows` with every entry eigendecomposed by LAPACK."""
     tensors = ci.cumulants_from_moments(ms, d)
     return _pipeline.demix_contractions(6.0 * ci.contract_tensor(tensors, w1),
-                                        6.0 * ci.contract_tensor(tensors, w2), rule)
+                                        6.0 * ci.contract_tensor(tensors, w2))
 
 
 def diagonal_tensor(skew):
@@ -99,11 +99,10 @@ def pencil_stack(d: int, spread: float, seed: int, b: int = 400):
 def test_refined_eigenpairs_match_lapack(d, spread):
     for seed in range(3):
         ms, w1, w2 = pencil_stack(d, spread, seed)
-        for rule in ("A", "B"):
-            got = _pipeline.demix_rows(ms, d, w1, w2, rule)
-            want = lapack_rows(ms, d, w1, w2, rule)
-            assert not got.eig_fallbacks.any()
-            np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        got = _pipeline.demix_rows(ms, d, w1, w2)
+        want = lapack_rows(ms, d, w1, w2)
+        assert not got.eig_fallbacks.any()
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
         scale = np.abs(want[1]).max(axis=-1, keepdims=True)
         assert np.max(np.abs(got[1] - want[1]) / scale) <= 1e-12
         np.testing.assert_array_equal(got[2], want[2])

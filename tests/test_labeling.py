@@ -26,7 +26,6 @@ def _estimate_from_rows(rows) -> DemixingEstimate:
         lambda_tilde=rows,
         eigenvalues=np.arange(rows.shape[0], 0, -1, dtype=float),
         max_imag=0.0,
-        orientation_rule="A",
         cond_G2=1.0,
     )
 

@@ -15,7 +15,6 @@ def _identity_estimate(d):
         lambda_tilde=np.eye(d),
         eigenvalues=np.arange(d, 0, -1, dtype=float),
         max_imag=0.0,
-        orientation_rule="A",
         cond_G2=1.0,
     )
 
@@ -107,7 +106,6 @@ def test_scale_and_permutation_invariance_of_restrictions():
         lambda_tilde=pmat @ dmat @ est.lambda_tilde,
         eigenvalues=est.eigenvalues,
         max_imag=0.0,
-        orientation_rule="A",
         cond_G2=est.cond_G2,
     )
     r2 = ci.overid_restrictions(x, est2)

@@ -9,7 +9,7 @@ import warnings
 from cumident import _pipeline
 from cumident.errors import (IllConditionedError, LabelingAmbiguityError,
                              WeakInstrumentError)
-from cumident.moments import _centered_moments
+from cumident.moments import _centered_moments, column_means
 from cumident.overid import _wald_stack
 from cumident.simulate import (
     FAILURE_REASONS,
@@ -177,7 +177,7 @@ def test_coverage_flags_match_inference_intervals():
     for rep in range(reps):
         x = gen_composite(cfg, rep).x
         point = _pipeline.labeled_entry(
-            ci.raw_moments(x).values, 2, probes.w1, probes.w2,
+            column_means(ci.monomial_matrix(x)), 2, probes.w1, probes.w2,
             ci.SUPPLY_DEMAND_PATTERN, (0, 1),
         )
         jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
