@@ -13,9 +13,12 @@ bit for bit; so do the scalar orientation and labeling functions, and
 ``identify.demixing_from_contractions`` enters after the contractions
 (:func:`demix_contractions`).
 
-The delete-1 stack of the most recent sample is kept
-(:func:`leave_one_out_rows`), so the jackknife standard errors and the
-jackknife Wald test on one sample build and eigendecompose it once.
+The single-sample entry points share the :class:`MomentRecord` of the most
+recent sample (:func:`moment_record`): its centered monomials and moments,
+and, once built, Sigma_m and the delete-1 stack of one probe pair.  So one
+analysis builds the monomial matrix and Sigma_m once, and the jackknife
+standard errors and the jackknife Wald test build and eigendecompose the
+delete-1 stack once.  The record is the only state kept across calls.
 
 For d >= 3, a stack of more than one entry (a delete-1 stack, or the +/-
 points of a finite-difference Jacobian) goes through :func:`_pencil_eig`.
@@ -24,18 +27,20 @@ once, at the mean of the stack.  In that anchor basis each entry's pencil
 is nearly diagonal; one matrix product forms it from the sorted cumulants,
 and Newton steps finish it, with no cumulant tensor and no solve.  Entries
 that fail a rounding-level check go to LAPACK, and so does the whole stack
-when the anchor has a near-repeated or complex pair.  On eight n = 10 000,
-d = 5 samples the delete-1 and finite-difference rows agree with LAPACK to
-1.1e-14, the eigenvalues to 5e-15, the jackknife variances to 1.3e-13 of
-their largest entry, and the delta variances and Wald statistics, whose
-difference quotients amplify last-bit changes, to 1.1e-10.  The d = 2
-stacks use the closed form of :func:`_sorted_eig_2x2` instead.
+when the anchor has a near-repeated or complex pair.  The kernel scales and
+orients its rows chunk by chunk, entries last, by the one orientation
+(:func:`_oriented`) that LAPACK rows get in :func:`_demixed`.  On eight
+n = 10 000, d = 5 samples the delete-1 and finite-difference rows agree
+with LAPACK to 1.1e-14, the eigenvalues to 5e-15, the jackknife variances
+to 1.3e-13 of their largest entry, and the delta variances and Wald
+statistics, whose difference quotients amplify last-bit changes, to
+1.1e-10.  The d = 2 stacks use the closed form of :func:`_sorted_eig_2x2`
+instead.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 
@@ -45,6 +50,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import IllConditionedError
 from .moments import (
+    _centered_moments,
+    _moment_covariance,
     _sorted_cumulants,
     _triple_indices,
     contract_tensor,
@@ -65,12 +72,6 @@ _INVALID_MISMATCH = np.iinfo(np.int32).max
 _LABEL_CHUNK_ELEMENTS = 1 << 18
 
 
-# The delete-1 stack kept by leave_one_out_rows, as (key, (rows, gap_flags,
-# moments, eig_fallbacks)), or None.  It is only ever read or replaced whole,
-# so it holds at most one stack even when threads share it.
-_loo_held = None
-
-
 def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
     """Delete-1 moment vectors from the (n, D) per-observation monomials."""
     n = monomials.shape[0]
@@ -78,38 +79,91 @@ def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
     return (total[None, :] - monomials) / (n - 1)
 
 
-def leave_one_out_rows(x: np.ndarray, z: np.ndarray, d: int, w1, w2):
-    """Oriented demixing rows of every delete-1 resample of a sample.
+class MomentRecord:
+    """The centered moments of one validated (n, d) sample `x`.
 
-    `x` is the validated (n, d) sample and `z` its centered monomials.  Returns
-    (rows, gap_flags, moments, eig_fallbacks): the (n, d, d) rows, (n,)
-    eigen-gap flags and (n,) LAPACK fallback flags of
-    :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
-    vectors, for :func:`offdiag_from_rows`.  The result for the most recent
-    (sample, w1, w2) is kept, read-only, and returned again while the
-    sample's bytes are unchanged; a new key drops it before computing.
+    `z` is its centered monomial matrix and `m_hat` the moments about the
+    mean, z's column means (:func:`moments._centered_moments`).  Sigma_m
+    (:meth:`sigma_m`) and the delete-1 stack of one (w1, w2) pair
+    (:meth:`leave_one_out`) are built on first use and kept.  Everything
+    it holds is read-only, and each kept result is set whole.
     """
-    global _loo_held
-    key = (
-        x.shape, x.dtype.str, hashlib.blake2b(np.ascontiguousarray(x)).digest(),
-        np.asarray(w1, dtype=float).tobytes(),
-        np.asarray(w2, dtype=float).tobytes(),
-    )
-    held = _loo_held
-    if held is not None and held[0] == key:
-        return held[1]
-    # Drop both references, so the old stack is freed before the next is built.
-    _loo_held = held = None
-    loo = leave_one_out_moments(z)
-    demixed = demix_rows(loo, d, w1, w2)
-    if demixed.ill_conditioned.any():
-        raise IllConditionedError(
-            "singular contraction at w2 in a delete-1 resample", float("inf"))
-    entry = (demixed[0], demixed[2], loo, demixed.eig_fallbacks)
-    for a in entry:
-        a.flags.writeable = False
-    _loo_held = (key, entry)
-    return entry
+
+    def __init__(self, x: np.ndarray, z: np.ndarray, m_hat: np.ndarray):
+        z.flags.writeable = m_hat.flags.writeable = False
+        self.x, self.z, self.m_hat = x, z, m_hat
+        self._sigma_m = None
+        self._loo = None
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> "MomentRecord":
+        """The record of `x`, not kept beyond the caller's reference."""
+        return cls(x, *_centered_moments(x))
+
+    def sigma_m(self) -> np.ndarray:
+        """Sigma_m, the covariance of the monomials about their means."""
+        if self._sigma_m is None:
+            sigma = _moment_covariance(self.z, self.m_hat)
+            sigma.flags.writeable = False
+            self._sigma_m = sigma
+        return self._sigma_m
+
+    def leave_one_out(self, w1, w2):
+        """Oriented demixing rows of every delete-1 resample of the sample.
+
+        Returns (rows, gap_flags, moments, eig_fallbacks): the (n, d, d)
+        rows, (n,) eigen-gap flags and (n,) LAPACK fallback flags of
+        :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
+        vectors, for :func:`offdiag_from_rows`.  The stack of the most
+        recent (w1, w2) is kept; other probes drop it before they build
+        theirs.
+        """
+        key = (np.asarray(w1, dtype=float).tobytes(),
+               np.asarray(w2, dtype=float).tobytes())
+        held = self._loo
+        if held is not None and held[0] == key:
+            return held[1]
+        # Drop both references, so the old stack is freed before the next is built.
+        self._loo = held = None
+        loo = leave_one_out_moments(self.z)
+        demixed = demix_rows(loo, self.x.shape[1], w1, w2)
+        if demixed.ill_conditioned.any():
+            raise IllConditionedError(
+                "singular contraction at w2 in a delete-1 resample", float("inf"))
+        entry = (demixed[0], demixed[2], loo, demixed.eig_fallbacks)
+        for a in entry:
+            a.flags.writeable = False
+        self._loo = (key, entry)
+        return entry
+
+
+# The MomentRecord of the most recent sample passed to moment_record, or
+# None.  It is only ever read or replaced whole, so it holds at most one
+# sample even when threads share it.
+_record = None
+
+
+def moment_record(x: np.ndarray) -> MomentRecord:
+    """The :class:`MomentRecord` of a validated float sample, shared by the
+    single-sample entry points.
+
+    The record of the most recent sample is kept, with a read-only copy of
+    it, and returned again while `x` equals that copy bit for bit, so an
+    in-place change to the caller's array misses.  A miss drops the held
+    record before it builds the next one.
+    """
+    global _record
+    held = _record
+    # Compared as bits, so that even 0.0 and -0.0 differ.
+    if (held is not None and held.x.shape == x.shape and held.x.dtype == x.dtype
+            and np.array_equal(held.x.view(np.uint64), x.view(np.uint64))):
+        return held
+    _record = held = None
+    copy = x.copy()
+    copy.flags.writeable = False
+    # The moments of x as the caller laid it out, as MomentRecord.of computes them.
+    _record = held = MomentRecord(copy, *_centered_moments(x))
+    return held
 
 
 def _sorted_eig(h: np.ndarray):
@@ -148,11 +202,14 @@ def _solve_batched(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
 class DemixedRows(tuple):
     """The (rows, eigenvalues, gap_flags, max_imag) of :func:`demix_rows`.
 
+    The rows are unit-normalized and oriented: by the pencil kernel inside
+    its chunks (:func:`_pencil_refine`), else by :func:`_demixed`, both
+    through :func:`_unit_oriented`.
     `eig_fallbacks` flags, per stack entry, the eigenpairs that the pencil
     kernel handed back to LAPACK (see :func:`_pencil_eig`); it is all False
     where the kernel did not run (d = 2, a single entry, or a `cond_cap`).
     `orient_fallbacks` flags the rows oriented by their largest entry because
-    their sum was too close to zero (see :func:`_orient_rows_batched`),
+    their sum was too close to zero (see :func:`_oriented`),
     and `cond_g2` is cond(G(w2)), per entry for a stack, when a `cond_cap`
     was checked, else None.
     `ill_conditioned` flags the stack entries whose G(w2) was not solved
@@ -188,8 +245,7 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     if d > 2 and cond_cap is None and ms.ndim == 2 and len(ms) > 1:
-        vals, vecs, fallbacks = _pencil_eig(ms, d, w1, w2)
-        return _demixed(vals, vecs, fallbacks, np.zeros(len(ms), dtype=bool))
+        return _pencil_eig(ms, d, w1, w2)
     return demix_contractions(*_contractions(ms, d, w1, w2), cond_cap)
 
 
@@ -234,19 +290,25 @@ def demix_contractions(g1: np.ndarray, g2: np.ndarray,
 
 
 def _demixed(vals, vecs, eig_fallbacks, failed, cond=None) -> DemixedRows:
-    """The :class:`DemixedRows` of sorted eigenpairs; the entries flagged in
+    """The :class:`DemixedRows` of sorted eigenpairs, the real parts of the
+    eigenvector columns as unit oriented rows; the entries flagged in
     `failed` get NaN rows and eigenvalues."""
+    d = vecs.shape[-1]
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
-    # Real parts of the eigenvector columns, as unit rows.
-    rows = np.swapaxes(vecs.real, -2, -1)
-    norms = np.sqrt(_fold_last(np.add, rows * rows))[..., None]
-    rows = rows / np.maximum(norms, np.finfo(float).tiny)
-    rows, orient_fallbacks = _orient_rows_batched(rows)
+    # Entries last: rt[k, q, e] is vecs[e, q, k].  The rows come back laid
+    # out as the columns are.
+    unit, orient = _unit_oriented(vecs.real.reshape(-1, d, d).T)
+    rows = np.swapaxes(unit.T.reshape(vecs.shape), -2, -1)
     gap_flags, vals = _gap_flags(vals), vals.real
     if failed.any():
         rows = np.where(failed[..., None, None], np.nan, rows)
         vals = np.where(failed[..., None], np.nan, vals)
-    out = DemixedRows((rows, vals, gap_flags, max_imag))
+    return _with_flags(DemixedRows((rows, vals, gap_flags, max_imag)), eig_fallbacks,
+                       orient.T.reshape(vecs.shape[:-1]), failed, cond)
+
+
+def _with_flags(out: DemixedRows, eig_fallbacks, orient_fallbacks, failed,
+                cond=None) -> DemixedRows:
     out.eig_fallbacks = eig_fallbacks
     out.orient_fallbacks = orient_fallbacks
     out.cond_g2 = cond
@@ -282,58 +344,71 @@ _LAST_STEP_TOL = 1e-7
 _PENCIL_CHUNK_ELEMENTS = 1 << 15
 
 
-def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray):
-    """Eigenpairs of G(w2)^-1 G(w1), as :func:`_sorted_eig` orders them, for
-    a (b, D) moment stack that clusters around its mean.
+def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
+    """:func:`demix_rows` of a (b, D) moment stack that clusters around its
+    mean.
 
     LAPACK runs at the mean of the stack (the anchor) and on the entries
     that :func:`_pencil_refine` does not accept, or on all of them when the
-    anchor has a near-repeated or complex pair.  Returns (vals, vecs,
-    fallbacks): eigenvalues, eigenvector columns (the kernel's are not
-    unit-normalized) and the entries LAPACK computed, bitwise as a stack of
-    one computes them.
+    anchor has a near-repeated or complex pair; those entries, flagged in
+    `eig_fallbacks`, are bitwise what a stack of them alone gives.
     """
     maps = _contraction_maps(d, w1, w2)
     g1, g2 = (maps @ _sorted_cumulants(ms.mean(axis=0), d)).reshape(2, d, d)
     anchor_vals, anchor_vecs = _sorted_eig(_solve_batched(g2, g1))
     if _gap_flags(anchor_vals):
-        accepted = np.zeros(ms.shape[0], dtype=bool)
-        vals, vecs = np.empty(ms.shape[:1] + (d,)), np.empty(ms.shape[:1] + (d, d))
-    else:
-        vals, vecs, accepted = _pencil_refine(ms, maps, anchor_vecs.real.T)
+        return _lapack_rows(ms, d, w1, w2)
+    rows, vals, orient, accepted = _pencil_refine(ms, maps, anchor_vecs.real.T)
     fallbacks = ~accepted
+    # An accepted entry has real eigenvectors and no eigen-gap flag: its
+    # gaps are at least EIGEN_GAP_RTOL of its scale (see _pencil_newton).
+    out = _with_flags(DemixedRows((rows, vals, np.zeros(len(ms), dtype=bool),
+                                   np.zeros(len(ms)))),
+                      fallbacks, orient, np.zeros(len(ms), dtype=bool))
     if fallbacks.any():
-        g1, g2 = _contractions(ms[fallbacks], d, w1, w2)
-        slow_vals, slow_vecs = _sorted_eig(_solve_batched(g2, g1))
-        vals = vals.astype(slow_vals.dtype)
-        vecs = vecs.astype(slow_vecs.dtype)
-        vals[fallbacks] = slow_vals
-        vecs[fallbacks] = slow_vecs
-    return vals, vecs, fallbacks
+        slow = _lapack_rows(ms[fallbacks], d, w1, w2)
+        for full, part in zip((*out, orient), (*slow, slow.orient_fallbacks)):
+            full[fallbacks] = part
+    return out
+
+
+def _lapack_rows(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
+    """:func:`demix_rows` of a (b, D) moment stack through LAPACK, every
+    entry flagged in `eig_fallbacks`."""
+    g1, g2 = _contractions(ms, d, w1, w2)
+    vals, vecs = _sorted_eig(_solve_batched(g2, g1))
+    flags = np.ones(len(ms), dtype=bool)
+    return _demixed(vals, vecs, flags, ~flags)
 
 
 def _pencil_refine(ms: np.ndarray, maps: np.ndarray, anchor: np.ndarray):
-    """(vals, vecs, accepted) of :func:`_pencil_newton` for each entry of a
-    (b, D) moment stack, from the rows `anchor` of a nearby pencil.
+    """(rows, vals, orient_fallbacks, accepted) of :func:`_pencil_newton` for
+    each entry of a (b, D) moment stack, from the rows `anchor` of a nearby
+    pencil.
 
     In the basis y = anchor x an entry's pencil (C, D) = (anchor G(w1)
     anchor', anchor G(w2) anchor') is nearly diagonal; one (2 d^2, T)
     product forms it from the sorted cumulants, through the
-    :func:`_contraction_maps` `maps`.  The eigenvector columns are the rows
-    of U anchor.  Chunks of _PENCIL_CHUNK_ELEMENTS do not change any bit.
+    :func:`_contraction_maps` `maps`.  The eigenvector rows U anchor are
+    unit-normalized and oriented (:func:`_unit_oriented`) chunk by chunk,
+    entries last.  Chunks of _PENCIL_CHUNK_ELEMENTS do not change any bit.
     """
     b, d = ms.shape[0], anchor.shape[0]
     basis = (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
     vals = np.empty((b, d))
-    rows = np.empty((d, d, b))
+    rows = np.empty((b, d, d))
+    orient = np.empty((b, d), dtype=bool)
     accepted = np.empty(b, dtype=bool)
     step = max(1, _PENCIL_CHUNK_ELEMENTS // (d * d))
     for s in (slice(start, start + step) for start in range(0, b, step)):
         pencil = basis @ _sorted_cumulants(ms[s], d).T
         u, vals_s, accepted[s] = _pencil_newton(*pencil.reshape(2, d, d, -1))
         vals[s] = vals_s.T
-        np.einsum("kpe,pq->kqe", u, anchor, out=rows[:, :, s])
-    return vals, rows.transpose(2, 1, 0), accepted
+        # Entries the kernel rejects may not be finite; LAPACK redoes them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            unit, orient_s = _unit_oriented(np.einsum("kpe,pq->kqe", u, anchor))
+        rows[s], orient[s] = unit.transpose(2, 0, 1), orient_s.T
+    return rows, vals, orient, accepted
 
 
 def _contraction_maps(d: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -465,15 +540,37 @@ def _sorted_eig_2x2(h: np.ndarray):
     return vals, vecs
 
 
-def _orient_rows_batched(rows: np.ndarray):
-    """identify.orient_rows on a stack of rows; returns (rows, fallback),
-    `fallback` marking the rows that fell back from row sum to largest entry."""
-    peak_idx = np.argmax(np.abs(rows), axis=-1)
-    peak = np.take_along_axis(rows, peak_idx[..., None], axis=-1)[..., 0]
-    s = _fold_last(np.add, rows)
-    fallback = np.abs(s) < ROW_SUM_FALLBACK_TOL
-    s = np.where(fallback, peak, s)
-    return np.where((s < 0)[..., None], -rows, rows), fallback
+def _unit_oriented(rt: np.ndarray):
+    """Rows of an entries-last (r, d, w) stack, rt[k, :, e] row k of entry
+    e, scaled to unit norm and oriented by :func:`_oriented`."""
+    sq = rt * rt
+    norm = sq[:, 0]
+    for q in range(1, rt.shape[1]):
+        norm = norm + sq[:, q]
+    return _oriented(rt / np.maximum(np.sqrt(norm), np.finfo(float).tiny)[:, None])
+
+
+def _oriented(rt: np.ndarray):
+    """identify.orient_rows, in place, on an entries-last (r, d, w) stack.
+
+    Each row is flipped so its sum is positive, or, where the sum is within
+    ROW_SUM_FALLBACK_TOL of zero, its first largest-magnitude entry.
+    Returns (rt, fallback), `fallback` (r, w) marking the latter rows.  The
+    sums run over each row in order, as a reduction over a trailing axis
+    does.
+    """
+    total = rt[:, 0]
+    for q in range(1, rt.shape[1]):
+        total = total + rt[:, q]
+    fallback = np.abs(total) < ROW_SUM_FALLBACK_TOL
+    flip = total < 0
+    if fallback.any():
+        k, e = np.nonzero(fallback)
+        low = rt[k, :, e]
+        flip[k, e] = low[np.arange(k.size), np.argmax(np.abs(low), axis=1)] < 0
+    # Times -1 is negation, bit for bit.
+    rt *= np.where(flip, -1.0, 1.0)[:, None]
+    return rt, fallback
 
 
 def overid_offdiag(ms: np.ndarray, d: int, w1, w2) -> np.ndarray:
@@ -666,10 +763,14 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
     one of its diagonal entries is not above 1e-12 of the stack entry's
     largest magnitude.  Up to ``EXHAUSTIVE_PERMUTATION_CAP`` rows, an
     ordering's count is the sum of its d placements, gathered through a
-    (d!, d) index table.  Only entries tied on the smallest count compute
-    the margin sum(pattern * normalized), for their tied orderings; the
-    largest margin wins, the first ordering on an exact margin tie.  Beyond
-    the cap, each entry is one exact assignment (:func:`_sign_assignment`).
+    (d!, d) index table.  The counts, and so the smallest count, the tie
+    flag and an untied choice, depend on the cost tensor alone: in each
+    chunk of the stack, entries whose (d, d) cost equals the first entry's
+    take its results, and only the others are scored.  Only entries tied
+    on the smallest count compute the margin sum(pattern * normalized), each
+    its own, for their tied orderings; the largest margin wins, the first
+    ordering on an exact margin tie.  Beyond the cap, each entry is one
+    exact assignment (:func:`_sign_assignment`).
 
     Signs are read from the rows themselves: sign(r_kj / r_ki) equals
     sign(r_kj) sign(r_ki) unless the quotient underflows to zero, which
@@ -713,16 +814,24 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
         order = np.arange(len(perms), dtype=float)
         perm_index = np.empty(b, dtype=np.intp)
         for s in _chunks(b, d):
-            total = _candidate_totals(_sign_cost(*_entries_last(r[s]), weights), pivots)
+            cost = _sign_cost(*_entries_last(r[s]), weights)
+            # Entries whose cost matrix is entry 0's share its scores: only
+            # the others are scored, and col maps each entry to its column.
+            other = np.flatnonzero(
+                (cost != cost[..., :1]).reshape(d * d, -1).any(axis=0))
+            col = np.zeros(cost.shape[-1], dtype=np.intp)
+            col[other] = np.arange(1, other.size + 1)
+            total = _candidate_totals(cost[..., np.r_[0, other]], pivots)
             low = np.minimum.reduce(total, axis=0)
             at_best = total == low
             tied = np.count_nonzero(at_best, axis=0) > 1
             # The single best ordering; tied entries are resolved below, and
             # entries without a valid ordering keep ordering 0.
-            pick = np.where(tied, 0, (order @ at_best).astype(np.intp))
+            pick = np.where(tied, 0, (order @ at_best).astype(np.intp))[col]
+            low, tied = low[col], tied[col]
             refine = np.flatnonzero(tied & np.isfinite(low))
             if refine.size:
-                cand, ent = np.nonzero(at_best[:, refine])
+                cand, ent = np.nonzero(at_best[:, col[refine]])
                 normalized = _normalized(r[s][refine[ent]], blocks, cand)
                 margin = np.full((refine.size, len(perms)), -np.inf)
                 margin[ent, cand] = _stack_sum(

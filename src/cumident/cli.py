@@ -28,6 +28,7 @@ from .identify import (
     label_by_triangular,
 )
 from .inference import (
+    _check_jackknife_n,
     delta_variance,
     delta_variance_labeled,
     demixing_jackknife,
@@ -35,6 +36,8 @@ from .inference import (
 )
 from .overid import wald_test
 from .simulate import (
+    _ESTIMATORS,
+    GAMMA_LOADINGS,
     CompositeDgpConfig,
     gen_composite,
     parse_experiment_config,
@@ -147,6 +150,8 @@ def _load_pattern(path, d: int) -> np.ndarray:
         raise _InputError(f"{path}: {exc}") from exc
     if pattern.shape != (d, d):
         raise _InputError(f"{path}: expected a {d}x{d} sign pattern, got {pattern.shape}")
+    if not np.isin(pattern, (-1, 0, 1)).all():
+        raise _InputError(f"{path}: sign pattern entries must be -1, 0 or 1")
     return pattern.astype(int)
 
 
@@ -353,10 +358,27 @@ _TABLE_DEFAULTS = {
 }
 
 
-def _as_list(value, cast):
-    if isinstance(value, list):
-        return tuple(cast(v) for v in value)
-    return (cast(value),)
+def _setting(config, key, cast, default, valid=lambda v: True, wanted=""):
+    """Config `key` as a tuple of `cast` values, or `default`; an input error
+    unless each value passes `valid`, which `wanted` describes."""
+    if key not in config:
+        return default
+    raw = config[key]
+    try:
+        values = tuple(map(cast, raw if isinstance(raw, list) else [raw]))
+    except ValueError as exc:
+        raise _InputError(f"config key {key!r}: {exc}") from exc
+    if not all(map(valid, values)):
+        raise _InputError(f"config key {key!r} must be {wanted}, got {raw}")
+    return values
+
+
+def _finite_at_least(low):
+    return lambda v: np.isfinite(v) and v >= low
+
+
+def _rate(v) -> bool:
+    return 0.0 < v <= 1.0
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -369,43 +391,48 @@ def _cmd_simulate(args, argv) -> int:
         except (OSError, ValueError) as exc:
             raise _InputError(str(exc)) from exc
         inputs[str(args.config)] = hashlib.sha256(data).hexdigest()
-    table = args.table if args.table is not None else int(config.get("table", 0))
+    # Every key is converted and range-checked before the output directory
+    # is made.
+    table = args.table if args.table is not None else _setting(
+        config, "table", int, (0,))[0]
     if table not in (1, 2, 3):
         raise _InputError("select a table via --table {1,2,3} or the config file")
-    seed = args.seed if args.seed is not None else (
-        int(config["seed"]) if "seed" in config else None
-    )
+    seed = args.seed if args.seed is not None else _setting(
+        config, "seed", int, (None,))[0]
     if seed is None:
         raise _InputError("a seed is required (--seed or config key 'seed')")
-    reps = args.reps if args.reps is not None else int(config.get("reps", 1000))
+    positive = (lambda v: v >= 1, "a positive integer")
+    reps = args.reps if args.reps is not None else _setting(
+        config, "reps", int, (1000,), *positive)[0]
     defaults = _TABLE_DEFAULTS[table]
-    ns = _as_list(config["ns"], int) if "ns" in config else defaults["ns"]
-    kurtoses = (
-        _as_list(config["kurtoses"], float) if "kurtoses" in config
-        else (3.0, 4.0, 5.0)
-    )
+    ns = _setting(config, "ns", int, defaults["ns"], *positive)
+    kurtoses = _setting(config, "kurtoses", float, (3.0, 4.0, 5.0),
+                        _finite_at_least(3.0), "finite and at least 3")
+    if len(kurtoses) != len(GAMMA_LOADINGS[0]):
+        raise _InputError(f"config key 'kurtoses' needs {len(GAMMA_LOADINGS[0])} "
+                          f"values, got {len(kurtoses)}")
+    non_negative = (_finite_at_least(0.0), "finite and non-negative")
+    ks = _setting(config, "ks", float, defaults.get("ks"), *non_negative)
+    k = _setting(config, "k", float, (defaults.get("k"),), *non_negative)[0]
+    level = _setting(config, "level", float, (defaults.get("level"),), _rate,
+                     "in (0, 1]")[0]
+    alpha = _setting(config, "alpha", float, (defaults.get("alpha"),), _rate,
+                     "in (0, 1]")[0]
+    estimators = _setting(config, "estimators", str, ("eigen", "iv1", "iv2"),
+                          _ESTIMATORS.__contains__, f"among {', '.join(_ESTIMATORS)}")
+    methods = _setting(config, "methods", str, ("jackknife", "delta"),
+                       ("jackknife", "delta").__contains__, "jackknife or delta")
+    if table == 2 and "jackknife" in methods:
+        _check_jackknife_n(min(ns))
 
     manifest = RunManifest.build("simulate", seed, inputs, argv)
     out = _out_dir(args)
 
     if table == 1:
-        ks = _as_list(config["ks"], float) if "ks" in config else defaults["ks"]
-        estimators = (
-            _as_list(config["estimators"], str) if "estimators" in config
-            else ("eigen", "iv1", "iv2")
-        )
         result = run_mse_experiment(ns, ks, reps, seed, estimators, kurtoses)
     elif table == 2:
-        k = float(config.get("k", defaults["k"]))
-        level = float(config.get("level", defaults["level"]))
-        methods = (
-            _as_list(config["methods"], str) if "methods" in config
-            else ("jackknife", "delta")
-        )
         result = run_coverage_experiment(ns, k, reps, seed, level, methods, kurtoses)
     else:
-        ks = _as_list(config["ks"], float) if "ks" in config else defaults["ks"]
-        alpha = float(config.get("alpha", defaults["alpha"]))
         result = run_overid_power_experiment(ns, ks, reps, seed, alpha,
                                              kurtoses=kurtoses)
 

@@ -28,7 +28,7 @@ from ._pipeline import (  # the three tolerances stay public names here
     ROW_SUM_FALLBACK_TOL,
     _INVALID_MISMATCH,
     _gap_scale,
-    _orient_rows_batched,
+    _oriented,
 )
 from .errors import (
     ComplexResidueWarning,
@@ -38,7 +38,6 @@ from .errors import (
     RankDetectionError,
 )
 from .moments import (
-    _centered_moments,
     _check_direction,
     contract_hessian,
     contract_tensor,
@@ -139,8 +138,8 @@ def orient_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     zero to be trusted, that row falls back to its largest-magnitude entry,
     made positive, and its index is reported.
     """
-    out, fallback = _orient_rows_batched(np.array(rows, dtype=float))
-    return out, tuple(np.flatnonzero(fallback).tolist())
+    out, fallback = _oriented(np.array(rows, dtype=float)[:, :, None])
+    return out[:, :, 0], tuple(np.flatnonzero(fallback).tolist())
 
 
 def _warn_unstable(demixed: _pipeline.DemixedRows, stacklevel: int) -> None:
@@ -211,7 +210,7 @@ def estimate_demixing(data, probes: ProbeVectors, order: int = 3) -> DemixingEst
         return demixing_from_contractions(g1, g2)
     w1, w2 = _check_direction(probes.w1, d), _check_direction(probes.w2, d)
     demixed = _pipeline.demix_rows(
-        _centered_moments(x)[1], d, w1, w2, cond_cap=COND_CAP
+        _pipeline.moment_record(x).m_hat, d, w1, w2, cond_cap=COND_CAP
     )
     return _demixing_estimate(demixed)
 

@@ -21,7 +21,7 @@ from scipy import stats
 from . import _pipeline
 from .errors import IllConditionedError, InvalidInputError
 from .identify import COND_CAP, ProbeVectors
-from .moments import _centered_moments, validate_sample
+from .moments import validate_sample
 
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
 
@@ -104,14 +104,8 @@ def delta_variance_statistic(data, batch_statistic: Callable) -> DeltaVarianceRe
     """
     x = validate_sample(data)
     _check_sixth_moments(x)
-    z, m_hat = _centered_moments(x)
-    return _delta_from_moments(_moment_covariance(z, m_hat), m_hat, batch_statistic)
-
-
-def _moment_covariance(z: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
-    """Sigma_m of the monomial matrix `z` about its column means `m_hat`."""
-    zc = z - m_hat
-    return zc.T @ zc / z.shape[0]
+    record = _pipeline.moment_record(x)
+    return _delta_from_moments(record.sigma_m().copy(), record.m_hat, batch_statistic)
 
 
 def _delta_from_moments(sigma_m: np.ndarray, m_hat: np.ndarray,
@@ -171,14 +165,14 @@ def _anchored_delta(x: np.ndarray, probes: ProbeVectors,
 
     A singular anchor contraction is rejected up front; the perturbed
     evaluations would otherwise solve through it silently.  A singular
-    perturbed point (NaN in the Jacobian) raises too.  The monomial matrix
-    of the centered sample is built once, for the anchor and the moment
-    covariance.
+    perturbed point (NaN in the Jacobian) raises too.  The anchor and the
+    moment covariance come from the sample's moment record.
     """
-    z, m_hat = _centered_moments(x)
-    _pipeline.demix_rows(m_hat, x.shape[1], probes.w1, probes.w2, cond_cap=COND_CAP)
+    record = _pipeline.moment_record(x)
+    _pipeline.demix_rows(record.m_hat, x.shape[1], probes.w1, probes.w2,
+                         cond_cap=COND_CAP)
     _check_sixth_moments(x)
-    res = _delta_from_moments(_moment_covariance(z, m_hat), m_hat, batch)
+    res = _delta_from_moments(record.sigma_m().copy(), record.m_hat, batch)
     if not np.isfinite(res.jacobian).all():
         raise IllConditionedError(
             "singular contraction at w2 at a finite-difference point", float("inf"))
@@ -207,11 +201,9 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     x = validate_sample(data, min_cols=2)
     n, d = x.shape
     _check_jackknife_n(n)
-    z, m_hat = _centered_moments(x)
-    rows, gap_flags, _, fallbacks = _pipeline.leave_one_out_rows(
-        x, z, d, probes.w1, probes.w2
-    )
-    full_rows, _, _, _ = _pipeline.demix_rows(m_hat, d, probes.w1, probes.w2)
+    record = _pipeline.moment_record(x)
+    rows, gap_flags, _, fallbacks = record.leave_one_out(probes.w1, probes.w2)
+    full_rows, _, _, _ = _pipeline.demix_rows(record.m_hat, d, probes.w1, probes.w2)
     label_flips = tie_count = full_tie = None
     if pattern is None:
         est = rows.reshape(n, d * d).copy()

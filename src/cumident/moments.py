@@ -132,9 +132,18 @@ def _centered_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Every order-3 statistic starts here.  The cumulant map is exact for any
     origin, and about the mean neither the moments nor their covariance,
     which sets the finite-difference steps, grow with a shift of the data.
+    The single-sample entry points read these from the sample's
+    ``_pipeline.MomentRecord``, built once per sample; the Monte Carlo
+    tables and stacked Wald tests call this directly.
     """
     z = monomial_matrix(x - column_means(x))
     return z, column_means(z)
+
+
+def _moment_covariance(z: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
+    """Sigma_m of the monomial matrix `z` about its column means `m_hat`."""
+    zc = z - m_hat
+    return zc.T @ zc / z.shape[0]
 
 
 def third_cumulants(data) -> np.ndarray:

@@ -17,9 +17,8 @@ from scipy import special
 from . import _pipeline
 from .errors import IllConditionedError
 from .identify import COND_CAP, DemixingEstimate, ProbeVectors, _warn_unstable
-from .inference import (_check_jackknife_n, _delta_from_moments,
-                        _moment_covariance)
-from .moments import _centered_moments, validate_sample
+from .inference import _check_jackknife_n, _delta_from_moments
+from .moments import validate_sample
 
 OMEGA_COND_CAP = 1e12
 OMEGA_CLIP_RTOL = 1e-12
@@ -50,7 +49,7 @@ def overid_restrictions(data, est: DemixingEstimate) -> np.ndarray:
     d = x.shape[1]
     if lam.shape[1] != d:
         raise ValueError(f"estimate is for d={lam.shape[1]} but sample has d={d}")
-    return _pipeline.offdiag_from_rows(lam, _centered_moments(x)[1], d)
+    return _pipeline.offdiag_from_rows(lam, _pipeline.moment_record(x).m_hat, d)
 
 
 class _WaldStack(NamedTuple):
@@ -85,14 +84,16 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     if d > 2 and len(samples) > 1:  # d >= 3 stacks share one eigen-anchor
         raise ValueError("samples of width d > 2 are tested one at a time")
     ns = np.array([x.shape[0] for x in samples])
-    # Per sample, the moments and, for the delta method, Sigma_m, so that
-    # one monomial matrix is alive at a time; the jackknife keeps each
-    # sample's monomial matrix for its delete-1 stack.
+    # A single sample reads the moment record the single-sample entry points
+    # share.  Several get records made as they are read, so that the delta
+    # method, which keeps only Sigma_m, has one monomial matrix alive at a
+    # time; the jackknife keeps each record for its delete-1 stack.
+    records = ([_pipeline.moment_record(samples[0])] if len(samples) == 1
+               else map(_pipeline.MomentRecord.of, samples))
     ms, held = [], []
-    for x in samples:
-        z, m = _centered_moments(x)
-        ms.append(m)
-        held.append(_moment_covariance(z, m) if method == "delta" else z)
+    for record in records:
+        ms.append(record.m_hat)
+        held.append(record.sigma_m() if method == "delta" else record)
     m = np.stack(ms)
     anchors = _pipeline.demix_rows(m, d, probes.w1, probes.w2, cond_cap=COND_CAP)
     r_hat = _pipeline.offdiag_from_rows(anchors[0], m, d)
@@ -108,10 +109,11 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     elif method == "jackknife":
         _check_jackknife_n(ns.min(), "jackknife covariance")
         for i in np.flatnonzero(ok):
+            # Released after use, so a record that no one else keeps frees
+            # its delete-1 stack before the next sample's is built.
+            record, held[i] = held[i], None
             try:
-                loo_rows, _, loo, _ = _pipeline.leave_one_out_rows(
-                    samples[i], held[i], d, probes.w1, probes.w2
-                )
+                loo_rows, _, loo, _ = record.leave_one_out(probes.w1, probes.w2)
             except IllConditionedError:
                 continue
             r_loo = _pipeline.offdiag_from_rows(loo_rows, loo, d)

@@ -22,8 +22,8 @@ from . import _pipeline
 from .errors import InvalidInputError, WeakInstrumentError
 from .identify import COND_CAP, ProbeVectors
 from .inference import (_check_jackknife_n, _delete1_variance,
-                        _delta_from_moments, _moment_covariance)
-from .moments import _centered_moments
+                        _delta_from_moments)
+from .moments import _centered_moments, _moment_covariance
 from .overid import OMEGA_COND_CAP, _wald_stack
 
 LAMBDA_TRUE = np.array([[1.0, 1.5], [-0.5, 1.0]])

@@ -1,10 +1,11 @@
 """Brute-force oracles for the tests.
 
 Labeling beyond the exhaustive cap: every one of the d! orderings, scored
-on the labeling kernels' own (d, d) placement costs.  The jackknife: a
-generic loop that re-estimates on each of the n delete-1 samples.  The
-contraction Hessian: the projected sample cumulant whose second derivative
-it is.
+on the labeling kernels' own (d, d) placement costs.  Sign labeling up to
+the cap: every stack entry scored on its own, without sharing the scores of
+equal cost matrices.  The jackknife: a generic loop that re-estimates on
+each of the n delete-1 samples.  The contraction Hessian: the projected
+sample cumulant whose second derivative it is.
 """
 
 from __future__ import annotations
@@ -57,6 +58,49 @@ def brute_sign(count, margin):
     margins = brute_totals(np.where(np.isfinite(count), margin, 0.0))[at]
     best = at[margins.argmax()]
     return counts.min(), at.size > 1, ordering(count.shape[0], best), margins.max()
+
+
+def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
+    """:func:`cumident._pipeline.label_signs` up to the exhaustive cap, with
+    every stack entry scored over all d! orderings, however many entries
+    share a sign-cost matrix."""
+    squeeze = rows.ndim == 2
+    r = rows[None] if squeeze else rows
+    b, d, _ = r.shape
+    pattern = np.asarray(pattern)
+    active = pattern != 0
+    weights = pattern.astype(float)
+    perms, pivots, blocks = _pipeline._permutation_table(d)
+    perms = list(perms)
+    order = np.arange(len(perms), dtype=float)
+    best = np.full(b, np.inf)
+    tie_flags = np.ones(b, dtype=bool)
+    perm_index = np.empty(b, dtype=np.intp)
+    for s in _pipeline._chunks(b, d):
+        cost = _pipeline._sign_cost(*_pipeline._entries_last(r[s]), weights)
+        total = _pipeline._candidate_totals(cost, pivots)
+        low = np.minimum.reduce(total, axis=0)
+        at_best = total == low
+        tied = np.count_nonzero(at_best, axis=0) > 1
+        pick = np.where(tied, 0, (order @ at_best).astype(np.intp))
+        refine = np.flatnonzero(tied & np.isfinite(low))
+        if refine.size:
+            cand, ent = np.nonzero(at_best[:, refine])
+            normalized = _pipeline._normalized(r[s][refine[ent]], blocks, cand)
+            margin = np.full((refine.size, len(perms)), -np.inf)
+            margin[ent, cand] = _pipeline._stack_sum(
+                pattern[active] * normalized[:, active], b
+            )
+            pick[refine] = margin.argmax(axis=1)
+        best[s], tie_flags[s], perm_index[s] = low, tied, pick
+    lam = _pipeline._normalized(r, blocks, perm_index)
+    best_mism = np.where(
+        np.isfinite(best), best, _pipeline._INVALID_MISMATCH
+    ).astype(np.int64)
+    if squeeze:
+        return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
+                int(perm_index[0]), perms)
+    return lam, best_mism, tie_flags, perm_index, perms
 
 
 def jackknife_variance(data, estimator: Callable) -> JackknifeResult:

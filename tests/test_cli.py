@@ -133,6 +133,21 @@ def test_estimate_duplicate_pattern_exits_4(sample_csv, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("entries", ["1,0.5\n-1,1\n", "1,nan\n-1,1\n", "2,1\n-1,1\n"])
+def test_estimate_pattern_entries_outside_signs_exit_2(sample_csv, tmp_path, capsys,
+                                                       entries):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(entries)
+    out = tmp_path / "est"
+    code = main([
+        "estimate", str(sample_csv), "--seed", "3",
+        "--label", f"signs:{bad}", "--out", str(out),
+    ])
+    assert code == 2
+    assert "entries must be -1, 0 or 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_missing_file_exits_2(tmp_path):
     assert main([
         "estimate", str(tmp_path / "absent.csv"), "--seed", "3",
@@ -244,6 +259,29 @@ def test_simulate_requires_seed_and_table(tmp_path):
     cfg2 = tmp_path / "exp2.cfg"
     cfg2.write_text("ns = 200\nks = 0\nreps = 2\nseed = 3\n")
     assert main(["simulate", str(cfg2), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("lines", [
+    "table = 3\nalpha = 5\n",
+    "table = 2\nlevel = 1.5\n",
+    "table = 3\nreps = abc\n",
+    "table = 3\nreps = 0\n",
+    "table = abc\n",
+    "table = 3\nseed = 1.5\n",
+    "table = 3\nns = 300, 0\n",
+    "table = 1\nks = 0, -0.5\n",
+    "table = 2\nk = nan\n",
+    "table = 1\nkurtoses = 3, 4\n",
+    "table = 1\nkurtoses = 2, 4, 5\n",
+    "table = 1\nestimators = eigen, ols\n",
+    "table = 2\nmethods = bootstrap\n",
+])
+def test_simulate_bad_config_values_exit_2_before_any_output(tmp_path, lines):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(lines + "seed = 5\n" * ("seed" not in lines))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_version_flag():

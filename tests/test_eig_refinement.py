@@ -9,16 +9,16 @@ import pytest
 import cumident as ci
 from cumident import _pipeline
 from cumident._pipeline import _sorted_eig
-from cumident.inference import _fd_steps, _moment_covariance
-from cumident.moments import _centered_moments
+from cumident.inference import _fd_steps
+from cumident.moments import _centered_moments, _moment_covariance
 
 
 @pytest.fixture(autouse=True)
-def cold_memo():
-    """Each test starts and ends without a held delete-1 stack."""
-    _pipeline._loo_held = None
+def cold_record():
+    """Each test starts and ends without a held moment record."""
+    _pipeline._record = None
     yield
-    _pipeline._loo_held = None
+    _pipeline._record = None
 
 
 def lapack_eig(ms, d, w1, w2):
@@ -31,8 +31,11 @@ def lapack_eig(ms, d, w1, w2):
 
 
 def lapack_pencil_eig(ms, d, w1, w2):
-    vals, vecs = lapack_eig(ms, d, w1, w2)
-    return vals, vecs, np.zeros(ms.shape[0], dtype=bool)
+    """:func:`_pipeline._pencil_eig` with LAPACK in place of the kernel, no
+    entry counted as a fallback."""
+    out = lapack_rows(ms, d, w1, w2)
+    out.eig_fallbacks = np.zeros(ms.shape[0], dtype=bool)
+    return out
 
 
 def lapack_rows(ms, d, w1, w2):
@@ -136,21 +139,26 @@ def test_refinement_rejects_planted_entries():
     ms, w1, w2 = planted_stack()
     anchor = lapack_eig(ms[0], 4, w1, w2)[1].real.T
     maps = _pipeline._contraction_maps(4, w1, w2)
-    _, _, accepted = _pipeline._pencil_refine(ms, maps, anchor)
+    *_, accepted = _pipeline._pencil_refine(ms, maps, anchor)
     np.testing.assert_array_equal(np.flatnonzero(~accepted), [3, 7, 11])
+
+
+def assert_entries_are_lapack(got, lapack, entries):
+    """Rows, eigenvalues, flags and residues of `entries` of `got` are
+    bitwise those of the LAPACK result `lapack` of those entries."""
+    for a, b in zip((*got, got.orient_fallbacks), (*lapack, lapack.orient_fallbacks)):
+        assert a[entries].tobytes() == b.tobytes()
 
 
 def test_fallback_entries_are_lapack_bitwise():
     ms, w1, w2 = planted_stack()
     finite = np.delete(ms, 11, axis=0)
-    vals, vecs, fallbacks = _pipeline._pencil_eig(finite, 4, w1, w2)
+    demixed = _pipeline._pencil_eig(finite, 4, w1, w2)
+    fallbacks = demixed.eig_fallbacks
     np.testing.assert_array_equal(np.flatnonzero(fallbacks), [3, 7])
-    ref_vals, ref_vecs = lapack_eig(finite[fallbacks], 4, w1, w2)
-    assert vals.dtype == ref_vals.dtype and vecs.dtype == ref_vecs.dtype
-    assert vals[fallbacks].tobytes() == ref_vals.tobytes()
-    assert vecs[fallbacks].tobytes() == ref_vecs.tobytes()
+    assert_entries_are_lapack(demixed, lapack_rows(finite[fallbacks], 4, w1, w2),
+                              fallbacks)
     # The complex pair and the near-repeated pair keep LAPACK's diagnostics.
-    demixed = _pipeline.demix_rows(finite, 4, w1, w2)
     np.testing.assert_array_equal(np.flatnonzero(demixed[2]), [3, 7])
     assert demixed[3][3] > 0.0
     assert np.delete(demixed[3], 3).max() == 0.0
@@ -170,11 +178,30 @@ def test_complex_anchor_sends_the_stack_to_lapack(monkeypatch):
         raise AssertionError("refined from a complex anchor")
 
     monkeypatch.setattr(_pipeline, "_pencil_refine", refine)
-    vals, vecs, fallbacks = _pipeline._pencil_eig(stack, 4, w1, w2)
-    assert fallbacks.all()
-    ref_vals, ref_vecs = lapack_eig(stack, 4, w1, w2)
-    assert vals.tobytes() == ref_vals.tobytes()
-    assert vecs.tobytes() == ref_vecs.tobytes()
+    demixed = _pipeline._pencil_eig(stack, 4, w1, w2)
+    assert demixed.eig_fallbacks.all()
+    assert_entries_are_lapack(demixed, lapack_rows(stack, 4, w1, w2), slice(None))
+
+
+def test_kernel_rows_are_oriented_as_lapack_rows():
+    # The kernel orients its rows chunk by chunk, entries last; on entries
+    # whose row sums are near zero it falls back to the first largest
+    # entry, as the one orientation does for LAPACK rows.
+    ms, w1, w2 = pencil_stack(3, 1e-4, 0, b=50)
+    got = _pipeline.demix_rows(ms, 3, w1, w2)
+    want = lapack_rows(ms, 3, w1, w2)
+    np.testing.assert_array_equal(got.orient_fallbacks, want.orient_fallbacks)
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    rows = np.random.default_rng(3).standard_normal((4, 3, 7))
+    rows[1, :, 2] = [0.5, -0.5, 0.0]
+    rows[2, :, 4] = [-0.75, 0.0, 0.75]
+    oriented, fallback = _pipeline._oriented(rows.copy())
+    np.testing.assert_array_equal(np.argwhere(fallback), [[1, 2], [2, 4]])
+    np.testing.assert_array_equal(oriented[1, :, 2], [0.5, -0.5, 0.0])
+    np.testing.assert_array_equal(oriented[2, :, 4], [0.75, 0.0, -0.75])
+    for k, e in itertools.product(range(4), range(7)):
+        want_row, _ = ci.orient_rows(rows[k, :, e][None])
+        assert oriented[k, :, e].tobytes() == want_row[0].tobytes()
 
 
 DESIGNS = {
@@ -225,7 +252,7 @@ def test_jackknife_counts_fallbacks(monkeypatch):
     assert ci.demixing_jackknife(x, probes, pattern).eig_fallbacks == 0
     with monkeypatch.context() as patched:
         patched.setattr(_pipeline, "_pencil_eig", lapack_pencil_eig)
-        _pipeline._loo_held = None
+        _pipeline._record = None
         lapack = ci.demixing_jackknife(x, probes, pattern, entry=None)
     assert lapack.eig_fallbacks == 0
     # With no tolerance on the residual, or on the last Newton correction,
@@ -233,7 +260,7 @@ def test_jackknife_counts_fallbacks(monkeypatch):
     for tolerance in ("_RESIDUAL_ULPS", "_LAST_STEP_TOL"):
         with monkeypatch.context() as patched:
             patched.setattr(_pipeline, tolerance, 0.0)
-            _pipeline._loo_held = None
+            _pipeline._record = None
             rejected = ci.demixing_jackknife(x, probes, pattern, entry=None)
         assert rejected.eig_fallbacks == x.shape[0]
         assert rejected.estimates.tobytes() == lapack.estimates.tobytes()
@@ -296,7 +323,7 @@ def test_jackknife_solves_one_matrix_at_a_time(monkeypatch):
 
 
 def analysis(x, probes, pattern):
-    _pipeline._loo_held = None
+    _pipeline._record = None
     jk = ci.demixing_jackknife(x, probes, pattern, entry=None)
     dv = ci.delta_variance_labeled(x, probes, pattern, entry=(0, 1))
     tests = {m: ci.wald_test(x, probes, method=m) for m in ("delta", "jackknife")}

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import cumident as ci
-from cumident import _pipeline
+from cumident import _pipeline, inference, moments, overid
 from cumident.errors import IllConditionedError
-from cumident.inference import FD_STEP_SCALE, _fd_steps, _moment_covariance
-from cumident.moments import _centered_moments
+from cumident.inference import FD_STEP_SCALE, _fd_steps
+from cumident.moments import _centered_moments, _moment_covariance
 from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, gen_composite
 from _brute_force import jackknife_variance
 
@@ -270,8 +270,8 @@ def memo_case(d):
 
 
 def cold(call, *args, **kwargs):
-    """`call` with the leave-one-out memo emptied first."""
-    _pipeline._loo_held = None
+    """`call` with the moment record emptied first."""
+    _pipeline._record = None
     return call(*args, **kwargs)
 
 
@@ -284,7 +284,21 @@ def assert_same_jackknife(a, b):
 
 
 def memo_entry():
-    return _pipeline._loo_held[1]
+    """The delete-1 stack of the held moment record."""
+    return _pipeline._record._loo[1]
+
+
+def count_monomial_matrices(monkeypatch):
+    """A list that gets one entry per monomial matrix built from now on."""
+    built = []
+    real = moments.monomial_matrix
+
+    def counted(data):
+        built.append(np.shape(data))
+        return real(data)
+
+    monkeypatch.setattr(moments, "monomial_matrix", counted)
+    return built
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -292,21 +306,34 @@ def test_memo_follows_in_place_changes(d):
     x, probes, pattern = memo_case(d)
     x = x.copy()
     first = cold(ci.demixing_jackknife, x, probes, pattern)
+    held = _pipeline._record
     x[0, 0] += 0.5
     changed = ci.demixing_jackknife(x, probes, pattern)
+    assert _pipeline._record is not held
     assert_same_jackknife(changed, cold(ci.demixing_jackknife, x, probes, pattern))
     assert changed.variance.tobytes() != first.variance.tobytes()
+    # A change that keeps the value but not the bits misses too.
+    x[0, 0] = 0.0
+    ci.demixing_jackknife(x, probes, pattern)
+    held = _pipeline._record
+    x[0, 0] = -0.0
+    ci.demixing_jackknife(x, probes, pattern)
+    assert _pipeline._record is not held
 
 
 @pytest.mark.parametrize("d", [2, 5])
-def test_memo_misses_on_other_probes(d):
+def test_memo_misses_on_other_probes(d, monkeypatch):
     x, probes, pattern = memo_case(d)
     other = ci.ProbeVectors.draw(d, 99)
     other_w2 = ci.ProbeVectors.draw(d, probes.seed, w2=np.arange(1.0, d + 1))
     for p in (other, other_w2):
         cold(ci.demixing_jackknife, x, probes, pattern)
-        held = memo_entry()
-        got = ci.demixing_jackknife(x, p, pattern=pattern)
+        record, held = _pipeline._record, memo_entry()
+        with monkeypatch.context() as patched:
+            built = count_monomial_matrices(patched)
+            got = ci.demixing_jackknife(x, p, pattern=pattern)
+        # The same sample's record and monomials, a new delete-1 stack.
+        assert _pipeline._record is record and built == []
         assert memo_entry() is not held
         assert_same_jackknife(got, cold(ci.demixing_jackknife, x, p, pattern=pattern))
 
@@ -316,32 +343,40 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     x, probes, pattern = memo_case(d)
     y = x[::-1].copy()
     cold(ci.demixing_jackknife, x, probes)
-    # A miss frees the held stack before it builds the next one.
+    # A miss frees the held record, and its delete-1 stack, before it builds
+    # the next one.
+    old_record = weakref.ref(_pipeline._record)
     old_rows = weakref.ref(memo_entry()[0])
     held_while_building = []
 
-    def demix_rows(ms, *args, **kwargs):
-        if ms.ndim == 2 and ms.shape[0] == x.shape[0]:
-            held_while_building.append(
-                (_pipeline._loo_held is None, old_rows() is None)
-            )
-        return real(ms, *args, **kwargs)
+    def monomial_matrix(data):
+        held_while_building.append(
+            (_pipeline._record is None, old_record() is None, old_rows() is None)
+        )
+        return real(data)
 
-    real = _pipeline.demix_rows
-    monkeypatch.setattr(_pipeline, "demix_rows", demix_rows)
+    real = moments.monomial_matrix
+    monkeypatch.setattr(moments, "monomial_matrix", monomial_matrix)
     jk = ci.demixing_jackknife(y, probes)
-    assert held_while_building == [(True, True)]
-    held_moments = memo_entry()[2]
+    dv = ci.delta_variance(y, probes)
+    assert held_while_building == [(True, True, True)]
+    record = _pipeline._record
     np.testing.assert_array_equal(
-        held_moments, _pipeline.leave_one_out_moments(_centered_moments(y)[0])
+        memo_entry()[2], _pipeline.leave_one_out_moments(_centered_moments(y)[0])
     )
-    for a in memo_entry():
+    # The record holds a copy of the sample, not the caller's array.
+    assert record.x.tobytes() == y.tobytes() and not np.shares_memory(record.x, y)
+    assert y.flags.writeable
+    for a in (record.x, record.z, record.m_hat, record.sigma_m(), *memo_entry()):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         memo_entry()[0][0, 0, 0] = 1.0
-    # Results are the caller's own arrays, not views of the held stack.
-    assert jk.estimates.flags.writeable
+    with pytest.raises(ValueError):
+        record.z[0, 0] = 1.0
+    # Results are the caller's own arrays, not views of what is held.
+    assert jk.estimates.flags.writeable and dv.sigma_m.flags.writeable
     assert not np.shares_memory(jk.estimates, memo_entry()[0])
+    assert not np.shares_memory(dv.sigma_m, record.sigma_m())
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -373,7 +408,7 @@ def test_full_analysis_builds_one_leave_one_out_stack(monkeypatch):
         return real(ms, *args, **kwargs)
 
     monkeypatch.setattr(_pipeline, "demix_rows", demix_rows)
-    _pipeline._loo_held = None
+    _pipeline._record = None
     est = ci.estimate_demixing(x, probes)
     ci.label_by_signs(est, pattern)
     ci.demixing_jackknife(x, probes, pattern=pattern, entry=None)
@@ -382,3 +417,38 @@ def test_full_analysis_builds_one_leave_one_out_stack(monkeypatch):
         ci.wald_test(x, probes, method=method)
     assert stacks.count(n) == 1
     assert sum(stacks) - n < n
+
+
+def test_full_analysis_builds_the_moments_once(monkeypatch):
+    # Work-count guard: the five calls of one d = 5 analysis share one
+    # moment record, so the monomial matrix and Sigma_m are built once, and
+    # the labeler scores each distinct sign-cost matrix of the delete-1
+    # stack once, not each of its n entries.
+    x, probes, pattern = memo_case(5)
+    n = x.shape[0]
+    built = count_monomial_matrices(monkeypatch)
+    sigmas, columns = [], []
+    real_sigma, real_totals = _moment_covariance, _pipeline._candidate_totals
+
+    def moment_covariance(z, m):
+        sigmas.append(z.shape)
+        return real_sigma(z, m)
+
+    def candidate_totals(cost, pivots):
+        columns.append(cost.shape[-1])
+        return real_totals(cost, pivots)
+
+    for module in (moments, _pipeline, inference, overid):
+        if hasattr(module, "_moment_covariance"):
+            monkeypatch.setattr(module, "_moment_covariance", moment_covariance)
+    monkeypatch.setattr(_pipeline, "_candidate_totals", candidate_totals)
+    _pipeline._record = None
+    est = ci.estimate_demixing(x, probes)
+    ci.label_by_signs(est, pattern)
+    jk = ci.demixing_jackknife(x, probes, pattern=pattern, entry=None)
+    ci.delta_variance_labeled(x, probes, pattern, entry=(0, 1))
+    for method in ("delta", "jackknife"):
+        ci.wald_test(x, probes, method=method)
+    assert built == [x.shape] and sigmas == [(n, 55)]
+    assert jk.label_flips == 0
+    assert sum(columns) <= n // 50

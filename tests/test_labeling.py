@@ -17,7 +17,8 @@ from cumident.identify import (
     LabelingResult,
 )
 
-from _brute_force import brute_costs, brute_sign, brute_totals, ordering
+from _brute_force import (brute_costs, brute_sign, brute_totals,
+                          label_signs_every_entry, ordering)
 
 
 def _estimate_from_rows(rows) -> DemixingEstimate:
@@ -331,6 +332,49 @@ def test_label_signs_oracle_on_jackknife_stack():
                               oracle_label_signs(rows, pattern))
     _assert_bitwise_equal(_pipeline.label_triangular(rows),
                           oracle_label_triangular(rows))
+
+
+def _sign_costs(rows, pattern):
+    return _pipeline._sign_cost(*_pipeline._entries_last(rows),
+                                np.asarray(pattern, dtype=float))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["invalid", "tied", "all_differ", "all_share"])
+def test_label_signs_shares_scores_as_scoring_every_entry(d, kind):
+    # label_signs scores each distinct sign-cost matrix of a chunk once;
+    # scoring every entry gives the same bits.  At d = 5 the stack spans
+    # two chunks.
+    rng = np.random.default_rng([d, len(kind)])
+    b = 2_500 if d == 5 else 300
+    pattern = rng.integers(-1, 2, (d, d))
+    base = rng.standard_normal((d, d))
+    # Small moves keep the signs, so most entries share entry 0's costs.
+    rows = base + 1e-3 * rng.standard_normal((b, d, d))
+    rows[rng.random(b) < 0.1] = rng.standard_normal((d, d))
+    if kind == "invalid":
+        rows[::7] = 0.0
+    elif kind == "tied":
+        pattern = np.eye(d, dtype=int)
+    elif kind == "all_differ":
+        rows = rng.standard_normal((b, d, d))
+        rows[0] = np.where(np.eye(d, dtype=bool), 0.0, rows[0])
+        rows[:, 0, 0] = np.where(np.arange(b) == 0, 0.0, rows[:, 0, 0] + 1.0)
+    else:
+        rows = base + 1e-3 * rng.standard_normal((b, d, d))
+    cost = _sign_costs(rows, pattern)
+    first = _pipeline._chunks(b, d)[0].stop
+    same = (cost == cost[..., :1]).all(axis=(0, 1))[:first]
+    assert {"invalid": not np.isfinite(cost[..., 0]).any(),
+            "tied": True, "all_differ": not same[1:].any(),
+            "all_share": same.all()}[kind]
+    got = _pipeline.label_signs(rows, pattern)
+    want = label_signs_every_entry(rows, pattern)
+    if kind == "tied":
+        assert want[2].all()
+    for g, w in zip(got[:4], want[:4]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[4] == want[4]
 
 
 @pytest.mark.parametrize("labeler", [

@@ -541,8 +541,7 @@ def test_singular_entry_of_a_2x2_stack_is_flagged_alone():
         _pipeline.demix_contractions(g1[1], g2[1])
     x = _with_constant_column(np.random.default_rng(36).standard_exponential((50, 2)))
     with pytest.raises(IllConditionedError, match="delete-1"):
-        _pipeline.leave_one_out_rows(x, _centered_moments(x)[0], 2, [0.3, 0.6],
-                                     [1.0, 1.0])
+        _pipeline.MomentRecord.of(x).leave_one_out([0.3, 0.6], [1.0, 1.0])
 
 
 def test_tables_emit_no_warnings():
