@@ -589,27 +589,15 @@ def offdiag_from_rows(rows: np.ndarray, ms: np.ndarray, d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=EXHAUSTIVE_PERMUTATION_CAP)
 def _permutation_table(d: int):
-    """The d! row orderings, as tuples and as flat indices into a (d, d) block.
-
-    `pivots[p, i]` is the row-major index of entry (perm_p[i], i), and
-    `blocks` is :func:`_blocks` of the orderings.
-    """
+    """The d! row orderings: as tuples, as a (d!, d) table whose row p is
+    perm_p, and as `pivots[p, i]`, the row-major index of entry
+    (perm_p[i], i) of a (d, d) block."""
     perms = tuple(itertools.permutations(range(d)))
     table = np.array(perms, dtype=np.intp).reshape(len(perms), d)
     pivots = table * d + np.arange(d)
-    blocks = _blocks(table)
+    table.flags.writeable = False
     pivots.flags.writeable = False
-    blocks.flags.writeable = False
-    return perms, pivots, blocks
-
-
-def _blocks(table: np.ndarray) -> np.ndarray:
-    """Column p lists the row-major indices of rows table[p, 0], ...,
-    table[p, d-1] of a (d, d) block, for a (p, d) table of orderings."""
-    p, d = table.shape
-    return np.ascontiguousarray(
-        (table[:, :, None] * d + np.arange(d)).reshape(p, d * d).T
-    )
+    return perms, table, pivots
 
 
 def _ranked(table: np.ndarray):
@@ -646,13 +634,11 @@ def _entries_last(r: np.ndarray):
     return rt, absr, 1e-12 * np.maximum(peak, 1e-300)
 
 
-def _normalized(r: np.ndarray, blocks: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Rows of stack entry e in ordering cand[e], divided by their diagonal."""
-    k, d, _ = r.shape
-    idx = np.take(blocks, cand, axis=1) + np.arange(0, k * d * d, d * d)
-    block = np.take(r, idx)
-    lam = block.reshape(d, d, k) / _pivots(block[:: d + 1])[:, None, :]
-    return np.ascontiguousarray(lam.transpose(2, 0, 1))
+def _normalized(r: np.ndarray, table: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Stack entry e of `r` with its rows put in ordering table[cand[e]],
+    each row divided by its diagonal entry: one row gather for the stack."""
+    block = r[np.arange(r.shape[0])[:, None], table[cand]]
+    return block / _pivots(np.diagonal(block, axis1=1, axis2=2))[:, :, None]
 
 
 def _candidate_totals(cost: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -724,7 +710,7 @@ def _assign(cost: np.ndarray):
         return None
 
 
-def _sign_assignment(count: np.ndarray, margin: np.ndarray):
+def _sign_assignment(count: np.ndarray, margin):
     """Fewest sign mismatches, then the largest margin, for one (d, d) entry.
 
     count[k, i] and margin[k, i] score row k at position i.  With big above
@@ -734,7 +720,10 @@ def _sign_assignment(count: np.ndarray, margin: np.ndarray):
     assignments: one re-solve per placement of the optimum, with it
     forbidden.  Returns (perm, ties): the optimal ordering, None when none
     is valid, and the distinct re-solved orderings with as few mismatches.
+    With `margin` None it is the plain assignment on `count`, without ties.
     """
+    if margin is None:
+        return _assign(count), []
     d = count.shape[0]
     valid = np.isfinite(count) & np.isfinite(margin)
     big = 4.0 * d * np.max(np.abs(margin[valid]), initial=0.0) + 1.0
@@ -754,23 +743,80 @@ def _sign_assignment(count: np.ndarray, margin: np.ndarray):
     return perm, list(ties)
 
 
+def _label(r: np.ndarray, cost, margin, terms, rtol: float):
+    """Per entry of a (b, d, d) stack, the row ordering of least total
+    placement cost (the linear assignment problem), and the entry
+    normalized in it.
+
+    `cost(rt, absr, floor)` is cost[k, i, e], row k of entry e at position
+    i (inf forbids it), for an entries-last chunk (:func:`_entries_last`).
+    Up to ``EXHAUSTIVE_PERMUTATION_CAP`` rows every ordering is totalled
+    through the (d!, d) table, once per chunk for all entries whose cost
+    matrix equals the first entry's.  Orderings within `rtol` of the least
+    total are candidates; an entry with several takes the one of least
+    ``_stack_sum(terms(normalized), b)``, the first on a tie.  Beyond the
+    cap each entry is one :func:`_sign_assignment` with `margin(rt)`, a
+    plain assignment when `margin` is None.
+
+    Returns (lam, best, tied, perm_index, perms): the least total (inf, and
+    ordering 0, without a valid ordering), whether other orderings tie with
+    it, the ordering's rank among all d!, and the map from rank to
+    ordering, as :func:`label_signs` returns them.
+    """
+    b, d, _ = r.shape
+    best = np.full(b, np.inf)
+    tied = np.ones(b, dtype=bool)
+    if d > EXHAUSTIVE_PERMUTATION_CAP:
+        table = np.tile(np.arange(d), (b, 1))
+        for s in _chunks(b, d):
+            rt, absr, floor = _entries_last(r[s])
+            c = cost(rt, absr, floor)
+            m = [None] * c.shape[-1] if margin is None else np.moveaxis(margin(rt), -1, 0)
+            for e in range(c.shape[-1]):
+                perm, ties = _sign_assignment(c[..., e], m[e])
+                if perm is not None:
+                    i = s.start + e
+                    best[i] = c[perm, np.arange(d), e].sum()
+                    tied[i], table[i] = bool(ties), perm
+        perm_index, perms = _ranked(table)
+        return _normalized(r, table, np.arange(b)), best, tied, perm_index, perms
+    perms, table, pivots = _permutation_table(d)
+    perm_index = np.empty(b, dtype=np.intp)
+    for s in _chunks(b, d):
+        c = cost(*_entries_last(r[s]))
+        # Entries whose cost matrix is entry 0's share its totals: only the
+        # others are totalled, and col maps each entry to its column.
+        other = np.flatnonzero((c != c[..., :1]).reshape(d * d, -1).any(axis=0))
+        col = np.zeros(c.shape[-1], dtype=np.intp)
+        col[other] = np.arange(1, other.size + 1)
+        total = _candidate_totals(c[..., np.r_[0, other]], pivots)
+        low = np.minimum.reduce(total, axis=0)
+        at_best = total <= low * (1.0 + rtol)
+        many = np.count_nonzero(at_best, axis=0) > 1
+        # The first candidate: ordering 0 for an entry without a valid one,
+        # where every total is inf; entries with more are rescored below.
+        pick = at_best.argmax(axis=0)[col]
+        low, many = low[col], many[col]
+        refine = np.flatnonzero(many & np.isfinite(low))
+        if refine.size:
+            cand, ent = np.nonzero(at_best[:, col[refine]])
+            score = np.full((refine.size, len(perms)), np.inf)
+            score[ent, cand] = _stack_sum(
+                terms(_normalized(r[s][refine[ent]], table, cand)), b)
+            pick[refine] = score.argmin(axis=1)
+        best[s], tied[s], perm_index[s] = low, many, pick
+    return _normalized(r, table, perm_index), best, tied, perm_index, list(perms)
+
+
 def label_signs(rows: np.ndarray, pattern: np.ndarray):
     """Vectorized sign labeling with margin tie-break over a stack of rows.
 
     Diagonal normalization divides row k by its entry at the position i it
     is put in, so the sign mismatches of that placement depend on (k, i)
-    alone.  They form a (d, d, b) cost tensor; an ordering is invalid when
-    one of its diagonal entries is not above 1e-12 of the stack entry's
-    largest magnitude.  Up to ``EXHAUSTIVE_PERMUTATION_CAP`` rows, an
-    ordering's count is the sum of its d placements, gathered through a
-    (d!, d) index table.  The counts, and so the smallest count, the tie
-    flag and an untied choice, depend on the cost tensor alone: in each
-    chunk of the stack, entries whose (d, d) cost equals the first entry's
-    take its results, and only the others are scored.  Only entries tied
-    on the smallest count compute the margin sum(pattern * normalized), each
-    its own, for their tied orderings; the largest margin wins, the first
-    ordering on an exact margin tie.  Beyond the cap, each entry is one
-    exact assignment (:func:`_sign_assignment`).
+    alone, and :func:`_label` finds the fewest.  An ordering is invalid
+    when a diagonal entry is not above 1e-12 of the stack entry's largest
+    magnitude.  Of the orderings tied on the count, the largest margin
+    sum(pattern * normalized) wins, the first on an exact margin tie.
 
     Signs are read from the rows themselves: sign(r_kj / r_ki) equals
     sign(r_kj) sign(r_ki) unless the quotient underflows to zero, which
@@ -786,63 +832,20 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
-    b, d, _ = r.shape
+    d = r.shape[-1]
     pattern = np.asarray(pattern)
     if pattern.shape != (d, d) or not ((pattern == 0) | (np.abs(pattern) == 1)).all():
         raise ValueError(f"sign pattern must be {d}x{d} with entries -1, 0 or +1")
     active = pattern != 0
     weights = pattern.astype(float)
-    best = np.full(b, np.inf)
-    tie_flags = np.ones(b, dtype=bool)
-    if d > EXHAUSTIVE_PERMUTATION_CAP:
-        table = np.tile(np.arange(d), (b, 1))
-        for s in _chunks(b, d):
-            rt, absr, floor = _entries_last(r[s])
-            count = _sign_cost(rt, absr, floor, weights)
-            margin = _margin_cost(rt, weights)
-            for e in range(count.shape[-1]):
-                perm, ties = _sign_assignment(count[..., e], margin[..., e])
-                if perm is not None:
-                    i = s.start + e
-                    best[i] = count[perm, np.arange(d), e].sum()
-                    tie_flags[i], table[i] = bool(ties), perm
-        perm_index, perms = _ranked(table)
-        lam = _normalized(r, _blocks(table), np.arange(b))
-    else:
-        perms, pivots, blocks = _permutation_table(d)
-        perms = list(perms)
-        order = np.arange(len(perms), dtype=float)
-        perm_index = np.empty(b, dtype=np.intp)
-        for s in _chunks(b, d):
-            cost = _sign_cost(*_entries_last(r[s]), weights)
-            # Entries whose cost matrix is entry 0's share its scores: only
-            # the others are scored, and col maps each entry to its column.
-            other = np.flatnonzero(
-                (cost != cost[..., :1]).reshape(d * d, -1).any(axis=0))
-            col = np.zeros(cost.shape[-1], dtype=np.intp)
-            col[other] = np.arange(1, other.size + 1)
-            total = _candidate_totals(cost[..., np.r_[0, other]], pivots)
-            low = np.minimum.reduce(total, axis=0)
-            at_best = total == low
-            tied = np.count_nonzero(at_best, axis=0) > 1
-            # The single best ordering; tied entries are resolved below, and
-            # entries without a valid ordering keep ordering 0.
-            pick = np.where(tied, 0, (order @ at_best).astype(np.intp))[col]
-            low, tied = low[col], tied[col]
-            refine = np.flatnonzero(tied & np.isfinite(low))
-            if refine.size:
-                cand, ent = np.nonzero(at_best[:, col[refine]])
-                normalized = _normalized(r[s][refine[ent]], blocks, cand)
-                margin = np.full((refine.size, len(perms)), -np.inf)
-                margin[ent, cand] = _stack_sum(
-                    pattern[active] * normalized[:, active], b
-                )
-                pick[refine] = margin.argmax(axis=1)
-            best[s], tie_flags[s], perm_index[s] = low, tied, pick
-        lam = _normalized(r, blocks, perm_index)
-    best_mism = np.where(
-        np.isfinite(best), best, _INVALID_MISMATCH
-    ).astype(np.int64)
+    # (-p) x is -(p x) and a sum of negated terms is the negated sum, bit
+    # for bit, so the smallest score is the largest margin.
+    negated = -pattern[active]
+    lam, best, tie_flags, perm_index, perms = _label(
+        r, functools.partial(_sign_cost, pattern=weights),
+        functools.partial(_margin_cost, pattern=weights),
+        lambda lam: negated * lam[:, active], 0.0)
+    best_mism = np.where(np.isfinite(best), best, _INVALID_MISMATCH).astype(np.int64)
     if squeeze:
         return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
                 int(perm_index[0]), perms)
@@ -851,13 +854,10 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
 
 def _sign_ties(rows: np.ndarray, pattern: np.ndarray):
     """The orderings of one (d, d) entry that tie on the fewest sign
-    mismatches, and their margins, scored as :func:`label_signs` scores
-    them.
-
-    Up to the cap these are all such orderings, in table order; beyond it,
-    the chosen ordering and the second-best assignments that tie with it.
-    The entry must have a valid ordering.
-    """
+    mismatches and their margins, as :func:`label_signs` scores them: up to
+    the cap all such orderings in table order, beyond it the chosen one and
+    the second-best assignments that tie with it.  The entry must have a
+    valid ordering."""
     d = rows.shape[0]
     weights = pattern.astype(float)
     rt, absr, floor = _entries_last(rows[None])
@@ -865,13 +865,13 @@ def _sign_ties(rows: np.ndarray, pattern: np.ndarray):
     if d > EXHAUSTIVE_PERMUTATION_CAP:
         perm, ties = _sign_assignment(count[..., 0], _margin_cost(rt, weights)[..., 0])
         orderings = [tuple(perm.tolist()), *ties]
-        blocks, cand = _blocks(np.array(orderings)), np.arange(len(orderings))
+        table, cand = np.array(orderings), np.arange(len(orderings))
     else:
-        perms, pivots, blocks = _permutation_table(d)
+        perms, table, pivots = _permutation_table(d)
         total = _candidate_totals(count, pivots)[:, 0]
         cand = np.flatnonzero(total == total.min())
         orderings = [perms[c] for c in cand]
-    normalized = _normalized(np.repeat(rows[None], cand.size, axis=0), blocks, cand)
+    normalized = _normalized(np.repeat(rows[None], cand.size, axis=0), table, cand)
     active = pattern != 0
     return orderings, _stack_sum(pattern[active] * normalized[:, active], 1)
 
@@ -880,52 +880,26 @@ def label_triangular(rows: np.ndarray):
     """Vectorized triangular labeling over a stack of demixing rows.
 
     Picks, per stack entry, the row permutation minimizing the sum of
-    squared above-diagonal entries after diagonal normalization.  As in
-    :func:`label_signs`, the cost of row k at position i is separable,
-    here mass[k, i] = sum_{j > i} (r_kj / r_ki)^2.  Up to the cap,
-    orderings are scored by a gather over the (d!, d) table.  Those sums
-    run in another order than the per-ordering residual, so every ordering
-    within a few ulps of the smallest total is rescored with that residual;
-    the smallest wins, the first ordering on a tie.  Beyond the cap, each
-    entry is one exact linear assignment on the mass.  Returns
-    (lambda_final, residual, perm_index, permutations), indexed as in
-    :func:`label_signs`; an entry without a valid ordering gets residual
-    inf and ordering 0.
+    squared above-diagonal entries after diagonal normalization: :func:`_label`
+    on the separable mass[k, i] = sum_{j > i} (r_kj / r_ki)^2.  Its totals
+    sum in another order than that residual, so orderings within 4 d^2 ulps
+    of the least are rescored by it.  Returns (lambda_final, residual,
+    perm_index, permutations), indexed as in :func:`label_signs`; an entry
+    without a valid ordering gets residual inf and ordering 0.
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
     b, d, _ = r.shape
     iu = np.triu_indices(d, 1)
+
+    def above(lam):
+        return lam[:, iu[0], iu[1]] ** 2
+
+    lam, best, _, perm_index, perms = _label(
+        r, _triangular_cost, None, above, 4.0 * d * d * np.finfo(float).eps)
     res = np.full(b, np.inf)
-    if d > EXHAUSTIVE_PERMUTATION_CAP:
-        table = np.tile(np.arange(d), (b, 1))
-        valid = np.zeros(b, dtype=bool)
-        for s in _chunks(b, d):
-            mass = _triangular_cost(*_entries_last(r[s]))
-            for e in range(mass.shape[-1]):
-                perm = _assign(mass[..., e])
-                if perm is not None:
-                    table[s.start + e], valid[s.start + e] = perm, True
-        perm_index, perms = _ranked(table)
-        lam = _normalized(r, _blocks(table), np.arange(b))
-        res[valid] = _stack_sum(lam[valid][:, iu[0], iu[1]] ** 2, b)
-    else:
-        perms, pivots, blocks = _permutation_table(d)
-        perms = list(perms)
-        rtol = 4.0 * d * d * np.finfo(float).eps
-        perm_index = np.zeros(b, dtype=np.intp)
-        for s in _chunks(b, d):
-            total = _candidate_totals(_triangular_cost(*_entries_last(r[s])), pivots)
-            low = np.minimum.reduce(total, axis=0)
-            refine = np.flatnonzero(np.isfinite(low))
-            cand, ent = np.nonzero(total[:, refine] <= low[refine] * (1.0 + rtol))
-            normalized = _normalized(r[s][refine[ent]], blocks, cand)
-            residual = np.full((refine.size, len(perms)), np.inf)
-            residual[ent, cand] = _stack_sum(normalized[:, iu[0], iu[1]] ** 2, b)
-            pick = residual.argmin(axis=1)
-            perm_index[s][refine] = pick
-            res[s][refine] = residual[np.arange(refine.size), pick]
-        lam = _normalized(r, blocks, perm_index)
+    valid = np.isfinite(best)
+    res[valid] = _stack_sum(above(lam[valid]), b)
     if squeeze:
         return lam[0], float(res[0]), int(perm_index[0]), perms
     return lam, res, perm_index, perms

@@ -14,7 +14,7 @@ import datetime
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,16 +95,8 @@ class RunManifest:
         return lines
 
     def write(self, out_dir: Path) -> None:
-        payload = {
-            "command": self.command,
-            "seed": self.seed,
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "inputs": self.inputs,
-            "argv": self.argv,
-        }
         (out_dir / "run_manifest.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
         )
 
 

@@ -10,6 +10,7 @@ rescales draws deterministically.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from . import _pipeline
+from . import __version__, _pipeline
 from .errors import InvalidInputError, WeakInstrumentError
 from .identify import COND_CAP, ProbeVectors
 from .inference import (_check_jackknife_n, _delete1_variance,
@@ -235,38 +236,40 @@ def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
                     failures, reps, seed, reasons)
 
 
-class _MseRep:
-    """Picklable per-replication worker for the MSE experiment."""
+def _samples(cfg, rep: int, ns, ks):
+    """One replication's shifters s, instruments z and one sample per k,
+    all drawn at the largest n; smaller n are their row prefixes."""
+    s, e, eps, z = _draw_primitives(cfg, rep, max(ns))
+    return s, z, [_assemble(cfg, s, e, eps, k) for k in ks]
 
-    def __init__(self, cfg, ns, ks, estimators, probes):
-        self.cfg = cfg
-        self.ns = ns
-        self.ks = ks
-        self.estimators = estimators
-        self.probes = probes
 
-    def __call__(self, rep: int):
-        s, e, eps, z = _draw_primitives(self.cfg, rep, max(self.ns))
-        # One sample per k at the largest n; smaller n are its row prefixes.
-        xs = [_assemble(self.cfg, s, e, eps, k) for k in self.ks]
-        shape = (len(self.ns), len(self.ks), len(self.estimators))
-        b1 = np.full(shape, np.nan)
-        codes = np.zeros(shape, dtype=np.int8)
-        for c, name in enumerate(self.estimators):
-            if name == "eigen":
-                slopes, fail = _eigen_slopes(np.stack([
-                    _centered_moments(x[:n])[1] for n in self.ns for x in xs
-                ]), self.probes)
-                b1[..., c] = slopes.reshape(shape[:2])
-                codes[..., c] = fail.reshape(shape[:2])
-                continue
-            for a, n in enumerate(self.ns):
-                for b, x in enumerate(xs):
-                    try:
-                        b1[a, b, c] = _ESTIMATORS[name](x[:n], s[:n], z[:n])
-                    except WeakInstrumentError:
-                        codes[a, b, c] = _CODE["weak_instrument"]
-        return np.where(codes == 0, (b1 - B1_TRUE) ** 2, np.nan), codes
+# The per-replication workers are module-level functions that the run_*
+# experiments bind with functools.partial, so that the CUMIDENT_THREADS
+# process pool can pickle them: the function by its import path, the bound
+# arguments by value.
+
+def _mse_rep(cfg, ns, ks, estimators, probes, rep: int):
+    """Squared errors of each estimator, and failure codes, of one
+    replication of the MSE experiment."""
+    s, z, xs = _samples(cfg, rep, ns, ks)
+    shape = (len(ns), len(ks), len(estimators))
+    b1 = np.full(shape, np.nan)
+    codes = np.zeros(shape, dtype=np.int8)
+    for c, name in enumerate(estimators):
+        if name == "eigen":
+            slopes, fail = _eigen_slopes(np.stack([
+                _centered_moments(x[:n])[1] for n in ns for x in xs
+            ]), probes)
+            b1[..., c] = slopes.reshape(shape[:2])
+            codes[..., c] = fail.reshape(shape[:2])
+            continue
+        for a, n in enumerate(ns):
+            for b, x in enumerate(xs):
+                try:
+                    b1[a, b, c] = _ESTIMATORS[name](x[:n], s[:n], z[:n])
+                except WeakInstrumentError:
+                    codes[a, b, c] = _CODE["weak_instrument"]
+    return np.where(codes == 0, (b1 - B1_TRUE) ** 2, np.nan), codes
 
 
 def run_mse_experiment(ns, ks, reps: int, seed: int,
@@ -288,7 +291,7 @@ def run_mse_experiment(ns, ks, reps: int, seed: int,
         raise ValueError(f"unknown estimators {unknown}; pick from {sorted(_ESTIMATORS)}")
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
-    worker = _MseRep(cfg, ns, ks, tuple(estimators), probes)
+    worker = functools.partial(_mse_rep, cfg, ns, ks, tuple(estimators), probes)
     return _experiment(worker, reps, seed, "MSE experiment", "mse", ns, ks,
                        tuple(estimators))
 
@@ -325,38 +328,28 @@ def _delta_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
 _VARIANCES = {"jackknife": _jackknife_variances, "delta": _delta_variances}
 
 
-class _CoverageRep:
-    """Picklable per-replication worker for CI coverage at a fixed k."""
-
-    def __init__(self, cfg, ns, level, methods, probes):
-        self.cfg = cfg
-        self.ns = ns
-        self.level = level
-        self.methods = methods
-        self.probes = probes
-
-    def __call__(self, rep: int):
-        s, e, eps, _ = _draw_primitives(self.cfg, rep, max(self.ns))
-        # One sample at the largest n; smaller n are its row prefixes.
-        x_max = _assemble(self.cfg, s, e, eps, self.cfg.k)
-        zs, ms = zip(*(_centered_moments(x_max[:n]) for n in self.ns))
-        ms = np.stack(ms)
-        point, fail = _eigen_slopes(ms, self.probes)
-        # Both intervals are centred on the point, so only the cells whose
-        # point stands get variances; a non-finite one marks a singular
-        # resample.
-        ok = fail == 0
-        variances = np.full((len(self.ns), len(self.methods)), np.nan)
-        if ok.any():
-            zs = [z for z, keep in zip(zs, ok) if keep]
-            for c, method in enumerate(self.methods):
-                variances[ok, c] = _VARIANCES[method](zs, ms[ok], self.probes)
-        codes = np.where(np.isfinite(variances), 0, _CODE["ill_conditioned"])
-        codes[~ok] = fail[~ok, None]
-        half = stats.norm.ppf((1.0 + self.level) / 2.0) * np.sqrt(variances)
-        point = point[:, None]
-        covered = (point - half <= B1_TRUE) & (B1_TRUE <= point + half)
-        return np.where(codes == 0, covered * 1.0, np.nan), codes.astype(np.int8)
+def _coverage_rep(cfg, ns, level, methods, probes, rep: int):
+    """Coverage flags of each method's interval, and failure codes, of one
+    replication of the coverage experiment at k = cfg.k."""
+    _, _, (x_max,) = _samples(cfg, rep, ns, (cfg.k,))
+    zs, ms = zip(*(_centered_moments(x_max[:n]) for n in ns))
+    ms = np.stack(ms)
+    point, fail = _eigen_slopes(ms, probes)
+    # Both intervals are centred on the point, so only the cells whose
+    # point stands get variances; a non-finite one marks a singular
+    # resample.
+    ok = fail == 0
+    variances = np.full((len(ns), len(methods)), np.nan)
+    if ok.any():
+        zs = [z for z, keep in zip(zs, ok) if keep]
+        for c, method in enumerate(methods):
+            variances[ok, c] = _VARIANCES[method](zs, ms[ok], probes)
+    codes = np.where(np.isfinite(variances), 0, _CODE["ill_conditioned"])
+    codes[~ok] = fail[~ok, None]
+    half = stats.norm.ppf((1.0 + level) / 2.0) * np.sqrt(variances)
+    point = point[:, None]
+    covered = (point - half <= B1_TRUE) & (B1_TRUE <= point + half)
+    return np.where(codes == 0, covered * 1.0, np.nan), codes.astype(np.int8)
 
 
 def run_coverage_experiment(ns, k: float, reps: int, seed: int,
@@ -379,36 +372,23 @@ def run_coverage_experiment(ns, k: float, reps: int, seed: int,
         _check_jackknife_n(min(ns))
     cfg = CompositeDgpConfig(n=max(ns), k=float(k), kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
-    worker = _CoverageRep(cfg, ns, level, tuple(methods), probes)
+    worker = functools.partial(_coverage_rep, cfg, ns, level, tuple(methods), probes)
     return _experiment(worker, reps, seed, "coverage experiment", "coverage",
                        ns, (float(k),), tuple(methods))
 
 
-class _PowerRep:
-    """Picklable per-replication worker for the test rejection grid."""
-
-    def __init__(self, cfg, ns, ks, alpha, probes, method):
-        self.cfg = cfg
-        self.ns = ns
-        self.ks = ks
-        self.alpha = alpha
-        self.probes = probes
-        self.method = method
-
-    def __call__(self, rep: int):
-        s, e, eps, _ = _draw_primitives(self.cfg, rep, max(self.ns))
-        # One sample per k at the largest n; smaller n are its row prefixes.
-        xs = [_assemble(self.cfg, s, e, eps, k) for k in self.ks]
-        res = _wald_stack(
-            [x[:n] for n in self.ns for x in xs], self.probes, self.method
-        )
-        codes = np.where(
-            res.omega_cond <= OMEGA_COND_CAP, 0, _CODE["omega_ill_conditioned"]
-        ).astype(np.int8)
-        codes[res.anchors.ill_conditioned | res.resample_singular] = (
-            _CODE["ill_conditioned"]
-        )
-        return np.where(codes == 0, (res.p_value < self.alpha) * 1.0, np.nan), codes
+def _power_rep(cfg, ns, ks, alpha, probes, method, rep: int):
+    """Rejections at level `alpha`, and failure codes, of one replication
+    of the test rejection grid."""
+    _, _, xs = _samples(cfg, rep, ns, ks)
+    res = _wald_stack([x[:n] for n in ns for x in xs], probes, method)
+    codes = np.where(
+        res.omega_cond <= OMEGA_COND_CAP, 0, _CODE["omega_ill_conditioned"]
+    ).astype(np.int8)
+    codes[res.anchors.ill_conditioned | res.resample_singular] = (
+        _CODE["ill_conditioned"]
+    )
+    return np.where(codes == 0, (res.p_value < alpha) * 1.0, np.nan), codes
 
 
 def run_overid_power_experiment(ns, ks, reps: int, seed: int,
@@ -427,7 +407,7 @@ def run_overid_power_experiment(ns, ks, reps: int, seed: int,
         raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
-    worker = _PowerRep(cfg, ns, ks, alpha, probes, method)
+    worker = functools.partial(_power_rep, cfg, ns, ks, alpha, probes, method)
     return _experiment(worker, reps, seed, "size/power experiment", "rejection",
                        ns, ks, ("wald",))
 
@@ -484,7 +464,7 @@ def write_mc_csv(result: McResult, path, extra_header=()) -> None:
     import scipy
 
     lines = [
-        "# cumident 0.1.0",
+        f"# cumident {__version__}",
         f"# numpy {np.__version__} scipy {scipy.__version__}",
         f"# kind: {result.kind}",
         f"# seed: {result.seed}",

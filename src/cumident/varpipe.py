@@ -50,10 +50,11 @@ def fit_var(series, p: int, intercept: bool = True) -> VarFit:
     t, d = y.shape
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
-    if t <= d * p + d + 1:
-        raise ValueError(
-            f"series too short for VAR({p}) in d={d}: need T > {d * p + d + 1}"
-        )
+    # The T - p usable periods must outnumber the regressor columns, so
+    # that the residuals keep a degree of freedom.
+    need = max(d * p + d + 1, p + d * p + int(intercept))
+    if t <= need:
+        raise ValueError(f"series too short for VAR({p}) in d={d}: need T > {need}")
     blocks = [y[p - lag - 1: t - lag - 1] for lag in range(p)]
     w = np.hstack(blocks)
     if intercept:

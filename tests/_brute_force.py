@@ -70,7 +70,7 @@ def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
     pattern = np.asarray(pattern)
     active = pattern != 0
     weights = pattern.astype(float)
-    perms, pivots, blocks = _pipeline._permutation_table(d)
+    perms, table, pivots = _pipeline._permutation_table(d)
     perms = list(perms)
     order = np.arange(len(perms), dtype=float)
     best = np.full(b, np.inf)
@@ -86,14 +86,14 @@ def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
         refine = np.flatnonzero(tied & np.isfinite(low))
         if refine.size:
             cand, ent = np.nonzero(at_best[:, refine])
-            normalized = _pipeline._normalized(r[s][refine[ent]], blocks, cand)
+            normalized = _pipeline._normalized(r[s][refine[ent]], table, cand)
             margin = np.full((refine.size, len(perms)), -np.inf)
             margin[ent, cand] = _pipeline._stack_sum(
                 pattern[active] * normalized[:, active], b
             )
             pick[refine] = margin.argmax(axis=1)
         best[s], tie_flags[s], perm_index[s] = low, tied, pick
-    lam = _pipeline._normalized(r, blocks, perm_index)
+    lam = _pipeline._normalized(r, table, perm_index)
     best_mism = np.where(
         np.isfinite(best), best, _pipeline._INVALID_MISMATCH
     ).astype(np.int64)

@@ -377,6 +377,29 @@ def test_label_signs_shares_scores_as_scoring_every_entry(d, kind):
     assert got[4] == want[4]
 
 
+def test_label_triangular_totals_a_shared_mass_matrix_once(monkeypatch):
+    # Work-count guard: entries whose mass matrix equals the first entry's
+    # of their chunk take its totals, so a stack that shares one mass
+    # matrix is totalled on one column per chunk.
+    columns = []
+    real_totals = _pipeline._candidate_totals
+
+    def candidate_totals(cost, pivots):
+        columns.append(cost.shape[-1])
+        return real_totals(cost, pivots)
+
+    monkeypatch.setattr(_pipeline, "_candidate_totals", candidate_totals)
+    d, b = 5, 5_000
+    rng = np.random.default_rng(1)
+    rows = np.repeat(rng.standard_normal((d, d))[None], b, axis=0)
+    lam, residual, index, _ = _pipeline.label_triangular(rows)
+    assert columns == [1] * len(_pipeline._chunks(b, d)) and len(columns) > 1
+    assert (index == index[0]).all() and (residual == residual[0]).all()
+    one = _pipeline.label_triangular(rows[0])
+    assert index[0] == one[2] and residual[0] == pytest.approx(one[1], rel=1e-14)
+    assert lam.tobytes() == np.repeat(one[0][None], b, axis=0).tobytes()
+
+
 @pytest.mark.parametrize("labeler", [
     lambda rows: _pipeline.label_signs(rows, np.eye(rows.shape[-1], dtype=int)),
     _pipeline.label_triangular,

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import numpy as np
@@ -17,13 +18,13 @@ from cumident.simulate import (
     McResult,
     _assemble,
     _check_failure_cap,
-    _CoverageRep,
+    _coverage_rep,
     _delta_variances,
     _draw_primitives,
     _eigen_slopes,
     _jackknife_variances,
-    _MseRep,
-    _PowerRep,
+    _mse_rep,
+    _power_rep,
     gen_composite,
     iv_2sls,
     load_experiment_config,
@@ -171,7 +172,7 @@ def test_coverage_flags_match_inference_intervals():
     methods = ("jackknife", "delta")
     cfg = CompositeDgpConfig(n=n, k=k, seed=seed)
     probes = ci.ProbeVectors.draw(2, seed)
-    worker = _CoverageRep(cfg, (n,), level, methods, probes)
+    worker = functools.partial(_coverage_rep, cfg, (n,), level, methods, probes)
     flags = np.array([worker(rep)[0][0] for rep in range(reps)])
     expected = np.empty_like(flags)
     for rep in range(reps):
@@ -213,11 +214,10 @@ def test_coverage_cell_builds_one_monomial_matrix(monkeypatch):
     cfg = CompositeDgpConfig(n=400, k=0.2, seed=19)
     probes = ci.ProbeVectors.draw(2, 19)
     ns = (200, 400)
-    worker = _CoverageRep(cfg, ns, 0.5, ("jackknife", "delta"), probes)
-    worker(0)
+    _coverage_rep(cfg, ns, 0.5, ("jackknife", "delta"), probes, 0)
     assert calls == [(n, 2) for n in ns]
     calls.clear()
-    _CoverageRep(cfg, ns, 0.5, ("delta",), probes)(0)
+    _coverage_rep(cfg, ns, 0.5, ("delta",), probes, 0)
     assert calls == [(n, 2) for n in ns]
 
 
@@ -300,6 +300,20 @@ def test_write_mc_csv_layouts(tmp_path):
     assert rows[0] == "n,k=0,k=0.3"
 
 
+def test_write_mc_csv_header_names_the_package_version(tmp_path, monkeypatch):
+    # The table header reports the version that the run manifest records.
+    import cumident.simulate as simulate
+
+    res = McResult("rejection", (100,), (0.0,), ("wald",), np.zeros((1, 1, 1)),
+                   np.zeros((1, 1, 1), dtype=int), 1, 0)
+    path = tmp_path / "t3.csv"
+    write_mc_csv(res, path)
+    assert path.read_text().splitlines()[0] == f"# cumident {ci.__version__}"
+    monkeypatch.setattr(simulate, "__version__", "9.8.7")
+    write_mc_csv(res, path)
+    assert path.read_text().splitlines()[0] == "# cumident 9.8.7"
+
+
 def test_worker_count_env(monkeypatch):
     from cumident.simulate import worker_count
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -361,7 +375,8 @@ def _oracle_sample(cfg, rep, n, k):
 def test_table1_eigen_cells_match_the_per_cell_oracle():
     cfg = CompositeDgpConfig(n=max(_SMALL_NS), k=0.0, seed=31)
     probes = ci.ProbeVectors.draw(2, 31)
-    worker = _MseRep(cfg, _SMALL_NS, _SMALL_KS, ("eigen",), probes)
+    worker = functools.partial(_mse_rep, cfg, _SMALL_NS, _SMALL_KS, ("eigen",),
+                               probes)
     codes_seen = set()
     for rep in range(12):
         out, codes = worker(rep)
@@ -393,7 +408,7 @@ def test_table2_cells_and_variances_match_the_per_cell_oracle():
     cfg = CompositeDgpConfig(n=max(ns), k=k, seed=39)
     probes = ci.ProbeVectors.draw(2, 39)
     methods = ("jackknife", "delta")
-    worker = _CoverageRep(cfg, ns, level, methods, probes)
+    worker = functools.partial(_coverage_rep, cfg, ns, level, methods, probes)
     codes_seen, flags = set(), []
     for rep in range(10):
         out, codes = worker(rep)
@@ -440,7 +455,8 @@ def test_table2_cells_and_variances_match_the_per_cell_oracle():
 def test_table3_cells_and_statistics_match_the_per_cell_oracle():
     cfg = CompositeDgpConfig(n=max(_SMALL_NS), k=0.0, seed=32)
     probes = ci.ProbeVectors.draw(2, 32)
-    worker = _PowerRep(cfg, _SMALL_NS, _SMALL_KS, 0.3, probes, "delta")
+    worker = functools.partial(_power_rep, cfg, _SMALL_NS, _SMALL_KS, 0.3,
+                               probes, "delta")
     decisions = []
     for rep in range(8):
         out, codes = worker(rep)

@@ -54,6 +54,21 @@ def test_fit_var_length_and_rank_checks():
         ci.fit_var(rng.standard_normal((200, 2)), p=0)
 
 
+@pytest.mark.parametrize("t", [16, 19])
+def test_fit_var_rejects_too_few_periods_for_the_regressors(t):
+    # At d = 2 and p = 6 a fit has 13 regressor columns, so it needs more
+    # than 13 usable periods: T > 19.  T = 16 used to fail as rank
+    # deficient and T = 19 to give an exactly determined fit.
+    y = np.random.default_rng(t).standard_normal((t, 2))
+    with pytest.raises(ValueError, match="series too short.*need T > 19"):
+        ci.fit_var(y, p=6)
+    fit = ci.fit_var(np.random.default_rng(t).standard_normal((20, 2)), p=6)
+    assert fit.residuals.shape == (14, 2)
+    with pytest.raises(ValueError, match="series too short.*need T > 18"):
+        ci.fit_var(np.random.default_rng(t).standard_normal((18, 2)), p=6,
+                   intercept=False)
+
+
 def test_residuals_orthogonal_to_regressors():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((500, 2))
