@@ -27,15 +27,20 @@ once, at the mean of the stack.  In that anchor basis each entry's pencil
 is nearly diagonal; one matrix product forms it from the sorted cumulants,
 and Newton steps finish it, with no cumulant tensor and no solve.  Entries
 that fail a rounding-level check go to LAPACK, and so does the whole stack
-when the anchor has a near-repeated or complex pair.  The kernel scales and
-orients its rows chunk by chunk, entries last, by the one orientation
-(:func:`_oriented`) that LAPACK rows get in :func:`_demixed`.  On eight
-n = 10 000, d = 5 samples the delete-1 and finite-difference rows agree
+when the anchor fails or has a near-repeated or complex pair.  The kernel
+scales and orients its rows chunk by chunk, entries last, by the one
+orientation (:func:`_oriented`) that LAPACK rows get in
+:func:`demix_contractions`.  On eight n = 10 000, d = 5 samples the
+delete-1 and finite-difference rows agree
 with LAPACK to 1.1e-14, the eigenvalues to 5e-15, the jackknife variances
 to 1.3e-13 of their largest entry, and the delta variances and Wald
 statistics, whose difference quotients amplify last-bit changes, to
 1.1e-10.  The d = 2 stacks use the closed form of :func:`_sorted_eig_2x2`
 instead.
+
+A G(w2) that cannot be solved through fails by one rule at every d and
+stack size (:func:`demix_contractions`): the kernels flag it, with NaN
+rows, and the entry points raise (:func:`_raise_ill_conditioned`).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,14 +115,10 @@ class MomentRecord:
         return self._sigma_m
 
     def leave_one_out(self, w1, w2):
-        """Oriented demixing rows of every delete-1 resample of the sample.
-
-        Returns (rows, gap_flags, moments, eig_fallbacks): the (n, d, d)
-        rows, (n,) eigen-gap flags and (n,) LAPACK fallback flags of
-        :func:`demix_rows` on the (n, D) delete-1 moment vectors, and those
-        vectors, for :func:`offdiag_from_rows`.  The stack of the most
-        recent (w1, w2) is kept; other probes drop it before they build
-        theirs.
+        """(demixed, moments) of the delete-1 resamples: their (n, D) moment
+        vectors and :func:`demix_rows`, without the eigenvalues, `max_imag`
+        and `orient_fallbacks` that no reader uses.  The stack of the most
+        recent (w1, w2) is kept; other probes drop it before they build theirs.
         """
         key = (np.asarray(w1, dtype=float).tobytes(),
                np.asarray(w2, dtype=float).tobytes())
@@ -126,15 +128,13 @@ class MomentRecord:
         # Drop both references, so the old stack is freed before the next is built.
         self._loo = held = None
         loo = leave_one_out_moments(self.z)
-        demixed = demix_rows(loo, self.x.shape[1], w1, w2)
-        if demixed.ill_conditioned.any():
-            raise IllConditionedError(
-                "singular contraction at w2 in a delete-1 resample", float("inf"))
-        entry = (demixed[0], demixed[2], loo, demixed.eig_fallbacks)
-        for a in entry:
-            a.flags.writeable = False
-        self._loo = (key, entry)
-        return entry
+        demixed = demix_rows(loo, self.x.shape[1], w1, w2)._replace(
+            eigenvalues=None, max_imag=None, orient_fallbacks=None)
+        for a in (*demixed, loo):
+            if a is not None:
+                a.flags.writeable = False
+        self._loo = (key, (demixed, loo))
+        return demixed, loo
 
 
 # The MomentRecord of the most recent sample passed to moment_record, or
@@ -189,37 +189,35 @@ def _fold_last(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_batched(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(g2, g1)
-    except np.linalg.LinAlgError:
-        raise IllConditionedError(
-            "contraction at w2 is numerically singular",
-            float(np.max(np.linalg.cond(g2))),
-        ) from None
+class DemixedRows(NamedTuple):
+    """:func:`demix_rows` per stack entry (`...`, () for one entry): unit
+    `rows` (..., d, d) oriented by :func:`_unit_oriented`, the real parts of
+    the `eigenvalues` (..., d) descending, `gap_flags`, the eigenvectors'
+    `max_imag`, `eig_fallbacks` handed by the pencil kernel to LAPACK
+    (:func:`_pencil_eig`), `orient_fallbacks` (..., d) (:func:`_oriented`),
+    `ill_conditioned` for an entry that failed (:func:`demix_contractions`),
+    and `cond_g2`, cond(G(w2)), when a `cond_cap` was checked, else None."""
 
-
-class DemixedRows(tuple):
-    """The (rows, eigenvalues, gap_flags, max_imag) of :func:`demix_rows`.
-
-    The rows are unit-normalized and oriented: by the pencil kernel inside
-    its chunks (:func:`_pencil_refine`), else by :func:`_demixed`, both
-    through :func:`_unit_oriented`.
-    `eig_fallbacks` flags, per stack entry, the eigenpairs that the pencil
-    kernel handed back to LAPACK (see :func:`_pencil_eig`); it is all False
-    where the kernel did not run (d = 2, a single entry, or a `cond_cap`).
-    `orient_fallbacks` flags the rows oriented by their largest entry because
-    their sum was too close to zero (see :func:`_oriented`),
-    and `cond_g2` is cond(G(w2)), per entry for a stack, when a `cond_cap`
-    was checked, else None.
-    `ill_conditioned` flags the stack entries whose G(w2) was not solved
-    through (:func:`demix_contractions`); their rows and eigenvalues are NaN.
-    """
-
+    rows: np.ndarray
+    eigenvalues: np.ndarray
+    gap_flags: np.ndarray
+    max_imag: np.ndarray
     eig_fallbacks: np.ndarray
     orient_fallbacks: np.ndarray
-    cond_g2: float | np.ndarray | None
     ill_conditioned: np.ndarray
+    cond_g2: np.ndarray | None
+
+
+def _raise_ill_conditioned(demixed: DemixedRows, where: str = "") -> None:
+    """IllConditionedError if an entry of `demixed` failed: naming the
+    resample `where` ("a delete-1 resample"), or else with the largest
+    condition estimate of the failed entries (inf when no cap was checked)."""
+    failed, cond = demixed.ill_conditioned, demixed.cond_g2
+    if failed.any():
+        raise IllConditionedError(
+            f"singular contraction at w2 in {where}" if where
+            else "contraction at w2 is numerically singular",
+            float("inf") if where or cond is None else float(np.max(cond[failed])))
 
 
 def demix_rows(ms: np.ndarray, d: int, w1, w2,
@@ -232,16 +230,10 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
         Raw-moment vectors in the package-wide monomial order, about any
         origin; the callers use the sample mean.
     cond_cap : float or None
-        When set, reject a G(w2) whose condition estimate exceeds it (see
+        When set, also fail a G(w2) whose condition estimate exceeds it (see
         :func:`demix_contractions`); resampling stacks leave it off for speed.
 
-    Returns
-    -------
-    A :class:`DemixedRows` tuple of
-    rows : ndarray, shape (..., d, d)
-    eigenvalues : ndarray, shape (..., d), real parts, sorted descending
-    gap_flags : ndarray of bool, shape (...,)
-    max_imag : ndarray, shape (...,)
+    Returns a :class:`DemixedRows`; a failed entry is flagged, not raised.
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     if d > 2 and cond_cap is None and ms.ndim == 2 and len(ms) > 1:
@@ -259,61 +251,74 @@ def demix_contractions(g1: np.ndarray, g2: np.ndarray,
                        cond_cap: float | None = None) -> DemixedRows:
     """:func:`demix_rows` from the contractions G(w1), G(w2), (..., d, d).
 
-    With `cond_cap` set, a G(w2) whose condition estimate exceeds it is not
-    solved through: a single entry raises, a stack entry is flagged in
-    `ill_conditioned`.  A singular G(w2) (zero or non-finite determinant)
-    is flagged the same way in a d = 2 stack; a single entry, or a d >= 3
-    stack, raises.  So one bad entry of a d = 2 stack fails alone.
+    One rule fails an entry alone, whatever the stack shape and d
+    (:func:`_solved`): G(w1) or G(w2) is not finite, G(w2) has a condition
+    estimate over `cond_cap` when a cap is given or a zero pivot at unit
+    scale, or G(w2)^{-1} G(w1) overflows.  A failed entry is flagged in
+    `ill_conditioned`, with NaN rows and eigenvalues and no gap flag.
     """
-    d = g2.shape[-1]
-    cond = None
-    failed = np.zeros(g2.shape[:-2], dtype=bool)
-    if cond_cap is not None:
-        cond = np.linalg.cond(g2)
-        failed = ~(cond <= cond_cap)
-        if g2.ndim == 2:
-            cond = float(cond)
-            if failed:
-                raise IllConditionedError(
-                    "contraction at w2 is numerically singular", cond
-                )
-    if d == 2 and g2.ndim > 2:
-        det = _det_2x2(g2)
-        failed |= ~(np.isfinite(det) & (det != 0.0))
-    if failed.any():
-        g2 = np.where(failed[..., None, None], np.eye(d), g2)
-    if d == 2:
-        vals, vecs = _sorted_eig_2x2(_solve_2x2(g2, g1))
-    else:
-        vals, vecs = _sorted_eig(_solve_batched(g2, g1))
-    return _demixed(vals, vecs, np.zeros(failed.shape, dtype=bool), failed, cond)
-
-
-def _demixed(vals, vecs, eig_fallbacks, failed, cond=None) -> DemixedRows:
-    """The :class:`DemixedRows` of sorted eigenpairs, the real parts of the
-    eigenvector columns as unit oriented rows; the entries flagged in
-    `failed` get NaN rows and eigenvalues."""
-    d = vecs.shape[-1]
+    h, failed, cond = _solved(g1, g2, cond_cap)
+    d = h.shape[-1]
+    vals, vecs = _sorted_eig_2x2(h) if d == 2 else _sorted_eig(h)
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
     # Entries last: rt[k, q, e] is vecs[e, q, k].  The rows come back laid
     # out as the columns are.
     unit, orient = _unit_oriented(vecs.real.reshape(-1, d, d).T)
     rows = np.swapaxes(unit.T.reshape(vecs.shape), -2, -1)
-    gap_flags, vals = _gap_flags(vals), vals.real
     if failed.any():
         rows = np.where(failed[..., None, None], np.nan, rows)
         vals = np.where(failed[..., None], np.nan, vals)
-    return _with_flags(DemixedRows((rows, vals, gap_flags, max_imag)), eig_fallbacks,
+    return DemixedRows(rows, vals.real, _gap_flags(vals), max_imag,
+                       np.zeros(failed.shape, dtype=bool),
                        orient.T.reshape(vecs.shape[:-1]), failed, cond)
 
 
-def _with_flags(out: DemixedRows, eig_fallbacks, orient_fallbacks, failed,
-                cond=None) -> DemixedRows:
-    out.eig_fallbacks = eig_fallbacks
-    out.orient_fallbacks = orient_fallbacks
-    out.cond_g2 = cond
-    out.ill_conditioned = failed
-    return out
+def _solved(g1: np.ndarray, g2: np.ndarray, cond_cap: float | None = None):
+    """(h, failed, cond) of the :func:`demix_contractions` rule: h =
+    G(w2)^{-1} G(w1) of each entry, the identity where it failed, and
+    `cond`, cond(G(w2)) or inf for a non-finite entry, None without a cap.
+
+    Both contractions are scaled, exactly, by the power of two that brings
+    the peak max|G(w2)| into [0.5, 1), so the zero-pivot test and the solve
+    see the same matrices, and neither depends on the scale of the data.  In
+    the normal range the scaling changes no bit of h.
+    """
+    failed = ~(np.isfinite(_entry_peak(g1)) & np.isfinite(_entry_peak(g2)))
+    g1, g2 = _with_identity(g1, failed), _with_identity(g2, failed)
+    cond = None
+    if cond_cap is not None:
+        cond = np.where(failed, np.inf, np.linalg.cond(g2))
+        failed = ~(cond <= cond_cap)
+    shift = -np.frexp(_entry_peak(g2))[1][..., None, None]
+    # G(w1) may overflow where G(w2) is far smaller; then h is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1, g2 = np.ldexp(g1, shift), np.ldexp(g2, shift)
+        failed = failed | _singular(g2)
+        g2 = _with_identity(g2, failed)
+        h = _solve_2x2(g2, g1) if g2.shape[-1] == 2 else np.linalg.solve(g2, g1)
+    failed = failed | ~np.isfinite(_entry_peak(h))
+    return _with_identity(h, failed), failed, cond
+
+
+def _entry_peak(g: np.ndarray) -> np.ndarray:
+    """max|g| of each (d, d) entry of a stack; NaN or inf where not finite."""
+    return _fold_last(np.maximum, np.abs(g).reshape(*g.shape[:-2], -1))
+
+
+def _singular(unit: np.ndarray) -> np.ndarray:
+    """Entries of a (..., d, d) stack at unit scale (:func:`_solved`) with a
+    zero pivot: a zero determinant at d = 2, else a zero pivot of LAPACK's
+    LU."""
+    if unit.shape[-1] == 2:
+        return _det_2x2(unit) == 0.0
+    return np.linalg.slogdet(unit)[0] == 0.0
+
+
+def _with_identity(g: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """`g` with the identity in place of the `failed` entries."""
+    if not failed.any():
+        return g
+    return np.where(failed[..., None, None], np.eye(g.shape[-1]), g)
 
 
 def _gap_scale(vals: np.ndarray) -> np.ndarray:
@@ -350,24 +355,26 @@ def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> Demix
 
     LAPACK runs at the mean of the stack (the anchor) and on the entries
     that :func:`_pencil_refine` does not accept, or on all of them when the
-    anchor has a near-repeated or complex pair; those entries, flagged in
-    `eig_fallbacks`, are bitwise what a stack of them alone gives.
+    anchor fails the :func:`demix_contractions` rule or has a near-repeated
+    or complex pair; those entries, flagged in `eig_fallbacks`, are bitwise
+    what a stack of them alone gives.
     """
     maps = _contraction_maps(d, w1, w2)
     g1, g2 = (maps @ _sorted_cumulants(ms.mean(axis=0), d)).reshape(2, d, d)
-    anchor_vals, anchor_vecs = _sorted_eig(_solve_batched(g2, g1))
-    if _gap_flags(anchor_vals):
+    h, failed, _ = _solved(g1, g2)
+    anchor_vals, anchor_vecs = _sorted_eig(h)
+    if failed or _gap_flags(anchor_vals):
         return _lapack_rows(ms, d, w1, w2)
     rows, vals, orient, accepted = _pencil_refine(ms, maps, anchor_vecs.real.T)
-    fallbacks = ~accepted
     # An accepted entry has real eigenvectors and no eigen-gap flag: its
     # gaps are at least EIGEN_GAP_RTOL of its scale (see _pencil_newton).
-    out = _with_flags(DemixedRows((rows, vals, np.zeros(len(ms), dtype=bool),
-                                   np.zeros(len(ms)))),
-                      fallbacks, orient, np.zeros(len(ms), dtype=bool))
+    out = DemixedRows(rows, vals, np.zeros_like(accepted), np.zeros(len(ms)),
+                      ~accepted, orient, np.zeros_like(accepted), None)
+    fallbacks = out.eig_fallbacks
     if fallbacks.any():
         slow = _lapack_rows(ms[fallbacks], d, w1, w2)
-        for full, part in zip((*out, orient), (*slow, slow.orient_fallbacks)):
+        # Every field but cond_g2, None in both.
+        for full, part in zip(out[:-1], slow[:-1]):
             full[fallbacks] = part
     return out
 
@@ -375,10 +382,8 @@ def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> Demix
 def _lapack_rows(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
     """:func:`demix_rows` of a (b, D) moment stack through LAPACK, every
     entry flagged in `eig_fallbacks`."""
-    g1, g2 = _contractions(ms, d, w1, w2)
-    vals, vecs = _sorted_eig(_solve_batched(g2, g1))
-    flags = np.ones(len(ms), dtype=bool)
-    return _demixed(vals, vecs, flags, ~flags)
+    return demix_contractions(*_contractions(ms, d, w1, w2))._replace(
+        eig_fallbacks=np.ones(len(ms), dtype=bool))
 
 
 def _pencil_refine(ms: np.ndarray, maps: np.ndarray, anchor: np.ndarray):
@@ -483,20 +488,9 @@ def _peak(a: np.ndarray) -> np.ndarray:
 
 
 def _solve_2x2(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """g2^{-1} g1 for a stack of 2 x 2 matrices by the adjugate.
-
-    A zero or non-finite determinant anywhere goes through
-    :func:`_solve_batched`, which raises as for any singular contraction.
-    """
-    det = _det_2x2(g2)
-    if not np.all(np.isfinite(det) & (det != 0.0)):
-        return _solve_batched(g2, g1)
-    adj = np.empty_like(g2)
-    adj[..., 0, 0] = g2[..., 1, 1]
-    adj[..., 0, 1] = -g2[..., 0, 1]
-    adj[..., 1, 0] = -g2[..., 1, 0]
-    adj[..., 1, 1] = g2[..., 0, 0]
-    return (adj @ g1) / det[..., None, None]
+    """g2^{-1} g1 for a stack of nonsingular 2 x 2 matrices by the adjugate."""
+    adj = np.stack([g2[..., 1, 1], -g2[..., 0, 1], -g2[..., 1, 0], g2[..., 0, 0]], -1)
+    return (adj.reshape(g2.shape) @ g1) / _det_2x2(g2)[..., None, None]
 
 
 def _det_2x2(g: np.ndarray) -> np.ndarray:
@@ -575,8 +569,7 @@ def _oriented(rt: np.ndarray):
 
 def overid_offdiag(ms: np.ndarray, d: int, w1, w2) -> np.ndarray:
     """vech_off(L Sigma L') for each moment vector; shape (..., d*(d-1)/2)."""
-    rows, _, _, _ = demix_rows(ms, d, w1, w2)
-    return offdiag_from_rows(rows, ms, d)
+    return offdiag_from_rows(demix_rows(ms, d, w1, w2).rows, ms, d)
 
 
 def offdiag_from_rows(rows: np.ndarray, ms: np.ndarray, d: int) -> np.ndarray:
@@ -909,7 +902,7 @@ def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1)):
     """One entry of the sign-labeled, diagonal-normalized demixing matrix
     for each moment vector, or with `entry` None the whole matrix,
     flattened row-major."""
-    lam = label_signs(demix_rows(ms, d, w1, w2)[0], pattern)[0]
+    lam = label_signs(demix_rows(ms, d, w1, w2).rows, pattern)[0]
     if entry is None:
         return lam.reshape(*lam.shape[:-2], d * d)
     return lam[..., entry[0], entry[1]]

@@ -142,11 +142,10 @@ def orient_rows(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return out[:, :, 0], tuple(np.flatnonzero(fallback).tolist())
 
 
-def _warn_unstable(demixed: _pipeline.DemixedRows, stacklevel: int) -> None:
+def _warn_unstable(vals, gap_flag, max_imag, stacklevel: int) -> None:
     """EigenGapWarning for near-repeated eigenvalues (identification holds
     only almost surely) and ComplexResidueWarning for a large imaginary
-    residue of a single-entry kernel result; the real parts are still used."""
-    _, vals, gap_flag, max_imag = demixed
+    residue of one kernel entry; the real parts are still used."""
     if gap_flag:
         rel_gap = np.abs(np.diff(vals)).min() / _gap_scale(vals)
         warnings.warn(
@@ -165,15 +164,16 @@ def _warn_unstable(demixed: _pipeline.DemixedRows, stacklevel: int) -> None:
 
 
 def _demixing_estimate(demixed: _pipeline.DemixedRows) -> DemixingEstimate:
-    """The estimate of a one-entry kernel result; warnings name the caller."""
-    _warn_unstable(demixed, stacklevel=3)
-    rows, vals, gap_flag, max_imag = demixed
+    """The estimate of a one-entry kernel result; raises and warns for the caller."""
+    _pipeline._raise_ill_conditioned(demixed)
+    _warn_unstable(demixed.eigenvalues, demixed.gap_flags, demixed.max_imag,
+                   stacklevel=3)
     return DemixingEstimate(
-        lambda_tilde=rows,
-        eigenvalues=vals,
-        max_imag=float(max_imag),
-        cond_G2=demixed.cond_g2,
-        gap_flag=bool(gap_flag),
+        lambda_tilde=demixed.rows,
+        eigenvalues=demixed.eigenvalues,
+        max_imag=float(demixed.max_imag),
+        cond_G2=float(demixed.cond_g2),
+        gap_flag=bool(demixed.gap_flags),
         fallback_rows=tuple(np.flatnonzero(demixed.orient_fallbacks).tolist()),
     )
 
@@ -182,8 +182,7 @@ def demixing_from_contractions(g1, g2) -> DemixingEstimate:
     """Demixing estimate from two precomputed contraction matrices.
 
     Runs :func:`cumident._pipeline.demix_contractions` on a stack of one,
-    rejecting a G(w2) whose condition estimate exceeds ``COND_CAP`` with
-    :class:`IllConditionedError`.
+    raising :class:`IllConditionedError` for a G(w2) over ``COND_CAP``.
     """
     return _demixing_estimate(
         _pipeline.demix_contractions(_as_matrix(g1), _as_matrix(g2),

@@ -21,7 +21,7 @@ from scipy import stats
 from . import _pipeline
 from .errors import IllConditionedError, InvalidInputError
 from .identify import COND_CAP, ProbeVectors
-from .moments import validate_sample
+from .moments import _moment_index, validate_sample
 
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
 
@@ -83,13 +83,18 @@ def _check_jackknife_n(n: int, what: str = "jackknife") -> None:
         raise InvalidInputError(f"{what} requires n >= {MIN_JACKKNIFE_N}, got {n}")
 
 
-def _check_sixth_moments(x: np.ndarray) -> None:
-    sixth = np.mean((x**2).sum(axis=1) ** 3)
-    if not np.isfinite(sixth):
-        raise ValueError(
-            "sixth-moment estimate overflowed; delta-method covariances "
-            "require finite sixth moments"
-        )
+_SIXTH_MOMENT_ERROR = ("sixth-moment estimate overflowed or underflowed; delta-method "
+                       "covariances require sixth moments in floating-point range")
+
+
+def _sixth_moments_fail(sigma_m: np.ndarray, d: int) -> bool:
+    """Whether Sigma_m, the centered sixth-order products the delta method
+    uses, is not finite, or the variance of a centered cube z_j^3 is below
+    the normal range while z_j varies (it underflowed)."""
+    var = np.diagonal(sigma_m)
+    cubes = var[[_moment_index(d)[(j, j, j)] for j in range(d)]]
+    underflow = (var[:d] > 0.0) & (cubes < np.finfo(float).tiny)
+    return not np.isfinite(sigma_m).all() or bool(underflow.any())
 
 
 def delta_variance_statistic(data, batch_statistic: Callable) -> DeltaVarianceResult:
@@ -103,8 +108,15 @@ def delta_variance_statistic(data, batch_statistic: Callable) -> DeltaVarianceRe
     variance.
     """
     x = validate_sample(data)
-    _check_sixth_moments(x)
-    record = _pipeline.moment_record(x)
+    return _record_delta(_pipeline.moment_record(x), batch_statistic)
+
+
+def _record_delta(record: _pipeline.MomentRecord,
+                  batch_statistic: Callable) -> DeltaVarianceResult:
+    """:func:`delta_variance_statistic` of the sample of `record`; ValueError
+    when its sixth moments fail (:func:`_sixth_moments_fail`)."""
+    if _sixth_moments_fail(record.sigma_m(), record.x.shape[1]):
+        raise ValueError(_SIXTH_MOMENT_ERROR)
     return _delta_from_moments(record.sigma_m().copy(), record.m_hat, batch_statistic)
 
 
@@ -132,7 +144,7 @@ def delta_variance(data, probes: ProbeVectors) -> DeltaVarianceResult:
     d = x.shape[1]
 
     def batch(ms):
-        rows, _, _, _ = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
+        rows = _pipeline.demix_rows(ms, d, probes.w1, probes.w2).rows
         return rows.reshape(ms.shape[0], d * d)
 
     return _anchored_delta(x, probes, batch)
@@ -169,10 +181,9 @@ def _anchored_delta(x: np.ndarray, probes: ProbeVectors,
     moment covariance come from the sample's moment record.
     """
     record = _pipeline.moment_record(x)
-    _pipeline.demix_rows(record.m_hat, x.shape[1], probes.w1, probes.w2,
-                         cond_cap=COND_CAP)
-    _check_sixth_moments(x)
-    res = _delta_from_moments(record.sigma_m().copy(), record.m_hat, batch)
+    _pipeline._raise_ill_conditioned(_pipeline.demix_rows(
+        record.m_hat, x.shape[1], probes.w1, probes.w2, cond_cap=COND_CAP))
+    res = _record_delta(record, batch)
     if not np.isfinite(res.jacobian).all():
         raise IllConditionedError(
             "singular contraction at w2 at a finite-difference point", float("inf"))
@@ -202,16 +213,18 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     n, d = x.shape
     _check_jackknife_n(n)
     record = _pipeline.moment_record(x)
-    rows, gap_flags, _, fallbacks = record.leave_one_out(probes.w1, probes.w2)
-    full_rows, _, _, _ = _pipeline.demix_rows(record.m_hat, d, probes.w1, probes.w2)
+    demixed, _ = record.leave_one_out(probes.w1, probes.w2)
+    _pipeline._raise_ill_conditioned(demixed, "a delete-1 resample")
+    centre = _pipeline.demix_rows(record.m_hat, d, probes.w1, probes.w2)
+    _pipeline._raise_ill_conditioned(centre)
     label_flips = tie_count = full_tie = None
     if pattern is None:
-        est = rows.reshape(n, d * d).copy()
-        full = full_rows.reshape(d * d)
+        est = demixed.rows.reshape(n, d * d).copy()
+        full = centre.rows.reshape(d * d)
     else:
-        lam, _, ties, perm_index, _ = _pipeline.label_signs(rows, pattern)
+        lam, _, ties, perm_index, _ = _pipeline.label_signs(demixed.rows, pattern)
         full_lam, _, full_tie, full_perm, _ = _pipeline.label_signs(
-            full_rows, pattern
+            centre.rows, pattern
         )
         tie_count = int(np.sum(ties))
         label_flips = int(np.sum(perm_index != full_perm))
@@ -225,9 +238,9 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
         estimates=est,
         variance=_delete1_variance(est),
         label_flips=label_flips,
-        gap_count=int(np.sum(gap_flags)),
+        gap_count=int(np.sum(demixed.gap_flags)),
         tie_count=tie_count,
-        eig_fallbacks=int(np.sum(fallbacks)),
+        eig_fallbacks=int(np.sum(demixed.eig_fallbacks)),
         full_estimate=full,
         full_tie=full_tie,
     )

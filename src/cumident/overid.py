@@ -14,10 +14,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from . import _pipeline
+from . import _pipeline, inference
 from .errors import IllConditionedError
 from .identify import COND_CAP, DemixingEstimate, ProbeVectors, _warn_unstable
-from .inference import _check_jackknife_n, _delta_from_moments
 from .moments import validate_sample
 
 OMEGA_COND_CAP = 1e12
@@ -60,6 +59,7 @@ class _WaldStack(NamedTuple):
     r_hat: np.ndarray
     omega: np.ndarray
     anchors: _pipeline.DemixedRows
+    moments_fail: np.ndarray
     resample_singular: np.ndarray
     omega_cond: np.ndarray
     omega_clipped: np.ndarray
@@ -71,8 +71,9 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     samples ("delta"; each sample's delete-1 stack for "jackknife"), and
     cond(Omega), the clipped quadratic form and the chi-square tail.
 
-    A sample fails alone, with NaN statistic: `anchors.ill_conditioned`
-    marks a G(w2) over ``COND_CAP`` or singular, `resample_singular` one
+    A sample fails alone, with NaN statistic: `moments_fail` marks sixth
+    moments out of range for the delta method, `anchors.ill_conditioned` a
+    G(w2) over ``COND_CAP`` or singular, `resample_singular` one
     singular at a finite-difference point or delete-1 resample, and an
     `omega_cond` not at most ``OMEGA_COND_CAP`` a near-singular Omega.
     :func:`_sample_result` turns one sample's flags into errors, and
@@ -90,33 +91,32 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     # time; the jackknife keeps each record for its delete-1 stack.
     records = ([_pipeline.moment_record(samples[0])] if len(samples) == 1
                else map(_pipeline.MomentRecord.of, samples))
-    ms, held = [], []
-    for record in records:
+    ms, held, moments_fail = [], [], np.zeros(len(ns), dtype=bool)
+    for i, record in enumerate(records):
         ms.append(record.m_hat)
         held.append(record.sigma_m() if method == "delta" else record)
+        moments_fail[i] = method == "delta" and inference._sixth_moments_fail(held[i], d)
     m = np.stack(ms)
     anchors = _pipeline.demix_rows(m, d, probes.w1, probes.w2, cond_cap=COND_CAP)
-    r_hat = _pipeline.offdiag_from_rows(anchors[0], m, d)
-    # Omega of the samples whose anchor stands; NaN where a finite-difference
-    # point or a delete-1 resample has a singular G(w2).
-    ok = ~anchors.ill_conditioned
+    r_hat = _pipeline.offdiag_from_rows(anchors.rows, m, d)
+    # Omega of the samples whose moments and anchor stand; NaN where a
+    # finite-difference point or a delete-1 resample has a singular G(w2).
+    ok = ~(moments_fail | anchors.ill_conditioned)
     omega = np.full(r_hat.shape + r_hat.shape[-1:], np.nan)
     if method == "delta" and ok.any():
-        omega[ok] = _delta_from_moments(
+        omega[ok] = inference._delta_from_moments(
             np.stack(held)[ok], m[ok],
             lambda s: _pipeline.overid_offdiag(s, d, probes.w1, probes.w2),
         ).sigma_u
     elif method == "jackknife":
-        _check_jackknife_n(ns.min(), "jackknife covariance")
+        inference._check_jackknife_n(ns.min(), "jackknife covariance")
         for i in np.flatnonzero(ok):
             # Released after use, so a record that no one else keeps frees
             # its delete-1 stack before the next sample's is built.
             record, held[i] = held[i], None
-            try:
-                loo_rows, _, loo, _ = record.leave_one_out(probes.w1, probes.w2)
-            except IllConditionedError:
-                continue
-            r_loo = _pipeline.offdiag_from_rows(loo_rows, loo, d)
+            demixed, loo = record.leave_one_out(probes.w1, probes.w2)
+            # A failed resample has NaN rows, so Omega is NaN.
+            r_loo = _pipeline.offdiag_from_rows(demixed.rows, loo, d)
             dev = r_loo - r_loo.mean(axis=0)
             # (n-1) * sum(...) is the delete-1 estimate of Var(sqrt(n) * r).
             omega[i] = (ns[i] - 1) * (dev.T @ dev)
@@ -141,26 +141,29 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     # chdtrc is the chi-square survival function that stats.chi2.sf wraps,
     # without the distribution object's per-call overhead.
     p_value = special.chdtrc(d * (d - 1) // 2, statistic)
-    return _WaldStack(statistic, p_value, r_hat, omega, anchors, singular,
-                      omega_cond, omega_clipped)
+    return _WaldStack(statistic, p_value, r_hat, omega, anchors, moments_fail,
+                      singular, omega_cond, omega_clipped)
 
 
 def _sample_result(res: _WaldStack, i: int, method: str,
                    stacklevel: int) -> TestResult:
     """Sample i of a :func:`_wald_stack` as a :class:`TestResult`.
 
-    Raises IllConditionedError for a G(w2) over ``COND_CAP`` or singular at
-    the anchor, then, after the anchor's EigenGapWarning or
-    ComplexResidueWarning (`stacklevel` counted as for ``warnings.warn``
-    from the caller), for a singular resample or a near-singular Omega.
+    Raises ValueError for sixth moments out of range, IllConditionedError
+    for a G(w2) over ``COND_CAP`` or singular at the anchor, then, after the
+    anchor's EigenGapWarning or ComplexResidueWarning (`stacklevel` counted
+    as for ``warnings.warn`` from the caller), IllConditionedError for a
+    singular resample or a near-singular Omega.
     """
+    if res.moments_fail[i]:
+        raise ValueError(inference._SIXTH_MOMENT_ERROR)
     if res.anchors.ill_conditioned[i]:
         raise IllConditionedError(
             "contraction at w2 is numerically singular",
             float(res.anchors.cond_g2[i]),
         )
-    _warn_unstable(_pipeline.DemixedRows(a[i] for a in res.anchors),
-                   stacklevel=stacklevel + 1)
+    _warn_unstable(res.anchors.eigenvalues[i], res.anchors.gap_flags[i],
+                   res.anchors.max_imag[i], stacklevel=stacklevel + 1)
     if res.resample_singular[i]:
         raise IllConditionedError(
             f"singular contraction at w2 in a {method} resample", float("inf")

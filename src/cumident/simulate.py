@@ -30,14 +30,16 @@ from .overid import OMEGA_COND_CAP, _wald_stack
 LAMBDA_TRUE = np.array([[1.0, 1.5], [-0.5, 1.0]])
 GAMMA_LOADINGS = np.array([[0.5, -1.0, 1.5], [-1.0, 1.0, -1.0]])
 MEAS_COV = np.array([[1.0, -0.45], [-0.45, 0.25]])
+# Transposed Cholesky factor of MEAS_COV: white noise times it has MEAS_COV.
+_MEAS_FACTOR = np.linalg.cholesky(MEAS_COV).T
 SUPPLY_DEMAND_PATTERN = np.array([[1, 1], [-1, 1]])
 B1_TRUE = 1.5
 
 # Why a Monte Carlo cell has no value: G(w2) over COND_CAP or singular (at
-# the sample, a finite-difference point or a delete-1 resample), no valid or
-# a tied sign labeling, cond(Omega) over OMEGA_COND_CAP, or a weak
-# instrument.  Workers report each failed cell by its reason's code, 0
-# marking a cell that stands.
+# the sample, a finite-difference point or a delete-1 resample), or sixth
+# moments out of range for the delta method; no valid or a tied sign
+# labeling; cond(Omega) over OMEGA_COND_CAP; or a weak instrument.  Workers
+# report each failed cell by its reason's code, 0 marking a cell that stands.
 FAILURE_REASONS = ("ill_conditioned", "labeling", "omega_ill_conditioned",
                    "weak_instrument")
 _CODE = {name: i + 1 for i, name in enumerate(FAILURE_REASONS)}
@@ -67,18 +69,13 @@ class CompositeDgpConfig:
     k: float
     kurtoses: tuple[float, float, float] = (3.0, 4.0, 5.0)
     seed: int = 0
-    lambda_true: np.ndarray = field(default_factory=lambda: LAMBDA_TRUE.copy())
-    gamma_loadings: np.ndarray = field(
-        default_factory=lambda: GAMMA_LOADINGS.copy()
-    )
-    meas_cov: np.ndarray = field(default_factory=lambda: MEAS_COV.copy())
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.k < 0:
             raise ValueError(f"noise scale k must be >= 0, got {self.k}")
-        if len(self.kurtoses) != self.gamma_loadings.shape[1]:
+        if len(self.kurtoses) != GAMMA_LOADINGS.shape[1]:
             raise ValueError("one kurtosis per omitted-shock column required")
         if any(kappa < 3.0 for kappa in self.kurtoses):
             raise ValueError("kurtoses below 3 are outside the symmetric family")
@@ -125,16 +122,14 @@ def _draw_primitives(cfg: CompositeDgpConfig, rep: int, n: int):
         pearson_symmetric(kappa, n, _stream(cfg, rep, 2 + j))
         for j, kappa in enumerate(cfg.kurtoses)
     ])
-    eps = _stream(cfg, rep, 5).standard_normal((n, 2)) @ np.linalg.cholesky(
-        cfg.meas_cov
-    ).T
+    eps = _stream(cfg, rep, 5).standard_normal((n, 2)) @ _MEAS_FACTOR
     z = _stream(cfg, rep, 6).standard_normal(n)
     return s, e, eps, z
 
 
-def _assemble(cfg: CompositeDgpConfig, s, e, eps, k: float) -> np.ndarray:
-    rhs = s + np.sqrt(k / 3.0) * e @ cfg.gamma_loadings.T
-    x_star = np.linalg.solve(cfg.lambda_true, rhs.T).T
+def _assemble(s, e, eps, k: float) -> np.ndarray:
+    rhs = s + np.sqrt(k / 3.0) * e @ GAMMA_LOADINGS.T
+    x_star = np.linalg.solve(LAMBDA_TRUE, rhs.T).T
     return x_star + np.sqrt(k) * eps
 
 
@@ -145,7 +140,7 @@ def gen_composite(cfg: CompositeDgpConfig, rep: int) -> CompositeDraw:
     At k = 0 the structural errors are exactly the independent shifters.
     """
     s, e, eps, z = _draw_primitives(cfg, rep, cfg.n)
-    return CompositeDraw(x=_assemble(cfg, s, e, eps, cfg.k), s=s, z=z)
+    return CompositeDraw(x=_assemble(s, e, eps, cfg.k), s=s, z=z)
 
 
 def iv_2sls(y, x, z) -> float:
@@ -167,7 +162,7 @@ def _eigen_slopes(ms: np.ndarray, probes: ProbeVectors):
     stack of centered moment vectors, as one demixing and one labeling
     call."""
     demixed = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2, cond_cap=COND_CAP)
-    lam, _, tied, _, _ = _pipeline.label_signs(demixed[0], SUPPLY_DEMAND_PATTERN)
+    lam, _, tied, _, _ = _pipeline.label_signs(demixed.rows, SUPPLY_DEMAND_PATTERN)
     codes = np.where(tied, _CODE["labeling"], 0)
     codes[demixed.ill_conditioned] = _CODE["ill_conditioned"]
     return lam[:, 0, 1], codes
@@ -240,7 +235,7 @@ def _samples(cfg, rep: int, ns, ks):
     """One replication's shifters s, instruments z and one sample per k,
     all drawn at the largest n; smaller n are their row prefixes."""
     s, e, eps, z = _draw_primitives(cfg, rep, max(ns))
-    return s, z, [_assemble(cfg, s, e, eps, k) for k in ks]
+    return s, z, [_assemble(s, e, eps, k) for k in ks]
 
 
 # The per-replication workers are module-level functions that the run_*
@@ -300,16 +295,14 @@ def _jackknife_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
     """Delete-1 variance of the labeled slope of each sample, from its
     centered monomials `zs`: one demixing and one labeling call over the
     concatenated delete-1 moment stacks, as :func:`demixing_jackknife` per
-    sample.  NaN for a sample with a singular resample."""
+    sample.  NaN for a sample with a singular resample, whose NaN rows
+    label to a NaN slope."""
     loo = np.concatenate([_pipeline.leave_one_out_moments(z) for z in zs])
-    demixed = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2)
-    lam = _pipeline.label_signs(demixed[0], SUPPLY_DEMAND_PATTERN)[0]
+    rows = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2).rows
+    slopes = _pipeline.label_signs(rows, SUPPLY_DEMAND_PATTERN)[0][:, 0, 1]
     cuts = np.cumsum([len(z) for z in zs])[:-1]
-    return np.array([
-        np.nan if ill.any() else _delete1_variance(slopes)[0, 0]
-        for slopes, ill in zip(np.split(lam[:, 0, 1][:, None], cuts),
-                               np.split(demixed.ill_conditioned, cuts))
-    ])
+    return np.array([_delete1_variance(s[:, None])[0, 0]
+                     for s in np.split(slopes, cuts)])
 
 
 def _delta_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
@@ -382,12 +375,10 @@ def _power_rep(cfg, ns, ks, alpha, probes, method, rep: int):
     of the test rejection grid."""
     _, _, xs = _samples(cfg, rep, ns, ks)
     res = _wald_stack([x[:n] for n in ns for x in xs], probes, method)
-    codes = np.where(
-        res.omega_cond <= OMEGA_COND_CAP, 0, _CODE["omega_ill_conditioned"]
-    ).astype(np.int8)
-    codes[res.anchors.ill_conditioned | res.resample_singular] = (
-        _CODE["ill_conditioned"]
-    )
+    codes = np.where(res.omega_cond <= OMEGA_COND_CAP, 0,
+                     _CODE["omega_ill_conditioned"]).astype(np.int8)
+    failed = res.moments_fail | res.anchors.ill_conditioned | res.resample_singular
+    codes[failed] = _CODE["ill_conditioned"]
     return np.where(codes == 0, (res.p_value < alpha) * 1.0, np.nan), codes
 
 

@@ -120,7 +120,7 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
     for k, (i, j) in enumerate(wanted):
         try:
             results.append((i, j, _sample_result(stack, k, method, stacklevel=2)))
-        except CumidentError as exc:
+        except (CumidentError, ValueError) as exc:  # ValueError: sixth moments out of range
             failures.append((i, j, str(exc)))
     return PairwiseReport(
         pairs=results,

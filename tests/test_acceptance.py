@@ -256,7 +256,7 @@ def test_criterion_9_schooling_substitute():
     probes = ci.ProbeVectors.draw(2, SEED)
 
     def batch(ms):
-        rows, _, _, _ = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2)
+        rows = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2).rows
         lam, _, _, _ = _pipeline.label_triangular(rows)
         return -lam[..., 1, 0]
 

@@ -33,9 +33,8 @@ def lapack_eig(ms, d, w1, w2):
 def lapack_pencil_eig(ms, d, w1, w2):
     """:func:`_pipeline._pencil_eig` with LAPACK in place of the kernel, no
     entry counted as a fallback."""
-    out = lapack_rows(ms, d, w1, w2)
-    out.eig_fallbacks = np.zeros(ms.shape[0], dtype=bool)
-    return out
+    return lapack_rows(ms, d, w1, w2)._replace(
+        eig_fallbacks=np.zeros(ms.shape[0], dtype=bool))
 
 
 def lapack_rows(ms, d, w1, w2):
@@ -146,7 +145,8 @@ def test_refinement_rejects_planted_entries():
 def assert_entries_are_lapack(got, lapack, entries):
     """Rows, eigenvalues, flags and residues of `entries` of `got` are
     bitwise those of the LAPACK result `lapack` of those entries."""
-    for a, b in zip((*got, got.orient_fallbacks), (*lapack, lapack.orient_fallbacks)):
+    for a, b in zip((*got[:4], got.orient_fallbacks),
+                    (*lapack[:4], lapack.orient_fallbacks)):
         assert a[entries].tobytes() == b.tobytes()
 
 
@@ -162,11 +162,65 @@ def test_fallback_entries_are_lapack_bitwise():
     np.testing.assert_array_equal(np.flatnonzero(demixed[2]), [3, 7])
     assert demixed[3][3] > 0.0
     assert np.delete(demixed[3], 3).max() == 0.0
-    # A non-finite entry fails as it does in LAPACK.
+    # A non-finite entry, on which LAPACK raises, fails alone.
     with pytest.raises(np.linalg.LinAlgError):
         lapack_eig(ms, 4, w1, w2)
-    with pytest.raises(np.linalg.LinAlgError):
-        _pipeline.demix_rows(ms, 4, w1, w2)
+    demixed = _pipeline.demix_rows(ms, 4, w1, w2)
+    np.testing.assert_array_equal(np.flatnonzero(demixed.ill_conditioned), [11])
+    assert np.isnan(demixed.rows[11]).all() and np.isfinite(np.delete(demixed.rows, 11, 0)).all()
+
+
+def test_bad_entries_of_a_stack_fail_alone():
+    # One singular G(w2) and one non-finite G(w1) in a d = 3 stack.
+    rng = np.random.default_rng(39)
+    g1 = rng.standard_normal((5, 3, 3))
+    g2 = rng.standard_normal((5, 3, 3))
+    g2[1, 2] = 2.0 * g2[1, 0]
+    g1[3, 0, 2] = np.inf
+    demixed = _pipeline.demix_contractions(g1, g2)
+    np.testing.assert_array_equal(np.flatnonzero(demixed.ill_conditioned), [1, 3])
+    assert np.isnan(demixed.rows[[1, 3]]).all()
+    assert np.isnan(demixed.eigenvalues[[1, 3]]).all()
+    for i in (0, 2, 4):
+        one = _pipeline.demix_contractions(g1[i], g2[i])
+        assert not one.ill_conditioned
+        assert demixed.rows[i].tobytes() == one.rows.tobytes()
+        assert demixed.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_subnormal_and_overflowing_entries_do_not_raise(d):
+    # Subnormal contractions are solved at unit scale, as the zero-pivot
+    # test judges them; an entry whose G(w2)^{-1} G(w1) overflows fails alone.
+    rng = np.random.default_rng(41)
+    g1, g2 = (a + np.swapaxes(a, -2, -1) for a in rng.standard_normal((2, 4, d, d)))
+    base = _pipeline.demix_contractions(g1, g2)
+    tiny = _pipeline.demix_contractions(1e-310 * g1, 1e-310 * g2)
+    assert not tiny.ill_conditioned.any()
+    np.testing.assert_allclose(tiny.rows, base.rows, rtol=0.0, atol=1e-12)
+    g2[1] = np.diag([1.0] * (d - 1) + [1e-300])
+    g1[1] = np.diag([1.0] * (d - 1) + [1e10])
+    demixed = _pipeline.demix_contractions(g1, g2)
+    np.testing.assert_array_equal(np.flatnonzero(demixed.ill_conditioned), [1])
+    assert np.isnan(demixed.rows[1]).all()
+    for i in (0, 2, 3):
+        assert demixed.rows[i].tobytes() == base.rows[i].tobytes()
+
+
+def test_singular_anchor_flags_every_delete_one_entry():
+    # A constant column makes the anchor's G(w2), and every resample's,
+    # singular: the stack goes to LAPACK, which flags each entry.
+    x = np.random.default_rng(40).standard_exponential((60, 4))
+    x[:, 3] = 2.0
+    probes = ci.ProbeVectors.draw(4, 40)
+    z, m = _centered_moments(x)
+    maps = _pipeline._contraction_maps(4, probes.w1, probes.w2)
+    anchor_g2 = (maps @ _pipeline._sorted_cumulants(m, 4)).reshape(2, 4, 4)[1]
+    assert _pipeline._singular(anchor_g2)
+    demixed = _pipeline.demix_rows(
+        _pipeline.leave_one_out_moments(z), 4, probes.w1, probes.w2)
+    assert demixed.ill_conditioned.all() and demixed.eig_fallbacks.all()
+    assert np.isnan(demixed.rows).all()
 
 
 def test_complex_anchor_sends_the_stack_to_lapack(monkeypatch):

@@ -38,8 +38,7 @@ def test_jacobian_of_eigenvector_map_self_consistency():
     steps = _fd_steps(_moment_covariance(z, m))
 
     def stat(ms):
-        rows, _, _, _ = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2)
-        return rows[:, 0]
+        return _pipeline.demix_rows(ms, 2, probes.w1, probes.w2).rows[:, 0]
 
     jac = _pipeline.batched_jacobian(stat, m, steps)
     fine = _pipeline.batched_jacobian(stat, m, 0.5 * steps)
@@ -106,7 +105,7 @@ def test_ci_half_widths_shrink_at_root_n():
         s, e, eps, _ = _draw_primitives(cfg, rep, 2_000)
         widths = []
         for n in (1_000, 2_000):
-            x = _assemble(cfg, s[:n], e[:n], eps[:n], 0.5)
+            x = _assemble(s[:n], e[:n], eps[:n], 0.5)
             res = ci.delta_variance_statistic(x, batch_statistic=batch)
             widths.append(np.sqrt(res.sigma_u[0, 0] / n))
         ratios.append(widths[1] / widths[0])
@@ -284,7 +283,7 @@ def assert_same_jackknife(a, b):
 
 
 def memo_entry():
-    """The delete-1 stack of the held moment record."""
+    """The delete-1 stack of the held moment record: (demixed, moments)."""
     return _pipeline._record._loo[1]
 
 
@@ -346,7 +345,7 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     # A miss frees the held record, and its delete-1 stack, before it builds
     # the next one.
     old_record = weakref.ref(_pipeline._record)
-    old_rows = weakref.ref(memo_entry()[0])
+    old_rows = weakref.ref(memo_entry()[0].rows)
     held_while_building = []
 
     def monomial_matrix(data):
@@ -361,21 +360,24 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     dv = ci.delta_variance(y, probes)
     assert held_while_building == [(True, True, True)]
     record = _pipeline._record
+    demixed, loo = memo_entry()
     np.testing.assert_array_equal(
-        memo_entry()[2], _pipeline.leave_one_out_moments(_centered_moments(y)[0])
+        loo, _pipeline.leave_one_out_moments(_centered_moments(y)[0])
     )
     # The record holds a copy of the sample, not the caller's array.
     assert record.x.tobytes() == y.tobytes() and not np.shares_memory(record.x, y)
     assert y.flags.writeable
-    for a in (record.x, record.z, record.m_hat, record.sigma_m(), *memo_entry()):
+    arrays = [a for a in demixed if isinstance(a, np.ndarray)]
+    assert len(arrays) == 4
+    for a in (record.x, record.z, record.m_hat, record.sigma_m(), *arrays, loo):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
-        memo_entry()[0][0, 0, 0] = 1.0
+        demixed.rows[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         record.z[0, 0] = 1.0
     # Results are the caller's own arrays, not views of what is held.
     assert jk.estimates.flags.writeable and dv.sigma_m.flags.writeable
-    assert not np.shares_memory(jk.estimates, memo_entry()[0])
+    assert not np.shares_memory(jk.estimates, demixed.rows)
     assert not np.shares_memory(dv.sigma_m, record.sigma_m())
 
 

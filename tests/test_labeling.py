@@ -172,7 +172,7 @@ def test_labeling_selects_true_permutation_with_high_frequency():
     hits = 0
     for rep in range(200):
         s, e, eps, _ = _draw_primitives(cfg, rep, 10_000)
-        x = _assemble(cfg, s, e, eps, 0.0)
+        x = _assemble(s, e, eps, 0.0)
         est = ci.estimate_demixing(x, probes)
         try:
             lab = ci.label_by_signs(est, ci.SUPPLY_DEMAND_PATTERN)

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import cumident as ci
-from cumident import _pipeline
+from cumident import _pipeline, overid
 from cumident.errors import IllConditionedError
 from cumident.identify import COMPLEX_RESIDUE_TOL, DemixingEstimate
 from cumident.moments import column_means, monomial_matrix
@@ -64,7 +64,7 @@ def _null_statistics(n, reps, seed=4):
     out = []
     for rep in range(reps):
         s, e, eps, _ = _draw_primitives(cfg, rep, n)
-        x = _assemble(cfg, s, e, eps, 0.0)
+        x = _assemble(s, e, eps, 0.0)
         out.append(ci.wald_test(x, probes).statistic)
     return np.array(out)
 
@@ -88,7 +88,7 @@ def test_null_p_values_near_uniform():
     pvals = []
     for rep in range(1_000):
         s, e, eps, _ = _draw_primitives(cfg, rep, 5_000)
-        x = _assemble(cfg, s, e, eps, 0.0)
+        x = _assemble(s, e, eps, 0.0)
         pvals.append(ci.wald_test(x, probes).p_value)
     ks = stats.kstest(pvals, "uniform").statistic
     assert ks < 0.08
@@ -215,9 +215,9 @@ def test_complex_pair_flags_the_gap_before_the_singular_omega(method):
     with pytest.warns(ci.EigenGapWarning), pytest.warns(ci.ComplexResidueWarning):
         with pytest.raises(IllConditionedError):
             ci.wald_test(x, probes, method=method)
-    _, _, gap_flags, max_imag = _pipeline.demix_rows(
+    demixed = _pipeline.demix_rows(
         column_means(monomial_matrix(x)), 5, probes.w1, probes.w2)
-    assert max_imag > COMPLEX_RESIDUE_TOL and gap_flags
+    assert demixed.max_imag > COMPLEX_RESIDUE_TOL and demixed.gap_flags
     with pytest.warns(ci.EigenGapWarning), pytest.warns(ci.ComplexResidueWarning):
         assert ci.estimate_demixing(x, probes).gap_flag
 
@@ -235,3 +235,17 @@ def test_singular_anchor_is_reported_before_any_resample(method):
     with pytest.raises(IllConditionedError, match="contraction at w2") as wald:
         ci.wald_test(x, probes, method=method)
     assert wald.value.cond == est.value.cond
+
+
+def test_stacked_delta_wald_flags_a_sample_whose_sixth_moments_fail():
+    # At scale 1e-60 the centered sixth moments underflow: that sample of a
+    # stack fails alone, and only its result raises.
+    x = gen_composite(CompositeDgpConfig(n=2_000, k=0.5, seed=1), 0).x
+    probes = ci.ProbeVectors.draw(2, 3)
+    res = overid._wald_stack([x, 1e-60 * x], probes)
+    np.testing.assert_array_equal(res.moments_fail, [False, True])
+    assert np.isnan(res.statistic[1])
+    np.testing.assert_allclose(
+        res.statistic[0], ci.wald_test(x, probes).statistic, rtol=1e-10)
+    with pytest.raises(ValueError, match="sixth-moment"):
+        overid._sample_result(res, 1, "delta", stacklevel=2)

@@ -367,7 +367,7 @@ def _oracle_sample(cfg, rep, n, k):
     """A replication's sample drawn and assembled at n itself, not as a row
     prefix of the largest n."""
     s, e, eps, _ = _draw_primitives(cfg, rep, n)
-    return _assemble(cfg, s, e, eps, k)
+    return _assemble(s, e, eps, k)
 
 
 @pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
@@ -549,15 +549,14 @@ def test_singular_entry_of_a_2x2_stack_is_flagged_alone():
     g2[1] = [[1.0, 2.0], [2.0, 4.0]]
     demixed = _pipeline.demix_contractions(g1, g2)
     np.testing.assert_array_equal(demixed.ill_conditioned, [0, 1, 0, 0])
-    assert np.isnan(demixed[0][1]).all() and np.isnan(demixed[1][1]).all()
+    assert np.isnan(demixed.rows[1]).all() and np.isnan(demixed.eigenvalues[1]).all()
     for i in (0, 2, 3):
         one = _pipeline.demix_contractions(g1[i], g2[i])
-        assert demixed[0][i].tobytes() == one[0].tobytes()
-    with pytest.raises(IllConditionedError):
-        _pipeline.demix_contractions(g1[1], g2[1])
+        assert demixed.rows[i].tobytes() == one.rows.tobytes()
+    assert _pipeline.demix_contractions(g1[1], g2[1]).ill_conditioned
     x = _with_constant_column(np.random.default_rng(36).standard_exponential((50, 2)))
     with pytest.raises(IllConditionedError, match="delete-1"):
-        _pipeline.MomentRecord.of(x).leave_one_out([0.3, 0.6], [1.0, 1.0])
+        ci.demixing_jackknife(x, ci.ProbeVectors(w1=np.array([0.3, 0.6]), w2=np.ones(2)))
 
 
 def test_tables_emit_no_warnings():
