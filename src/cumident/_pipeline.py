@@ -54,7 +54,7 @@ import numpy as np
 
 from scipy.optimize import linear_sum_assignment
 
-from .errors import IllConditionedError
+from .errors import IllConditionedError, InvalidInputError
 from .moments import (
     _centered_moments,
     _moment_covariance,
@@ -828,7 +828,8 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
     d = r.shape[-1]
     pattern = np.asarray(pattern)
     if pattern.shape != (d, d) or not ((pattern == 0) | (np.abs(pattern) == 1)).all():
-        raise ValueError(f"sign pattern must be {d}x{d} with entries -1, 0 or +1")
+        raise InvalidInputError(
+            f"sign pattern must be {d}x{d} with entries -1, 0 or +1")
     active = pattern != 0
     weights = pattern.astype(float)
     # (-p) x is -(p x) and a sum of negated terms is the negated sum, bit

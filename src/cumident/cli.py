@@ -1,10 +1,13 @@
 """Command-line front door: estimation, testing, simulation and VAR workflows.
 
 Exit codes: 0 success, 2 input/usage problems (argument parsing, CSV or
-config parsing, dimension preconditions), 3 numerical failures
-(singularities, weak instruments), 4 labeling ambiguity.  Seeds are
-mandatory wherever randomness enters (the probe draw, the simulations);
-given the same inputs and seed, all numeric outputs are byte-identical.
+config parsing, and every InvalidInputError the library raises on an
+argument), 3 numerical failures (singularities, weak instruments), 4
+labeling ambiguity.  Each command parses its inputs, runs the library to
+completion, and only then creates `--out` and writes, so a failed command
+writes nothing.  Seeds are mandatory wherever randomness enters (the probe
+draw, the simulations); given the same inputs and seed, all numeric outputs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .identify import (
     label_by_triangular,
 )
 from .inference import (
-    _check_jackknife_n,
     delta_variance,
     delta_variance_labeled,
     demixing_jackknife,
@@ -36,8 +38,6 @@ from .inference import (
 )
 from .overid import wald_test
 from .simulate import (
-    _ESTIMATORS,
-    GAMMA_LOADINGS,
     CompositeDgpConfig,
     gen_composite,
     parse_experiment_config,
@@ -52,10 +52,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_LABELING = 4
-
-
-class _InputError(Exception):
-    """Input-side failure (file access, CSV/config parsing, dimensions)."""
 
 
 @dataclass
@@ -119,31 +115,28 @@ def _load_csv(path):
     try:
         return load_series_csv(path)
     except (OSError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
+        raise InvalidInputError(str(exc)) from exc
 
 
-def _load_vector(path, d: int) -> np.ndarray:
+def _load_vector(path) -> np.ndarray:
+    """The comma-separated numbers in the file at `path`, flattened; the
+    library checks their count and finiteness."""
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=1, comments="#")
+        return np.loadtxt(path, delimiter=",", ndmin=1, comments="#").ravel()
     except (OSError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != d:
-        raise _InputError(f"{path}: expected {d} entries, got {values.size}")
-    if not np.isfinite(values).all():
-        raise _InputError(f"{path}: entries must be finite")
-    return values
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def _load_pattern(path, d: int) -> np.ndarray:
     try:
         pattern = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
     except (OSError, ValueError) as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise InvalidInputError(f"{path}: {exc}") from exc
     if pattern.shape != (d, d):
-        raise _InputError(f"{path}: expected a {d}x{d} sign pattern, got {pattern.shape}")
+        raise InvalidInputError(
+            f"{path}: expected a {d}x{d} sign pattern, got {pattern.shape}")
     if not np.isin(pattern, (-1, 0, 1)).all():
-        raise _InputError(f"{path}: sign pattern entries must be -1, 0 or 1")
+        raise InvalidInputError(f"{path}: sign pattern entries must be -1, 0 or 1")
     return pattern.astype(int)
 
 
@@ -170,22 +163,19 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------- estimate
 
 def _cmd_estimate(args, argv) -> int:
+    if not args.label.startswith("signs:") and args.label not in ("triangular", "none"):
+        raise InvalidInputError(
+            f"--label must be signs:<file>, triangular or none, got {args.label!r}"
+        )
+    if args.se != "none" and (args.order != 3 or args.label == "triangular"):
+        raise InvalidInputError("standard errors need --order 3 and --label "
+                                "signs:<file> or none; use --se none")
     series = _load_csv(args.csv)
-    n, d = series.data.shape
-    if d < 2:
-        raise _InputError(f"estimation needs at least 2 series, found {d}")
-    w2 = None if args.w2 == "ones" else _load_vector(args.w2, d)
+    d = series.data.shape[1]
+    w2 = None if args.w2 == "ones" else _load_vector(args.w2)
     pattern = None
     if args.label.startswith("signs:"):
         pattern = _load_pattern(args.label.split(":", 1)[1], d)
-    elif args.label not in ("triangular", "none"):
-        raise _InputError(
-            f"--label must be signs:<file>, triangular or none, got {args.label!r}"
-        )
-
-    manifest = RunManifest.build("estimate", args.seed,
-                                {str(args.csv): series.sha256}, argv)
-    out = _out_dir(args)
     probes = ProbeVectors.draw(d, args.seed, w2=w2)
 
     est = estimate_demixing(series.data, probes, order=args.order)
@@ -201,7 +191,12 @@ def _cmd_estimate(args, argv) -> int:
         labeling = label_by_triangular(est)
 
     reported = labeling.lambda_final if labeling is not None else est.lambda_tilde
+    se_rows = _estimate_se_rows(series.data, probes, pattern, args.se,
+                                args.level, reported)
 
+    manifest = RunManifest.build("estimate", args.seed,
+                                {str(args.csv): series.sha256}, argv)
+    out = _out_dir(args)
     rows = [
         [i] + [float(v) for v in reported[i]] for i in range(d)
     ]
@@ -228,11 +223,7 @@ def _cmd_estimate(args, argv) -> int:
         ]
     _write_csv(out / "estimate_diagnostics.csv", manifest, ["key", "value"], diag_rows)
 
-    se_rows = []
-    if args.se != "none":
-        if args.order != 3:
-            raise _InputError("standard errors are implemented for --order 3 only")
-        se_rows = _estimate_se_rows(series.data, probes, pattern, args, n, d, reported)
+    if se_rows:
         _write_csv(
             out / "estimate_se.csv", manifest,
             ["method", "row", "col", "estimate", "se", "ci_lo", "ci_hi"],
@@ -244,23 +235,20 @@ def _cmd_estimate(args, argv) -> int:
     return EXIT_OK
 
 
-def _estimate_se_rows(data, probes, pattern, args, n, d, reported):
-    """Per-entry standard errors and CIs for the reported matrix."""
-    if pattern is None and args.label == "triangular":
-        raise _InputError(
-            "standard errors with --label triangular are not supported; "
-            "use --label signs:<file> or none"
-        )
+def _estimate_se_rows(data, probes, pattern, se, level, reported):
+    """Per-entry standard errors and CIs for the reported matrix; none for
+    `se` "none"."""
+    n, d = data.shape
     # Variances of the estimate itself: the delta method's sqrt(n)-scale
     # covariance divided by n, the jackknife's as it is.
     variances = {}
-    if args.se in ("delta", "both"):
+    if se in ("delta", "both"):
         if pattern is None:
             res = delta_variance(data, probes)
         else:
             res = delta_variance_labeled(data, probes, pattern, entry=None)
         variances["delta"] = np.diag(res.sigma_u).reshape(d, d) / n
-    if args.se in ("jackknife", "both"):
+    if se in ("jackknife", "both"):
         jk = demixing_jackknife(data, probes, pattern=pattern, entry=None)
         variances["jackknife"] = np.diag(jk.variance).reshape(d, d)
     out = []
@@ -268,7 +256,7 @@ def _estimate_se_rows(data, probes, pattern, args, n, d, reported):
         for i in range(d):
             for j in range(d):
                 lo, hi = jackknife_confidence_interval(
-                    reported[i, j], var[i, j], args.level
+                    reported[i, j], var[i, j], level
                 )
                 out.append([
                     method, i, j, float(reported[i, j]),
@@ -309,14 +297,11 @@ def _write_summary(path, manifest, series, est, labeling, reported, se_rows, arg
 
 def _cmd_test(args, argv) -> int:
     series = _load_csv(args.csv)
-    d = series.data.shape[1]
-    if d < 2:
-        raise _InputError(f"the test needs at least 2 series, found {d}")
+    probes = ProbeVectors.draw(series.data.shape[1], args.seed)
+    result = wald_test(series.data, probes, method=args.omega)
     manifest = RunManifest.build("test", args.seed,
                                 {str(args.csv): series.sha256}, argv)
     out = _out_dir(args)
-    probes = ProbeVectors.draw(d, args.seed)
-    result = wald_test(series.data, probes, method=args.omega)
     _write_csv(
         out / "test_result.csv", manifest,
         ["statistic", "dof", "p_value", "method"],
@@ -350,27 +335,16 @@ _TABLE_DEFAULTS = {
 }
 
 
-def _setting(config, key, cast, default, valid=lambda v: True, wanted=""):
-    """Config `key` as a tuple of `cast` values, or `default`; an input error
-    unless each value passes `valid`, which `wanted` describes."""
+def _setting(config, key, cast, default):
+    """Config `key` as a tuple of `cast` values, or `default`; the library
+    checks their ranges."""
     if key not in config:
         return default
     raw = config[key]
     try:
-        values = tuple(map(cast, raw if isinstance(raw, list) else [raw]))
+        return tuple(map(cast, raw if isinstance(raw, list) else [raw]))
     except ValueError as exc:
-        raise _InputError(f"config key {key!r}: {exc}") from exc
-    if not all(map(valid, values)):
-        raise _InputError(f"config key {key!r} must be {wanted}, got {raw}")
-    return values
-
-
-def _finite_at_least(low):
-    return lambda v: np.isfinite(v) and v >= low
-
-
-def _rate(v) -> bool:
-    return 0.0 < v <= 1.0
+        raise InvalidInputError(f"config key {key!r}: {exc}") from exc
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -381,44 +355,27 @@ def _cmd_simulate(args, argv) -> int:
             data = Path(args.config).read_bytes()
             config = parse_experiment_config(data, args.config)
         except (OSError, ValueError) as exc:
-            raise _InputError(str(exc)) from exc
+            raise InvalidInputError(str(exc)) from exc
         inputs[str(args.config)] = hashlib.sha256(data).hexdigest()
-    # Every key is converted and range-checked before the output directory
-    # is made.
     table = args.table if args.table is not None else _setting(
         config, "table", int, (0,))[0]
     if table not in (1, 2, 3):
-        raise _InputError("select a table via --table {1,2,3} or the config file")
+        raise InvalidInputError("select a table via --table {1,2,3} or the config file")
     seed = args.seed if args.seed is not None else _setting(
         config, "seed", int, (None,))[0]
     if seed is None:
-        raise _InputError("a seed is required (--seed or config key 'seed')")
-    positive = (lambda v: v >= 1, "a positive integer")
+        raise InvalidInputError("a seed is required (--seed or config key 'seed')")
     reps = args.reps if args.reps is not None else _setting(
-        config, "reps", int, (1000,), *positive)[0]
+        config, "reps", int, (1000,))[0]
     defaults = _TABLE_DEFAULTS[table]
-    ns = _setting(config, "ns", int, defaults["ns"], *positive)
-    kurtoses = _setting(config, "kurtoses", float, (3.0, 4.0, 5.0),
-                        _finite_at_least(3.0), "finite and at least 3")
-    if len(kurtoses) != len(GAMMA_LOADINGS[0]):
-        raise _InputError(f"config key 'kurtoses' needs {len(GAMMA_LOADINGS[0])} "
-                          f"values, got {len(kurtoses)}")
-    non_negative = (_finite_at_least(0.0), "finite and non-negative")
-    ks = _setting(config, "ks", float, defaults.get("ks"), *non_negative)
-    k = _setting(config, "k", float, (defaults.get("k"),), *non_negative)[0]
-    level = _setting(config, "level", float, (defaults.get("level"),), _rate,
-                     "in (0, 1]")[0]
-    alpha = _setting(config, "alpha", float, (defaults.get("alpha"),), _rate,
-                     "in (0, 1]")[0]
-    estimators = _setting(config, "estimators", str, ("eigen", "iv1", "iv2"),
-                          _ESTIMATORS.__contains__, f"among {', '.join(_ESTIMATORS)}")
-    methods = _setting(config, "methods", str, ("jackknife", "delta"),
-                       ("jackknife", "delta").__contains__, "jackknife or delta")
-    if table == 2 and "jackknife" in methods:
-        _check_jackknife_n(min(ns))
-
-    manifest = RunManifest.build("simulate", seed, inputs, argv)
-    out = _out_dir(args)
+    ns = _setting(config, "ns", int, defaults["ns"])
+    kurtoses = _setting(config, "kurtoses", float, (3.0, 4.0, 5.0))
+    ks = _setting(config, "ks", float, defaults.get("ks"))
+    k = _setting(config, "k", float, (defaults.get("k"),))[0]
+    level = _setting(config, "level", float, (defaults.get("level"),))[0]
+    alpha = _setting(config, "alpha", float, (defaults.get("alpha"),))[0]
+    estimators = _setting(config, "estimators", str, ("eigen", "iv1", "iv2"))
+    methods = _setting(config, "methods", str, ("jackknife", "delta"))
 
     if table == 1:
         result = run_mse_experiment(ns, ks, reps, seed, estimators, kurtoses)
@@ -428,16 +385,20 @@ def _cmd_simulate(args, argv) -> int:
         result = run_overid_power_experiment(ns, ks, reps, seed, alpha,
                                              kurtoses=kurtoses)
 
+    sample = None
+    if args.emit_sample:
+        cfg = CompositeDgpConfig(n=max(ns), k=result.ks[0], kurtoses=kurtoses,
+                                 seed=seed)
+        sample = gen_composite(cfg, 0).x
+
+    manifest = RunManifest.build("simulate", seed, inputs, argv)
+    out = _out_dir(args)
     write_mc_csv(result, out / f"table{table}.csv",
                  extra_header=manifest.header_lines())
-
-    if args.emit_sample:
-        first_k = result.ks[0]
-        cfg = CompositeDgpConfig(n=max(ns), k=first_k, kurtoses=kurtoses, seed=seed)
-        draw = gen_composite(cfg, 0)
+    if sample is not None:
         _write_csv(
             out / "sample.csv", manifest, ["x1", "x2"],
-            [[float(a), float(b)] for a, b in draw.x],
+            [[float(a), float(b)] for a, b in sample],
         )
     manifest.write(out)
     return EXIT_OK
@@ -454,13 +415,14 @@ def _parse_pairs(text: str):
             i, j = chunk.split(",")
             pairs.append((int(i) - 1, int(j) - 1))
     except ValueError as exc:
-        raise _InputError(
+        raise InvalidInputError(
             f"--pairs must be 'all' or 'i,j;k,l' with 1-based indices, got {text!r}"
         ) from exc
     return pairs
 
 
 def _cmd_var(args, argv) -> int:
+    pairs = _parse_pairs(args.pairs)
     series = _load_csv(args.csv)
     names = list(series.names)
     data = series.data
@@ -469,24 +431,18 @@ def _cmd_var(args, argv) -> int:
         controls = [c.strip() for c in args.controls.split(",")]
         missing = [c for c in controls if c not in names]
         if missing:
-            raise _InputError(f"control column(s) not found: {missing}")
+            raise InvalidInputError(f"control column(s) not found: {missing}")
         ctl_idx = [names.index(c) for c in controls]
         tgt_idx = [i for i in range(len(names)) if i not in ctl_idx]
-        if len(tgt_idx) < 2:
-            raise _InputError("need at least 2 non-control series")
         data = partial_out(data[:, tgt_idx], data[:, ctl_idx])
         names = [names[i] for i in tgt_idx]
-    if data.shape[1] < 2:
-        raise _InputError(f"the VAR needs at least 2 series, found {data.shape[1]}")
-    pairs = _parse_pairs(args.pairs)
+    fit = fit_var(data, p=args.lags)
+    probes = ProbeVectors.draw(2, args.seed)
+    report = pairwise_overid(fit, probes, pairs=pairs, alpha=args.alpha)
 
     manifest = RunManifest.build("var", args.seed,
                                 {str(args.csv): series.sha256}, argv)
     out = _out_dir(args)
-
-    fit = fit_var(data, p=args.lags)
-    probes = ProbeVectors.draw(2, args.seed)
-    report = pairwise_overid(fit, probes, pairs=pairs, alpha=args.alpha)
 
     rows = [
         [i + 1, j + 1, names[i], names[j], res.statistic, res.dof,
@@ -583,7 +539,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args, argv)
-    except (_InputError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         print(f"cumident {args.command}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except LabelingAmbiguityError as exc:

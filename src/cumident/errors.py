@@ -8,9 +8,14 @@ class CumidentError(Exception):
 
 
 class InvalidInputError(CumidentError, ValueError):
-    """The input cannot be used as given: a sample of the wrong shape, with
-    too few rows or columns or non-finite entries, a jackknife on too few
-    observations, or a malformed setting.  The CLI exits 2 on it."""
+    """A caller's argument cannot be used as given: a sample of the wrong
+    shape, with too few rows or columns or non-finite entries, a probe
+    direction, lag order, pair, grid value, rate or option name out of its
+    range, a malformed CSV or config file, or a jackknife on too few
+    observations.  The library function that owns the value raises it,
+    before any computation; the CLI exits 2 on it.  A numerical failure
+    (sixth moments out of range, rank-deficient regressors) stays a plain
+    ValueError and exits 3."""
 
 
 class IllConditionedError(CumidentError):

@@ -34,6 +34,7 @@ from .errors import (
     ComplexResidueWarning,
     EigenGapWarning,
     IllConditionedError,
+    InvalidInputError,
     LabelingAmbiguityError,
     RankDetectionError,
 )
@@ -65,9 +66,7 @@ class ProbeVectors:
     def draw(cls, d: int, seed: int, w2=None) -> "ProbeVectors":
         """Draw w1 uniformly on the d-dimensional unit cube from `seed`."""
         w1 = np.random.default_rng(seed).uniform(size=d)
-        w2 = np.ones(d) if w2 is None else np.asarray(w2, dtype=float)
-        if w2.shape != (d,):
-            raise ValueError(f"w2 must have shape ({d},), got {w2.shape}")
+        w2 = np.ones(d) if w2 is None else _check_direction(w2, d, "w2")
         return cls(w1=w1, w2=w2, seed=seed)
 
 
@@ -111,7 +110,7 @@ class LabelingResult:
 def _as_matrix(g) -> np.ndarray:
     m = np.asarray(g, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -202,7 +201,7 @@ def estimate_demixing(data, probes: ProbeVectors, order: int = 3) -> DemixingEst
     x = validate_sample(data, min_cols=2)
     n, d = x.shape
     if n < d + 1:
-        raise ValueError("need at least d + 1 observations")
+        raise InvalidInputError(f"need at least d + 1 = {d + 1} observations, got {n}")
     if order != 3:
         g1 = contract_hessian(x, probes.w1, order)
         g2 = contract_hessian(x, probes.w2, order)
@@ -258,7 +257,7 @@ def estimate_mixing_tall(data, probes: ProbeVectors,
         rank, sv_threshold = _auto_rank(s, d1)
     else:
         if not 1 <= d2 <= d1:
-            raise ValueError(f"d2 must be in [1, {d1}], got {d2}")
+            raise InvalidInputError(f"d2 must be in [1, {d1}], got {d2}")
         rank = d2
         sv_threshold = float(s[rank]) if rank < d1 else 0.0
     g2_pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
@@ -321,11 +320,12 @@ def label_by_signs(est: DemixingEstimate, sign_pattern,
     rows = est.lambda_tilde
     d = rows.shape[0]
     if on_tie not in ("error", "margin"):
-        raise ValueError(f"on_tie must be 'error' or 'margin', got {on_tie!r}")
+        raise InvalidInputError(
+            f"on_tie must be 'error' or 'margin', got {on_tie!r}")
     # The kernel checks the pattern's shape and entries.
     lam, mism, tied, index, perms = _pipeline.label_signs(rows, pattern)
     if len({tuple(r) for r in pattern.tolist()}) < d:
-        raise ValueError("sign pattern rows must be pairwise distinct")
+        raise InvalidInputError("sign pattern rows must be pairwise distinct")
     if mism == _INVALID_MISMATCH:
         raise LabelingAmbiguityError(
             "no row permutation yields a nonzero diagonal", []

@@ -263,8 +263,8 @@ def jackknife_confidence_interval(point: float, variance: float,
                                   level: float = 0.95) -> tuple[float, float]:
     """Normal-approximation interval from a jackknife (estimate-scale) variance."""
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+        raise InvalidInputError(f"level must be in (0, 1), got {level}")
     if not variance >= 0.0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
+        raise InvalidInputError(f"variance must be >= 0, got {variance}")
     half = stats.norm.ppf((1.0 + level) / 2.0) * np.sqrt(variance)
     return float(point - half), float(point + half)

@@ -58,7 +58,7 @@ def column_means(a: np.ndarray) -> np.ndarray:
 def monomial_tuples(d: int) -> tuple[tuple[int, ...], ...]:
     """Index tuples of all degree 1-3 monomials in the package-wide order."""
     if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+        raise InvalidInputError(f"dimension must be >= 1, got {d}")
     out = []
     for degree in (1, 2, 3):
         out.extend(itertools.combinations_with_replacement(range(d), degree))
@@ -227,7 +227,7 @@ def contract_hessian(data, w, order: int = 3) -> np.ndarray:
     if order == 3:
         return 6.0 * contract_tensor(third_cumulants(x), w)
     if order != 4:
-        raise ValueError(f"order must be 3 or 4, got {order}")
+        raise InvalidInputError(f"order must be 3 or 4, got {order}")
     xc = x - column_means(x)
     proj = xc @ w
     sigma = xc.T @ xc / n
@@ -240,11 +240,12 @@ def contract_hessian(data, w, order: int = 3) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def _check_direction(w, d: int) -> np.ndarray:
-    """A contraction direction as a finite float (d,) array, else ValueError."""
+def _check_direction(w, d: int, name: str = "w") -> np.ndarray:
+    """A contraction direction as a finite float (d,) array, else
+    InvalidInputError naming it `name`."""
     w = np.asarray(w, dtype=float)
     if w.shape != (d,):
-        raise ValueError(f"w must have shape ({d},), got {w.shape}")
+        raise InvalidInputError(f"{name} must have shape ({d},), got {w.shape}")
     if not np.isfinite(w).all():
-        raise ValueError("w contains non-finite entries")
+        raise InvalidInputError(f"{name} contains non-finite entries")
     return w

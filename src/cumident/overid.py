@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from . import _pipeline, inference
-from .errors import IllConditionedError
+from .errors import IllConditionedError, InvalidInputError
 from .identify import COND_CAP, DemixingEstimate, ProbeVectors, _warn_unstable
 from .moments import validate_sample
 
@@ -47,7 +47,8 @@ def overid_restrictions(data, est: DemixingEstimate) -> np.ndarray:
     lam = est.lambda_tilde
     d = x.shape[1]
     if lam.shape[1] != d:
-        raise ValueError(f"estimate is for d={lam.shape[1]} but sample has d={d}")
+        raise InvalidInputError(
+            f"estimate is for d={lam.shape[1]} but sample has d={d}")
     return _pipeline.offdiag_from_rows(lam, _pipeline.moment_record(x).m_hat, d)
 
 
@@ -80,7 +81,8 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     `omega_clipped` counts the eigenvalues raised to the PSD floor.
     """
     if method not in ("delta", "jackknife"):
-        raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
+        raise InvalidInputError(
+            f"method must be 'delta' or 'jackknife', got {method!r}")
     d = samples[0].shape[1]
     if d > 2 and len(samples) > 1:  # d >= 3 stacks share one eigen-anchor
         raise ValueError("samples of width d > 2 are tested one at a time")

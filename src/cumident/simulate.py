@@ -23,7 +23,7 @@ from . import __version__, _pipeline
 from .errors import InvalidInputError, WeakInstrumentError
 from .identify import COND_CAP, ProbeVectors
 from .inference import (_check_jackknife_n, _delete1_variance,
-                        _delta_from_moments)
+                        _delta_from_moments, _sixth_moments_fail)
 from .moments import _centered_moments, _moment_covariance
 from .overid import OMEGA_COND_CAP, _wald_stack
 
@@ -72,13 +72,14 @@ class CompositeDgpConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k < 0:
-            raise ValueError(f"noise scale k must be >= 0, got {self.k}")
+            raise InvalidInputError(f"n must be >= 1, got {self.n}")
+        if not 0.0 <= self.k < np.inf:
+            raise InvalidInputError(f"noise scale k must be finite and >= 0, got {self.k}")
         if len(self.kurtoses) != GAMMA_LOADINGS.shape[1]:
-            raise ValueError("one kurtosis per omitted-shock column required")
-        if any(kappa < 3.0 for kappa in self.kurtoses):
-            raise ValueError("kurtoses below 3 are outside the symmetric family")
+            raise InvalidInputError(f"need {GAMMA_LOADINGS.shape[1]} kurtoses, one per "
+                                    f"omitted shock, got {len(self.kurtoses)}")
+        if not all(3.0 <= kappa < np.inf for kappa in self.kurtoses):
+            raise InvalidInputError(f"kurtoses must be finite and >= 3, got {self.kurtoses}")
 
 
 @dataclass
@@ -98,7 +99,7 @@ def pearson_symmetric(kurtosis: float, n: int, rng: np.random.Generator) -> np.n
     exactly kurtosis - 3).
     """
     if kurtosis < 3.0:
-        raise ValueError(
+        raise InvalidInputError(
             f"kurtosis must be >= 3 (platykurtic family not implemented), "
             f"got {kurtosis}"
         )
@@ -220,7 +221,7 @@ def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
     """Run `worker`, which returns each replication's cells and their failure
     codes, and summarize the cells as an (n, k, series) grid."""
     if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+        raise InvalidInputError(f"reps must be >= 1, got {reps}")
     outs, codes = zip(*_map_reps(worker, reps))
     shape = (reps, len(ns), len(ks), len(series))
     per_rep, codes = np.reshape(outs, shape), np.reshape(codes, shape)
@@ -229,6 +230,17 @@ def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
     reasons = {r: (codes == c).sum(axis=0) for r, c in _CODE.items()}
     return McResult(kind, ns, ks, series, np.nanmean(per_rep, axis=0),
                     failures, reps, seed, reasons)
+
+
+def _grid(ns, ks):
+    """The (n, k) grid of an experiment as int and float tuples, else
+    InvalidInputError: each n at least 1, each k finite and at least 0."""
+    ns, ks = tuple(int(n) for n in ns), tuple(float(k) for k in ks)
+    if not ns or min(ns) < 1:
+        raise InvalidInputError(f"sample sizes ns must be >= 1, got {ns}")
+    if not ks or not all(0.0 <= k < np.inf for k in ks):
+        raise InvalidInputError(f"noise scales must be finite and >= 0, got {ks}")
+    return ns, ks
 
 
 def _samples(cfg, rep: int, ns, ks):
@@ -278,12 +290,13 @@ def run_mse_experiment(ns, ks, reps: int, seed: int,
     replications at least; a single replication returns the one squared
     error.
     """
-    ns, ks = tuple(int(n) for n in ns), tuple(float(k) for k in ks)
+    ns, ks = _grid(ns, ks)
     if not estimators:
-        raise ValueError("estimator list is empty")
+        raise InvalidInputError("estimator list is empty")
     unknown = [e for e in estimators if e not in _ESTIMATORS]
     if unknown:
-        raise ValueError(f"unknown estimators {unknown}; pick from {sorted(_ESTIMATORS)}")
+        raise InvalidInputError(
+            f"unknown estimators {unknown}; pick from {sorted(_ESTIMATORS)}")
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
     worker = functools.partial(_mse_rep, cfg, ns, ks, tuple(estimators), probes)
@@ -308,14 +321,20 @@ def _jackknife_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
 def _delta_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
     """Delta-method variance of the labeled slope of each sample, as
     :func:`delta_variance_labeled`, from one finite-difference stack over
-    the samples.  NaN where a finite-difference point has a singular G(w2),
-    whose labeled entry is NaN."""
-    sigma_u = _delta_from_moments(
-        np.stack([_moment_covariance(z, m) for z, m in zip(zs, ms)]), ms,
-        lambda s: _pipeline.labeled_entry(
-            s, 2, probes.w1, probes.w2, SUPPLY_DEMAND_PATTERN, (0, 1)),
-    ).sigma_u
-    return sigma_u[:, 0, 0] / [len(z) for z in zs]
+    the samples whose sixth moments stand.  NaN where they fail, where
+    :func:`delta_variance_labeled` raises, and where a finite-difference
+    point has a singular G(w2), whose labeled entry is NaN."""
+    sigma_m = np.stack([_moment_covariance(z, m) for z, m in zip(zs, ms)])
+    ok = ~np.array([_sixth_moments_fail(s, 2) for s in sigma_m])
+    variances = np.full(len(zs), np.nan)
+    if ok.any():
+        sigma_u = _delta_from_moments(
+            sigma_m[ok], ms[ok],
+            lambda s: _pipeline.labeled_entry(
+                s, 2, probes.w1, probes.w2, SUPPLY_DEMAND_PATTERN, (0, 1)),
+        ).sigma_u
+        variances[ok] = sigma_u[:, 0, 0] / np.array([len(z) for z in zs])[ok]
+    return variances
 
 
 _VARIANCES = {"jackknife": _jackknife_variances, "delta": _delta_variances}
@@ -330,7 +349,7 @@ def _coverage_rep(cfg, ns, level, methods, probes, rep: int):
     point, fail = _eigen_slopes(ms, probes)
     # Both intervals are centred on the point, so only the cells whose
     # point stands get variances; a non-finite one marks a singular
-    # resample.
+    # resample or, for the delta method, sixth moments out of range.
     ok = fail == 0
     variances = np.full((len(ns), len(methods)), np.nan)
     if ok.any():
@@ -355,19 +374,19 @@ def run_coverage_experiment(ns, k: float, reps: int, seed: int,
     jackknife re-labels every resample.  `level` may be 1.0, in which case
     every interval is infinite and coverage is trivially one.
     """
-    ns = tuple(int(n) for n in ns)
+    ns, (k,) = _grid(ns, (k,))
     if not 0.0 < level <= 1.0:
-        raise ValueError(f"level must be in (0, 1], got {level}")
+        raise InvalidInputError(f"level must be in (0, 1], got {level}")
     bad = [m for m in methods if m not in _VARIANCES]
     if bad:
-        raise ValueError(f"unknown methods {bad}")
+        raise InvalidInputError(f"unknown methods {bad}; pick from {sorted(_VARIANCES)}")
     if "jackknife" in methods:
         _check_jackknife_n(min(ns))
-    cfg = CompositeDgpConfig(n=max(ns), k=float(k), kurtoses=tuple(kurtoses), seed=seed)
+    cfg = CompositeDgpConfig(n=max(ns), k=k, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
     worker = functools.partial(_coverage_rep, cfg, ns, level, tuple(methods), probes)
     return _experiment(worker, reps, seed, "coverage experiment", "coverage",
-                       ns, (float(k),), tuple(methods))
+                       ns, (k,), tuple(methods))
 
 
 def _power_rep(cfg, ns, ks, alpha, probes, method, rep: int):
@@ -391,11 +410,11 @@ def run_overid_power_experiment(ns, ks, reps: int, seed: int,
     (w2 stays at the all-ones anchor); k = 0 cells measure size, k > 0
     cells measure power against correlated composite errors.
     """
-    ns, ks = tuple(int(n) for n in ns), tuple(float(k) for k in ks)
+    ns, ks = _grid(ns, ks)
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
     if method not in ("delta", "jackknife"):
-        raise ValueError(f"method must be 'delta' or 'jackknife', got {method!r}")
+        raise InvalidInputError(f"method must be 'delta' or 'jackknife', got {method!r}")
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
     worker = functools.partial(_power_rep, cfg, ns, ks, alpha, probes, method)
@@ -432,13 +451,13 @@ def parse_experiment_config(data: bytes, path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: line {ln}: expected 'key = value'")
+                raise InvalidInputError(f"{path}: line {ln}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in known:
-                raise ValueError(f"{path}: line {ln}: unknown key {key!r}")
+                raise InvalidInputError(f"{path}: line {ln}: unknown key {key!r}")
             items = [v.strip() for v in value.split(",") if v.strip()]
             if not items:
-                raise ValueError(f"{path}: line {ln}: empty value for {key!r}")
+                raise InvalidInputError(f"{path}: line {ln}: empty value for {key!r}")
             out[key] = items if len(items) > 1 else items[0]
     return out
 
@@ -482,6 +501,6 @@ def write_mc_csv(result: McResult, path, extra_header=()) -> None:
             cells = ["%.10g" % result.values[a, b, 0] for b in range(len(result.ks))]
             lines.append(str(n) + "," + ",".join(cells))
     else:
-        raise ValueError(f"unknown result kind {result.kind!r}")
+        raise InvalidInputError(f"unknown result kind {result.kind!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CumidentError
+from .errors import CumidentError, InvalidInputError
 from .identify import ProbeVectors
 from .moments import validate_sample
 from .overid import TestResult, _sample_result, _wald_stack
@@ -49,12 +49,13 @@ def fit_var(series, p: int, intercept: bool = True) -> VarFit:
     y = validate_sample(series, min_cols=1)
     t, d = y.shape
     if p < 1:
-        raise ValueError(f"lag order must be >= 1, got {p}")
+        raise InvalidInputError(f"lag order must be >= 1, got {p}")
     # The T - p usable periods must outnumber the regressor columns, so
     # that the residuals keep a degree of freedom.
     need = max(d * p + d + 1, p + d * p + int(intercept))
     if t <= need:
-        raise ValueError(f"series too short for VAR({p}) in d={d}: need T > {need}")
+        raise InvalidInputError(
+            f"series too short for VAR({p}) in d={d}: need T > {need}, got {t}")
     blocks = [y[p - lag - 1: t - lag - 1] for lag in range(p)]
     w = np.hstack(blocks)
     if intercept:
@@ -83,7 +84,7 @@ def partial_out(targets, controls) -> np.ndarray:
     y = validate_sample(targets, min_cols=1)
     c = validate_sample(controls, min_cols=1)
     if y.shape[0] != c.shape[0]:
-        raise ValueError(
+        raise InvalidInputError(
             f"targets and controls disagree on rows: {y.shape[0]} vs {c.shape[0]}"
         )
     w = np.hstack([np.ones((c.shape[0], 1)), c])
@@ -112,7 +113,8 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
         wanted = [(int(i), int(j)) for i, j in pairs]
         for i, j in wanted:
             if not (0 <= i < d and 0 <= j < d and i != j):
-                raise ValueError(f"invalid pair ({i}, {j}) for d={d}")
+                raise InvalidInputError(f"invalid pair ({i}, {j}): indices are "
+                                        f"0-based, distinct and below d={d}")
     x = validate_sample(fit.residuals, min_rows=2, min_cols=2)
     samples = [x[:, [i, j]] for i, j in wanted]
     stack = _wald_stack(samples, probes, method) if samples else None
@@ -158,7 +160,7 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
     If `date_column` is None, the one column whose first data cell is not a
     number (if any) is kept as dates; it never enters the numeric data.  The
     file is read once; its data lines are parsed in one np.loadtxt pass.
-    Errors name the physical line of the file.
+    A malformed file raises InvalidInputError naming its physical line.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -166,17 +168,17 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
     kept = [i for i, line in enumerate(all_lines)
             if line not in _BLANK_LINES and line[0] != "#"]
     if not kept:
-        raise ValueError(f"{path}: empty CSV")
+        raise InvalidInputError(f"{path}: empty CSV")
     header = [h.strip() for h in _fields(all_lines[kept[0]])]
     if len(kept) == 1:
-        raise ValueError(f"{path}: no data rows")
+        raise InvalidInputError(f"{path}: no data rows")
     # numbers[k] is the physical line number of lines[k].
     numbers = [i + 1 for i in kept[1:]]
     lines = [all_lines[i] for i in kept[1:]]
 
     if date_column is not None:
         if date_column not in header:
-            raise ValueError(f"{path}: no column named {date_column!r}")
+            raise InvalidInputError(f"{path}: no column named {date_column!r}")
         text_cols = [header.index(date_column)]
     else:
         text_cols = [j for j, cell in enumerate(_fields(lines[0]))
@@ -190,14 +192,14 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
         except ValueError:
             pass
     if table is None:
-        raise ValueError(_fault(path, header, numbers, lines, dtype, text_cols))
+        raise InvalidInputError(_fault(path, header, numbers, lines, dtype, text_cols))
 
     date_idx = text_cols[0] if text_cols else None
     numeric = [j for j in range(len(header)) if j != date_idx]
     data = np.array([table[f"f{j}"] for j in numeric], dtype=np.float64).T
     if not np.isfinite(data).all():
-        fault = _nonfinite_fault(path, header, numbers, lines, numeric, data)
-        raise ValueError(fault)
+        raise InvalidInputError(
+            _nonfinite_fault(path, header, numbers, lines, numeric, data))
     return CsvSeries(
         names=[header[j] for j in numeric],
         data=data,

@@ -252,6 +252,57 @@ def test_var_command_controls(tmp_path):
     assert "partialled-out controls: ctl" in (out / "var_summary.txt").read_text()
 
 
+def _csv(path, x):
+    lines = ["a,b"] + [",".join(f"{v:.8f}" for v in row) for row in x]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _pattern(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _var(path, t):
+    _write_var_csv(path, t=t)
+    return str(path)
+
+
+_SKEWED = np.random.default_rng(5).standard_exponential((2_000, 2)) @ np.linalg.inv(
+    ci.LAMBDA_TRUE).T
+_CONSTANT = np.column_stack([np.random.default_rng(0).standard_normal(200),
+                             np.full(200, 2.0)])
+
+# Each case: the exit code, and argv (without --out) from a scratch directory.
+_FAILING = {
+    "var pair out of range": (2, lambda t: [
+        "var", _var(t / "v.csv", 1_000), "--lags", "2", "--seed", "8",
+        "--pairs", "1,9"]),
+    "var series too short for its lags": (2, lambda t: [
+        "var", _var(t / "v.csv", 25), "--lags", "6", "--seed", "8"]),
+    "estimate on n <= d rows": (2, lambda t: [
+        "estimate", _csv(t / "x.csv", _SKEWED[:2]), "--seed", "3"]),
+    "estimate --order 4 with the default --se": (2, lambda t: [
+        "estimate", _csv(t / "x.csv", _SKEWED), "--seed", "3", "--order", "4"]),
+    "estimate --label triangular with the default --se": (2, lambda t: [
+        "estimate", _csv(t / "x.csv", _SKEWED), "--seed", "3",
+        "--label", "triangular"]),
+    "duplicate sign pattern rows": (4, lambda t: [
+        "estimate", _csv(t / "x.csv", _SKEWED), "--seed", "3", "--se", "none",
+        "--label", "signs:" + _pattern(t / "p.csv", "1,1\n1,1\n")]),
+    "constant column": (3, lambda t: [
+        "test", _csv(t / "x.csv", _CONSTANT), "--seed", "4"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING))
+def test_failed_command_exits_with_its_code_and_writes_nothing(tmp_path, case):
+    code, argv = _FAILING[case]
+    out = tmp_path / "out"
+    assert main(argv(tmp_path) + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
 def test_simulate_requires_seed_and_table(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("ns = 200\nks = 0\nreps = 2\n")

@@ -7,7 +7,7 @@ import pytest
 import cumident as ci
 import warnings
 
-from cumident import _pipeline
+from cumident import _pipeline, simulate
 from cumident.errors import (IllConditionedError, LabelingAmbiguityError,
                              WeakInstrumentError)
 from cumident.moments import _centered_moments, column_means
@@ -227,6 +227,53 @@ def test_coverage_rejects_jackknife_below_its_minimum_up_front():
     res = run_coverage_experiment([20, 200], k=0.5, reps=1, seed=13,
                                   methods=("delta",), level=1.0)
     np.testing.assert_array_equal(res.values, 1.0)
+
+
+_RUNS = {
+    "mse": lambda ns, ks, kurt: run_mse_experiment(ns, ks, 2, 1, kurtoses=kurt),
+    "coverage": lambda ns, ks, kurt: run_coverage_experiment(ns, ks[0], 2, 1,
+                                                             kurtoses=kurt),
+    "power": lambda ns, ks, kurt: run_overid_power_experiment(ns, ks, 2, 1,
+                                                              kurtoses=kurt),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+@pytest.mark.parametrize("ns, ks, kurtoses", [
+    ((0, 300), (0.0,), (3.0, 4.0, 5.0)),
+    ((-5, 300), (0.0,), (3.0, 4.0, 5.0)),
+    ((300,), (-0.5,), (3.0, 4.0, 5.0)),
+    ((300,), (np.nan,), (3.0, 4.0, 5.0)),
+    ((300,), (0.0,), (3.0, 4.0, np.inf)),
+    ((300,), (0.0,), (3.0, np.nan, 5.0)),
+], ids=["n=0", "n=-5", "k<0", "k=nan", "kurtosis=inf", "kurtosis=nan"])
+def test_experiments_reject_bad_arguments_before_any_replication(
+        monkeypatch, run, ns, ks, kurtoses):
+    def reached(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "_map_reps", reached)
+    with pytest.raises(ci.InvalidInputError):
+        _RUNS[run](ns, ks, kurtoses)
+
+
+def test_table2_delta_flags_sixth_moments_out_of_range(monkeypatch):
+    # At 1e-55 the sample's sixth moments underflow: delta_variance_labeled
+    # raises on it, so Table 2 counts its delta cell as ill-conditioned.
+    cfg = CompositeDgpConfig(n=500, k=0.5, seed=1)
+    x = gen_composite(cfg, 0).x
+    probes = ci.ProbeVectors.draw(2, 1)
+    z, m = _centered_moments(x)
+    assert _delta_variances([z], m[None], probes)[0] == pytest.approx(0.04625, rel=1e-3)
+    small = x * 1e-55
+    with pytest.raises(ValueError, match="sixth-moment"):
+        ci.delta_variance_labeled(small, probes, ci.SUPPLY_DEMAND_PATTERN)
+    z, m = _centered_moments(small)
+    assert np.isnan(_delta_variances([z], m[None], probes)[0])
+    monkeypatch.setattr(simulate, "_samples", lambda *args: (None, None, [small]))
+    values, codes = _coverage_rep(cfg, (500,), 0.95, ("delta",), probes, 0)
+    assert np.isnan(values).all()
+    assert codes.tolist() == [[FAILURE_REASONS.index("ill_conditioned") + 1]]
 
 
 def test_power_alpha_one_is_trivial():
