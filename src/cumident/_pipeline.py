@@ -5,8 +5,9 @@ eigendecomposition, orientation, labeling, demixed-covariance off-diagonals)
 is re-expressed here to act on a stack of moment vectors at once: moments
 of the centered sample (``moments._centered_moments``), so nothing changes
 when a constant is added to the data.  The delta method perturbs the moment
-vector, the jackknife downdates it once per observation, and the Wald test
-differentiates through it.  Single-vector callers (``identify``'s
+vector and the jackknife downdates it once per observation, both through
+one resampling kernel (``inference._resampled``), which the standard errors,
+the Wald test and Table 2 share.  Single-vector callers (``identify``'s
 ``estimate_demixing``, the delta anchor, the jackknife centre, the Wald
 point statistic) run the kernels on a stack of one and get the same numbers,
 bit for bit; so do the scalar orientation and labeling functions, and
@@ -40,7 +41,8 @@ instead.
 
 A G(w2) that cannot be solved through fails by one rule at every d and
 stack size (:func:`demix_contractions`): the kernels flag it, with NaN
-rows, and the entry points raise (:func:`_raise_ill_conditioned`).
+rows, and the entry points raise (``identify._demixing_estimate`` and
+``inference._raise_failed``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 
 from scipy.optimize import linear_sum_assignment
 
-from .errors import IllConditionedError, InvalidInputError
+from .errors import InvalidInputError
 from .moments import (
     _centered_moments,
     _moment_covariance,
@@ -206,18 +208,6 @@ class DemixedRows(NamedTuple):
     orient_fallbacks: np.ndarray
     ill_conditioned: np.ndarray
     cond_g2: np.ndarray | None
-
-
-def _raise_ill_conditioned(demixed: DemixedRows, where: str = "") -> None:
-    """IllConditionedError if an entry of `demixed` failed: naming the
-    resample `where` ("a delete-1 resample"), or else with the largest
-    condition estimate of the failed entries (inf when no cap was checked)."""
-    failed, cond = demixed.ill_conditioned, demixed.cond_g2
-    if failed.any():
-        raise IllConditionedError(
-            f"singular contraction at w2 in {where}" if where
-            else "contraction at w2 is numerically singular",
-            float("inf") if where or cond is None else float(np.max(cond[failed])))
 
 
 def demix_rows(ms: np.ndarray, d: int, w1, w2,
@@ -567,11 +557,6 @@ def _oriented(rt: np.ndarray):
     return rt, fallback
 
 
-def overid_offdiag(ms: np.ndarray, d: int, w1, w2) -> np.ndarray:
-    """vech_off(L Sigma L') for each moment vector; shape (..., d*(d-1)/2)."""
-    return offdiag_from_rows(demix_rows(ms, d, w1, w2).rows, ms, d)
-
-
 def offdiag_from_rows(rows: np.ndarray, ms: np.ndarray, d: int) -> np.ndarray:
     """vech_off(L Sigma L') for demixing rows L already fitted to `ms`."""
     sigma = covariance_from_moments(ms, d)
@@ -897,16 +882,6 @@ def label_triangular(rows: np.ndarray):
     if squeeze:
         return lam[0], float(res[0]), int(perm_index[0]), perms
     return lam, res, perm_index, perms
-
-
-def labeled_entry(ms: np.ndarray, d: int, w1, w2, pattern, entry=(0, 1)):
-    """One entry of the sign-labeled, diagonal-normalized demixing matrix
-    for each moment vector, or with `entry` None the whole matrix,
-    flattened row-major."""
-    lam = label_signs(demix_rows(ms, d, w1, w2).rows, pattern)[0]
-    if entry is None:
-        return lam.reshape(*lam.shape[:-2], d * d)
-    return lam[..., entry[0], entry[1]]
 
 
 def batched_jacobian(func, m: np.ndarray, steps: np.ndarray) -> np.ndarray:

@@ -164,7 +164,9 @@ def _warn_unstable(vals, gap_flag, max_imag, stacklevel: int) -> None:
 
 def _demixing_estimate(demixed: _pipeline.DemixedRows) -> DemixingEstimate:
     """The estimate of a one-entry kernel result; raises and warns for the caller."""
-    _pipeline._raise_ill_conditioned(demixed)
+    if demixed.ill_conditioned:
+        raise IllConditionedError("contraction at w2 is numerically singular",
+                                  float(demixed.cond_g2))
     _warn_unstable(demixed.eigenvalues, demixed.gap_flags, demixed.max_imag,
                    stacklevel=3)
     return DemixingEstimate(

@@ -1,5 +1,10 @@
 """Delta-method and delete-1 jackknife inference for the plug-in estimator.
 
+Both methods run through one resampling kernel, :func:`_resampled`, on one
+sample or a stack of them: the standard errors here are its b = 1 views, and
+the Wald test and the coverage experiment call it on their samples.  It
+flags failures; :func:`_raise_failed` raises them for one sample.
+
 Scale conventions (stated once, used everywhere):
 
 * ``DeltaVarianceResult.sigma_u`` is the asymptotic covariance of
@@ -13,14 +18,14 @@ Scale conventions (stated once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import stats
 
 from . import _pipeline
 from .errors import IllConditionedError, InvalidInputError
-from .identify import COND_CAP, ProbeVectors
+from .identify import COND_CAP, ProbeVectors, _warn_unstable
 from .moments import _moment_index, validate_sample
 
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -78,9 +83,9 @@ def _fd_steps(sigma_m: np.ndarray) -> np.ndarray:
     return FD_STEP_SCALE * np.where(sd > 0.0, sd, 1.0)
 
 
-def _check_jackknife_n(n: int, what: str = "jackknife") -> None:
+def _check_jackknife_n(n: int) -> None:
     if n < MIN_JACKKNIFE_N:
-        raise InvalidInputError(f"{what} requires n >= {MIN_JACKKNIFE_N}, got {n}")
+        raise InvalidInputError(f"jackknife requires n >= {MIN_JACKKNIFE_N}, got {n}")
 
 
 _SIXTH_MOMENT_ERROR = ("sixth-moment estimate overflowed or underflowed; delta-method "
@@ -105,17 +110,12 @@ def delta_variance_statistic(data, batch_statistic: Callable) -> DeltaVarianceRe
     in one call.  The vectors are the moments of the centered sample (raw
     moments about the sample mean), so a location-invariant statistic, such
     as anything the demixing pipeline computes, gets a shift-invariant
-    variance.
+    variance.  ValueError when the sixth moments fail
+    (:func:`_sixth_moments_fail`).
     """
     x = validate_sample(data)
-    return _record_delta(_pipeline.moment_record(x), batch_statistic)
-
-
-def _record_delta(record: _pipeline.MomentRecord,
-                  batch_statistic: Callable) -> DeltaVarianceResult:
-    """:func:`delta_variance_statistic` of the sample of `record`; ValueError
-    when its sixth moments fail (:func:`_sixth_moments_fail`)."""
-    if _sixth_moments_fail(record.sigma_m(), record.x.shape[1]):
+    record = _pipeline.moment_record(x)
+    if _sixth_moments_fail(record.sigma_m(), x.shape[1]):
         raise ValueError(_SIXTH_MOMENT_ERROR)
     return _delta_from_moments(record.sigma_m().copy(), record.m_hat, batch_statistic)
 
@@ -132,6 +132,145 @@ def _delta_from_moments(sigma_m: np.ndarray, m_hat: np.ndarray,
     return DeltaVarianceResult(sigma_u, jac, sigma_m, steps)
 
 
+_METHODS = ("delta", "jackknife")
+
+
+class _Resampled(NamedTuple):
+    """:func:`_resampled` of b samples, each field with a leading sample axis.
+
+    `point` (b, p) is the statistic at the anchors and `labels` the ties
+    and orderings of its sign labeling, (None, None) unlabeled.  `spread`
+    (b, p, p) is J Sigma_m J' of the finite-difference Jacobian J (delta),
+    or sum dev dev' of the deviations of the n delete-1 statistics from
+    their mean (jackknife); NaN where a flag is set.  `resamples` holds, for
+    the samples that stand, the delta method's :class:`DeltaVarianceResult`
+    (fields stacked over them), or per sample the (statistic, ties,
+    orderings, gap flags, eigen fallbacks) of its delete-1 resamples, None
+    for the others.  Flags: `moments_fail`, sixth moments out of range for
+    the delta method; `anchors.ill_conditioned`, a G(w2) over ``COND_CAP``
+    or singular at the full sample; `resample_singular`, a non-finite
+    spread, as a G(w2) singular at a finite-difference point or delete-1
+    resample gives.
+    """
+
+    point: np.ndarray
+    labels: tuple
+    spread: np.ndarray
+    anchors: _pipeline.DemixedRows
+    moments_fail: np.ndarray
+    resample_singular: np.ndarray
+    resamples: object
+
+
+def _resampled(records, probes: ProbeVectors, statistic: Callable,
+               method: str) -> _Resampled:
+    """The delta method or the delete-1 jackknife of a demixing statistic,
+    for each :class:`~cumident._pipeline.MomentRecord` in `records`.
+
+    `statistic(rows, ms)` maps a stack of demixing rows and the moment
+    vectors they were fitted to to (values (B, p), ties, orderings), the
+    last two None for an unlabeled statistic.  The anchors are demixed with
+    ``COND_CAP``; the delta method then evaluates the statistic at the
+    finite-difference points of every sample that stands, in one stack, and
+    the jackknife at each such sample's delete-1 stack
+    (:meth:`~cumident._pipeline.MomentRecord.leave_one_out`).  A failure
+    is flagged, never raised (:func:`_raise_failed` raises for one sample);
+    a bad `method`, a jackknife below ``MIN_JACKKNIFE_N`` rows and several
+    samples of width d > 2 raise.
+
+    The records are read once, in order.  The delta method keeps only each
+    Sigma_m, so records made as they are read have one monomial matrix alive
+    at a time; the jackknife drops each record once its stack is used.
+    """
+    if method not in _METHODS:
+        raise InvalidInputError(
+            f"method must be 'delta' or 'jackknife', got {method!r}")
+    delta = method == "delta"
+    ms, held, moments_fail = [], [], []
+    for record in records:
+        d = record.x.shape[1]
+        ms.append(record.m_hat)
+        held.append(record.sigma_m() if delta else record)
+        moments_fail.append(delta and _sixth_moments_fail(held[-1], d))
+    if d > 2 and len(ms) > 1:  # d >= 3 stacks share one eigen-anchor
+        raise ValueError("samples of width d > 2 are tested one at a time")
+    if not delta:
+        _check_jackknife_n(min(record.x.shape[0] for record in held))
+    m, moments_fail = np.stack(ms), np.array(moments_fail)
+    w1, w2 = probes.w1, probes.w2
+    anchors = _pipeline.demix_rows(m, d, w1, w2, cond_cap=COND_CAP)
+    point, *labels = statistic(anchors.rows, m)
+    ok = ~(moments_fail | anchors.ill_conditioned)
+    spread = np.full(point.shape + point.shape[-1:], np.nan)
+    resamples = [None] * len(ms)
+    if delta and ok.any():
+        resamples = _delta_from_moments(
+            np.stack(held)[ok], m[ok],
+            lambda s: statistic(_pipeline.demix_rows(s, d, w1, w2).rows, s)[0])
+        spread[ok] = resamples.sigma_u
+    elif not delta:
+        for i in np.flatnonzero(ok):
+            # Released after use, so a record that no one else keeps frees
+            # its delete-1 stack before the next sample's is built.
+            record, held[i] = held[i], None
+            demixed, loo = record.leave_one_out(w1, w2)
+            values, *loo_labels = statistic(demixed.rows, loo)
+            dev = values - values.mean(axis=0)
+            spread[i] = dev.T @ dev
+            resamples[i] = (values, *loo_labels, demixed.gap_flags,
+                            demixed.eig_fallbacks)
+    singular = ok & ~np.isfinite(spread).reshape(len(ms), -1).all(axis=1)
+    return _Resampled(point, tuple(labels), spread, anchors, moments_fail,
+                      singular, resamples)
+
+
+def _raise_failed(res, i: int, method: str, stacklevel: int | None = None) -> None:
+    """Raise for sample i of a :class:`_Resampled` (or of a result with its
+    flags and anchors), checked in one order: ValueError for sixth moments
+    out of range, IllConditionedError for the anchor, with cond(G(w2)),
+    then for a singular resample.  With a `stacklevel` (counted as for
+    ``warnings.warn`` from the caller) the anchor's EigenGapWarning or
+    ComplexResidueWarning comes before the resample check."""
+    if res.moments_fail[i]:
+        raise ValueError(_SIXTH_MOMENT_ERROR)
+    anchors = res.anchors
+    if anchors.ill_conditioned[i]:
+        raise IllConditionedError("contraction at w2 is numerically singular",
+                                  float(anchors.cond_g2[i]))
+    if stacklevel is not None:
+        _warn_unstable(anchors.eigenvalues[i], anchors.gap_flags[i],
+                       anchors.max_imag[i], stacklevel=stacklevel + 1)
+    if res.resample_singular[i]:
+        raise IllConditionedError(
+            f"singular contraction at w2 in a {method} resample", float("inf"))
+
+
+def _demixing_statistic(d: int, pattern=None, entry: tuple[int, int] | None = None):
+    """The :func:`_resampled` statistic of the demixing rows: all oriented
+    unit rows, stacked row-major; or with a sign `pattern`, the sign-labeled,
+    diagonal-normalized matrix, restricted to `entry` unless it is None."""
+    def statistic(rows, ms):
+        if pattern is None:
+            # A copy: the delete-1 rows are the moment record's, read-only.
+            return rows.reshape(len(rows), d * d).copy(), None, None
+        lam, _, ties, perm, _ = _pipeline.label_signs(rows, pattern)
+        if entry is not None:
+            lam = lam[:, entry[0], entry[1], None]
+        return lam.reshape(len(lam), -1), ties, perm
+    return statistic
+
+
+def _delta_view(data, probes: ProbeVectors, pattern, entry) -> DeltaVarianceResult:
+    """:func:`_resampled` delta method of :func:`_demixing_statistic` on one sample."""
+    x = validate_sample(data, min_cols=2)
+    statistic = _demixing_statistic(x.shape[1], pattern, entry)
+    res = _resampled([_pipeline.moment_record(x)], probes, statistic, "delta")
+    _raise_failed(res, 0, "delta")
+    delta = res.resamples
+    return DeltaVarianceResult(delta.sigma_u[0], delta.jacobian[0],
+                               delta.sigma_m[0], delta.fd_step[0])
+
+
 def delta_variance(data, probes: ProbeVectors) -> DeltaVarianceResult:
     """Delta-method covariance of the oriented demixing eigenvector rows.
 
@@ -140,14 +279,7 @@ def delta_variance(data, probes: ProbeVectors) -> DeltaVarianceResult:
     cumulants -> contractions -> eigendecomposition -> orientation, so
     eigenvalue ordering and sign conventions are part of the statistic.
     """
-    x = validate_sample(data, min_cols=2)
-    d = x.shape[1]
-
-    def batch(ms):
-        rows = _pipeline.demix_rows(ms, d, probes.w1, probes.w2).rows
-        return rows.reshape(ms.shape[0], d * d)
-
-    return _anchored_delta(x, probes, batch)
+    return _delta_view(data, probes, None, None)
 
 
 def delta_variance_labeled(data, probes: ProbeVectors, pattern,
@@ -160,42 +292,7 @@ def delta_variance_labeled(data, probes: ProbeVectors, pattern,
     labeling and diagonal normalization, so this is the right variance for
     a structural coefficient such as a normalized slope.
     """
-    x = validate_sample(data, min_cols=2)
-    d = x.shape[1]
-    pattern = np.asarray(pattern)
-
-    def batch(ms):
-        return _pipeline.labeled_entry(ms, d, probes.w1, probes.w2, pattern,
-                                       entry)
-
-    return _anchored_delta(x, probes, batch)
-
-
-def _anchored_delta(x: np.ndarray, probes: ProbeVectors,
-                    batch: Callable) -> DeltaVarianceResult:
-    """Delta method for a demixing statistic, after the anchor check.
-
-    A singular anchor contraction is rejected up front; the perturbed
-    evaluations would otherwise solve through it silently.  A singular
-    perturbed point (NaN in the Jacobian) raises too.  The anchor and the
-    moment covariance come from the sample's moment record.
-    """
-    record = _pipeline.moment_record(x)
-    _pipeline._raise_ill_conditioned(_pipeline.demix_rows(
-        record.m_hat, x.shape[1], probes.w1, probes.w2, cond_cap=COND_CAP))
-    res = _record_delta(record, batch)
-    if not np.isfinite(res.jacobian).all():
-        raise IllConditionedError(
-            "singular contraction at w2 at a finite-difference point", float("inf"))
-    return res
-
-
-def _delete1_variance(est: np.ndarray) -> np.ndarray:
-    """((n-1)/n) times the sum of squared deviations of the (n, p) delete-1
-    estimates from their mean: the jackknife estimate of Var(estimate)."""
-    n = est.shape[0]
-    dev = est - est.mean(axis=0)
-    return (n - 1) / n * (dev.T @ dev)
+    return _delta_view(data, probes, np.asarray(pattern), entry)
 
 
 def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
@@ -211,38 +308,21 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     """
     x = validate_sample(data, min_cols=2)
     n, d = x.shape
-    _check_jackknife_n(n)
-    record = _pipeline.moment_record(x)
-    demixed, _ = record.leave_one_out(probes.w1, probes.w2)
-    _pipeline._raise_ill_conditioned(demixed, "a delete-1 resample")
-    centre = _pipeline.demix_rows(record.m_hat, d, probes.w1, probes.w2)
-    _pipeline._raise_ill_conditioned(centre)
-    label_flips = tie_count = full_tie = None
-    if pattern is None:
-        est = demixed.rows.reshape(n, d * d).copy()
-        full = centre.rows.reshape(d * d)
-    else:
-        lam, _, ties, perm_index, _ = _pipeline.label_signs(demixed.rows, pattern)
-        full_lam, _, full_tie, full_perm, _ = _pipeline.label_signs(
-            centre.rows, pattern
-        )
-        tie_count = int(np.sum(ties))
-        label_flips = int(np.sum(perm_index != full_perm))
-        if entry is None:
-            est = lam.reshape(n, d * d)
-            full = full_lam.reshape(d * d)
-        else:
-            est = lam[:, entry[0], entry[1]][:, None]
-            full = full_lam[entry[0], entry[1]][None]
+    statistic = _demixing_statistic(d, pattern, entry)
+    res = _resampled([_pipeline.moment_record(x)], probes, statistic, "jackknife")
+    _raise_failed(res, 0, "jackknife")
+    est, ties, perm, gaps, fallbacks = res.resamples[0]
+    full_ties, full_perm = res.labels
+    labeled = pattern is not None
     return JackknifeResult(
         estimates=est,
-        variance=_delete1_variance(est),
-        label_flips=label_flips,
-        gap_count=int(np.sum(demixed.gap_flags)),
-        tie_count=tie_count,
-        eig_fallbacks=int(np.sum(demixed.eig_fallbacks)),
-        full_estimate=full,
-        full_tie=full_tie,
+        variance=(n - 1) / n * res.spread[0],
+        label_flips=int(np.sum(perm != full_perm[0])) if labeled else None,
+        gap_count=int(np.sum(gaps)),
+        tie_count=int(np.sum(ties)) if labeled else None,
+        eig_fallbacks=int(np.sum(fallbacks)),
+        full_estimate=res.point[0],
+        full_tie=bool(full_ties[0]) if labeled else None,
     )
 
 

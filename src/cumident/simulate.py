@@ -22,9 +22,9 @@ from scipy import stats
 from . import __version__, _pipeline
 from .errors import InvalidInputError, WeakInstrumentError
 from .identify import COND_CAP, ProbeVectors
-from .inference import (_check_jackknife_n, _delete1_variance,
-                        _delta_from_moments, _sixth_moments_fail)
-from .moments import _centered_moments, _moment_covariance
+from .inference import (_METHODS, _check_jackknife_n, _demixing_statistic,
+                        _resampled)
+from .moments import _centered_moments
 from .overid import OMEGA_COND_CAP, _wald_stack
 
 LAMBDA_TRUE = np.array([[1.0, 1.5], [-0.5, 1.0]])
@@ -234,10 +234,12 @@ def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
 
 def _grid(ns, ks):
     """The (n, k) grid of an experiment as int and float tuples, else
-    InvalidInputError: each n at least 1, each k finite and at least 0."""
-    ns, ks = tuple(int(n) for n in ns), tuple(float(k) for k in ks)
-    if not ns or min(ns) < 1:
-        raise InvalidInputError(f"sample sizes ns must be >= 1, got {ns}")
+    InvalidInputError: each n an integer at least 1, each k finite and at
+    least 0."""
+    ns, ks = tuple(ns), tuple(float(k) for k in ks)
+    if not ns or not all(float(n).is_integer() and n >= 1 for n in ns):
+        raise InvalidInputError(f"sample sizes ns must be integers >= 1, got {ns}")
+    ns = tuple(int(n) for n in ns)
     if not ks or not all(0.0 <= k < np.inf for k in ks):
         raise InvalidInputError(f"noise scales must be finite and >= 0, got {ks}")
     return ns, ks
@@ -304,63 +306,27 @@ def run_mse_experiment(ns, ks, reps: int, seed: int,
                        tuple(estimators))
 
 
-def _jackknife_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
-    """Delete-1 variance of the labeled slope of each sample, from its
-    centered monomials `zs`: one demixing and one labeling call over the
-    concatenated delete-1 moment stacks, as :func:`demixing_jackknife` per
-    sample.  NaN for a sample with a singular resample, whose NaN rows
-    label to a NaN slope."""
-    loo = np.concatenate([_pipeline.leave_one_out_moments(z) for z in zs])
-    rows = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2).rows
-    slopes = _pipeline.label_signs(rows, SUPPLY_DEMAND_PATTERN)[0][:, 0, 1]
-    cuts = np.cumsum([len(z) for z in zs])[:-1]
-    return np.array([_delete1_variance(s[:, None])[0, 0]
-                     for s in np.split(slopes, cuts)])
-
-
-def _delta_variances(zs, ms, probes: ProbeVectors) -> np.ndarray:
-    """Delta-method variance of the labeled slope of each sample, as
-    :func:`delta_variance_labeled`, from one finite-difference stack over
-    the samples whose sixth moments stand.  NaN where they fail, where
-    :func:`delta_variance_labeled` raises, and where a finite-difference
-    point has a singular G(w2), whose labeled entry is NaN."""
-    sigma_m = np.stack([_moment_covariance(z, m) for z, m in zip(zs, ms)])
-    ok = ~np.array([_sixth_moments_fail(s, 2) for s in sigma_m])
-    variances = np.full(len(zs), np.nan)
-    if ok.any():
-        sigma_u = _delta_from_moments(
-            sigma_m[ok], ms[ok],
-            lambda s: _pipeline.labeled_entry(
-                s, 2, probes.w1, probes.w2, SUPPLY_DEMAND_PATTERN, (0, 1)),
-        ).sigma_u
-        variances[ok] = sigma_u[:, 0, 0] / np.array([len(z) for z in zs])[ok]
-    return variances
-
-
-_VARIANCES = {"jackknife": _jackknife_variances, "delta": _delta_variances}
-
-
 def _coverage_rep(cfg, ns, level, methods, probes, rep: int):
     """Coverage flags of each method's interval, and failure codes, of one
     replication of the coverage experiment at k = cfg.k."""
     _, _, (x_max,) = _samples(cfg, rep, ns, (cfg.k,))
-    zs, ms = zip(*(_centered_moments(x_max[:n]) for n in ns))
-    ms = np.stack(ms)
-    point, fail = _eigen_slopes(ms, probes)
-    # Both intervals are centred on the point, so only the cells whose
-    # point stands get variances; a non-finite one marks a singular
-    # resample or, for the delta method, sixth moments out of range.
-    ok = fail == 0
-    variances = np.full((len(ns), len(methods)), np.nan)
-    if ok.any():
-        zs = [z for z, keep in zip(zs, ok) if keep]
-        for c, method in enumerate(methods):
-            variances[ok, c] = _VARIANCES[method](zs, ms[ok], probes)
+    records = [_pipeline.MomentRecord.of(x_max[:n]) for n in ns]
+    n = np.array(ns)
+    slope = _demixing_statistic(2, SUPPLY_DEMAND_PATTERN, (0, 1))
+    variances = np.empty((len(ns), len(methods)))
+    for c, method in enumerate(methods):
+        res = _resampled(records, probes, slope, method)
+        spread = res.spread[:, 0, 0]
+        # The delta spread is on the sqrt(n) scale.
+        variances[:, c] = spread / n if method == "delta" else (n - 1) / n * spread
+    # A non-finite variance marks a singular resample or, for the delta
+    # method, sixth moments out of range.  Both intervals are centred on the
+    # point, so a cell whose point fails, as in Table 1, fails for both.
     codes = np.where(np.isfinite(variances), 0, _CODE["ill_conditioned"])
-    codes[~ok] = fail[~ok, None]
+    codes[res.labels[0]] = _CODE["labeling"]
+    codes[res.anchors.ill_conditioned] = _CODE["ill_conditioned"]
     half = stats.norm.ppf((1.0 + level) / 2.0) * np.sqrt(variances)
-    point = point[:, None]
-    covered = (point - half <= B1_TRUE) & (B1_TRUE <= point + half)
+    covered = (res.point - half <= B1_TRUE) & (B1_TRUE <= res.point + half)
     return np.where(codes == 0, covered * 1.0, np.nan), codes.astype(np.int8)
 
 
@@ -377,9 +343,11 @@ def run_coverage_experiment(ns, k: float, reps: int, seed: int,
     ns, (k,) = _grid(ns, (k,))
     if not 0.0 < level <= 1.0:
         raise InvalidInputError(f"level must be in (0, 1], got {level}")
-    bad = [m for m in methods if m not in _VARIANCES]
+    if not methods:
+        raise InvalidInputError("method list is empty")
+    bad = [m for m in methods if m not in _METHODS]
     if bad:
-        raise InvalidInputError(f"unknown methods {bad}; pick from {sorted(_VARIANCES)}")
+        raise InvalidInputError(f"unknown methods {bad}; pick from {list(_METHODS)}")
     if "jackknife" in methods:
         _check_jackknife_n(min(ns))
     cfg = CompositeDgpConfig(n=max(ns), k=k, kurtoses=tuple(kurtoses), seed=seed)
@@ -413,7 +381,7 @@ def run_overid_power_experiment(ns, ks, reps: int, seed: int,
     ns, ks = _grid(ns, ks)
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
-    if method not in ("delta", "jackknife"):
+    if method not in _METHODS:
         raise InvalidInputError(f"method must be 'delta' or 'jackknife', got {method!r}")
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)

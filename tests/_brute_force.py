@@ -17,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from cumident import _pipeline
-from cumident.inference import (JackknifeResult, _check_jackknife_n,
-                                _delete1_variance)
+from cumident.inference import JackknifeResult, _check_jackknife_n
 from cumident.moments import validate_sample
 
 
@@ -101,6 +100,14 @@ def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
         return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
                 int(perm_index[0]), perms)
     return lam, best_mism, tie_flags, perm_index, perms
+
+
+def _delete1_variance(est: np.ndarray) -> np.ndarray:
+    """((n-1)/n) times the sum of squared deviations of the (n, p) delete-1
+    estimates from their mean: the jackknife estimate of Var(estimate)."""
+    n = est.shape[0]
+    dev = est - est.mean(axis=0)
+    return (n - 1) / n * (dev.T @ dev)
 
 
 def jackknife_variance(data, estimator: Callable) -> JackknifeResult:

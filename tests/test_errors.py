@@ -17,38 +17,43 @@ SRC = Path(ci.__file__).parent
 # The plain `raise ValueError(...)` sites that remain, each a numerical
 # failure rather than a bad argument, by module and enclosing function.
 NUMERICAL_VALUE_ERRORS = Counter({
-    ("inference.py", "_record_delta"): 1,  # sixth moments out of range
-    ("overid.py", "_sample_result"): 1,  # sixth moments out of range
-    ("overid.py", "_wald_stack"): 1,  # d > 2 samples stacked
+    ("inference.py", "delta_variance_statistic"): 1,  # sixth moments out of range
+    ("inference.py", "_raise_failed"): 1,  # sixth moments out of range
+    ("inference.py", "_resampled"): 1,  # d > 2 samples stacked
     ("varpipe.py", "fit_var"): 1,  # rank-deficient lag regressors
     ("varpipe.py", "partial_out"): 1,  # rank-deficient controls
 })
 
 
-def _value_error_raises(path: Path) -> Counter:
-    """(file name, enclosing function) of each `raise ValueError` in `path`."""
+def package_sites(match) -> Counter:
+    """(file name, enclosing function) of each node of the package source
+    that `match` accepts."""
     found = Counter()
 
-    def visit(node, where):
+    def visit(node, path, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id == "ValueError":
-                found[(path.name, where)] += 1
+        if match(node):
+            found[(path.name, where)] += 1
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, path, where)
 
-    visit(ast.parse(path.read_text()), "<module>")
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "<module>")
     return found
+
+
+def _raises_value_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "ValueError"
 
 
 def test_only_numerical_failures_raise_plain_value_error():
     # An argument check that raised ValueError would exit 3 ("numerical
     # failure") from the CLI instead of 2.
-    found = sum((_value_error_raises(p) for p in sorted(SRC.glob("*.py"))),
-                Counter())
-    assert found == NUMERICAL_VALUE_ERRORS
+    assert package_sites(_raises_value_error) == NUMERICAL_VALUE_ERRORS
 
 
 def _var_fit():
@@ -74,6 +79,7 @@ _BAD_CALLS = {
     "kurtosis nan": lambda: ci.CompositeDgpConfig(n=10, k=0.1, kurtoses=(3.0, np.nan, 5.0)),
     "two kurtoses": lambda: ci.CompositeDgpConfig(n=10, k=0.1, kurtoses=(3.0, 4.0)),
     "level above 1": lambda: ci.jackknife_confidence_interval(0.0, 1.0, level=1.5),
+    "no coverage methods": lambda: ci.run_coverage_experiment([300], 0.5, 1, 1, methods=()),
 }
 
 

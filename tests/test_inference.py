@@ -12,6 +12,15 @@ from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, g
 from _brute_force import jackknife_variance
 
 
+def labeled_slope(probes):
+    """The labeled slope as a statistic of the moments, for
+    delta_variance_statistic: the pipeline written out from the kernels."""
+    def batch(ms):
+        rows = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2).rows
+        return _pipeline.label_signs(rows, ci.SUPPLY_DEMAND_PATTERN)[0][..., 0, 1]
+    return batch
+
+
 def test_jacobian_identity_coordinate():
     z, m = _centered_moments(np.random.default_rng(0).standard_normal((50, 2)))
     steps = _fd_steps(_moment_covariance(z, m))
@@ -93,12 +102,7 @@ def test_delta_variance_degenerate_sample_errors():
 
 def test_ci_half_widths_shrink_at_root_n():
     probes = ci.ProbeVectors.draw(2, 7)
-
-    def batch(ms):
-        return _pipeline.labeled_entry(
-            ms, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
-        )
-
+    batch = labeled_slope(probes)
     cfg = CompositeDgpConfig(n=2_000, k=0.5, seed=11)
     ratios = []
     for rep in range(100):
@@ -159,9 +163,7 @@ def test_jackknife_returns_the_full_sample_statistic():
     x = gen_composite(CompositeDgpConfig(n=300, k=0.2, seed=12), 0).x
     probes = ci.ProbeVectors.draw(2, 12)
     m = _centered_moments(x)[1]
-    point = _pipeline.labeled_entry(
-        m, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
-    )
+    point = labeled_slope(probes)(m)
     rows = _pipeline.demix_rows(m, 2, probes.w1, probes.w2)[0]
     jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
     assert jk.full_estimate.shape == (1,)
@@ -183,13 +185,7 @@ def test_jackknife_and_delta_agree_at_scale():
     jk = ci.demixing_jackknife(x, probes, pattern=ci.SUPPLY_DEMAND_PATTERN,
                                entry=(0, 1))
     se_jk = np.sqrt(jk.variance[0, 0])
-
-    def batch(ms):
-        return _pipeline.labeled_entry(
-            ms, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
-        )
-
-    dv = ci.delta_variance_statistic(x, batch_statistic=batch)
+    dv = ci.delta_variance_statistic(x, batch_statistic=labeled_slope(probes))
     se_delta = np.sqrt(dv.sigma_u[0, 0] / 5_000)
     assert abs(se_jk - se_delta) / se_delta < 0.25
 
@@ -234,13 +230,7 @@ def test_delta_variance_labeled_public_helper():
     x = gen_composite(CompositeDgpConfig(n=2_000, k=0.5, seed=14), 0).x
     probes = ci.ProbeVectors.draw(2, 14)
     res = ci.delta_variance_labeled(x, probes, ci.SUPPLY_DEMAND_PATTERN)
-
-    def batch(ms):
-        return _pipeline.labeled_entry(
-            ms, 2, probes.w1, probes.w2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)
-        )
-
-    manual = ci.delta_variance_statistic(x, batch_statistic=batch)
+    manual = ci.delta_variance_statistic(x, batch_statistic=labeled_slope(probes))
     np.testing.assert_array_equal(res.sigma_u, manual.sigma_u)
     with pytest.raises(IllConditionedError):
         bad = np.column_stack([x[:, 0], np.full(len(x), 3.0)])
@@ -454,3 +444,35 @@ def test_full_analysis_builds_the_moments_once(monkeypatch):
     assert built == [x.shape] and sigmas == [(n, 55)]
     assert jk.label_flips == 0
     assert sum(columns) <= n // 50
+
+
+def test_every_entry_point_refuses_an_anchor_over_the_condition_cap():
+    # w2 sits just off the real root t = -3.857 of det(K0 + t K1), K_i the
+    # sample third-cumulant slices, so cond(G(w2)) is 5.3e10, above
+    # COND_CAP = 1e10.  Every entry point checks the anchor by that one
+    # rule and reports the same condition estimate.
+    shocks = np.random.default_rng(0).standard_exponential((2_000, 2))
+    x = shocks @ np.array([[1.0, 0.5], [0.3, 1.0]]).T
+    k0, k1 = ci.third_cumulants(x)
+    a, c = np.linalg.det(k1), np.linalg.det(k0)
+    roots = np.roots([a, np.linalg.det(k0 + k1) - a - c, c])
+    t = roots[np.argmin(np.abs(roots + 3.857))]
+    assert t == pytest.approx(-3.857, abs=1e-3)
+    probes = ci.ProbeVectors.draw(2, 0, w2=[1.0, t * (1.0 + 1e-10)])
+    pattern = ci.SUPPLY_DEMAND_PATTERN
+    calls = {
+        "estimate_demixing": lambda: ci.estimate_demixing(x, probes),
+        "delta_variance": lambda: ci.delta_variance(x, probes),
+        "delta_variance_labeled": lambda: ci.delta_variance_labeled(x, probes, pattern),
+        "demixing_jackknife": lambda: ci.demixing_jackknife(x, probes),
+        "demixing_jackknife labeled": lambda: ci.demixing_jackknife(x, probes, pattern),
+        "wald_test delta": lambda: ci.wald_test(x, probes, method="delta"),
+        "wald_test jackknife": lambda: ci.wald_test(x, probes, method="jackknife"),
+    }
+    conds = {}
+    for name, call in calls.items():
+        with pytest.raises(IllConditionedError, match="numerically singular") as err:
+            call()
+        conds[name] = err.value.cond
+    assert len(set(conds.values())) == 1, conds
+    assert conds["estimate_demixing"] == pytest.approx(5.3e10, rel=0.01)

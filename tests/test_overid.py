@@ -159,7 +159,8 @@ def test_restriction_vector_matches_pipeline():
     x = gen_composite(CompositeDgpConfig(n=3_000, k=0.2, seed=10), 0).x
     probes = ci.ProbeVectors.draw(2, 10)
     m = ci.monomial_matrix(x).mean(axis=0)
-    r = _pipeline.overid_offdiag(m, 2, probes.w1, probes.w2)
+    r = _pipeline.offdiag_from_rows(
+        _pipeline.demix_rows(m, 2, probes.w1, probes.w2).rows, m, 2)
     res = ci.wald_test(x, probes)
     np.testing.assert_allclose(res.r_hat, r, atol=1e-14)
 

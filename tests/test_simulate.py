@@ -10,7 +10,8 @@ import warnings
 from cumident import _pipeline, simulate
 from cumident.errors import (IllConditionedError, LabelingAmbiguityError,
                              WeakInstrumentError)
-from cumident.moments import _centered_moments, column_means
+from cumident.inference import _demixing_statistic, _resampled
+from cumident.moments import _centered_moments
 from cumident.overid import _wald_stack
 from cumident.simulate import (
     FAILURE_REASONS,
@@ -19,10 +20,8 @@ from cumident.simulate import (
     _assemble,
     _check_failure_cap,
     _coverage_rep,
-    _delta_variances,
     _draw_primitives,
     _eigen_slopes,
-    _jackknife_variances,
     _mse_rep,
     _power_rep,
     gen_composite,
@@ -35,6 +34,15 @@ from cumident.simulate import (
     run_overid_power_experiment,
     write_mc_csv,
 )
+
+
+def _slope_spreads(samples, probes, method):
+    """The spread of the labeled slope of each sample from one resampling
+    kernel call, as Table 2 takes it, and the kernel's result."""
+    res = _resampled([_pipeline.MomentRecord.of(x) for x in samples], probes,
+                     _demixing_statistic(2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)),
+                     method)
+    return res.spread[:, 0, 0], res
 
 
 def _kurt(x):
@@ -177,11 +185,8 @@ def test_coverage_flags_match_inference_intervals():
     expected = np.empty_like(flags)
     for rep in range(reps):
         x = gen_composite(cfg, rep).x
-        point = _pipeline.labeled_entry(
-            column_means(ci.monomial_matrix(x)), 2, probes.w1, probes.w2,
-            ci.SUPPLY_DEMAND_PATTERN, (0, 1),
-        )
         jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
+        point = jk.full_estimate[0]
         dv = ci.delta_variance_labeled(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
         intervals = {
             "jackknife": ci.jackknife_confidence_interval(
@@ -246,7 +251,8 @@ _RUNS = {
     ((300,), (np.nan,), (3.0, 4.0, 5.0)),
     ((300,), (0.0,), (3.0, 4.0, np.inf)),
     ((300,), (0.0,), (3.0, np.nan, 5.0)),
-], ids=["n=0", "n=-5", "k<0", "k=nan", "kurtosis=inf", "kurtosis=nan"])
+    ((300.7,), (0.0,), (3.0, 4.0, 5.0)),
+], ids=["n=0", "n=-5", "k<0", "k=nan", "kurtosis=inf", "kurtosis=nan", "n=300.7"])
 def test_experiments_reject_bad_arguments_before_any_replication(
         monkeypatch, run, ns, ks, kurtoses):
     def reached(*args):
@@ -263,13 +269,13 @@ def test_table2_delta_flags_sixth_moments_out_of_range(monkeypatch):
     cfg = CompositeDgpConfig(n=500, k=0.5, seed=1)
     x = gen_composite(cfg, 0).x
     probes = ci.ProbeVectors.draw(2, 1)
-    z, m = _centered_moments(x)
-    assert _delta_variances([z], m[None], probes)[0] == pytest.approx(0.04625, rel=1e-3)
+    spread, _ = _slope_spreads([x], probes, "delta")
+    assert spread[0] / 500 == pytest.approx(0.04625, rel=1e-3)
     small = x * 1e-55
     with pytest.raises(ValueError, match="sixth-moment"):
         ci.delta_variance_labeled(small, probes, ci.SUPPLY_DEMAND_PATTERN)
-    z, m = _centered_moments(small)
-    assert np.isnan(_delta_variances([z], m[None], probes)[0])
+    spread, res = _slope_spreads([small], probes, "delta")
+    assert np.isnan(spread[0]) and res.moments_fail[0]
     monkeypatch.setattr(simulate, "_samples", lambda *args: (None, None, [small]))
     values, codes = _coverage_rep(cfg, (500,), 0.95, ("delta",), probes, 0)
     assert np.isnan(values).all()
@@ -460,9 +466,8 @@ def test_table2_cells_and_variances_match_the_per_cell_oracle():
     for rep in range(10):
         out, codes = worker(rep)
         samples = [_oracle_sample(cfg, rep, n, k) for n in ns]
-        zs, ms = zip(*map(_centered_moments, samples))
-        jk_stack = _jackknife_variances(zs, np.stack(ms), probes)
-        dv_stack = _delta_variances(zs, np.stack(ms), probes)
+        jk_stack = _slope_spreads(samples, probes, "jackknife")[0]
+        dv_stack = _slope_spreads(samples, probes, "delta")[0]
         for a, (n, x) in enumerate(zip(ns, samples)):
             try:
                 lab = ci.label_by_signs(
@@ -484,8 +489,8 @@ def test_table2_cells_and_variances_match_the_per_cell_oracle():
             jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
             dv = ci.delta_variance_labeled(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
             assert jk.full_estimate[0] == point and not jk.full_tie
-            assert jk_stack[a].tobytes() == jk.variance[0, 0].tobytes()
-            assert dv_stack[a].tobytes() == (dv.sigma_u[0, 0] / n).tobytes()
+            assert ((n - 1) / n * jk_stack[a]).tobytes() == jk.variance[0, 0].tobytes()
+            assert dv_stack[a].tobytes() == dv.sigma_u[0, 0].tobytes()
             intervals = (
                 ci.jackknife_confidence_interval(point, jk.variance[0, 0], level),
                 ci.confidence_interval(point, dv.sigma_u[0, 0], n, level),
@@ -549,9 +554,8 @@ def test_planted_singular_contraction_fails_only_its_cell():
 
     slopes, codes = _eigen_slopes(ms, probes)
     stack = _wald_stack(samples, probes)
-    zs = [_centered_moments(x)[0] for x in samples]
-    jk = _jackknife_variances(zs, ms, probes)
-    dv = _delta_variances(zs, ms, probes)
+    jk = 399 / 400 * _slope_spreads(samples, probes, "jackknife")[0]
+    dv = _slope_spreads(samples, probes, "delta")[0]
     ill = FAILURE_REASONS.index("ill_conditioned") + 1
     np.testing.assert_array_equal(codes, [0, 0, ill, 0, 0])
     np.testing.assert_array_equal(stack.anchors.ill_conditioned, [0, 0, 1, 0, 0])
@@ -564,8 +568,7 @@ def test_planted_singular_contraction_fails_only_its_cell():
         assert slopes[i] == lab.lambda_final[0, 1]
         assert stack.statistic[i] == ci.wald_test(samples[i], probes).statistic
         assert jk[i] == ci.demixing_jackknife(samples[i], probes, pattern).variance[0, 0]
-        assert dv[i] == ci.delta_variance_labeled(
-            samples[i], probes, pattern).sigma_u[0, 0] / 400
+        assert dv[i] == ci.delta_variance_labeled(samples[i], probes, pattern).sigma_u[0, 0]
 
 
 def test_singular_finite_difference_point_fails_only_its_sample(monkeypatch):
@@ -573,19 +576,19 @@ def test_singular_finite_difference_point_fails_only_its_sample(monkeypatch):
     probes = ci.ProbeVectors.draw(2, 34)
     samples = [gen_composite(cfg, rep).x for rep in range(3)]
     fd_points = 2 * 9
-    offdiag = _pipeline.overid_offdiag
+    offdiag = _pipeline.offdiag_from_rows
 
-    def one_singular_point(ms, *args, **kwargs):
-        out = offdiag(ms, *args, **kwargs)
+    def one_singular_point(rows, ms, d):
+        out = offdiag(rows, ms, d)
         if len(ms) == len(samples) * fd_points:
             out[fd_points + 3] = np.nan  # a point of the second sample
         return out
 
-    monkeypatch.setattr(_pipeline, "overid_offdiag", one_singular_point)
+    monkeypatch.setattr(_pipeline, "offdiag_from_rows", one_singular_point)
     stack = _wald_stack(samples, probes)
     np.testing.assert_array_equal(stack.resample_singular, [0, 1, 0])
     assert np.isnan(stack.statistic[1]) and np.isfinite(stack.statistic[[0, 2]]).all()
-    monkeypatch.setattr(_pipeline, "overid_offdiag", offdiag)
+    monkeypatch.setattr(_pipeline, "offdiag_from_rows", offdiag)
     assert stack.statistic[0] == ci.wald_test(samples[0], probes).statistic
 
 
@@ -602,7 +605,8 @@ def test_singular_entry_of_a_2x2_stack_is_flagged_alone():
         assert demixed.rows[i].tobytes() == one.rows.tobytes()
     assert _pipeline.demix_contractions(g1[1], g2[1]).ill_conditioned
     x = _with_constant_column(np.random.default_rng(36).standard_exponential((50, 2)))
-    with pytest.raises(IllConditionedError, match="delete-1"):
+    # The anchor is checked before any delete-1 resample.
+    with pytest.raises(IllConditionedError, match="contraction at w2 is numerically"):
         ci.demixing_jackknife(x, ci.ProbeVectors(w1=np.array([0.3, 0.6]), w2=np.ones(2)))
 
 
