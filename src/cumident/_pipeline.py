@@ -4,8 +4,9 @@ Everything downstream of the moment vector (cumulant map, contractions,
 eigendecomposition, orientation, labeling, demixed-covariance off-diagonals)
 is re-expressed here to act on a stack of moment vectors at once: moments
 of the centered sample (``moments._centered_moments``), so nothing changes
-when a constant is added to the data.  The delta method perturbs the moment
-vector and the jackknife downdates it once per observation, both through
+when a constant is added to the data; their length sets the cumulant
+order, 3 or 4.  The delta method perturbs the order-3 moment vector and
+the jackknife downdates it once per observation, both through
 one resampling kernel (``inference._resampled``), which the standard errors,
 the Wald test and Table 2 share.  Single-vector callers (``identify``'s
 ``estimate_demixing``, the delta anchor, the jackknife centre, the Wald
@@ -14,12 +15,13 @@ bit for bit; so do the scalar orientation and labeling functions, and
 ``identify.demixing_from_contractions`` enters after the contractions
 (:func:`demix_contractions`).
 
-The single-sample entry points share the :class:`MomentRecord` of the most
-recent sample (:func:`moment_record`): its centered monomials and moments,
-and, once built, Sigma_m and the delete-1 stack of one probe pair.  So one
-analysis builds the monomial matrix and Sigma_m once, and the jackknife
-standard errors and the jackknife Wald test build and eigendecompose the
-delete-1 stack once.  The record is the only state kept across calls.
+The single-sample entry points share the order-3 :class:`MomentRecord` of
+the most recent sample (:func:`moment_record`): its centered monomials and
+moments, and, once built, Sigma_m and the delete-1 stack of one probe
+pair.  So one analysis builds the monomial matrix and Sigma_m once, and the
+jackknife standard errors and the jackknife Wald test build and
+eigendecompose the delete-1 stack once.  The record is the only state kept
+across calls.
 
 For d >= 3, a stack of more than one entry (a delete-1 stack, or the +/-
 points of a finite-difference Jacobian) goes through :func:`_pencil_eig`.
@@ -59,10 +61,11 @@ from scipy.optimize import linear_sum_assignment
 from .errors import InvalidInputError
 from .moments import (
     _centered_moments,
+    _cumulant_map,
+    _hessian,
     _moment_covariance,
+    _order_of,
     _sorted_cumulants,
-    _triple_indices,
-    contract_tensor,
     covariance_from_moments,
     cumulants_from_moments,
 )
@@ -90,9 +93,9 @@ def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
 class MomentRecord:
     """The centered moments of one validated (n, d) sample `x`.
 
-    `z` is its centered monomial matrix and `m_hat` the moments about the
-    mean, z's column means (:func:`moments._centered_moments`).  Sigma_m
-    (:meth:`sigma_m`) and the delete-1 stack of one (w1, w2) pair
+    `z` is its centered degree 1..h monomial matrix and `m_hat` the moments
+    about the mean, z's column means (:func:`moments._centered_moments`).
+    Sigma_m (:meth:`sigma_m`) and the delete-1 stack of one (w1, w2) pair
     (:meth:`leave_one_out`) are built on first use and kept.  Everything
     it holds is read-only, and each kept result is set whole.
     """
@@ -105,7 +108,7 @@ class MomentRecord:
 
     @classmethod
     def of(cls, x: np.ndarray) -> "MomentRecord":
-        """The record of `x`, not kept beyond the caller's reference."""
+        """The order-3 record of `x`, not kept beyond the caller's reference."""
         return cls(x, *_centered_moments(x))
 
     def sigma_m(self) -> np.ndarray:
@@ -139,22 +142,27 @@ class MomentRecord:
         return demixed, loo
 
 
-# The MomentRecord of the most recent sample passed to moment_record, or
-# None.  It is only ever read or replaced whole, so it holds at most one
-# sample even when threads share it.
+# The order-3 MomentRecord of the most recent sample passed to
+# moment_record, or None.  It is only ever read or replaced whole, so it
+# holds at most one sample even when threads share it.
 _record = None
 
 
-def moment_record(x: np.ndarray) -> MomentRecord:
-    """The :class:`MomentRecord` of a validated float sample, shared by the
-    single-sample entry points.
+def moment_record(x: np.ndarray, order: int = 3) -> MomentRecord:
+    """The :class:`MomentRecord` of a validated float sample at cumulant
+    order `order`, shared by the single-sample entry points.
 
-    The record of the most recent sample is kept, with a read-only copy of
-    it, and returned again while `x` equals that copy bit for bit, so an
-    in-place change to the caller's array misses.  A miss drops the held
-    record before it builds the next one.
+    The order-3 record of the most recent sample is kept, with a read-only
+    copy of it, and returned again while `x` equals that copy bit for bit,
+    so an in-place change to the caller's array misses.  A miss drops the
+    held record before it builds the next one.  A record of another order
+    is built each time and not kept: every caller that reuses a record
+    (Sigma_m, the delete-1 stack) is order 3, and an order-4 estimate must
+    not evict the order-3 record of the same sample.
     """
     global _record
+    if order != 3:
+        return MomentRecord(x, *_centered_moments(x, order))
     held = _record
     # Compared as bits, so that even 0.0 and -0.0 differ.
     if (held is not None and held.x.shape == x.shape and held.x.dtype == x.dtype
@@ -216,9 +224,10 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
 
     Parameters
     ----------
-    ms : ndarray, shape (..., D) with D = binom(d+3,3)-1
-        Raw-moment vectors in the package-wide monomial order, about any
-        origin; the callers use the sample mean.
+    ms : ndarray, shape (..., D) with D = binom(d+h,h)-1
+        Raw-moment vectors of degree 1..h in the package-wide monomial
+        order, about any origin; the callers use the sample mean.  D sets
+        the cumulant order h, 3 or 4.
     cond_cap : float or None
         When set, also fail a G(w2) whose condition estimate exceeds it (see
         :func:`demix_contractions`); resampling stacks leave it off for speed.
@@ -233,8 +242,9 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
 
 def _contractions(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray):
     """G(w1) and G(w2) of each moment vector."""
+    order = _order_of(ms.shape[-1], d)
     tensors = cumulants_from_moments(ms, d)
-    return 6.0 * contract_tensor(tensors, w1), 6.0 * contract_tensor(tensors, w2)
+    return _hessian(tensors, w1, order), _hessian(tensors, w2, order)
 
 
 def demix_contractions(g1: np.ndarray, g2: np.ndarray,
@@ -349,7 +359,7 @@ def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> Demix
     or complex pair; those entries, flagged in `eig_fallbacks`, are bitwise
     what a stack of them alone gives.
     """
-    maps = _contraction_maps(d, w1, w2)
+    maps = _contraction_maps(d, w1, w2, _order_of(ms.shape[-1], d))
     g1, g2 = (maps @ _sorted_cumulants(ms.mean(axis=0), d)).reshape(2, d, d)
     h, failed, _ = _solved(g1, g2)
     anchor_vals, anchor_vecs = _sorted_eig(h)
@@ -406,12 +416,13 @@ def _pencil_refine(ms: np.ndarray, maps: np.ndarray, anchor: np.ndarray):
     return rows, vals, orient, accepted
 
 
-def _contraction_maps(d: int, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+def _contraction_maps(d: int, w1: np.ndarray, w2: np.ndarray,
+                      order: int = 3) -> np.ndarray:
     """(2, d*d, T) maps of the T :func:`_sorted_cumulants` to G(w1) and
     G(w2), flattened row-major: the contractions of the unit tensors."""
-    ijk, _, mirror = _triple_indices(d)
-    units = np.eye(ijk.shape[1])[:, mirror]
-    return np.stack([6.0 * contract_tensor(units, w).reshape(len(units), -1).T
+    mirror = _cumulant_map(d, order)[1]
+    units = np.eye(mirror.max() + 1)[:, mirror]
+    return np.stack([_hessian(units, w, order).reshape(len(units), -1).T
                      for w in (w1, w2)])
 
 

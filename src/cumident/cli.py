@@ -118,26 +118,13 @@ def _load_csv(path):
         raise InvalidInputError(str(exc)) from exc
 
 
-def _load_vector(path) -> np.ndarray:
-    """The comma-separated numbers in the file at `path`, flattened; the
-    library checks their count and finiteness."""
+def _load_numbers(path, ndmin: int) -> np.ndarray:
+    """The comma-separated numbers in the file at `path`, one row a line, in
+    `ndmin` dimensions or more; the library checks their shape and values."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=1, comments="#").ravel()
+        return np.loadtxt(path, delimiter=",", ndmin=ndmin, comments="#")
     except (OSError, ValueError) as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
-
-
-def _load_pattern(path, d: int) -> np.ndarray:
-    try:
-        pattern = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
-    except (OSError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
-    if pattern.shape != (d, d):
-        raise InvalidInputError(
-            f"{path}: expected a {d}x{d} sign pattern, got {pattern.shape}")
-    if not np.isin(pattern, (-1, 0, 1)).all():
-        raise InvalidInputError(f"{path}: sign pattern entries must be -1, 0 or 1")
-    return pattern.astype(int)
 
 
 def _positive_int(text: str) -> int:
@@ -172,21 +159,17 @@ def _cmd_estimate(args, argv) -> int:
                                 "signs:<file> or none; use --se none")
     series = _load_csv(args.csv)
     d = series.data.shape[1]
-    w2 = None if args.w2 == "ones" else _load_vector(args.w2)
+    w2 = None if args.w2 == "ones" else _load_numbers(args.w2, 1).ravel()
     pattern = None
     if args.label.startswith("signs:"):
-        pattern = _load_pattern(args.label.split(":", 1)[1], d)
+        pattern = _load_numbers(args.label.split(":", 1)[1], 2)
     probes = ProbeVectors.draw(d, args.seed, w2=w2)
 
     est = estimate_demixing(series.data, probes, order=args.order)
 
     labeling = None
     if pattern is not None:
-        try:
-            labeling = label_by_signs(est, pattern)
-        except (LabelingAmbiguityError, ValueError) as exc:
-            print(f"cumident estimate: labeling failed: {exc}", file=sys.stderr)
-            return EXIT_LABELING
+        labeling = label_by_signs(est, pattern)
     elif args.label == "triangular":
         labeling = label_by_triangular(est)
 
@@ -438,7 +421,14 @@ def _cmd_var(args, argv) -> int:
         names = [names[i] for i in tgt_idx]
     fit = fit_var(data, p=args.lags)
     probes = ProbeVectors.draw(2, args.seed)
-    report = pairwise_overid(fit, probes, pairs=pairs, alpha=args.alpha)
+    try:
+        report = pairwise_overid(fit, probes, pairs=pairs, alpha=args.alpha)
+    except InvalidInputError as exc:
+        if not hasattr(exc, "pair"):
+            raise
+        i, j = exc.pair  # 0-based; the user typed them 1-based
+        raise InvalidInputError(f"invalid pair {i + 1},{j + 1} in --pairs: indices are "
+                                f"1-based, distinct and at most {len(names)}") from exc
 
     manifest = RunManifest.build("var", args.seed,
                                 {str(args.csv): series.sha256}, argv)

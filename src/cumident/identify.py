@@ -9,9 +9,9 @@ ordering.
 
 Eigendecomposition, orientation and labeling have one implementation, the
 stack kernels of :mod:`cumident._pipeline`, which the functions here run on
-a stack of one; :func:`estimate_demixing` at order 3 is the moment kernel's
-b = 1 view, and :func:`demixing_from_contractions` (the fourth-order path and
-population contractions) enters the same kernel after the contractions.
+a stack of one; :func:`estimate_demixing` is the moment kernel's b = 1 view
+at either cumulant order, and :func:`demixing_from_contractions` (population
+contractions) enters the same kernel after the contractions.
 """
 
 from __future__ import annotations
@@ -38,13 +38,7 @@ from .errors import (
     LabelingAmbiguityError,
     RankDetectionError,
 )
-from .moments import (
-    _check_direction,
-    contract_hessian,
-    contract_tensor,
-    third_cumulants,
-    validate_sample,
-)
+from .moments import _check_direction, contract_hessian, validate_sample
 
 COND_CAP = 1e10
 COMPLEX_RESIDUE_TOL = 0.1
@@ -196,21 +190,18 @@ def estimate_demixing(data, probes: ProbeVectors, order: int = 3) -> DemixingEst
 
     Contracts the sample cumulant Hessian at the two probe directions,
     solves the generalized eigenproblem and returns oriented unit rows.
-    For order 3 this is :func:`cumident._pipeline.demix_rows` on the
-    moments of the centered sample, as a stack of one: the jackknife centre
-    and the delta-method anchor are the same numbers.
+    This is :func:`cumident._pipeline.demix_rows` on the degree 1..`order`
+    moments of the centered sample, as a stack of one, at order 3 or 4: at
+    order 3 the jackknife centre and the delta-method anchor are the same
+    numbers.
     """
     x = validate_sample(data, min_cols=2)
     n, d = x.shape
     if n < d + 1:
         raise InvalidInputError(f"need at least d + 1 = {d + 1} observations, got {n}")
-    if order != 3:
-        g1 = contract_hessian(x, probes.w1, order)
-        g2 = contract_hessian(x, probes.w2, order)
-        return demixing_from_contractions(g1, g2)
     w1, w2 = _check_direction(probes.w1, d), _check_direction(probes.w2, d)
     demixed = _pipeline.demix_rows(
-        _pipeline.moment_record(x).m_hat, d, w1, w2, cond_cap=COND_CAP
+        _pipeline.moment_record(x, order).m_hat, d, w1, w2, cond_cap=COND_CAP
     )
     return _demixing_estimate(demixed)
 
@@ -249,11 +240,10 @@ def estimate_mixing_tall(data, probes: ProbeVectors,
         reliable only when the rank deficiency is near-exact; statistical
         noise calls for an explicit `d2`.
     """
-    x = validate_sample(data, min_cols=2)
+    x = validate_sample(data, min_rows=2, min_cols=2)
     d1 = x.shape[1]
-    kappa = third_cumulants(x)
-    g1 = 6.0 * contract_tensor(kappa, _check_direction(probes.w1, d1))
-    g2 = 6.0 * contract_tensor(kappa, _check_direction(probes.w2, d1))
+    w1, w2 = _check_direction(probes.w1, d1), _check_direction(probes.w2, d1)
+    g1, g2 = _pipeline._contractions(_pipeline.moment_record(x).m_hat, d1, w1, w2)
     u, s, vt = np.linalg.svd(g2)
     if d2 is None:
         rank, sv_threshold = _auto_rank(s, d1)

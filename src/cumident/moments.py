@@ -1,22 +1,24 @@
-"""Raw moments, third/fourth cumulants, and tensor-contraction Hessians.
+"""Raw moments, the moment-to-cumulant map, and tensor-contraction Hessians.
 
 Monomial ordering
 -----------------
 Every vector of raw moments in this package uses one fixed graded
-lexicographic order: monomials of total degree 1, then 2, then 3; within a
-degree, the index tuples (i1 <= i2 <= ...) of the participating variables in
-ascending lexicographic order.  For d = 2 that is
+lexicographic order: monomials of total degree 1, 2, ..., h for the
+cumulant order h (3 or 4); within a degree, the index tuples
+(i1 <= i2 <= ...) of the participating variables in ascending lexicographic
+order.  For d = 2 and h = 3 that is
 
     X1, X2, X1^2, X1*X2, X2^2, X1^3, X1^2*X2, X1*X2^2, X2^3
 
-so the vector has length binom(d + 3, 3) - 1.  Jacobians, moment covariances
-and the moment-parameterized estimation pipeline all index through this
-order; it is defined here and nowhere else.
+so the vector has length binom(d + h, h) - 1.  Jacobians, moment
+covariances and the moment-parameterized estimation pipeline all index
+through this order; it is defined here and nowhere else.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -55,19 +57,34 @@ def column_means(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def monomial_tuples(d: int) -> tuple[tuple[int, ...], ...]:
-    """Index tuples of all degree 1-3 monomials in the package-wide order."""
+def _monomials(d: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Index tuples of all degree 1..order monomials in the package-wide
+    order; the one check of a cumulant order."""
     if d < 1:
         raise InvalidInputError(f"dimension must be >= 1, got {d}")
-    out = []
-    for degree in (1, 2, 3):
-        out.extend(itertools.combinations_with_replacement(range(d), degree))
-    return tuple(out)
+    if order not in (3, 4):
+        raise InvalidInputError(f"order must be 3 or 4, got {order}")
+    return tuple(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(d), k)
+        for k in range(1, int(order) + 1)))
+
+
+def monomial_tuples(d: int) -> tuple[tuple[int, ...], ...]:
+    """Index tuples of all degree 1-3 monomials in the package-wide order."""
+    return _monomials(d, 3)
 
 
 def moment_vector_length(d: int) -> int:
     """binom(d+3, 3) - 1, the length of the degree 1-3 raw-moment vector."""
     return (d + 1) * (d + 2) * (d + 3) // 6 - 1
+
+
+def _order_of(length: int, d: int) -> int:
+    """The cumulant order h of a moment vector of length binom(d+h, h) - 1."""
+    for h in (3, 4):
+        if length == math.comb(d + h, h) - 1:
+            return h
+    raise InvalidInputError(f"no cumulant order has {length} moments in dimension {d}")
 
 
 @lru_cache(maxsize=None)
@@ -85,21 +102,31 @@ def _pair_indices(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triple_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of the binom(d+2, 3) sorted triples i <= j <= k.
+def _cumulant_map(d: int, order: int):
+    """(terms, mirror): the index tables of the order-h cumulant map.
 
-    Returns (ijk, pairs, mirror): ijk[:, t] is triple t, in the order of the
-    degree-3 block of the moment vector; pairs[:, t] are the slots of its
-    pairs (j, k), (i, k) and (i, j); mirror[p, q, r] is the sorted triple.
+    The sorted tuples t = (i1 <= ... <= ih) are the degree-h block of the
+    moment vector.  Each set partition of the h positions into b > 1 blocks
+    B, by block count, blocks by size, then position, adds (-1)^(b-1)
+    (b-1)! prod_B m[t_B] to m[t] (McCullagh 1987, ch. 2): its term is
+    (coefficient, slots), slots[q] the slots of block q of every t.
+    `mirror`, (d,) * h, holds the slot of each index tuple's sorted order.
     """
-    triples = list(itertools.combinations_with_replacement(range(d), 3))
-    i, j, k = ijk = np.array(triples).T
-    idx2 = _pair_indices(d)
-    slot = {t: s for s, t in enumerate(triples)}
-    mirror = np.array(
-        [slot[tuple(sorted(p))] for p in itertools.product(range(d), repeat=3)]
-    ).reshape(d, d, d)
-    return ijk, np.stack([idx2[j, k], idx2[i, k], idx2[i, j]]), mirror
+    parts = [[]]
+    for k in range(order):  # k joins one block of each partition, or is alone
+        parts = [p[:i] + [p[i] + [k]] + p[i + 1:] for p in parts
+                 for i in range(len(p))] + [p + [[k]] for p in parts]
+    parts = sorted((sorted(p, key=lambda b: (len(b), b)) for p in parts),
+                   key=lambda p: (len(p), [(len(b), b) for b in p]))
+    tuples = _monomials(d, order)
+    top = tuples[len(tuples) - math.comb(d + order - 1, order):]
+    lookup = {t: k for k, t in enumerate(tuples)}
+    terms = tuple((float((-1) ** (len(p) - 1) * math.factorial(len(p) - 1)),
+                   np.array([[lookup[tuple(t[q] for q in b)] for t in top] for b in p]))
+                  for p in parts[1:])
+    mirror = [top.index(tuple(sorted(p)))
+              for p in itertools.product(range(d), repeat=order)]
+    return terms, np.reshape(mirror, (d,) * order)
 
 
 def monomial_matrix(data) -> np.ndarray:
@@ -108,8 +135,13 @@ def monomial_matrix(data) -> np.ndarray:
     Returns an (n, binom(d+3,3)-1) array whose column order is the
     package-wide monomial order, the transpose of a C-ordered array.
     """
+    return _monomial_matrix(data, 3)
+
+
+def _monomial_matrix(data, order: int) -> np.ndarray:
+    """:func:`monomial_matrix` of the degree 1..order monomials."""
     x = validate_sample(data)
-    tuples = monomial_tuples(x.shape[1])
+    tuples = _monomials(x.shape[1], order)
     xt = np.ascontiguousarray(x.T)
     out = np.empty((len(tuples), x.shape[0]))
     # Each monomial is its lower-degree prefix (already filled in, since the
@@ -125,18 +157,18 @@ def monomial_matrix(data) -> np.ndarray:
     return out.T
 
 
-def _centered_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, m_hat): the monomial matrix of a validated sample minus its
-    column means, and the moments about the mean, its column means.
+def _centered_moments(x: np.ndarray, order: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """(z, m_hat): the degree 1..order monomial matrix of a validated sample
+    minus its column means, and the moments about the mean, its column means.
 
-    Every order-3 statistic starts here.  The cumulant map is exact for any
-    origin, and about the mean neither the moments nor their covariance,
-    which sets the finite-difference steps, grow with a shift of the data.
-    The single-sample entry points read these from the sample's
-    ``_pipeline.MomentRecord``, built once per sample; the Monte Carlo
-    tables and stacked Wald tests call this directly.
+    Every statistic starts here.  The cumulant map is exact for any origin,
+    and about the mean neither the moments nor their covariance, which sets
+    the finite-difference steps, grow with a shift of the data.  The
+    single-sample entry points read these from the sample's
+    ``_pipeline.MomentRecord``, built once per sample and order; the Monte
+    Carlo tables and stacked Wald tests call this directly.
     """
-    z = monomial_matrix(x - column_means(x))
+    z = _monomial_matrix(x - column_means(x), order)
     return z, column_means(z)
 
 
@@ -157,33 +189,37 @@ def third_cumulants(data) -> np.ndarray:
 
 
 def cumulants_from_moments(values: np.ndarray, d: int) -> np.ndarray:
-    """Third-cumulant tensor from a raw-moment vector (vectorizes over rows).
+    """Order-h cumulant tensor from a degree 1..h raw-moment vector, about
+    any origin (vectorizes over rows).
 
-    `values` may be a single moment vector of length binom(d+3,3)-1 or a
-    stack of them with that trailing axis; the output has matching leading
-    axes and trailing shape (d, d, d).  Each sorted entry i <= j <= k is
-    computed once and mirrored, so the tensor is exactly symmetric.
+    `values` may be a single moment vector or a stack of them with the
+    vector on the trailing axis, whose length binom(d+h,h)-1 sets h = 3 or
+    4; the output has matching leading axes and trailing shape (d,) * h.
+    Each sorted entry is computed once and mirrored, so the tensor is
+    exactly symmetric.
     """
     v = np.asarray(values, dtype=float)
-    return _sorted_cumulants(v, d)[..., _triple_indices(d)[2]]
+    return _sorted_cumulants(v, d)[..., _cumulant_map(d, _order_of(v.shape[-1], d))[1]]
 
 
 def _sorted_cumulants(v: np.ndarray, d: int) -> np.ndarray:
-    """The binom(d+2, 3) third cumulants k_ijk, i <= j <= k, of raw-moment
-    vectors (..., D), ordered as the degree-3 moments and laid out
-    moment-major: m_ijk - m_i m_jk - m_j m_ik - m_k m_ij + 2 m_i m_j m_k, in
-    that order, in four buffers of the output's size."""
-    ijk, pairs, _ = _triple_indices(d)
+    """The order-h cumulants of raw-moment vectors (..., D), one per sorted
+    tuple t in the order of the degree-h moments: m[t] plus each
+    :func:`_cumulant_map` term, formed moment-major in one buffer,
+    coefficient first.  (-1 a) b is -(a b) and x + (-p) is x - p, so for
+    h = 3 that is m_ijk - m_i m_jk - m_j m_ik - m_k m_ij + 2 m_i m_j m_k,
+    bit for bit."""
+    terms, _ = _cumulant_map(d, _order_of(v.shape[-1], d))
     # Each gather then copies whole rows.
     rows = np.ascontiguousarray(v.reshape(-1, v.shape[-1]).T)
-    out = rows[-ijk.shape[1]:].copy()
-    triple, mean, term = (np.empty_like(out) for _ in range(3))
-    for r in range(3):
-        m = np.take(rows, ijk[r], axis=0, out=triple if r == 0 else mean, mode="clip")
-        out -= np.multiply(m, np.take(rows, pairs[r], axis=0, out=term, mode="clip"),
-                           out=term)
-        triple *= 2.0 if r == 0 else m
-    out += triple
+    out = rows[-terms[0][1].shape[1]:].copy()
+    term, factor = np.empty_like(out), np.empty_like(out)
+    for coefficient, slots in terms:
+        np.multiply(np.take(rows, slots[0], axis=0, out=term, mode="clip"),
+                    coefficient, out=term)
+        for block in slots[1:]:
+            term *= np.take(rows, block, axis=0, out=factor, mode="clip")
+        out += term
     return out.T.reshape(v.shape[:-1] + out.shape[:1])
 
 
@@ -197,6 +233,14 @@ def covariance_from_moments(values: np.ndarray, d: int) -> np.ndarray:
 def contract_tensor(tensor: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Mode-1 contraction sum_i w_i T[i, :, :] (vectorizes over leading axes)."""
     return np.einsum("...ijk,i->...jk", tensor, np.asarray(w, dtype=float))
+
+
+def _hessian(tensors: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+    """G(w) = h (h - 1) kappa_h contracted h - 2 times along w, for stacks
+    of exactly symmetric order-h tensors (any axis contracts alike)."""
+    for _ in range(order - 2):
+        tensors = contract_tensor(tensors, w)
+    return float(order * (order - 1)) * tensors
 
 
 def contract_hessian(data, w, order: int = 3) -> np.ndarray:
@@ -214,30 +258,15 @@ def contract_hessian(data, w, order: int = 3) -> np.ndarray:
     Returns
     -------
     ndarray, shape (d, d)
-        Symmetric matrix.  For h = 3 this is 6 times the mode-1
-        contraction of :func:`third_cumulants` along w, i.e.
-        (6/n) sum_i (w'Xc_i) Xc_i Xc_i', exactly symmetric because the
-        tensor is.  For h = 4 it is the closed-form Hessian of the sample
-        excess kurtosis of w'X, which the test suite gates against a
-        numerical second derivative.
+        h (h - 1) times the order-h tensor of the moments about the sample
+        mean (:func:`cumulants_from_moments`) contracted h - 2 times along
+        w, exactly symmetric as the tensor is; for h = 3, (6/n) sum_i
+        (w'Xc_i) Xc_i Xc_i'.
     """
     x = validate_sample(data, min_rows=2)
-    n, d = x.shape
-    w = _check_direction(w, d)
-    if order == 3:
-        return 6.0 * contract_tensor(third_cumulants(x), w)
-    if order != 4:
-        raise InvalidInputError(f"order must be 3 or 4, got {order}")
-    xc = x - column_means(x)
-    proj = xc @ w
-    sigma = xc.T @ xc / n
-    sw = sigma @ w
-    g = (
-        12.0 * ((xc * (proj**2)[:, None]).T @ xc) / n
-        - 12.0 * (w @ sw) * sigma
-        - 24.0 * np.outer(sw, sw)
-    )
-    return (g + g.T) / 2.0
+    w = _check_direction(w, x.shape[1])
+    kappa = cumulants_from_moments(_centered_moments(x, order)[1], x.shape[1])
+    return _hessian(kappa, w, kappa.ndim)
 
 
 def _check_direction(w, d: int, name: str = "w") -> np.ndarray:

@@ -104,7 +104,8 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
     the replacement error is below the sampling noise of the statistic for
     a stable, correctly specified lag order.  All pairs run as one
     stacked Wald test; a failing pair is reported and does not stop the
-    others.
+    others.  A pair out of range raises InvalidInputError, with the pair
+    as given in its `pair` attribute.
     """
     d = fit.residuals.shape[1]
     if pairs == "all":
@@ -113,8 +114,10 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
         wanted = [(int(i), int(j)) for i, j in pairs]
         for i, j in wanted:
             if not (0 <= i < d and 0 <= j < d and i != j):
-                raise InvalidInputError(f"invalid pair ({i}, {j}): indices are "
-                                        f"0-based, distinct and below d={d}")
+                error = InvalidInputError(f"invalid pair ({i}, {j}): indices are "
+                                          f"0-based, distinct and below d={d}")
+                error.pair = (i, j)
+                raise error
     x = validate_sample(fit.residuals, min_rows=2, min_cols=2)
     samples = [x[:, [i, j]] for i, j in wanted]
     stack = _wald_stack(samples, probes, method) if samples else None

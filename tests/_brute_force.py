@@ -5,7 +5,8 @@ on the labeling kernels' own (d, d) placement costs.  Sign labeling up to
 the cap: every stack entry scored on its own, without sharing the scores of
 equal cost matrices.  The jackknife: a generic loop that re-estimates on
 each of the n delete-1 samples.  The contraction Hessian: the projected
-sample cumulant whose second derivative it is.
+sample cumulant whose second derivative it is, and the closed form of the
+order-4 Hessian in the sample covariance.
 """
 
 from __future__ import annotations
@@ -145,3 +146,21 @@ def projected_cumulant(data, w, order: int = 3) -> float:
     if order == 4:
         return float(np.mean(yc**4) - 3.0 * np.mean(yc**2) ** 2)
     raise ValueError(f"order must be 3 or 4, got {order}")
+
+
+def fourth_order_hessian(data, w) -> np.ndarray:
+    """Closed-form Hessian in w of the sample fourth cumulant of w'X:
+    12 E[(w'Xc)^2 Xc Xc'] - 12 (w' Sigma w) Sigma - 24 Sigma w w' Sigma."""
+    x = validate_sample(data, min_rows=2)
+    w = np.asarray(w, dtype=float)
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    proj = xc @ w
+    sigma = xc.T @ xc / n
+    sw = sigma @ w
+    g = (
+        12.0 * ((xc * (proj**2)[:, None]).T @ xc) / n
+        - 12.0 * (w @ sw) * sigma
+        - 24.0 * np.outer(sw, sw)
+    )
+    return (g + g.T) / 2.0

@@ -123,14 +123,16 @@ def test_estimate_rejects_bad_order(sample_csv, tmp_path):
     assert code == 2
 
 
-def test_estimate_duplicate_pattern_exits_4(sample_csv, tmp_path):
+def test_estimate_duplicate_pattern_exits_2(sample_csv, tmp_path, capsys):
+    # The library rejects the pattern as an argument; it is not a tie.
     bad = tmp_path / "dup.csv"
     bad.write_text("1,1\n1,1\n")
     code = main([
         "estimate", str(sample_csv), "--seed", "3",
         "--label", f"signs:{bad}", "--out", str(tmp_path / "d"),
     ])
-    assert code == 4
+    assert code == 2
+    assert "sign pattern rows must be pairwise distinct" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entries", ["1,0.5\n-1,1\n", "1,nan\n-1,1\n", "2,1\n-1,1\n"])
@@ -144,7 +146,7 @@ def test_estimate_pattern_entries_outside_signs_exit_2(sample_csv, tmp_path, cap
         "--label", f"signs:{bad}", "--out", str(out),
     ])
     assert code == 2
-    assert "entries must be -1, 0 or 1" in capsys.readouterr().err
+    assert "sign pattern must be 2x2 with entries -1, 0 or +1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -235,6 +237,17 @@ def test_var_command_pair_selection_and_lag_validation(tmp_path):
     ]) == 2
 
 
+def test_var_pair_out_of_range_is_named_as_typed(tmp_path, capsys):
+    csv = tmp_path / "var.csv"
+    _write_var_csv(csv, t=400)
+    out = tmp_path / "out"
+    assert main(["var", str(csv), "--lags", "2", "--seed", "8",
+                 "--pairs", "1,2;1,9", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid pair 1,9 in --pairs" in err and "(0, 8)" not in err
+    assert not out.exists()
+
+
 def test_var_command_controls(tmp_path):
     rng = np.random.default_rng(31)
     from _designs import simulate_top_var
@@ -287,9 +300,13 @@ _FAILING = {
     "estimate --label triangular with the default --se": (2, lambda t: [
         "estimate", _csv(t / "x.csv", _SKEWED), "--seed", "3",
         "--label", "triangular"]),
-    "duplicate sign pattern rows": (4, lambda t: [
+    "duplicate sign pattern rows": (2, lambda t: [
         "estimate", _csv(t / "x.csv", _SKEWED), "--seed", "3", "--se", "none",
         "--label", "signs:" + _pattern(t / "p.csv", "1,1\n1,1\n")]),
+    # Only the diagonal is signed, and it is +1 under every ordering.
+    "tied sign labeling": (4, lambda t: [
+        "estimate", _csv(t / "x.csv", _SKEWED), "--seed", "3", "--se", "none",
+        "--label", "signs:" + _pattern(t / "p.csv", "1,0\n0,1\n")]),
     "constant column": (3, lambda t: [
         "test", _csv(t / "x.csv", _CONSTANT), "--seed", "4"]),
 }

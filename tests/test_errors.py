@@ -71,6 +71,12 @@ _BAD_CALLS = {
         _var_fit(), ci.ProbeVectors.draw(2, 1), pairs=[(1, 1)]),
     "n <= d rows": lambda: ci.estimate_demixing(
         np.ones((2, 2)), ci.ProbeVectors.draw(2, 1)),
+    "order 2": lambda: ci.estimate_demixing(
+        np.random.default_rng(1).standard_normal((50, 2)), ci.ProbeVectors.draw(2, 1),
+        order=2),
+    "order 5": lambda: ci.estimate_demixing(
+        np.random.default_rng(1).standard_normal((50, 2)), ci.ProbeVectors.draw(2, 1),
+        order=5),
     "w2 of the wrong size": lambda: ci.ProbeVectors.draw(2, 1, w2=[1.0, 0.5, 0.25]),
     "non-finite w2": lambda: ci.ProbeVectors.draw(2, 1, w2=[1.0, np.nan]),
     "k nan": lambda: ci.CompositeDgpConfig(n=10, k=np.nan),

@@ -11,6 +11,7 @@ from cumident.errors import (
 )
 from cumident.identify import _auto_rank
 from cumident.simulate import CompositeDgpConfig, gen_composite
+from _brute_force import fourth_order_hessian
 from _designs import population_contraction
 
 
@@ -254,6 +255,20 @@ def test_fourth_order_estimation_recovers_rows():
     for row in want:
         best = min(ci.angular_distance(row, got) for got in est.lambda_tilde)
         assert best < 0.05
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_fourth_order_estimate_matches_the_closed_form(d):
+    # The moment kernel at order 4 against the closed-form contractions.
+    rng = np.random.default_rng(50 + d)
+    lam = np.eye(d) + 0.3 * rng.choice([-1.0, 1.0], (d, d)) * (1 - np.eye(d))
+    x = (rng.standard_exponential((4_000, d)) - 1.0) @ np.linalg.inv(lam).T
+    probes = ci.ProbeVectors.draw(d, d)
+    got = ci.estimate_demixing(x, probes, order=4)
+    want = ci.demixing_from_contractions(fourth_order_hessian(x, probes.w1),
+                                         fourth_order_hessian(x, probes.w2))
+    np.testing.assert_allclose(got.lambda_tilde, want.lambda_tilde, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-11)
 
 
 def test_probe_draw_validates_w2_shape():

@@ -280,13 +280,13 @@ def memo_entry():
 def count_monomial_matrices(monkeypatch):
     """A list that gets one entry per monomial matrix built from now on."""
     built = []
-    real = moments.monomial_matrix
+    real = moments._monomial_matrix
 
-    def counted(data):
+    def counted(data, order):
         built.append(np.shape(data))
-        return real(data)
+        return real(data, order)
 
-    monkeypatch.setattr(moments, "monomial_matrix", counted)
+    monkeypatch.setattr(moments, "_monomial_matrix", counted)
     return built
 
 
@@ -308,6 +308,18 @@ def test_memo_follows_in_place_changes(d):
     x[0, 0] = -0.0
     ci.demixing_jackknife(x, probes, pattern)
     assert _pipeline._record is not held
+
+
+def test_an_order4_estimate_keeps_the_order3_record(monkeypatch):
+    # Only order-3 callers reuse a record, so an order-4 estimate of the same
+    # sample builds its own and leaves the held one, delete-1 stack and all.
+    x, probes, pattern = memo_case(2)
+    cold(ci.demixing_jackknife, x, probes, pattern)
+    record, held = _pipeline._record, memo_entry()
+    ci.estimate_demixing(x, probes, order=4)
+    built = count_monomial_matrices(monkeypatch)
+    ci.demixing_jackknife(x, probes, pattern)
+    assert _pipeline._record is record and memo_entry() is held and built == []
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -338,14 +350,14 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     old_rows = weakref.ref(memo_entry()[0].rows)
     held_while_building = []
 
-    def monomial_matrix(data):
+    def monomial_matrix(data, order):
         held_while_building.append(
             (_pipeline._record is None, old_record() is None, old_rows() is None)
         )
-        return real(data)
+        return real(data, order)
 
-    real = moments.monomial_matrix
-    monkeypatch.setattr(moments, "monomial_matrix", monomial_matrix)
+    real = moments._monomial_matrix
+    monkeypatch.setattr(moments, "_monomial_matrix", monomial_matrix)
     jk = ci.demixing_jackknife(y, probes)
     dv = ci.delta_variance(y, probes)
     assert held_while_building == [(True, True, True)]

@@ -12,8 +12,8 @@ from cumident import (
     third_cumulants,
     validate_sample,
 )
-from cumident.moments import column_means
-from _brute_force import projected_cumulant
+from cumident.moments import _centered_moments, _monomial_matrix, column_means
+from _brute_force import fourth_order_hessian, projected_cumulant
 from _designs import population_contraction
 
 
@@ -222,3 +222,38 @@ def test_fourth_order_population_congruence():
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel < 0.1
 
+
+
+def _kurtotic_sample(d, seed, n=3_000):
+    rng = np.random.default_rng(seed)
+    mix = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+    return (rng.standard_exponential((n, d)) - 1.0) @ mix.T
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_fourth_order_hessian_matches_the_closed_form(d):
+    x = _kurtotic_sample(d, 30 + d)
+    for w in (np.ones(d), np.random.default_rng(d).uniform(size=d)):
+        got = contract_hessian(x, w, order=4)
+        want = fourth_order_hessian(x, w)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(got, got.T)
+
+
+def test_fourth_cumulant_map_is_exact_for_any_origin():
+    # Raw moments about an origin some ten standard deviations off the mean
+    # give the tensor of the centered moments.  Cancellation costs about
+    # 4 log10(10) digits whatever the map, which leaves room for 1e-9; a map
+    # that assumed centered moments would be off by O(1).
+    for d in (2, 3):
+        x = 100.0 * _kurtotic_sample(d, 40 + d, n=500)
+        centered = cumulants_from_moments(_centered_moments(x, 4)[1], d)
+        raw = cumulants_from_moments(column_means(_monomial_matrix(x + 1e3, 4)), d)
+        assert raw.shape == (d,) * 4
+        np.testing.assert_allclose(raw, centered, rtol=1e-9,
+                                   atol=1e-9 * np.abs(centered).max())
+
+
+def test_cumulant_map_reads_the_order_from_the_vector_length():
+    with pytest.raises(ValueError, match="no cumulant order has 10 moments"):
+        cumulants_from_moments(np.zeros(10), 2)

@@ -210,12 +210,13 @@ def test_coverage_cell_builds_one_monomial_matrix(monkeypatch):
     import cumident.moments as moments
 
     calls = []
+    real = moments._monomial_matrix
 
-    def counted(x):
+    def counted(x, order):
         calls.append(np.shape(x))
-        return ci.monomial_matrix(x)
+        return real(x, order)
 
-    monkeypatch.setattr(moments, "monomial_matrix", counted)
+    monkeypatch.setattr(moments, "_monomial_matrix", counted)
     cfg = CompositeDgpConfig(n=400, k=0.2, seed=19)
     probes = ci.ProbeVectors.draw(2, 19)
     ns = (200, 400)
