@@ -17,11 +17,12 @@ bit for bit; so do the scalar orientation and labeling functions, and
 
 The single-sample entry points share the order-3 :class:`MomentRecord` of
 the most recent sample (:func:`moment_record`): its centered monomials and
-moments, and, once built, Sigma_m and the delete-1 stack of one probe
-pair.  So one analysis builds the monomial matrix and Sigma_m once, and the
-jackknife standard errors and the jackknife Wald test build and
-eigendecompose the delete-1 stack once.  The record is the only state kept
-across calls.
+moments, and, once built, Sigma_m and the demixed delete-1 rows of one
+probe pair.  So one analysis builds the monomial matrix and Sigma_m once,
+and the jackknife standard errors and the jackknife Wald test demix the
+delete-1 stack once.  That stack is never built or held whole: its moment
+vectors are made from the monomials chunk by chunk as the kernels read them
+(:class:`Delete1Moments`).  The record is the only state kept across calls.
 
 For d >= 3, a stack of more than one entry (a delete-1 stack, or the +/-
 points of a finite-difference Jacobian) goes through :func:`_pencil_eig`.
@@ -84,10 +85,42 @@ _LABEL_CHUNK_ELEMENTS = 1 << 18
 
 
 def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
-    """Delete-1 moment vectors from the (n, D) per-observation monomials."""
-    n = monomials.shape[0]
-    total = monomials.sum(axis=0)
-    return (total[None, :] - monomials) / (n - 1)
+    """Delete-1 moment vectors from the (n, D) per-observation monomials,
+    built whole (:class:`Delete1Moments` reads them by rows)."""
+    return Delete1Moments(monomials)[:]
+
+
+class Delete1Moments:
+    """The delete-1 moment vectors of an (n, D) monomial matrix `z`, read by
+    rows and never built whole.
+
+    ``stack[rows]`` and ``stack[rows, columns]`` are those entries of the
+    (n, D) stack: (total - z_i) / (n - 1), `total` the column sums of z.
+    :func:`demix_rows` and :func:`offdiag_from_rows` read it chunk by chunk.
+    """
+
+    ndim = 2
+
+    def __init__(self, z: np.ndarray):
+        self.z, self.shape = z, z.shape
+        self.total = z.sum(axis=0)
+        self.total.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        return (self.total[cols] - self.z[rows, cols]) / (len(self.z) - 1)
+
+    def mean(self, axis: int = 0) -> np.ndarray:
+        """The mean over the stack (axis 0, the only one), one column at a
+        time.  For the column-major z of :func:`moments._centered_moments`
+        the whole stack is column-major too, and numpy sums each of its
+        columns on its own, pairwise, as here: the same bits."""
+        n = len(self.z)
+        return np.array([np.mean((t - col) / (n - 1))
+                         for t, col in zip(self.total, self.z.T)])
 
 
 class MomentRecord:
@@ -95,9 +128,11 @@ class MomentRecord:
 
     `z` is its centered degree 1..h monomial matrix and `m_hat` the moments
     about the mean, z's column means (:func:`moments._centered_moments`).
-    Sigma_m (:meth:`sigma_m`) and the delete-1 stack of one (w1, w2) pair
-    (:meth:`leave_one_out`) are built on first use and kept.  Everything
-    it holds is read-only, and each kept result is set whole.
+    Sigma_m (:meth:`sigma_m`), the delete-1 moments (:attr:`delete1`) and
+    the demixed delete-1 rows of one (w1, w2) pair (:meth:`leave_one_out`)
+    are built on first use and kept; the delete-1 moment vectors themselves
+    are not.  Everything it holds is read-only, and each kept result is set
+    whole.
     """
 
     def __init__(self, x: np.ndarray, z: np.ndarray, m_hat: np.ndarray):
@@ -119,27 +154,31 @@ class MomentRecord:
             self._sigma_m = sigma
         return self._sigma_m
 
-    def leave_one_out(self, w1, w2):
-        """(demixed, moments) of the delete-1 resamples: their (n, D) moment
-        vectors and :func:`demix_rows`, without the eigenvalues, `max_imag`
-        and `orient_fallbacks` that no reader uses.  The stack of the most
-        recent (w1, w2) is kept; other probes drop it before they build theirs.
+    @functools.cached_property
+    def delete1(self) -> Delete1Moments:
+        """The delete-1 moment vectors of the sample, read by rows."""
+        return Delete1Moments(self.z)
+
+    def leave_one_out(self, w1, w2) -> DemixedRows:
+        """:func:`demix_rows` of the delete-1 stack :attr:`delete1`, without
+        the eigenvalues, `max_imag` and `orient_fallbacks` that no reader
+        uses.  The rows of the most recent (w1, w2) are kept; other probes
+        drop them before they demix theirs.
         """
         key = (np.asarray(w1, dtype=float).tobytes(),
                np.asarray(w2, dtype=float).tobytes())
         held = self._loo
         if held is not None and held[0] == key:
             return held[1]
-        # Drop both references, so the old stack is freed before the next is built.
+        # Drop both references, so the old rows are freed before the next.
         self._loo = held = None
-        loo = leave_one_out_moments(self.z)
-        demixed = demix_rows(loo, self.x.shape[1], w1, w2)._replace(
+        demixed = demix_rows(self.delete1, self.x.shape[1], w1, w2)._replace(
             eigenvalues=None, max_imag=None, orient_fallbacks=None)
-        for a in (*demixed, loo):
+        for a in demixed:
             if a is not None:
                 a.flags.writeable = False
-        self._loo = (key, (demixed, loo))
-        return demixed, loo
+        self._loo = (key, demixed)
+        return demixed
 
 
 # The order-3 MomentRecord of the most recent sample passed to
@@ -224,7 +263,7 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
 
     Parameters
     ----------
-    ms : ndarray, shape (..., D) with D = binom(d+h,h)-1
+    ms : ndarray, shape (..., D) with D = binom(d+h,h)-1, or Delete1Moments
         Raw-moment vectors of degree 1..h in the package-wide monomial
         order, about any origin; the callers use the sample mean.  D sets
         the cumulant order h, 3 or 4.
@@ -232,11 +271,13 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
         When set, also fail a G(w2) whose condition estimate exceeds it (see
         :func:`demix_contractions`); resampling stacks leave it off for speed.
 
+    A (b, D) stack without a cap is read and demixed chunk by chunk
+    (:func:`_pencil_chunks`), through :func:`_pencil_eig` for d >= 3.
     Returns a :class:`DemixedRows`; a failed entry is flagged, not raised.
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    if d > 2 and cond_cap is None and ms.ndim == 2 and len(ms) > 1:
-        return _pencil_eig(ms, d, w1, w2)
+    if cond_cap is None and ms.ndim == 2 and len(ms) > 1:
+        return _pencil_eig(ms, d, w1, w2) if d > 2 else _chunked_rows(ms, d, w1, w2)
     return demix_contractions(*_contractions(ms, d, w1, w2), cond_cap)
 
 
@@ -349,18 +390,29 @@ _LAST_STEP_TOL = 1e-7
 _PENCIL_CHUNK_ELEMENTS = 1 << 15
 
 
-def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
-    """:func:`demix_rows` of a (b, D) moment stack that clusters around its
-    mean.
+def _pencil_chunks(b: int, d: int) -> list[slice]:
+    """The chunks in which a b-entry stack is read: _PENCIL_CHUNK_ELEMENTS //
+    d^2 entries each (at least one), from entry 0.  The pencil kernel's
+    bits depend on the chunk width (:func:`_pencil_refine`), so its
+    boundaries are fixed here."""
+    step = max(1, _PENCIL_CHUNK_ELEMENTS // (d * d))
+    return [slice(start, min(start + step, b)) for start in range(0, b, step)]
+
+
+def _pencil_eig(ms, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
+    """:func:`demix_rows` of a (b, D) moment stack, an array or a
+    :class:`Delete1Moments`, that clusters around its mean.
 
     LAPACK runs at the mean of the stack (the anchor) and on the entries
     that :func:`_pencil_refine` does not accept, or on all of them when the
     anchor fails the :func:`demix_contractions` rule or has a near-repeated
     or complex pair; those entries, flagged in `eig_fallbacks`, are bitwise
-    what a stack of them alone gives.
+    what a stack of them alone gives.  Only a chunk of moment vectors
+    exists at a time.
     """
-    maps = _contraction_maps(d, w1, w2, _order_of(ms.shape[-1], d))
-    g1, g2 = (maps @ _sorted_cumulants(ms.mean(axis=0), d)).reshape(2, d, d)
+    anchor_m = ms.mean(axis=0)
+    maps = _contraction_maps(d, w1, w2, _order_of(len(anchor_m), d))
+    g1, g2 = (maps @ _sorted_cumulants(anchor_m, d)).reshape(2, d, d)
     h, failed, _ = _solved(g1, g2)
     anchor_vals, anchor_vecs = _sorted_eig(h)
     if failed or _gap_flags(anchor_vals):
@@ -370,23 +422,55 @@ def _pencil_eig(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> Demix
     # gaps are at least EIGEN_GAP_RTOL of its scale (see _pencil_newton).
     out = DemixedRows(rows, vals, np.zeros_like(accepted), np.zeros(len(ms)),
                       ~accepted, orient, np.zeros_like(accepted), None)
-    fallbacks = out.eig_fallbacks
-    if fallbacks.any():
-        slow = _lapack_rows(ms[fallbacks], d, w1, w2)
-        # Every field but cond_g2, None in both.
-        for full, part in zip(out[:-1], slow[:-1]):
-            full[fallbacks] = part
+    fallbacks = np.flatnonzero(out.eig_fallbacks)
+    if fallbacks.size:
+        _fill(out, fallbacks, _lapack_rows(ms, d, w1, w2, fallbacks))
     return out
 
 
-def _lapack_rows(ms: np.ndarray, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
-    """:func:`demix_rows` of a (b, D) moment stack through LAPACK, every
-    entry flagged in `eig_fallbacks`."""
-    return demix_contractions(*_contractions(ms, d, w1, w2))._replace(
-        eig_fallbacks=np.ones(len(ms), dtype=bool))
+def _lapack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray,
+                 entries: np.ndarray | None = None) -> DemixedRows:
+    """:func:`_chunked_rows` through LAPACK, every entry flagged in
+    `eig_fallbacks`."""
+    out = _chunked_rows(ms, d, w1, w2, entries)
+    return out._replace(eig_fallbacks=np.ones(len(out.rows), dtype=bool))
 
 
-def _pencil_refine(ms: np.ndarray, maps: np.ndarray, anchor: np.ndarray):
+def _chunked_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray,
+                  entries: np.ndarray | None = None) -> DemixedRows:
+    """:func:`demix_contractions` of the `entries` (an index array, or all
+    when None) of a (b, D) stack, read and demixed by
+    :func:`_pencil_chunks`.  Chunks of 1 to 16 384 entries gave the bits of
+    one call on delete-1 stacks at d = 2, 3 and 5."""
+    b = len(ms) if entries is None else len(entries)
+    chunks = _pencil_chunks(b, d)
+
+    def part(s):
+        return demix_contractions(*_contractions(
+            ms[s if entries is None else entries[s]], d, w1, w2))
+
+    if len(chunks) == 1:
+        return part(chunks[0])
+    out = None
+    for s in chunks:
+        demixed = part(s)
+        if out is None:
+            # Laid out as one call lays them out, whatever the chunk count.
+            out = DemixedRows(*(
+                None if f is None else np.empty_like(f, shape=(b, *f.shape[1:]))
+                for f in demixed))
+        _fill(out, s, demixed)
+    return out
+
+
+def _fill(out: DemixedRows, at, part: DemixedRows) -> None:
+    """Write `part` into the entries `at` of `out`: every field but
+    cond_g2, which the stacks leave None."""
+    for full, piece in zip(out[:-1], part[:-1]):
+        full[at] = piece
+
+
+def _pencil_refine(ms, maps: np.ndarray, anchor: np.ndarray):
     """(rows, vals, orient_fallbacks, accepted) of :func:`_pencil_newton` for
     each entry of a (b, D) moment stack, from the rows `anchor` of a nearby
     pencil.
@@ -396,16 +480,18 @@ def _pencil_refine(ms: np.ndarray, maps: np.ndarray, anchor: np.ndarray):
     product forms it from the sorted cumulants, through the
     :func:`_contraction_maps` `maps`.  The eigenvector rows U anchor are
     unit-normalized and oriented (:func:`_unit_oriented`) chunk by chunk,
-    entries last.  Chunks of _PENCIL_CHUNK_ELEMENTS do not change any bit.
+    entries last.  The bits of the product, and at a few small widths
+    those of the Newton steps, depend on the chunk width, so a stack gives
+    the rows of the whole only when it is cut at the boundaries of
+    :func:`_pencil_chunks`.
     """
-    b, d = ms.shape[0], anchor.shape[0]
+    b, d = len(ms), anchor.shape[0]
     basis = (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
     vals = np.empty((b, d))
     rows = np.empty((b, d, d))
     orient = np.empty((b, d), dtype=bool)
     accepted = np.empty(b, dtype=bool)
-    step = max(1, _PENCIL_CHUNK_ELEMENTS // (d * d))
-    for s in (slice(start, start + step) for start in range(0, b, step)):
+    for s in _pencil_chunks(b, d):
         pencil = basis @ _sorted_cumulants(ms[s], d).T
         u, vals_s, accepted[s] = _pencil_newton(*pencil.reshape(2, d, d, -1))
         vals[s] = vals_s.T
@@ -568,12 +654,26 @@ def _oriented(rt: np.ndarray):
     return rt, fallback
 
 
-def offdiag_from_rows(rows: np.ndarray, ms: np.ndarray, d: int) -> np.ndarray:
-    """vech_off(L Sigma L') for demixing rows L already fitted to `ms`."""
-    sigma = covariance_from_moments(ms, d)
-    demixed = rows @ sigma @ np.swapaxes(rows, -2, -1)
+def offdiag_from_rows(rows: np.ndarray, ms, d: int) -> np.ndarray:
+    """vech_off(L Sigma L') for demixing rows L already fitted to `ms`: one
+    (d, d) L and moment vector, or a (b, d, d) stack and a (b, D) stack (an
+    array or a :class:`Delete1Moments`), read by :func:`_pencil_chunks`.
+    Sigma reads only the degree 1 and 2 moments."""
     iu = np.triu_indices(d, 1)
-    return demixed[..., iu[0], iu[1]]
+
+    def offdiag(r, m):
+        demixed = r @ covariance_from_moments(m, d) @ np.swapaxes(r, -2, -1)
+        return demixed[..., iu[0], iu[1]]
+
+    if rows.ndim == 2:
+        return offdiag(rows, ms)
+    low = d + d * (d + 1) // 2
+    # Column-major, as the gather of one pass lays it out: the jackknife's
+    # mean over the stack sums each column pairwise.
+    out = np.empty((len(iu[0]), len(rows))).T
+    for s in _pencil_chunks(len(rows), d):
+        out[s] = offdiag(rows[s], ms[s, :low])
+    return out
 
 
 @functools.lru_cache(maxsize=EXHAUSTIVE_PERMUTATION_CAP)
@@ -627,7 +727,8 @@ def _normalized(r: np.ndarray, table: np.ndarray, cand: np.ndarray) -> np.ndarra
     """Stack entry e of `r` with its rows put in ordering table[cand[e]],
     each row divided by its diagonal entry: one row gather for the stack."""
     block = r[np.arange(r.shape[0])[:, None], table[cand]]
-    return block / _pivots(np.diagonal(block, axis1=1, axis2=2))[:, :, None]
+    block /= _pivots(np.diagonal(block, axis1=1, axis2=2))[:, :, None]
+    return block
 
 
 def _candidate_totals(cost: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -826,6 +927,8 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
     if pattern.shape != (d, d) or not ((pattern == 0) | (np.abs(pattern) == 1)).all():
         raise InvalidInputError(
             f"sign pattern must be {d}x{d} with entries -1, 0 or +1")
+    if len({tuple(row) for row in pattern.tolist()}) < d:
+        raise InvalidInputError("sign pattern rows must be pairwise distinct")
     active = pattern != 0
     weights = pattern.astype(float)
     # (-p) x is -(p x) and a sum of negated terms is the negated sum, bit

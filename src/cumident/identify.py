@@ -310,14 +310,11 @@ def label_by_signs(est: DemixingEstimate, sign_pattern,
     """
     pattern = np.asarray(sign_pattern)
     rows = est.lambda_tilde
-    d = rows.shape[0]
     if on_tie not in ("error", "margin"):
         raise InvalidInputError(
             f"on_tie must be 'error' or 'margin', got {on_tie!r}")
-    # The kernel checks the pattern's shape and entries.
+    # The kernel checks the pattern's shape, entries and distinct rows.
     lam, mism, tied, index, perms = _pipeline.label_signs(rows, pattern)
-    if len({tuple(r) for r in pattern.tolist()}) < d:
-        raise InvalidInputError("sign pattern rows must be pairwise distinct")
     if mism == _INVALID_MISMATCH:
         raise LabelingAmbiguityError(
             "no row permutation yields a nonzero diagonal", []

@@ -168,8 +168,10 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     for each :class:`~cumident._pipeline.MomentRecord` in `records`.
 
     `statistic(rows, ms)` maps a stack of demixing rows and the moment
-    vectors they were fitted to to (values (B, p), ties, orderings), the
-    last two None for an unlabeled statistic.  The anchors are demixed with
+    vectors they were fitted to, a (B, D) array or the record's
+    :class:`~cumident._pipeline.Delete1Moments`, to (values (B, p), ties,
+    orderings), the last two None for an unlabeled statistic.  The values
+    may be read-only views of the rows.  The anchors are demixed with
     ``COND_CAP``; the delta method then evaluates the statistic at the
     finite-difference points of every sample that stands, in one stack, and
     the jackknife at each such sample's delete-1 stack
@@ -211,10 +213,10 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     elif not delta:
         for i in np.flatnonzero(ok):
             # Released after use, so a record that no one else keeps frees
-            # its delete-1 stack before the next sample's is built.
+            # its delete-1 rows before the next sample's are demixed.
             record, held[i] = held[i], None
-            demixed, loo = record.leave_one_out(w1, w2)
-            values, *loo_labels = statistic(demixed.rows, loo)
+            demixed = record.leave_one_out(w1, w2)
+            values, *loo_labels = statistic(demixed.rows, record.delete1)
             dev = values - values.mean(axis=0)
             spread[i] = dev.T @ dev
             resamples[i] = (values, *loo_labels, demixed.gap_flags,
@@ -251,8 +253,8 @@ def _demixing_statistic(d: int, pattern=None, entry: tuple[int, int] | None = No
     diagonal-normalized matrix, restricted to `entry` unless it is None."""
     def statistic(rows, ms):
         if pattern is None:
-            # A copy: the delete-1 rows are the moment record's, read-only.
-            return rows.reshape(len(rows), d * d).copy(), None, None
+            # A view: the jackknife copies the record's read-only rows.
+            return rows.reshape(len(rows), d * d), None, None
         lam, _, ties, perm, _ = _pipeline.label_signs(rows, pattern)
         if entry is not None:
             lam = lam[:, entry[0], entry[1], None]
@@ -315,7 +317,9 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     full_ties, full_perm = res.labels
     labeled = pattern is not None
     return JackknifeResult(
-        estimates=est,
+        # Copied after the spread is formed, so the copy and the deviations
+        # are not alive at once.
+        estimates=est if est.flags.writeable else est.copy(),
         variance=(n - 1) / n * res.spread[0],
         label_flips=int(np.sum(perm != full_perm[0])) if labeled else None,
         gap_count=int(np.sum(gaps)),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ def lapack_eig(ms, d, w1, w2):
 
 def lapack_pencil_eig(ms, d, w1, w2):
     """:func:`_pipeline._pencil_eig` with LAPACK in place of the kernel, no
-    entry counted as a fallback."""
+    entry counted as a fallback.  A delete-1 stack is built whole."""
+    ms = ms[:]
     return lapack_rows(ms, d, w1, w2)._replace(
         eig_fallbacks=np.zeros(ms.shape[0], dtype=bool))
 
@@ -298,6 +300,80 @@ def test_delete_one_stack_matches_lapack(d):
             np.testing.assert_array_equal(got[2], want[2])
             np.testing.assert_array_equal(got[3], want[3])
             np.testing.assert_array_equal(got.orient_fallbacks, want.orient_fallbacks)
+
+
+def delete1_record(d: int, n: int):
+    """The order-3 moment record of a skewed sample (the composite design at
+    d = 2) and its probes."""
+    if d == 2:
+        x = ci.gen_composite(ci.CompositeDgpConfig(n=n, k=0.5, seed=3), 0).x
+    else:
+        x, _ = skewed_sample(n, d, 61)
+    return _pipeline.MomentRecord.of(x), ci.ProbeVectors.draw(d, 7)
+
+
+def test_pencil_chunks_keep_the_bits_of_the_whole_stack():
+    # The pencil product's bits depend on the chunk width: a stack cut at
+    # the kernel's own boundaries gives the rows of the whole.
+    record, probes = delete1_record(5, 3_000)
+    ms = _pipeline.leave_one_out_moments(record.z)
+    maps = _pipeline._contraction_maps(5, probes.w1, probes.w2)
+    g1, g2 = (maps @ _pipeline._sorted_cumulants(ms.mean(axis=0), 5)).reshape(2, 5, 5)
+    anchor = _sorted_eig(_pipeline._solved(g1, g2)[0])[1].real.T
+    chunks = _pipeline._pencil_chunks(len(ms), 5)
+    assert len(chunks) == 3
+    parts = [_pipeline._pencil_refine(ms[s], maps, anchor) for s in chunks]
+    for got, want in zip(zip(*parts), _pipeline._pencil_refine(ms, maps, anchor)):
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def offdiag_of_the_whole_stack(rows, ms, d):
+    """offdiag_from_rows in one pass over a built (b, D) stack."""
+    demixed = rows @ ci.moments.covariance_from_moments(ms, d) @ np.swapaxes(rows, -2, -1)
+    iu = np.triu_indices(d, 1)
+    return demixed[..., iu[0], iu[1]]
+
+
+@pytest.mark.parametrize("d, n", [(2, 9_000), (3, 5_000), (5, 3_000)])
+@pytest.mark.parametrize("case", ["kernel", "fallbacks", "degenerate anchor"])
+def test_streamed_delete1_rows_match_the_built_stack(d, n, case, monkeypatch):
+    # The record demixes its delete-1 stack chunk by chunk without building
+    # it; the rows, flags and Wald off-diagonals are bitwise those of the
+    # built (n, D) stack.  Each stack spans two or more chunks, and so do
+    # the LAPACK fallbacks of a tolerance far below the rounding level.
+    record, probes = delete1_record(d, n)
+    if case == "fallbacks":
+        monkeypatch.setattr(_pipeline, "_RESIDUAL_ULPS", 0.05)
+    elif case == "degenerate anchor":
+        probes = ci.ProbeVectors(w1=np.ones(d), w2=np.ones(d))
+    assert len(_pipeline._pencil_chunks(n, d)) >= 2
+    got = record.leave_one_out(probes.w1, probes.w2)
+    ms = _pipeline.leave_one_out_moments(record.z)
+    want = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
+    for field in ("rows", "gap_flags", "eig_fallbacks", "ill_conditioned"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    if d > 2 and case != "kernel":
+        assert got.eig_fallbacks.any()
+    offdiag = _pipeline.offdiag_from_rows(got.rows, record.delete1, d)
+    assert offdiag.tobytes() == offdiag_of_the_whole_stack(got.rows, ms, d).tobytes()
+
+
+def test_delete1_rows_peak_below_one_moment_stack():
+    # Memory bound: no (n, D) delete-1 moment stack is built.  At d = 8, n =
+    # 20 000 that stack is 26 MB; building it peaked at 41.5 MB.
+    d, n = 8, 20_000
+    rng = np.random.default_rng(67)
+    lam = np.eye(d) + 0.3 * rng.choice([-1.0, 1.0], (d, d)) * (1 - np.eye(d))
+    x = rng.standard_exponential((n, d)) @ np.linalg.inv(lam).T
+    record, probes = _pipeline.MomentRecord.of(x), ci.ProbeVectors.draw(d, 7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record.leave_one_out(probes.w1, probes.w2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < record.z.nbytes
 
 
 def test_jackknife_counts_fallbacks(monkeypatch):

@@ -56,6 +56,10 @@ def test_only_numerical_failures_raise_plain_value_error():
     assert package_sites(_raises_value_error) == NUMERICAL_VALUE_ERRORS
 
 
+def _composite():
+    return ci.gen_composite(ci.CompositeDgpConfig(n=500, k=0.5, seed=1), 0).x
+
+
 def _var_fit():
     return ci.fit_var(np.random.default_rng(4).standard_normal((300, 3)), p=1)
 
@@ -86,6 +90,10 @@ _BAD_CALLS = {
     "two kurtoses": lambda: ci.CompositeDgpConfig(n=10, k=0.1, kurtoses=(3.0, 4.0)),
     "level above 1": lambda: ci.jackknife_confidence_interval(0.0, 1.0, level=1.5),
     "no coverage methods": lambda: ci.run_coverage_experiment([300], 0.5, 1, 1, methods=()),
+    "duplicate pattern rows, jackknife": lambda: ci.demixing_jackknife(
+        _composite(), ci.ProbeVectors.draw(2, 1), pattern=[[1, 1], [1, 1]]),
+    "duplicate pattern rows, delta": lambda: ci.delta_variance_labeled(
+        _composite(), ci.ProbeVectors.draw(2, 1), [[1, 1], [1, 1]]),
 }
 
 

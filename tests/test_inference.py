@@ -273,7 +273,7 @@ def assert_same_jackknife(a, b):
 
 
 def memo_entry():
-    """The delete-1 stack of the held moment record: (demixed, moments)."""
+    """The demixed delete-1 rows and flags that the held moment record keeps."""
     return _pipeline._record._loo[1]
 
 
@@ -344,10 +344,10 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     x, probes, pattern = memo_case(d)
     y = x[::-1].copy()
     cold(ci.demixing_jackknife, x, probes)
-    # A miss frees the held record, and its delete-1 stack, before it builds
+    # A miss frees the held record, and its delete-1 rows, before it builds
     # the next one.
     old_record = weakref.ref(_pipeline._record)
-    old_rows = weakref.ref(memo_entry()[0].rows)
+    old_rows = weakref.ref(memo_entry().rows)
     held_while_building = []
 
     def monomial_matrix(data, order):
@@ -362,16 +362,19 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     dv = ci.delta_variance(y, probes)
     assert held_while_building == [(True, True, True)]
     record = _pipeline._record
-    demixed, loo = memo_entry()
-    np.testing.assert_array_equal(
-        loo, _pipeline.leave_one_out_moments(_centered_moments(y)[0])
-    )
+    demixed = memo_entry()
+    # The record reads the delete-1 moments from its monomials and keeps
+    # only their column sums.
+    assert record.delete1.z is record.z
+    z = _centered_moments(y)[0]
+    np.testing.assert_array_equal(record.delete1[:], (z.sum(axis=0) - z) / (len(z) - 1))
     # The record holds a copy of the sample, not the caller's array.
     assert record.x.tobytes() == y.tobytes() and not np.shares_memory(record.x, y)
     assert y.flags.writeable
     arrays = [a for a in demixed if isinstance(a, np.ndarray)]
     assert len(arrays) == 4
-    for a in (record.x, record.z, record.m_hat, record.sigma_m(), *arrays, loo):
+    for a in (record.x, record.z, record.m_hat, record.sigma_m(), *arrays,
+              record.delete1.total):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         demixed.rows[0, 0, 0] = 1.0

@@ -289,7 +289,9 @@ def _stacks(draw):
     if draw(st.booleans()):
         rows[draw(st.integers(0, b - 1)), :, draw(st.integers(0, d - 1))] = 0.0
     scale = draw(st.sampled_from([1.0, 1e-5, 1e8]))
-    pattern = draw(hnp.arrays(np.int64, (d, d), elements=st.sampled_from([-1, 0, 1])))
+    # Sign patterns with pairwise distinct rows; label_signs refuses others.
+    pattern = draw(hnp.arrays(np.int64, (d, d), elements=st.sampled_from([-1, 0, 1]))
+                   .filter(lambda p: len({tuple(r) for r in p.tolist()}) == d))
     return rows * scale, pattern
 
 
@@ -348,6 +350,8 @@ def test_label_signs_shares_scores_as_scoring_every_entry(d, kind):
     rng = np.random.default_rng([d, len(kind)])
     b = 2_500 if d == 5 else 300
     pattern = rng.integers(-1, 2, (d, d))
+    while len({tuple(r) for r in pattern.tolist()}) < d:  # refused by label_signs
+        pattern = rng.integers(-1, 2, (d, d))
     base = rng.standard_normal((d, d))
     # Small moves keep the signs, so most entries share entry 0's costs.
     rows = base + 1e-3 * rng.standard_normal((b, d, d))
