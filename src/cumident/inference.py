@@ -92,14 +92,15 @@ _SIXTH_MOMENT_ERROR = ("sixth-moment estimate overflowed or underflowed; delta-m
                        "covariances require sixth moments in floating-point range")
 
 
-def _sixth_moments_fail(sigma_m: np.ndarray, d: int) -> bool:
+def _sixth_moments_fail(sigma_m: np.ndarray, d: int) -> np.ndarray:
     """Whether Sigma_m, the centered sixth-order products the delta method
     uses, is not finite, or the variance of a centered cube z_j^3 is below
-    the normal range while z_j varies (it underflowed)."""
-    var = np.diagonal(sigma_m)
-    cubes = var[[_moment_index(d)[(j, j, j)] for j in range(d)]]
-    underflow = (var[:d] > 0.0) & (cubes < np.finfo(float).tiny)
-    return not np.isfinite(sigma_m).all() or bool(underflow.any())
+    the normal range while z_j varies (it underflowed); one flag for each
+    Sigma_m of a (..., D, D) stack."""
+    var = np.diagonal(sigma_m, axis1=-2, axis2=-1)
+    cubes = var[..., [_moment_index(d)[(j, j, j)] for j in range(d)]]
+    underflow = (var[..., :d] > 0.0) & (cubes < np.finfo(float).tiny)
+    return ~np.isfinite(sigma_m).all(axis=(-2, -1)) | underflow.any(axis=-1)
 
 
 def delta_variance_statistic(data, batch_statistic: Callable) -> DeltaVarianceResult:
@@ -188,17 +189,20 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
         raise InvalidInputError(
             f"method must be 'delta' or 'jackknife', got {method!r}")
     delta = method == "delta"
-    ms, held, moments_fail = [], [], []
+    ms, held = [], []
     for record in records:
         d = record.x.shape[1]
         ms.append(record.m_hat)
         held.append(record.sigma_m() if delta else record)
-        moments_fail.append(delta and _sixth_moments_fail(held[-1], d))
     if d > 2 and len(ms) > 1:  # d >= 3 stacks share one eigen-anchor
         raise ValueError("samples of width d > 2 are tested one at a time")
-    if not delta:
+    m = np.stack(ms)
+    if delta:
+        held = np.stack(held)
+        moments_fail = _sixth_moments_fail(held, d)
+    else:
         _check_jackknife_n(min(record.x.shape[0] for record in held))
-    m, moments_fail = np.stack(ms), np.array(moments_fail)
+        moments_fail = np.zeros(len(ms), dtype=bool)
     w1, w2 = probes.w1, probes.w2
     anchors = _pipeline.demix_rows(m, d, w1, w2, cond_cap=COND_CAP)
     point, *labels = statistic(anchors.rows, m)
@@ -207,7 +211,7 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     resamples = [None] * len(ms)
     if delta and ok.any():
         resamples = _delta_from_moments(
-            np.stack(held)[ok], m[ok],
+            held[ok], m[ok],
             lambda s: statistic(_pipeline.demix_rows(s, d, w1, w2).rows, s)[0])
         spread[ok] = resamples.sigma_u
     elif not delta:

@@ -47,13 +47,15 @@ def validate_sample(data, min_rows: int = 1, min_cols: int = 1) -> np.ndarray:
 
 
 def column_means(a: np.ndarray) -> np.ndarray:
-    """Column means of a tall (n, k) array, a.mean(axis=0) up to rounding.
+    """Column means of a tall (n, k) array, a.mean(axis=0) up to rounding,
+    or of each array of a (..., n, k) stack.
 
     numpy's axis-0 mean runs one inner loop per row over the k columns,
     which for the narrow arrays of this package costs several times more
-    than the einsum contraction.
+    than the einsum contraction.  Each array's means have the bits its own
+    call gives.
     """
-    return np.einsum("ij->j", a) / a.shape[0]
+    return np.einsum("...ij->...j", a) / a.shape[-2]
 
 
 @lru_cache(maxsize=None)
@@ -139,22 +141,24 @@ def monomial_matrix(data) -> np.ndarray:
 
 
 def _monomial_matrix(data, order: int) -> np.ndarray:
-    """:func:`monomial_matrix` of the degree 1..order monomials."""
-    x = validate_sample(data)
-    tuples = _monomials(x.shape[1], order)
-    xt = np.ascontiguousarray(x.T)
-    out = np.empty((len(tuples), x.shape[0]))
+    """:func:`monomial_matrix` of the degree 1..order monomials, or of each
+    sample of a (K, n, d) stack that the caller has validated."""
+    x = data if np.ndim(data) == 3 else validate_sample(data)
+    tuples = _monomials(x.shape[-1], order)
+    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    out = np.empty(x.shape[:-2] + (len(tuples), x.shape[-2]))
     # Each monomial is its lower-degree prefix (already filled in, since the
     # order is by degree) times one more coordinate: the same left-to-right
     # products as np.prod, without its short-axis reduction, on contiguous rows.
     position = {}
     for k, t in enumerate(tuples):
         if len(t) == 1:
-            out[k] = xt[t[0]]
+            out[..., k, :] = xt[..., t[0], :]
         else:
-            np.multiply(out[position[t[:-1]]], xt[t[-1]], out=out[k])
+            np.multiply(out[..., position[t[:-1]], :], xt[..., t[-1], :],
+                        out=out[..., k, :])
         position[t] = k
-    return out.T
+    return np.swapaxes(out, -1, -2)
 
 
 def _centered_moments(x: np.ndarray, order: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -165,10 +169,15 @@ def _centered_moments(x: np.ndarray, order: int = 3) -> tuple[np.ndarray, np.nda
     and about the mean neither the moments nor their covariance, which sets
     the finite-difference steps, grow with a shift of the data.  The
     single-sample entry points read these from the sample's
-    ``_pipeline.MomentRecord``, built once per sample and order; the Monte
-    Carlo tables and stacked Wald tests call this directly.
+    ``_pipeline.MomentRecord``, built once per sample and order; the stacked
+    Wald tests call this directly.  A (K, n, d) stack of samples gives
+    (K, n, D) and (K, D) stacks, each sample's bitwise as its own call
+    gives them: the Monte Carlo tables make one call per n.
     """
-    z = _monomial_matrix(x - column_means(x), order)
+    # Centered straight into the (..., d, n) layout the monomials read.
+    xt = np.empty(x.shape[:-2] + (x.shape[-1], x.shape[-2]))
+    np.subtract(np.swapaxes(x, -1, -2), column_means(x)[..., None], out=xt)
+    z = _monomial_matrix(np.swapaxes(xt, -1, -2), order)
     return z, column_means(z)
 
 

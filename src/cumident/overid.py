@@ -66,7 +66,8 @@ class _WaldStack(NamedTuple):
     omega_clipped: np.ndarray
 
 
-def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldStack:
+def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
+                records=None) -> _WaldStack:
     """:func:`wald_test` on a list of validated samples of one width: the
     off-diagonals r and their spread from one
     :func:`~cumident.inference._resampled` call, then cond(Omega), the
@@ -77,13 +78,16 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     an `omega_cond` not at most ``OMEGA_COND_CAP``, a near-singular Omega.
     :func:`_sample_result` turns one sample's flags into errors, and
     `omega_clipped` counts the eigenvalues raised to the PSD floor.
+    `records`, if given, yields the samples'
+    :class:`~cumident._pipeline.MomentRecord`, read once in order.
     """
     d = samples[0].shape[1]
     ns = np.array([x.shape[0] for x in samples])
     # A single sample reads the moment record the single-sample entry points
     # share; several get records made as they are read.
-    records = ([_pipeline.moment_record(samples[0])] if len(samples) == 1
-               else map(_pipeline.MomentRecord.of, samples))
+    if records is None:
+        records = ([_pipeline.moment_record(samples[0])] if len(samples) == 1
+                   else map(_pipeline.MomentRecord.of, samples))
     res = inference._resampled(
         records, probes,
         lambda rows, ms: (_pipeline.offdiag_from_rows(rows, ms, d), None, None),

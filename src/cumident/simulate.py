@@ -34,6 +34,10 @@ MEAS_COV = np.array([[1.0, -0.45], [-0.45, 0.25]])
 _MEAS_FACTOR = np.linalg.cholesky(MEAS_COV).T
 SUPPLY_DEMAND_PATTERN = np.array([[1, 1], [-1, 1]])
 B1_TRUE = 1.5
+# The fixed maps from the shifters s and the omitted shocks e to the
+# structural-form observables: x* = Lambda^{-1} s + sqrt(k/3) Lambda^{-1} Gamma e.
+_LAMBDA_INV = np.linalg.inv(LAMBDA_TRUE)
+_LAMBDA_INV_GAMMA = _LAMBDA_INV @ GAMMA_LOADINGS
 
 # Why a Monte Carlo cell has no value: G(w2) over COND_CAP or singular (at
 # the sample, a finite-difference point or a delete-1 resample), or sixth
@@ -46,7 +50,8 @@ _CODE = {name: i + 1 for i, name in enumerate(FAILURE_REASONS)}
 
 
 def worker_count() -> int:
-    """Replication workers: CUMIDENT_THREADS (default 1), at most the CPU count.
+    """Replication workers: CUMIDENT_THREADS (default 1), at most the CPUs
+    this process may run on (its affinity set, where the platform has one).
 
     A value that is not a positive integer raises InvalidInputError.
     """
@@ -57,6 +62,8 @@ def worker_count() -> int:
         raise InvalidInputError(
             f"CUMIDENT_THREADS must be a positive integer, got {env!r}"
         )
+    if hasattr(os, "sched_getaffinity"):
+        return min(int(env), len(os.sched_getaffinity(0)))
     return min(int(env), os.cpu_count() or 1)
 
 
@@ -128,10 +135,27 @@ def _draw_primitives(cfg: CompositeDgpConfig, rep: int, n: int):
     return s, e, eps, z
 
 
-def _assemble(s, e, eps, k: float) -> np.ndarray:
-    rhs = s + np.sqrt(k / 3.0) * e @ GAMMA_LOADINGS.T
-    x_star = np.linalg.solve(LAMBDA_TRUE, rhs.T).T
-    return x_star + np.sqrt(k) * eps
+def _columns(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v @ a.T for a small fixed matrix `a`, one output column at a time in
+    elementwise arithmetic, so that a row's bits depend on that row alone,
+    never on the row count as a BLAS product's or a solve's may."""
+    out = np.empty((v.shape[0], a.shape[0]))
+    for r, row in enumerate(a):
+        np.multiply(v[:, 0], row[0], out=out[:, r])
+        for j in range(1, len(row)):
+            out[:, r] += row[j] * v[:, j]
+    return out
+
+
+def _assemble(s, e, eps, k) -> np.ndarray:
+    """The observables x = Lambda^{-1} (s + sqrt(k/3) Gamma e) + sqrt(k) eps
+    at noise scale k, or their (K, n, 2) stack at a (K, 1, 1) array of
+    scales.  The k-free parts are formed once, in :func:`_columns`, so row i
+    has the same bits at every n."""
+    k = np.asarray(k, dtype=float)
+    return (_columns(_LAMBDA_INV, s)
+            + np.sqrt(k / 3.0) * _columns(_LAMBDA_INV_GAMMA, e)
+            + np.sqrt(k) * eps)
 
 
 def gen_composite(cfg: CompositeDgpConfig, rep: int) -> CompositeDraw:
@@ -144,17 +168,31 @@ def gen_composite(cfg: CompositeDgpConfig, rep: int) -> CompositeDraw:
     return CompositeDraw(x=_assemble(s, e, eps, cfg.k), s=s, z=z)
 
 
+def _iv_slopes(y, x, z):
+    """Just-identified 2SLS slopes (z'y)/(z'x) on demeaned inputs, for
+    stacks of (..., n) rows broadcast against each other: the slopes, z'x
+    and the weak-instrument flags |z'x| <= 1e-10 |z| |x|, where the slope
+    is NaN.  Each mean and inner product is a pairwise sum over one row, so
+    a slope's bits depend on its own rows alone."""
+    y, x, z = (a - a.mean(axis=-1, keepdims=True) for a in (y, x, z))
+    zx = np.sum(z * x, axis=-1)
+    scale = np.sqrt(np.sum(z * z, axis=-1)) * np.sqrt(np.sum(x * x, axis=-1))
+    weak = np.abs(zx) <= 1e-10 * scale
+    slope = np.divide(np.sum(z * y, axis=-1), zx, out=np.full(np.shape(zx), np.nan),
+                      where=~weak)
+    return slope, zx, weak
+
+
 def iv_2sls(y, x, z) -> float:
-    """Just-identified 2SLS slope (z'y)/(z'x) on demeaned inputs."""
-    y = np.asarray(y, dtype=float) - np.mean(y)
-    x = np.asarray(x, dtype=float) - np.mean(x)
-    z = np.asarray(z, dtype=float) - np.mean(z)
-    denom = z @ x
-    if abs(denom) <= 1e-10 * np.linalg.norm(z) * np.linalg.norm(x):
+    """Just-identified 2SLS slope (z'y)/(z'x) on demeaned inputs; a weak
+    instrument raises WeakInstrumentError.  The one-sample view of the
+    Table 1 IV kernel."""
+    slope, denom, weak = _iv_slopes(*(np.asarray(a, dtype=float) for a in (y, x, z)))
+    if weak:
         raise WeakInstrumentError(
             f"instrument-regressor inner product {denom:.3e} is numerically zero"
         )
-    return float(z @ y / denom)
+    return float(slope)
 
 
 def _eigen_slopes(ms: np.ndarray, probes: ProbeVectors):
@@ -169,16 +207,15 @@ def _eigen_slopes(ms: np.ndarray, probes: ProbeVectors):
     return lam[:, 0, 1], codes
 
 
-def _iv1_b1(draw_x: np.ndarray, s: np.ndarray, z: np.ndarray) -> float:
-    return -iv_2sls(draw_x[:, 0], draw_x[:, 1], s[:, 1])
+_ESTIMATORS = ("eigen", "iv1", "iv2")
 
 
-def _iv2_b1(draw_x: np.ndarray, s: np.ndarray, z: np.ndarray) -> float:
-    diluted = np.sqrt(0.3) * s[:, 1] + np.sqrt(0.7) * z
-    return -iv_2sls(draw_x[:, 0], draw_x[:, 1], diluted)
-
-
-_ESTIMATORS = {"eigen": None, "iv1": _iv1_b1, "iv2": _iv2_b1}
+def _instrument(name: str, s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The instrument of an IV estimator of b1: the supply shifter s2 (iv1),
+    or s2 diluted by independent noise (iv2)."""
+    if name == "iv1":
+        return s[:, 1]
+    return np.sqrt(0.3) * s[:, 1] + np.sqrt(0.7) * z
 
 
 @dataclass
@@ -246,10 +283,11 @@ def _grid(ns, ks):
 
 
 def _samples(cfg, rep: int, ns, ks):
-    """One replication's shifters s, instruments z and one sample per k,
-    all drawn at the largest n; smaller n are their row prefixes."""
+    """One replication's shifters s, instruments z and (K, max(ns), 2)
+    stack of one sample per k, all drawn at the largest n; smaller n are
+    their row prefixes."""
     s, e, eps, z = _draw_primitives(cfg, rep, max(ns))
-    return s, z, [_assemble(s, e, eps, k) for k in ks]
+    return s, z, _assemble(s, e, eps, np.reshape(ks, (-1, 1, 1)))
 
 
 # The per-replication workers are module-level functions that the run_*
@@ -260,24 +298,25 @@ def _samples(cfg, rep: int, ns, ks):
 def _mse_rep(cfg, ns, ks, estimators, probes, rep: int):
     """Squared errors of each estimator, and failure codes, of one
     replication of the MSE experiment."""
-    s, z, xs = _samples(cfg, rep, ns, ks)
+    s, z, x = _samples(cfg, rep, ns, ks)
     shape = (len(ns), len(ks), len(estimators))
-    b1 = np.full(shape, np.nan)
+    b1 = np.empty(shape)
     codes = np.zeros(shape, dtype=np.int8)
-    for c, name in enumerate(estimators):
-        if name == "eigen":
-            slopes, fail = _eigen_slopes(np.stack([
-                _centered_moments(x[:n])[1] for n in ns for x in xs
-            ]), probes)
-            b1[..., c] = slopes.reshape(shape[:2])
-            codes[..., c] = fail.reshape(shape[:2])
-            continue
+    eigen = [c for c, name in enumerate(estimators) if name == "eigen"]
+    ivs = [c for c, name in enumerate(estimators) if name != "eigen"]
+    if eigen:
+        slopes, fail = _eigen_slopes(np.concatenate([
+            _centered_moments(x[:, :n])[1] for n in ns
+        ]), probes)
+        b1[..., eigen] = slopes.reshape(shape[:2] + (1,))
+        codes[..., eigen] = fail.reshape(shape[:2] + (1,))
+    if ivs:
+        # (instrument, 1, n): one reduction per n over every instrument and k.
+        instruments = np.stack([_instrument(estimators[c], s, z) for c in ivs])[:, None]
         for a, n in enumerate(ns):
-            for b, x in enumerate(xs):
-                try:
-                    b1[a, b, c] = _ESTIMATORS[name](x[:n], s[:n], z[:n])
-                except WeakInstrumentError:
-                    codes[a, b, c] = _CODE["weak_instrument"]
+            slopes, _, weak = _iv_slopes(x[:, :n, 0], x[:, :n, 1], instruments[..., :n])
+            b1[a][:, ivs] = -slopes.T
+            codes[a][:, ivs] = np.where(weak.T, _CODE["weak_instrument"], 0)
     return np.where(codes == 0, (b1 - B1_TRUE) ** 2, np.nan), codes
 
 
@@ -357,11 +396,20 @@ def run_coverage_experiment(ns, k: float, reps: int, seed: int,
                        ns, (k,), tuple(methods))
 
 
+def _cell_records(x: np.ndarray, ns):
+    """The moment records of the (n, k) cells of a (K, N, 2) sample stack,
+    n-major, made as they are read: one moment stack per n, and each
+    cell's record a view into it."""
+    for n in ns:
+        yield from map(_pipeline.MomentRecord, x[:, :n], *_centered_moments(x[:, :n]))
+
+
 def _power_rep(cfg, ns, ks, alpha, probes, method, rep: int):
     """Rejections at level `alpha`, and failure codes, of one replication
     of the test rejection grid."""
-    _, _, xs = _samples(cfg, rep, ns, ks)
-    res = _wald_stack([x[:n] for n in ns for x in xs], probes, method)
+    _, _, x = _samples(cfg, rep, ns, ks)
+    res = _wald_stack([x[b, :n] for n in ns for b in range(len(ks))], probes,
+                      method, _cell_records(x, ns))
     codes = np.where(res.omega_cond <= OMEGA_COND_CAP, 0,
                      _CODE["omega_ill_conditioned"]).astype(np.int8)
     failed = res.moments_fail | res.anchors.ill_conditioned | res.resample_singular

@@ -4,8 +4,8 @@ joint-diagonality tests on residual subsystems."""
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
+import locale
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +154,6 @@ class CsvSeries:
 # start of a line, and those lines are dropped before parsing.
 _DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
 _MISSING = ("", "na", "nan")
-_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 
 
 def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
@@ -162,22 +161,24 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
 
     If `date_column` is None, the one column whose first data cell is not a
     number (if any) is kept as dates; it never enters the numeric data.  The
-    file is read once; its data lines are parsed in one np.loadtxt pass.
-    A malformed file raises InvalidInputError naming its physical line.
+    file is read and decoded once, as ``open(path)`` would, and split at
+    every line break; its data lines are parsed in one np.loadtxt pass.  A
+    malformed file raises InvalidInputError naming its physical line.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    all_lines = io.TextIOWrapper(io.BytesIO(raw), newline="").readlines()
-    kept = [i for i, line in enumerate(all_lines)
-            if line not in _BLANK_LINES and line[0] != "#"]
+    text = raw.decode(locale.getpreferredencoding(False))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    physical = text.split("\n")
+    kept = ([line for line in physical if line and line[0] != "#"] if "#" in text
+            else list(filter(None, physical)))
     if not kept:
         raise InvalidInputError(f"{path}: empty CSV")
-    header = [h.strip() for h in _fields(all_lines[kept[0]])]
+    header = [h.strip() for h in _fields(kept[0])]
     if len(kept) == 1:
         raise InvalidInputError(f"{path}: no data rows")
-    # numbers[k] is the physical line number of lines[k].
-    numbers = [i + 1 for i in kept[1:]]
-    lines = [all_lines[i] for i in kept[1:]]
+    lines = kept[1:]
 
     if date_column is not None:
         if date_column not in header:
@@ -189,20 +190,28 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
     dtype = np.dtype([(f"f{j}", object if j in text_cols else np.float64)
                       for j in range(len(header))])
     table = None
-    if len(text_cols) < 2:
-        try:
+    try:
+        if not text_cols:
+            table = np.loadtxt(lines, dtype=np.float64, ndmin=2, **_DIALECT)
+            # Rows that all agree on a wrong width parse, so check it.
+            if table.shape[1] != len(header):
+                table = None
+        elif len(text_cols) == 1:
             table = np.loadtxt(lines, dtype=dtype, ndmin=1, **_DIALECT)
-        except ValueError:
-            pass
+    except ValueError:
+        pass
     if table is None:
-        raise InvalidInputError(_fault(path, header, numbers, lines, dtype, text_cols))
+        raise InvalidInputError(_fault(path, header, physical, lines, dtype, text_cols))
 
     date_idx = text_cols[0] if text_cols else None
     numeric = [j for j in range(len(header)) if j != date_idx]
-    data = np.array([table[f"f{j}"] for j in numeric], dtype=np.float64).T
+    if date_idx is None:
+        data = table.T.copy().T  # column-major, as the structured path gives
+    else:
+        data = np.array([table[f"f{j}"] for j in numeric], dtype=np.float64).T
     if not np.isfinite(data).all():
         raise InvalidInputError(
-            _nonfinite_fault(path, header, numbers, lines, numeric, data))
+            _nonfinite_fault(path, header, physical, lines, numeric, data))
     return CsvSeries(
         names=[header[j] for j in numeric],
         data=data,
@@ -210,6 +219,12 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
         date_column=header[date_idx] if date_idx is not None else None,
         sha256=hashlib.sha256(raw).hexdigest(),
     )
+
+
+def _line_numbers(physical: list[str]) -> list[int]:
+    """The physical line number of each data line (not blank, not a comment,
+    not the header); read only to word a fault."""
+    return [i + 1 for i, line in enumerate(physical) if line and line[0] != "#"][1:]
 
 
 def _fields(line: str) -> list[str]:
@@ -249,8 +264,9 @@ def _first_rejected(lines, dtype) -> int | None:
     return lo
 
 
-def _fault(path, header, numbers, lines, dtype, text_cols) -> str:
+def _fault(path, header, physical, lines, dtype, text_cols) -> str:
     """Locate and word the fault behind a failed parse; returns no data."""
+    numbers = _line_numbers(physical)
     width = len(header)
     bad = _first_rejected(lines, np.dtype([(f"f{j}", object) for j in range(width)]))
     if bad is not None:
@@ -275,8 +291,9 @@ def _fault(path, header, numbers, lines, dtype, text_cols) -> str:
     return f"{path}: line {numbers[bad]} cannot be parsed"
 
 
-def _nonfinite_fault(path, header, numbers, lines, numeric, data) -> str:
+def _nonfinite_fault(path, header, physical, lines, numeric, data) -> str:
     """Word non-finite parsed values: a `nan` token is a missing value."""
+    numbers = _line_numbers(physical)
     for i in np.flatnonzero(np.isnan(data).any(axis=1)):
         cells = _fields(lines[i])
         for k in np.flatnonzero(np.isnan(data[i])):

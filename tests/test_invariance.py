@@ -9,8 +9,12 @@ jackknife centre and the moment kernel on a stack of one are the same
 numbers, bit for bit.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cumident as ci
 from cumident import _pipeline
@@ -68,6 +72,33 @@ def test_labeled_estimate_is_scale_invariant(composite):
     # A power of two scales every moment exactly.
     np.testing.assert_array_equal(labeled(2.0 * x), base)
     np.testing.assert_allclose(labeled(3.0 * x), base, rtol=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _permutation_case(d):
+    """A skewed d-variable sample, its probes, and the rows and Wald
+    statistics (delta, jackknife) that the unpermuted sample gives."""
+    off = np.random.default_rng(d).choice([-0.3, 0.3], (d, d))
+    lam = np.eye(d) + off * (1.0 - np.eye(d))
+    x = np.random.default_rng(40 + d).standard_exponential((2_000, d)) @ np.linalg.inv(lam).T
+    probes = ci.ProbeVectors.draw(d, 11)
+    wald = [ci.wald_test(x, probes, method=m).statistic for m in ("delta", "jackknife")]
+    return x, probes, ci.estimate_demixing(x, probes).lambda_tilde, wald
+
+
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda d: st.permutations(range(d))))
+@settings(max_examples=25, deadline=None)
+def test_permuting_columns_and_probes_permutes_the_rows(perm):
+    # Relabeling the variables relabels every row's entries and leaves the
+    # Wald statistics as they are.
+    x, probes, rows, wald = _permutation_case(len(perm))
+    perm = list(perm)
+    moved = ci.ProbeVectors(w1=probes.w1[perm], w2=probes.w2[perm])
+    y = x[:, perm]
+    np.testing.assert_allclose(ci.estimate_demixing(y, moved).lambda_tilde,
+                               rows[:, perm], rtol=0.0, atol=1e-12)
+    got = [ci.wald_test(y, moved, method=m).statistic for m in ("delta", "jackknife")]
+    np.testing.assert_allclose(got, wald, rtol=1e-9)
 
 
 @pytest.mark.parametrize("d", [2, 5])

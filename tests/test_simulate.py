@@ -114,6 +114,22 @@ def test_common_random_numbers_prefix():
         np.testing.assert_array_equal(a, b[:100])
 
 
+def test_samples_at_a_smaller_n_are_row_prefixes_bit_for_bit():
+    # The generator applies its fixed matrices in elementwise arithmetic, so
+    # no row's bits depend on how many rows are drawn.
+    cfg = CompositeDgpConfig(n=5_000, k=0.0, seed=7)
+    ks = (0.0, 0.1, 0.5, 2.0)
+    for rep in range(2):
+        s, z, big = simulate._samples(cfg, rep, (5_000,), ks)
+        for n in (1, 7, 15, 333, 1_000, 4_999):
+            s_n, z_n, small = simulate._samples(cfg, rep, (n,), ks)
+            assert small.shape == (len(ks), n, 2)
+            assert small.tobytes() == np.ascontiguousarray(big[:, :n]).tobytes()
+            assert s_n.tobytes() == s[:n].tobytes() and z_n.tobytes() == z[:n].tobytes()
+            for b, k in enumerate(ks):
+                assert _oracle_sample(cfg, rep, n, k).tobytes() == small[b].tobytes()
+
+
 def test_noise_correlation_invariant_in_k():
     cfg = CompositeDgpConfig(n=1_000_000, k=0.0, seed=8)
     corrs = []
@@ -370,7 +386,8 @@ def test_write_mc_csv_header_names_the_package_version(tmp_path, monkeypatch):
 
 def test_worker_count_env(monkeypatch):
     from cumident.simulate import worker_count
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
     monkeypatch.delenv("CUMIDENT_THREADS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("CUMIDENT_THREADS", "3")
@@ -378,10 +395,16 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # The cap is the CPUs this process may use, which can be fewer than the
+    # host has; the host's count serves where there is no affinity set.
     from cumident.simulate import worker_count
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7},
+                        raising=False)
     monkeypatch.setenv("CUMIDENT_THREADS", "1000000")
     assert worker_count() == 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count() == 1
 
@@ -453,6 +476,43 @@ def test_table1_eigen_cells_match_the_per_cell_oracle():
                 assert (FAILURE_REASONS[code - 1] if code else None) == reason
                 codes_seen.add(reason)
     assert codes_seen == {None, "labeling"}
+
+
+def test_table1_iv_cells_are_iv_2sls_bit_for_bit():
+    # One IV reduction per n serves every k and both instruments; each
+    # entry is the one-sample iv_2sls of its cell.
+    cfg = CompositeDgpConfig(n=max(_SMALL_NS), k=0.0, seed=31)
+    estimators = ("iv2", "eigen", "iv1")
+    worker = functools.partial(_mse_rep, cfg, _SMALL_NS, _SMALL_KS, estimators,
+                               ci.ProbeVectors.draw(2, 31))
+    for rep in range(4):
+        out, codes = worker(rep)
+        s, _, _, z = _draw_primitives(cfg, rep, max(_SMALL_NS))
+        instruments = {"iv1": s[:, 1], "iv2": np.sqrt(0.3) * s[:, 1] + np.sqrt(0.7) * z}
+        for a, n in enumerate(_SMALL_NS):
+            for b, k in enumerate(_SMALL_KS):
+                x = _oracle_sample(cfg, rep, n, k)
+                for c, name in enumerate(estimators):
+                    if name == "eigen":
+                        continue
+                    b1 = -iv_2sls(x[:, 0], x[:, 1], instruments[name][:n])
+                    assert out[a, b, c].tobytes() == np.float64((b1 - ci.B1_TRUE) ** 2).tobytes()
+                    assert codes[a, b, c] == 0
+
+
+def test_iv_kernel_flags_a_weak_instrument_in_its_own_cell():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 100))
+    z = rng.standard_normal(100)
+    xd = x[1] - x[1].mean()
+    z = z - z.mean()
+    z -= xd * (z @ xd) / (xd @ xd)  # exactly orthogonal to x[1] only
+    y = rng.standard_normal((3, 100))
+    slopes, _, weak = simulate._iv_slopes(y, x, z)
+    np.testing.assert_array_equal(weak, [False, True, False])
+    assert np.isnan(slopes[1])
+    for i in (0, 2):
+        assert slopes[i].tobytes() == np.float64(iv_2sls(y[i], x[i], z)).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
