@@ -24,23 +24,23 @@ delete-1 stack once.  That stack is never built or held whole: its moment
 vectors are made from the monomials chunk by chunk as the kernels read them
 (:class:`Delete1Moments`).  The record is the only state kept across calls.
 
-For d >= 3, a stack of more than one entry (a delete-1 stack, or the +/-
-points of a finite-difference Jacobian) goes through :func:`_pencil_eig`.
-LAPACK finds the rows that diagonalize the symmetric pencil (G(w1), G(w2))
-once, at the mean of the stack.  In that anchor basis each entry's pencil
-is nearly diagonal; one matrix product forms it from the sorted cumulants,
-and Newton steps finish it, with no cumulant tensor and no solve.  Entries
-that fail a rounding-level check go to LAPACK, and so does the whole stack
-when the anchor fails or has a near-repeated or complex pair.  The kernel
-scales and orients its rows chunk by chunk, entries last, by the one
-orientation (:func:`_oriented`) that LAPACK rows get in
-:func:`demix_contractions`.  On eight n = 10 000, d = 5 samples the
-delete-1 and finite-difference rows agree
-with LAPACK to 1.1e-14, the eigenvalues to 5e-15, the jackknife variances
-to 1.3e-13 of their largest entry, and the delta variances and Wald
-statistics, whose difference quotients amplify last-bit changes, to
-1.1e-10.  The d = 2 stacks use the closed form of :func:`_sorted_eig_2x2`
-instead.
+A stack of more than one entry (a delete-1 stack, or the +/- points of a
+finite-difference Jacobian) is demixed by one loop over its chunks
+(:func:`_stack_rows`).  For d >= 3, LAPACK finds the rows that diagonalize
+the symmetric pencil (G(w1), G(w2)) once, at the mean of the stack
+(:func:`_pencil_anchor`).  In that anchor basis each entry's pencil is
+nearly diagonal; one matrix product forms it from the sorted cumulants,
+and Newton steps finish it, with no cumulant tensor and no solve
+(:func:`_pencil_part`).  Entries that fail a rounding-level check go to
+LAPACK within their chunk, and so does the whole stack when the anchor
+fails or has a near-repeated or complex pair.  The kernel scales and
+orients its rows entries last, by the one orientation (:func:`_oriented`)
+that LAPACK rows get in :func:`demix_contractions`.  On eight n = 10 000,
+d = 5 samples the delete-1 and finite-difference rows agree with LAPACK to
+1.1e-14, the eigenvalues to 5e-15, the jackknife variances to 1.3e-13 of
+their largest entry, and the delta variances and Wald statistics, whose
+difference quotients amplify last-bit changes, to 1.1e-10.  The d = 2
+stacks use the closed form of :func:`_sorted_eig_2x2` instead.
 
 A G(w2) that cannot be solved through fails by one rule at every d and
 stack size (:func:`demix_contractions`): the kernels flag it, with NaN
@@ -82,12 +82,6 @@ _INVALID_MISMATCH = np.iinfo(np.int32).max
 # Largest (chunk, d!) or (chunk, d, d, d) array the labelers build; longer
 # stacks are labeled in chunks.
 _LABEL_CHUNK_ELEMENTS = 1 << 18
-
-
-def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
-    """Delete-1 moment vectors from the (n, D) per-observation monomials,
-    built whole (:class:`Delete1Moments` reads them by rows)."""
-    return Delete1Moments(monomials)[:]
 
 
 class Delete1Moments:
@@ -192,12 +186,13 @@ def moment_record(x: np.ndarray, order: int = 3) -> MomentRecord:
     order `order`, shared by the single-sample entry points.
 
     The order-3 record of the most recent sample is kept, with a read-only
-    copy of it, and returned again while `x` equals that copy bit for bit,
-    so an in-place change to the caller's array misses.  A miss drops the
-    held record before it builds the next one.  A record of another order
-    is built each time and not kept: every caller that reuses a record
-    (Sigma_m, the delete-1 stack) is order 3, and an order-4 estimate must
-    not evict the order-3 record of the same sample.
+    copy of it in its layout, and returned again while `x` equals that copy
+    bit for bit and in C- and F-contiguity.  So an in-place change misses,
+    and so does another layout, whose column means have other last bits.  A
+    miss drops the held record before it builds the next one.  A record of
+    another order is built each time and not kept: every caller that reuses
+    a record (Sigma_m, the delete-1 stack) is order 3, and an order-4
+    estimate must not evict the order-3 record of the same sample.
     """
     global _record
     if order != 3:
@@ -205,10 +200,12 @@ def moment_record(x: np.ndarray, order: int = 3) -> MomentRecord:
     held = _record
     # Compared as bits, so that even 0.0 and -0.0 differ.
     if (held is not None and held.x.shape == x.shape and held.x.dtype == x.dtype
+            and held.x.flags.c_contiguous == x.flags.c_contiguous
+            and held.x.flags.f_contiguous == x.flags.f_contiguous
             and np.array_equal(held.x.view(np.uint64), x.view(np.uint64))):
         return held
     _record = held = None
-    copy = x.copy()
+    copy = x.copy(order="K")
     copy.flags.writeable = False
     # The moments of x as the caller laid it out, as MomentRecord.of computes them.
     _record = held = MomentRecord(copy, *_centered_moments(x))
@@ -243,7 +240,7 @@ class DemixedRows(NamedTuple):
     `rows` (..., d, d) oriented by :func:`_unit_oriented`, the real parts of
     the `eigenvalues` (..., d) descending, `gap_flags`, the eigenvectors'
     `max_imag`, `eig_fallbacks` handed by the pencil kernel to LAPACK
-    (:func:`_pencil_eig`), `orient_fallbacks` (..., d) (:func:`_oriented`),
+    (:func:`_stack_rows`), `orient_fallbacks` (..., d) (:func:`_oriented`),
     `ill_conditioned` for an entry that failed (:func:`demix_contractions`),
     and `cond_g2`, cond(G(w2)), when a `cond_cap` was checked, else None."""
 
@@ -272,12 +269,12 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
         :func:`demix_contractions`); resampling stacks leave it off for speed.
 
     A (b, D) stack without a cap is read and demixed chunk by chunk
-    (:func:`_pencil_chunks`), through :func:`_pencil_eig` for d >= 3.
+    (:func:`_stack_rows`), through the pencil kernel for d >= 3.
     Returns a :class:`DemixedRows`; a failed entry is flagged, not raised.
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     if cond_cap is None and ms.ndim == 2 and len(ms) > 1:
-        return _pencil_eig(ms, d, w1, w2) if d > 2 else _chunked_rows(ms, d, w1, w2)
+        return _stack_rows(ms, d, w1, w2)
     return demix_contractions(*_contractions(ms, d, w1, w2), cond_cap)
 
 
@@ -393,73 +390,45 @@ _PENCIL_CHUNK_ELEMENTS = 1 << 15
 def _pencil_chunks(b: int, d: int) -> list[slice]:
     """The chunks in which a b-entry stack is read: _PENCIL_CHUNK_ELEMENTS //
     d^2 entries each (at least one), from entry 0.  The pencil kernel's
-    bits depend on the chunk width (:func:`_pencil_refine`), so its
+    bits depend on the chunk width (:func:`_pencil_part`), so its
     boundaries are fixed here."""
     step = max(1, _PENCIL_CHUNK_ELEMENTS // (d * d))
     return [slice(start, min(start + step, b)) for start in range(0, b, step)]
 
 
-def _pencil_eig(ms, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
+def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
     """:func:`demix_rows` of a (b, D) moment stack, an array or a
-    :class:`Delete1Moments`, that clusters around its mean.
+    :class:`Delete1Moments`, read one :func:`_pencil_chunks` chunk at a time.
 
-    LAPACK runs at the mean of the stack (the anchor) and on the entries
-    that :func:`_pencil_refine` does not accept, or on all of them when the
-    anchor fails the :func:`demix_contractions` rule or has a near-repeated
-    or complex pair; those entries, flagged in `eig_fallbacks`, are bitwise
-    what a stack of them alone gives.  Only a chunk of moment vectors
-    exists at a time.
+    Each chunk goes through the pencil kernel (:func:`_pencil_part`), which
+    hands the entries it rejects to LAPACK, or without a
+    :func:`_pencil_anchor` to LAPACK whole.  At d >= 3 those entries are
+    flagged in `eig_fallbacks`, and are bitwise what a stack of them alone
+    gives (chunks of 1 to 16 384 entries gave the bits of one call on
+    delete-1 stacks at d = 2, 3 and 5).  The fields are laid out as the
+    first chunk's, whatever the chunk count.
     """
-    anchor_m = ms.mean(axis=0)
-    maps = _contraction_maps(d, w1, w2, _order_of(len(anchor_m), d))
-    g1, g2 = (maps @ _sorted_cumulants(anchor_m, d)).reshape(2, d, d)
-    h, failed, _ = _solved(g1, g2)
-    anchor_vals, anchor_vecs = _sorted_eig(h)
-    if failed or _gap_flags(anchor_vals):
-        return _lapack_rows(ms, d, w1, w2)
-    rows, vals, orient, accepted = _pencil_refine(ms, maps, anchor_vecs.real.T)
-    # An accepted entry has real eigenvectors and no eigen-gap flag: its
-    # gaps are at least EIGEN_GAP_RTOL of its scale (see _pencil_newton).
-    out = DemixedRows(rows, vals, np.zeros_like(accepted), np.zeros(len(ms)),
-                      ~accepted, orient, np.zeros_like(accepted), None)
-    fallbacks = np.flatnonzero(out.eig_fallbacks)
-    if fallbacks.size:
-        _fill(out, fallbacks, _lapack_rows(ms, d, w1, w2, fallbacks))
-    return out
+    anchor = _pencil_anchor(ms, d, w1, w2)
 
+    def lapack(at):
+        part = demix_contractions(*_contractions(ms[at], d, w1, w2))
+        part.eig_fallbacks[:] = d > 2
+        return part
 
-def _lapack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray,
-                 entries: np.ndarray | None = None) -> DemixedRows:
-    """:func:`_chunked_rows` through LAPACK, every entry flagged in
-    `eig_fallbacks`."""
-    out = _chunked_rows(ms, d, w1, w2, entries)
-    return out._replace(eig_fallbacks=np.ones(len(out.rows), dtype=bool))
-
-
-def _chunked_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray,
-                  entries: np.ndarray | None = None) -> DemixedRows:
-    """:func:`demix_contractions` of the `entries` (an index array, or all
-    when None) of a (b, D) stack, read and demixed by
-    :func:`_pencil_chunks`.  Chunks of 1 to 16 384 entries gave the bits of
-    one call on delete-1 stacks at d = 2, 3 and 5."""
-    b = len(ms) if entries is None else len(entries)
-    chunks = _pencil_chunks(b, d)
-
-    def part(s):
-        return demix_contractions(*_contractions(
-            ms[s if entries is None else entries[s]], d, w1, w2))
-
-    if len(chunks) == 1:
-        return part(chunks[0])
     out = None
-    for s in chunks:
-        demixed = part(s)
+    for s in _pencil_chunks(len(ms), d):
+        if anchor is None:
+            part = lapack(s)
+        else:
+            part = _pencil_part(ms, s, d, *anchor)
+            slow = np.flatnonzero(part.eig_fallbacks)
+            if slow.size:
+                _fill(part, slow, lapack(s.start + slow))
         if out is None:
-            # Laid out as one call lays them out, whatever the chunk count.
             out = DemixedRows(*(
-                None if f is None else np.empty_like(f, shape=(b, *f.shape[1:]))
-                for f in demixed))
-        _fill(out, s, demixed)
+                None if f is None else np.empty_like(f, shape=(len(ms), *f.shape[1:]))
+                for f in part))
+        _fill(out, s, part)
     return out
 
 
@@ -470,36 +439,49 @@ def _fill(out: DemixedRows, at, part: DemixedRows) -> None:
         full[at] = piece
 
 
-def _pencil_refine(ms, maps: np.ndarray, anchor: np.ndarray):
-    """(rows, vals, orient_fallbacks, accepted) of :func:`_pencil_newton` for
-    each entry of a (b, D) moment stack, from the rows `anchor` of a nearby
-    pencil.
-
-    In the basis y = anchor x an entry's pencil (C, D) = (anchor G(w1)
-    anchor', anchor G(w2) anchor') is nearly diagonal; one (2 d^2, T)
-    product forms it from the sorted cumulants, through the
-    :func:`_contraction_maps` `maps`.  The eigenvector rows U anchor are
-    unit-normalized and oriented (:func:`_unit_oriented`) chunk by chunk,
-    entries last.  The bits of the product, and at a few small widths
-    those of the Newton steps, depend on the chunk width, so a stack gives
-    the rows of the whole only when it is cut at the boundaries of
-    :func:`_pencil_chunks`.
+def _pencil_anchor(ms, d: int, w1: np.ndarray, w2: np.ndarray):
+    """(anchor, basis) of a (b, D) stack: the LAPACK rows that diagonalize
+    (G(w1), G(w2)) at its mean, and the (2 d^2, T) map of sorted cumulants
+    to (anchor G(w1) anchor', anchor G(w2) anchor').  None at d = 2 (see
+    :func:`_sorted_eig_2x2`), and for an anchor that fails the
+    :func:`demix_contractions` rule or has a near-repeated or complex pair.
     """
-    b, d = len(ms), anchor.shape[0]
-    basis = (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
-    vals = np.empty((b, d))
-    rows = np.empty((b, d, d))
-    orient = np.empty((b, d), dtype=bool)
-    accepted = np.empty(b, dtype=bool)
-    for s in _pencil_chunks(b, d):
-        pencil = basis @ _sorted_cumulants(ms[s], d).T
-        u, vals_s, accepted[s] = _pencil_newton(*pencil.reshape(2, d, d, -1))
-        vals[s] = vals_s.T
-        # Entries the kernel rejects may not be finite; LAPACK redoes them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            unit, orient_s = _unit_oriented(np.einsum("kpe,pq->kqe", u, anchor))
-        rows[s], orient[s] = unit.transpose(2, 0, 1), orient_s.T
-    return rows, vals, orient, accepted
+    if d == 2:
+        return None
+    anchor_m = ms.mean(axis=0)
+    maps = _contraction_maps(d, w1, w2, _order_of(len(anchor_m), d))
+    g1, g2 = (maps @ _sorted_cumulants(anchor_m, d)).reshape(2, d, d)
+    h, failed, _ = _solved(g1, g2)
+    vals, vecs = _sorted_eig(h)
+    if failed or _gap_flags(vals):
+        return None
+    anchor = vecs.real.T
+    return anchor, (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
+
+
+def _pencil_part(ms, s: slice, d: int, anchor: np.ndarray,
+                 basis: np.ndarray) -> DemixedRows:
+    """:func:`_pencil_newton` on the entries `s` of a (b, D) stack from its
+    :func:`_pencil_anchor`, as C-ordered :class:`DemixedRows` fields.
+
+    In the basis y = anchor x an entry's pencil is nearly diagonal; one
+    product with `basis` forms it from the sorted cumulants.  The rows U
+    anchor are unit-normalized and oriented (:func:`_unit_oriented`) entries
+    last.  The bits of the product, and at a few small widths those of the
+    Newton steps, depend on the chunk width, so a stack gives the rows of
+    the whole only when cut at the boundaries of :func:`_pencil_chunks`.
+    """
+    pencil = basis @ _sorted_cumulants(ms[s], d).T
+    u, vals, accepted = _pencil_newton(*pencil.reshape(2, d, d, -1))
+    # Entries the kernel rejects may not be finite; LAPACK redoes them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit, orient = _unit_oriented(np.einsum("kpe,pq->kqe", u, anchor))
+    # An accepted entry has real eigenvectors and no eigen-gap flag: its
+    # gaps are at least EIGEN_GAP_RTOL of its scale (see _pencil_newton).
+    return DemixedRows(np.ascontiguousarray(unit.transpose(2, 0, 1)),
+                       np.ascontiguousarray(vals.T), np.zeros_like(accepted),
+                       np.zeros(len(accepted)), ~accepted,
+                       np.ascontiguousarray(orient.T), np.zeros_like(accepted), None)
 
 
 def _contraction_maps(d: int, w1: np.ndarray, w2: np.ndarray,
@@ -678,26 +660,14 @@ def offdiag_from_rows(rows: np.ndarray, ms, d: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=EXHAUSTIVE_PERMUTATION_CAP)
 def _permutation_table(d: int):
-    """The d! row orderings: as tuples, as a (d!, d) table whose row p is
-    perm_p, and as `pivots[p, i]`, the row-major index of entry
+    """The d! row orderings in lexicographic order, as a (d!, d) table whose
+    row p is perm_p, and as `pivots[p, i]`, the row-major index of entry
     (perm_p[i], i) of a (d, d) block."""
-    perms = tuple(itertools.permutations(range(d)))
-    table = np.array(perms, dtype=np.intp).reshape(len(perms), d)
+    table = np.array(list(itertools.permutations(range(d))), dtype=np.intp)
     pivots = table * d + np.arange(d)
     table.flags.writeable = False
     pivots.flags.writeable = False
-    return perms, table, pivots
-
-
-def _ranked(table: np.ndarray):
-    """Lexicographic rank of each ordering of a (b, d) table among all d!
-    orderings, which is its index in :func:`_permutation_table`, and a dict
-    from each rank to its ordering."""
-    d = table.shape[1]
-    later = np.triu(np.ones((d, d), dtype=bool), 1)
-    smaller_after = ((table[:, None, :] < table[:, :, None]) & later).sum(axis=2)
-    ranks = smaller_after @ np.array([math.factorial(d - 1 - i) for i in range(d)])
-    return ranks, {k: tuple(p) for k, p in zip(ranks.tolist(), table.tolist())}
+    return table, pivots
 
 
 def _chunks(b: int, d: int) -> list[slice]:
@@ -723,10 +693,10 @@ def _entries_last(r: np.ndarray):
     return rt, absr, 1e-12 * np.maximum(peak, 1e-300)
 
 
-def _normalized(r: np.ndarray, table: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Stack entry e of `r` with its rows put in ordering table[cand[e]],
-    each row divided by its diagonal entry: one row gather for the stack."""
-    block = r[np.arange(r.shape[0])[:, None], table[cand]]
+def _normalized(r: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Stack entry e of `r` with its rows put in ordering order[e], each row
+    divided by its diagonal entry: one row gather for the stack."""
+    block = r[np.arange(r.shape[0])[:, None], order]
     block /= _pivots(np.diagonal(block, axis1=1, axis2=2))[:, :, None]
     return block
 
@@ -848,16 +818,16 @@ def _label(r: np.ndarray, cost, margin, terms, rtol: float):
     cap each entry is one :func:`_sign_assignment` with `margin(rt)`, a
     plain assignment when `margin` is None.
 
-    Returns (lam, best, tied, perm_index, perms): the least total (inf, and
-    ordering 0, without a valid ordering), whether other orderings tie with
-    it, the ordering's rank among all d!, and the map from rank to
-    ordering, as :func:`label_signs` returns them.
+    Returns (lam, best, tied, order): the least total (inf, and the
+    identity ordering, without a valid ordering), whether other orderings
+    tie with it, and the (b, d) orderings, as :func:`label_signs` returns
+    them.
     """
     b, d, _ = r.shape
     best = np.full(b, np.inf)
     tied = np.ones(b, dtype=bool)
     if d > EXHAUSTIVE_PERMUTATION_CAP:
-        table = np.tile(np.arange(d), (b, 1))
+        order = np.tile(np.arange(d, dtype=np.intp), (b, 1))
         for s in _chunks(b, d):
             rt, absr, floor = _entries_last(r[s])
             c = cost(rt, absr, floor)
@@ -867,11 +837,11 @@ def _label(r: np.ndarray, cost, margin, terms, rtol: float):
                 if perm is not None:
                     i = s.start + e
                     best[i] = c[perm, np.arange(d), e].sum()
-                    tied[i], table[i] = bool(ties), perm
-        perm_index, perms = _ranked(table)
-        return _normalized(r, table, np.arange(b)), best, tied, perm_index, perms
-    perms, table, pivots = _permutation_table(d)
-    perm_index = np.empty(b, dtype=np.intp)
+                    tied[i], order[i] = bool(ties), perm
+        return _normalized(r, order), best, tied, order
+    table, pivots = _permutation_table(d)
+    # Rows of the table, gathered once: (b, d) orderings are not held per chunk.
+    index = np.empty(b, dtype=np.intp)
     for s in _chunks(b, d):
         c = cost(*_entries_last(r[s]))
         # Entries whose cost matrix is entry 0's share its totals: only the
@@ -890,12 +860,13 @@ def _label(r: np.ndarray, cost, margin, terms, rtol: float):
         refine = np.flatnonzero(many & np.isfinite(low))
         if refine.size:
             cand, ent = np.nonzero(at_best[:, col[refine]])
-            score = np.full((refine.size, len(perms)), np.inf)
+            score = np.full((refine.size, len(table)), np.inf)
             score[ent, cand] = _stack_sum(
-                terms(_normalized(r[s][refine[ent]], table, cand)), b)
+                terms(_normalized(r[s][refine[ent]], table[cand])), b)
             pick[refine] = score.argmin(axis=1)
-        best[s], tied[s], perm_index[s] = low, many, pick
-    return _normalized(r, table, perm_index), best, tied, perm_index, list(perms)
+        best[s], tied[s], index[s] = low, many, pick
+    order = table[index]
+    return _normalized(r, order), best, tied, order
 
 
 def label_signs(rows: np.ndarray, pattern: np.ndarray):
@@ -912,13 +883,12 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
     sign(r_kj) sign(r_ki) unless the quotient underflows to zero, which
     rows of norm at most 1 cannot produce.
 
-    Returns (lambda_final, mismatches, tie_flags, perm_index, permutations):
-    `tie_flags` marks entries where two permutations tied on mismatch count
-    (resolved by margin).  `perm_index` is the lexicographic rank of the
-    chosen ordering among all d! orderings, and `permutations` maps it to
-    the ordering: the list of all d! orderings up to the cap, a dict of the
-    chosen ones beyond.  An entry without a valid ordering reports
-    int32-max mismatches, a tie, and ordering 0 (the identity).
+    Returns (lambda_final, mismatches, tie_flags, order): `tie_flags`
+    marks entries where two permutations tied on mismatch count (resolved
+    by margin), and `order` holds the chosen ordering of each entry, a (b,
+    d) intp array whose row e puts row order[e][i] of entry e at position
+    i, or a tuple for one entry.  An entry without a valid ordering reports
+    int32-max mismatches, a tie, and the identity ordering.
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
@@ -934,15 +904,14 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
     # (-p) x is -(p x) and a sum of negated terms is the negated sum, bit
     # for bit, so the smallest score is the largest margin.
     negated = -pattern[active]
-    lam, best, tie_flags, perm_index, perms = _label(
+    lam, best, tie_flags, order = _label(
         r, functools.partial(_sign_cost, pattern=weights),
         functools.partial(_margin_cost, pattern=weights),
         lambda lam: negated * lam[:, active], 0.0)
     best_mism = np.where(np.isfinite(best), best, _INVALID_MISMATCH).astype(np.int64)
     if squeeze:
-        return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
-                int(perm_index[0]), perms)
-    return lam, best_mism, tie_flags, perm_index, perms
+        return lam[0], int(best_mism[0]), bool(tie_flags[0]), tuple(order[0].tolist())
+    return lam, best_mism, tie_flags, order
 
 
 def _sign_ties(rows: np.ndarray, pattern: np.ndarray):
@@ -957,16 +926,15 @@ def _sign_ties(rows: np.ndarray, pattern: np.ndarray):
     count = _sign_cost(rt, absr, floor, weights)
     if d > EXHAUSTIVE_PERMUTATION_CAP:
         perm, ties = _sign_assignment(count[..., 0], _margin_cost(rt, weights)[..., 0])
-        orderings = [tuple(perm.tolist()), *ties]
-        table, cand = np.array(orderings), np.arange(len(orderings))
+        order = np.array([perm, *ties], dtype=np.intp)
     else:
-        perms, table, pivots = _permutation_table(d)
+        table, pivots = _permutation_table(d)
         total = _candidate_totals(count, pivots)[:, 0]
-        cand = np.flatnonzero(total == total.min())
-        orderings = [perms[c] for c in cand]
-    normalized = _normalized(np.repeat(rows[None], cand.size, axis=0), table, cand)
+        order = table[total == total.min()]
+    normalized = _normalized(np.repeat(rows[None], len(order), axis=0), order)
     active = pattern != 0
-    return orderings, _stack_sum(pattern[active] * normalized[:, active], 1)
+    return ([tuple(p) for p in order.tolist()],
+            _stack_sum(pattern[active] * normalized[:, active], 1))
 
 
 def label_triangular(rows: np.ndarray):
@@ -977,8 +945,8 @@ def label_triangular(rows: np.ndarray):
     on the separable mass[k, i] = sum_{j > i} (r_kj / r_ki)^2.  Its totals
     sum in another order than that residual, so orderings within 4 d^2 ulps
     of the least are rescored by it.  Returns (lambda_final, residual,
-    perm_index, permutations), indexed as in :func:`label_signs`; an entry
-    without a valid ordering gets residual inf and ordering 0.
+    order), `order` as in :func:`label_signs`; an entry without a valid
+    ordering gets residual inf and the identity ordering.
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
@@ -988,14 +956,14 @@ def label_triangular(rows: np.ndarray):
     def above(lam):
         return lam[:, iu[0], iu[1]] ** 2
 
-    lam, best, _, perm_index, perms = _label(
+    lam, best, _, order = _label(
         r, _triangular_cost, None, above, 4.0 * d * d * np.finfo(float).eps)
     res = np.full(b, np.inf)
     valid = np.isfinite(best)
     res[valid] = _stack_sum(above(lam[valid]), b)
     if squeeze:
-        return lam[0], float(res[0]), int(perm_index[0]), perms
-    return lam, res, perm_index, perms
+        return lam[0], float(res[0]), tuple(order[0].tolist())
+    return lam, res, order
 
 
 def batched_jacobian(func, m: np.ndarray, steps: np.ndarray) -> np.ndarray:

@@ -314,12 +314,11 @@ def label_by_signs(est: DemixingEstimate, sign_pattern,
         raise InvalidInputError(
             f"on_tie must be 'error' or 'margin', got {on_tie!r}")
     # The kernel checks the pattern's shape, entries and distinct rows.
-    lam, mism, tied, index, perms = _pipeline.label_signs(rows, pattern)
+    lam, mism, tied, perm = _pipeline.label_signs(rows, pattern)
     if mism == _INVALID_MISMATCH:
         raise LabelingAmbiguityError(
             "no row permutation yields a nonzero diagonal", []
         )
-    perm = perms[index]
     if tied:
         # The kernel picked the largest margin; "margin" raises only on an
         # exact margin tie.
@@ -345,12 +344,12 @@ def label_by_triangular(est: DemixingEstimate) -> LabelingResult:
     :func:`cumident._pipeline.label_triangular` on a stack of one.
     """
     rows = est.lambda_tilde
-    lam, residual, index, perms = _pipeline.label_triangular(rows)
+    lam, residual, perm = _pipeline.label_triangular(rows)
     if residual == np.inf:
         raise LabelingAmbiguityError(
             "no row permutation yields a nonzero diagonal", []
         )
-    return _labeling(rows, perms[index], lam, residual)
+    return _labeling(rows, perm, lam, residual)
 
 
 def _labeling(rows: np.ndarray, perm, lam: np.ndarray,

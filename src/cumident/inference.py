@@ -145,13 +145,13 @@ class _Resampled(NamedTuple):
     or sum dev dev' of the deviations of the n delete-1 statistics from
     their mean (jackknife); NaN where a flag is set.  `resamples` holds, for
     the samples that stand, the delta method's :class:`DeltaVarianceResult`
-    (fields stacked over them), or per sample the (statistic, ties,
-    orderings, gap flags, eigen fallbacks) of its delete-1 resamples, None
-    for the others.  Flags: `moments_fail`, sixth moments out of range for
-    the delta method; `anchors.ill_conditioned`, a G(w2) over ``COND_CAP``
-    or singular at the full sample; `resample_singular`, a non-finite
-    spread, as a G(w2) singular at a finite-difference point or delete-1
-    resample gives.
+    (fields stacked over them), or per sample the (statistic, ties, flips
+    from the sample's ordering, gap flags, eigen fallbacks) of its delete-1
+    resamples, None for the others.  Flags: `moments_fail`, sixth moments
+    out of range for the delta method; `anchors.ill_conditioned`, a G(w2)
+    over ``COND_CAP`` or singular at the full sample; `resample_singular`, a
+    non-finite spread, as a G(w2) singular at a finite-difference point or
+    delete-1 resample gives.
     """
 
     point: np.ndarray
@@ -220,10 +220,13 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
             # its delete-1 rows before the next sample's are demixed.
             record, held[i] = held[i], None
             demixed = record.leave_one_out(w1, w2)
-            values, *loo_labels = statistic(demixed.rows, record.delete1)
+            values, ties, order = statistic(demixed.rows, record.delete1)
+            if order is not None:
+                # Flags, so the (n, d) orderings are not held with the spread.
+                order = (order != labels[1][i]).any(-1)
             dev = values - values.mean(axis=0)
             spread[i] = dev.T @ dev
-            resamples[i] = (values, *loo_labels, demixed.gap_flags,
+            resamples[i] = (values, ties, order, demixed.gap_flags,
                             demixed.eig_fallbacks)
     singular = ok & ~np.isfinite(spread).reshape(len(ms), -1).all(axis=1)
     return _Resampled(point, tuple(labels), spread, anchors, moments_fail,
@@ -259,10 +262,10 @@ def _demixing_statistic(d: int, pattern=None, entry: tuple[int, int] | None = No
         if pattern is None:
             # A view: the jackknife copies the record's read-only rows.
             return rows.reshape(len(rows), d * d), None, None
-        lam, _, ties, perm, _ = _pipeline.label_signs(rows, pattern)
+        lam, _, ties, order = _pipeline.label_signs(rows, pattern)
         if entry is not None:
             lam = lam[:, entry[0], entry[1], None]
-        return lam.reshape(len(lam), -1), ties, perm
+        return lam.reshape(len(lam), -1), ties, order
     return statistic
 
 
@@ -317,15 +320,15 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     statistic = _demixing_statistic(d, pattern, entry)
     res = _resampled([_pipeline.moment_record(x)], probes, statistic, "jackknife")
     _raise_failed(res, 0, "jackknife")
-    est, ties, perm, gaps, fallbacks = res.resamples[0]
-    full_ties, full_perm = res.labels
+    est, ties, flips, gaps, fallbacks = res.resamples[0]
+    full_ties = res.labels[0]
     labeled = pattern is not None
     return JackknifeResult(
         # Copied after the spread is formed, so the copy and the deviations
         # are not alive at once.
         estimates=est if est.flags.writeable else est.copy(),
         variance=(n - 1) / n * res.spread[0],
-        label_flips=int(np.sum(perm != full_perm[0])) if labeled else None,
+        label_flips=int(np.sum(flips)) if labeled else None,
         gap_count=int(np.sum(gaps)),
         tie_count=int(np.sum(ties)) if labeled else None,
         eig_fallbacks=int(np.sum(fallbacks)),

@@ -201,7 +201,7 @@ def _eigen_slopes(ms: np.ndarray, probes: ProbeVectors):
     stack of centered moment vectors, as one demixing and one labeling
     call."""
     demixed = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2, cond_cap=COND_CAP)
-    lam, _, tied, _, _ = _pipeline.label_signs(demixed.rows, SUPPLY_DEMAND_PATTERN)
+    lam, _, tied, _ = _pipeline.label_signs(demixed.rows, SUPPLY_DEMAND_PATTERN)
     codes = np.where(tied, _CODE["labeling"], 0)
     codes[demixed.ill_conditioned] = _CODE["ill_conditioned"]
     return lam[:, 0, 1], codes

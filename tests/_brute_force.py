@@ -4,7 +4,8 @@ Labeling beyond the exhaustive cap: every one of the d! orderings, scored
 on the labeling kernels' own (d, d) placement costs.  Sign labeling up to
 the cap: every stack entry scored on its own, without sharing the scores of
 equal cost matrices.  The jackknife: a generic loop that re-estimates on
-each of the n delete-1 samples.  The contraction Hessian: the projected
+each of the n delete-1 samples, and the delete-1 moment stack built
+whole.  The contraction Hessian: the projected
 sample cumulant whose second derivative it is, and the closed form of the
 order-4 Hessian in the sample covariance.
 """
@@ -70,9 +71,8 @@ def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
     pattern = np.asarray(pattern)
     active = pattern != 0
     weights = pattern.astype(float)
-    perms, table, pivots = _pipeline._permutation_table(d)
-    perms = list(perms)
-    order = np.arange(len(perms), dtype=float)
+    table, pivots = _pipeline._permutation_table(d)
+    index = np.arange(len(table), dtype=float)
     best = np.full(b, np.inf)
     tie_flags = np.ones(b, dtype=bool)
     perm_index = np.empty(b, dtype=np.intp)
@@ -82,25 +82,33 @@ def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
         low = np.minimum.reduce(total, axis=0)
         at_best = total == low
         tied = np.count_nonzero(at_best, axis=0) > 1
-        pick = np.where(tied, 0, (order @ at_best).astype(np.intp))
+        pick = np.where(tied, 0, (index @ at_best).astype(np.intp))
         refine = np.flatnonzero(tied & np.isfinite(low))
         if refine.size:
             cand, ent = np.nonzero(at_best[:, refine])
-            normalized = _pipeline._normalized(r[s][refine[ent]], table, cand)
-            margin = np.full((refine.size, len(perms)), -np.inf)
+            normalized = _pipeline._normalized(r[s][refine[ent]], table[cand])
+            margin = np.full((refine.size, len(table)), -np.inf)
             margin[ent, cand] = _pipeline._stack_sum(
                 pattern[active] * normalized[:, active], b
             )
             pick[refine] = margin.argmax(axis=1)
         best[s], tie_flags[s], perm_index[s] = low, tied, pick
-    lam = _pipeline._normalized(r, table, perm_index)
+    order = table[perm_index]
+    lam = _pipeline._normalized(r, order)
     best_mism = np.where(
         np.isfinite(best), best, _pipeline._INVALID_MISMATCH
     ).astype(np.int64)
     if squeeze:
         return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
-                int(perm_index[0]), perms)
-    return lam, best_mism, tie_flags, perm_index, perms
+                tuple(order[0].tolist()))
+    return lam, best_mism, tie_flags, order
+
+
+def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
+    """Delete-1 moment vectors from the (n, D) per-observation monomials,
+    built whole (:class:`cumident._pipeline.Delete1Moments` reads them by
+    rows)."""
+    return _pipeline.Delete1Moments(monomials)[:]
 
 
 def _delete1_variance(est: np.ndarray) -> np.ndarray:

@@ -257,7 +257,7 @@ def test_criterion_9_schooling_substitute():
 
     def batch(ms):
         rows = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2).rows
-        lam, _, _, _ = _pipeline.label_triangular(rows)
+        lam, _, _ = _pipeline.label_triangular(rows)
         return -lam[..., 1, 0]
 
     covered = np.zeros(reps)

@@ -13,6 +13,8 @@ from cumident._pipeline import _sorted_eig
 from cumident.inference import _fd_steps
 from cumident.moments import _centered_moments, _moment_covariance
 
+from _brute_force import leave_one_out_moments
+
 
 @pytest.fixture(autouse=True)
 def cold_record():
@@ -31,8 +33,8 @@ def lapack_eig(ms, d, w1, w2):
     return _sorted_eig(np.linalg.solve(g2, g1))
 
 
-def lapack_pencil_eig(ms, d, w1, w2):
-    """:func:`_pipeline._pencil_eig` with LAPACK in place of the kernel, no
+def lapack_stack_rows(ms, d, w1, w2):
+    """:func:`_pipeline._stack_rows` with LAPACK in place of the kernel, no
     entry counted as a fallback.  A delete-1 stack is built whole."""
     ms = ms[:]
     return lapack_rows(ms, d, w1, w2)._replace(
@@ -138,10 +140,9 @@ def planted_stack():
 
 def test_refinement_rejects_planted_entries():
     ms, w1, w2 = planted_stack()
-    anchor = lapack_eig(ms[0], 4, w1, w2)[1].real.T
-    maps = _pipeline._contraction_maps(4, w1, w2)
-    *_, accepted = _pipeline._pencil_refine(ms, maps, anchor)
-    np.testing.assert_array_equal(np.flatnonzero(~accepted), [3, 7, 11])
+    anchor = _pipeline._pencil_anchor(ms[:1], 4, w1, w2)
+    part = _pipeline._pencil_part(ms, slice(None), 4, *anchor)
+    np.testing.assert_array_equal(np.flatnonzero(part.eig_fallbacks), [3, 7, 11])
 
 
 def assert_entries_are_lapack(got, lapack, entries):
@@ -155,7 +156,7 @@ def assert_entries_are_lapack(got, lapack, entries):
 def test_fallback_entries_are_lapack_bitwise():
     ms, w1, w2 = planted_stack()
     finite = np.delete(ms, 11, axis=0)
-    demixed = _pipeline._pencil_eig(finite, 4, w1, w2)
+    demixed = _pipeline.demix_rows(finite, 4, w1, w2)
     fallbacks = demixed.eig_fallbacks
     np.testing.assert_array_equal(np.flatnonzero(fallbacks), [3, 7])
     assert_entries_are_lapack(demixed, lapack_rows(finite[fallbacks], 4, w1, w2),
@@ -220,7 +221,7 @@ def test_singular_anchor_flags_every_delete_one_entry():
     anchor_g2 = (maps @ _pipeline._sorted_cumulants(m, 4)).reshape(2, 4, 4)[1]
     assert _pipeline._singular(anchor_g2)
     demixed = _pipeline.demix_rows(
-        _pipeline.leave_one_out_moments(z), 4, probes.w1, probes.w2)
+        leave_one_out_moments(z), 4, probes.w1, probes.w2)
     assert demixed.ill_conditioned.all() and demixed.eig_fallbacks.all()
     assert np.isnan(demixed.rows).all()
 
@@ -233,8 +234,8 @@ def test_complex_anchor_sends_the_stack_to_lapack(monkeypatch):
     def refine(*args):
         raise AssertionError("refined from a complex anchor")
 
-    monkeypatch.setattr(_pipeline, "_pencil_refine", refine)
-    demixed = _pipeline._pencil_eig(stack, 4, w1, w2)
+    monkeypatch.setattr(_pipeline, "_pencil_part", refine)
+    demixed = _pipeline.demix_rows(stack, 4, w1, w2)
     assert demixed.eig_fallbacks.all()
     assert_entries_are_lapack(demixed, lapack_rows(stack, 4, w1, w2), slice(None))
 
@@ -289,7 +290,7 @@ def test_delete_one_stack_matches_lapack(d):
         fd = np.repeat(m[None], 2 * m.size, axis=0)
         fd[0::2] += np.diag(steps)
         fd[1::2] -= np.diag(steps)
-        for ms in (_pipeline.leave_one_out_moments(z), fd):
+        for ms in (leave_one_out_moments(z), fd):
             got = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
             want = lapack_rows(ms, d, probes.w1, probes.w2)
             fallbacks = got.eig_fallbacks
@@ -313,18 +314,86 @@ def delete1_record(d: int, n: int):
 
 
 def test_pencil_chunks_keep_the_bits_of_the_whole_stack():
-    # The pencil product's bits depend on the chunk width: a stack cut at
-    # the kernel's own boundaries gives the rows of the whole.
+    # The pencil product's bits depend on the chunk width: each chunk of a
+    # stack cut at the kernel's own boundaries gives the rows of the whole.
     record, probes = delete1_record(5, 3_000)
-    ms = _pipeline.leave_one_out_moments(record.z)
-    maps = _pipeline._contraction_maps(5, probes.w1, probes.w2)
-    g1, g2 = (maps @ _pipeline._sorted_cumulants(ms.mean(axis=0), 5)).reshape(2, 5, 5)
-    anchor = _sorted_eig(_pipeline._solved(g1, g2)[0])[1].real.T
+    ms = leave_one_out_moments(record.z)
+    whole = _pipeline.demix_rows(ms, 5, probes.w1, probes.w2)
+    assert not whole.eig_fallbacks.any()
+    anchor = _pipeline._pencil_anchor(ms, 5, probes.w1, probes.w2)
     chunks = _pipeline._pencil_chunks(len(ms), 5)
     assert len(chunks) == 3
-    parts = [_pipeline._pencil_refine(ms[s], maps, anchor) for s in chunks]
-    for got, want in zip(zip(*parts), _pipeline._pencil_refine(ms, maps, anchor)):
+    parts = [_pipeline._pencil_part(ms, s, 5, *anchor) for s in chunks]
+    for got, want in zip(zip(*parts), whole[:-1]):
         assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def tiled_planted_stack(copies: int = 60):
+    """The finite entries of :func:`planted_stack`, tiled `copies` times:
+    39 * copies entries, of which 3 and 7 (mod 39) are rejected."""
+    ms, w1, w2 = planted_stack()
+    return np.tile(np.delete(ms, 11, axis=0), (copies, 1)), w1, w2
+
+
+def test_chunked_fallbacks_are_lapack_on_those_entries_alone():
+    # Each chunk hands the entries its kernel rejects to LAPACK by index;
+    # the rest keep the bits of their own chunk's pencil part.
+    ms, w1, w2 = tiled_planted_stack()
+    chunks = _pipeline._pencil_chunks(len(ms), 4)
+    # The second chunk starts mid-tile, so its fallbacks sit at other
+    # offsets within the chunk than within the stack.
+    assert len(chunks) == 2 and chunks[1].start % 39
+    got = _pipeline.demix_rows(ms, 4, w1, w2)
+    fallbacks = got.eig_fallbacks
+    np.testing.assert_array_equal(np.flatnonzero(fallbacks) % 39,
+                                  np.tile([3, 7], len(ms) // 39))
+    assert_entries_are_lapack(got, lapack_rows(ms[fallbacks], 4, w1, w2), fallbacks)
+    anchor = _pipeline._pencil_anchor(ms, 4, w1, w2)
+    for s in chunks:
+        part = _pipeline._pencil_part(ms, s, 4, *anchor)
+        accepted = ~part.eig_fallbacks
+        np.testing.assert_array_equal(accepted, ~fallbacks[s])
+        for field, want in zip(got[:-1], part[:-1]):
+            assert field[s][accepted].tobytes() == want[accepted].tobytes()
+
+
+def stack_in_chunks(case: str):
+    """(stack, d, w1, w2) of a stack that spans two or more chunks: the
+    tiled d = 4 planted stack, through the kernel with LAPACK fallbacks or,
+    from a degenerate probe pair, through LAPACK alone; or a d = 2 delete-1
+    stack of more than 8 192 entries."""
+    if case == "d2":
+        record, probes = delete1_record(2, 9_000)
+        return leave_one_out_moments(record.z), 2, probes.w1, probes.w2
+    ms, w1, w2 = tiled_planted_stack()
+    if case == "degenerate anchor":
+        w1 = w2 = np.ones(4)
+    return ms, 4, w1, w2
+
+
+@pytest.mark.parametrize("case", ["kernel", "degenerate anchor", "d2"])
+def test_chunked_stacks_keep_the_layout_of_one_chunk(case, monkeypatch):
+    # The jackknife's mean over a stack sums in the order of its layout, so
+    # every field is laid out as it is when the stack is one chunk.
+    ms, d, w1, w2 = stack_in_chunks(case)
+    assert len(_pipeline._pencil_chunks(len(ms), d)) >= 2
+    several = _pipeline.demix_rows(ms, d, w1, w2)
+    monkeypatch.setattr(_pipeline, "_PENCIL_CHUNK_ELEMENTS", len(ms) * d * d)
+    assert len(_pipeline._pencil_chunks(len(ms), d)) == 1
+    one = _pipeline.demix_rows(ms, d, w1, w2)
+    for field in several._fields[:-1]:
+        got, want = getattr(several, field), getattr(one, field)
+        assert got.strides == want.strides and got.dtype == want.dtype, field
+    assert several.cond_g2 is one.cond_g2 is None
+    assert several.eig_fallbacks.any() == (d > 2)
+    if case == "kernel":
+        # The kernel's fields are C-ordered, LAPACK fallbacks and all.
+        assert all(f.flags.c_contiguous for f in several[:-1])
+    else:
+        # LAPACK alone: the bits of the whole stack in one call.
+        want = lapack_rows(ms, d, w1, w2)
+        for field in ("rows", "eigenvalues", "gap_flags", "ill_conditioned"):
+            assert getattr(several, field).tobytes() == getattr(want, field).tobytes()
 
 
 def offdiag_of_the_whole_stack(rows, ms, d):
@@ -348,7 +417,7 @@ def test_streamed_delete1_rows_match_the_built_stack(d, n, case, monkeypatch):
         probes = ci.ProbeVectors(w1=np.ones(d), w2=np.ones(d))
     assert len(_pipeline._pencil_chunks(n, d)) >= 2
     got = record.leave_one_out(probes.w1, probes.w2)
-    ms = _pipeline.leave_one_out_moments(record.z)
+    ms = leave_one_out_moments(record.z)
     want = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
     for field in ("rows", "gap_flags", "eig_fallbacks", "ill_conditioned"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
@@ -381,7 +450,7 @@ def test_jackknife_counts_fallbacks(monkeypatch):
     probes = ci.ProbeVectors.draw(3, 7)
     assert ci.demixing_jackknife(x, probes, pattern).eig_fallbacks == 0
     with monkeypatch.context() as patched:
-        patched.setattr(_pipeline, "_pencil_eig", lapack_pencil_eig)
+        patched.setattr(_pipeline, "_stack_rows", lapack_stack_rows)
         _pipeline._record = None
         lapack = ci.demixing_jackknife(x, probes, pattern, entry=None)
     assert lapack.eig_fallbacks == 0
@@ -464,7 +533,7 @@ def test_inference_matches_lapack(monkeypatch):
     x, pattern = skewed_sample(10_000, 5, 53)
     probes = ci.ProbeVectors.draw(5, 7)
     jk, dv, tests = analysis(x, probes, pattern)
-    monkeypatch.setattr(_pipeline, "_pencil_eig", lapack_pencil_eig)
+    monkeypatch.setattr(_pipeline, "_stack_rows", lapack_stack_rows)
     ref_jk, ref_dv, ref_tests = analysis(x, probes, pattern)
     assert jk.eig_fallbacks == 0
     assert (jk.label_flips, jk.tie_count, jk.gap_count) == (

@@ -9,7 +9,7 @@ from cumident.errors import IllConditionedError
 from cumident.inference import FD_STEP_SCALE, _fd_steps
 from cumident.moments import _centered_moments, _moment_covariance
 from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, gen_composite
-from _brute_force import jackknife_variance
+from _brute_force import jackknife_variance, leave_one_out_moments
 
 
 def labeled_slope(probes):
@@ -152,7 +152,7 @@ def test_jackknife_counts_labeling_ties():
     assert tied.tie_count == 80
 
     jk = ci.demixing_jackknife(x, probes, pattern=ci.SUPPLY_DEMAND_PATTERN)
-    loo = _pipeline.leave_one_out_moments(_centered_moments(x)[0])
+    loo = leave_one_out_moments(_centered_moments(x)[0])
     rows = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2)[0]
     ties = _pipeline.label_signs(rows, ci.SUPPLY_DEMAND_PATTERN)[2]
     assert jk.tie_count == int(ties.sum()) < 80
@@ -308,6 +308,20 @@ def test_memo_follows_in_place_changes(d):
     x[0, 0] = -0.0
     ci.demixing_jackknife(x, probes, pattern)
     assert _pipeline._record is not held
+
+
+def test_memo_misses_on_another_memory_layout():
+    # A bit-equal copy of the sample in another memory layout has column
+    # means with other last bits, so it gets a record of its own: the
+    # F-ordered copy's jackknife is the same cold as after a Wald test on
+    # the C-ordered sample (the composite sample, n = 200, k = 0.2, seed 21).
+    x, probes, pattern = memo_case(2)
+    c, f = np.ascontiguousarray(x), np.asfortranarray(x)
+    assert f.flags.f_contiguous and not f.flags.c_contiguous
+    want = cold(ci.demixing_jackknife, f, probes, pattern)
+    cold(ci.wald_test, c, probes, method="jackknife")
+    assert_same_jackknife(ci.demixing_jackknife(f, probes, pattern), want)
+    assert _pipeline._record.x.flags.f_contiguous
 
 
 def test_an_order4_estimate_keeps_the_order3_record(monkeypatch):

@@ -18,7 +18,7 @@ from cumident.identify import (
 )
 
 from _brute_force import (brute_costs, brute_sign, brute_totals,
-                          label_signs_every_entry, ordering)
+                          label_signs_every_entry, leave_one_out_moments, ordering)
 
 
 def _estimate_from_rows(rows) -> DemixingEstimate:
@@ -235,8 +235,8 @@ def oracle_label_signs(rows: np.ndarray, pattern: np.ndarray):
     perm_index = margin_masked.argmax(axis=0)
     lam = normalized_all[perm_index, np.arange(b)]
     if squeeze:
-        return lam[0], int(best_mism[0]), bool(tie_flags[0]), int(perm_index[0]), perms
-    return lam, best_mism, tie_flags, perm_index, perms
+        return lam[0], int(best_mism[0]), bool(tie_flags[0]), perms[perm_index[0]]
+    return lam, best_mism, tie_flags, np.array(perms, dtype=np.intp)[perm_index]
 
 
 def oracle_label_triangular(rows: np.ndarray):
@@ -258,8 +258,8 @@ def oracle_label_triangular(rows: np.ndarray):
     lam = normalized_all[perm_index, np.arange(b)]
     res = residual[perm_index, np.arange(b)]
     if squeeze:
-        return lam[0], float(res[0]), int(perm_index[0]), perms
-    return lam, res, perm_index, perms
+        return lam[0], float(res[0]), perms[perm_index[0]]
+    return lam, res, np.array(perms, dtype=np.intp)[perm_index]
 
 
 def _assert_bitwise_equal(got, want):
@@ -327,7 +327,7 @@ def test_label_triangular_matches_enumeration_oracle(case):
 def test_label_signs_oracle_on_jackknife_stack():
     x = ci.gen_composite(ci.CompositeDgpConfig(n=400, k=0.5, seed=3), rep=0).x
     probes = ci.ProbeVectors.draw(2, 3)
-    loo = _pipeline.leave_one_out_moments(ci.monomial_matrix(x))
+    loo = leave_one_out_moments(ci.monomial_matrix(x))
     rows = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2)[0]
     for pattern in (ci.SUPPLY_DEMAND_PATTERN, np.eye(2, dtype=int)):
         _assert_bitwise_equal(_pipeline.label_signs(rows, pattern),
@@ -376,9 +376,8 @@ def test_label_signs_shares_scores_as_scoring_every_entry(d, kind):
     want = label_signs_every_entry(rows, pattern)
     if kind == "tied":
         assert want[2].all()
-    for g, w in zip(got[:4], want[:4]):
+    for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-    assert got[4] == want[4]
 
 
 def test_label_triangular_totals_a_shared_mass_matrix_once(monkeypatch):
@@ -396,11 +395,12 @@ def test_label_triangular_totals_a_shared_mass_matrix_once(monkeypatch):
     d, b = 5, 5_000
     rng = np.random.default_rng(1)
     rows = np.repeat(rng.standard_normal((d, d))[None], b, axis=0)
-    lam, residual, index, _ = _pipeline.label_triangular(rows)
+    lam, residual, order = _pipeline.label_triangular(rows)
     assert columns == [1] * len(_pipeline._chunks(b, d)) and len(columns) > 1
-    assert (index == index[0]).all() and (residual == residual[0]).all()
+    assert (order == order[0]).all() and (residual == residual[0]).all()
     one = _pipeline.label_triangular(rows[0])
-    assert index[0] == one[2] and residual[0] == pytest.approx(one[1], rel=1e-14)
+    assert tuple(order[0].tolist()) == one[2]
+    assert residual[0] == pytest.approx(one[1], rel=1e-14)
     assert lam.tobytes() == np.repeat(one[0][None], b, axis=0).tobytes()
 
 
@@ -421,10 +421,10 @@ def test_batched_labelers_refuse_d_above_cap(monkeypatch, labeler):
         (np.eye(d) + np.tril(rng.uniform(0.1, 0.5, (d, d)), -1))[p]
         for p in perms
     ])
-    *_, perm_index, table = labeler(rows)
-    assert built == []
+    *_, order = labeler(rows)
+    assert built == [] and order.dtype == np.intp
     for e, p in enumerate(perms):
-        assert table[perm_index[e]] == tuple(np.argsort(p))
+        np.testing.assert_array_equal(order[e], np.argsort(p))
 
 
 def test_batched_labelers_beyond_the_cap_match_brute_force(monkeypatch):
@@ -438,19 +438,18 @@ def test_batched_labelers_beyond_the_cap_match_brute_force(monkeypatch):
         np.zeros((d, d)),                                    # no valid order
     ])
     pattern = rng.choice([-1, 0, 1], size=(d, d))
-    lam, mism, ties, index, perms = _pipeline.label_signs(rows, pattern)
-    tri_lam, residual, tri_index, tri_perms = _pipeline.label_triangular(rows)
+    lam, mism, ties, order = _pipeline.label_signs(rows, pattern)
+    tri_lam, residual, tri_order = _pipeline.label_triangular(rows)
     assert built == []
     for e in range(rows.shape[0]):
         count, margin, mass = brute_costs(rows[e], pattern)
         low, tied, _, top = brute_sign(count, margin)
         assert ties[e] == tied
         if not np.isfinite(low):
-            assert mism[e] == _INVALID_MISMATCH and index[e] == 0
-            assert residual[e] == np.inf and tri_index[e] == 0
+            assert mism[e] == _INVALID_MISMATCH and (order[e] == range(d)).all()
+            assert residual[e] == np.inf and (tri_order[e] == range(d)).all()
             continue
-        perm = perms[index[e]]
-        assert ordering(d, index[e]) == perm
+        perm = tuple(order[e].tolist())
         assert mism[e] == low == count[list(perm), range(d)].sum()
         # Exact margin ties may settle on any of the tied orderings.
         assert margin[list(perm), range(d)].sum() == pytest.approx(top, rel=1e-12, abs=1e-12)
@@ -458,8 +457,7 @@ def test_batched_labelers_beyond_the_cap_match_brute_force(monkeypatch):
         np.testing.assert_array_equal(lam[e], rows[e][want] / rows[e][want, range(d)][:, None])
 
         totals = brute_totals(mass)
-        perm = tri_perms[tri_index[e]]
-        assert ordering(d, tri_index[e]) == perm
+        perm = tuple(tri_order[e].tolist())
         assert mass[list(perm), range(d)].sum() == pytest.approx(totals.min(), rel=1e-12)
         np.testing.assert_allclose(residual[e], totals.min(), rtol=1e-12)
 
@@ -469,7 +467,7 @@ def test_batched_labelers_beyond_the_cap_match_brute_force(monkeypatch):
         ci.label_by_signs(_estimate_from_rows(rows[1]), pattern)
     listed = err.value.candidates
     count = brute_costs(rows[1], pattern)[0]
-    assert listed[0] == perms[index[1]] and len(set(listed)) == len(listed) > 1
+    assert listed[0] == tuple(order[1].tolist()) and len(set(listed)) == len(listed) > 1
     assert all(count[list(c), range(d)].sum() == mism[1] for c in listed)
 
 

@@ -12,7 +12,11 @@ records:
 - the order-3 inference group on fixed skewed samples at d = 2, 3 and 5,
   raw and shifted by 1e3: the estimate and its sign labeling, the
   jackknife and delta variances (unlabeled, labeled and by entry) and both
-  Wald tests, each as one SHA-256;
+  Wald tests, each as one SHA-256.  The samples at d = 2, n = 20 000 and
+  d = 3, n = 8 000 make delete-1 stacks of three chunks each;
+- the jackknife of an F-ordered copy of the composite sample (n = 200,
+  k = 0.2, seed 21), with no moment record held and after a Wald test on
+  the C-ordered sample;
 - the SHA-256 of every CSV that the four `cli_io` commands write.
 
 --compare reports what differs.  A table block passes under the benchmark's
@@ -37,7 +41,8 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 # (d, n, sample seed, probe seed) of the inference group.
-INFERENCE_CASES = ((2, 3_000, 61, 3), (3, 3_000, 62, 5), (5, 3_000, 63, 7))
+INFERENCE_CASES = ((2, 3_000, 61, 3), (3, 3_000, 62, 5), (5, 3_000, 63, 7),
+                   (2, 20_000, 64, 3), (3, 8_000, 65, 5))
 SHIFT = 1e3
 CLI_SEED = 3
 
@@ -132,6 +137,15 @@ def _inference(ci) -> dict:
                 except Exception as exc:  # a refusal is an output too
                     digest = _digest(type(exc).__name__, str(exc))
                 out[f"d={d} n={n} shift={shift:g} {name}"] = digest
+    # A record held for the C-ordered sample must not serve its F-ordered copy.
+    x = ci.gen_composite(ci.CompositeDgpConfig(n=200, k=0.2, seed=21), 0).x
+    c, f = np.ascontiguousarray(x), np.asfortranarray(x)
+    probes = ci.ProbeVectors.draw(2, 21)
+    ci._pipeline._record = None
+    out["layout F cold demixing_jackknife"] = _digest(ci.demixing_jackknife(f, probes))
+    ci._pipeline._record = None
+    ci.wald_test(c, probes, method="jackknife")
+    out["layout F after C demixing_jackknife"] = _digest(ci.demixing_jackknife(f, probes))
     return out
 
 
