@@ -26,21 +26,22 @@ vectors are made from the monomials chunk by chunk as the kernels read them
 
 A stack of more than one entry (a delete-1 stack, or the +/- points of a
 finite-difference Jacobian) is demixed by one loop over its chunks
-(:func:`_stack_rows`).  For d >= 3, LAPACK finds the rows that diagonalize
-the symmetric pencil (G(w1), G(w2)) once, at the mean of the stack
-(:func:`_pencil_anchor`).  In that anchor basis each entry's pencil is
-nearly diagonal; one matrix product forms it from the sorted cumulants,
-and Newton steps finish it, with no cumulant tensor and no solve
-(:func:`_pencil_part`).  Entries that fail a rounding-level check go to
-LAPACK within their chunk, and so does the whole stack when the anchor
-fails or has a near-repeated or complex pair.  The kernel scales and
-orients its rows entries last, by the one orientation (:func:`_oriented`)
-that LAPACK rows get in :func:`demix_contractions`.  On eight n = 10 000,
-d = 5 samples the delete-1 and finite-difference rows agree with LAPACK to
-1.1e-14, the eigenvalues to 5e-15, the jackknife variances to 1.3e-13 of
-their largest entry, and the delta variances and Wald statistics, whose
-difference quotients amplify last-bit changes, to 1.1e-10.  The d = 2
-stacks use the closed form of :func:`_sorted_eig_2x2` instead.
+(:func:`_stack_rows`).  For d >= 3 it starts from the anchor: the rows
+that diagonalize the symmetric pencil (G(w1), G(w2)) at the sample the
+stack resamples, which are its point estimate.  In that basis each entry's
+pencil is nearly diagonal; one matrix product forms it from the sorted
+cumulants, and Newton steps finish it, with no cumulant tensor and no
+solve (:func:`_pencil_part`).  Entries that fail a rounding-level check go
+to LAPACK within their chunk, and so does the whole stack without an
+anchor: at d = 2, which has the closed form of :func:`_sorted_eig_2x2`,
+and where the estimate has a near-repeated or complex pair.  The kernel
+scales and orients its rows entries last, by the one orientation
+(:func:`_oriented`) that LAPACK rows get in :func:`demix_contractions`.  On
+eight n = 10 000, d = 5 samples the delete-1 and finite-difference rows
+agree with LAPACK to 9.4e-15, the eigenvalues to 4.6e-15, the jackknife
+variances to 1.8e-13 of their largest entry, and the delta variances and
+Wald statistics, whose difference quotients amplify last-bit changes, to
+1.9e-10.
 
 A G(w2) that cannot be solved through fails by one rule at every d and
 stack size (:func:`demix_contractions`): the kernels flag it, with NaN
@@ -107,15 +108,6 @@ class Delete1Moments:
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
         return (self.total[cols] - self.z[rows, cols]) / (len(self.z) - 1)
 
-    def mean(self, axis: int = 0) -> np.ndarray:
-        """The mean over the stack (axis 0, the only one), one column at a
-        time.  For the column-major z of :func:`moments._centered_moments`
-        the whole stack is column-major too, and numpy sums each of its
-        columns on its own, pairwise, as here: the same bits."""
-        n = len(self.z)
-        return np.array([np.mean((t - col) / (n - 1))
-                         for t, col in zip(self.total, self.z.T)])
-
 
 class MomentRecord:
     """The centered moments of one validated (n, d) sample `x`.
@@ -129,9 +121,11 @@ class MomentRecord:
     whole.
     """
 
-    def __init__(self, x: np.ndarray, z: np.ndarray, m_hat: np.ndarray):
+    def __init__(self, x: np.ndarray, z: np.ndarray, m_hat: np.ndarray, strides=None):
         z.flags.writeable = m_hat.flags.writeable = False
         self.x, self.z, self.m_hat = x, z, m_hat
+        # The layout the moments were computed in: x's, unless a copy is held.
+        self.strides = strides or x.strides
         self._sigma_m = None
         self._loo = None
 
@@ -153,11 +147,11 @@ class MomentRecord:
         """The delete-1 moment vectors of the sample, read by rows."""
         return Delete1Moments(self.z)
 
-    def leave_one_out(self, w1, w2) -> DemixedRows:
-        """:func:`demix_rows` of the delete-1 stack :attr:`delete1`, without
-        the eigenvalues, `max_imag` and `orient_fallbacks` that no reader
-        uses.  The rows of the most recent (w1, w2) are kept; other probes
-        drop them before they demix theirs.
+    def leave_one_out(self, w1, w2, anchor: np.ndarray | None) -> DemixedRows:
+        """:func:`demix_rows` of the delete-1 stack :attr:`delete1` from
+        `anchor`, without the eigenvalues, `max_imag` and `orient_fallbacks`
+        that no reader uses.  The rows of the most recent (w1, w2) are kept
+        (the anchor is the estimate at them); other probes drop them first.
         """
         key = (np.asarray(w1, dtype=float).tobytes(),
                np.asarray(w2, dtype=float).tobytes())
@@ -166,7 +160,7 @@ class MomentRecord:
             return held[1]
         # Drop both references, so the old rows are freed before the next.
         self._loo = held = None
-        demixed = demix_rows(self.delete1, self.x.shape[1], w1, w2)._replace(
+        demixed = demix_rows(self.delete1, self.x.shape[1], w1, w2, anchor)._replace(
             eigenvalues=None, max_imag=None, orient_fallbacks=None)
         for a in demixed:
             if a is not None:
@@ -186,10 +180,11 @@ def moment_record(x: np.ndarray, order: int = 3) -> MomentRecord:
     order `order`, shared by the single-sample entry points.
 
     The order-3 record of the most recent sample is kept, with a read-only
-    copy of it in its layout, and returned again while `x` equals that copy
-    bit for bit and in C- and F-contiguity.  So an in-place change misses,
-    and so does another layout, whose column means have other last bits.  A
-    miss drops the held record before it builds the next one.  A record of
+    copy of it and the caller's strides, and returned again while `x`
+    equals that copy bit for bit and has those strides.  So an in-place
+    change misses, and so does another layout, whose column means have other
+    last bits; a strided view hits, though its copy is contiguous.  A miss
+    drops the held record before it builds the next one.  A record of
     another order is built each time and not kept: every caller that reuses
     a record (Sigma_m, the delete-1 stack) is order 3, and an order-4
     estimate must not evict the order-3 record of the same sample.
@@ -200,15 +195,14 @@ def moment_record(x: np.ndarray, order: int = 3) -> MomentRecord:
     held = _record
     # Compared as bits, so that even 0.0 and -0.0 differ.
     if (held is not None and held.x.shape == x.shape and held.x.dtype == x.dtype
-            and held.x.flags.c_contiguous == x.flags.c_contiguous
-            and held.x.flags.f_contiguous == x.flags.f_contiguous
+            and held.strides == x.strides
             and np.array_equal(held.x.view(np.uint64), x.view(np.uint64))):
         return held
     _record = held = None
     copy = x.copy(order="K")
     copy.flags.writeable = False
     # The moments of x as the caller laid it out, as MomentRecord.of computes them.
-    _record = held = MomentRecord(copy, *_centered_moments(x))
+    _record = held = MomentRecord(copy, *_centered_moments(x), x.strides)
     return held
 
 
@@ -254,7 +248,7 @@ class DemixedRows(NamedTuple):
     cond_g2: np.ndarray | None
 
 
-def demix_rows(ms: np.ndarray, d: int, w1, w2,
+def demix_rows(ms: np.ndarray, d: int, w1, w2, anchor: np.ndarray | None = None,
                cond_cap: float | None = None) -> DemixedRows:
     """Oriented unit demixing rows for each moment vector in the stack.
 
@@ -264,17 +258,19 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2,
         Raw-moment vectors of degree 1..h in the package-wide monomial
         order, about any origin; the callers use the sample mean.  D sets
         the cumulant order h, 3 or 4.
+    anchor : ndarray (d, d) or None
+        Rows of the sample a stack resamples, to refine it from (:func:`_stack_rows`).
     cond_cap : float or None
         When set, also fail a G(w2) whose condition estimate exceeds it (see
         :func:`demix_contractions`); resampling stacks leave it off for speed.
 
     A (b, D) stack without a cap is read and demixed chunk by chunk
-    (:func:`_stack_rows`), through the pencil kernel for d >= 3.
+    (:func:`_stack_rows`), through the pencil kernel when it has an anchor.
     Returns a :class:`DemixedRows`; a failed entry is flagged, not raised.
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     if cond_cap is None and ms.ndim == 2 and len(ms) > 1:
-        return _stack_rows(ms, d, w1, w2)
+        return _stack_rows(ms, d, w1, w2, anchor)
     return demix_contractions(*_contractions(ms, d, w1, w2), cond_cap)
 
 
@@ -396,19 +392,22 @@ def _pencil_chunks(b: int, d: int) -> list[slice]:
     return [slice(start, min(start + step, b)) for start in range(0, b, step)]
 
 
-def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
+def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray, anchor) -> DemixedRows:
     """:func:`demix_rows` of a (b, D) moment stack, an array or a
     :class:`Delete1Moments`, read one :func:`_pencil_chunks` chunk at a time.
 
-    Each chunk goes through the pencil kernel (:func:`_pencil_part`), which
-    hands the entries it rejects to LAPACK, or without a
-    :func:`_pencil_anchor` to LAPACK whole.  At d >= 3 those entries are
+    With an `anchor`, each chunk goes through the pencil kernel
+    (:func:`_pencil_part`) in the basis that maps sorted cumulants to (anchor
+    G(w1) anchor', anchor G(w2) anchor'), and the entries it rejects go to
+    LAPACK; without one, the whole chunk does.  At d >= 3 those entries are
     flagged in `eig_fallbacks`, and are bitwise what a stack of them alone
     gives (chunks of 1 to 16 384 entries gave the bits of one call on
     delete-1 stacks at d = 2, 3 and 5).  The fields are laid out as the
     first chunk's, whatever the chunk count.
     """
-    anchor = _pencil_anchor(ms, d, w1, w2)
+    if anchor is not None:
+        maps = _contraction_maps(d, w1, w2, _order_of(ms.shape[-1], d))
+        basis = (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
 
     def lapack(at):
         part = demix_contractions(*_contractions(ms[at], d, w1, w2))
@@ -420,7 +419,7 @@ def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray) -> DemixedRows:
         if anchor is None:
             part = lapack(s)
         else:
-            part = _pencil_part(ms, s, d, *anchor)
+            part = _pencil_part(ms, s, d, anchor, basis)
             slow = np.flatnonzero(part.eig_fallbacks)
             if slow.size:
                 _fill(part, slow, lapack(s.start + slow))
@@ -439,30 +438,10 @@ def _fill(out: DemixedRows, at, part: DemixedRows) -> None:
         full[at] = piece
 
 
-def _pencil_anchor(ms, d: int, w1: np.ndarray, w2: np.ndarray):
-    """(anchor, basis) of a (b, D) stack: the LAPACK rows that diagonalize
-    (G(w1), G(w2)) at its mean, and the (2 d^2, T) map of sorted cumulants
-    to (anchor G(w1) anchor', anchor G(w2) anchor').  None at d = 2 (see
-    :func:`_sorted_eig_2x2`), and for an anchor that fails the
-    :func:`demix_contractions` rule or has a near-repeated or complex pair.
-    """
-    if d == 2:
-        return None
-    anchor_m = ms.mean(axis=0)
-    maps = _contraction_maps(d, w1, w2, _order_of(len(anchor_m), d))
-    g1, g2 = (maps @ _sorted_cumulants(anchor_m, d)).reshape(2, d, d)
-    h, failed, _ = _solved(g1, g2)
-    vals, vecs = _sorted_eig(h)
-    if failed or _gap_flags(vals):
-        return None
-    anchor = vecs.real.T
-    return anchor, (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
-
-
 def _pencil_part(ms, s: slice, d: int, anchor: np.ndarray,
                  basis: np.ndarray) -> DemixedRows:
-    """:func:`_pencil_newton` on the entries `s` of a (b, D) stack from its
-    :func:`_pencil_anchor`, as C-ordered :class:`DemixedRows` fields.
+    """:func:`_pencil_newton` on the entries `s` of a (b, D) stack from the
+    anchor and basis of :func:`_stack_rows`, as C-ordered DemixedRows fields.
 
     In the basis y = anchor x an entry's pencil is nearly diagonal; one
     product with `basis` forms it from the sorted cumulants.  The rows U

@@ -26,7 +26,7 @@ from scipy import stats
 from . import _pipeline
 from .errors import IllConditionedError, InvalidInputError
 from .identify import COND_CAP, ProbeVectors, _warn_unstable
-from .moments import _moment_index, validate_sample
+from .moments import _check_direction, _moment_index, validate_sample
 
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
 
@@ -139,21 +139,22 @@ _METHODS = ("delta", "jackknife")
 class _Resampled(NamedTuple):
     """:func:`_resampled` of b samples, each field with a leading sample axis.
 
-    `point` (b, p) is the statistic at the anchors and `labels` the ties
-    and orderings of its sign labeling, (None, None) unlabeled.  `spread`
-    (b, p, p) is J Sigma_m J' of the finite-difference Jacobian J (delta),
-    or sum dev dev' of the deviations of the n delete-1 statistics from
-    their mean (jackknife); NaN where a flag is set.  `resamples` holds, for
-    the samples that stand, the delta method's :class:`DeltaVarianceResult`
-    (fields stacked over them), or per sample the (statistic, ties, flips
-    from the sample's ordering, gap flags, eigen fallbacks) of its delete-1
-    resamples, None for the others.  Flags: `moments_fail`, sixth moments
-    out of range for the delta method; `anchors.ill_conditioned`, a G(w2)
-    over ``COND_CAP`` or singular at the full sample; `resample_singular`, a
-    non-finite spread, as a G(w2) singular at a finite-difference point or
-    delete-1 resample gives.
+    `ns` (b,) are the sample sizes, `point` (b, p) the statistic at the
+    anchors (the estimates) and `labels` the ties and orderings of its sign
+    labeling, (None, None) unlabeled.  `spread` (b, p, p) is J Sigma_m J' of
+    the finite-difference Jacobian J (delta), or sum dev dev' of the
+    deviations of the n delete-1 statistics from their mean (jackknife); NaN
+    where a flag is set.  `resamples` holds, for the samples that stand, the
+    delta method's :class:`DeltaVarianceResult` (fields stacked over them),
+    or per sample the (statistic, ties, flips from the sample's ordering,
+    gap flags, eigen fallbacks) of its delete-1 resamples, None for the
+    others.  Flags: `moments_fail`, sixth moments out of range for the delta
+    method; `anchors.ill_conditioned`, a G(w2) over ``COND_CAP`` or singular
+    at the full sample; `resample_singular`, a non-finite spread, as a G(w2)
+    singular at a finite-difference point or delete-1 resample gives.
     """
 
+    ns: np.ndarray
     point: np.ndarray
     labels: tuple
     spread: np.ndarray
@@ -176,10 +177,11 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     ``COND_CAP``; the delta method then evaluates the statistic at the
     finite-difference points of every sample that stands, in one stack, and
     the jackknife at each such sample's delete-1 stack
-    (:meth:`~cumident._pipeline.MomentRecord.leave_one_out`).  A failure
-    is flagged, never raised (:func:`_raise_failed` raises for one sample);
-    a bad `method`, a jackknife below ``MIN_JACKKNIFE_N`` rows and several
-    samples of width d > 2 raise.
+    (:meth:`~cumident._pipeline.MomentRecord.leave_one_out`), each stack
+    refined from its sample's anchor rows.  A failure is flagged, never
+    raised (:func:`_raise_failed` raises for one sample); a bad `method` or
+    probe, fewer than d + 1 rows, a jackknife below ``MIN_JACKKNIFE_N``
+    rows and several samples of width d > 2 raise.
 
     The records are read once, in order.  The delta method keeps only each
     Sigma_m, so records made as they are read have one monomial matrix alive
@@ -189,37 +191,45 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
         raise InvalidInputError(
             f"method must be 'delta' or 'jackknife', got {method!r}")
     delta = method == "delta"
-    ms, held = [], []
+    ms, ns, held = [], [], []
     for record in records:
+        ns.append(record.x.shape[0])
         d = record.x.shape[1]
         ms.append(record.m_hat)
         held.append(record.sigma_m() if delta else record)
-    if d > 2 and len(ms) > 1:  # d >= 3 stacks share one eigen-anchor
+    if d > 2 and len(ms) > 1:  # their stacked points are refined from one anchor
         raise ValueError("samples of width d > 2 are tested one at a time")
+    w1, w2 = _check_direction(probes.w1, d), _check_direction(probes.w2, d)
+    ns = np.array(ns)
+    if ns.min() < d + 1:
+        raise InvalidInputError(
+            f"need at least d + 1 = {d + 1} observations, got {ns.min()}")
     m = np.stack(ms)
     if delta:
         held = np.stack(held)
         moments_fail = _sixth_moments_fail(held, d)
     else:
-        _check_jackknife_n(min(record.x.shape[0] for record in held))
+        _check_jackknife_n(ns.min())
         moments_fail = np.zeros(len(ms), dtype=bool)
-    w1, w2 = probes.w1, probes.w2
     anchors = _pipeline.demix_rows(m, d, w1, w2, cond_cap=COND_CAP)
     point, *labels = statistic(anchors.rows, m)
     ok = ~(moments_fail | anchors.ill_conditioned)
+    # d = 2 stacks take the closed form; a gap-flagged estimate anchors none.
+    anchor = [None if d == 2 or gap else rows
+              for rows, gap in zip(anchors.rows, anchors.gap_flags)]
     spread = np.full(point.shape + point.shape[-1:], np.nan)
     resamples = [None] * len(ms)
     if delta and ok.any():
         resamples = _delta_from_moments(
             held[ok], m[ok],
-            lambda s: statistic(_pipeline.demix_rows(s, d, w1, w2).rows, s)[0])
+            lambda s: statistic(_pipeline.demix_rows(s, d, w1, w2, anchor[0]).rows, s)[0])
         spread[ok] = resamples.sigma_u
     elif not delta:
         for i in np.flatnonzero(ok):
             # Released after use, so a record that no one else keeps frees
             # its delete-1 rows before the next sample's are demixed.
             record, held[i] = held[i], None
-            demixed = record.leave_one_out(w1, w2)
+            demixed = record.leave_one_out(w1, w2, anchor[i])
             values, ties, order = statistic(demixed.rows, record.delete1)
             if order is not None:
                 # Flags, so the (n, d) orderings are not held with the spread.
@@ -229,7 +239,7 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
             resamples[i] = (values, ties, order, demixed.gap_flags,
                             demixed.eig_fallbacks)
     singular = ok & ~np.isfinite(spread).reshape(len(ms), -1).all(axis=1)
-    return _Resampled(point, tuple(labels), spread, anchors, moments_fail,
+    return _Resampled(ns, point, tuple(labels), spread, anchors, moments_fail,
                       singular, resamples)
 
 
@@ -258,6 +268,11 @@ def _demixing_statistic(d: int, pattern=None, entry: tuple[int, int] | None = No
     """The :func:`_resampled` statistic of the demixing rows: all oriented
     unit rows, stacked row-major; or with a sign `pattern`, the sign-labeled,
     diagonal-normalized matrix, restricted to `entry` unless it is None."""
+    at = np.asarray(entry)
+    if entry is not None and not (at.shape == (2,) and at.dtype.kind in "iu"
+                                  and ((0 <= at) & (at < d)).all()):
+        raise InvalidInputError(f"entry must be two integers in [0, {d}), got {entry!r}")
+
     def statistic(rows, ms):
         if pattern is None:
             # A view: the jackknife copies the record's read-only rows.

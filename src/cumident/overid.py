@@ -66,10 +66,9 @@ class _WaldStack(NamedTuple):
     omega_clipped: np.ndarray
 
 
-def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
-                records=None) -> _WaldStack:
-    """:func:`wald_test` on a list of validated samples of one width: the
-    off-diagonals r and their spread from one
+def _wald_stack(records, probes: ProbeVectors, method: str = "delta") -> _WaldStack:
+    """:func:`wald_test` on the moment records of samples of one width, read
+    once in order: the off-diagonals r and their spread from one
     :func:`~cumident.inference._resampled` call, then cond(Omega), the
     clipped quadratic form and the chi-square tail as batched calls.
 
@@ -78,27 +77,19 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     an `omega_cond` not at most ``OMEGA_COND_CAP``, a near-singular Omega.
     :func:`_sample_result` turns one sample's flags into errors, and
     `omega_clipped` counts the eigenvalues raised to the PSD floor.
-    `records`, if given, yields the samples'
-    :class:`~cumident._pipeline.MomentRecord`, read once in order.
     """
-    d = samples[0].shape[1]
-    ns = np.array([x.shape[0] for x in samples])
-    # A single sample reads the moment record the single-sample entry points
-    # share; several get records made as they are read.
-    if records is None:
-        records = ([_pipeline.moment_record(samples[0])] if len(samples) == 1
-                   else map(_pipeline.MomentRecord.of, samples))
     res = inference._resampled(
         records, probes,
-        lambda rows, ms: (_pipeline.offdiag_from_rows(rows, ms, d), None, None),
+        lambda rows, ms: (_pipeline.offdiag_from_rows(rows, ms, rows.shape[-1]),
+                          None, None),
         method)
     omega = res.spread
     if method == "jackknife":
         # (n-1) * sum(...) is the delete-1 estimate of Var(sqrt(n) * r).
-        omega = (ns - 1)[:, None, None] * omega
+        omega = (res.ns - 1)[:, None, None] * omega
     omega = (omega + np.swapaxes(omega, -2, -1)) / 2.0
     ok = ~(res.moments_fail | res.anchors.ill_conditioned | res.resample_singular)
-    omega_cond = np.full(len(ns), np.nan)
+    omega_cond = np.full(len(res.ns), np.nan)
     omega_cond[ok] = np.linalg.cond(omega[ok])
     ok &= omega_cond <= OMEGA_COND_CAP
     # n * r' Omega^{-1} r through an eigendecomposition with a PSD floor.
@@ -106,15 +97,15 @@ def _wald_stack(samples, probes: ProbeVectors, method: str = "delta",
     evals, evecs = np.linalg.eigh(sym)
     trace = np.trace(sym, axis1=-2, axis2=-1)
     floor = OMEGA_CLIP_RTOL * np.maximum(trace, np.finfo(float).tiny)
-    omega_clipped = np.zeros(len(ns), dtype=int)
+    omega_clipped = np.zeros(len(res.ns), dtype=int)
     omega_clipped[ok] = np.count_nonzero(evals < floor[:, None], axis=-1)
     evals = np.maximum(evals, floor[:, None])
     y = (np.swapaxes(evecs, -2, -1) @ res.point[ok][..., None])[..., 0]
-    statistic = np.full(len(ns), np.nan)
-    statistic[ok] = ns[ok] * np.sum(y**2 / evals, axis=-1)
+    statistic = np.full(len(res.ns), np.nan)
+    statistic[ok] = res.ns[ok] * np.sum(y**2 / evals, axis=-1)
     # chdtrc is the chi-square survival function that stats.chi2.sf wraps,
     # without the distribution object's per-call overhead.
-    p_value = special.chdtrc(d * (d - 1) // 2, statistic)
+    p_value = special.chdtrc(res.point.shape[-1], statistic)
     return _WaldStack(statistic, p_value, res.point, omega, res.anchors,
                       res.moments_fail, res.resample_singular, omega_cond,
                       omega_clipped)
@@ -157,8 +148,8 @@ def wald_test(data, probes: ProbeVectors, method: str = "delta") -> TestResult:
     freedom.  Omega comes from a delta-method linearization over the
     degree 1-3 moments of the centered sample (`method="delta"`) or from a
     delete-1 jackknife (`method="jackknife"`).  This is :func:`_wald_stack`
-    on a list of one sample.
+    on the shared moment record of the one sample.
     """
     x = validate_sample(data, min_rows=2, min_cols=2)
-    return _sample_result(_wald_stack([x], probes, method), 0, method,
-                          stacklevel=2)
+    return _sample_result(_wald_stack([_pipeline.moment_record(x)], probes, method),
+                          0, method, stacklevel=2)

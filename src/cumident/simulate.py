@@ -408,8 +408,7 @@ def _power_rep(cfg, ns, ks, alpha, probes, method, rep: int):
     """Rejections at level `alpha`, and failure codes, of one replication
     of the test rejection grid."""
     _, _, x = _samples(cfg, rep, ns, ks)
-    res = _wald_stack([x[b, :n] for n in ns for b in range(len(ks))], probes,
-                      method, _cell_records(x, ns))
+    res = _wald_stack(_cell_records(x, ns), probes, method)
     codes = np.where(res.omega_cond <= OMEGA_COND_CAP, 0,
                      _CODE["omega_ill_conditioned"]).astype(np.int8)
     failed = res.moments_fail | res.anchors.ill_conditioned | res.resample_singular

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pipeline
 from .errors import CumidentError, InvalidInputError
 from .identify import ProbeVectors
 from .moments import validate_sample
@@ -119,8 +120,8 @@ def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",
                 error.pair = (i, j)
                 raise error
     x = validate_sample(fit.residuals, min_rows=2, min_cols=2)
-    samples = [x[:, [i, j]] for i, j in wanted]
-    stack = _wald_stack(samples, probes, method) if samples else None
+    records = (_pipeline.MomentRecord.of(x[:, [i, j]]) for i, j in wanted)
+    stack = _wald_stack(records, probes, method) if wanted else None
     results, failures = [], []
     for k, (i, j) in enumerate(wanted):
         try:

@@ -33,7 +33,7 @@ def lapack_eig(ms, d, w1, w2):
     return _sorted_eig(np.linalg.solve(g2, g1))
 
 
-def lapack_stack_rows(ms, d, w1, w2):
+def lapack_stack_rows(ms, d, w1, w2, anchor):
     """:func:`_pipeline._stack_rows` with LAPACK in place of the kernel, no
     entry counted as a fallback.  A delete-1 stack is built whole."""
     ms = ms[:]
@@ -46,6 +46,21 @@ def lapack_rows(ms, d, w1, w2):
     tensors = ci.cumulants_from_moments(ms, d)
     return _pipeline.demix_contractions(6.0 * ci.contract_tensor(tensors, w1),
                                         6.0 * ci.contract_tensor(tensors, w2))
+
+
+def estimate_rows(m, d, w1, w2):
+    """The rows of the sample whose moment vector is `m`, as
+    estimate_demixing gives them: the anchor of its resample stacks."""
+    return _pipeline.demix_rows(m, d, w1, w2).rows
+
+
+def resample_anchor(m, d, w1, w2):
+    """The anchor inference._resampled passes for the sample `m`: its rows,
+    or None at d = 2 and for rows with an eigen-gap flag.  (A sample whose
+    estimate fails is not resampled.)"""
+    est = _pipeline.demix_rows(m, d, w1, w2)
+    assert not est.ill_conditioned
+    return None if d == 2 or est.gap_flags else est.rows
 
 
 def diagonal_tensor(skew):
@@ -90,22 +105,24 @@ def moment_vectors(mixing, shock_cumulants):
 
 
 def pencil_stack(d: int, spread: float, seed: int, b: int = 400):
-    """A (b, D) stack of symmetric pencils around the design: the shocks'
+    """A (b, D) stack of symmetric pencils around the design, the probes, and
+    the design's rows, from which the kernel refines the stack: the shocks'
     cumulant tensor is diagonal plus spread * max|skew| times a symmetric
     tensor of largest entry 1."""
     mixing, skew, w1, w2, rng = pencil_design(d, seed)
     noise = symmetrized(rng.standard_normal((b, d, d, d)))
     noise /= np.abs(noise).max(axis=(1, 2, 3), keepdims=True)
     shocks = diagonal_tensor(skew) + spread * np.abs(skew).max() * noise
-    return moment_vectors(mixing, shocks), w1, w2
+    centre = moment_vectors(mixing, diagonal_tensor(skew))
+    return moment_vectors(mixing, shocks), w1, w2, estimate_rows(centre, d, w1, w2)
 
 
 @pytest.mark.parametrize("spread", [1e-3, 1e-4])
 @pytest.mark.parametrize("d", [3, 4, 5, 8])
 def test_refined_eigenpairs_match_lapack(d, spread):
     for seed in range(3):
-        ms, w1, w2 = pencil_stack(d, spread, seed)
-        got = _pipeline.demix_rows(ms, d, w1, w2)
+        ms, w1, w2, anchor = pencil_stack(d, spread, seed)
+        got = _pipeline.demix_rows(ms, d, w1, w2, anchor=anchor)
         want = lapack_rows(ms, d, w1, w2)
         assert not got.eig_fallbacks.any()
         np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
@@ -117,9 +134,10 @@ def test_refined_eigenpairs_match_lapack(d, spread):
 
 def planted_stack():
     """A clustered d = 4 pencil stack with a complex pair at entry 3, a
-    near-repeated pair at entry 7 and a non-finite entry at entry 11."""
+    near-repeated pair at entry 7 and a non-finite entry at entry 11, with
+    its probes and the design's rows."""
     d = 4
-    ms, w1, w2 = pencil_stack(d, 1e-4, 0, b=40)
+    ms, w1, w2, anchor = pencil_stack(d, 1e-4, 0, b=40)
     mixing, skew, _, _, _ = pencil_design(d, 0)
     # Shocks 0 and 1 with skewnesses of opposite sign, coupled.
     coupling = np.zeros((d, d, d))
@@ -135,13 +153,29 @@ def planted_stack():
     near[:, 1] += (lam[0] * (1.0 - 1e-9) - lam[1]) / (z @ w1) * z
     ms[7] = moment_vectors(near, diagonal_tensor(skew))
     ms[11, -1] = np.nan
-    return ms, w1, w2
+    return ms, w1, w2, anchor
 
 
-def test_refinement_rejects_planted_entries():
-    ms, w1, w2 = planted_stack()
-    anchor = _pipeline._pencil_anchor(ms[:1], 4, w1, w2)
-    part = _pipeline._pencil_part(ms, slice(None), 4, *anchor)
+def pencil_parts(monkeypatch):
+    """The (anchor, basis) arguments of each _pencil_part call, as a list
+    that fills while `monkeypatch` is active."""
+    seen, real = [], _pipeline._pencil_part
+
+    def part(ms, s, d, anchor, basis):
+        seen.append((anchor, basis))
+        return real(ms, s, d, anchor, basis)
+
+    monkeypatch.setattr(_pipeline, "_pencil_part", part)
+    return seen
+
+
+def test_refinement_rejects_planted_entries(monkeypatch):
+    ms, w1, w2, anchor = planted_stack()
+    seen = pencil_parts(monkeypatch)
+    _pipeline.demix_rows(ms, 4, w1, w2, anchor=anchor)
+    (got, basis), = seen
+    assert got is anchor
+    part = _pipeline._pencil_part(ms, slice(None), 4, anchor, basis)
     np.testing.assert_array_equal(np.flatnonzero(part.eig_fallbacks), [3, 7, 11])
 
 
@@ -154,9 +188,9 @@ def assert_entries_are_lapack(got, lapack, entries):
 
 
 def test_fallback_entries_are_lapack_bitwise():
-    ms, w1, w2 = planted_stack()
+    ms, w1, w2, anchor = planted_stack()
     finite = np.delete(ms, 11, axis=0)
-    demixed = _pipeline.demix_rows(finite, 4, w1, w2)
+    demixed = _pipeline.demix_rows(finite, 4, w1, w2, anchor=anchor)
     fallbacks = demixed.eig_fallbacks
     np.testing.assert_array_equal(np.flatnonzero(fallbacks), [3, 7])
     assert_entries_are_lapack(demixed, lapack_rows(finite[fallbacks], 4, w1, w2),
@@ -168,7 +202,7 @@ def test_fallback_entries_are_lapack_bitwise():
     # A non-finite entry, on which LAPACK raises, fails alone.
     with pytest.raises(np.linalg.LinAlgError):
         lapack_eig(ms, 4, w1, w2)
-    demixed = _pipeline.demix_rows(ms, 4, w1, w2)
+    demixed = _pipeline.demix_rows(ms, 4, w1, w2, anchor=anchor)
     np.testing.assert_array_equal(np.flatnonzero(demixed.ill_conditioned), [11])
     assert np.isnan(demixed.rows[11]).all() and np.isfinite(np.delete(demixed.rows, 11, 0)).all()
 
@@ -211,8 +245,9 @@ def test_subnormal_and_overflowing_entries_do_not_raise(d):
 
 
 def test_singular_anchor_flags_every_delete_one_entry():
-    # A constant column makes the anchor's G(w2), and every resample's,
-    # singular: the stack goes to LAPACK, which flags each entry.
+    # A constant column makes the estimate's G(w2), and every resample's,
+    # singular: the sample is never resampled, and its stack, demixed
+    # without an anchor, goes to LAPACK, which flags each entry.
     x = np.random.default_rng(40).standard_exponential((60, 4))
     x[:, 3] = 2.0
     probes = ci.ProbeVectors.draw(4, 40)
@@ -227,7 +262,10 @@ def test_singular_anchor_flags_every_delete_one_entry():
 
 
 def test_complex_anchor_sends_the_stack_to_lapack(monkeypatch):
-    ms, w1, w2 = planted_stack()
+    # The rows of a sample with a complex pair carry a gap flag, so the
+    # stacks that resample it get no anchor.
+    ms, w1, w2, _ = planted_stack()
+    assert resample_anchor(ms[3], 4, w1, w2) is None
     stack = np.repeat(ms[3][None], 5, axis=0)
     stack[1:, -1] += 1e-6
 
@@ -235,7 +273,7 @@ def test_complex_anchor_sends_the_stack_to_lapack(monkeypatch):
         raise AssertionError("refined from a complex anchor")
 
     monkeypatch.setattr(_pipeline, "_pencil_part", refine)
-    demixed = _pipeline.demix_rows(stack, 4, w1, w2)
+    demixed = _pipeline.demix_rows(stack, 4, w1, w2, anchor=None)
     assert demixed.eig_fallbacks.all()
     assert_entries_are_lapack(demixed, lapack_rows(stack, 4, w1, w2), slice(None))
 
@@ -244,8 +282,8 @@ def test_kernel_rows_are_oriented_as_lapack_rows():
     # The kernel orients its rows chunk by chunk, entries last; on entries
     # whose row sums are near zero it falls back to the first largest
     # entry, as the one orientation does for LAPACK rows.
-    ms, w1, w2 = pencil_stack(3, 1e-4, 0, b=50)
-    got = _pipeline.demix_rows(ms, 3, w1, w2)
+    ms, w1, w2, anchor = pencil_stack(3, 1e-4, 0, b=50)
+    got = _pipeline.demix_rows(ms, 3, w1, w2, anchor=anchor)
     want = lapack_rows(ms, 3, w1, w2)
     np.testing.assert_array_equal(got.orient_fallbacks, want.orient_fallbacks)
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
@@ -290,8 +328,9 @@ def test_delete_one_stack_matches_lapack(d):
         fd = np.repeat(m[None], 2 * m.size, axis=0)
         fd[0::2] += np.diag(steps)
         fd[1::2] -= np.diag(steps)
+        anchor = resample_anchor(m, d, probes.w1, probes.w2)
         for ms in (leave_one_out_moments(z), fd):
-            got = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
+            got = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, anchor=anchor)
             want = lapack_rows(ms, d, probes.w1, probes.w2)
             fallbacks = got.eig_fallbacks
             assert n < 5_000 or not fallbacks.any()
@@ -313,17 +352,18 @@ def delete1_record(d: int, n: int):
     return _pipeline.MomentRecord.of(x), ci.ProbeVectors.draw(d, 7)
 
 
-def test_pencil_chunks_keep_the_bits_of_the_whole_stack():
+def test_pencil_chunks_keep_the_bits_of_the_whole_stack(monkeypatch):
     # The pencil product's bits depend on the chunk width: each chunk of a
     # stack cut at the kernel's own boundaries gives the rows of the whole.
     record, probes = delete1_record(5, 3_000)
     ms = leave_one_out_moments(record.z)
-    whole = _pipeline.demix_rows(ms, 5, probes.w1, probes.w2)
+    anchor = resample_anchor(record.m_hat, 5, probes.w1, probes.w2)
+    seen = pencil_parts(monkeypatch)
+    whole = _pipeline.demix_rows(ms, 5, probes.w1, probes.w2, anchor=anchor)
     assert not whole.eig_fallbacks.any()
-    anchor = _pipeline._pencil_anchor(ms, 5, probes.w1, probes.w2)
     chunks = _pipeline._pencil_chunks(len(ms), 5)
-    assert len(chunks) == 3
-    parts = [_pipeline._pencil_part(ms, s, 5, *anchor) for s in chunks]
+    assert len(chunks) == len(seen) == 3
+    parts = [_pipeline._pencil_part(ms, s, 5, *seen[0]) for s in chunks]
     for got, want in zip(zip(*parts), whole[:-1]):
         assert np.concatenate(got).tobytes() == want.tobytes()
 
@@ -331,26 +371,26 @@ def test_pencil_chunks_keep_the_bits_of_the_whole_stack():
 def tiled_planted_stack(copies: int = 60):
     """The finite entries of :func:`planted_stack`, tiled `copies` times:
     39 * copies entries, of which 3 and 7 (mod 39) are rejected."""
-    ms, w1, w2 = planted_stack()
-    return np.tile(np.delete(ms, 11, axis=0), (copies, 1)), w1, w2
+    ms, w1, w2, anchor = planted_stack()
+    return np.tile(np.delete(ms, 11, axis=0), (copies, 1)), w1, w2, anchor
 
 
-def test_chunked_fallbacks_are_lapack_on_those_entries_alone():
+def test_chunked_fallbacks_are_lapack_on_those_entries_alone(monkeypatch):
     # Each chunk hands the entries its kernel rejects to LAPACK by index;
     # the rest keep the bits of their own chunk's pencil part.
-    ms, w1, w2 = tiled_planted_stack()
+    ms, w1, w2, anchor = tiled_planted_stack()
     chunks = _pipeline._pencil_chunks(len(ms), 4)
     # The second chunk starts mid-tile, so its fallbacks sit at other
     # offsets within the chunk than within the stack.
     assert len(chunks) == 2 and chunks[1].start % 39
-    got = _pipeline.demix_rows(ms, 4, w1, w2)
+    seen = pencil_parts(monkeypatch)
+    got = _pipeline.demix_rows(ms, 4, w1, w2, anchor=anchor)
     fallbacks = got.eig_fallbacks
     np.testing.assert_array_equal(np.flatnonzero(fallbacks) % 39,
                                   np.tile([3, 7], len(ms) // 39))
     assert_entries_are_lapack(got, lapack_rows(ms[fallbacks], 4, w1, w2), fallbacks)
-    anchor = _pipeline._pencil_anchor(ms, 4, w1, w2)
     for s in chunks:
-        part = _pipeline._pencil_part(ms, s, 4, *anchor)
+        part = _pipeline._pencil_part(ms, s, 4, *seen[0])
         accepted = ~part.eig_fallbacks
         np.testing.assert_array_equal(accepted, ~fallbacks[s])
         for field, want in zip(got[:-1], part[:-1]):
@@ -358,29 +398,31 @@ def test_chunked_fallbacks_are_lapack_on_those_entries_alone():
 
 
 def stack_in_chunks(case: str):
-    """(stack, d, w1, w2) of a stack that spans two or more chunks: the
-    tiled d = 4 planted stack, through the kernel with LAPACK fallbacks or,
-    from a degenerate probe pair, through LAPACK alone; or a d = 2 delete-1
-    stack of more than 8 192 entries."""
+    """(stack, d, w1, w2, anchor) of a stack that spans two or more chunks:
+    the tiled d = 4 planted stack, through the kernel with LAPACK fallbacks
+    or, from a degenerate probe pair whose estimate has a gap flag, through
+    LAPACK alone; or a d = 2 delete-1 stack of more than 8 192 entries."""
     if case == "d2":
         record, probes = delete1_record(2, 9_000)
-        return leave_one_out_moments(record.z), 2, probes.w1, probes.w2
-    ms, w1, w2 = tiled_planted_stack()
+        return leave_one_out_moments(record.z), 2, probes.w1, probes.w2, None
+    ms, w1, w2, anchor = tiled_planted_stack()
     if case == "degenerate anchor":
         w1 = w2 = np.ones(4)
-    return ms, 4, w1, w2
+        anchor = resample_anchor(ms[0], 4, w1, w2)
+        assert anchor is None
+    return ms, 4, w1, w2, anchor
 
 
 @pytest.mark.parametrize("case", ["kernel", "degenerate anchor", "d2"])
 def test_chunked_stacks_keep_the_layout_of_one_chunk(case, monkeypatch):
     # The jackknife's mean over a stack sums in the order of its layout, so
     # every field is laid out as it is when the stack is one chunk.
-    ms, d, w1, w2 = stack_in_chunks(case)
+    ms, d, w1, w2, anchor = stack_in_chunks(case)
     assert len(_pipeline._pencil_chunks(len(ms), d)) >= 2
-    several = _pipeline.demix_rows(ms, d, w1, w2)
+    several = _pipeline.demix_rows(ms, d, w1, w2, anchor=anchor)
     monkeypatch.setattr(_pipeline, "_PENCIL_CHUNK_ELEMENTS", len(ms) * d * d)
     assert len(_pipeline._pencil_chunks(len(ms), d)) == 1
-    one = _pipeline.demix_rows(ms, d, w1, w2)
+    one = _pipeline.demix_rows(ms, d, w1, w2, anchor=anchor)
     for field in several._fields[:-1]:
         got, want = getattr(several, field), getattr(one, field)
         assert got.strides == want.strides and got.dtype == want.dtype, field
@@ -416,9 +458,11 @@ def test_streamed_delete1_rows_match_the_built_stack(d, n, case, monkeypatch):
     elif case == "degenerate anchor":
         probes = ci.ProbeVectors(w1=np.ones(d), w2=np.ones(d))
     assert len(_pipeline._pencil_chunks(n, d)) >= 2
-    got = record.leave_one_out(probes.w1, probes.w2)
+    anchor = resample_anchor(record.m_hat, d, probes.w1, probes.w2)
+    assert (anchor is None) == (d == 2 or case == "degenerate anchor")
+    got = record.leave_one_out(probes.w1, probes.w2, anchor)
     ms = leave_one_out_moments(record.z)
-    want = _pipeline.demix_rows(ms, d, probes.w1, probes.w2)
+    want = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, anchor=anchor)
     for field in ("rows", "gap_flags", "eig_fallbacks", "ill_conditioned"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     if d > 2 and case != "kernel":
@@ -435,10 +479,11 @@ def test_delete1_rows_peak_below_one_moment_stack():
     lam = np.eye(d) + 0.3 * rng.choice([-1.0, 1.0], (d, d)) * (1 - np.eye(d))
     x = rng.standard_exponential((n, d)) @ np.linalg.inv(lam).T
     record, probes = _pipeline.MomentRecord.of(x), ci.ProbeVectors.draw(d, 7)
+    anchor = resample_anchor(record.m_hat, d, probes.w1, probes.w2)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        record.leave_one_out(probes.w1, probes.w2)
+        record.leave_one_out(probes.w1, probes.w2, anchor)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -466,18 +511,53 @@ def test_jackknife_counts_fallbacks(monkeypatch):
         assert rejected.variance.tobytes() == lapack.variance.tobytes()
 
 
-def test_degenerate_anchor_falls_back_everywhere():
-    x, _ = skewed_sample(400, 3, 43)
-    probes = ci.ProbeVectors(w1=np.ones(3), w2=np.ones(3))
-    with pytest.warns(ci.EigenGapWarning):
-        ci.estimate_demixing(x, probes)
-    jk = ci.demixing_jackknife(x, probes)
-    assert jk.eig_fallbacks == jk.gap_count == x.shape[0]
+def test_degenerate_anchor_falls_back_everywhere(monkeypatch):
+    # With w1 = w2 every eigenvalue of the estimate is 1: it has a gap flag,
+    # so its resample stacks get no anchor and never reach the kernel.
+    def refine(*args):
+        raise AssertionError("refined from a gap-flagged estimate")
+
+    monkeypatch.setattr(_pipeline, "_pencil_part", refine)
+    for d in (3, 5):
+        x, _ = skewed_sample(400, d, 43)
+        probes = ci.ProbeVectors(w1=np.ones(d), w2=np.ones(d))
+        with pytest.warns(ci.EigenGapWarning):
+            assert ci.estimate_demixing(x, probes).gap_flag
+        jk = ci.demixing_jackknife(x, probes)
+        assert jk.eig_fallbacks == jk.gap_count == x.shape[0]
+        ci.delta_variance(x, probes)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_resample_stacks_are_refined_from_the_estimate(d, monkeypatch):
+    # The delete-1 stack and both finite-difference stacks start from the
+    # sample's own estimate, bit for bit, and no other anchor is solved.
+    x, pattern = skewed_sample(2_000, d, 59)
+    probes = ci.ProbeVectors.draw(d, 7)
+    rows = ci.estimate_demixing(x, probes).lambda_tilde
+    seen = []
+    real = _pipeline._stack_rows
+
+    def stack_rows(ms, d, w1, w2, anchor):
+        seen.append((len(ms), anchor))
+        return real(ms, d, w1, w2, anchor)
+
+    monkeypatch.setattr(_pipeline, "_stack_rows", stack_rows)
+    jk = ci.demixing_jackknife(x, probes, pattern)
+    ci.delta_variance_labeled(x, probes, pattern)
+    ci.wald_test(x, probes, method="delta")
+    ci.wald_test(x, probes, method="jackknife")
+    fd = 2 * ci.moment_vector_length(d)
+    assert [b for b, _ in seen] == [len(x), fd, fd]
+    for _, anchor in seen:
+        assert anchor.shape == rows.shape and anchor.tobytes() == rows.tobytes()
+    assert jk.eig_fallbacks < len(x) // 10
 
 
 def test_jackknife_runs_lapack_on_a_bounded_number_of_matrices(monkeypatch):
-    # Work-count guard: the delete-1 stack is refined from one anchor, so
-    # LAPACK sees O(1) matrices per jackknife, not one per resample.
+    # Work-count guard: the delete-1 stack is refined from the full-sample
+    # estimate, so LAPACK sees O(1) matrices per jackknife, not one per
+    # resample.
     x, pattern = skewed_sample(2_000, 3, 47)
     probes = ci.ProbeVectors.draw(3, 7)
     seen = []
@@ -489,9 +569,9 @@ def test_jackknife_runs_lapack_on_a_bounded_number_of_matrices(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", eig)
     jk = ci.demixing_jackknife(x, probes, pattern)
-    # The anchor, the full sample, and the few high-leverage resamples the
-    # kernel hands back.
-    assert sum(seen) == 2 + jk.eig_fallbacks <= 10
+    # The full sample, which anchors the stack, and the few high-leverage
+    # resamples the kernel hands back.
+    assert sum(seen) == 1 + jk.eig_fallbacks <= 10
 
 
 def test_jackknife_solves_one_matrix_at_a_time(monkeypatch):

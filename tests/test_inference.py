@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -505,3 +506,119 @@ def test_every_entry_point_refuses_an_anchor_over_the_condition_cap():
         conds[name] = err.value.cond
     assert len(set(conds.values())) == 1, conds
     assert conds["estimate_demixing"] == pytest.approx(5.3e10, rel=0.01)
+
+
+def same_bits(a, b):
+    """Every field of two result dataclasses holds the same bits."""
+    for field in dataclasses.fields(a):
+        got, want = getattr(a, field.name), getattr(b, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
+
+@pytest.mark.parametrize("view", ["every other row", "column slice"])
+def test_memo_hits_a_strided_view(view, monkeypatch):
+    # The held record keeps the caller's strides, so a view that is neither
+    # C- nor F-contiguous hits it like any other layout: one monomial
+    # matrix for the analysis, and each output that of a cold call.
+    x = gen_composite(CompositeDgpConfig(n=400, k=0.2, seed=21), 0).x
+    if view == "every other row":
+        y = x[::2]
+    else:
+        y = np.column_stack([x, x[:, 0]])[:, :2]
+    assert not (y.flags.c_contiguous or y.flags.f_contiguous)
+    probes = ci.ProbeVectors.draw(2, 21)
+    calls = [lambda: ci.demixing_jackknife(y, probes),
+             lambda: ci.wald_test(y, probes, method="jackknife"),
+             lambda: ci.delta_variance(y, probes)]
+    want = [cold(call) for call in calls]
+    _pipeline._record = None
+    built = count_monomial_matrices(monkeypatch)
+    got = [call() for call in calls]
+    assert built == [y.shape]
+    for a, b in zip(got, want):
+        same_bits(a, b)
+
+
+def _resampling_calls(d: int):
+    """The resampling entry points on one sample, with a sign pattern of
+    distinct rows for the labeled ones."""
+    pattern = np.ones((d, d), dtype=int) - 2 * np.tri(d, k=-1, dtype=int)
+    return {
+        "delta_variance": lambda x, p: ci.delta_variance(x, p),
+        "delta_variance_labeled": lambda x, p: ci.delta_variance_labeled(x, p, pattern),
+        "demixing_jackknife": lambda x, p: ci.demixing_jackknife(x, p),
+        "demixing_jackknife labeled": lambda x, p: ci.demixing_jackknife(x, p, pattern),
+        "wald_test delta": lambda x, p: ci.wald_test(x, p, method="delta"),
+        "wald_test jackknife": lambda x, p: ci.wald_test(x, p, method="jackknife"),
+    }
+
+
+_BAD_PROBES = {
+    "short w1": (np.ones(1), np.ones(2), "must have shape \\(2,\\), got \\(1,\\)"),
+    "long w2": (np.ones(2), np.ones(3), "must have shape \\(2,\\), got \\(3,\\)"),
+    "nan w1": (np.array([0.5, np.nan]), np.ones(2), "non-finite"),
+    "inf w2": (np.ones(2), np.array([1.0, np.inf]), "non-finite"),
+}
+
+
+@pytest.mark.parametrize("call", list(_resampling_calls(2)))
+@pytest.mark.parametrize("bad", list(_BAD_PROBES))
+def test_resampling_entry_points_check_the_probes(call, bad):
+    # As estimate_demixing does: a probe of the wrong length or with a
+    # non-finite entry is the caller's error, not a broadcast failure or a
+    # singular contraction.
+    x, _, _ = memo_case(2)
+    w1, w2, message = _BAD_PROBES[bad]
+    with pytest.raises(ci.InvalidInputError, match=message):
+        _resampling_calls(2)[call](x, ci.ProbeVectors(w1=w1, w2=w2))
+
+
+@pytest.mark.parametrize("entry", [(2, 0), (0, 2), (0, 1.5), (0,), (0, 1, 0), (-1, 0)],
+                         ids=repr)
+def test_labeled_entry_points_refuse_an_entry_outside_the_matrix(entry):
+    x, probes, pattern = memo_case(2)
+    for call in (ci.delta_variance_labeled, ci.demixing_jackknife):
+        with pytest.raises(ci.InvalidInputError,
+                           match=r"entry must be two integers in \[0, 2\)"):
+            call(x, probes, pattern, entry=entry)
+    # Integers of any integer type, in any sequence, are entries.
+    want = ci.demixing_jackknife(x, probes, pattern, entry=(1, 0))
+    same_bits(ci.demixing_jackknife(x, probes, pattern, entry=[np.int64(1), 0]), want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("call", list(_resampling_calls(3)))
+def test_resampling_entry_points_refuse_fewer_than_d_plus_1_rows(call, n):
+    # The bound and message of estimate_demixing, ahead of the jackknife's
+    # own minimum and of any numerical failure.
+    x = np.random.default_rng(24).standard_exponential((n, 3))
+    probes = ci.ProbeVectors.draw(3, 5)
+    with pytest.raises(ci.InvalidInputError) as err:
+        _resampling_calls(3)[call](x, probes)
+    assert str(err.value) == f"need at least d + 1 = 4 observations, got {n}"
+    with pytest.raises(ci.InvalidInputError) as est:
+        ci.estimate_demixing(x, probes)
+    assert str(est.value) == str(err.value)
+
+
+@pytest.mark.parametrize("method", ["delta", "jackknife"])
+def test_a_singular_resample_raises_for_one_sample(method, monkeypatch):
+    # A G(w2) that is singular at one resample alone gets NaN rows and a
+    # flag (demix_contractions); the spread is then not finite, and the one
+    # sample's entry point raises for it after the anchor checks.
+    x, probes, _ = memo_case(2)
+    real = _pipeline._stack_rows
+
+    def one_singular(ms, d, w1, w2, anchor):
+        out = real(ms, d, w1, w2, anchor)
+        rows, failed = out.rows.copy(), out.ill_conditioned.copy()
+        rows[3], failed[3] = np.nan, True
+        return out._replace(rows=rows, ill_conditioned=failed)
+
+    monkeypatch.setattr(_pipeline, "_stack_rows", one_singular)
+    call = ci.delta_variance if method == "delta" else ci.demixing_jackknife
+    message = f"singular contraction at w2 in a {method} resample"
+    for run in (lambda: call(x, probes), lambda: ci.wald_test(x, probes, method=method)):
+        with pytest.raises(IllConditionedError, match=message) as err:
+            cold(run)
+        assert err.value.cond == np.inf

@@ -243,7 +243,7 @@ def test_stacked_delta_wald_flags_a_sample_whose_sixth_moments_fail():
     # stack fails alone, and only its result raises.
     x = gen_composite(CompositeDgpConfig(n=2_000, k=0.5, seed=1), 0).x
     probes = ci.ProbeVectors.draw(2, 3)
-    res = overid._wald_stack([x, 1e-60 * x], probes)
+    res = overid._wald_stack(map(_pipeline.MomentRecord.of, [x, 1e-60 * x]), probes)
     np.testing.assert_array_equal(res.moments_fail, [False, True])
     assert np.isnan(res.statistic[1])
     np.testing.assert_allclose(

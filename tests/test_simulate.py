@@ -575,7 +575,7 @@ def test_table3_cells_and_statistics_match_the_per_cell_oracle():
         out, codes = worker(rep)
         samples = [_oracle_sample(cfg, rep, n, k)
                    for n in _SMALL_NS for k in _SMALL_KS]
-        stack = _wald_stack(samples, probes)
+        stack = _wald_stack(map(_pipeline.MomentRecord.of, samples), probes)
         for i, x in enumerate(samples):
             test = ci.wald_test(x, probes, method="delta")
             assert stack.statistic[i] == test.statistic
@@ -614,7 +614,7 @@ def test_planted_singular_contraction_fails_only_its_cell():
     assert np.isnan(demixed[0][2]).all()
 
     slopes, codes = _eigen_slopes(ms, probes)
-    stack = _wald_stack(samples, probes)
+    stack = _wald_stack(map(_pipeline.MomentRecord.of, samples), probes)
     jk = 399 / 400 * _slope_spreads(samples, probes, "jackknife")[0]
     dv = _slope_spreads(samples, probes, "delta")[0]
     ill = FAILURE_REASONS.index("ill_conditioned") + 1
@@ -646,7 +646,7 @@ def test_singular_finite_difference_point_fails_only_its_sample(monkeypatch):
         return out
 
     monkeypatch.setattr(_pipeline, "offdiag_from_rows", one_singular_point)
-    stack = _wald_stack(samples, probes)
+    stack = _wald_stack(map(_pipeline.MomentRecord.of, samples), probes)
     np.testing.assert_array_equal(stack.resample_singular, [0, 1, 0])
     assert np.isnan(stack.statistic[1]) and np.isfinite(stack.statistic[[0, 2]]).all()
     monkeypatch.setattr(_pipeline, "offdiag_from_rows", offdiag)

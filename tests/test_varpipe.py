@@ -176,9 +176,10 @@ def test_pairwise_is_one_stacked_wald_test(monkeypatch, method):
     calls = []
     stacked = varpipe._wald_stack
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return stacked(*args, **kwargs)
+    def counted(records, *args, **kwargs):
+        records = list(records)
+        calls.append(len(records))
+        return stacked(records, *args, **kwargs)
 
     monkeypatch.setattr(varpipe, "_wald_stack", counted)
     with warnings.catch_warnings():
@@ -263,6 +264,16 @@ def test_load_series_csv_rejects_ragged_rows(tmp_path):
     p.write_text("a,b\n1.0,2.0\n1.0\n")
     with pytest.raises(ValueError, match="fields"):
         ci.load_series_csv(p)
+
+
+def test_load_series_csv_rejects_rows_that_agree_on_a_wrong_width(tmp_path):
+    # Every data row has four fields under a three-column header, so the
+    # float parse succeeds and only the width check catches it.
+    p = tmp_path / "wide.csv"
+    p.write_text("a,b,c\n1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0\n")
+    with pytest.raises(ci.InvalidInputError) as err:
+        ci.load_series_csv(p)
+    assert str(err.value) == f"{p}: line 2 has 4 fields, expected 3"
 
 
 def test_load_series_csv_named_date_column(tmp_path):

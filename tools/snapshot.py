@@ -4,16 +4,19 @@
     python3 tools/snapshot.py --compare BEFORE.json AFTER.json
 
 A snapshot runs the package in CHECKOUT/src (default: this repository) and
-records:
+records, in SNAPSHOT.json, with the numbers of each inference item in
+SNAPSHOT.npz beside it:
 
 - Tables 1-3 on each of the benchmark's pool blocks, as the `mc_tables`
   workload calls them (read from CHECKOUT/bench/workloads.py): values,
   failure counts and failure reasons, and their SHA-256;
-- the order-3 inference group on fixed skewed samples at d = 2, 3 and 5,
+- the order-3 inference group on fixed skewed samples at d = 2, 3, 5 and 8,
   raw and shifted by 1e3: the estimate and its sign labeling, the
   jackknife and delta variances (unlabeled, labeled and by entry) and both
   Wald tests, each as one SHA-256.  The samples at d = 2, n = 20 000 and
-  d = 3, n = 8 000 make delete-1 stacks of three chunks each;
+  d = 3, n = 8 000 make delete-1 stacks of three chunks each, and the
+  delete-1 stack at d = 8 has resamples that the pencil kernel hands to
+  LAPACK;
 - the jackknife of an F-ordered copy of the composite sample (n = 200,
   k = 0.2, seed 21), with no moment record held and after a Wald test on
   the C-ordered sample;
@@ -21,8 +24,11 @@ records:
 
 --compare reports what differs.  A table block passes under the benchmark's
 reference rules (MSE cells to a relative 1e-6, rate cells within one
-decision, failure counts exact); every other item must be bit-equal.  The
-exit status is 1 when anything fails.
+decision, failure counts exact); every other item must be bit-equal.  For
+an inference item that differs, it prints from the two .npz files the
+change of each float field, relative to that field's largest magnitude,
+and the other fields (counts and flags) that differ.  The exit
+status is 1 when anything fails.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 # (d, n, sample seed, probe seed) of the inference group.
 INFERENCE_CASES = ((2, 3_000, 61, 3), (3, 3_000, 62, 5), (5, 3_000, 63, 7),
-                   (2, 20_000, 64, 3), (3, 8_000, 65, 5))
+                   (2, 20_000, 64, 3), (3, 8_000, 65, 5), (8, 3_000, 66, 5))
 SHIFT = 1e3
 CLI_SEED = 3
 
@@ -55,28 +61,40 @@ def _load(root: Path):
     return cumident, workloads
 
 
+def _leaves(obj, path: str = ""):
+    """(path, leaf) of each array, number or other value nested in a result,
+    with dataclass fields and named tuple fields named by their field."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        for name, item in zip(obj._fields, obj):
+            yield from _leaves(item, f"{path}.{name}")
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
 def _digest(*objects) -> str:
     """SHA-256 of the bits of arrays and numbers, nested in results."""
     h = hashlib.sha256()
-
-    def feed(obj):
-        if dataclasses.is_dataclass(obj):
-            obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
-        elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
-            obj = list(obj)
-        if isinstance(obj, (list, tuple)):
-            for item in obj:
-                feed(item)
-        elif isinstance(obj, (np.ndarray, np.generic, float)):
-            a = np.asarray(obj)
+    for _, leaf in _leaves(objects):
+        if isinstance(leaf, (np.ndarray, np.generic, float)):
+            a = np.asarray(leaf)
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
         else:
-            h.update(repr(obj).encode())
-
-    for obj in objects:
-        feed(obj)
+            h.update(repr(leaf).encode())
     return h.hexdigest()
+
+
+def _numbers(name: str, result) -> dict:
+    """The numeric leaves of one inference item, keyed `name|path` for the
+    .npz file."""
+    return {f"{name}|{path}": np.asarray(leaf) for path, leaf in _leaves(result)
+            if isinstance(leaf, (np.ndarray, np.generic, int, float))}
 
 
 def _tables(workloads) -> dict:
@@ -106,8 +124,9 @@ def _inference_sample(d: int, n: int, seed: int):
     return shocks @ np.linalg.inv(lam).T, np.sign(lam).astype(int)
 
 
-def _inference(ci) -> dict:
-    out = {}
+def _inference(ci) -> tuple[dict, dict]:
+    """The digest of each inference item, and its numbers."""
+    out, numbers = {}, {}
     for d, n, seed, probe_seed in INFERENCE_CASES:
         x, pattern = _inference_sample(d, n, seed)
         probes = ci.ProbeVectors.draw(d, probe_seed)
@@ -132,21 +151,27 @@ def _inference(ci) -> dict:
                     y, probes, method="jackknife"),
             }
             for name, call in calls.items():
+                item = f"d={d} n={n} shift={shift:g} {name}"
                 try:
-                    digest = _digest(call())
+                    result = call()
                 except Exception as exc:  # a refusal is an output too
-                    digest = _digest(type(exc).__name__, str(exc))
-                out[f"d={d} n={n} shift={shift:g} {name}"] = digest
+                    out[item] = _digest(type(exc).__name__, str(exc))
+                else:
+                    out[item] = _digest(result)
+                    numbers.update(_numbers(item, result))
     # A record held for the C-ordered sample must not serve its F-ordered copy.
     x = ci.gen_composite(ci.CompositeDgpConfig(n=200, k=0.2, seed=21), 0).x
     c, f = np.ascontiguousarray(x), np.asfortranarray(x)
     probes = ci.ProbeVectors.draw(2, 21)
-    ci._pipeline._record = None
-    out["layout F cold demixing_jackknife"] = _digest(ci.demixing_jackknife(f, probes))
-    ci._pipeline._record = None
-    ci.wald_test(c, probes, method="jackknife")
-    out["layout F after C demixing_jackknife"] = _digest(ci.demixing_jackknife(f, probes))
-    return out
+    for item, warm in (("layout F cold demixing_jackknife", False),
+                       ("layout F after C demixing_jackknife", True)):
+        ci._pipeline._record = None
+        if warm:
+            ci.wald_test(c, probes, method="jackknife")
+        result = ci.demixing_jackknife(f, probes)
+        out[item] = _digest(result)
+        numbers.update(_numbers(item, result))
+    return out, numbers
 
 
 def _cli(workloads) -> dict:
@@ -166,14 +191,42 @@ def _cli(workloads) -> dict:
     return out
 
 
-def snapshot(root: Path) -> dict:
+def snapshot(root: Path) -> tuple[dict, dict]:
+    """The snapshot of a checkout, and the numbers of its inference items."""
     ci, workloads = _load(root)
-    return {"tables": _tables(workloads), "inference": _inference(ci),
-            "cli": _cli(workloads)}
+    inference, numbers = _inference(ci)
+    return ({"tables": _tables(workloads), "inference": inference,
+             "cli": _cli(workloads)}, numbers)
 
 
-def compare(before: dict, after: dict) -> bool:
-    """Print what differs between two snapshots; True when all pass."""
+def _changes(item: str, old, new) -> str:
+    """How the numbers of one inference item moved between two .npz files:
+    the change of each float field that differs, relative to that field's
+    largest magnitude, and the other fields that differ."""
+    if old is None or new is None:
+        return "no numbers kept"
+    prefix = f"{item}|"
+    moved, other = [], []
+    for key in sorted({k for k in old.files + new.files if k.startswith(prefix)}):
+        path = key[len(prefix):]
+        if key not in old.files or key not in new.files:
+            other.append(path)
+            continue
+        a, b = old[key], new[key]
+        if a.shape != b.shape or a.dtype != b.dtype or a.dtype.kind != "f":
+            if not np.array_equal(a, b):
+                other.append(path)
+        elif not np.array_equal(a, b, equal_nan=True):
+            scale = np.max(np.abs(a), initial=0.0)
+            change = np.max(np.abs(b - a), initial=0.0) / scale if scale else np.inf
+            moved.append(f"{path} {change:.3g}")
+    text = "relative change " + ", ".join(moved) if moved else "no float field moved"
+    return text + (f"; differ: {', '.join(other)}" if other else "")
+
+
+def compare(before: dict, after: dict, old_numbers=None, new_numbers=None) -> bool:
+    """Print what differs between two snapshots, with the changes of each
+    inference item from their numbers, if given; True when all pass."""
     _, workloads = _load(REPO)
     ok = True
     for table, blocks in sorted(before["tables"].items()):
@@ -200,7 +253,9 @@ def compare(before: dict, after: dict) -> bool:
         old, new = before[group], after[group]
         differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         for key in differ:
-            print(f"{group}: {key} differs")
+            moved = (f": {_changes(key, old_numbers, new_numbers)}"
+                     if group == "inference" else "")
+            print(f"{group}: {key} differs{moved}")
         ok &= not differ
         print(f"{group}: {len(old) - len(differ)} of {len(old)} items bit-equal")
     return ok
@@ -215,10 +270,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (json.loads(p.read_text()) for p in args.compare)
-        return 0 if compare(before, after) else 1
+        numbers = [np.load(p.with_suffix(".npz")) if p.with_suffix(".npz").exists()
+                   else None for p in args.compare]
+        return 0 if compare(before, after, *numbers) else 1
     if args.out is None:
         parser.error("give --out or --compare")
-    args.out.write_text(json.dumps(snapshot(args.root.resolve())))
+    digests, numbers = snapshot(args.root.resolve())
+    args.out.write_text(json.dumps(digests))
+    np.savez(args.out.with_suffix(".npz"), **numbers)
     return 0
 
 
