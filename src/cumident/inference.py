@@ -268,8 +268,11 @@ def _demixing_statistic(d: int, pattern=None, entry: tuple[int, int] | None = No
     """The :func:`_resampled` statistic of the demixing rows: all oriented
     unit rows, stacked row-major; or with a sign `pattern`, the sign-labeled,
     diagonal-normalized matrix, restricted to `entry` unless it is None."""
-    at = np.asarray(entry)
-    if entry is not None and not (at.shape == (2,) and at.dtype.kind in "iu"
+    # np.asarray raises its own ValueError on a ragged entry such as
+    # ((0, 1), 1), so a nested sequence is refused before it.
+    flat = not isinstance(entry, (tuple, list)) or all(map(np.isscalar, entry))
+    at = np.asarray(entry) if flat else None
+    if entry is not None and not (flat and at.shape == (2,) and at.dtype.kind in "iu"
                                   and ((0 <= at) & (at < d)).all()):
         raise InvalidInputError(f"entry must be two integers in [0, {d}), got {entry!r}")
 

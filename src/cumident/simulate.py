@@ -271,11 +271,12 @@ def _experiment(worker, reps: int, seed: int, what: str, kind: str, ns, ks,
 
 def _grid(ns, ks):
     """The (n, k) grid of an experiment as int and float tuples, else
-    InvalidInputError: each n an integer at least 1, each k finite and at
-    least 0."""
+    InvalidInputError: each n an integer at least d + 1 = 3, the fewest
+    observations an estimate takes, and each k finite and at least 0."""
     ns, ks = tuple(ns), tuple(float(k) for k in ks)
-    if not ns or not all(float(n).is_integer() and n >= 1 for n in ns):
-        raise InvalidInputError(f"sample sizes ns must be integers >= 1, got {ns}")
+    if not ns or not all(float(n).is_integer() and n >= 3 for n in ns):
+        raise InvalidInputError(
+            f"sample sizes ns must be integers >= d + 1 = 3, got {ns}")
     ns = tuple(int(n) for n in ns)
     if not ks or not all(0.0 <= k < np.inf for k in ks):
         raise InvalidInputError(f"noise scales must be finite and >= 0, got {ks}")

@@ -58,16 +58,12 @@ def fit_var(series, p: int, intercept: bool = True) -> VarFit:
         raise InvalidInputError(
             f"series too short for VAR({p}) in d={d}: need T > {need}, got {t}")
     blocks = [y[p - lag - 1: t - lag - 1] for lag in range(p)]
-    w = np.hstack(blocks)
     if intercept:
-        w = np.hstack([np.ones((t - p, 1)), w])
-    target = y[p:]
-    beta, _, rank, _ = np.linalg.lstsq(w, target, rcond=None)
-    if rank < w.shape[1]:
-        raise ValueError(
-            f"rank-deficient lag regressor matrix (rank {rank} < {w.shape[1]})"
-        )
-    residuals = target - w @ beta
+        blocks.insert(0, _ones(t - p))
+    rank, beta, residuals = _least_squares(blocks, y[p:])
+    k = d * p + int(intercept)
+    if rank < k:
+        raise ValueError(f"rank-deficient lag regressor matrix (rank {rank} < {k})")
     offset = 1 if intercept else 0
     coefficients = [
         beta[offset + lag * d: offset + (lag + 1) * d, :].T for lag in range(p)
@@ -88,13 +84,63 @@ def partial_out(targets, controls) -> np.ndarray:
         raise InvalidInputError(
             f"targets and controls disagree on rows: {y.shape[0]} vs {c.shape[0]}"
         )
-    w = np.hstack([np.ones((c.shape[0], 1)), c])
-    beta, _, rank, _ = np.linalg.lstsq(w, y, rcond=None)
-    if rank < w.shape[1]:
-        raise ValueError(
-            f"controls are rank deficient (rank {rank} < {w.shape[1]})"
-        )
-    return y - w @ beta
+    rank, _, residuals = _least_squares([_ones(len(c)), c], y)
+    k = c.shape[1] + 1
+    if rank < k:
+        raise ValueError(f"controls are rank deficient (rank {rank} < {k})")
+    return residuals
+
+
+# Rows of [regressors | targets] that _least_squares folds into its R factor
+# at a time: 1 MB at the 31 columns of a d = 6, p = 4 fit, so a block stays
+# in cache.  Each fold is one LAPACK call made of BLAS-2 steps over the
+# block, so taller blocks sync a threaded BLAS fewer times.
+_QR_BLOCK_ROWS = 1 << 12
+
+
+def _ones(n: int) -> np.ndarray:
+    """An (n, 1) intercept column that holds one float."""
+    return np.broadcast_to(1.0, (n, 1))
+
+
+def _least_squares(blocks, targets: np.ndarray):
+    """OLS of the (n, m) `targets` on the column `blocks`, each an (n, k_i)
+    array or view read in place.
+
+    A tall-skinny QR (TSQR; Demmel et al. 2012): row blocks of [blocks |
+    targets] are filled into one reused buffer and folded into a running R
+    factor, so no (n, k) regressor matrix is built.  np.linalg.lstsq on the
+    at most (k, k + m) [R11 R12] then counts the rank by its own rule, the
+    singular values above eps * max(n, k) times the largest, with the n
+    rows that R stands for, and solves R11 beta = R12.  Returns (rank, beta,
+    residuals); at full rank the residuals are formed from the same blocks,
+    below it beta and the residuals are None.
+    """
+    n, m = targets.shape
+    k = sum(a.shape[1] for a in blocks)
+    width = k + m
+    buf = np.empty((width + min(n, _QR_BLOCK_ROWS), width))
+    top = 0  # rows of buf that hold the R factor so far
+    for start in range(0, n, _QR_BLOCK_ROWS):
+        stop = min(start + _QR_BLOCK_ROWS, n)
+        col = 0
+        for a in (*blocks, targets):
+            buf[top: top + stop - start, col: col + a.shape[1]] = a[start:stop]
+            col += a.shape[1]
+        r = np.linalg.qr(buf[: top + stop - start], mode="r")
+        top = r.shape[0]
+        buf[:top] = r
+    r = buf[: min(top, k)]
+    beta, _, rank, _ = np.linalg.lstsq(r[:, :k], r[:, k:],
+                                       rcond=np.finfo(float).eps * max(n, k))
+    if rank < k:
+        return rank, None, None
+    residuals = targets.copy()
+    col = 0
+    for a in blocks:
+        residuals -= a @ beta[col: col + a.shape[1]]
+        col += a.shape[1]
+    return rank, beta, residuals
 
 
 def pairwise_overid(fit: VarFit, probes: ProbeVectors, pairs="all",

@@ -7,7 +7,8 @@ equal cost matrices.  The jackknife: a generic loop that re-estimates on
 each of the n delete-1 samples, and the delete-1 moment stack built
 whole.  The contraction Hessian: the projected
 sample cumulant whose second derivative it is, and the closed form of the
-order-4 Hessian in the sample covariance.
+order-4 Hessian in the sample covariance.  The VAR and partialling-out
+fits: np.linalg.lstsq on the whole regressor matrix.
 """
 
 from __future__ import annotations
@@ -172,3 +173,25 @@ def fourth_order_hessian(data, w) -> np.ndarray:
         - 24.0 * np.outer(sw, sw)
     )
     return (g + g.T) / 2.0
+
+
+def lstsq_fit_var(series, p: int, intercept: bool = True):
+    """:func:`cumident.fit_var` by np.linalg.lstsq on the whole (T - p, k)
+    lag matrix: (beta, residuals, rank, k), beta with the intercept row
+    first."""
+    y = np.asarray(series, dtype=float)
+    t = y.shape[0]
+    w = np.hstack([y[p - lag - 1: t - lag - 1] for lag in range(p)])
+    if intercept:
+        w = np.hstack([np.ones((t - p, 1)), w])
+    beta, _, rank, _ = np.linalg.lstsq(w, y[p:], rcond=None)
+    return beta, y[p:] - w @ beta, rank, w.shape[1]
+
+
+def lstsq_partial_out(targets, controls):
+    """:func:`cumident.partial_out` by np.linalg.lstsq on [1 | controls]:
+    (residuals, rank, k)."""
+    y = np.asarray(targets, dtype=float)
+    w = np.hstack([np.ones((len(y), 1)), np.asarray(controls, dtype=float)])
+    beta, _, rank, _ = np.linalg.lstsq(w, y, rcond=None)
+    return y - w @ beta, rank, w.shape[1]

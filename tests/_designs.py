@@ -32,6 +32,22 @@ def simulate_top_var(t: int, rng: np.random.Generator, mix=TOP_MIX,
     return y[burn:]
 
 
+# Near-unit-root VAR(1): each series an AR(1) with rho = 0.999 driven by
+# skewed shocks, scaled by 1e4, 1 and 1e-3 and offset, so that its lag
+# matrix is ill-conditioned.
+NEAR_UNIT_ROOT_SCALE = np.array([1e4, 1.0, 1e-3])
+NEAR_UNIT_ROOT_OFFSET = np.array([5e4, -3.0, 2e-2])
+
+
+def simulate_near_unit_root(t: int, rng: np.random.Generator,
+                            rho: float = 0.999) -> np.ndarray:
+    e = rng.standard_exponential((t, len(NEAR_UNIT_ROOT_SCALE))) - 1.0
+    y = np.zeros_like(e)
+    for s in range(1, t):
+        y[s] = rho * y[s - 1] + e[s]
+    return y * NEAR_UNIT_ROOT_SCALE + NEAR_UNIT_ROOT_OFFSET
+
+
 SCHOOLING_BETA = 0.1
 _EDUC_CONTROLS = np.array([0.3, -0.2, 0.5])
 _WAGE_CONTROLS = np.array([0.5, 0.1, -0.3])

@@ -573,7 +573,8 @@ def test_resampling_entry_points_check_the_probes(call, bad):
         _resampling_calls(2)[call](x, ci.ProbeVectors(w1=w1, w2=w2))
 
 
-@pytest.mark.parametrize("entry", [(2, 0), (0, 2), (0, 1.5), (0,), (0, 1, 0), (-1, 0)],
+@pytest.mark.parametrize("entry", [(2, 0), (0, 2), (0, 1.5), (0,), (0, 1, 0), (-1, 0),
+                                   ((0, 1), 1), [[0, 1], 1], ((0, 1), (1, 0))],
                          ids=repr)
 def test_labeled_entry_points_refuse_an_entry_outside_the_matrix(entry):
     x, probes, pattern = memo_case(2)

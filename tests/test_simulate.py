@@ -280,6 +280,20 @@ def test_experiments_reject_bad_arguments_before_any_replication(
         _RUNS[run](ns, ks, kurtoses)
 
 
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_experiments_refuse_fewer_than_d_plus_1_observations_up_front(monkeypatch, run):
+    # Every table refuses n = 2 < d + 1 before any replication, where Table 1
+    # used to fail each cell through its 1 % cap as a RuntimeError and
+    # Tables 2 and 3 raised from inside a replication.
+    def reached(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "_map_reps", reached)
+    with pytest.raises(ci.InvalidInputError,
+                       match=r"sample sizes ns must be integers >= d \+ 1 = 3, got \(2, 300\)"):
+        _RUNS[run]((2, 300), (0.0,), (3.0, 4.0, 5.0))
+
+
 def test_table2_delta_flags_sixth_moments_out_of_range(monkeypatch):
     # At 1e-55 the sample's sixth moments underflow: delta_variance_labeled
     # raises on it, so Table 2 counts its delta cell as ill-conditioned.

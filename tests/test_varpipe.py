@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 import cumident as ci
 from cumident import varpipe
 from cumident.simulate import CompositeDgpConfig, gen_composite
-from _designs import TOP_MIX, simulate_top_var
+from _brute_force import lstsq_fit_var, lstsq_partial_out
+from _designs import TOP_MIX, simulate_near_unit_root, simulate_top_var
 
 
 def test_fit_var_white_noise_coefficients_near_zero():
@@ -110,10 +112,107 @@ def test_partial_out_recovers_constructed_noise():
 
 
 def test_partial_out_rank_deficient_controls():
+    # A duplicate control, and a constant one beside the intercept: the
+    # rank and message np.linalg.lstsq gives.
     rng = np.random.default_rng(8)
+    targets = rng.standard_normal((60, 1))
     c = rng.standard_normal((60, 2))
-    with pytest.raises(ValueError):
-        ci.partial_out(rng.standard_normal((60, 1)), np.hstack([c, c[:, :1]]))
+    for controls in (np.hstack([c, c[:, :1]]), np.hstack([c, np.full((60, 1), 3.0)])):
+        _, rank, k = lstsq_partial_out(targets, controls)
+        assert rank < k
+        with pytest.raises(ValueError) as err:
+            ci.partial_out(targets, controls)
+        assert str(err.value) == f"controls are rank deficient (rank {rank} < {k})"
+
+
+def _relative(a, b) -> float:
+    """The largest change from a to b, relative to a's largest magnitude."""
+    return float(np.max(np.abs(b - a)) / np.max(np.abs(a)))
+
+
+BLOCK = varpipe._QR_BLOCK_ROWS
+
+
+# T - p below one block, exactly one block and one row past it; and, at
+# d = 3 and p = 2, 9 rows: below the k + d = 10 columns the kernel folds.
+@pytest.mark.parametrize("rows, d, p", [(BLOCK - 1, 3, 2), (BLOCK, 3, 2),
+                                        (BLOCK + 1, 3, 2), (9, 3, 2),
+                                        (3 * BLOCK + 7, 2, 5)],
+                         ids=["below one block", "one block", "one block plus one row",
+                              "below k + d", "three blocks and a part"])
+@pytest.mark.parametrize("intercept", [True, False])
+def test_fit_var_matches_lstsq(rows, d, p, intercept):
+    y = simulate_top_var(rows + p, np.random.default_rng(rows))[:, :d]
+    fit = ci.fit_var(y, p, intercept=intercept)
+    beta, residuals, rank, k = lstsq_fit_var(y, p, intercept)
+    assert rank == k
+    lead = int(intercept)
+    assert _relative(beta[lead:], np.vstack([c.T for c in fit.coefficients])) < 1e-12
+    assert _relative(residuals, fit.residuals) < 1e-12
+    if intercept:
+        assert _relative(beta[0], fit.intercept) < 1e-12
+    else:
+        assert fit.intercept is None
+
+
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 3])
+def test_partial_out_matches_lstsq(rows):
+    # 3 rows: below the 1 + 2 + 3 columns the kernel folds.
+    rng = np.random.default_rng(rows)
+    controls = rng.standard_normal((rows, 2)) + [4.0, -1.0]
+    targets = (controls @ [[1.0, 0.5, 0.0], [2.0, 0.0, 1.0]]
+               + rng.standard_exponential((rows, 3)))
+    want, rank, k = lstsq_partial_out(targets, controls)
+    assert rank == k
+    got = ci.partial_out(targets, controls)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(targets).max())
+
+
+def test_near_unit_root_fit_matches_lstsq():
+    # rho = 0.999, columns scaled by 1e4, 1 and 1e-3 and offset.  The residual
+    # sums of squares match to 1e-12; the coefficients, ill-conditioned as
+    # they are, to 1e-9 of their largest magnitude.
+    y = simulate_near_unit_root(20_000, np.random.default_rng(24))
+    fit = ci.fit_var(y, 2)
+    beta, residuals, rank, k = lstsq_fit_var(y, 2)
+    assert rank == k
+    rss, want = (fit.residuals ** 2).sum(axis=0), (residuals ** 2).sum(axis=0)
+    assert np.abs(rss / want - 1.0).max() < 1e-12
+    assert _relative(beta[1:], np.vstack([c.T for c in fit.coefficients])) < 1e-9
+    assert _relative(beta[0], fit.intercept) < 1e-9
+
+
+def _constant_series(rng):
+    y = rng.standard_normal((300, 3))
+    y[:, 1] = 2.5  # its lags are multiples of the intercept
+    return y
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: np.hstack([rng.standard_normal((300, 2))] * 2),
+    _constant_series,
+], ids=["duplicate series", "constant series"])
+def test_fit_var_rank_deficiency_keeps_the_lstsq_rank_and_message(make):
+    y = make(np.random.default_rng(25))
+    _, _, rank, k = lstsq_fit_var(y, 2)
+    assert rank < k
+    with pytest.raises(ValueError) as err:
+        ci.fit_var(y, 2)
+    assert str(err.value) == f"rank-deficient lag regressor matrix (rank {rank} < {k})"
+
+
+def test_fit_var_builds_no_regressor_matrix():
+    # A (T - p, k) lag matrix at T = 50 000, d = 6, p = 8 is 18.7 MB; the
+    # fit keeps its traced peak below one.
+    t, d, p = 50_000, 6, 8
+    y = np.random.default_rng(28).standard_normal((t, d))
+    tracemalloc.start()
+    try:
+        ci.fit_var(y, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (t - p) * (d * p + 1) * 8
 
 
 def test_pairwise_top_structure_detected():

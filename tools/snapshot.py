@@ -4,7 +4,7 @@
     python3 tools/snapshot.py --compare BEFORE.json AFTER.json
 
 A snapshot runs the package in CHECKOUT/src (default: this repository) and
-records, in SNAPSHOT.json, with the numbers of each inference item in
+records, in SNAPSHOT.json, with the numbers of each inference and VAR item in
 SNAPSHOT.npz beside it:
 
 - Tables 1-3 on each of the benchmark's pool blocks, as the `mc_tables`
@@ -20,12 +20,17 @@ SNAPSHOT.npz beside it:
 - the jackknife of an F-ordered copy of the composite sample (n = 200,
   k = 0.2, seed 21), with no moment record held and after a Wald test on
   the C-ordered sample;
+- the VAR group on the `cli_io` VAR series and on the near-unit-root design
+  of tests/_designs.py: `fit_var` (coefficients, intercept and residuals),
+  `partial_out` of the other columns on the first, and the Wald statistic
+  T and p-value of each `pairwise_overid` pair (and the message of each
+  failed pair), each as one SHA-256;
 - the SHA-256 of every CSV that the four `cli_io` commands write.
 
 --compare reports what differs.  A table block passes under the benchmark's
 reference rules (MSE cells to a relative 1e-6, rate cells within one
 decision, failure counts exact); every other item must be bit-equal.  For
-an inference item that differs, it prints from the two .npz files the
+an inference or VAR item that differs, it prints from the two .npz files the
 change of each float field, relative to that field's largest magnitude,
 and the other fields (counts and flags) that differ.  The exit
 status is 1 when anything fails.
@@ -42,6 +47,7 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +57,17 @@ INFERENCE_CASES = ((2, 3_000, 61, 3), (3, 3_000, 62, 5), (5, 3_000, 63, 7),
                    (2, 20_000, 64, 3), (3, 8_000, 65, 5), (8, 3_000, 66, 5))
 SHIFT = 1e3
 CLI_SEED = 3
+# (T, lag order, seed) of the near-unit-root VAR.
+NEAR_UNIT_ROOT = (20_000, 2, 24)
+
+
+class Pairwise(NamedTuple):
+    """The Wald statistic T and p-value of each tested pair, and the message
+    of each failed pair."""
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    failures: list
 
 
 def _load(root: Path):
@@ -91,7 +108,7 @@ def _digest(*objects) -> str:
 
 
 def _numbers(name: str, result) -> dict:
-    """The numeric leaves of one inference item, keyed `name|path` for the
+    """The numeric leaves of one inference or VAR item, keyed `name|path` for the
     .npz file."""
     return {f"{name}|{path}": np.asarray(leaf) for path, leaf in _leaves(result)
             if isinstance(leaf, (np.ndarray, np.generic, int, float))}
@@ -174,6 +191,34 @@ def _inference(ci) -> tuple[dict, dict]:
     return out, numbers
 
 
+def _var(ci, workloads) -> tuple[dict, dict]:
+    """The digest of each VAR item, and its numbers."""
+    sys.path.insert(0, str(REPO / "tests"))
+    from _designs import simulate_near_unit_root
+    t, lags, seed = NEAR_UNIT_ROOT
+    near = simulate_near_unit_root(t, np.random.default_rng(seed))
+    series = {"bench": (workloads.var_series(CLI_SEED), workloads.VAR_LAGS),
+              "near unit root": (near, lags)}
+    probes = ci.ProbeVectors.draw(2, workloads.CLI_PROBE_SEED)
+    out, numbers = {}, {}
+    for name, (y, p) in series.items():
+        fit = ci.fit_var(y, p)
+        report = ci.pairwise_overid(fit, probes)
+        tests = [res for _, _, res in report.pairs]
+        items = {
+            "fit_var": fit,
+            "partial_out": ci.partial_out(y[:, 1:], y[:, :1]),
+            "pairwise_overid": Pairwise(np.array([r.statistic for r in tests]),
+                                        np.array([r.p_value for r in tests]),
+                                        report.failures),
+        }
+        for what, result in items.items():
+            item = f"{name} {what}"
+            out[item] = _digest(result)
+            numbers.update(_numbers(item, result))
+    return out, numbers
+
+
 def _cli(workloads) -> dict:
     out = {}
     home = os.getcwd()
@@ -192,15 +237,16 @@ def _cli(workloads) -> dict:
 
 
 def snapshot(root: Path) -> tuple[dict, dict]:
-    """The snapshot of a checkout, and the numbers of its inference items."""
+    """The snapshot of a checkout, and the numbers of its inference and VAR items."""
     ci, workloads = _load(root)
     inference, numbers = _inference(ci)
-    return ({"tables": _tables(workloads), "inference": inference,
-             "cli": _cli(workloads)}, numbers)
+    var, var_numbers = _var(ci, workloads)
+    return ({"tables": _tables(workloads), "inference": inference, "var": var,
+             "cli": _cli(workloads)}, numbers | var_numbers)
 
 
 def _changes(item: str, old, new) -> str:
-    """How the numbers of one inference item moved between two .npz files:
+    """How the numbers of one inference or VAR item moved between two .npz files:
     the change of each float field that differs, relative to that field's
     largest magnitude, and the other fields that differ."""
     if old is None or new is None:
@@ -219,14 +265,14 @@ def _changes(item: str, old, new) -> str:
         elif not np.array_equal(a, b, equal_nan=True):
             scale = np.max(np.abs(a), initial=0.0)
             change = np.max(np.abs(b - a), initial=0.0) / scale if scale else np.inf
-            moved.append(f"{path} {change:.3g}")
+            moved.append(f"{path or '(array)'} {change:.3g}")
     text = "relative change " + ", ".join(moved) if moved else "no float field moved"
     return text + (f"; differ: {', '.join(other)}" if other else "")
 
 
 def compare(before: dict, after: dict, old_numbers=None, new_numbers=None) -> bool:
     """Print what differs between two snapshots, with the changes of each
-    inference item from their numbers, if given; True when all pass."""
+    inference or VAR item from their numbers, if given; True when all pass."""
     _, workloads = _load(REPO)
     ok = True
     for table, blocks in sorted(before["tables"].items()):
@@ -249,12 +295,12 @@ def compare(before: dict, after: dict, old_numbers=None, new_numbers=None) -> bo
         ok &= passed == n and len(after["tables"][table]) == n
         print(f"table {table}: {equal} of {n} blocks bit-equal, {passed} of {n} "
               f"within the benchmark rules, largest relative change {worst:.3g}")
-    for group in ("inference", "cli"):
+    for group in ("inference", "var", "cli"):
         old, new = before[group], after[group]
         differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         for key in differ:
             moved = (f": {_changes(key, old_numbers, new_numbers)}"
-                     if group == "inference" else "")
+                     if group != "cli" else "")
             print(f"{group}: {key} differs{moved}")
         ok &= not differ
         print(f"{group}: {len(old) - len(differ)} of {len(old)} items bit-equal")
