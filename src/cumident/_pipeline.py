@@ -25,16 +25,15 @@ vectors are made from the monomials chunk by chunk as the kernels read them
 (:class:`Delete1Moments`).  The record is the only state kept across calls.
 
 A stack of more than one entry (a delete-1 stack, or the +/- points of a
-finite-difference Jacobian) is demixed by one loop over its chunks
-(:func:`_stack_rows`).  For d >= 3 it starts from the anchor: the rows
-that diagonalize the symmetric pencil (G(w1), G(w2)) at the sample the
-stack resamples, which are its point estimate.  In that basis each entry's
-pencil is nearly diagonal; one matrix product forms it from the sorted
-cumulants, and Newton steps finish it, with no cumulant tensor and no
-solve (:func:`_pencil_part`).  Entries that fail a rounding-level check go
-to LAPACK within their chunk, and so does the whole stack without an
-anchor: at d = 2, which has the closed form of :func:`_sorted_eig_2x2`,
-and where the estimate has a near-repeated or complex pair.  The kernel
+finite-difference Jacobian), at every d, is demixed by one loop over its
+chunks (:func:`_stack_rows`).  The points of each sample it resamples start
+from that sample's anchor: the rows that diagonalize the symmetric pencil
+(G(w1), G(w2)) at the sample, which are its point estimate.  In that basis
+each entry's pencil is nearly diagonal; one matrix product forms it from
+the sorted cumulants, and Newton steps finish it, with no cumulant tensor
+and no solve (:func:`_pencil_part`).  Entries that fail a rounding-level
+check go to LAPACK within their chunk, and so do all the points of a
+sample whose estimate has a near-repeated or complex pair.  The kernel
 scales and orients its rows entries last, by the one orientation
 (:func:`_oriented`) that LAPACK rows get in :func:`demix_contractions`.  On
 eight n = 10 000, d = 5 samples the delete-1 and finite-difference rows
@@ -233,7 +232,7 @@ class DemixedRows(NamedTuple):
     """:func:`demix_rows` per stack entry (`...`, () for one entry): unit
     `rows` (..., d, d) oriented by :func:`_unit_oriented`, the real parts of
     the `eigenvalues` (..., d) descending, `gap_flags`, the eigenvectors'
-    `max_imag`, `eig_fallbacks` handed by the pencil kernel to LAPACK
+    `max_imag`, `eig_fallbacks`, the entries of a stack that LAPACK demixed
     (:func:`_stack_rows`), `orient_fallbacks` (..., d) (:func:`_oriented`),
     `ill_conditioned` for an entry that failed (:func:`demix_contractions`),
     and `cond_g2`, cond(G(w2)), when a `cond_cap` was checked, else None."""
@@ -258,19 +257,21 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, anchor: np.ndarray | None = None,
         Raw-moment vectors of degree 1..h in the package-wide monomial
         order, about any origin; the callers use the sample mean.  D sets
         the cumulant order h, 3 or 4.
-    anchor : ndarray (d, d) or None
-        Rows of the sample a stack resamples, to refine it from (:func:`_stack_rows`).
+    anchor : ndarray (d, d) or (C, d, d), or None
+        Rows of the samples a stack resamples, one for each run of len(ms) /
+        C entries, which is refined from them (:func:`_stack_rows`).
     cond_cap : float or None
         When set, also fail a G(w2) whose condition estimate exceeds it (see
         :func:`demix_contractions`); resampling stacks leave it off for speed.
 
     A (b, D) stack without a cap is read and demixed chunk by chunk
-    (:func:`_stack_rows`), through the pencil kernel when it has an anchor.
+    (:func:`_stack_rows`), through the pencil kernel where it has an anchor.
     Returns a :class:`DemixedRows`; a failed entry is flagged, not raised.
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     if cond_cap is None and ms.ndim == 2 and len(ms) > 1:
-        return _stack_rows(ms, d, w1, w2, anchor)
+        anchors = np.full((1, d, d), np.nan) if anchor is None else anchor
+        return _stack_rows(ms, d, w1, w2, np.reshape(anchors, (-1, d, d)))
     return demix_contractions(*_contractions(ms, d, w1, w2), cond_cap)
 
 
@@ -293,7 +294,7 @@ def demix_contractions(g1: np.ndarray, g2: np.ndarray,
     """
     h, failed, cond = _solved(g1, g2, cond_cap)
     d = h.shape[-1]
-    vals, vecs = _sorted_eig_2x2(h) if d == 2 else _sorted_eig(h)
+    vals, vecs = _sorted_eig(h)
     max_imag = np.abs(vecs.imag).max(axis=(-2, -1))
     # Entries last: rt[k, q, e] is vecs[e, q, k].  The rows come back laid
     # out as the columns are.
@@ -329,7 +330,7 @@ def _solved(g1: np.ndarray, g2: np.ndarray, cond_cap: float | None = None):
         g1, g2 = np.ldexp(g1, shift), np.ldexp(g2, shift)
         failed = failed | _singular(g2)
         g2 = _with_identity(g2, failed)
-        h = _solve_2x2(g2, g1) if g2.shape[-1] == 2 else np.linalg.solve(g2, g1)
+        h = np.linalg.solve(g2, g1)
     failed = failed | ~np.isfinite(_entry_peak(h))
     return _with_identity(h, failed), failed, cond
 
@@ -341,10 +342,7 @@ def _entry_peak(g: np.ndarray) -> np.ndarray:
 
 def _singular(unit: np.ndarray) -> np.ndarray:
     """Entries of a (..., d, d) stack at unit scale (:func:`_solved`) with a
-    zero pivot: a zero determinant at d = 2, else a zero pivot of LAPACK's
-    LU."""
-    if unit.shape[-1] == 2:
-        return _det_2x2(unit) == 0.0
+    zero pivot of LAPACK's LU."""
     return np.linalg.slogdet(unit)[0] == 0.0
 
 
@@ -383,46 +381,59 @@ _LAST_STEP_TOL = 1e-7
 _PENCIL_CHUNK_ELEMENTS = 1 << 15
 
 
-def _pencil_chunks(b: int, d: int) -> list[slice]:
-    """The chunks in which a b-entry stack is read: _PENCIL_CHUNK_ELEMENTS //
-    d^2 entries each (at least one), from entry 0.  The pencil kernel's
-    bits depend on the chunk width (:func:`_pencil_part`), so its
-    boundaries are fixed here."""
+def _pencil_chunks(b: int, d: int, runs=(False,)) -> list[slice]:
+    """The chunks in which a b-entry stack of len(runs) equal runs, flagged
+    by `runs`, is read: _PENCIL_CHUNK_ELEMENTS // d^2 entries each (at least
+    one).  A longer run is cut from its own first entry; shorter runs share
+    a chunk whole while their flags agree.  The pencil kernel's bits depend
+    on the chunk width (:func:`_pencil_part`), so a run's boundaries are
+    fixed here, and are those it has alone."""
     step = max(1, _PENCIL_CHUNK_ELEMENTS // (d * d))
-    return [slice(start, min(start + step, b)) for start in range(0, b, step)]
+    size = b // len(runs)
+    if size > step:
+        return [slice(s, min(s + step, r + size))
+                for r in range(0, b, size) for s in range(r, r + size, step)]
+    cuts = [r for r in range(len(runs)) if r % (step // size) == 0 or runs[r] != runs[r - 1]]
+    return [slice(r * size, end * size) for r, end in zip(cuts, cuts[1:] + [len(runs)])]
 
 
-def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray, anchor) -> DemixedRows:
+def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray, anchors) -> DemixedRows:
     """:func:`demix_rows` of a (b, D) moment stack, an array or a
     :class:`Delete1Moments`, read one :func:`_pencil_chunks` chunk at a time.
 
-    With an `anchor`, each chunk goes through the pencil kernel
-    (:func:`_pencil_part`) in the basis that maps sorted cumulants to (anchor
-    G(w1) anchor', anchor G(w2) anchor'), and the entries it rejects go to
-    LAPACK; without one, the whole chunk does.  At d >= 3 those entries are
-    flagged in `eig_fallbacks`, and are bitwise what a stack of them alone
-    gives (chunks of 1 to 16 384 entries gave the bits of one call on
-    delete-1 stacks at d = 2, 3 and 5).  The fields are laid out as the
-    first chunk's, whatever the chunk count.
+    The stack is C equal runs, one for each of the (C, d, d) `anchors`, the
+    rows (estimate) of the sample that the run resamples.  A run with a
+    finite anchor goes through the pencil kernel (:func:`_pencil_part`) in
+    the basis that maps sorted cumulants to (anchor G(w1) anchor', anchor
+    G(w2) anchor'), and the entries it rejects go to LAPACK; a run with NaN
+    rows (an estimate with a gap flag) goes to LAPACK whole, unrefined.
+    LAPACK's entries are flagged in `eig_fallbacks`, and are bitwise what a
+    stack of them alone gives (chunks of 1 to 16 384 entries gave the bits
+    of one call on delete-1 stacks at d = 2, 3 and 5).  The fields are laid
+    out as the first chunk's, whatever the chunk count.
     """
-    if anchor is not None:
-        maps = _contraction_maps(d, w1, w2, _order_of(ms.shape[-1], d))
-        basis = (np.kron(anchor, anchor) @ maps).reshape(2 * d * d, -1)
+    size = len(ms) // len(anchors)
+    anchored = np.isfinite(anchors).all(axis=(1, 2))
+    maps = _contraction_maps(d, w1, w2, _order_of(ms.shape[-1], d))
+    # kron(anchor, anchor) of each run.
+    pairs = np.einsum("cij,ckl->cikjl", anchors, anchors).reshape(-1, 1, d * d, d * d)
+    bases = (pairs @ maps).reshape(len(anchors), 2 * d * d, -1)
 
     def lapack(at):
         part = demix_contractions(*_contractions(ms[at], d, w1, w2))
-        part.eig_fallbacks[:] = d > 2
+        part.eig_fallbacks[:] = True
         return part
 
     out = None
-    for s in _pencil_chunks(len(ms), d):
-        if anchor is None:
-            part = lapack(s)
-        else:
-            part = _pencil_part(ms, s, d, anchor, basis)
+    for s in _pencil_chunks(len(ms), d, anchored.tolist()):
+        r = slice(s.start // size, (s.stop - 1) // size + 1)
+        if anchored[r.start]:
+            part = _pencil_part(ms, s, d, anchors[r], bases[r])
             slow = np.flatnonzero(part.eig_fallbacks)
             if slow.size:
                 _fill(part, slow, lapack(s.start + slow))
+        else:
+            part = lapack(s)
         if out is None:
             out = DemixedRows(*(
                 None if f is None else np.empty_like(f, shape=(len(ms), *f.shape[1:]))
@@ -438,23 +449,27 @@ def _fill(out: DemixedRows, at, part: DemixedRows) -> None:
         full[at] = piece
 
 
-def _pencil_part(ms, s: slice, d: int, anchor: np.ndarray,
-                 basis: np.ndarray) -> DemixedRows:
-    """:func:`_pencil_newton` on the entries `s` of a (b, D) stack from the
-    anchor and basis of :func:`_stack_rows`, as C-ordered DemixedRows fields.
+def _pencil_part(ms, s: slice, d: int, anchors: np.ndarray,
+                 bases: np.ndarray) -> DemixedRows:
+    """:func:`_pencil_newton` on the entries `s` of a (b, D) stack, whole
+    runs or part of one, from the (r, d, d) anchors and (r, 2 d^2, T) bases
+    of their r runs (:func:`_stack_rows`), as C-ordered DemixedRows fields.
 
     In the basis y = anchor x an entry's pencil is nearly diagonal; one
-    product with `basis` forms it from the sorted cumulants.  The rows U
-    anchor are unit-normalized and oriented (:func:`_unit_oriented`) entries
-    last.  The bits of the product, and at a few small widths those of the
-    Newton steps, depend on the chunk width, so a stack gives the rows of
-    the whole only when cut at the boundaries of :func:`_pencil_chunks`.
+    batched product with the bases forms every run's from its sorted
+    cumulants.  The rows U anchor are unit-normalized and oriented
+    (:func:`_unit_oriented`) entries last.  The bits of the product, and at
+    a few small widths those of the Newton steps, depend on the chunk width,
+    so a stack gives the rows of the whole only when cut at the boundaries
+    of :func:`_pencil_chunks`.
     """
-    pencil = basis @ _sorted_cumulants(ms[s], d).T
-    u, vals, accepted = _pencil_newton(*pencil.reshape(2, d, d, -1))
+    cumulants = _sorted_cumulants(ms[s], d).T
+    pencil = bases @ cumulants.reshape(len(cumulants), len(anchors), -1).swapaxes(0, 1)
+    u, vals, accepted = _pencil_newton(*pencil.swapaxes(0, 1).reshape(2, d, d, -1))
     # Entries the kernel rejects may not be finite; LAPACK redoes them.
     with np.errstate(over="ignore", invalid="ignore"):
-        unit, orient = _unit_oriented(np.einsum("kpe,pq->kqe", u, anchor))
+        rows = np.einsum("kpre,rpq->kqre", u.reshape(d, d, len(anchors), -1), anchors)
+        unit, orient = _unit_oriented(rows.reshape(d, d, -1))
     # An accepted entry has real eigenvectors and no eigen-gap flag: its
     # gaps are at least EIGEN_GAP_RTOL of its scale (see _pencil_newton).
     return DemixedRows(np.ascontiguousarray(unit.transpose(2, 0, 1)),
@@ -533,53 +548,6 @@ def _congruence(u: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _peak(a: np.ndarray) -> np.ndarray:
     """max|a| over all axes but the last."""
     return np.max(np.abs(a).reshape(-1, a.shape[-1]), axis=0)
-
-
-def _solve_2x2(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """g2^{-1} g1 for a stack of nonsingular 2 x 2 matrices by the adjugate."""
-    adj = np.stack([g2[..., 1, 1], -g2[..., 0, 1], -g2[..., 1, 0], g2[..., 0, 0]], -1)
-    return (adj.reshape(g2.shape) @ g1) / _det_2x2(g2)[..., None, None]
-
-
-def _det_2x2(g: np.ndarray) -> np.ndarray:
-    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-
-
-def _sorted_eig_2x2(h: np.ndarray):
-    """Closed-form :func:`_sorted_eig` for a stack of 2 x 2 matrices.
-
-    LAPACK's per-matrix overhead dominates the jackknife's stacks of
-    thousands of 2 x 2 problems.  Matrices with two distinct real
-    eigenvalues (the identified case) get lambda = tr/2 +/- root, root =
-    sqrt(disc), and unit eigenvectors; the rest (complex or repeated
-    eigenvalues, non-finite entries) go through LAPACK, so their residue and
-    gap diagnostics are unchanged.
-    """
-    a, b, c, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 0], h[..., 1, 1]
-    half_tr = 0.5 * (a + d)
-    half_diff = 0.5 * (a - d)
-    disc = half_diff * half_diff + b * c
-    lapack = ~(disc > 0.0) | ~np.isfinite(disc)
-    root = np.sqrt(np.where(lapack, 1.0, disc))
-    vals = np.stack([half_tr + root, half_tr - root], axis=-1)
-    # For lambda = tr/2 + s*root, H - lambda I has rows (half_diff - s*root, b)
-    # and (c, -half_diff - s*root).  Each eigenvector is read off the row
-    # whose diagonal entry is -s*(|half_diff| + root), free of cancellation.
-    pos = half_diff >= 0.0
-    big = np.abs(half_diff) + root
-    vecs = np.empty_like(h)
-    vecs[..., 0, 0] = np.where(pos, big, b)
-    vecs[..., 1, 0] = np.where(pos, c, big)
-    vecs[..., 0, 1] = np.where(pos, b, -big)
-    vecs[..., 1, 1] = np.where(pos, -big, c)
-    vecs /= np.hypot(vecs[..., :1, :], vecs[..., 1:, :])
-    if lapack.any():
-        slow_vals, slow_vecs = _sorted_eig(h[lapack])
-        vals = vals.astype(slow_vals.dtype)
-        vecs = vecs.astype(slow_vecs.dtype)
-        vals[lapack] = slow_vals
-        vecs[lapack] = slow_vecs
-    return vals, vecs
 
 
 def _unit_oriented(rt: np.ndarray):

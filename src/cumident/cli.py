@@ -318,12 +318,14 @@ _TABLE_DEFAULTS = {
 }
 
 
-def _setting(config, key, cast, default):
+def _setting(config, key, cast, default, single=False):
     """Config `key` as a tuple of `cast` values, or `default`; the library
-    checks their ranges."""
+    checks their ranges.  A `single` key refuses a list."""
     if key not in config:
         return default
     raw = config[key]
+    if single and isinstance(raw, list):
+        raise InvalidInputError(f"config key {key!r} takes one value, got a list")
     try:
         return tuple(map(cast, raw if isinstance(raw, list) else [raw]))
     except ValueError as exc:
@@ -341,22 +343,22 @@ def _cmd_simulate(args, argv) -> int:
             raise InvalidInputError(str(exc)) from exc
         inputs[str(args.config)] = hashlib.sha256(data).hexdigest()
     table = args.table if args.table is not None else _setting(
-        config, "table", int, (0,))[0]
+        config, "table", int, (0,), single=True)[0]
     if table not in (1, 2, 3):
         raise InvalidInputError("select a table via --table {1,2,3} or the config file")
     seed = args.seed if args.seed is not None else _setting(
-        config, "seed", int, (None,))[0]
+        config, "seed", int, (None,), single=True)[0]
     if seed is None:
         raise InvalidInputError("a seed is required (--seed or config key 'seed')")
     reps = args.reps if args.reps is not None else _setting(
-        config, "reps", int, (1000,))[0]
+        config, "reps", int, (1000,), single=True)[0]
     defaults = _TABLE_DEFAULTS[table]
     ns = _setting(config, "ns", int, defaults["ns"])
     kurtoses = _setting(config, "kurtoses", float, (3.0, 4.0, 5.0))
     ks = _setting(config, "ks", float, defaults.get("ks"))
-    k = _setting(config, "k", float, (defaults.get("k"),))[0]
-    level = _setting(config, "level", float, (defaults.get("level"),))[0]
-    alpha = _setting(config, "alpha", float, (defaults.get("alpha"),))[0]
+    k = _setting(config, "k", float, (defaults.get("k"),), single=True)[0]
+    level = _setting(config, "level", float, (defaults.get("level"),), single=True)[0]
+    alpha = _setting(config, "alpha", float, (defaults.get("alpha"),), single=True)[0]
     estimators = _setting(config, "estimators", str, ("eigen", "iv1", "iv2"))
     methods = _setting(config, "methods", str, ("jackknife", "delta"))
 

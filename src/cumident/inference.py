@@ -17,6 +17,7 @@ Scale conventions (stated once, used everywhere):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -57,7 +58,7 @@ class JackknifeResult:
     labeling permutation differed from the full-sample one, `tie_count` the resamples whose sign labeling tied on
     mismatch count (and was settled by the margin), `gap_count` the
     resamples that hit the eigen-gap safeguard, and `eig_fallbacks` the
-    resamples whose eigenpairs the pencil kernel handed back to LAPACK.
+    resamples LAPACK demixed (all n when the estimate has a gap flag).
     None is trimmed: fragile identification is reported, not hidden.
     `full_estimate` is the statistic on the full sample, laid out as one row
     of `estimates`, and `full_tie` whether its sign labeling tied on
@@ -177,11 +178,11 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     ``COND_CAP``; the delta method then evaluates the statistic at the
     finite-difference points of every sample that stands, in one stack, and
     the jackknife at each such sample's delete-1 stack
-    (:meth:`~cumident._pipeline.MomentRecord.leave_one_out`), each stack
-    refined from its sample's anchor rows.  A failure is flagged, never
-    raised (:func:`_raise_failed` raises for one sample); a bad `method` or
-    probe, fewer than d + 1 rows, a jackknife below ``MIN_JACKKNIFE_N``
-    rows and several samples of width d > 2 raise.
+    (:meth:`~cumident._pipeline.MomentRecord.leave_one_out`), each sample's
+    points refined from its anchor rows, or by LAPACK where they have a gap
+    flag.  A failure is flagged, never raised (:func:`_raise_failed` raises
+    for one sample); a bad `method` or probe, fewer than d + 1 rows and a
+    jackknife below ``MIN_JACKKNIFE_N`` rows raise.
 
     The records are read once, in order.  The delta method keeps only each
     Sigma_m, so records made as they are read have one monomial matrix alive
@@ -197,8 +198,6 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
         d = record.x.shape[1]
         ms.append(record.m_hat)
         held.append(record.sigma_m() if delta else record)
-    if d > 2 and len(ms) > 1:  # their stacked points are refined from one anchor
-        raise ValueError("samples of width d > 2 are tested one at a time")
     w1, w2 = _check_direction(probes.w1, d), _check_direction(probes.w2, d)
     ns = np.array(ns)
     if ns.min() < d + 1:
@@ -214,22 +213,21 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     anchors = _pipeline.demix_rows(m, d, w1, w2, cond_cap=COND_CAP)
     point, *labels = statistic(anchors.rows, m)
     ok = ~(moments_fail | anchors.ill_conditioned)
-    # d = 2 stacks take the closed form; a gap-flagged estimate anchors none.
-    anchor = [None if d == 2 or gap else rows
-              for rows, gap in zip(anchors.rows, anchors.gap_flags)]
+    # An estimate with a gap flag anchors none of its points.
+    start = np.where(anchors.gap_flags[:, None, None], np.nan, anchors.rows)
     spread = np.full(point.shape + point.shape[-1:], np.nan)
     resamples = [None] * len(ms)
     if delta and ok.any():
         resamples = _delta_from_moments(
             held[ok], m[ok],
-            lambda s: statistic(_pipeline.demix_rows(s, d, w1, w2, anchor[0]).rows, s)[0])
+            lambda s: statistic(_pipeline.demix_rows(s, d, w1, w2, start[ok]).rows, s)[0])
         spread[ok] = resamples.sigma_u
     elif not delta:
         for i in np.flatnonzero(ok):
             # Released after use, so a record that no one else keeps frees
             # its delete-1 rows before the next sample's are demixed.
             record, held[i] = held[i], None
-            demixed = record.leave_one_out(w1, w2, anchor[i])
+            demixed = record.leave_one_out(w1, w2, start[i])
             values, ties, order = statistic(demixed.rows, record.delete1)
             if order is not None:
                 # Flags, so the (n, d) orderings are not held with the spread.
@@ -363,8 +361,10 @@ def confidence_interval(point: float, variance: float, n: int,
     delta-method `sigma_u` entry directly.  For a jackknife variance (which
     is already on the estimate scale) use
     :func:`jackknife_confidence_interval` instead, of which this is the
-    view at variance / n.
+    view at variance / n.  `n` must be an integer of at least 1.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
     return jackknife_confidence_interval(point, variance / n, level)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Triangular-top 3-variable system: variable 1 loads only on shock 1, so the
@@ -72,3 +74,27 @@ def population_contraction(a: np.ndarray, kappa3: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
     """Exact G(w) = A diag(6 kappa3_i (A'w)_i) A' for a known mixing."""
     return a @ np.diag(6.0 * kappa3 * (a.T @ w)) @ a.T
+
+
+def stacked_wald_samples(d: int, w1: np.ndarray, w2: np.ndarray):
+    """Four samples of width d for one stacked Wald test at probes (w1, w2).
+
+    Samples 0, 1 and 3 are skewed shocks through I plus +-0.3 off the
+    diagonal, at n = 60, 400 and 1 500.  Sample 2 has an estimate with a
+    gap flag: its 4^d rows are a full factorial of skewed levels, so its
+    columns are independent in the sample and its third cumulant diagonal,
+    mixed by a matrix whose columns 0 and 1 differ by a vector orthogonal
+    to w1 and w2, so that their eigenvalues a'w1 / a'w2 are equal.
+    """
+    rng = np.random.default_rng([d, 0])
+    samples = []
+    for n in (60, 400, 1_500):
+        lam = np.eye(d) + rng.choice([-0.3, 0.3], (d, d)) * (1.0 - np.eye(d))
+        samples.append(rng.standard_exponential((n, d)) @ np.linalg.inv(lam).T)
+    levels = [s * np.array([-1.0, -1.0, 0.0, 2.0]) for s in rng.uniform(0.5, 2.0, d)]
+    mixing = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    probes = np.column_stack([w1, w2])
+    u = rng.standard_normal(d)
+    mixing[:, 1] = mixing[:, 0] + u - probes @ np.linalg.lstsq(probes, u, rcond=None)[0]
+    samples.insert(2, np.array(list(itertools.product(*levels))) @ mixing.T)
+    return samples

@@ -343,6 +343,9 @@ def test_simulate_requires_seed_and_table(tmp_path):
     "table = 1\nkurtoses = 2, 4, 5\n",
     "table = 1\nestimators = eigen, ols\n",
     "table = 2\nmethods = bootstrap\n",
+    "table = 2\nk = 0.1, 0.5\n",
+    "table = 1, 3\n",
+    "table = 3\nreps = 2, 9\n",
 ])
 def test_simulate_bad_config_values_exit_2_before_any_output(tmp_path, lines):
     cfg = tmp_path / "exp.cfg"

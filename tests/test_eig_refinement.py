@@ -3,17 +3,19 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import cumident as ci
-from cumident import _pipeline
+from cumident import _pipeline, overid
 from cumident._pipeline import _sorted_eig
 from cumident.inference import _fd_steps
 from cumident.moments import _centered_moments, _moment_covariance
 
 from _brute_force import leave_one_out_moments
+from _designs import stacked_wald_samples
 
 
 @pytest.fixture(autouse=True)
@@ -56,11 +58,11 @@ def estimate_rows(m, d, w1, w2):
 
 def resample_anchor(m, d, w1, w2):
     """The anchor inference._resampled passes for the sample `m`: its rows,
-    or None at d = 2 and for rows with an eigen-gap flag.  (A sample whose
-    estimate fails is not resampled.)"""
+    or None for rows with an eigen-gap flag.  (A sample whose estimate
+    fails is not resampled.)"""
     est = _pipeline.demix_rows(m, d, w1, w2)
     assert not est.ill_conditioned
-    return None if d == 2 or est.gap_flags else est.rows
+    return None if est.gap_flags else est.rows
 
 
 def diagonal_tensor(skew):
@@ -157,13 +159,13 @@ def planted_stack():
 
 
 def pencil_parts(monkeypatch):
-    """The (anchor, basis) arguments of each _pencil_part call, as a list
+    """The (anchors, bases) arguments of each _pencil_part call, as a list
     that fills while `monkeypatch` is active."""
     seen, real = [], _pipeline._pencil_part
 
-    def part(ms, s, d, anchor, basis):
-        seen.append((anchor, basis))
-        return real(ms, s, d, anchor, basis)
+    def part(ms, s, d, anchors, bases):
+        seen.append((anchors, bases))
+        return real(ms, s, d, anchors, bases)
 
     monkeypatch.setattr(_pipeline, "_pencil_part", part)
     return seen
@@ -173,9 +175,9 @@ def test_refinement_rejects_planted_entries(monkeypatch):
     ms, w1, w2, anchor = planted_stack()
     seen = pencil_parts(monkeypatch)
     _pipeline.demix_rows(ms, 4, w1, w2, anchor=anchor)
-    (got, basis), = seen
-    assert got is anchor
-    part = _pipeline._pencil_part(ms, slice(None), 4, anchor, basis)
+    (got, bases), = seen
+    assert got.shape == (1, 4, 4) and got[0].tobytes() == anchor.tobytes()
+    part = _pipeline._pencil_part(ms, slice(None), 4, got, bases)
     np.testing.assert_array_equal(np.flatnonzero(part.eig_fallbacks), [3, 7, 11])
 
 
@@ -300,6 +302,7 @@ def test_kernel_rows_are_oriented_as_lapack_rows():
 
 
 DESIGNS = {
+    2: np.array([[1.0, 0.4], [-0.5, 1.0]]),
     3: np.array([[1.0, 0.4, -0.3], [-0.5, 1.0, 0.4], [0.3, -0.5, 1.0]]),
     5: np.array([
         [1.0, 0.3, -0.3, 0.5, 0.3],
@@ -318,7 +321,7 @@ def skewed_sample(n: int, d: int, seed: int):
     return shocks @ np.linalg.inv(lam).T, np.sign(lam).astype(int)
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_delete_one_stack_matches_lapack(d):
     probes = ci.ProbeVectors.draw(d, 7)
     for n in (500, 5_000):
@@ -401,10 +404,12 @@ def stack_in_chunks(case: str):
     """(stack, d, w1, w2, anchor) of a stack that spans two or more chunks:
     the tiled d = 4 planted stack, through the kernel with LAPACK fallbacks
     or, from a degenerate probe pair whose estimate has a gap flag, through
-    LAPACK alone; or a d = 2 delete-1 stack of more than 8 192 entries."""
+    LAPACK alone; or a d = 2 delete-1 stack of more than 8 192 entries,
+    through the kernel."""
     if case == "d2":
         record, probes = delete1_record(2, 9_000)
-        return leave_one_out_moments(record.z), 2, probes.w1, probes.w2, None
+        return (leave_one_out_moments(record.z), 2, probes.w1, probes.w2,
+                resample_anchor(record.m_hat, 2, probes.w1, probes.w2))
     ms, w1, w2, anchor = tiled_planted_stack()
     if case == "degenerate anchor":
         w1 = w2 = np.ones(4)
@@ -427,8 +432,8 @@ def test_chunked_stacks_keep_the_layout_of_one_chunk(case, monkeypatch):
         got, want = getattr(several, field), getattr(one, field)
         assert got.strides == want.strides and got.dtype == want.dtype, field
     assert several.cond_g2 is one.cond_g2 is None
-    assert several.eig_fallbacks.any() == (d > 2)
-    if case == "kernel":
+    assert several.eig_fallbacks.all() == (anchor is None)
+    if anchor is not None:
         # The kernel's fields are C-ordered, LAPACK fallbacks and all.
         assert all(f.flags.c_contiguous for f in several[:-1])
     else:
@@ -459,13 +464,13 @@ def test_streamed_delete1_rows_match_the_built_stack(d, n, case, monkeypatch):
         probes = ci.ProbeVectors(w1=np.ones(d), w2=np.ones(d))
     assert len(_pipeline._pencil_chunks(n, d)) >= 2
     anchor = resample_anchor(record.m_hat, d, probes.w1, probes.w2)
-    assert (anchor is None) == (d == 2 or case == "degenerate anchor")
+    assert (anchor is None) == (case == "degenerate anchor")
     got = record.leave_one_out(probes.w1, probes.w2, anchor)
     ms = leave_one_out_moments(record.z)
     want = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, anchor=anchor)
     for field in ("rows", "gap_flags", "eig_fallbacks", "ill_conditioned"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    if d > 2 and case != "kernel":
+    if case != "kernel":
         assert got.eig_fallbacks.any()
     offdiag = _pipeline.offdiag_from_rows(got.rows, record.delete1, d)
     assert offdiag.tobytes() == offdiag_of_the_whole_stack(got.rows, ms, d).tobytes()
@@ -518,7 +523,7 @@ def test_degenerate_anchor_falls_back_everywhere(monkeypatch):
         raise AssertionError("refined from a gap-flagged estimate")
 
     monkeypatch.setattr(_pipeline, "_pencil_part", refine)
-    for d in (3, 5):
+    for d in (2, 3, 5):
         x, _ = skewed_sample(400, d, 43)
         probes = ci.ProbeVectors(w1=np.ones(d), w2=np.ones(d))
         with pytest.warns(ci.EigenGapWarning):
@@ -528,7 +533,7 @@ def test_degenerate_anchor_falls_back_everywhere(monkeypatch):
         ci.delta_variance(x, probes)
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_resample_stacks_are_refined_from_the_estimate(d, monkeypatch):
     # The delete-1 stack and both finite-difference stacks start from the
     # sample's own estimate, bit for bit, and no other anchor is solved.
@@ -550,8 +555,40 @@ def test_resample_stacks_are_refined_from_the_estimate(d, monkeypatch):
     fd = 2 * ci.moment_vector_length(d)
     assert [b for b, _ in seen] == [len(x), fd, fd]
     for _, anchor in seen:
-        assert anchor.shape == rows.shape and anchor.tobytes() == rows.tobytes()
+        assert anchor.shape == (1, d, d) and anchor.tobytes() == rows.tobytes()
     assert jk.eig_fallbacks < len(x) // 10
+
+
+@pytest.mark.parametrize("method", ["delta", "jackknife"])
+@pytest.mark.parametrize("d", [3, 5])
+def test_several_samples_in_one_wald_stack_match_their_own_tests(d, method, monkeypatch):
+    # One stacked Wald test refines each sample's points from its own
+    # estimate, so each sample's T, p, r and Omega are bitwise those of its
+    # own wald_test.  Sample 2's estimate has a gap flag: its points go to
+    # LAPACK alone, and its rows never reach the kernel.
+    probes = ci.ProbeVectors.draw(d, 7)
+    samples = stacked_wald_samples(d, probes.w1, probes.w2)
+    records = [_pipeline.MomentRecord.of(x) for x in samples]
+    seen = pencil_parts(monkeypatch)
+    stack = overid._wald_stack(records, probes, method)
+    np.testing.assert_array_equal(stack.anchors.gap_flags, [0, 0, 1, 0])
+    assert seen
+    for anchors, _ in seen:
+        assert np.isfinite(anchors).all()
+        assert not (anchors == stack.anchors.rows[2]).all(axis=(1, 2)).any()
+    if method == "jackknife":
+        # The record keeps the delete-1 rows it was asked for.
+        held = records[2].leave_one_out(probes.w1, probes.w2, None)
+        assert held.eig_fallbacks.all()
+    for i, x in enumerate(samples):
+        _pipeline._record = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ci.EigenGapWarning)
+            own = ci.wald_test(x, probes, method)
+        for got, want in ((stack.statistic[i], own.statistic),
+                          (stack.p_value[i], own.p_value),
+                          (stack.r_hat[i], own.r_hat), (stack.omega[i], own.omega_hat)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_jackknife_runs_lapack_on_a_bounded_number_of_matrices(monkeypatch):

@@ -19,7 +19,6 @@ SRC = Path(ci.__file__).parent
 NUMERICAL_VALUE_ERRORS = Counter({
     ("inference.py", "delta_variance_statistic"): 1,  # sixth moments out of range
     ("inference.py", "_raise_failed"): 1,  # sixth moments out of range
-    ("inference.py", "_resampled"): 1,  # d > 2 samples stacked
     ("varpipe.py", "fit_var"): 1,  # rank-deficient lag regressors
     ("varpipe.py", "partial_out"): 1,  # rank-deficient controls
 })
@@ -89,6 +88,9 @@ _BAD_CALLS = {
     "kurtosis nan": lambda: ci.CompositeDgpConfig(n=10, k=0.1, kurtoses=(3.0, np.nan, 5.0)),
     "two kurtoses": lambda: ci.CompositeDgpConfig(n=10, k=0.1, kurtoses=(3.0, 4.0)),
     "level above 1": lambda: ci.jackknife_confidence_interval(0.0, 1.0, level=1.5),
+    "interval n 0": lambda: ci.confidence_interval(0.0, 1.0, 0),
+    "interval n -5": lambda: ci.confidence_interval(0.0, 0.5, -5),
+    "interval n 2.5": lambda: ci.confidence_interval(0.0, 1.0, 2.5),
     "no coverage methods": lambda: ci.run_coverage_experiment([300], 0.5, 1, 1, methods=()),
     "duplicate pattern rows, jackknife": lambda: ci.demixing_jackknife(
         _composite(), ci.ProbeVectors.draw(2, 1), pattern=[[1, 1], [1, 1]]),

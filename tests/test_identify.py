@@ -274,53 +274,3 @@ def test_fourth_order_estimate_matches_the_closed_form(d):
 def test_probe_draw_validates_w2_shape():
     with pytest.raises(ValueError):
         ci.ProbeVectors.draw(3, 1, w2=np.ones(2))
-
-
-def test_closed_form_2x2_eigenpairs_match_lapack():
-    from cumident import _pipeline
-
-    rng = np.random.default_rng(21)
-    special = np.array([
-        np.eye(2),                    # repeated, two eigenvectors
-        [[1.0, 1.0], [0.0, 1.0]],     # repeated, defective
-        [[2.0, 0.0], [0.0, -3.0]],    # diagonal
-        [[0.5, 4.0], [0.0, 0.2]],     # triangular
-        [[0.0, -1.0], [1.0, 0.0]],    # complex pair
-    ])
-    h = np.concatenate([rng.standard_normal((4_000, 2, 2)), special])
-    h[::7] *= 1e6
-    ref_vals, ref_vecs = _pipeline._sorted_eig(h)
-    vals, vecs = _pipeline._sorted_eig_2x2(h)
-
-    real = np.all(ref_vals.imag == 0, axis=-1) & (ref_vals[:, 0] != ref_vals[:, 1])
-    # Complex and repeated eigenvalues keep the LAPACK result exactly.
-    np.testing.assert_array_equal(vals[~real], ref_vals[~real])
-    np.testing.assert_array_equal(vecs[~real], ref_vecs[~real])
-    assert (~real).sum() >= 3
-
-    eps = np.finfo(float).eps
-    scale = np.abs(h[real]).max(axis=(-2, -1))
-    gap = np.abs(ref_vals[real, 0] - ref_vals[real, 1])
-    np.testing.assert_array_less(
-        np.abs(vals[real] - ref_vals[real]).max(axis=-1), 16 * eps * scale
-    )
-    # Unit eigenvectors agree up to sign, within rounding over the gap.
-    dots = np.abs(np.einsum("bik,bik->bk", vecs[real].real, ref_vecs[real].real))
-    np.testing.assert_array_less(
-        (1.0 - dots).max(axis=-1), 64 * eps * (scale / gap) ** 2 + 8 * eps
-    )
-
-
-def test_closed_form_2x2_solve_matches_lapack():
-    from cumident import _pipeline
-
-    rng = np.random.default_rng(22)
-    g2 = rng.standard_normal((2_000, 2, 2))
-    g1 = rng.standard_normal((2_000, 2, 2))
-    want = np.linalg.solve(g2, g1)
-    cond = np.linalg.cond(g2)
-    err = np.abs(_pipeline._solve_2x2(g2, g1) - want).max(axis=(-2, -1))
-    np.testing.assert_array_less(
-        err, 16 * np.finfo(float).eps * cond * np.abs(want).max(axis=(-2, -1))
-    )
-    assert _pipeline._singular(np.diag([1.0, 0.0]))

@@ -13,11 +13,14 @@ from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, g
 from _brute_force import jackknife_variance, leave_one_out_moments
 
 
-def labeled_slope(probes):
+def labeled_slope(x, probes):
     """The labeled slope as a statistic of the moments, for
-    delta_variance_statistic: the pipeline written out from the kernels."""
+    delta_variance_statistic: the pipeline written out from the kernels,
+    with the stacks refined from the estimate of the sample `x`."""
+    anchor = ci.estimate_demixing(x, probes).lambda_tilde
+
     def batch(ms):
-        rows = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2).rows
+        rows = _pipeline.demix_rows(ms, 2, probes.w1, probes.w2, anchor).rows
         return _pipeline.label_signs(rows, ci.SUPPLY_DEMAND_PATTERN)[0][..., 0, 1]
     return batch
 
@@ -103,7 +106,6 @@ def test_delta_variance_degenerate_sample_errors():
 
 def test_ci_half_widths_shrink_at_root_n():
     probes = ci.ProbeVectors.draw(2, 7)
-    batch = labeled_slope(probes)
     cfg = CompositeDgpConfig(n=2_000, k=0.5, seed=11)
     ratios = []
     for rep in range(100):
@@ -111,7 +113,7 @@ def test_ci_half_widths_shrink_at_root_n():
         widths = []
         for n in (1_000, 2_000):
             x = _assemble(s[:n], e[:n], eps[:n], 0.5)
-            res = ci.delta_variance_statistic(x, batch_statistic=batch)
+            res = ci.delta_variance_statistic(x, batch_statistic=labeled_slope(x, probes))
             widths.append(np.sqrt(res.sigma_u[0, 0] / n))
         ratios.append(widths[1] / widths[0])
     assert 0.6 < np.mean(ratios) < 0.8
@@ -164,7 +166,7 @@ def test_jackknife_returns_the_full_sample_statistic():
     x = gen_composite(CompositeDgpConfig(n=300, k=0.2, seed=12), 0).x
     probes = ci.ProbeVectors.draw(2, 12)
     m = _centered_moments(x)[1]
-    point = labeled_slope(probes)(m)
+    point = labeled_slope(x, probes)(m)
     rows = _pipeline.demix_rows(m, 2, probes.w1, probes.w2)[0]
     jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
     assert jk.full_estimate.shape == (1,)
@@ -186,7 +188,7 @@ def test_jackknife_and_delta_agree_at_scale():
     jk = ci.demixing_jackknife(x, probes, pattern=ci.SUPPLY_DEMAND_PATTERN,
                                entry=(0, 1))
     se_jk = np.sqrt(jk.variance[0, 0])
-    dv = ci.delta_variance_statistic(x, batch_statistic=labeled_slope(probes))
+    dv = ci.delta_variance_statistic(x, batch_statistic=labeled_slope(x, probes))
     se_delta = np.sqrt(dv.sigma_u[0, 0] / 5_000)
     assert abs(se_jk - se_delta) / se_delta < 0.25
 
@@ -199,6 +201,9 @@ def test_confidence_interval_examples():
         ci.confidence_interval(0.0, 1.0, 100, level=1.2)
     with pytest.raises(ValueError):
         ci.confidence_interval(0.0, -1.0, 100)
+    # A negative n is refused as n, not as the negative variance it makes.
+    with pytest.raises(ValueError, match="n must be"):
+        ci.confidence_interval(0.0, 0.5, -5)
 
 
 
@@ -231,7 +236,7 @@ def test_delta_variance_labeled_public_helper():
     x = gen_composite(CompositeDgpConfig(n=2_000, k=0.5, seed=14), 0).x
     probes = ci.ProbeVectors.draw(2, 14)
     res = ci.delta_variance_labeled(x, probes, ci.SUPPLY_DEMAND_PATTERN)
-    manual = ci.delta_variance_statistic(x, batch_statistic=labeled_slope(probes))
+    manual = ci.delta_variance_statistic(x, batch_statistic=labeled_slope(x, probes))
     np.testing.assert_array_equal(res.sigma_u, manual.sigma_u)
     with pytest.raises(IllConditionedError):
         bad = np.column_stack([x[:, 0], np.full(len(x), 3.0)])

@@ -4,8 +4,8 @@
     python3 tools/snapshot.py --compare BEFORE.json AFTER.json
 
 A snapshot runs the package in CHECKOUT/src (default: this repository) and
-records, in SNAPSHOT.json, with the numbers of each inference and VAR item in
-SNAPSHOT.npz beside it:
+records, in SNAPSHOT.json, with the numbers of each inference,
+several-samples and VAR item in SNAPSHOT.npz beside it:
 
 - Tables 1-3 on each of the benchmark's pool blocks, as the `mc_tables`
   workload calls them (read from CHECKOUT/bench/workloads.py): values,
@@ -20,6 +20,10 @@ SNAPSHOT.npz beside it:
 - the jackknife of an F-ordered copy of the composite sample (n = 200,
   k = 0.2, seed 21), with no moment record held and after a Wald test on
   the C-ordered sample;
+- the several-samples group: `overid._wald_stack` of the four d = 3
+  samples of `tests/_designs.stacked_wald_samples` (n = 60, 400, 64 and
+  1 500; the 64-row sample's estimate has a gap flag) in one call, by each
+  method, as one SHA-256 each;
 - the VAR group on the `cli_io` VAR series and on the near-unit-root design
   of tests/_designs.py: `fit_var` (coefficients, intercept and residuals),
   `partial_out` of the other columns on the first, and the Wald statistic
@@ -30,10 +34,10 @@ SNAPSHOT.npz beside it:
 --compare reports what differs.  A table block passes under the benchmark's
 reference rules (MSE cells to a relative 1e-6, rate cells within one
 decision, failure counts exact); every other item must be bit-equal.  For
-an inference or VAR item that differs, it prints from the two .npz files the
-change of each float field, relative to that field's largest magnitude,
-and the other fields (counts and flags) that differ.  The exit
-status is 1 when anything fails.
+an inference, several-samples or VAR item that differs, it prints from the
+two .npz files the change of each float field, relative to that field's
+largest magnitude, and the other fields (counts and flags) that differ.
+The exit status is 1 when anything fails.
 """
 
 from __future__ import annotations
@@ -191,6 +195,27 @@ def _inference(ci) -> tuple[dict, dict]:
     return out, numbers
 
 
+def _several(ci) -> tuple[dict, dict]:
+    """The digest of the stacked Wald test of several samples, by method,
+    and its numbers."""
+    sys.path.insert(0, str(REPO / "tests"))
+    from _designs import stacked_wald_samples
+    probes = ci.ProbeVectors.draw(3, 7)
+    samples = stacked_wald_samples(3, probes.w1, probes.w2)
+    out, numbers = {}, {}
+    for method in ("delta", "jackknife"):
+        item = f"d=3 wald_stack {method}"
+        records = [ci._pipeline.MomentRecord.of(x) for x in samples]
+        try:
+            result = ci.overid._wald_stack(records, probes, method)
+        except Exception as exc:  # a refusal is an output too
+            out[item] = _digest(type(exc).__name__, str(exc))
+        else:
+            out[item] = _digest(result)
+            numbers.update(_numbers(item, result))
+    return out, numbers
+
+
 def _var(ci, workloads) -> tuple[dict, dict]:
     """The digest of each VAR item, and its numbers."""
     sys.path.insert(0, str(REPO / "tests"))
@@ -237,12 +262,15 @@ def _cli(workloads) -> dict:
 
 
 def snapshot(root: Path) -> tuple[dict, dict]:
-    """The snapshot of a checkout, and the numbers of its inference and VAR items."""
+    """The snapshot of a checkout, and the numbers of its inference,
+    several-samples and VAR items."""
     ci, workloads = _load(root)
     inference, numbers = _inference(ci)
+    several, several_numbers = _several(ci)
     var, var_numbers = _var(ci, workloads)
-    return ({"tables": _tables(workloads), "inference": inference, "var": var,
-             "cli": _cli(workloads)}, numbers | var_numbers)
+    return ({"tables": _tables(workloads), "inference": inference,
+             "several samples": several, "var": var, "cli": _cli(workloads)},
+            numbers | several_numbers | var_numbers)
 
 
 def _changes(item: str, old, new) -> str:
@@ -295,7 +323,7 @@ def compare(before: dict, after: dict, old_numbers=None, new_numbers=None) -> bo
         ok &= passed == n and len(after["tables"][table]) == n
         print(f"table {table}: {equal} of {n} blocks bit-equal, {passed} of {n} "
               f"within the benchmark rules, largest relative change {worst:.3g}")
-    for group in ("inference", "var", "cli"):
+    for group in ("inference", "several samples", "var", "cli"):
         old, new = before[group], after[group]
         differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         for key in differ:
