@@ -8,10 +8,12 @@ when a constant is added to the data; their length sets the cumulant
 order, 3 or 4.  The delta method perturbs the order-3 moment vector and
 the jackknife downdates it once per observation, both through
 one resampling kernel (``inference._resampled``), which the standard errors,
-the Wald test and Table 2 share.  Single-vector callers (``identify``'s
-``estimate_demixing``, the delta anchor, the jackknife centre, the Wald
-point statistic) run the kernels on a stack of one and get the same numbers,
-bit for bit; so do the scalar orientation and labeling functions, and
+the Wald test and Table 2 share.  It returns Omega, the covariance of
+sqrt(n) times the statistic, and one failure code per sample.
+Single-vector callers (``identify``'s ``estimate_demixing``, the delta
+anchor, the jackknife centre, the Wald point statistic) run the kernels on
+a stack of one and get the same numbers, bit for bit; so do the scalar
+orientation and labeling functions, and
 ``identify.demixing_from_contractions`` enters after the contractions
 (:func:`demix_contractions`).
 
@@ -32,10 +34,11 @@ from that sample's anchor: the rows that diagonalize the symmetric pencil
 each entry's pencil is nearly diagonal; one matrix product forms it from
 the sorted cumulants, and Newton steps finish it, with no cumulant tensor
 and no solve (:func:`_pencil_part`).  Entries that fail a rounding-level
-check go to LAPACK within their chunk, and so do all the points of a
-sample whose estimate has a near-repeated or complex pair.  The kernel
-scales and orients its rows entries last, by the one orientation
-(:func:`_oriented`) that LAPACK rows get in :func:`demix_contractions`.  On
+check go to LAPACK within their chunk.  So do all the points of a sample
+whose estimate has a near-repeated or complex pair: their anchor rows are
+NaN, which the kernel rejects.  The kernel scales and orients its rows
+entries last, by the one orientation (:func:`_oriented`) that LAPACK rows
+get in :func:`demix_contractions`.  On
 eight n = 10 000, d = 5 samples the delete-1 and finite-difference rows
 agree with LAPACK to 9.4e-15, the eigenvalues to 4.6e-15, the jackknife
 variances to 1.8e-13 of their largest entry, and the delta variances and
@@ -44,7 +47,8 @@ Wald statistics, whose difference quotients amplify last-bit changes, to
 
 A G(w2) that cannot be solved through fails by one rule at every d and
 stack size (:func:`demix_contractions`): the kernels flag it, with NaN
-rows, and the entry points raise (``identify._demixing_estimate`` and
+rows, ``inference._resampled`` codes it for its sample, and the entry
+points raise (``identify._demixing_estimate`` and
 ``inference._raise_failed``).
 """
 
@@ -76,8 +80,6 @@ ROW_SUM_FALLBACK_TOL = 1e-8
 # Largest d whose labeling scores all d! orderings through a gather table;
 # beyond it each stack entry is solved as a linear assignment problem.
 EXHAUSTIVE_PERMUTATION_CAP = 8
-
-_INVALID_MISMATCH = np.iinfo(np.int32).max
 
 # Largest (chunk, d!) or (chunk, d, d, d) array the labelers build; longer
 # stacks are labeled in chunks.
@@ -265,7 +267,8 @@ def demix_rows(ms: np.ndarray, d: int, w1, w2, anchor: np.ndarray | None = None,
         :func:`demix_contractions`); resampling stacks leave it off for speed.
 
     A (b, D) stack without a cap is read and demixed chunk by chunk
-    (:func:`_stack_rows`), through the pencil kernel where it has an anchor.
+    (:func:`_stack_rows`), through the pencil kernel, which hands every
+    entry of a run without finite anchor rows to LAPACK.
     Returns a :class:`DemixedRows`; a failed entry is flagged, not raised.
     """
     w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
@@ -381,20 +384,19 @@ _LAST_STEP_TOL = 1e-7
 _PENCIL_CHUNK_ELEMENTS = 1 << 15
 
 
-def _pencil_chunks(b: int, d: int, runs=(False,)) -> list[slice]:
-    """The chunks in which a b-entry stack of len(runs) equal runs, flagged
-    by `runs`, is read: _PENCIL_CHUNK_ELEMENTS // d^2 entries each (at least
-    one).  A longer run is cut from its own first entry; shorter runs share
-    a chunk whole while their flags agree.  The pencil kernel's bits depend
-    on the chunk width (:func:`_pencil_part`), so a run's boundaries are
-    fixed here, and are those it has alone."""
+def _pencil_chunks(b: int, d: int, runs: int = 1) -> list[slice]:
+    """The chunks in which a b-entry stack of `runs` equal runs is read:
+    _PENCIL_CHUNK_ELEMENTS // d^2 entries each (at least one).  A longer run
+    is cut from its own first entry; shorter runs share a chunk whole.  The
+    pencil kernel's bits depend on the chunk width (:func:`_pencil_part`),
+    so a run's boundaries are fixed here, and are those it has alone."""
     step = max(1, _PENCIL_CHUNK_ELEMENTS // (d * d))
-    size = b // len(runs)
+    size = b // runs
     if size > step:
         return [slice(s, min(s + step, r + size))
                 for r in range(0, b, size) for s in range(r, r + size, step)]
-    cuts = [r for r in range(len(runs)) if r % (step // size) == 0 or runs[r] != runs[r - 1]]
-    return [slice(r * size, end * size) for r, end in zip(cuts, cuts[1:] + [len(runs)])]
+    per = step // size
+    return [slice(r * size, min(r + per, runs) * size) for r in range(0, runs, per)]
 
 
 def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray, anchors) -> DemixedRows:
@@ -402,38 +404,30 @@ def _stack_rows(ms, d: int, w1: np.ndarray, w2: np.ndarray, anchors) -> DemixedR
     :class:`Delete1Moments`, read one :func:`_pencil_chunks` chunk at a time.
 
     The stack is C equal runs, one for each of the (C, d, d) `anchors`, the
-    rows (estimate) of the sample that the run resamples.  A run with a
-    finite anchor goes through the pencil kernel (:func:`_pencil_part`) in
-    the basis that maps sorted cumulants to (anchor G(w1) anchor', anchor
-    G(w2) anchor'), and the entries it rejects go to LAPACK; a run with NaN
-    rows (an estimate with a gap flag) goes to LAPACK whole, unrefined.
-    LAPACK's entries are flagged in `eig_fallbacks`, and are bitwise what a
-    stack of them alone gives (chunks of 1 to 16 384 entries gave the bits
-    of one call on delete-1 stacks at d = 2, 3 and 5).  The fields are laid
-    out as the first chunk's, whatever the chunk count.
+    rows (estimate) of the sample that the run resamples.  Each chunk goes
+    through the pencil kernel (:func:`_pencil_part`) in the basis that maps
+    sorted cumulants to (anchor G(w1) anchor', anchor G(w2) anchor'), and
+    the entries it rejects go to LAPACK: all of a run with NaN rows (an
+    estimate with a gap flag), which no refinement starts from.  LAPACK's
+    entries are flagged in `eig_fallbacks`, and are bitwise what a stack of
+    them alone gives (chunks of 1 to 16 384 entries gave the bits of one
+    call on delete-1 stacks at d = 2, 3 and 5).  The fields are laid out as
+    the first chunk's, whatever the chunk count.
     """
     size = len(ms) // len(anchors)
-    anchored = np.isfinite(anchors).all(axis=(1, 2))
     maps = _contraction_maps(d, w1, w2, _order_of(ms.shape[-1], d))
     # kron(anchor, anchor) of each run.
     pairs = np.einsum("cij,ckl->cikjl", anchors, anchors).reshape(-1, 1, d * d, d * d)
     bases = (pairs @ maps).reshape(len(anchors), 2 * d * d, -1)
-
-    def lapack(at):
-        part = demix_contractions(*_contractions(ms[at], d, w1, w2))
-        part.eig_fallbacks[:] = True
-        return part
-
     out = None
-    for s in _pencil_chunks(len(ms), d, anchored.tolist()):
+    for s in _pencil_chunks(len(ms), d, len(anchors)):
         r = slice(s.start // size, (s.stop - 1) // size + 1)
-        if anchored[r.start]:
-            part = _pencil_part(ms, s, d, anchors[r], bases[r])
-            slow = np.flatnonzero(part.eig_fallbacks)
-            if slow.size:
-                _fill(part, slow, lapack(s.start + slow))
-        else:
-            part = lapack(s)
+        part = _pencil_part(ms, s, d, anchors[r], bases[r])
+        slow = np.flatnonzero(part.eig_fallbacks)
+        if slow.size:
+            lapack = demix_contractions(*_contractions(ms[s.start + slow], d, w1, w2))
+            lapack.eig_fallbacks[:] = True
+            _fill(part, slow, lapack)
         if out is None:
             out = DemixedRows(*(
                 None if f is None else np.empty_like(f, shape=(len(ms), *f.shape[1:]))
@@ -835,7 +829,7 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
     by margin), and `order` holds the chosen ordering of each entry, a (b,
     d) intp array whose row e puts row order[e][i] of entry e at position
     i, or a tuple for one entry.  An entry without a valid ordering reports
-    int32-max mismatches, a tie, and the identity ordering.
+    inf mismatches, a tie, and the identity ordering.
     """
     squeeze = rows.ndim == 2
     r = rows[None] if squeeze else rows
@@ -855,10 +849,9 @@ def label_signs(rows: np.ndarray, pattern: np.ndarray):
         r, functools.partial(_sign_cost, pattern=weights),
         functools.partial(_margin_cost, pattern=weights),
         lambda lam: negated * lam[:, active], 0.0)
-    best_mism = np.where(np.isfinite(best), best, _INVALID_MISMATCH).astype(np.int64)
     if squeeze:
-        return lam[0], int(best_mism[0]), bool(tie_flags[0]), tuple(order[0].tolist())
-    return lam, best_mism, tie_flags, order
+        return lam[0], float(best[0]), bool(tie_flags[0]), tuple(order[0].tolist())
+    return lam, best, tie_flags, order
 
 
 def _sign_ties(rows: np.ndarray, pattern: np.ndarray):

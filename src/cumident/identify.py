@@ -26,7 +26,6 @@ from ._pipeline import (  # the three tolerances stay public names here
     EIGEN_GAP_RTOL,
     EXHAUSTIVE_PERMUTATION_CAP,
     ROW_SUM_FALLBACK_TOL,
-    _INVALID_MISMATCH,
     _gap_scale,
     _oriented,
 )
@@ -315,7 +314,7 @@ def label_by_signs(est: DemixingEstimate, sign_pattern,
             f"on_tie must be 'error' or 'margin', got {on_tie!r}")
     # The kernel checks the pattern's shape, entries and distinct rows.
     lam, mism, tied, perm = _pipeline.label_signs(rows, pattern)
-    if mism == _INVALID_MISMATCH:
+    if mism == np.inf:
         raise LabelingAmbiguityError(
             "no row permutation yields a nonzero diagonal", []
         )
@@ -332,7 +331,7 @@ def label_by_signs(est: DemixingEstimate, sign_pattern,
             if on_tie == "margin":
                 message += " even after margin tie-break"
             raise LabelingAmbiguityError(message, [perm] + others)
-    return _labeling(rows, perm, lam, float(mism))
+    return _labeling(rows, perm, lam, mism)
 
 
 def label_by_triangular(est: DemixingEstimate) -> LabelingResult:

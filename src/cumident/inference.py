@@ -3,15 +3,18 @@
 Both methods run through one resampling kernel, :func:`_resampled`, on one
 sample or a stack of them: the standard errors here are its b = 1 views, and
 the Wald test and the coverage experiment call it on their samples.  It
-flags failures; :func:`_raise_failed` raises them for one sample.
+returns Omega and one failure code per sample; :func:`_raise_failed` raises
+a sample's code.
 
 Scale conventions (stated once, used everywhere):
 
-* ``DeltaVarianceResult.sigma_u`` is the asymptotic covariance of
-  sqrt(n) * (estimate - truth); :func:`confidence_interval` therefore
-  divides it by n.
-* ``JackknifeResult.variance`` is the classical delete-1 estimate of the
-  variance of the estimate itself (no sqrt(n) scaling);
+* Omega, which :func:`_resampled` returns for either method, estimates the
+  covariance of sqrt(n) * (estimate - truth).  Callers take it as it is,
+  or as Omega / n on the estimate scale.
+* ``DeltaVarianceResult.sigma_u`` is Omega; :func:`confidence_interval`
+  therefore divides it by n.
+* ``JackknifeResult.variance`` is Omega / n, the classical delete-1
+  estimate of the variance of the estimate itself;
   :func:`jackknife_confidence_interval` uses it directly.
 """
 
@@ -137,32 +140,44 @@ def _delta_from_moments(sigma_m: np.ndarray, m_hat: np.ndarray,
 _METHODS = ("delta", "jackknife")
 
 
+# _Resampled.failure of a sample: 0 if it stands, else its first failed
+# check, in _raise_failed's order; _wald_stack adds _FAIL_OMEGA.
+_FAIL_MOMENTS, _FAIL_ANCHOR, _FAIL_RESAMPLE, _FAIL_OMEGA = 1, 2, 3, 4
+
+
 class _Resampled(NamedTuple):
     """:func:`_resampled` of b samples, each field with a leading sample axis.
 
     `ns` (b,) are the sample sizes, `point` (b, p) the statistic at the
     anchors (the estimates) and `labels` the ties and orderings of its sign
-    labeling, (None, None) unlabeled.  `spread` (b, p, p) is J Sigma_m J' of
-    the finite-difference Jacobian J (delta), or sum dev dev' of the
-    deviations of the n delete-1 statistics from their mean (jackknife); NaN
-    where a flag is set.  `resamples` holds, for the samples that stand, the
-    delta method's :class:`DeltaVarianceResult` (fields stacked over them),
-    or per sample the (statistic, ties, flips from the sample's ordering,
-    gap flags, eigen fallbacks) of its delete-1 resamples, None for the
-    others.  Flags: `moments_fail`, sixth moments out of range for the delta
-    method; `anchors.ill_conditioned`, a G(w2) over ``COND_CAP`` or singular
-    at the full sample; `resample_singular`, a non-finite spread, as a G(w2)
-    singular at a finite-difference point or delete-1 resample gives.
+    labeling, (None, None) unlabeled.  `omega` (b, p, p), exactly symmetric,
+    estimates Var(sqrt(n) * statistic), NaN where the sample fails: J
+    Sigma_m J' of the finite-difference Jacobian J (delta), or (n - 1) sum
+    dev dev' of the deviations of the n delete-1 statistics from their mean
+    (jackknife).  `failure` (b,) codes each sample: `_FAIL_MOMENTS`, sixth
+    moments out of range (delta); `_FAIL_ANCHOR`, a G(w2) over ``COND_CAP``
+    or singular at the full sample (`anchors.ill_conditioned`);
+    `_FAIL_RESAMPLE`, a non-finite Omega, as a G(w2) singular at a
+    finite-difference point or delete-1 resample gives.  `resamples` holds,
+    for the samples that stand, the delta method's
+    :class:`DeltaVarianceResult` (fields stacked over them), or per sample
+    the (statistic, ties, flips from the sample's ordering, gap flags, eigen
+    fallbacks) of its delete-1 resamples, None for the others.
     """
 
     ns: np.ndarray
     point: np.ndarray
     labels: tuple
-    spread: np.ndarray
+    omega: np.ndarray
     anchors: _pipeline.DemixedRows
-    moments_fail: np.ndarray
-    resample_singular: np.ndarray
+    failure: np.ndarray
     resamples: object
+
+
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise InvalidInputError(
+            f"method must be 'delta' or 'jackknife', got {method!r}")
 
 
 def _resampled(records, probes: ProbeVectors, statistic: Callable,
@@ -179,18 +194,16 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     finite-difference points of every sample that stands, in one stack, and
     the jackknife at each such sample's delete-1 stack
     (:meth:`~cumident._pipeline.MomentRecord.leave_one_out`), each sample's
-    points refined from its anchor rows, or by LAPACK where they have a gap
-    flag.  A failure is flagged, never raised (:func:`_raise_failed` raises
-    for one sample); a bad `method` or probe, fewer than d + 1 rows and a
-    jackknife below ``MIN_JACKKNIFE_N`` rows raise.
+    points refined from its anchor rows.  A failure is coded, never raised
+    (:func:`_raise_failed` raises for one sample); a bad `method` or probe,
+    fewer than d + 1 rows and a jackknife below ``MIN_JACKKNIFE_N`` rows
+    raise.
 
     The records are read once, in order.  The delta method keeps only each
     Sigma_m, so records made as they are read have one monomial matrix alive
     at a time; the jackknife drops each record once its stack is used.
     """
-    if method not in _METHODS:
-        raise InvalidInputError(
-            f"method must be 'delta' or 'jackknife', got {method!r}")
+    _check_method(method)
     delta = method == "delta"
     ms, ns, held = [], [], []
     for record in records:
@@ -206,22 +219,23 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     m = np.stack(ms)
     if delta:
         held = np.stack(held)
-        moments_fail = _sixth_moments_fail(held, d)
     else:
         _check_jackknife_n(ns.min())
-        moments_fail = np.zeros(len(ms), dtype=bool)
     anchors = _pipeline.demix_rows(m, d, w1, w2, cond_cap=COND_CAP)
     point, *labels = statistic(anchors.rows, m)
-    ok = ~(moments_fail | anchors.ill_conditioned)
+    failure = np.where(anchors.ill_conditioned, _FAIL_ANCHOR, 0).astype(np.int8)
+    if delta:
+        failure[_sixth_moments_fail(held, d)] = _FAIL_MOMENTS
+    ok = failure == 0
     # An estimate with a gap flag anchors none of its points.
     start = np.where(anchors.gap_flags[:, None, None], np.nan, anchors.rows)
-    spread = np.full(point.shape + point.shape[-1:], np.nan)
+    omega = np.full(point.shape + point.shape[-1:], np.nan)
     resamples = [None] * len(ms)
     if delta and ok.any():
         resamples = _delta_from_moments(
             held[ok], m[ok],
             lambda s: statistic(_pipeline.demix_rows(s, d, w1, w2, start[ok]).rows, s)[0])
-        spread[ok] = resamples.sigma_u
+        omega[ok] = resamples.sigma_u
     elif not delta:
         for i in np.flatnonzero(ok):
             # Released after use, so a record that no one else keeps frees
@@ -230,34 +244,34 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
             demixed = record.leave_one_out(w1, w2, start[i])
             values, ties, order = statistic(demixed.rows, record.delete1)
             if order is not None:
-                # Flags, so the (n, d) orderings are not held with the spread.
+                # Flags, so the (n, d) orderings are not held with Omega.
                 order = (order != labels[1][i]).any(-1)
             dev = values - values.mean(axis=0)
-            spread[i] = dev.T @ dev
+            # The delete-1 estimate of Var(sqrt(n) * statistic).
+            omega[i] = (ns[i] - 1) * (dev.T @ dev)
             resamples[i] = (values, ties, order, demixed.gap_flags,
                             demixed.eig_fallbacks)
-    singular = ok & ~np.isfinite(spread).reshape(len(ms), -1).all(axis=1)
-    return _Resampled(ns, point, tuple(labels), spread, anchors, moments_fail,
-                      singular, resamples)
+    failure[ok & ~np.isfinite(omega).reshape(len(ms), -1).all(axis=1)] = _FAIL_RESAMPLE
+    return _Resampled(ns, point, tuple(labels), omega, anchors, failure, resamples)
 
 
 def _raise_failed(res, i: int, method: str, stacklevel: int | None = None) -> None:
     """Raise for sample i of a :class:`_Resampled` (or of a result with its
-    flags and anchors), checked in one order: ValueError for sixth moments
+    `failure` codes and anchors), by its code: ValueError for sixth moments
     out of range, IllConditionedError for the anchor, with cond(G(w2)),
-    then for a singular resample.  With a `stacklevel` (counted as for
+    or for a singular resample.  With a `stacklevel` (counted as for
     ``warnings.warn`` from the caller) the anchor's EigenGapWarning or
     ComplexResidueWarning comes before the resample check."""
-    if res.moments_fail[i]:
+    code, anchors = res.failure[i], res.anchors
+    if code == _FAIL_MOMENTS:
         raise ValueError(_SIXTH_MOMENT_ERROR)
-    anchors = res.anchors
-    if anchors.ill_conditioned[i]:
+    if code == _FAIL_ANCHOR:
         raise IllConditionedError("contraction at w2 is numerically singular",
                                   float(anchors.cond_g2[i]))
     if stacklevel is not None:
         _warn_unstable(anchors.eigenvalues[i], anchors.gap_flags[i],
                        anchors.max_imag[i], stacklevel=stacklevel + 1)
-    if res.resample_singular[i]:
+    if code == _FAIL_RESAMPLE:
         raise IllConditionedError(
             f"singular contraction at w2 in a {method} resample", float("inf"))
 
@@ -340,10 +354,10 @@ def demixing_jackknife(data, probes: ProbeVectors, pattern=None,
     full_ties = res.labels[0]
     labeled = pattern is not None
     return JackknifeResult(
-        # Copied after the spread is formed, so the copy and the deviations
-        # are not alive at once.
+        # Copied after Omega is formed, so the copy and the deviations are
+        # not alive at once.
         estimates=est if est.flags.writeable else est.copy(),
-        variance=(n - 1) / n * res.spread[0],
+        variance=res.omega[0] / n,
         label_flips=int(np.sum(flips)) if labeled else None,
         gap_count=int(np.sum(gaps)),
         tie_count=int(np.sum(ties)) if labeled else None,

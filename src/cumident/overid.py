@@ -60,22 +60,21 @@ class _WaldStack(NamedTuple):
     r_hat: np.ndarray
     omega: np.ndarray
     anchors: _pipeline.DemixedRows
-    moments_fail: np.ndarray
-    resample_singular: np.ndarray
+    failure: np.ndarray
     omega_cond: np.ndarray
     omega_clipped: np.ndarray
 
 
 def _wald_stack(records, probes: ProbeVectors, method: str = "delta") -> _WaldStack:
     """:func:`wald_test` on the moment records of samples of one width, read
-    once in order: the off-diagonals r and their spread from one
+    once in order: the off-diagonals r and their Omega from one
     :func:`~cumident.inference._resampled` call, then cond(Omega), the
     clipped quadratic form and the chi-square tail as batched calls.
 
-    A sample fails alone, with NaN statistic: by the kernel's flags
-    (`moments_fail`, `anchors.ill_conditioned`, `resample_singular`), or by
-    an `omega_cond` not at most ``OMEGA_COND_CAP``, a near-singular Omega.
-    :func:`_sample_result` turns one sample's flags into errors, and
+    A sample fails alone, with NaN statistic: by the kernel's `failure`
+    code, or by an `omega_cond` not at most ``OMEGA_COND_CAP``, a
+    near-singular Omega, which it codes ``_FAIL_OMEGA``.
+    :func:`_sample_result` turns one sample's code into an error, and
     `omega_clipped` counts the eigenvalues raised to the PSD floor.
     """
     res = inference._resampled(
@@ -83,17 +82,14 @@ def _wald_stack(records, probes: ProbeVectors, method: str = "delta") -> _WaldSt
         lambda rows, ms: (_pipeline.offdiag_from_rows(rows, ms, rows.shape[-1]),
                           None, None),
         method)
-    omega = res.spread
-    if method == "jackknife":
-        # (n-1) * sum(...) is the delete-1 estimate of Var(sqrt(n) * r).
-        omega = (res.ns - 1)[:, None, None] * omega
-    omega = (omega + np.swapaxes(omega, -2, -1)) / 2.0
-    ok = ~(res.moments_fail | res.anchors.ill_conditioned | res.resample_singular)
+    omega, failure = res.omega, res.failure
+    ok = failure == 0
     omega_cond = np.full(len(res.ns), np.nan)
     omega_cond[ok] = np.linalg.cond(omega[ok])
-    ok &= omega_cond <= OMEGA_COND_CAP
+    failure[ok & ~(omega_cond <= OMEGA_COND_CAP)] = inference._FAIL_OMEGA
+    ok = failure == 0
     # n * r' Omega^{-1} r through an eigendecomposition with a PSD floor.
-    sym = omega[ok]  # exactly symmetric: symmetrized above
+    sym = omega[ok]  # exactly symmetric (_resampled)
     evals, evecs = np.linalg.eigh(sym)
     trace = np.trace(sym, axis1=-2, axis2=-1)
     floor = OMEGA_CLIP_RTOL * np.maximum(trace, np.finfo(float).tiny)
@@ -106,9 +102,8 @@ def _wald_stack(records, probes: ProbeVectors, method: str = "delta") -> _WaldSt
     # chdtrc is the chi-square survival function that stats.chi2.sf wraps,
     # without the distribution object's per-call overhead.
     p_value = special.chdtrc(res.point.shape[-1], statistic)
-    return _WaldStack(statistic, p_value, res.point, omega, res.anchors,
-                      res.moments_fail, res.resample_singular, omega_cond,
-                      omega_clipped)
+    return _WaldStack(statistic, p_value, res.point, omega, res.anchors, failure,
+                      omega_cond, omega_clipped)
 
 
 def _sample_result(res: _WaldStack, i: int, method: str,
@@ -121,7 +116,7 @@ def _sample_result(res: _WaldStack, i: int, method: str,
     IllConditionedError for a near-singular Omega.
     """
     inference._raise_failed(res, i, method, stacklevel + 1)
-    if not res.omega_cond[i] <= OMEGA_COND_CAP:
+    if res.failure[i] == inference._FAIL_OMEGA:
         raise IllConditionedError(
             "restriction covariance is numerically singular; the "
             "off-diagonal restrictions appear locally redundant (full row "

@@ -22,10 +22,10 @@ from scipy import stats
 from . import __version__, _pipeline
 from .errors import InvalidInputError, WeakInstrumentError
 from .identify import COND_CAP, ProbeVectors
-from .inference import (_METHODS, _check_jackknife_n, _demixing_statistic,
-                        _resampled)
+from .inference import (_FAIL_OMEGA, _METHODS, _check_jackknife_n,
+                        _check_method, _demixing_statistic, _resampled)
 from .moments import _centered_moments
-from .overid import OMEGA_COND_CAP, _wald_stack
+from .overid import _wald_stack
 
 LAMBDA_TRUE = np.array([[1.0, 1.5], [-0.5, 1.0]])
 GAMMA_LOADINGS = np.array([[0.5, -1.0, 1.5], [-1.0, 1.0, -1.0]])
@@ -351,22 +351,21 @@ def _coverage_rep(cfg, ns, level, methods, probes, rep: int):
     replication of the coverage experiment at k = cfg.k."""
     _, _, (x_max,) = _samples(cfg, rep, ns, (cfg.k,))
     records = [_pipeline.MomentRecord.of(x_max[:n]) for n in ns]
-    n = np.array(ns)
+    n = np.array(ns)[:, None]
     slope = _demixing_statistic(2, SUPPLY_DEMAND_PATTERN, (0, 1))
-    variances = np.empty((len(ns), len(methods)))
-    for c, method in enumerate(methods):
-        res = _resampled(records, probes, slope, method)
-        spread = res.spread[:, 0, 0]
-        # The delta spread is on the sqrt(n) scale.
-        variances[:, c] = spread / n if method == "delta" else (n - 1) / n * spread
-    # A non-finite variance marks a singular resample or, for the delta
-    # method, sixth moments out of range.  Both intervals are centred on the
-    # point, so a cell whose point fails, as in Table 1, fails for both.
-    codes = np.where(np.isfinite(variances), 0, _CODE["ill_conditioned"])
-    codes[res.labels[0]] = _CODE["labeling"]
-    codes[res.anchors.ill_conditioned] = _CODE["ill_conditioned"]
+    results = [_resampled(records, probes, slope, method) for method in methods]
+    variances = np.stack([res.omega[:, 0, 0] for res in results], axis=1) / n
+    # A failed resample or, for the delta method, sixth moments out of range
+    # fail one method.  Both intervals are centred on the point, so a cell
+    # whose point fails, as in Table 1, fails for both: every method's
+    # anchors and labels are those of the one estimate.
+    estimate = results[0]
+    codes = np.where(np.stack([res.failure for res in results], axis=1) != 0,
+                     _CODE["ill_conditioned"], 0)
+    codes[estimate.labels[0]] = _CODE["labeling"]
+    codes[estimate.anchors.ill_conditioned] = _CODE["ill_conditioned"]
     half = stats.norm.ppf((1.0 + level) / 2.0) * np.sqrt(variances)
-    covered = (res.point - half <= B1_TRUE) & (B1_TRUE <= res.point + half)
+    covered = (estimate.point - half <= B1_TRUE) & (B1_TRUE <= estimate.point + half)
     return np.where(codes == 0, covered * 1.0, np.nan), codes.astype(np.int8)
 
 
@@ -410,10 +409,8 @@ def _power_rep(cfg, ns, ks, alpha, probes, method, rep: int):
     of the test rejection grid."""
     _, _, x = _samples(cfg, rep, ns, ks)
     res = _wald_stack(_cell_records(x, ns), probes, method)
-    codes = np.where(res.omega_cond <= OMEGA_COND_CAP, 0,
-                     _CODE["omega_ill_conditioned"]).astype(np.int8)
-    failed = res.moments_fail | res.anchors.ill_conditioned | res.resample_singular
-    codes[failed] = _CODE["ill_conditioned"]
+    codes = np.where(res.failure != 0, _CODE["ill_conditioned"], 0).astype(np.int8)
+    codes[res.failure == _FAIL_OMEGA] = _CODE["omega_ill_conditioned"]
     return np.where(codes == 0, (res.p_value < alpha) * 1.0, np.nan), codes
 
 
@@ -429,8 +426,7 @@ def run_overid_power_experiment(ns, ks, reps: int, seed: int,
     ns, ks = _grid(ns, ks)
     if not 0.0 < alpha <= 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1], got {alpha}")
-    if method not in _METHODS:
-        raise InvalidInputError(f"method must be 'delta' or 'jackknife', got {method!r}")
+    _check_method(method)
     cfg = CompositeDgpConfig(n=max(ns), k=0.0, kurtoses=tuple(kurtoses), seed=seed)
     probes = ProbeVectors.draw(2, seed)
     worker = functools.partial(_power_rep, cfg, ns, ks, alpha, probes, method)

@@ -96,13 +96,10 @@ def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
         best[s], tie_flags[s], perm_index[s] = low, tied, pick
     order = table[perm_index]
     lam = _pipeline._normalized(r, order)
-    best_mism = np.where(
-        np.isfinite(best), best, _pipeline._INVALID_MISMATCH
-    ).astype(np.int64)
     if squeeze:
-        return (lam[0], int(best_mism[0]), bool(tie_flags[0]),
+        return (lam[0], float(best[0]), bool(tie_flags[0]),
                 tuple(order[0].tolist()))
-    return lam, best_mism, tie_flags, order
+    return lam, best, tie_flags, order
 
 
 def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:

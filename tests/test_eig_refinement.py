@@ -171,6 +171,28 @@ def pencil_parts(monkeypatch):
     return seen
 
 
+def stack_calls(monkeypatch):
+    """The (moment stack, d, w1, w2, result) of each _stack_rows call, the
+    stack built whole, as a list that fills while `monkeypatch` is active."""
+    seen, real = [], _pipeline._stack_rows
+
+    def stack_rows(ms, d, w1, w2, anchors):
+        out = real(ms, d, w1, w2, anchors)
+        seen.append((ms[:], d, w1, w2, out))
+        return out
+
+    monkeypatch.setattr(_pipeline, "_stack_rows", stack_rows)
+    return seen
+
+
+def assert_run_is_lapack(call, run=slice(None)):
+    """Every entry `run` of a :func:`stack_calls` call is a fallback, and
+    bitwise LAPACK's on those entries."""
+    ms, d, w1, w2, out = call
+    assert out.eig_fallbacks[run].all()
+    assert_entries_are_lapack(out, lapack_rows(ms[run], d, w1, w2), run)
+
+
 def test_refinement_rejects_planted_entries(monkeypatch):
     ms, w1, w2, anchor = planted_stack()
     seen = pencil_parts(monkeypatch)
@@ -263,18 +285,14 @@ def test_singular_anchor_flags_every_delete_one_entry():
     assert np.isnan(demixed.rows).all()
 
 
-def test_complex_anchor_sends_the_stack_to_lapack(monkeypatch):
+def test_complex_anchor_sends_the_stack_to_lapack():
     # The rows of a sample with a complex pair carry a gap flag, so the
-    # stacks that resample it get no anchor.
+    # stacks that resample it get NaN anchor rows: the kernel rejects every
+    # entry, and each is LAPACK's.
     ms, w1, w2, _ = planted_stack()
     assert resample_anchor(ms[3], 4, w1, w2) is None
     stack = np.repeat(ms[3][None], 5, axis=0)
     stack[1:, -1] += 1e-6
-
-    def refine(*args):
-        raise AssertionError("refined from a complex anchor")
-
-    monkeypatch.setattr(_pipeline, "_pencil_part", refine)
     demixed = _pipeline.demix_rows(stack, 4, w1, w2, anchor=None)
     assert demixed.eig_fallbacks.all()
     assert_entries_are_lapack(demixed, lapack_rows(stack, 4, w1, w2), slice(None))
@@ -518,19 +536,22 @@ def test_jackknife_counts_fallbacks(monkeypatch):
 
 def test_degenerate_anchor_falls_back_everywhere(monkeypatch):
     # With w1 = w2 every eigenvalue of the estimate is 1: it has a gap flag,
-    # so its resample stacks get no anchor and never reach the kernel.
-    def refine(*args):
-        raise AssertionError("refined from a gap-flagged estimate")
-
-    monkeypatch.setattr(_pipeline, "_pencil_part", refine)
+    # so its resample stacks get NaN anchor rows, and every entry of the
+    # delete-1 and finite-difference stacks is LAPACK's.
+    seen = stack_calls(monkeypatch)
     for d in (2, 3, 5):
         x, _ = skewed_sample(400, d, 43)
         probes = ci.ProbeVectors(w1=np.ones(d), w2=np.ones(d))
+        _pipeline._record = None
         with pytest.warns(ci.EigenGapWarning):
             assert ci.estimate_demixing(x, probes).gap_flag
         jk = ci.demixing_jackknife(x, probes)
         assert jk.eig_fallbacks == jk.gap_count == x.shape[0]
         ci.delta_variance(x, probes)
+    assert [len(call[0]) for call in seen] == [
+        n for d in (2, 3, 5) for n in (400, 2 * ci.moment_vector_length(d))]
+    for call in seen:
+        assert_run_is_lapack(call)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -564,22 +585,22 @@ def test_resample_stacks_are_refined_from_the_estimate(d, monkeypatch):
 def test_several_samples_in_one_wald_stack_match_their_own_tests(d, method, monkeypatch):
     # One stacked Wald test refines each sample's points from its own
     # estimate, so each sample's T, p, r and Omega are bitwise those of its
-    # own wald_test.  Sample 2's estimate has a gap flag: its points go to
-    # LAPACK alone, and its rows never reach the kernel.
+    # own wald_test.  Sample 2's estimate has a gap flag: each of its points
+    # is LAPACK's.
     probes = ci.ProbeVectors.draw(d, 7)
     samples = stacked_wald_samples(d, probes.w1, probes.w2)
     records = [_pipeline.MomentRecord.of(x) for x in samples]
-    seen = pencil_parts(monkeypatch)
+    seen = stack_calls(monkeypatch)
     stack = overid._wald_stack(records, probes, method)
     np.testing.assert_array_equal(stack.anchors.gap_flags, [0, 0, 1, 0])
-    assert seen
-    for anchors, _ in seen:
-        assert np.isfinite(anchors).all()
-        assert not (anchors == stack.anchors.rows[2]).all(axis=(1, 2)).any()
     if method == "jackknife":
-        # The record keeps the delete-1 rows it was asked for.
-        held = records[2].leave_one_out(probes.w1, probes.w2, None)
-        assert held.eig_fallbacks.all()
+        assert [len(call[0]) for call in seen] == [len(x) for x in samples]
+        assert_run_is_lapack(seen[2])
+    else:
+        fd = 2 * ci.moment_vector_length(d)
+        (call,) = seen
+        assert len(call[0]) == 4 * fd
+        assert_run_is_lapack(call, slice(2 * fd, 3 * fd))
     for i, x in enumerate(samples):
         _pipeline._record = None
         with warnings.catch_warnings():

@@ -610,7 +610,7 @@ def test_resampling_entry_points_refuse_fewer_than_d_plus_1_rows(call, n):
 @pytest.mark.parametrize("method", ["delta", "jackknife"])
 def test_a_singular_resample_raises_for_one_sample(method, monkeypatch):
     # A G(w2) that is singular at one resample alone gets NaN rows and a
-    # flag (demix_contractions); the spread is then not finite, and the one
+    # flag (demix_contractions); Omega is then not finite, and the one
     # sample's entry point raises for it after the anchor checks.
     x, probes, _ = memo_case(2)
     real = _pipeline._stack_rows

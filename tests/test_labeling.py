@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import cumident as ci
 from cumident import _pipeline
-from cumident._pipeline import _INVALID_MISMATCH, _fold_last
+from cumident._pipeline import _fold_last
 from cumident.errors import LabelingAmbiguityError
 from cumident.identify import (
     EXHAUSTIVE_PERMUTATION_CAP,
@@ -216,7 +216,7 @@ def oracle_label_signs(rows: np.ndarray, pattern: np.ndarray):
     perms = list(itertools.permutations(range(d)))
     active = pattern != 0
 
-    mism = np.full((len(perms), b), _INVALID_MISMATCH, dtype=np.int64)
+    mism = np.full((len(perms), b), np.inf)
     margin = np.full((len(perms), b), -np.inf)
     normalized_all = np.empty((len(perms), b, d, d))
     floor = _diagonal_floor(r)
@@ -225,7 +225,7 @@ def oracle_label_signs(rows: np.ndarray, pattern: np.ndarray):
         normalized_all[p] = normalized
         m = np.sum(np.sign(normalized)[:, active] != pattern[active], axis=-1)
         g = np.sum(pattern[active] * normalized[:, active], axis=-1)
-        mism[p] = np.where(valid, m, _INVALID_MISMATCH)
+        mism[p] = np.where(valid, m, np.inf)
         margin[p] = np.where(valid, g, -np.inf)
 
     best_mism = mism.min(axis=0)
@@ -235,7 +235,7 @@ def oracle_label_signs(rows: np.ndarray, pattern: np.ndarray):
     perm_index = margin_masked.argmax(axis=0)
     lam = normalized_all[perm_index, np.arange(b)]
     if squeeze:
-        return lam[0], int(best_mism[0]), bool(tie_flags[0]), perms[perm_index[0]]
+        return lam[0], float(best_mism[0]), bool(tie_flags[0]), perms[perm_index[0]]
     return lam, best_mism, tie_flags, np.array(perms, dtype=np.intp)[perm_index]
 
 
@@ -446,7 +446,7 @@ def test_batched_labelers_beyond_the_cap_match_brute_force(monkeypatch):
         low, tied, _, top = brute_sign(count, margin)
         assert ties[e] == tied
         if not np.isfinite(low):
-            assert mism[e] == _INVALID_MISMATCH and (order[e] == range(d)).all()
+            assert mism[e] == np.inf and (order[e] == range(d)).all()
             assert residual[e] == np.inf and (tri_order[e] == range(d)).all()
             continue
         perm = tuple(order[e].tolist())

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import cumident as ci
-from cumident import _pipeline, overid
+from cumident import _pipeline, inference, overid, simulate
 from cumident.errors import IllConditionedError
 from cumident.identify import COMPLEX_RESIDUE_TOL, DemixingEstimate
 from cumident.moments import column_means, monomial_matrix
@@ -238,15 +238,95 @@ def test_singular_anchor_is_reported_before_any_resample(method):
     assert wald.value.cond == est.value.cond
 
 
-def test_stacked_delta_wald_flags_a_sample_whose_sixth_moments_fail():
-    # At scale 1e-60 the centered sixth moments underflow: that sample of a
-    # stack fails alone, and only its result raises.
-    x = gen_composite(CompositeDgpConfig(n=2_000, k=0.5, seed=1), 0).x
+def _verdict(call):
+    """The message `call` raises, or None."""
+    try:
+        call()
+    except (ValueError, IllConditionedError) as exc:
+        return str(exc)
+    return None
+
+
+# The start of the message of each failure code, and its Table 2 or 3 reason.
+_VERDICTS = {0: (None, None),
+             inference._FAIL_MOMENTS: ("sixth-moment", "ill_conditioned"),
+             inference._FAIL_ANCHOR: ("contraction at w2 is", "ill_conditioned"),
+             inference._FAIL_RESAMPLE: ("singular contraction at w2 in a",
+                                        "ill_conditioned"),
+             inference._FAIL_OMEGA: ("restriction covariance", "omega_ill_conditioned")}
+
+
+def _assert_verdict(code, message, reason):
+    """`message` (None when nothing was raised) and the Table 2 or 3
+    `reason` code are those of failure `code`."""
+    start, name = _VERDICTS[code]
+    assert message is None if start is None else message.startswith(start)
+    assert (simulate.FAILURE_REASONS[reason - 1] if reason else None) == name
+
+
+@pytest.mark.filterwarnings("ignore::cumident.EigenGapWarning")
+def test_each_failure_code_gets_one_verdict_in_every_caller(monkeypatch):
+    # One sample per failure code, stacked: each fails alone, by its first
+    # failed check, and _raise_failed (through _sample_result for the Wald
+    # test), the Table 2 or 3 reason and the pairwise_overid message agree.
+    # At scale 1e-60 the centered sixth moments underflow (delta); a
+    # constant column makes G(w2) singular; one finite-difference point of
+    # sample 3 is planted singular; at 1e-85 the jackknife Omega underflows
+    # to 0.  Sample 5 has the sixth-moment code and a failed anchor, whose
+    # NaN rows read as a labeling tie.
+    cfg = CompositeDgpConfig(n=400, k=0.5, seed=1)
+    x = gen_composite(cfg, 0).x
+    const = np.column_stack([x[:, 0], np.full(len(x), 2.0)])
+    samples = [x, 1e-60 * x, const, x[::-1].copy(), 1e-85 * x, 1e-60 * const]
+    # Codes 1 to 4: sixth moments, anchor, resample, Omega (_VERDICTS).
+    wald_codes = {"delta": [0, 1, 2, 3, 1, 1], "jackknife": [0, 0, 2, 0, 4, 2]}
+    slope_codes = {"delta": [0, 1, 2, 0, 1, 1], "jackknife": [0, 0, 2, 0, 0, 2]}
     probes = ci.ProbeVectors.draw(2, 3)
-    res = overid._wald_stack(map(_pipeline.MomentRecord.of, [x, 1e-60 * x]), probes)
-    np.testing.assert_array_equal(res.moments_fail, [False, True])
-    assert np.isnan(res.statistic[1])
-    np.testing.assert_allclose(
-        res.statistic[0], ci.wald_test(x, probes).statistic, rtol=1e-10)
-    with pytest.raises(ValueError, match="sixth-moment"):
-        overid._sample_result(res, 1, "delta", stacklevel=2)
+    fd_points = 2 * 9
+    offdiag = _pipeline.offdiag_from_rows
+
+    def one_singular_point(rows, ms, d):
+        out = offdiag(rows, ms, d)
+        if len(ms) == 2 * fd_points:  # the delta stack of samples 0 and 3
+            out[fd_points + 3] = np.nan
+        return out
+
+    monkeypatch.setattr(_pipeline, "offdiag_from_rows", one_singular_point)
+    slope = inference._demixing_statistic(2, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
+    fit = ci.VarFit([], np.hstack(samples), 1, None)
+    pairs = [(2 * i, 2 * i + 1) for i in range(len(samples))]
+    # Laid out as pairwise_overid reads them, so that cond(G(w2)) agrees.
+    samples = [fit.residuals[:, list(pair)] for pair in pairs]
+    for method in ("delta", "jackknife"):
+        records = [_pipeline.MomentRecord.of(s) for s in samples]
+        stack = overid._wald_stack(records, probes, method)
+        res = inference._resampled(records, probes, slope, method)
+        np.testing.assert_array_equal(stack.failure, wald_codes[method])
+        np.testing.assert_array_equal(res.failure, slope_codes[method])
+        stands = stack.failure == 0
+        assert np.isfinite(stack.statistic[stands]).all()
+        assert np.isnan(stack.statistic[~stands]).all()
+        assert stack.statistic[0] == ci.wald_test(samples[0], probes, method).statistic
+        monkeypatch.setattr(simulate, "_samples",
+                            lambda *args: (None, None, np.stack(samples)))
+        _, table3 = simulate._power_rep(cfg, (400,), [0.0] * len(samples), 0.05,
+                                        probes, method, 0)
+        report = ci.pairwise_overid(fit, probes, pairs, method=method)
+        messages = {(i, j): message for i, j, message in report.failures}
+        for i, pair in enumerate(pairs):
+            wald = _verdict(lambda: overid._sample_result(stack, i, method, 2))
+            assert messages.get(pair) == wald
+            _assert_verdict(stack.failure[i], wald, table3[i])
+            monkeypatch.setattr(simulate, "_samples",
+                                lambda *args: (None, None, [samples[i]]))
+            _, (table2,) = simulate._coverage_rep(cfg, (400,), 0.95, (method,), probes, 0)
+            _assert_verdict(res.failure[i],
+                            _verdict(lambda: inference._raise_failed(res, i, method)),
+                            table2[0])
+    # Omega is exactly symmetric for both methods, as eigh in _wald_stack needs.
+    y = np.random.default_rng(40).standard_exponential((300, 3))
+    probes = ci.ProbeVectors.draw(3, 40)
+    for method in ("delta", "jackknife"):
+        omega = overid._wald_stack([_pipeline.MomentRecord.of(y)], probes, method).omega
+        assert omega.shape == (1, 3, 3)
+        assert omega.tobytes() == np.swapaxes(omega, -2, -1).tobytes()

@@ -10,7 +10,8 @@ import warnings
 from cumident import _pipeline, simulate
 from cumident.errors import (IllConditionedError, LabelingAmbiguityError,
                              WeakInstrumentError)
-from cumident.inference import _demixing_statistic, _resampled
+from cumident.inference import (_FAIL_MOMENTS, _FAIL_RESAMPLE, _demixing_statistic,
+                                _resampled)
 from cumident.moments import _centered_moments
 from cumident.overid import _wald_stack
 from cumident.simulate import (
@@ -36,13 +37,14 @@ from cumident.simulate import (
 )
 
 
-def _slope_spreads(samples, probes, method):
-    """The spread of the labeled slope of each sample from one resampling
-    kernel call, as Table 2 takes it, and the kernel's result."""
+def _slope_omegas(samples, probes, method):
+    """Omega, the sqrt(n)-scale variance, of the labeled slope of each sample
+    from one resampling kernel call, as Table 2 takes it, and the kernel's
+    result."""
     res = _resampled([_pipeline.MomentRecord.of(x) for x in samples], probes,
                      _demixing_statistic(2, ci.SUPPLY_DEMAND_PATTERN, (0, 1)),
                      method)
-    return res.spread[:, 0, 0], res
+    return res.omega[:, 0, 0], res
 
 
 def _kurt(x):
@@ -300,13 +302,13 @@ def test_table2_delta_flags_sixth_moments_out_of_range(monkeypatch):
     cfg = CompositeDgpConfig(n=500, k=0.5, seed=1)
     x = gen_composite(cfg, 0).x
     probes = ci.ProbeVectors.draw(2, 1)
-    spread, _ = _slope_spreads([x], probes, "delta")
-    assert spread[0] / 500 == pytest.approx(0.04625, rel=1e-3)
+    omega, _ = _slope_omegas([x], probes, "delta")
+    assert omega[0] / 500 == pytest.approx(0.04625, rel=1e-3)
     small = x * 1e-55
     with pytest.raises(ValueError, match="sixth-moment"):
         ci.delta_variance_labeled(small, probes, ci.SUPPLY_DEMAND_PATTERN)
-    spread, res = _slope_spreads([small], probes, "delta")
-    assert np.isnan(spread[0]) and res.moments_fail[0]
+    omega, res = _slope_omegas([small], probes, "delta")
+    assert np.isnan(omega[0]) and res.failure[0] == _FAIL_MOMENTS
     monkeypatch.setattr(simulate, "_samples", lambda *args: (None, None, [small]))
     values, codes = _coverage_rep(cfg, (500,), 0.95, ("delta",), probes, 0)
     assert np.isnan(values).all()
@@ -541,8 +543,8 @@ def test_table2_cells_and_variances_match_the_per_cell_oracle():
     for rep in range(10):
         out, codes = worker(rep)
         samples = [_oracle_sample(cfg, rep, n, k) for n in ns]
-        jk_stack = _slope_spreads(samples, probes, "jackknife")[0]
-        dv_stack = _slope_spreads(samples, probes, "delta")[0]
+        jk_stack = _slope_omegas(samples, probes, "jackknife")[0]
+        dv_stack = _slope_omegas(samples, probes, "delta")[0]
         for a, (n, x) in enumerate(zip(ns, samples)):
             try:
                 lab = ci.label_by_signs(
@@ -564,7 +566,7 @@ def test_table2_cells_and_variances_match_the_per_cell_oracle():
             jk = ci.demixing_jackknife(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
             dv = ci.delta_variance_labeled(x, probes, ci.SUPPLY_DEMAND_PATTERN, (0, 1))
             assert jk.full_estimate[0] == point and not jk.full_tie
-            assert ((n - 1) / n * jk_stack[a]).tobytes() == jk.variance[0, 0].tobytes()
+            assert (jk_stack[a] / n).tobytes() == jk.variance[0, 0].tobytes()
             assert dv_stack[a].tobytes() == dv.sigma_u[0, 0].tobytes()
             intervals = (
                 ci.jackknife_confidence_interval(point, jk.variance[0, 0], level),
@@ -629,8 +631,8 @@ def test_planted_singular_contraction_fails_only_its_cell():
 
     slopes, codes = _eigen_slopes(ms, probes)
     stack = _wald_stack(map(_pipeline.MomentRecord.of, samples), probes)
-    jk = 399 / 400 * _slope_spreads(samples, probes, "jackknife")[0]
-    dv = _slope_spreads(samples, probes, "delta")[0]
+    jk = _slope_omegas(samples, probes, "jackknife")[0] / 400
+    dv = _slope_omegas(samples, probes, "delta")[0]
     ill = FAILURE_REASONS.index("ill_conditioned") + 1
     np.testing.assert_array_equal(codes, [0, 0, ill, 0, 0])
     np.testing.assert_array_equal(stack.anchors.ill_conditioned, [0, 0, 1, 0, 0])
@@ -661,7 +663,7 @@ def test_singular_finite_difference_point_fails_only_its_sample(monkeypatch):
 
     monkeypatch.setattr(_pipeline, "offdiag_from_rows", one_singular_point)
     stack = _wald_stack(map(_pipeline.MomentRecord.of, samples), probes)
-    np.testing.assert_array_equal(stack.resample_singular, [0, 1, 0])
+    np.testing.assert_array_equal(stack.failure, [0, _FAIL_RESAMPLE, 0])
     assert np.isnan(stack.statistic[1]) and np.isfinite(stack.statistic[[0, 2]]).all()
     monkeypatch.setattr(_pipeline, "offdiag_from_rows", offdiag)
     assert stack.statistic[0] == ci.wald_test(samples[0], probes).statistic

@@ -23,7 +23,8 @@ several-samples and VAR item in SNAPSHOT.npz beside it:
 - the several-samples group: `overid._wald_stack` of the four d = 3
   samples of `tests/_designs.stacked_wald_samples` (n = 60, 400, 64 and
   1 500; the 64-row sample's estimate has a gap flag) in one call, by each
-  method, as one SHA-256 each;
+  method, and each sample's public outcome from `overid._sample_result`:
+  T, p, r and Omega, or the message it raises, as one SHA-256 each;
 - the VAR group on the `cli_io` VAR series and on the near-unit-root design
   of tests/_designs.py: `fit_var` (coefficients, intercept and residuals),
   `partial_out` of the other columns on the first, and the Wald statistic
@@ -49,6 +50,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -63,6 +65,15 @@ SHIFT = 1e3
 CLI_SEED = 3
 # (T, lag order, seed) of the near-unit-root VAR.
 NEAR_UNIT_ROOT = (20_000, 2, 24)
+
+
+class WaldOutcome(NamedTuple):
+    """The public outcome of one sample's Wald test."""
+
+    statistic: float
+    p_value: float
+    r_hat: np.ndarray
+    omega_hat: np.ndarray
 
 
 class Pairwise(NamedTuple):
@@ -196,23 +207,29 @@ def _inference(ci) -> tuple[dict, dict]:
 
 
 def _several(ci) -> tuple[dict, dict]:
-    """The digest of the stacked Wald test of several samples, by method,
-    and its numbers."""
+    """The digest of each sample's outcome of the stacked Wald test of
+    several samples, by method, and its numbers."""
     sys.path.insert(0, str(REPO / "tests"))
     from _designs import stacked_wald_samples
     probes = ci.ProbeVectors.draw(3, 7)
     samples = stacked_wald_samples(3, probes.w1, probes.w2)
     out, numbers = {}, {}
     for method in ("delta", "jackknife"):
-        item = f"d=3 wald_stack {method}"
         records = [ci._pipeline.MomentRecord.of(x) for x in samples]
-        try:
-            result = ci.overid._wald_stack(records, probes, method)
-        except Exception as exc:  # a refusal is an output too
-            out[item] = _digest(type(exc).__name__, str(exc))
-        else:
-            out[item] = _digest(result)
-            numbers.update(_numbers(item, result))
+        stack = ci.overid._wald_stack(records, probes, method)
+        for i in range(len(samples)):
+            item = f"d=3 wald_stack {method} sample {i}"
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    res = ci.overid._sample_result(stack, i, method, stacklevel=2)
+            except Exception as exc:  # a refusal is an output too
+                out[item] = _digest(type(exc).__name__, str(exc))
+            else:
+                result = WaldOutcome(res.statistic, res.p_value, res.r_hat,
+                                     res.omega_hat)
+                out[item] = _digest(result)
+                numbers.update(_numbers(item, result))
     return out, numbers
 
 
