@@ -18,13 +18,16 @@ orientation and labeling functions, and
 (:func:`demix_contractions`).
 
 The single-sample entry points share the order-3 :class:`MomentRecord` of
-the most recent sample (:func:`moment_record`): its centered monomials and
+the most recent sample (:func:`moment_record`): its centered columns and
 moments, and, once built, Sigma_m and the demixed delete-1 rows of one
-probe pair.  So one analysis builds the monomial matrix and Sigma_m once,
-and the jackknife standard errors and the jackknife Wald test demix the
-delete-1 stack once.  That stack is never built or held whole: its moment
-vectors are made from the monomials chunk by chunk as the kernels read them
-(:class:`Delete1Moments`).  The record is the only state kept across calls.
+probe pair.  So one analysis makes the moments and Sigma_m once, and the
+jackknife standard errors and the jackknife Wald test demix the delete-1
+stack once.  No (n, D) array of monomials is built or held: the moments
+are reduced over blocks of columns and Sigma_m summed over chunks of rows
+(``moments._centered_moments``), and the delete-1 moment vectors are made
+from the centered rows chunk by chunk as the kernels read them, only the
+monomials a kernel asks for (:class:`Delete1Moments`).  The record is the
+only state kept across calls.
 
 A stack of more than one entry (a delete-1 stack, or the +/- points of a
 finite-difference Jacobian), at every d, is demixed by one loop over its
@@ -66,9 +69,11 @@ from scipy.optimize import linear_sum_assignment
 from .errors import InvalidInputError
 from .moments import (
     _centered_moments,
+    _column_reduce,
     _cumulant_map,
     _hessian,
     _moment_covariance,
+    _monomial_columns,
     _order_of,
     _sorted_cumulants,
     covariance_from_moments,
@@ -87,58 +92,72 @@ _LABEL_CHUNK_ELEMENTS = 1 << 18
 
 
 class Delete1Moments:
-    """The delete-1 moment vectors of an (n, D) monomial matrix `z`, read by
-    rows and never built whole.
+    """The delete-1 moment vectors of a sample, read by rows and never built
+    whole, from its centered columns `xt` (d, n) at cumulant order `order`.
 
-    ``stack[rows]`` and ``stack[rows, columns]`` are those entries of the
-    (n, D) stack: (total - z_i) / (n - 1), `total` the column sums of z.
-    :func:`demix_rows` and :func:`offdiag_from_rows` read it chunk by chunk.
+    ``stack[rows]`` and ``stack[rows, a:b]`` are those entries of the (n, D)
+    stack: (total - z_i) / (n - 1), z_i the monomials of centered row i and
+    `total` their column sums.  A read builds only the monomials a..b-1 of
+    its rows (:func:`moments._monomial_columns`), each with the bits of the
+    whole monomial matrix, as an F-ordered array.
+    :func:`demix_rows` and :func:`offdiag_from_rows` (degree 1 and 2 only)
+    read it chunk by chunk.
     """
 
     ndim = 2
 
-    def __init__(self, z: np.ndarray):
-        self.z, self.shape = z, z.shape
-        self.total = z.sum(axis=0)
+    def __init__(self, xt: np.ndarray, order: int = 3):
+        self.xt, self.order = xt, order
+        # Summed as the columns of the whole (n, D) matrix would be.
+        self.total = _column_reduce(xt, order, lambda z: z.sum(axis=-2))[0]
         self.total.flags.writeable = False
+        self.shape = (xt.shape[-1], len(self.total))
 
     def __len__(self) -> int:
-        return len(self.z)
+        return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        return (self.total[cols] - self.z[rows, cols]) / (len(self.z) - 1)
+        z = _monomial_columns(self.xt[:, rows], self.order, cols)
+        np.subtract(self.total[cols, None], z, out=z)
+        z /= len(self) - 1
+        return z.T
 
 
 class MomentRecord:
     """The centered moments of one validated (n, d) sample `x`.
 
-    `z` is its centered degree 1..h monomial matrix and `m_hat` the moments
-    about the mean, z's column means (:func:`moments._centered_moments`).
-    Sigma_m (:meth:`sigma_m`), the delete-1 moments (:attr:`delete1`) and
-    the demixed delete-1 rows of one (w1, w2) pair (:meth:`leave_one_out`)
-    are built on first use and kept; the delete-1 moment vectors themselves
-    are not.  Everything it holds is read-only, and each kept result is set
-    whole.
+    `xt` holds its centered columns, (d, n), and `m_hat` the moments about
+    the mean (:func:`moments._centered_moments`); no (n, D) monomial matrix
+    is held.  Sigma_m (:meth:`sigma_m`, unless given), the delete-1 moments
+    (:attr:`delete1`) and the demixed delete-1 rows of one (w1, w2) pair
+    (:meth:`leave_one_out`) are built on first use and kept; the delete-1
+    moment vectors themselves are not.  So the record holds n (2 d + d^2)
+    floats once its rows are demixed.  Everything it holds is read-only,
+    and each kept result is set whole.
     """
 
-    def __init__(self, x: np.ndarray, z: np.ndarray, m_hat: np.ndarray, strides=None):
-        z.flags.writeable = m_hat.flags.writeable = False
-        self.x, self.z, self.m_hat = x, z, m_hat
+    def __init__(self, x: np.ndarray, xt: np.ndarray, m_hat: np.ndarray,
+                 sigma_m: np.ndarray | None = None, strides=None):
+        for a in (xt, m_hat, sigma_m):
+            if a is not None:
+                a.flags.writeable = False
+        self.x, self.xt, self.m_hat = x, xt, m_hat
         # The layout the moments were computed in: x's, unless a copy is held.
         self.strides = strides or x.strides
-        self._sigma_m = None
+        self._sigma_m = sigma_m
         self._loo = None
 
     @classmethod
-    def of(cls, x: np.ndarray) -> "MomentRecord":
-        """The order-3 record of `x`, not kept beyond the caller's reference."""
-        return cls(x, *_centered_moments(x))
+    def of(cls, x: np.ndarray, covariance: bool = False) -> "MomentRecord":
+        """The order-3 record of `x`, not kept beyond the caller's reference;
+        with `covariance`, Sigma_m is made with the moments."""
+        return cls(x, *_centered_moments(x, covariance=covariance))
 
     def sigma_m(self) -> np.ndarray:
         """Sigma_m, the covariance of the monomials about their means."""
         if self._sigma_m is None:
-            sigma = _moment_covariance(self.z, self.m_hat)
+            sigma = _moment_covariance(self.xt, self.m_hat)
             sigma.flags.writeable = False
             self._sigma_m = sigma
         return self._sigma_m
@@ -146,7 +165,7 @@ class MomentRecord:
     @functools.cached_property
     def delete1(self) -> Delete1Moments:
         """The delete-1 moment vectors of the sample, read by rows."""
-        return Delete1Moments(self.z)
+        return Delete1Moments(self.xt, _order_of(len(self.m_hat), self.x.shape[1]))
 
     def leave_one_out(self, w1, w2, anchor: np.ndarray | None) -> DemixedRows:
         """:func:`demix_rows` of the delete-1 stack :attr:`delete1` from
@@ -181,7 +200,8 @@ def moment_record(x: np.ndarray, order: int = 3) -> MomentRecord:
     order `order`, shared by the single-sample entry points.
 
     The order-3 record of the most recent sample is kept, with a read-only
-    copy of it and the caller's strides, and returned again while `x`
+    copy of it and the caller's strides (so 2 n d + D floats until Sigma_m
+    or the delete-1 rows are asked for), and returned again while `x`
     equals that copy bit for bit and has those strides.  So an in-place
     change misses, and so does another layout, whose column means have other
     last bits; a strided view hits, though its copy is contiguous.  A miss
@@ -203,7 +223,7 @@ def moment_record(x: np.ndarray, order: int = 3) -> MomentRecord:
     copy = x.copy(order="K")
     copy.flags.writeable = False
     # The moments of x as the caller laid it out, as MomentRecord.of computes them.
-    _record = held = MomentRecord(copy, *_centered_moments(x), x.strides)
+    _record = held = MomentRecord(copy, *_centered_moments(x), strides=x.strides)
     return held
 
 
@@ -475,11 +495,20 @@ def _pencil_part(ms, s: slice, d: int, anchors: np.ndarray,
 def _contraction_maps(d: int, w1: np.ndarray, w2: np.ndarray,
                       order: int = 3) -> np.ndarray:
     """(2, d*d, T) maps of the T :func:`_sorted_cumulants` to G(w1) and
-    G(w2), flattened row-major: the contractions of the unit tensors."""
+    G(w2), flattened row-major: the contractions of the unit tensors.
+    Kept for the most recent probe pairs, read-only."""
+    return _maps_of(d, np.asarray(w1, dtype=float).tobytes(),
+                    np.asarray(w2, dtype=float).tobytes(), order)
+
+
+@functools.lru_cache(maxsize=16)
+def _maps_of(d: int, w1: bytes, w2: bytes, order: int) -> np.ndarray:
     mirror = _cumulant_map(d, order)[1]
     units = np.eye(mirror.max() + 1)[:, mirror]
-    return np.stack([_hessian(units, w, order).reshape(len(units), -1).T
+    maps = np.stack([_hessian(units, np.frombuffer(w), order).reshape(len(units), -1).T
                      for w in (w1, w2)])
+    maps.flags.writeable = False
+    return maps
 
 
 def _pencil_newton(c: np.ndarray, dd: np.ndarray):

@@ -200,8 +200,9 @@ def _resampled(records, probes: ProbeVectors, statistic: Callable,
     raise.
 
     The records are read once, in order.  The delta method keeps only each
-    Sigma_m, so records made as they are read have one monomial matrix alive
-    at a time; the jackknife drops each record once its stack is used.
+    Sigma_m, so records made as they are read have one sample's centered
+    columns alive at a time; the jackknife drops each record once its stack
+    is used.
     """
     _check_method(method)
     delta = method == "delta"

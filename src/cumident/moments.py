@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -90,8 +90,8 @@ def _order_of(length: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _moment_index(d: int) -> dict[tuple[int, ...], int]:
-    return {t: k for k, t in enumerate(monomial_tuples(d))}
+def _moment_index(d: int, order: int = 3) -> dict[tuple[int, ...], int]:
+    return {t: k for k, t in enumerate(_monomials(d, order))}
 
 
 @lru_cache(maxsize=None)
@@ -141,50 +141,134 @@ def monomial_matrix(data) -> np.ndarray:
 
 
 def _monomial_matrix(data, order: int) -> np.ndarray:
-    """:func:`monomial_matrix` of the degree 1..order monomials, or of each
-    sample of a (K, n, d) stack that the caller has validated."""
-    x = data if np.ndim(data) == 3 else validate_sample(data)
-    tuples = _monomials(x.shape[-1], order)
-    xt = np.ascontiguousarray(np.swapaxes(x, -1, -2))
-    out = np.empty(x.shape[:-2] + (len(tuples), x.shape[-2]))
-    # Each monomial is its lower-degree prefix (already filled in, since the
-    # order is by degree) times one more coordinate: the same left-to-right
-    # products as np.prod, without its short-axis reduction, on contiguous rows.
-    position = {}
-    for k, t in enumerate(tuples):
-        if len(t) == 1:
-            out[..., k, :] = xt[..., t[0], :]
+    """:func:`monomial_matrix` of the degree 1..order monomials."""
+    return _monomial_columns(validate_sample(data).T, order).T
+
+
+@lru_cache(maxsize=None)
+def _column_plan(d: int, order: int, start: int, stop: int):
+    """The steps of :func:`_monomial_columns` for monomials start..stop-1:
+    (part, coords, prefix) for each run of them that shares its
+    lower-degree prefix, whose monomials are prefix + (k,), prefix + (k +
+    1,), ...: the run's slice of the output, the slice of coordinates k,
+    k + 1, ..., and the prefix as its slot in the output when it is built
+    there, else as its coordinates (() for degree 1)."""
+    slots = _moment_index(d, order)
+    runs = []
+    for slot, t in enumerate(_monomials(d, order)):
+        if runs and runs[-1][2] == t[:-1]:
+            runs[-1][1] = slot + 1
         else:
-            np.multiply(out[..., position[t[:-1]], :], xt[..., t[-1], :],
-                        out=out[..., k, :])
-        position[t] = k
-    return np.swapaxes(out, -1, -2)
+            runs.append([slot, slot + 1, t[:-1], t[-1]])
+    plan = []
+    for first, last, prefix, k in runs:
+        lo, hi = max(start, first), min(stop, last)
+        if lo < hi:
+            inside = prefix and start <= slots[prefix] < stop
+            plan.append((slice(lo - start, hi - start), slice(k + lo - first, k + hi - first),
+                         slots[prefix] - start if inside else prefix))
+    return tuple(plan)
 
 
-def _centered_moments(x: np.ndarray, order: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """(z, m_hat): the degree 1..order monomial matrix of a validated sample
-    minus its column means, and the moments about the mean, its column means.
+def _monomial_columns(xt: np.ndarray, order: int, cols: slice = slice(None),
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The monomials `cols`, a slice of the package-wide order, of the rows
+    xt (..., d, r), laid out (..., c, r), in `out` when it is given.
+
+    Each monomial is the product of its coordinates left to right,
+    (x_i x_j) x_k: its lower-degree prefix times one more coordinate, so a
+    column has the same bits in every block of rows or columns it is built
+    in.  The monomials that share a prefix are one broadcast product, with
+    the prefix read from `out` when it is built there.
+    """
+    d, r = xt.shape[-2:]
+    start, stop, _ = cols.indices(math.comb(d + order, order) - 1)
+    if out is None:
+        out = np.empty(xt.shape[:-2] + (stop - start, r))
+    for part, coords, prefix in _column_plan(d, order, start, stop):
+        if prefix == ():
+            out[..., part, :] = xt[..., coords, :]
+            continue
+        if isinstance(prefix, int):
+            column = out[..., prefix, None, :]
+        else:
+            column = reduce(np.multiply, (xt[..., i, None, :] for i in prefix))
+        np.multiply(column, xt[..., coords, :], out=out[..., part, :])
+    return out
+
+
+# Most monomial values of one sample built at once: the moments are reduced
+# over blocks of whole columns, and Sigma_m summed over chunks of rows, of
+# about this many.
+_MOMENT_CHUNK_ELEMENTS = 1 << 16
+
+
+def _column_reduce(xt: np.ndarray, order: int, fold):
+    """(fold(z), z or None): `fold`, a reduction over rows, of the (..., n,
+    D) monomial matrix z of the rows xt (..., d, n), made on blocks of
+    whole columns, each column with the bits of the whole matrix.  A block
+    holds about _MOMENT_CHUNK_ELEMENTS values and at least two columns:
+    einsum reduces a lone (n, 1) column in other bits than the same column
+    beside another once n exceeds numpy's buffer, so a last single column
+    is reduced again with the one before it.  z, laid out (..., D, n), is
+    returned when one block holds all of it."""
+    n, count = xt.shape[-1], math.comb(xt.shape[-2] + order, order) - 1
+    width = max(2, _MOMENT_CHUNK_ELEMENTS // n)
+    out = np.empty(xt.shape[:-2] + (count,))
+    for s in range(0, count, width):
+        cols = slice(min(s, count - 2), min(s + width, count))
+        z = _monomial_columns(xt, order, cols)
+        out[..., cols] = fold(np.swapaxes(z, -1, -2))
+    return out, (z if width >= count else None)
+
+
+def _centered_moments(x: np.ndarray, order: int = 3, covariance: bool = False):
+    """(xt, m_hat, sigma_m) of a validated sample: its centered columns xt
+    (d, n), C-ordered; the moments about the mean, the column means of the
+    degree 1..order monomials of the centered rows; and with `covariance`
+    their Sigma_m (:func:`_moment_covariance`), else None.
 
     Every statistic starts here.  The cumulant map is exact for any origin,
     and about the mean neither the moments nor their covariance, which sets
-    the finite-difference steps, grow with a shift of the data.  The
-    single-sample entry points read these from the sample's
-    ``_pipeline.MomentRecord``, built once per sample and order; the stacked
-    Wald tests call this directly.  A (K, n, d) stack of samples gives
-    (K, n, D) and (K, D) stacks, each sample's bitwise as its own call
-    gives them: the Monte Carlo tables make one call per n.
+    the finite-difference steps, grow with a shift of the data.  No (n, D)
+    monomial matrix is built: the moments are reduced over blocks of
+    columns, and a sample whose monomials fit in one block builds them once
+    for both.  The single-sample entry points read these from the sample's
+    ``_pipeline.MomentRecord``, built once per sample and order.  A (K, n,
+    d) stack of samples gives (K, d, n), (K, D) and (K, D, D) stacks, each
+    sample's bitwise as its own call gives them: the Monte Carlo tables make
+    one call per n.
     """
-    # Centered straight into the (..., d, n) layout the monomials read.
     xt = np.empty(x.shape[:-2] + (x.shape[-1], x.shape[-2]))
     np.subtract(np.swapaxes(x, -1, -2), column_means(x)[..., None], out=xt)
-    z = _monomial_matrix(np.swapaxes(xt, -1, -2), order)
-    return z, column_means(z)
+    m_hat, z = _column_reduce(xt, order, column_means)
+    return xt, m_hat, _moment_covariance(xt, m_hat, z) if covariance else None
 
 
-def _moment_covariance(z: np.ndarray, m_hat: np.ndarray) -> np.ndarray:
-    """Sigma_m of the monomial matrix `z` about its column means `m_hat`."""
-    zc = z - m_hat
-    return zc.T @ zc / z.shape[0]
+def _moment_covariance(xt: np.ndarray, m_hat: np.ndarray,
+                       z: np.ndarray | None = None) -> np.ndarray:
+    """Sigma_m of the monomials of the centered rows xt (..., d, n) about
+    their means `m_hat` (..., D): the sum of zc zc' over chunks of at most
+    _MOMENT_CHUNK_ELEMENTS // D rows, zc a chunk's monomials minus m_hat,
+    over n.  `z`, the (..., D, n) monomials of a sample that fits in one
+    chunk, is used in place.  Each product is one symmetric BLAS update of
+    a chunk with itself, so Sigma_m is exactly symmetric, and a sample of
+    one chunk has the bits of the whole monomial matrix's product."""
+    n, count = xt.shape[-1], m_hat.shape[-1]
+    chunks = (z,)
+    if z is None:
+        order = _order_of(count, xt.shape[-2])
+        step = max(1, _MOMENT_CHUNK_ELEMENTS // count)
+        buf = np.empty(xt.shape[:-2] + (count, min(n, step)))
+        chunks = (_monomial_columns(xt[..., s:s + step], order,
+                                    out=buf[..., :min(step, n - s)])
+                  for s in range(0, n, step))
+    sigma = None
+    for zc in chunks:
+        zc -= m_hat[..., None]
+        part = zc @ np.swapaxes(zc, -1, -2)
+        sigma = part if sigma is None else sigma + part
+    return sigma / n
 
 
 def third_cumulants(data) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import io
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +238,10 @@ def _map_reps(fn, reps: int):
     indices = range(reps)
     if workers == 1:
         return [fn(rep) for rep in indices]
+    # Imported here: loading the pool's modules costs every other import
+    # several ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, reps // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, indices, chunksize=chunk))
@@ -350,7 +353,7 @@ def _coverage_rep(cfg, ns, level, methods, probes, rep: int):
     """Coverage flags of each method's interval, and failure codes, of one
     replication of the coverage experiment at k = cfg.k."""
     _, _, (x_max,) = _samples(cfg, rep, ns, (cfg.k,))
-    records = [_pipeline.MomentRecord.of(x_max[:n]) for n in ns]
+    records = [_pipeline.MomentRecord.of(x_max[:n], "delta" in methods) for n in ns]
     n = np.array(ns)[:, None]
     slope = _demixing_statistic(2, SUPPLY_DEMAND_PATTERN, (0, 1))
     results = [_resampled(records, probes, slope, method) for method in methods]
@@ -396,19 +399,22 @@ def run_coverage_experiment(ns, k: float, reps: int, seed: int,
                        ns, (k,), tuple(methods))
 
 
-def _cell_records(x: np.ndarray, ns):
+def _cell_records(x: np.ndarray, ns, covariance: bool):
     """The moment records of the (n, k) cells of a (K, N, 2) sample stack,
-    n-major, made as they are read: one moment stack per n, and each
-    cell's record a view into it."""
+    n-major, made as they are read: one moment stack per n, with Sigma_m
+    when `covariance` is set, and each cell's record a view into it."""
     for n in ns:
-        yield from map(_pipeline.MomentRecord, x[:, :n], *_centered_moments(x[:, :n]))
+        xt, m_hat, sigma = _centered_moments(x[:, :n], covariance=covariance)
+        for k in range(len(x)):
+            yield _pipeline.MomentRecord(x[k, :n], xt[k], m_hat[k],
+                                         None if sigma is None else sigma[k])
 
 
 def _power_rep(cfg, ns, ks, alpha, probes, method, rep: int):
     """Rejections at level `alpha`, and failure codes, of one replication
     of the test rejection grid."""
     _, _, x = _samples(cfg, rep, ns, ks)
-    res = _wald_stack(_cell_records(x, ns), probes, method)
+    res = _wald_stack(_cell_records(x, ns, method == "delta"), probes, method)
     codes = np.where(res.failure != 0, _CODE["ill_conditioned"], 0).astype(np.int8)
     codes[res.failure == _FAIL_OMEGA] = _CODE["omega_ill_conditioned"]
     return np.where(codes == 0, (res.p_value < alpha) * 1.0, np.nan), codes

@@ -214,11 +214,15 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode(locale.getpreferredencoding(False))
+    # The bytes and the text are dropped before parsing, which holds the lines.
+    del raw
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    physical = text.split("\n")
-    kept = ([line for line in physical if line and line[0] != "#"] if "#" in text
+    physical, comments = text.split("\n"), "#" in text
+    del text
+    kept = ([line for line in physical if line and line[0] != "#"] if comments
             else list(filter(None, physical)))
     if not kept:
         raise InvalidInputError(f"{path}: empty CSV")
@@ -264,7 +268,7 @@ def load_series_csv(path, date_column: str | None = None) -> CsvSeries:
         data=data,
         dates=table[f"f{date_idx}"].tolist() if date_idx is not None else None,
         date_column=header[date_idx] if date_idx is not None else None,
-        sha256=hashlib.sha256(raw).hexdigest(),
+        sha256=digest,
     )
 
 

@@ -4,10 +4,11 @@ Labeling beyond the exhaustive cap: every one of the d! orderings, scored
 on the labeling kernels' own (d, d) placement costs.  Sign labeling up to
 the cap: every stack entry scored on its own, without sharing the scores of
 equal cost matrices.  The jackknife: a generic loop that re-estimates on
-each of the n delete-1 samples, and the delete-1 moment stack built
-whole.  The contraction Hessian: the projected
-sample cumulant whose second derivative it is, and the closed form of the
-order-4 Hessian in the sample covariance.  The VAR and partialling-out
+each of the n delete-1 samples.  The centered monomial matrix, its
+moments, Sigma_m and the delete-1 moment stack, built whole.  The
+contraction Hessian: the projected sample cumulant whose second
+derivative it is, and the closed form of the order-4 Hessian in the
+sample covariance.  The VAR and partialling-out
 fits: np.linalg.lstsq on the whole regressor matrix.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from cumident import _pipeline
 from cumident.inference import JackknifeResult, _check_jackknife_n
-from cumident.moments import validate_sample
+from cumident.moments import _monomials, column_means, validate_sample
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,11 +103,32 @@ def label_signs_every_entry(rows: np.ndarray, pattern: np.ndarray):
     return lam, best, tie_flags, order
 
 
+def centered_monomials(data, order: int = 3) -> np.ndarray:
+    """The (n, D) monomial matrix of the centered sample, built whole: each
+    monomial the left-to-right product of its coordinates (np.prod), laid
+    out column by column, the transpose of a C-ordered (D, n) array, as the
+    package builds its monomial columns."""
+    x = validate_sample(data)
+    xc = x - column_means(x)
+    return np.array([np.prod(xc[:, list(t)], axis=1)
+                     for t in _monomials(x.shape[1], order)]).T
+
+
+def whole_moments(data, order: int = 3):
+    """(m_hat, column sums, Sigma_m) of :func:`centered_monomials`: its
+    column means, its column sums and the covariance of its columns, each
+    from the whole matrix in one call."""
+    z = centered_monomials(data, order)
+    m_hat = column_means(z)
+    zc = z - m_hat
+    return m_hat, z.sum(axis=0), zc.T @ zc / len(z)
+
+
 def leave_one_out_moments(monomials: np.ndarray) -> np.ndarray:
     """Delete-1 moment vectors from the (n, D) per-observation monomials,
     built whole (:class:`cumident._pipeline.Delete1Moments` reads them by
     rows)."""
-    return _pipeline.Delete1Moments(monomials)[:]
+    return (monomials.sum(axis=0) - monomials) / (len(monomials) - 1)
 
 
 def _delete1_variance(est: np.ndarray) -> np.ndarray:

@@ -12,9 +12,9 @@ import cumident as ci
 from cumident import _pipeline, overid
 from cumident._pipeline import _sorted_eig
 from cumident.inference import _fd_steps
-from cumident.moments import _centered_moments, _moment_covariance
+from cumident.moments import _centered_moments
 
-from _brute_force import leave_one_out_moments
+from _brute_force import centered_monomials, leave_one_out_moments
 from _designs import stacked_wald_samples
 
 
@@ -275,7 +275,7 @@ def test_singular_anchor_flags_every_delete_one_entry():
     x = np.random.default_rng(40).standard_exponential((60, 4))
     x[:, 3] = 2.0
     probes = ci.ProbeVectors.draw(4, 40)
-    z, m = _centered_moments(x)
+    z, m = centered_monomials(x), _centered_moments(x)[1]
     maps = _pipeline._contraction_maps(4, probes.w1, probes.w2)
     anchor_g2 = (maps @ _pipeline._sorted_cumulants(m, 4)).reshape(2, 4, 4)[1]
     assert _pipeline._singular(anchor_g2)
@@ -283,6 +283,23 @@ def test_singular_anchor_flags_every_delete_one_entry():
         leave_one_out_moments(z), 4, probes.w1, probes.w2)
     assert demixed.ill_conditioned.all() and demixed.eig_fallbacks.all()
     assert np.isnan(demixed.rows).all()
+
+
+def test_contraction_maps_are_kept_per_probe_pair():
+    # The maps depend only on (d, w1, w2, order): a second call returns the
+    # same read-only array, equal to one built afresh.
+    probes = ci.ProbeVectors.draw(3, 7)
+    maps = _pipeline._contraction_maps(3, probes.w1, probes.w2)
+    assert _pipeline._contraction_maps(3, probes.w1.copy(), list(probes.w2)) is maps
+    assert not maps.flags.writeable
+    mirror = _pipeline._cumulant_map(3, 3)[1]
+    tensors = np.eye(mirror.max() + 1)[:, mirror]
+    want = [_pipeline._hessian(tensors, w, 3).reshape(len(tensors), -1).T
+            for w in (probes.w1, probes.w2)]
+    assert maps.tobytes() == np.stack(want).tobytes()
+    for other in (_pipeline._contraction_maps(3, probes.w2, probes.w1),
+                  _pipeline._contraction_maps(3, probes.w1, probes.w2, 4)):
+        assert other is not maps
 
 
 def test_complex_anchor_sends_the_stack_to_lapack():
@@ -344,13 +361,13 @@ def test_delete_one_stack_matches_lapack(d):
     probes = ci.ProbeVectors.draw(d, 7)
     for n in (500, 5_000):
         x, _ = skewed_sample(n, d, 31)
-        z, m = _centered_moments(x)
-        steps = _fd_steps(_moment_covariance(z, m))
+        _, m, sigma = _centered_moments(x, covariance=True)
+        steps = _fd_steps(sigma)
         fd = np.repeat(m[None], 2 * m.size, axis=0)
         fd[0::2] += np.diag(steps)
         fd[1::2] -= np.diag(steps)
         anchor = resample_anchor(m, d, probes.w1, probes.w2)
-        for ms in (leave_one_out_moments(z), fd):
+        for ms in (leave_one_out_moments(centered_monomials(x)), fd):
             got = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, anchor=anchor)
             want = lapack_rows(ms, d, probes.w1, probes.w2)
             fallbacks = got.eig_fallbacks
@@ -377,7 +394,7 @@ def test_pencil_chunks_keep_the_bits_of_the_whole_stack(monkeypatch):
     # The pencil product's bits depend on the chunk width: each chunk of a
     # stack cut at the kernel's own boundaries gives the rows of the whole.
     record, probes = delete1_record(5, 3_000)
-    ms = leave_one_out_moments(record.z)
+    ms = leave_one_out_moments(centered_monomials(record.x))
     anchor = resample_anchor(record.m_hat, 5, probes.w1, probes.w2)
     seen = pencil_parts(monkeypatch)
     whole = _pipeline.demix_rows(ms, 5, probes.w1, probes.w2, anchor=anchor)
@@ -426,7 +443,7 @@ def stack_in_chunks(case: str):
     through the kernel."""
     if case == "d2":
         record, probes = delete1_record(2, 9_000)
-        return (leave_one_out_moments(record.z), 2, probes.w1, probes.w2,
+        return (leave_one_out_moments(centered_monomials(record.x)), 2, probes.w1, probes.w2,
                 resample_anchor(record.m_hat, 2, probes.w1, probes.w2))
     ms, w1, w2, anchor = tiled_planted_stack()
     if case == "degenerate anchor":
@@ -484,7 +501,7 @@ def test_streamed_delete1_rows_match_the_built_stack(d, n, case, monkeypatch):
     anchor = resample_anchor(record.m_hat, d, probes.w1, probes.w2)
     assert (anchor is None) == (case == "degenerate anchor")
     got = record.leave_one_out(probes.w1, probes.w2, anchor)
-    ms = leave_one_out_moments(record.z)
+    ms = leave_one_out_moments(centered_monomials(record.x))
     want = _pipeline.demix_rows(ms, d, probes.w1, probes.w2, anchor=anchor)
     for field in ("rows", "gap_flags", "eig_fallbacks", "ill_conditioned"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
@@ -494,15 +511,21 @@ def test_streamed_delete1_rows_match_the_built_stack(d, n, case, monkeypatch):
     assert offdiag.tobytes() == offdiag_of_the_whole_stack(got.rows, ms, d).tobytes()
 
 
-def test_delete1_rows_peak_below_one_moment_stack():
-    # Memory bound: no (n, D) delete-1 moment stack is built.  At d = 8, n =
-    # 20 000 that stack is 26 MB; building it peaked at 41.5 MB.
-    d, n = 8, 20_000
+def wide_sample(d: int = 8, n: int = 20_000):
+    """A skewed d = 8, n = 20 000 sample, whose (n, D) moment arrays would
+    take 26 MB each, and its probes."""
     rng = np.random.default_rng(67)
     lam = np.eye(d) + 0.3 * rng.choice([-1.0, 1.0], (d, d)) * (1 - np.eye(d))
     x = rng.standard_exponential((n, d)) @ np.linalg.inv(lam).T
-    record, probes = _pipeline.MomentRecord.of(x), ci.ProbeVectors.draw(d, 7)
-    anchor = resample_anchor(record.m_hat, d, probes.w1, probes.w2)
+    return x, ci.ProbeVectors.draw(d, 7)
+
+
+def test_delete1_rows_peak_below_one_moment_stack():
+    # Memory bound: no (n, D) delete-1 moment stack is built.  At d = 8, n =
+    # 20 000 that stack is 26 MB; building it peaked at 41.5 MB.
+    x, probes = wide_sample()
+    record = _pipeline.MomentRecord.of(x)
+    anchor = resample_anchor(record.m_hat, x.shape[1], probes.w1, probes.w2)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -510,7 +533,26 @@ def test_delete1_rows_peak_below_one_moment_stack():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < record.z.nbytes
+    assert peak < x.shape[0] * record.m_hat.size * 8
+
+
+def test_moment_record_holds_no_monomial_matrix():
+    # Memory bound: a record, its Sigma_m and its delete-1 column sums are
+    # made from blocks of columns and chunks of rows, so no array of n * D
+    # entries is built or left alive (at d = 8, n = 20 000, D = 164).
+    x, _ = wide_sample()
+    whole = x.shape[0] * ci.moment_vector_length(x.shape[1]) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record = _pipeline.moment_record(x)
+        record.sigma_m(), record.delete1
+        alive = tracemalloc.take_snapshot()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert max(trace.size for trace in alive.traces) < whole / 8
+    assert peak < whole / 4
 
 
 def test_jackknife_counts_fallbacks(monkeypatch):

@@ -8,9 +8,10 @@ import cumident as ci
 from cumident import _pipeline, inference, moments, overid
 from cumident.errors import IllConditionedError
 from cumident.inference import FD_STEP_SCALE, _fd_steps
-from cumident.moments import _centered_moments, _moment_covariance
+from cumident.moments import _centered_moments
 from cumident.simulate import CompositeDgpConfig, _assemble, _draw_primitives, gen_composite
-from _brute_force import jackknife_variance, leave_one_out_moments
+from _brute_force import (centered_monomials, jackknife_variance, leave_one_out_moments,
+                          whole_moments)
 
 
 def labeled_slope(x, probes):
@@ -26,8 +27,9 @@ def labeled_slope(x, probes):
 
 
 def test_jacobian_identity_coordinate():
-    z, m = _centered_moments(np.random.default_rng(0).standard_normal((50, 2)))
-    steps = _fd_steps(_moment_covariance(z, m))
+    _, m, sigma = _centered_moments(np.random.default_rng(0).standard_normal((50, 2)),
+                                    covariance=True)
+    steps = _fd_steps(sigma)
     jac = _pipeline.batched_jacobian(lambda ms: ms[:, 3], m, steps)
     want = np.zeros((1, 9))
     want[0, 3] = 1.0
@@ -47,8 +49,8 @@ def test_jacobian_of_eigenvector_map_self_consistency():
     # Halving the step must not move the Jacobian beyond the O(step^2) bias.
     x = gen_composite(CompositeDgpConfig(n=4_000, k=0.2, seed=2), 0).x
     probes = ci.ProbeVectors.draw(2, 2)
-    z, m = _centered_moments(x)
-    steps = _fd_steps(_moment_covariance(z, m))
+    _, m, sigma = _centered_moments(x, covariance=True)
+    steps = _fd_steps(sigma)
 
     def stat(ms):
         return _pipeline.demix_rows(ms, 2, probes.w1, probes.w2).rows[:, 0]
@@ -155,7 +157,7 @@ def test_jackknife_counts_labeling_ties():
     assert tied.tie_count == 80
 
     jk = ci.demixing_jackknife(x, probes, pattern=ci.SUPPLY_DEMAND_PATTERN)
-    loo = leave_one_out_moments(_centered_moments(x)[0])
+    loo = leave_one_out_moments(centered_monomials(x))
     rows = _pipeline.demix_rows(loo, 2, probes.w1, probes.w2)[0]
     ties = _pipeline.label_signs(rows, ci.SUPPLY_DEMAND_PATTERN)[2]
     assert jk.tie_count == int(ties.sum()) < 80
@@ -283,16 +285,17 @@ def memo_entry():
     return _pipeline._record._loo[1]
 
 
-def count_monomial_matrices(monkeypatch):
-    """A list that gets one entry per monomial matrix built from now on."""
+def count_moment_records(monkeypatch):
+    """A list that gets the shape of each sample whose centered moments a
+    moment record is built from, from now on."""
     built = []
-    real = moments._monomial_matrix
+    real = _pipeline._centered_moments
 
-    def counted(data, order):
-        built.append(np.shape(data))
-        return real(data, order)
+    def counted(x, *args, **kwargs):
+        built.append(np.shape(x))
+        return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(moments, "_monomial_matrix", counted)
+    monkeypatch.setattr(_pipeline, "_centered_moments", counted)
     return built
 
 
@@ -337,7 +340,7 @@ def test_an_order4_estimate_keeps_the_order3_record(monkeypatch):
     cold(ci.demixing_jackknife, x, probes, pattern)
     record, held = _pipeline._record, memo_entry()
     ci.estimate_demixing(x, probes, order=4)
-    built = count_monomial_matrices(monkeypatch)
+    built = count_moment_records(monkeypatch)
     ci.demixing_jackknife(x, probes, pattern)
     assert _pipeline._record is record and memo_entry() is held and built == []
 
@@ -351,9 +354,9 @@ def test_memo_misses_on_other_probes(d, monkeypatch):
         cold(ci.demixing_jackknife, x, probes, pattern)
         record, held = _pipeline._record, memo_entry()
         with monkeypatch.context() as patched:
-            built = count_monomial_matrices(patched)
+            built = count_moment_records(patched)
             got = ci.demixing_jackknife(x, p, pattern=pattern)
-        # The same sample's record and monomials, a new delete-1 stack.
+        # The same sample's record and moments, a new delete-1 stack.
         assert _pipeline._record is record and built == []
         assert memo_entry() is not held
         assert_same_jackknife(got, cold(ci.demixing_jackknife, x, p, pattern=pattern))
@@ -370,36 +373,36 @@ def test_memo_holds_one_read_only_entry(d, monkeypatch):
     old_rows = weakref.ref(memo_entry().rows)
     held_while_building = []
 
-    def monomial_matrix(data, order):
+    def centered_moments(data, *args, **kwargs):
         held_while_building.append(
             (_pipeline._record is None, old_record() is None, old_rows() is None)
         )
-        return real(data, order)
+        return real(data, *args, **kwargs)
 
-    real = moments._monomial_matrix
-    monkeypatch.setattr(moments, "_monomial_matrix", monomial_matrix)
+    real = _pipeline._centered_moments
+    monkeypatch.setattr(_pipeline, "_centered_moments", centered_moments)
     jk = ci.demixing_jackknife(y, probes)
     dv = ci.delta_variance(y, probes)
     assert held_while_building == [(True, True, True)]
     record = _pipeline._record
     demixed = memo_entry()
-    # The record reads the delete-1 moments from its monomials and keeps
-    # only their column sums.
-    assert record.delete1.z is record.z
-    z = _centered_moments(y)[0]
-    np.testing.assert_array_equal(record.delete1[:], (z.sum(axis=0) - z) / (len(z) - 1))
+    # The record reads the delete-1 moments from its centered columns and
+    # keeps only their column sums: the bits of the whole monomial matrix.
+    assert record.delete1.xt is record.xt and record.xt.shape == y.shape[::-1]
+    z = centered_monomials(y)
+    assert record.delete1[:].tobytes() == leave_one_out_moments(z).tobytes()
     # The record holds a copy of the sample, not the caller's array.
     assert record.x.tobytes() == y.tobytes() and not np.shares_memory(record.x, y)
     assert y.flags.writeable
     arrays = [a for a in demixed if isinstance(a, np.ndarray)]
     assert len(arrays) == 4
-    for a in (record.x, record.z, record.m_hat, record.sigma_m(), *arrays,
+    for a in (record.x, record.xt, record.m_hat, record.sigma_m(), *arrays,
               record.delete1.total):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         demixed.rows[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        record.z[0, 0] = 1.0
+        record.xt[0, 0] = 1.0
     # Results are the caller's own arrays, not views of what is held.
     assert jk.estimates.flags.writeable and dv.sigma_m.flags.writeable
     assert not np.shares_memory(jk.estimates, demixed.rows)
@@ -448,18 +451,18 @@ def test_full_analysis_builds_one_leave_one_out_stack(monkeypatch):
 
 def test_full_analysis_builds_the_moments_once(monkeypatch):
     # Work-count guard: the five calls of one d = 5 analysis share one
-    # moment record, so the monomial matrix and Sigma_m are built once, and
+    # moment record, so the moments and Sigma_m are built once, and
     # the labeler scores each distinct sign-cost matrix of the delete-1
     # stack once, not each of its n entries.
     x, probes, pattern = memo_case(5)
     n = x.shape[0]
-    built = count_monomial_matrices(monkeypatch)
+    built = count_moment_records(monkeypatch)
     sigmas, columns = [], []
-    real_sigma, real_totals = _moment_covariance, _pipeline._candidate_totals
+    real_sigma, real_totals = moments._moment_covariance, _pipeline._candidate_totals
 
-    def moment_covariance(z, m):
-        sigmas.append(z.shape)
-        return real_sigma(z, m)
+    def moment_covariance(xt, m, *args):
+        sigmas.append((xt.shape[-1], m.shape[-1]))
+        return real_sigma(xt, m, *args)
 
     def candidate_totals(cost, pivots):
         columns.append(cost.shape[-1])
@@ -523,8 +526,8 @@ def same_bits(a, b):
 @pytest.mark.parametrize("view", ["every other row", "column slice"])
 def test_memo_hits_a_strided_view(view, monkeypatch):
     # The held record keeps the caller's strides, so a view that is neither
-    # C- nor F-contiguous hits it like any other layout: one monomial
-    # matrix for the analysis, and each output that of a cold call.
+    # C- nor F-contiguous hits it like any other layout: one moment
+    # record for the analysis, and each output that of a cold call.
     x = gen_composite(CompositeDgpConfig(n=400, k=0.2, seed=21), 0).x
     if view == "every other row":
         y = x[::2]
@@ -537,7 +540,7 @@ def test_memo_hits_a_strided_view(view, monkeypatch):
              lambda: ci.delta_variance(y, probes)]
     want = [cold(call) for call in calls]
     _pipeline._record = None
-    built = count_monomial_matrices(monkeypatch)
+    built = count_moment_records(monkeypatch)
     got = [call() for call in calls]
     assert built == [y.shape]
     for a, b in zip(got, want):

@@ -12,8 +12,11 @@ from cumident import (
     third_cumulants,
     validate_sample,
 )
-from cumident.moments import _centered_moments, _monomial_matrix, column_means
-from _brute_force import fourth_order_hessian, projected_cumulant
+from cumident import _pipeline
+from cumident.moments import (_MOMENT_CHUNK_ELEMENTS, _centered_moments, _monomial_matrix,
+                              column_means)
+from _brute_force import (centered_monomials, fourth_order_hessian, leave_one_out_moments,
+                          projected_cumulant, whole_moments)
 from _designs import population_contraction
 
 
@@ -257,3 +260,72 @@ def test_fourth_cumulant_map_is_exact_for_any_origin():
 def test_cumulant_map_reads_the_order_from_the_vector_length():
     with pytest.raises(ValueError, match="no cumulant order has 10 moments"):
         cumulants_from_moments(np.zeros(10), 2)
+
+
+def _skewed(n: int, d: int, seed: int, k: int = 1) -> np.ndarray:
+    """k stacked skewed samples (one unless k > 1), off the origin."""
+    rng = np.random.default_rng(seed)
+    mix = np.eye(d) + 0.4 * rng.standard_normal((d, d))
+    x = rng.standard_exponential((k, n, d)) @ mix.T + 3.0
+    return x[0] if k == 1 else x
+
+
+def _chunk_rows(d: int) -> int:
+    """Rows of one Sigma_m chunk: 7 281 at d = 2."""
+    return _MOMENT_CHUNK_ELEMENTS // moment_vector_length(d)
+
+
+def _assert_sigma_agrees(got, want, n, d):
+    """Sigma_m of one chunk has the bits of the whole matrix's product; of
+    several, it agrees to rtol 1e-13 (atol 1e-13 of its largest entry)."""
+    assert np.array_equal(got, np.swapaxes(got, -2, -1))
+    if n <= _chunk_rows(d):
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_record_moments_have_the_bits_of_the_whole_monomial_matrix(d):
+    # m_hat and the delete-1 column sums and rows are reduced from blocks of
+    # columns and rebuilt by rows, never from an (n, D) matrix, with the
+    # bits of that matrix; Sigma_m is summed over chunks of rows.  The sizes
+    # sit on both sides of a chunk boundary, and beyond numpy's buffer.
+    step = _chunk_rows(d)
+    for n in (step, step + 1, 20_000):
+        x = _skewed(n, d, 10 * d)
+        record = _pipeline.MomentRecord.of(x)
+        z = centered_monomials(x)
+        m_hat, total, sigma = whole_moments(x)
+        assert record.xt.tobytes() == np.ascontiguousarray((x - column_means(x)).T).tobytes()
+        assert record.m_hat.tobytes() == m_hat.tobytes()
+        assert record.delete1.total.tobytes() == total.tobytes()
+        loo = leave_one_out_moments(z)
+        got = record.delete1[:]
+        assert got.strides == loo.strides and got.tobytes() == loo.tobytes()
+        low = d + d * (d + 1) // 2
+        rows = np.array([n - 1, 0, n // 2])
+        assert record.delete1[5:900, :low].tobytes() == loo[5:900, :low].tobytes()
+        assert record.delete1[5:900, d:].tobytes() == loo[5:900, d:].tobytes()
+        assert np.array_equal(record.delete1[rows], loo[rows])
+        _assert_sigma_agrees(record.sigma_m(), sigma, n, d)
+
+
+def test_stacked_moments_are_each_samples_own():
+    # A (K, n, 2) stack gets, in one call, each sample's moments and
+    # Sigma_m as the whole monomial matrix gives them, on both sides of
+    # the one-chunk bound.
+    for n in (_chunk_rows(2), _chunk_rows(2) + 1):
+        xs = _skewed(n, 2, 5, k=3)
+        xt, m_hat, sigma = _centered_moments(xs, covariance=True)
+        assert xt.shape == (3, 2, n) and _centered_moments(xs)[2] is None
+        for k, x in enumerate(xs):
+            want_m, _, want_sigma = whole_moments(x)
+            assert m_hat[k].tobytes() == want_m.tobytes()
+            _assert_sigma_agrees(sigma[k], want_sigma, n, 2)
+
+
+def test_order4_moments_have_the_bits_of_the_whole_monomial_matrix():
+    # Blocks of columns that start inside a run of monomials build their
+    # prefixes afresh, with the bits of the whole matrix's.
+    x = _skewed(20_000, 3, 4)
+    assert _centered_moments(x, 4)[1].tobytes() == whole_moments(x, 4)[0].tobytes()

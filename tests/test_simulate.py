@@ -1,5 +1,7 @@
 import functools
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,28 +223,26 @@ def test_coverage_flags_match_inference_intervals():
     np.testing.assert_array_equal(res.values[0, 0], flags.mean(axis=0))
 
 
-def test_coverage_cell_builds_one_monomial_matrix(monkeypatch):
+def test_coverage_cell_centers_each_sample_once(monkeypatch):
     # The point, the delete-1 stack and the delta method's moment covariance
-    # all come from one centered monomial matrix per cell.  Every caller
-    # builds it through moments._centered_moments.
-    import cumident.moments as moments
-
+    # all come from one moment record per cell, and so from one centering
+    # of its sample; with the delta method, Sigma_m comes with the moments.
     calls = []
-    real = moments._monomial_matrix
+    real = _pipeline._centered_moments
 
-    def counted(x, order):
-        calls.append(np.shape(x))
-        return real(x, order)
+    def counted(x, *args, **kwargs):
+        calls.append((np.shape(x), kwargs.get("covariance", False)))
+        return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(moments, "_monomial_matrix", counted)
+    monkeypatch.setattr(_pipeline, "_centered_moments", counted)
     cfg = CompositeDgpConfig(n=400, k=0.2, seed=19)
     probes = ci.ProbeVectors.draw(2, 19)
     ns = (200, 400)
     _coverage_rep(cfg, ns, 0.5, ("jackknife", "delta"), probes, 0)
-    assert calls == [(n, 2) for n in ns]
+    assert calls == [((n, 2), True) for n in ns]
     calls.clear()
-    _coverage_rep(cfg, ns, 0.5, ("delta",), probes, 0)
-    assert calls == [(n, 2) for n in ns]
+    _coverage_rep(cfg, ns, 0.5, ("jackknife",), probes, 0)
+    assert calls == [((n, 2), False) for n in ns]
 
 
 def test_coverage_rejects_jackknife_below_its_minimum_up_front():
@@ -450,6 +450,69 @@ def test_parallel_replications_match_serial(monkeypatch):
         for reason in FAILURE_REASONS:
             np.testing.assert_array_equal(serial.failure_reasons[reason],
                                           parallel.failure_reasons[reason])
+
+
+def test_table3_makes_one_sigma_m_call_per_n(monkeypatch):
+    # Work-count guard: the delta-method Wald tests of a replication get the
+    # Sigma_m of every k at one n from one batched call.
+    from cumident import moments
+
+    calls = []
+    real = moments._moment_covariance
+
+    def counted(xt, m_hat, *args):
+        calls.append(xt.shape)
+        return real(xt, m_hat, *args)
+
+    monkeypatch.setattr(moments, "_moment_covariance", counted)
+    monkeypatch.setattr(_pipeline, "_moment_covariance", counted)
+    cfg = CompositeDgpConfig(n=1_000, k=0.0, seed=5)
+    ns, ks = (500, 1_000), (0.0, 0.2, 0.4)
+    _power_rep(cfg, ns, ks, 0.05, ci.ProbeVectors.draw(2, 5), "delta", 0)
+    assert calls == [(len(ks), 2, n) for n in ns]
+    calls.clear()
+    _power_rep(cfg, ns, ks, 0.05, ci.ProbeVectors.draw(2, 5), "jackknife", 0)
+    assert calls == []
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # The pool's modules load only when a run uses more than one worker.
+    code = ("import sys, cumident.cli; print(sorted("
+            "{'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(ci.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_table1_in_a_process_pool_equals_one_worker(monkeypatch):
+    # Two workers, on any machine: the pool path runs and gives the bits of
+    # the serial run.
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    kw = dict(ns=[200, 400], ks=[0.0, 0.3], reps=4, seed=31)
+    monkeypatch.delenv("CUMIDENT_THREADS", raising=False)
+    one = run_mse_experiment(**kw)
+    monkeypatch.setenv("CUMIDENT_THREADS", "2")
+    two = run_mse_experiment(**kw)
+    assert pools == [2]
+    assert two.values.tobytes() == one.values.tobytes()
+    np.testing.assert_array_equal(two.failures, one.failures)
+    for reason in FAILURE_REASONS:
+        np.testing.assert_array_equal(two.failure_reasons[reason],
+                                      one.failure_reasons[reason])
 
 
 # A grid small enough that sign labeling fails in some cells.

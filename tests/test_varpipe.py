@@ -351,6 +351,28 @@ def test_load_series_csv(tmp_path):
     np.testing.assert_array_equal(out.data, [[1, 2], [2, 3], [3, 5]])
 
 
+def test_load_series_csv_peak_is_a_few_file_sizes(tmp_path):
+    # Memory bound: the bytes and their decoded text are dropped before the
+    # lines are parsed, so loading peaks below 3.5 times the file size.
+    p = tmp_path / "var.csv"
+    data = np.random.default_rng(3).standard_normal((20_000, 6))
+    with open(p, "w") as fh:
+        fh.write("# generated\n" + ",".join("abcdef") + "\n")
+        np.savetxt(fh, data, delimiter=",", fmt="%.12g")
+    size = p.stat().st_size
+    assert size >= 1 << 20
+    tracemalloc.start()
+    try:
+        out = ci.load_series_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * size
+    assert out.names == list("abcdef")
+    assert out.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+    np.testing.assert_array_equal(out.data, np.loadtxt(p, delimiter=",", skiprows=2))
+
+
 def test_load_series_csv_rejects_missing_values(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1.0,2.0\n,3.0\n")
